@@ -207,6 +207,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "samples", 0) < 0:
+            raise ValueError("--samples must be >= 0")
         return args.fn(args)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .homotope import (AlphaMap, AlphaTriple, PairTriple, ProductSpace,
+from .homotope import (AlphaMap, AlphaTriple, PairTriple, ProductSpace, bracket_closure,
                        TripleSystem, check_lts, symmetric_pair)
 from .involutions import JointDecomposition, MatrixInvolution, joint_eigenspaces
-from .matrices import Matrix, Subspace, block_F, block_I, block_Ipq, block_J
+from .matrices import (Matrix, Subspace, block_F, block_I, block_Ipq, block_J,
+                       linear_map_ints)
 from .scalars import HQ, Q, QI, Scalar, ring_components
 
 # -- model subspaces -------------------------------------------------------
@@ -56,20 +57,12 @@ def iherm_space(n: int) -> Subspace:
 
 
 def _fixed_space(n: int, ring, op, sign: int) -> Subspace:
-    ambient = (n, n, ring)
-    k = ring_components(ring)
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            for c in range(k):
-                comps = [Fraction(0)] * k
-                comps[c] = Fraction(1)
-                e = Matrix.elementary(n, n, i, j, ring, Scalar.unflatten(ring, comps))
-                img = op(e)
-                m = (e + img).scale(Fraction(1, 2)) if sign == 1 else (e - img).scale(Fraction(1, 2))
-                if not m.is_zero():
-                    mats.append(m)
-    return Subspace.span(mats) if mats else Subspace.zero(ambient)
+    """The sign-eigenspace of the involution op, spanned by the columns of
+    (1 + sign * op), computed on flattened coordinates."""
+    num, den = linear_map_ints(op, (n, n, ring))
+    dim = n * n * ring_components(ring)
+    proj = [den * (idx // dim == idx % dim) + sign * v for idx, v in enumerate(num)]
+    return Subspace((n, n, ring), [col for col in (proj[b::dim] for b in range(dim)) if any(col)])
 
 
 # -- seeded exact samplers -------------------------------------------------
@@ -811,9 +804,6 @@ def instantiate(name: str, sizes) -> ConstructionDescriptor:
         dec = joint_eigenspaces([tau, tau_t])
         tl, br, tr, bl = (_block_embed(p, q, pos) for pos in ("tl", "br", "tr", "bl"))
 
-        def sym_pair_embed(pos_map):
-            return pos_map
-
         def offdiag_plus(a: Matrix) -> Matrix:
             return tr(a) + bl(a.transpose())
 
@@ -1004,16 +994,8 @@ def _check_proj_middle(c: ConstructionDescriptor, a: Matrix, t, cells, style):
     n = p + q
     tr_space = Subspace.span([Matrix.elementary(n, n, i, p + j, Q) for i in range(p) for j in range(q)])
     bl_space = Subspace.span([Matrix.elementary(n, n, p + i, j, Q) for i in range(q) for j in range(p)])
-    ok = True
-    for left, right, closed_in in ((tr_space, tr_space, tr_space), (bl_space, bl_space, bl_space)):
-        for x in left.basis_matrices():
-            for y in right.basis_matrices():
-                if not closed_in.contains(x @ a @ y - y @ a @ x):
-                    ok = False
-    for x in tr_space.basis_matrices():
-        for y in bl_space.basis_matrices():
-            if not (x @ a @ y - y @ a @ x).is_zero():
-                ok = False
+    ok = (bracket_closure(tr_space, tr_space, tr_space, a) and bracket_closure(bl_space, bl_space, bl_space, a)
+          and bracket_closure(tr_space, bl_space, Subspace.zero((n, n, Q)), a))
     for s in middle:
         cell = cells[(s, t)]
         if s == t:

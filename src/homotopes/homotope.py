@@ -20,10 +20,9 @@ from itertools import combinations
 import numpy as np
 
 from . import kernel
-from .kernel import Arr, BasisInt, PrecisionError
-from .matrices import Matrix, Subspace, rref
+from .kernel import FLOAT_EXACT_CAP, Arr, BasisInt, PrecisionError
+from .matrices import Matrix, Subspace, rref, rref_coordinates
 
-FLOAT_CAP = 2**53
 INT64_CAP = 2**62
 
 
@@ -73,19 +72,6 @@ class AlphaMap:
 
     def negated(self) -> "AlphaMap":
         return AlphaMap(lambda x: -self.fn(x), f"-({self.name})")
-
-
-@dataclass
-class HomotopeParameter:
-    """A parameter matrix together with its declared parameter class."""
-
-    a: Matrix
-    declared_class: str = "arbitrary"
-    space: Subspace | None = None
-
-    def __post_init__(self):
-        if self.space is not None and not self.space.contains(self.a):
-            raise ValueError(f"parameter is not in its declared class {self.declared_class!r}")
 
 
 # -- product objects --------------------------------------------------------
@@ -205,17 +191,14 @@ class ProductSpace:
         zm = Matrix.zeros(*self.minus.ambient[:2], self.minus.ambient[2])
         return [(b, zm) for b in self.plus.basis_matrices()] + [(zp, b) for b in self.minus.basis_matrices()]
 
+    def basis_int(self) -> BasisInt:
+        return BasisInt(self.basis, self.pivots)
+
     def flatten_pair(self, u):
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
 
     def coordinates_pair(self, u):
-        vec = self.flatten_pair(u)
-        coords = [vec[p] for p in self.pivots]
-        for c in range(len(vec)):
-            acc = sum((x * row[c] for x, row in zip(coords, self.basis)), Fraction(0))
-            if acc != vec[c]:
-                return None
-        return tuple(coords)
+        return rref_coordinates(self.basis, self.pivots, self.flatten_pair(u))
 
     def contains(self, u) -> bool:
         return self.coordinates_pair(u) is not None
@@ -292,11 +275,10 @@ class TripleSystem:
             bound = max(f1.bound * (den // f1.den), f2.bound * (den // f2.den))
             tt = Arr(a, int(den), bound, f1.ring)
         else:
-            barr = Arr.from_matrices(basis)
             warr = Arr.from_matrices(middles)
-            tt = kernel.flatten_last(kernel.t_tensor(barr, warr))
+            tt = kernel.flatten_last(kernel.t_tensor(self.space.basis_arr(), warr))
         flat = (tt - Arr(np.swapaxes(tt.a, 0, 1), tt.den, tt.bound, tt.ring)).actual_bound()
-        sub_int = BasisInt(self.space.basis, self.space.pivots)
+        sub_int = self.space.basis_int()
         coords, ok = kernel.coordinates(flat, sub_int)
         witness = None
         if not ok:
@@ -336,29 +318,7 @@ class TripleSystem:
                         coords.append((Fraction(0),) * d)
                     else:
                         coords.append(co)
-        den = 1
-        for row in flat_rows:
-            for f in row:
-                den = np.lcm(den, f.denominator) if f.denominator != 1 else den
-        den = int(den)
-        n = len(flat_rows[0])
-        flat = Arr(
-            np.array([[float(f * den) for f in row] for row in flat_rows]).reshape(d, d, d, n),
-            den, max(1.0, max((abs(f * den) for row in flat_rows for f in row), default=1)),
-            None,
-        )
-        carr = None
-        if closed:
-            cden = 1
-            for row in coords:
-                for f in row:
-                    cden = int(np.lcm(cden, f.denominator))
-            carr = Arr(
-                np.array([[float(f * cden) for f in row] for row in coords]).reshape(d, d, d, d),
-                cden, max(1.0, max((abs(f * cden) for row in coords for f in row), default=1)),
-                None,
-            )
-        return Structure(flat, carr, closed, witness)
+        return Structure(_int_arr(flat_rows, d), _int_arr(coords, d) if closed else None, closed, witness)
 
     # derived systems --------------------------------------------------------
 
@@ -367,6 +327,12 @@ class TripleSystem:
 
     def eval(self, x, y, z):
         return self.product.eval(x, y, z)
+
+
+def _int_arr(rows, d: int) -> Arr:
+    """Fraction rows indexed by (i, j, k) as an exact (d, d, d, n) tensor."""
+    num, den = kernel.fraction_matrix_to_ints(rows)
+    return Arr(np.array(num, dtype=np.float64).reshape(d, d, d, -1), den, 1.0, None).actual_bound()
 
 
 def cdual(t: TripleSystem) -> TripleSystem:
@@ -410,7 +376,7 @@ class LtsReport:
 
 
 def _exact_dtype(bound: float):
-    if bound < FLOAT_CAP:
+    if bound < FLOAT_EXACT_CAP:
         return np.float64
     if bound < INT64_CAP:
         return np.int64
@@ -541,15 +507,12 @@ class SymmetricPairRec:
     failures: list = field(default_factory=list)
 
 
-def _bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix) -> bool:
+def bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix) -> bool:
     """[left, right]_A subset of target, exact, batched."""
     if left.dim == 0 or right.dim == 0:
         return True
-    la = Arr.from_matrices(left.basis_matrices())
-    ra = Arr.from_matrices(right.basis_matrices())
-    aa = Arr.from_matrix(a)
-    bb = kernel.flatten_last(kernel.bilinear_tensor(la, ra, aa))
-    _, ok = kernel.coordinates(bb, BasisInt(target.basis, target.pivots))
+    bb = kernel.flatten_last(kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), Arr.from_matrix(a)))
+    _, ok = kernel.coordinates(bb, target.basis_int())
     return ok
 
 
@@ -577,7 +540,7 @@ def symmetric_pair(dec, s, t, a: Matrix) -> SymmetricPairRec:
         "[h,m] in m": (h, m, m),
         "[m,m] in h": (m, m, h),
     }.items():
-        if not _bracket_closure(lft, rgt, tgt, a):
+        if not bracket_closure(lft, rgt, tgt, a):
             failures.append(name)
     return SymmetricPairRec(g, h, m, a, sigma_signs, group_type, not failures, failures)
 

@@ -6,24 +6,28 @@ delta(X)^t for an antiautomorphism (delta an entrywise base involution) or
 delta(X) for an automorphism.  Construction validates involutivity and the
 (anti)morphism property on the elementary-matrix basis, so malformed
 declarations are rejected eagerly.
+
+The maps are Q-linear, so each involution is applied once per basis matrix
+(``MatrixInvolution.action``); composites, commutation and the eigenspace
+projections are exact integer matrix products on flattened coordinates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 
 from . import kernel
-from .matrices import Matrix, Subspace
-from .scalars import BASE_INVOLUTIONS, Scalar, ring_components
+from .matrices import Matrix, Subspace, linear_map_ints
+from .scalars import BASE_INVOLUTIONS, Q, ring_components
 
 
 class MatrixInvolution:
     """An involutive (anti)automorphism of M(n, n; ring)."""
 
-    __slots__ = ("kind", "delta", "twist", "n", "ring", "_twist_inv")
+    __slots__ = ("kind", "delta", "twist", "n", "ring", "_twist_inv", "_action")
 
     def __init__(self, kind: str, delta: str, n: int, ring, twist: Matrix | None = None, validate: bool = True):
         if kind not in ("anti", "auto"):
@@ -36,6 +40,7 @@ class MatrixInvolution:
         self.ring = ring
         self.twist = twist
         self._twist_inv = twist.inverse() if twist is not None else None
+        self._action = None
         if validate:
             self._validate()
 
@@ -68,15 +73,16 @@ class MatrixInvolution:
             core = self.twist @ core @ self._twist_inv
         return core
 
-    def _basis(self):
-        n, ring = self.n, self.ring
-        units = [Scalar.one(ring)]
-        k = ring_components(ring)
-        for c in range(1, k):
-            comps = [Fraction(0)] * k
-            comps[c] = Fraction(1)
-            units.append(Scalar.unflatten(ring, comps))
-        return [Matrix.elementary(n, n, i, j, ring, u) for i in range(n) for j in range(n) for u in units]
+    def dim(self) -> int:
+        """Q-dimension of the algebra the involution acts on."""
+        return self.n * self.n * ring_components(self.ring)
+
+    def action(self):
+        """This map on flattened coordinates, as ``linear_map_ints`` gives it;
+        each unit matrix is mapped once."""
+        if self._action is None:
+            self._action = linear_map_ints(self, (self.n, self.n, self.ring))
+        return self._action
 
     def _apply_arr(self, x: "kernel.Arr") -> "kernel.Arr":
         """The declared action on a batched coefficient array (exact)."""
@@ -90,14 +96,14 @@ class MatrixInvolution:
         return out
 
     def _validate(self):
-        basis = self._basis()
-        images = [self(b) for b in basis]
-        for b, img in zip(basis, images):
-            if self(img) != b:
-                raise ValueError("declared action is not involutive")
+        num, den = self.action()
+        dim = self.dim()
+        if kernel.ring_matmul(num, num, dim, dim, dim, Q) != _identity(dim, den * den):
+            raise ValueError("declared action is not involutive")
         # (anti)morphism property, batched over all basis pairs
-        barr = kernel.Arr.from_matrices(basis)
-        iarr = kernel.Arr.from_matrices(images)
+        barr = kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1.0, self.ring)
+        images = np.array(num, dtype=np.float64).reshape(dim, dim).T.reshape(dim, self.n, self.n, -1)
+        iarr = kernel.Arr(images, den, 1.0, self.ring).actual_bound()
         prods = kernel.matrix_mul(
             kernel.Arr(barr.a[:, None], barr.den, barr.bound, barr.ring),
             kernel.Arr(barr.a[None, :], barr.den, barr.bound, barr.ring),
@@ -114,7 +120,8 @@ class MatrixInvolution:
     def commutes_with(self, other: "MatrixInvolution") -> bool:
         if (self.n, self.ring) != (other.n, other.ring):
             raise ValueError("ambient mismatch")
-        return all(self(other(b)) == other(self(b)) for b in self._basis())
+        (a, _), (b, _), dim = self.action(), other.action(), self.dim()
+        return kernel.ring_matmul(a, b, dim, dim, dim, Q) == kernel.ring_matmul(b, a, dim, dim, dim, Q)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -125,6 +132,10 @@ class MatrixInvolution:
             "transpose": self.kind == "anti",
             "twist": "identity" if self.twist is None else self.twist.to_json(),
         }
+
+
+def _identity(dim: int, scale: int) -> list:
+    return [scale if r == c else 0 for r in range(dim) for c in range(dim)]
 
 
 def commute(tau: MatrixInvolution, sigma: MatrixInvolution) -> bool:
@@ -169,7 +180,8 @@ class JointDecomposition:
 
 
 def joint_eigenspaces(involutions) -> JointDecomposition:
-    """Exact joint eigenspaces via iterated projections (X +- tau(X)) / 2."""
+    """Exact joint eigenspaces: the piece with signs s is spanned by the
+    columns of the projection prod_i (1 + s_i tau_i) / 2."""
     involutions = list(involutions)
     if not involutions:
         raise ValueError("need at least one involution")
@@ -179,16 +191,21 @@ def joint_eigenspaces(involutions) -> JointDecomposition:
                 raise ValueError("involutions do not pairwise commute")
     inv0 = involutions[0]
     ambient = (inv0.n, inv0.n, inv0.ring)
-    basis = inv0._basis()
+    dim = inv0.dim()
+    # composites[mask] = (numerators, den) of the product of the tau_i with bit i set in mask
+    composites = [(_identity(dim, 1), 1)]
+    for tau in involutions:
+        num, den = tau.action()
+        composites += [(num, den)] + [(kernel.ring_matmul(num, c, dim, dim, dim, Q), den * d)
+                                      for c, d in composites[1:]]
+    total = composites[-1][1]
     pieces = {}
     for signs in iproduct((1, -1), repeat=len(involutions)):
-        projected = []
-        for b in basis:
-            x = b
-            for tau, s in zip(involutions, signs):
-                img = tau(x)
-                x = (x + img).scale(Fraction(1, 2)) if s == 1 else (x - img).scale(Fraction(1, 2))
-            if not x.is_zero():
-                projected.append(x)
-        pieces[signs] = Subspace.span(projected) if projected else Subspace.zero(ambient)
+        # the projection scaled by 2^k * total, a positive factor that keeps the span
+        proj = [0] * (dim * dim)
+        for mask, (num, den) in enumerate(composites):
+            coef = prod(s for i, s in enumerate(signs) if mask >> i & 1) * (total // den)
+            proj = [p + coef * v for p, v in zip(proj, num)]
+        columns = [proj[b::dim] for b in range(dim)]
+        pieces[signs] = Subspace(ambient, [c for c in columns if any(c)])
     return JointDecomposition(involutions, pieces)

@@ -1,16 +1,18 @@
-"""Vectorized exact-integer helpers for the heavy tensor computations.
+"""Exact-integer helpers for matrix products and the heavy tensor computations.
 
-Matrices are flattened to integer numerator arrays (stored in float64) with a
-single denominator.  Every operation tracks a conservative bound on the
-largest integer that can appear; if a bound would exceed 2^53 (the float64
-exact-integer range) a ``PrecisionError`` is raised and callers fall back to
-the pure-Fraction path.  All results are therefore exact.
+``Matrix`` products run on Python-int numerators over one common denominator
+(``fraction_matrix_to_ints``, ``ring_matmul``): no rounding, no fallback.
+The float64 kernel serves only the batched tensors (``Arr``): integer
+numerators stored in float64 with a single denominator.  Every ``Arr``
+operation tracks a conservative bound on the largest integer that can appear;
+if a bound would exceed 2^53 (the float64 exact-integer range) a
+``PrecisionError`` is raised and callers fall back to ``Matrix`` arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -46,6 +48,42 @@ def _mult_tensor(ring) -> np.ndarray:
 
 MULT_TENSOR = {r: _mult_tensor(r) for r in (Q, QI, HQ)}
 
+
+def _left_mult(t: np.ndarray) -> tuple:
+    """Rows of the left-multiplication matrix: (x y)_c = sum_b s * x_a * y_b
+    over the (a, s) listed for (c, b); each product of basis units is a
+    signed unit, so exactly one a has t[a, b, c] = s != 0."""
+    k = t.shape[0]
+    return tuple(tuple((int(np.flatnonzero(t[:, b, c])[0]), int(t[:, b, c].sum())) for b in range(k))
+                 for c in range(k))
+
+
+LEFT_MULT = {r: _left_mult(t) for r, t in MULT_TENSOR.items()}
+
+
+def fraction_matrix_to_ints(rows):
+    """Integer numerators of rows of Fractions (or ints) over their least
+    common denominator: returns (numerator rows, den)."""
+    den = lcm(*(f.denominator for row in rows for f in row))
+    return [[f.numerator * (den // f.denominator) for f in row] for row in rows], den
+
+
+def ring_matmul(x, y, rows: int, shared: int, cols: int, ring) -> list:
+    """Exact product of two flattened integer matrices over a base ring.
+
+    ``x`` (rows x shared) and ``y`` (shared x cols) list their entries row
+    by row, each as its components; so does the returned product.
+    """
+    left = LEFT_MULT[ring]
+    k = len(left)
+    # row (i, c) of X as a real matrix, against column j of Y, both indexed by (q, b)
+    xl = [[[s * x[(i * shared + q) * k + a] for q in range(shared) for a, s in lc] for lc in left]
+          for i in range(rows)]
+    yc = [[v for q in range(shared) for v in y[(q * cols + j) * k:(q * cols + j + 1) * k]]
+          for j in range(cols)]
+    return [sum(map(mul, xr, yj)) for xi in xl for yj in yc for xr in xi]
+
+
 # component sign patterns of the base involutions per ring
 CONJ_SIGNS = {
     (Q, "id"): (1,),
@@ -80,14 +118,8 @@ class Arr:
         """Stack matrices (same shape/ring) to shape (n, rows, cols, comps)."""
         ring = mats[0].ring
         k = ring_components(ring)
-        den = 1
-        flats = [m.flatten() for m in mats]
-        for flat in flats:
-            for f in flat:
-                den = lcm(den, f.denominator)
-        data = np.array(
-            [[int(f * den) for f in flat] for flat in flats], dtype=np.float64
-        ).reshape(len(mats), mats[0].rows, mats[0].cols, k)
+        num, den = fraction_matrix_to_ints([m.flatten() for m in mats])
+        data = np.array(num, dtype=np.float64).reshape(len(mats), mats[0].rows, mats[0].cols, k)
         bound = float(np.max(np.abs(data))) if data.size else 0.0
         return Arr(data, den, max(bound, 1.0), ring)
 
@@ -193,18 +225,10 @@ class BasisInt:
     __slots__ = ("num", "den", "pivots", "bound")
 
     def __init__(self, basis_rows, pivots):
-        den = 1
-        for row in basis_rows:
-            for f in row:
-                den = lcm(den, f.denominator)
-        self.num = np.array([[int(f * den) for f in row] for row in basis_rows], dtype=np.float64)
-        self.den = den
+        num, self.den = fraction_matrix_to_ints(basis_rows)
+        self.num = np.array(num, dtype=np.float64)
         self.pivots = tuple(pivots)
         self.bound = float(np.max(np.abs(self.num))) if self.num.size else 1.0
-
-    @staticmethod
-    def from_subspace(sub) -> "BasisInt":
-        return BasisInt(sub.basis, sub.pivots)
 
 
 def coordinates(flat: Arr, basis: BasisInt):
@@ -228,19 +252,14 @@ def coordinates(flat: Arr, basis: BasisInt):
     return Arr(coords, flat.den, flat.bound, flat.ring), ok
 
 
-def row_space_basis(rows: np.ndarray):
-    """Exact basis of the Q-row-space of an integer matrix.
-
-    Input integers are given in float64 (exact range); the reduction runs in
-    int64 with gcd normalization and falls back to Python integers when a
-    row's magnitudes grow too large.  Returns a list of 1-d integer arrays.
-    """
-    return [b[0] for b in _echelon(rows)]
-
-
 def independent_row_indices(rows: np.ndarray):
-    """Indices of a maximal Q-linearly-independent subset of the rows,
-    computed by the same exact elimination as row_space_basis."""
+    """Indices of a maximal Q-linearly-independent subset of the rows of an
+    integer matrix.
+
+    Input integers are given in float64 (exact range); the elimination runs
+    in int64 with gcd normalization and falls back to Python integers when a
+    row's magnitudes grow too large.
+    """
     return sorted(b[4] for b in _echelon(rows))
 
 
@@ -291,18 +310,6 @@ def _echelon(rows: np.ndarray):
     return basis
 
 
-def _gcd_reduce(row) -> int:
-    g = 0
-    if row.dtype == object:
-        for v in row:
-            g = gcd(g, abs(int(v)))
-            if g == 1:
-                return 1
-        return g if g else 1
-    g = int(np.gcd.reduce(np.abs(row)))
-    return g if g else 1
-
-
 def _gcd_and_max(row):
     """(gcd, max magnitude) of an integer row in one pass."""
     if row.dtype == object:
@@ -317,19 +324,3 @@ def _gcd_and_max(row):
     a = np.abs(row)
     return (int(np.gcd.reduce(a)) or 1), int(a.max(initial=0))
 
-
-def exact_matmul(x: np.ndarray, xb: float, y: np.ndarray, yb: float) -> np.ndarray:
-    """Integer matmul with exactness guard (inputs/outputs in float64)."""
-    shared = x.shape[-1]
-    if xb * yb * shared >= FLOAT_EXACT_CAP:
-        raise PrecisionError("matmul bound exceeds exact float range")
-    return x @ y
-
-
-def fraction_matrix_to_ints(rows):
-    """Common-denominator integer form of a 2-d Fraction array."""
-    den = 1
-    for row in rows:
-        for f in row:
-            den = lcm(den, f.denominator)
-    return [[int(f * den) for f in row] for row in rows], den

@@ -1,9 +1,13 @@
 """Dense matrices over the exact scalar rings, plus exact Q-linear subspace
 arithmetic (span, sum, intersection, membership) on flattened coordinates.
 
+Over Q, Q(i) and the rational quaternions ``Matrix`` products run on exact
+Python-int numerators over one common denominator (``kernel.ring_matmul``);
+series rings multiply entry by entry.
+
 Subspace bases are kept in reduced row echelon form, so equality of subspaces
 is a syntactic comparison and coordinates in a basis are read off pivot
-columns.
+columns.  A subspace builds its basis matrices and integer basis once.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import kernel
 from .scalars import HQ, Q, QI, Scalar, format_scalar, is_series, parse_scalar, ring_components
 
 
@@ -108,15 +113,23 @@ class Matrix:
             raise ValueError("ring mismatch in product")
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            lrow = self.row(i)
-            for j in range(other.cols):
-                acc = Scalar.zero(self.ring)
-                for k in range(self.cols):
-                    acc = acc + lrow[k] * other[k, j]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, self.ring, out)
+        if is_series(self.ring):
+            out = []
+            for i in range(self.rows):
+                lrow = self.row(i)
+                for j in range(other.cols):
+                    acc = Scalar.zero(self.ring)
+                    for k in range(self.cols):
+                        acc = acc + lrow[k] * other[k, j]
+                    out.append(acc)
+            return Matrix(self.rows, other.cols, self.ring, out)
+        (x,), dx = kernel.fraction_matrix_to_ints([self.flatten()])
+        (y,), dy = kernel.fraction_matrix_to_ints([other.flatten()])
+        num = kernel.ring_matmul(x, y, self.rows, self.cols, other.cols, self.ring)
+        den = dx * dy
+        if den != 1:
+            num = [Fraction(v, den) for v in num]
+        return Matrix.unflatten((self.rows, other.cols, self.ring), num)
 
     def scale(self, r) -> "Matrix":
         """Multiply every entry by a central rational."""
@@ -215,12 +228,30 @@ class Matrix:
 
     @staticmethod
     def from_json(data: dict) -> "Matrix":
-        ring = data["ring"]
-        rows = [[parse_scalar(ring, cell) for cell in row] for row in data["entries"]]
+        if not isinstance(data, dict) or not {"rows", "cols", "ring", "entries"} <= data.keys():
+            raise ValueError("matrix JSON must be an object with keys rows, cols, ring, entries")
+        ring, entries = data["ring"], data["entries"]
+        if ring not in (Q, QI, HQ):
+            raise ValueError(f"unknown ring {ring!r}; expected one of {Q}, {QI}, {HQ}")
+        if not (isinstance(entries, list) and entries
+                and all(isinstance(row, list) and all(isinstance(c, str) for c in row) for row in entries)):
+            raise ValueError("matrix JSON entries must be a non-empty list of rows of strings")
+        rows = [[parse_scalar(ring, cell) for cell in row] for row in entries]
         m = Matrix.from_rows(ring, rows)
         if (m.rows, m.cols) != (data["rows"], data["cols"]):
             raise ValueError("inconsistent matrix JSON")
         return m
+
+
+def linear_map_ints(fn, ambient):
+    """A Q-linear map on a matrix space as a matrix on flattened coordinates:
+    (numerators listed row by row, den), where column b is the flattened image
+    of the b-th unit matrix."""
+    rows, cols, ring = ambient
+    n = rows * cols * ring_components(ring)
+    images = [fn(Matrix.unflatten(ambient, [int(i == b) for i in range(n)])).flatten() for b in range(n)]
+    (num,), den = kernel.fraction_matrix_to_ints([[v[r] for r in range(len(images[0])) for v in images]])
+    return num, den
 
 
 # -- block constant matrices -----------------------------------------------
@@ -312,11 +343,21 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
     return red_basis
 
 
+def rref_coordinates(basis, pivots, vec):
+    """Coordinates of vec in an RREF basis (read off the pivot columns), or
+    None if vec is outside the span."""
+    coords = [vec[p] for p in pivots]
+    for c in range(len(vec)):
+        if sum((x * row[c] for x, row in zip(coords, basis)), Fraction(0)) != vec[c]:
+            return None
+    return tuple(coords)
+
+
 class Subspace:
     """A Q-linear subspace of a matrix space, stored as an RREF basis of
     flattened coordinate vectors.  Dimensions are always Q-dimensions."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_matrices", "_int")
 
     def __init__(self, ambient, basis, pivots=None):
         rows, cols, ring = ambient
@@ -325,6 +366,8 @@ class Subspace:
             basis, pivots = rref(basis)
         self.basis = tuple(tuple(v) for v in basis)
         self.pivots = tuple(pivots)
+        self._matrices = None
+        self._int = None
 
     @staticmethod
     def span(matrices: Sequence[Matrix]) -> "Subspace":
@@ -380,13 +423,7 @@ class Subspace:
         return self.coordinates_vector(m.flatten())
 
     def coordinates_vector(self, vec):
-        coords = [vec[p] for p in self.pivots]
-        n = self.ambient_dim()
-        for c in range(n):
-            acc = sum((x * row[c] for x, row in zip(coords, self.basis)), Fraction(0))
-            if acc != vec[c]:
-                return None
-        return tuple(coords)
+        return rref_coordinates(self.basis, self.pivots, vec)
 
     def contains(self, m: Matrix) -> bool:
         return self.coordinates(m) is not None
@@ -396,7 +433,22 @@ class Subspace:
         return all(self.coordinates_vector(v) is not None for v in other.basis)
 
     def basis_matrices(self):
-        return [Matrix.unflatten(self.ambient, v) for v in self.basis]
+        """The basis as a fresh list of matrices."""
+        if self._matrices is None:
+            self._matrices = tuple(Matrix.unflatten(self.ambient, v) for v in self.basis)
+        return list(self._matrices)
+
+    def basis_int(self) -> kernel.BasisInt:
+        """The RREF basis as integer numerators over one denominator."""
+        if self._int is None:
+            self._int = kernel.BasisInt(self.basis, self.pivots)
+        return self._int
+
+    def basis_arr(self) -> kernel.Arr:
+        """The basis matrices stacked as an exact tensor (dim, rows, cols, comps)."""
+        b = self.basis_int()
+        rows, cols, ring = self.ambient
+        return kernel.Arr(b.num.reshape(self.dim, rows, cols, ring_components(ring)), b.den, b.bound, ring)
 
     def from_coordinates(self, coords) -> Matrix:
         n = self.ambient_dim()

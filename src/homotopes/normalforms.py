@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernel
 from .homotope import triple_param
-from .matrices import Matrix, Subspace
+from .matrices import Matrix, Subspace, linear_map_ints
 from .scalars import Scalar, ring_components
 
 _KINDS = ("rectangular", "symmetric", "skew", "hermitian")
@@ -95,11 +95,6 @@ def _row_add(g, i, j, c: Scalar):
 def _col_swap(g, i, j):
     for row in g.rows:
         row[i], row[j] = row[j], row[i]
-
-
-def _col_scale(g, i, c: Scalar):
-    for row in g.rows:
-        row[i] = row[i] * c
 
 
 def _col_add(g, i, j, c: Scalar):
@@ -327,15 +322,8 @@ def _flat_triples(basis, a):
 def _linear_map_matrix(psi, sample: Matrix):
     """Integer matrix (with denominator) of psi on flattened coordinates."""
     amb = (sample.rows, sample.cols, sample.ring)
-    n = sample.rows * sample.cols * ring_components(sample.ring)
-    cols = []
-    for idx in range(n):
-        vec = [Fraction(0)] * n
-        vec[idx] = Fraction(1)
-        cols.append(psi(Matrix.unflatten(amb, vec)).flatten())
-    num, den = kernel.fraction_matrix_to_ints(
-        [[cols[c][r] for c in range(n)] for r in range(n)])
-    arr = np.array(num, dtype=np.float64)
+    num, den = linear_map_ints(psi, amb)
+    arr = np.array(num, dtype=np.float64).reshape(-1, sample.rows * sample.cols * ring_components(sample.ring))
     return arr, den, float(np.abs(arr).max(initial=1.0))
 
 

@@ -67,7 +67,7 @@ class Scalar:
         if is_series(ring):
             self.parts = {k: v for k, v in parts.items() if not v.is_zero()}
         else:
-            parts = tuple(Fraction(p) for p in parts)
+            parts = tuple(p if type(p) is Fraction else Fraction(p) for p in parts)
             if len(parts) != _COMPONENTS[ring]:
                 raise ValueError(f"ring {ring} needs {_COMPONENTS[ring]} components")
             self.parts = parts
@@ -236,7 +236,7 @@ class Scalar:
 
     @staticmethod
     def unflatten(ring, comps: Iterable) -> "Scalar":
-        return Scalar(ring, tuple(Fraction(c) for c in comps))
+        return Scalar(ring, comps)
 
     # -- series access -----------------------------------------------------
 
@@ -337,6 +337,9 @@ def parse_scalar(ring, text: str) -> Scalar:
         idx = unit_index[unit]
         if idx >= ncomp:
             raise ValueError(f"unit {unit!r} not available in ring {ring}")
-        val = Fraction(mag) if mag else Fraction(1)
+        try:
+            val = Fraction(mag) if mag else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar literal {text!r}") from None
         comps[idx] += -val if sign == "-" else val
     return Scalar(ring, tuple(comps))

@@ -18,6 +18,12 @@ def run(tmp_path, *argv):
     return code, text
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestAxioms:
     def test_pass_exit_zero(self, tmp_path):
         code, text = run(tmp_path, "axioms", "--family", "1.a",
@@ -32,6 +38,12 @@ class TestAxioms:
     def test_missing_sizes_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "axioms", "--family", "1.a")
         assert code == 2
+
+    def test_negative_samples_exit_two(self, tmp_path, capsys):
+        code, text = run(tmp_path, "axioms", "--family", "2.a", "--n", "2",
+                         "--samples", "-3")
+        assert code == 2 and text == ""
+        assert "--samples" in assert_one_line_error(capsys)
 
     def test_zero_samples(self, tmp_path):
         code, text = run(tmp_path, "axioms", "--family", "2.a", "--n", "2",
@@ -92,6 +104,19 @@ class TestNormalForm:
         assert code == 0
         data = json.loads(text)
         assert data["verified"] is True and data["intertwines"] is True
+
+    @pytest.mark.parametrize("data, reason", [
+        ({"rows": 1, "cols": 2, "ring": "Q", "entries": [["1/0", "1"]]}, "zero denominator"),
+        ([["1", "0"], ["0", "1"]], "must be an object"),
+        ({"rows": 1, "cols": 1, "ring": "QQ", "entries": [["1"]]}, "unknown ring 'QQ'"),
+    ], ids=["zero-denominator", "top-level-array", "unknown-ring"])
+    def test_bad_input_exit_two(self, tmp_path, capsys, data, reason):
+        inp = tmp_path / "m.json"
+        inp.write_text(json.dumps(data))
+        code, text = run(tmp_path, "normal-form", "--kind", "symmetric",
+                         "--input", str(inp))
+        assert code == 2 and text == ""
+        assert reason in assert_one_line_error(capsys)
 
     def test_missing_file_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "normal-form", "--kind", "symmetric",

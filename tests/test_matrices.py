@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homotopes.families import rand_matrix, sym_space
 from homotopes.matrices import (Matrix, Subspace, block_F, block_I, block_Ipq,
@@ -138,3 +140,23 @@ class TestSubspace:
         sp = Subspace.span([m])
         # Q-span, not QI-span: i*m is not a rational multiple of m
         assert not sp.contains(m.scalar_mul(i))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["Q", "QI", "HQ", "1/0", "1/2", "i", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["rows", "cols", "ring", "entries"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_from_json_rejects_bad_input_with_value_error(data):
+    """Any JSON value either parses to a matrix or raises ValueError (which
+    the command line reports as a one-line error with exit code 2)."""
+    try:
+        m = Matrix.from_json(data)
+    except ValueError:
+        return
+    assert Matrix.from_json(m.to_json()) == m
