@@ -51,6 +51,16 @@ def _sizes_for(kind: str, args) -> tuple:
     return sizes
 
 
+def _construction_sizes(args) -> tuple:
+    if args.construction == "proj":
+        if args.p is None or args.q is None:
+            raise ValueError("proj needs --p and --q")
+        return (args.p, args.q)
+    if args.n is None:
+        raise ValueError(f"{args.construction} needs --n")
+    return (args.n,)
+
+
 def cmd_axioms(args) -> int:
     desc = family(args.family)
     sizes = _sizes_for(desc.sizes, args)
@@ -60,15 +70,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.construction == "proj":
-        if args.p is None or args.q is None:
-            raise ValueError("proj needs --p and --q")
-        sizes = (args.p, args.q)
-    else:
-        if args.n is None:
-            raise ValueError(f"{args.construction} needs --n")
-        sizes = (args.n,)
-    c = instantiate(args.construction, sizes)
+    c = instantiate(args.construction, _construction_sizes(args))
     artifact = verify_table(c, args.samples, args.seed)
     if args.format == "md":
         _emit(artifact.to_markdown(), args.out)
@@ -78,14 +80,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_eigenspaces(args) -> int:
-    if args.construction == "proj":
-        if args.p is None or args.q is None:
-            raise ValueError("proj needs --p and --q")
-        sizes = (args.p, args.q)
-    else:
-        if args.n is None:
-            raise ValueError(f"{args.construction} needs --n")
-        sizes = (args.n,)
+    sizes = _construction_sizes(args)
     c = instantiate(args.construction, sizes)
     model_failures = c.validate_models()
     report = {

@@ -158,9 +158,8 @@ class ParamClass:
 
 
 def _project_onto(space: Subspace, m: Matrix) -> Matrix:
-    """Orthogonal-free projection: express m = in-span + rest via RREF
-    coordinates of the span of basis + m; here we simply drop m to the span
-    by zeroing non-member part through coordinates of its best pivot fit."""
+    """The element of the space with the same pivot coordinates as m (the
+    RREF basis has a 1 in its own pivot and 0 in the others)."""
     coords = [m.flatten()[p] for p in space.pivots]
     return space.from_coordinates(coords)
 
@@ -614,7 +613,7 @@ def _build_polarized():
 _build_catalog()
 
 
-def family(label: str, sizes=None) -> FamilyDescriptor:
+def family(label: str) -> FamilyDescriptor:
     if label not in _CATALOG:
         raise KeyError(f"unknown family label {label!r}")
     return _CATALOG[label]

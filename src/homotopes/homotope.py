@@ -20,10 +20,9 @@ from itertools import combinations
 import numpy as np
 
 from . import kernel
-from .kernel import FLOAT_EXACT_CAP, Arr, BasisInt, PrecisionError
-from .matrices import Matrix, Subspace, rref, rref_coordinates
-
-INT64_CAP = 2**62
+from .kernel import Arr, BasisInt
+from .matrices import Matrix, Subspace, linear_map_ints, rref, rref_coordinates
+from .scalars import ring_components
 
 
 # -- basic products --------------------------------------------------------
@@ -138,7 +137,8 @@ class PairTriple:
 
 
 class GenericTriple:
-    """An arbitrary ternary product given by a callable (exact path only)."""
+    """An arbitrary ternary product given by a callable, evaluated on each
+    basis triple."""
 
     pair = False
 
@@ -247,78 +247,29 @@ class TripleSystem:
 
     def structure(self) -> Structure:
         if self._structure is None:
-            if self.dim == 0:
-                self._structure = self._structure_exact()
-            else:
-                try:
-                    self._structure = self._structure_kernel()
-                except (PrecisionError, TypeError):
-                    self._structure = self._structure_exact()
+            self._structure = self._compute_structure()
         return self._structure
 
-    # fast exact-integer path ------------------------------------------------
-
-    def _structure_kernel(self) -> Structure:
-        basis = self.basis()
-        middles = self.product.middle_images(basis)
-        if middles is None:
-            raise TypeError("generic products have no kernel path")
-        if self.product.pair:
-            bp = Arr.from_matrices([u[0] for u in basis])
-            bm = Arr.from_matrices([u[1] for u in basis])
-            wp = Arr.from_matrices([w[0] for w in middles])
-            wm = Arr.from_matrices([w[1] for w in middles])
-            f1 = kernel.flatten_last(kernel.t_tensor(bp, wm))
-            f2 = kernel.flatten_last(kernel.t_tensor(bm, wp))
-            den = np.lcm(f1.den, f2.den)
-            a = np.concatenate([f1.a * (den // f1.den), f2.a * (den // f2.den)], axis=-1)
-            bound = max(f1.bound * (den // f1.den), f2.bound * (den // f2.den))
-            tt = Arr(a, int(den), bound, f1.ring)
-        else:
-            warr = Arr.from_matrices(middles)
-            tt = kernel.flatten_last(kernel.t_tensor(self.space.basis_arr(), warr))
-        flat = (tt - Arr(np.swapaxes(tt.a, 0, 1), tt.den, tt.bound, tt.ring)).actual_bound()
-        sub_int = self.space.basis_int()
-        coords, ok = kernel.coordinates(flat, sub_int)
-        witness = None
-        if not ok:
-            eq = np.all(flat.a * sub_int.den == coords.a @ sub_int.num, axis=-1)
-            bad = np.argwhere(~eq)
-            witness = tuple(int(v) for v in bad[0])
-            coords = None
-        return Structure(flat, coords, ok, witness)
-
-    # exact Fraction fallback ------------------------------------------------
-
-    def _structure_exact(self) -> Structure:
+    def _compute_structure(self) -> Structure:
         basis = self.basis()
         d = len(basis)
         if d == 0:
-            empty = Arr(np.zeros((0, 0, 0, 0)), 1, 1.0, None)
+            empty = Arr(np.zeros((0, 0, 0, 0)), 1, 1, None)
             return Structure(empty, empty, True, None)
-        pair = getattr(self.product, "pair", False)
-        flat_rows = []
-        coords = []
-        closed = True
-        witness = None
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    val = self.product.eval(basis[i], basis[j], basis[k])
-                    if pair:
-                        vec = self.space.flatten_pair(val)
-                        co = self.space.coordinates_pair(val)
-                    else:
-                        vec = val.flatten()
-                        co = self.space.coordinates(val)
-                    flat_rows.append(vec)
-                    if co is None:
-                        if closed:
-                            closed, witness = False, (i, j, k)
-                        coords.append((Fraction(0),) * d)
-                    else:
-                        coords.append(co)
-        return Structure(_int_arr(flat_rows, d), _int_arr(coords, d) if closed else None, closed, witness)
+        middles = self.product.middle_images(basis)
+        if middles is None:
+            values = [self.product.eval(x, y, z).flatten() for x in basis for y in basis for z in basis]
+            flat = Arr.from_rows(values, (d, d, d, -1), basis[0].ring)
+        elif self.product.pair:
+            bp, bm, wp, wm = (Arr.from_matrices([u[side] for u in seq])
+                              for seq in (basis, middles) for side in (0, 1))
+            flat = kernel.concat_last(_flat_triples(bp, wm), _flat_triples(bm, wp))
+        else:
+            flat = _flat_triples(self.space.basis_arr(), Arr.from_matrices(middles))
+        coords, member = kernel.coordinates(flat, self.space.basis_int())
+        if member.all():
+            return Structure(flat, coords, True, None)
+        return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]))
 
     # derived systems --------------------------------------------------------
 
@@ -329,10 +280,11 @@ class TripleSystem:
         return self.product.eval(x, y, z)
 
 
-def _int_arr(rows, d: int) -> Arr:
-    """Fraction rows indexed by (i, j, k) as an exact (d, d, d, n) tensor."""
-    num, den = kernel.fraction_matrix_to_ints(rows)
-    return Arr(np.array(num, dtype=np.float64).reshape(d, d, d, -1), den, 1.0, None).actual_bound()
+def _flat_triples(basis: Arr, middles: Arr) -> Arr:
+    """Flattened T(b_i, w_j, b_k) - T(b_j, w_i, b_k) over basis and middle
+    stacks (w_j the middle image of b_j)."""
+    tt = kernel.flatten_last(kernel.t_tensor(basis, middles))
+    return (tt - tt.swap_first()).actual_bound()
 
 
 def cdual(t: TripleSystem) -> TripleSystem:
@@ -375,30 +327,10 @@ class LtsReport:
         return out
 
 
-def _exact_dtype(bound: float):
-    if bound < FLOAT_EXACT_CAP:
-        return np.float64
-    if bound < INT64_CAP:
-        return np.int64
-    return object
-
-
-def _as_dtype(a: np.ndarray, dtype):
-    if a.dtype == object:
-        return a.astype(np.float64) if dtype is np.float64 else a
-    if dtype is np.float64:
-        return a
-    if dtype is np.int64:
-        return np.rint(a).astype(np.int64)
-    return np.rint(a).astype(np.int64).astype(object)
-
-
-def _lt3_residual(c: np.ndarray, d_op: np.ndarray, bound: float):
+def _lt3_residual(c: np.ndarray, d_op: np.ndarray, bound: int):
     """LT3 residual of a single derivation candidate D: returns the tensor
     lhs - (r1 + r2 + r3) where lhs[ijkm] = sum_w D[m,w] c[ijkw] etc."""
-    dt = _exact_dtype(bound)
-    cc = _as_dtype(c, dt)
-    dd = _as_dtype(d_op, dt)
+    cc, dd = kernel.fit(c, bound), kernel.fit(d_op, bound)
     dim = c.shape[0]
     lhs = (cc.reshape(dim**3, dim) @ dd.T).reshape(dim, dim, dim, dim)
     # (D b_i)_t = D[t, i]: contract the first axis of D against each slot
@@ -414,7 +346,7 @@ def check_lts(system: TripleSystem) -> LtsReport:
     report = LtsReport()
     st = system.structure()
     report.add("closure", st.closed, st.witness)
-    flat = st.flat.a
+    flat = kernel.fit(st.flat.a, 3 * st.flat.bound)
     anti = flat + np.swapaxes(flat, 0, 1)
     if np.any(anti):
         report.add("LT1", False, tuple(int(v) for v in np.argwhere(anti)[0][:3]))
@@ -450,7 +382,7 @@ def _check_lt3(st: Structure, lt1_ok: bool = False):
         rows = c[iu, ju].reshape(-1, d * d)
     else:
         rows = c.reshape(d * d, d * d)
-    rows = np.unique(rows, axis=0)
+    rows = _distinct_rows(rows)
     # a maximal independent subset of the original rows: LT3 is linear in the
     # derivation candidate, and the original rows are well-conditioned
     picked = kernel.independent_row_indices(rows)
@@ -458,13 +390,21 @@ def _check_lt3(st: Structure, lt1_ok: bool = False):
     for i in picked:
         row = rows[i]
         d_op = row.reshape(d, d).T
-        dmax = float(np.abs(row).max(initial=1.0))
+        dmax = max(int(np.abs(row).max(initial=0)), 1)
         # D is unscaled integer; c carries denominator st.coords.den which
         # cancels from both sides of the identity.
         res = _lt3_residual(c, d_op, cmax * dmax * d * 3)
         if np.any(res):
             return False, _lt3_witness(st)
     return True, None
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order, for float64 and ``object``
+    arrays alike (np.unique(axis=0) rejects ``object`` arrays)."""
+    if rows.dtype == object:
+        return np.array(sorted(set(map(tuple, rows))), dtype=object)
+    return np.unique(rows, axis=0)
 
 
 def _lt3_witness(st: Structure):
@@ -480,16 +420,12 @@ def _lt3_witness(st: Structure):
     return None
 
 
-def check_closure(space, product, arity: int = 3) -> bool:
-    """Exact closure of the product on the space (exhaustive over basis
-    tuples; use TripleSystem/check_lts for large systems)."""
-    basis = space.basis_matrices() if isinstance(space, (Subspace, ProductSpace)) else space
-    if arity == 3:
-        if isinstance(product, (AlphaTriple, PairTriple, GenericTriple)):
-            ts = TripleSystem(space, product)
-            return ts.structure().closed
-        return all(space.contains(product(x, y, z)) for x in basis for y in basis for z in basis)
-    return all(space.contains(product(x, y)) for x in basis for y in basis)
+def check_closure(space, product) -> bool:
+    """Exact closure of the triple product on the space over all basis
+    triples; ``product`` is a product object or a callable (x, y, z)."""
+    if not isinstance(product, (AlphaTriple, PairTriple, GenericTriple)):
+        product = GenericTriple(product)
+    return TripleSystem(space, product).structure().closed
 
 
 # -- symmetric pairs --------------------------------------------------------
@@ -512,8 +448,8 @@ def bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix
     if left.dim == 0 or right.dim == 0:
         return True
     bb = kernel.flatten_last(kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), Arr.from_matrix(a)))
-    _, ok = kernel.coordinates(bb, target.basis_int())
-    return ok
+    _, member = kernel.coordinates(bb, target.basis_int())
+    return bool(member.all())
 
 
 def symmetric_pair(dec, s, t, a: Matrix) -> SymmetricPairRec:
@@ -582,13 +518,26 @@ def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> b
     """Exact check that the action intertwines the two triple systems on all
     basis triples of the given space."""
     a_new, psi = gamma_act(g, a, tau, phi)
-    basis = space.basis_matrices()
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                if psi(triple_param(x, y, z, a_new)) != triple_param(psi(x), psi(y), psi(z), a):
-                    return False
-    return True
+    return intertwines(psi, space.basis_matrices(), a_new, a)
+
+
+def intertwines(psi, basis, a_new: Matrix, a: Matrix) -> bool:
+    """psi([X, Y, Z]_{A'}) = [psi X, psi Y, psi Z]_A for all basis triples,
+    exactly; psi is a Q-linear map of the basis' ambient matrix space."""
+    if not basis:
+        return True
+    x = basis[0]
+    n = x.rows * x.cols * ring_components(x.ring)
+    num, den = linear_map_ints(psi, (x.rows, x.cols, x.ring))
+    ints = Arr.from_rows([num], (-1, n), x.ring)
+    pmat = Arr(ints.a, den, ints.bound, x.ring)
+
+    def triples(mats, p):
+        return _flat_triples(Arr.from_matrices(mats), Arr.from_matrices([p @ m @ p for m in mats]))
+
+    lhs = kernel.map_last(triples(basis, a_new), pmat)
+    rhs = triples([psi(b) for b in basis], a)
+    return not np.any((lhs - rhs).a)
 
 
 # -- standard imbedding -----------------------------------------------------
@@ -601,11 +550,10 @@ class StandardImbedding:
     h_dim: int
     m_dim: int
     jacobi_ok: bool
-    reproduces_structure: bool
 
     @property
     def ok(self) -> bool:
-        return self.jacobi_ok and self.reproduces_structure
+        return self.jacobi_ok
 
 
 def standard_imbedding(system: TripleSystem) -> StandardImbedding:
@@ -670,7 +618,4 @@ def standard_imbedding(system: TripleSystem) -> StandardImbedding:
                         rhs[m][w] = acc
                 if lhs != tuple(tuple(row) for row in rhs):
                     jacobi_ok = False
-    # the -1 eigenspace bracket [x, y, z] := [[x, y], z] = R(x, y) z
-    # reproduces the structure constants by construction
-    reproduces = True
-    return StandardImbedding(system, h_basis, len(h_basis), d, jacobi_ok, reproduces)
+    return StandardImbedding(system, h_basis, len(h_basis), d, jacobi_ok)

@@ -101,9 +101,9 @@ class MatrixInvolution:
         if kernel.ring_matmul(num, num, dim, dim, dim, Q) != _identity(dim, den * den):
             raise ValueError("declared action is not involutive")
         # (anti)morphism property, batched over all basis pairs
-        barr = kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1.0, self.ring)
-        images = np.array(num, dtype=np.float64).reshape(dim, dim).T.reshape(dim, self.n, self.n, -1)
-        iarr = kernel.Arr(images, den, 1.0, self.ring).actual_bound()
+        barr = kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1, self.ring)
+        ints = kernel.Arr.from_rows([num], (dim, dim), self.ring)
+        iarr = kernel.Arr(ints.a.T.reshape(dim, self.n, self.n, -1), den, ints.bound, self.ring)
         prods = kernel.matrix_mul(
             kernel.Arr(barr.a[:, None], barr.den, barr.bound, barr.ring),
             kernel.Arr(barr.a[None, :], barr.den, barr.bound, barr.ring),
@@ -114,7 +114,7 @@ class MatrixInvolution:
         rhs = kernel.Arr(iarr.a[:, None] if self.kind == "anti" else iarr.a[None, :],
                          iarr.den, iarr.bound, iarr.ring)
         expect = kernel.matrix_mul(lhs, rhs)
-        if not np.array_equal(got.a * expect.den, expect.a * got.den):
+        if np.any((got - expect).a):
             raise ValueError(f"declared action is not an {self.kind}morphism")
 
     def commutes_with(self, other: "MatrixInvolution") -> bool:

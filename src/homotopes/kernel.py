@@ -2,11 +2,12 @@
 
 ``Matrix`` products run on Python-int numerators over one common denominator
 (``fraction_matrix_to_ints``, ``ring_matmul``): no rounding, no fallback.
-The float64 kernel serves only the batched tensors (``Arr``): integer
-numerators stored in float64 with a single denominator.  Every ``Arr``
-operation tracks a conservative bound on the largest integer that can appear;
-if a bound would exceed 2^53 (the float64 exact-integer range) a
-``PrecisionError`` is raised and callers fall back to ``Matrix`` arithmetic.
+The batched tensors (``Arr``) hold integer numerators over a single
+denominator together with a proven bound on the largest magnitude.  Every
+operation computes the bound of its result before it runs and picks the
+dtype from it (``fit``): float64, so BLAS runs, while the bound is below 2^53
+(the float64 exact-integer range), numpy ``object`` arrays of Python ints
+otherwise.  There is one code path; only the dtype changes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ FLOAT_EXACT_CAP = 2**53
 
 
 class PrecisionError(ArithmeticError):
-    """Integer magnitudes would exceed the exact float64 range."""
+    """A float64 ``Arr`` with a bound past the exact float64 range (a bug)."""
 
 
 def _mult_tensor(ring) -> np.ndarray:
@@ -96,17 +97,27 @@ CONJ_SIGNS = {
 }
 
 
+def fit(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a`` (integer entries of magnitude at most ``bound``) in the dtype that
+    holds every integer up to ``bound`` exactly: float64 below 2^53, numpy
+    ``object`` arrays of Python ints above."""
+    if bound < FLOAT_EXACT_CAP:
+        return a if a.dtype == np.float64 else a.astype(np.float64)
+    return a if a.dtype == object else a.astype(np.int64).astype(object)
+
+
 class Arr:
     """Exact integer tensor with denominator and magnitude bound.
 
-    ``a`` holds integers in float64; ``a / den`` is the represented rational
-    tensor; ``bound`` is a proven upper bound for max |entry|.
+    ``a`` holds integers; ``a / den`` is the represented rational tensor;
+    ``bound`` is a proven upper bound for max |entry|, and ``a`` is float64
+    exactly when ``bound`` is below 2^53 (see ``fit``).
     """
 
     __slots__ = ("a", "den", "bound", "ring")
 
-    def __init__(self, a: np.ndarray, den: int, bound: float, ring):
-        if bound >= FLOAT_EXACT_CAP:
+    def __init__(self, a: np.ndarray, den: int, bound: int, ring):
+        if bound >= FLOAT_EXACT_CAP and a.dtype != object:
             raise PrecisionError(f"bound {bound:.3g} exceeds exact float range")
         self.a = a
         self.den = den
@@ -114,14 +125,19 @@ class Arr:
         self.ring = ring
 
     @staticmethod
+    def from_rows(rows, shape, ring) -> "Arr":
+        """Rows of Fractions (or ints) over one denominator, reshaped."""
+        num, den = fraction_matrix_to_ints(rows)
+        bound = max(max(map(abs, row), default=0) for row in num) if num else 0
+        data = np.array(num, dtype=np.float64 if bound < FLOAT_EXACT_CAP else object)
+        return Arr(data.reshape(shape), den, max(bound, 1), ring)
+
+    @staticmethod
     def from_matrices(mats) -> "Arr":
         """Stack matrices (same shape/ring) to shape (n, rows, cols, comps)."""
         ring = mats[0].ring
-        k = ring_components(ring)
-        num, den = fraction_matrix_to_ints([m.flatten() for m in mats])
-        data = np.array(num, dtype=np.float64).reshape(len(mats), mats[0].rows, mats[0].cols, k)
-        bound = float(np.max(np.abs(data))) if data.size else 0.0
-        return Arr(data, den, max(bound, 1.0), ring)
+        shape = (len(mats), mats[0].rows, mats[0].cols, ring_components(ring))
+        return Arr.from_rows([m.flatten() for m in mats], shape, ring)
 
     @staticmethod
     def from_matrix(mat) -> "Arr":
@@ -130,8 +146,13 @@ class Arr:
 
     def actual_bound(self) -> "Arr":
         """Tighten the tracked bound to the actual maximum entry."""
-        b = float(np.max(np.abs(self.a))) if self.a.size else 0.0
-        return Arr(self.a, self.den, max(b, 1.0), self.ring)
+        b = max(int(np.abs(self.a).max(initial=0)), 1)
+        return Arr(fit(self.a, b), self.den, b, self.ring)
+
+    def over(self, den: int, bound: int) -> np.ndarray:
+        """The entries rescaled to the multiple ``den`` of the denominator, in
+        the dtype of ``bound`` (which must cover the rescaled entries)."""
+        return fit(self.a, bound) * (den // self.den)
 
     def __neg__(self) -> "Arr":
         return Arr(-self.a, self.den, self.bound, self.ring)
@@ -140,8 +161,8 @@ class Arr:
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
         d = lcm(self.den, other.den)
-        fa, fb = d // self.den, d // other.den
-        return Arr(self.a * fa + other.a * fb, d, self.bound * fa + other.bound * fb, self.ring)
+        bound = self.bound * (d // self.den) + other.bound * (d // other.den)
+        return Arr(self.over(d, bound) + other.over(d, bound), d, bound, self.ring)
 
     def __sub__(self, other: "Arr") -> "Arr":
         return self + (-other)
@@ -154,6 +175,30 @@ class Arr:
         """Swap the matrix axes (the last three axes are rows, cols, comps)."""
         return Arr(np.swapaxes(self.a, -3, -2), self.den, self.bound, self.ring)
 
+    def swap_first(self) -> "Arr":
+        """Swap the two leading axes."""
+        return Arr(np.swapaxes(self.a, 0, 1), self.den, self.bound, self.ring)
+
+
+def concat_last(x: Arr, y: Arr) -> Arr:
+    """Concatenate along the last axis over a common denominator."""
+    d = lcm(x.den, y.den)
+    bound = max(x.bound * (d // x.den), y.bound * (d // y.den))
+    return Arr(np.concatenate([x.over(d, bound), y.over(d, bound)], axis=-1), d, bound, x.ring)
+
+
+def map_last(x: Arr, m: Arr) -> Arr:
+    """Apply the integer matrix ``m`` (shape (n_out, n_in)) to the last axis."""
+    bound = x.bound * m.bound * m.a.shape[1]
+    out = np.tensordot(fit(x.a, bound), fit(m.a, bound), axes=([-1], [1]))
+    return Arr(out, x.den * m.den, bound, x.ring).actual_bound()
+
+
+def _contract(sub: str, xa, ya, ring, bound: int) -> np.ndarray:
+    """One ring product contraction, run in the dtype of its result bound."""
+    t = MULT_TENSOR[ring]
+    return np.einsum(sub, fit(xa, bound), fit(ya, bound), fit(t, bound), optimize=True)
+
 
 def ring_einsum(sub: str, x: Arr, y: Arr, shared: int) -> Arr:
     """Ring-aware product contraction.  ``sub`` must contract one matrix index
@@ -161,12 +206,8 @@ def ring_einsum(sub: str, x: Arr, y: Arr, shared: int) -> Arr:
     ``shared`` is the size of the contracted matrix index."""
     if x.ring != y.ring:
         raise ValueError("ring mismatch")
-    t = MULT_TENSOR[x.ring]
-    k = t.shape[0]
-    bound = x.bound * y.bound * shared * k
-    if bound >= FLOAT_EXACT_CAP:
-        raise PrecisionError("product bound exceeds exact float range")
-    out = np.einsum(sub, x.a, y.a, t, optimize=True)
+    bound = x.bound * y.bound * shared * ring_components(x.ring)
+    out = _contract(sub, x.a, y.a, x.ring, bound)
     return Arr(out, x.den * y.den, bound, x.ring).actual_bound()
 
 
@@ -178,25 +219,19 @@ def matrix_mul(x: Arr, y: Arr) -> Arr:
 
 def t_tensor(basis: Arr, middle: Arr) -> Arr:
     """TT[i, j, k] = b_i w_j b_k + b_k w_j b_i over the basis/middle stacks."""
-    t = MULT_TENSOR[basis.ring]
-    k = t.shape[0]
-    d = basis.a.shape[0]
+    ring = basis.ring
+    k = ring_components(ring)
     q = basis.a.shape[-2]
     p = basis.a.shape[-3] if basis.a.ndim >= 3 else 1
-
-    def contract(sub, xa, xb, ya, yb, shared):
-        bound = xb * yb * shared * k
-        if bound >= FLOAT_EXACT_CAP:
-            raise PrecisionError("triple tensor bound exceeds exact float range")
-        return np.einsum(sub, xa, ya, t, optimize=True), bound
-
-    m1, b1 = contract("ipqa,jqrb,abc->ijprc", basis.a, basis.bound, middle.a, middle.bound, q)
-    t1, bt1 = contract("ijpqa,kqrb,abc->ijkprc", m1, b1, basis.a, basis.bound, p)
-    m2, b2 = contract("jpqa,iqrb,abc->jiprc", middle.a, middle.bound, basis.a, basis.bound, p)
-    t2, bt2 = contract("kpqa,jiqrb,abc->ijkprc", basis.a, basis.bound, m2, b2, q)
+    # b_i w_j sums over q, w_j b_i over p; both triple terms sum over p * q
+    bw, wb = basis.bound * middle.bound * q * k, basis.bound * middle.bound * p * k
+    bound = 2 * bw * basis.bound * p * k
+    m1 = _contract("ipqa,jqrb,abc->ijprc", basis.a, middle.a, ring, bw)
+    t1 = _contract("ijpqa,kqrb,abc->ijkprc", m1, basis.a, ring, bound)
+    m2 = _contract("jpqa,iqrb,abc->jiprc", middle.a, basis.a, ring, wb)
+    t2 = _contract("kpqa,jiqrb,abc->ijkprc", basis.a, m2, ring, bound)
     den = basis.den * basis.den * middle.den
-    out = Arr(t1 + t2, den, bt1 + bt2, basis.ring)
-    return out.actual_bound()
+    return Arr(t1 + t2, den, bound, ring).actual_bound()
 
 
 def bilinear_tensor(left: Arr, right: Arr, param: Arr) -> Arr:
@@ -207,8 +242,7 @@ def bilinear_tensor(left: Arr, right: Arr, param: Arr) -> Arr:
     ya = matrix_mul(Arr(right.a[:, None], right.den, right.bound, right.ring),
                     Arr(param.a[None, None], param.den, param.bound, param.ring))
     yax = ring_einsum("jipqa,iqrb,abc->jiprc", ya, left, left.a.shape[-2])
-    yax = Arr(np.swapaxes(yax.a, 0, 1), yax.den, yax.bound, yax.ring)
-    return (xay - yax).actual_bound()
+    return (xay - yax.swap_first()).actual_bound()
 
 
 def flatten_last(x: Arr) -> Arr:
@@ -225,40 +259,39 @@ class BasisInt:
     __slots__ = ("num", "den", "pivots", "bound")
 
     def __init__(self, basis_rows, pivots):
-        num, self.den = fraction_matrix_to_ints(basis_rows)
-        self.num = np.array(num, dtype=np.float64)
+        width = len(basis_rows[0]) if basis_rows else 0
+        arr = Arr.from_rows(basis_rows, (len(basis_rows), width), None)
+        self.num, self.den, self.bound = arr.a, arr.den, arr.bound
         self.pivots = tuple(pivots)
-        self.bound = float(np.max(np.abs(self.num))) if self.num.size else 1.0
 
 
 def coordinates(flat: Arr, basis: BasisInt):
     """Exact coordinates of the vectors in ``flat`` (shape (..., N)) with
     respect to the RREF basis.
 
-    Returns (coords, ok) where coords has shape (..., d) with denominator
-    flat.den and ok says whether every vector lies in the span.
+    Returns (coords, member): coords has shape (..., d) with denominator
+    flat.den, and the boolean array member (shape (...)) says which vectors
+    lie in the span.
     """
     if basis.num.size == 0:
-        ok = not np.any(flat.a)
         coords = np.zeros(flat.a.shape[:-1] + (0,))
-        return Arr(coords, flat.den, 1.0, flat.ring), bool(ok)
-    coords = flat.a[..., list(basis.pivots)]
+        return Arr(coords, flat.den, 1, flat.ring), ~np.any(flat.a != 0, axis=-1)
     # membership: basis.den * v == coords @ basis.num   (all integers)
-    lhs_bound = flat.bound * basis.den
-    rhs_bound = flat.bound * basis.bound * len(basis.pivots)
-    if max(lhs_bound, rhs_bound) >= FLOAT_EXACT_CAP:
-        raise PrecisionError("membership bound exceeds exact float range")
-    ok = bool(np.array_equal(flat.a * basis.den, coords @ basis.num))
-    return Arr(coords, flat.den, flat.bound, flat.ring), ok
+    bound = max(flat.bound * basis.den, flat.bound * basis.bound * len(basis.pivots))
+    v = fit(flat.a, bound)
+    # contiguous: LT3 contracts the coordinates along each of their axes
+    coords = np.ascontiguousarray(v[..., list(basis.pivots)])
+    member = np.all(v * basis.den == coords @ fit(basis.num, bound), axis=-1)
+    return Arr(fit(coords, flat.bound), flat.den, flat.bound, flat.ring), member
 
 
 def independent_row_indices(rows: np.ndarray):
     """Indices of a maximal Q-linearly-independent subset of the rows of an
     integer matrix.
 
-    Input integers are given in float64 (exact range); the elimination runs
-    in int64 with gcd normalization and falls back to Python integers when a
-    row's magnitudes grow too large.
+    Input integers are float64 (exact range) or Python ints in an ``object``
+    array; the elimination runs in int64 with gcd normalization and falls
+    back to Python integers when a row's magnitudes grow too large.
     """
     return sorted(b[4] for b in _echelon(rows))
 

@@ -2,13 +2,17 @@
 the induced triple systems isomorphic.
 
 * rectangular: A -> g1 A g2 with invertible g1, g2; normal form is a 0/1
-  diagonal (rank ones leading).  Over Q and Q(i).
+  diagonal (rank ones leading).  Over Q, Q(i) and the rational quaternions.
 * symmetric / hermitian: congruence A -> g A star(g) with star(g) = g^t resp.
   conj(g)^t; normal form is a diagonal of squarefree integers (reduced as far
   as square scaling over Q allows; over R this would be 0/+1/-1, and the sign
   pattern is reported).  Symmetric over Q, hermitian over Q(i).
-* skew (over Q): congruence to the standard block diagonal
+* skew (over Q and Q(i)): congruence to the standard block diagonal
   diag(J, ..., J, 0), J = [[0, 1], [-1, 0]].
+
+Inputs over other rings are rejected with ``ValueError``: the congruence
+reduction reads the diagonal as rational, and over the quaternions the
+transpose is no anti-automorphism.
 
 Every witness is verified exactly, and the witness induces an explicit
 isomorphism of the deformed triple systems: X -> g2 X g1 (rectangular) or
@@ -20,12 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import kernel
-from .homotope import triple_param
-from .matrices import Matrix, Subspace, linear_map_ints
-from .scalars import Scalar, ring_components
+from .homotope import intertwines
+from .matrices import Matrix, Subspace
+from .scalars import HQ, Q, Scalar
 
 _KINDS = ("rectangular", "symmetric", "skew", "hermitian")
 
@@ -218,6 +219,8 @@ def _is_reduced_diagonal(nf: Matrix, signs: tuple) -> bool:
 
 
 def symmetric_normal_form(a: Matrix) -> NormalForm:
+    if a.ring != Q:
+        raise ValueError(f"symmetric normal form needs a matrix over Q, got {a.ring}")
     return _congruence_normal_form(a, "id", "symmetric")
 
 
@@ -227,6 +230,8 @@ def hermitian_normal_form(a: Matrix) -> NormalForm:
 
 def skew_normal_form(a: Matrix) -> NormalForm:
     n, ring = a.rows, a.ring
+    if ring == HQ:
+        raise ValueError("skew normal form is not defined over the quaternions")
     if a.transpose() != -a:
         raise ValueError("skew normal form needs a skew-symmetric input")
     g = _Grid(Matrix.identity(n, ring))
@@ -310,50 +315,7 @@ def intertwiner(nf: NormalForm):
     return lambda x: g.dagger(delta) @ x @ g
 
 
-def _flat_triples(basis, a):
-    """Flattened values of [b_i, b_j, b_k]_a over a basis list, batched."""
-    barr = kernel.Arr.from_matrices(basis)
-    warr = kernel.Arr.from_matrices([a @ b @ a for b in basis])
-    tt = kernel.flatten_last(kernel.t_tensor(barr, warr))
-    swapped = kernel.Arr(np.swapaxes(tt.a, 0, 1), tt.den, tt.bound, tt.ring)
-    return (tt - swapped).actual_bound()
-
-
-def _linear_map_matrix(psi, sample: Matrix):
-    """Integer matrix (with denominator) of psi on flattened coordinates."""
-    amb = (sample.rows, sample.cols, sample.ring)
-    num, den = linear_map_ints(psi, amb)
-    arr = np.array(num, dtype=np.float64).reshape(-1, sample.rows * sample.cols * ring_components(sample.ring))
-    return arr, den, float(np.abs(arr).max(initial=1.0))
-
-
 def intertwiner_check(nf: NormalForm, space: Subspace) -> bool:
     """psi([X,Y,Z]_{normal}) = [psi X, psi Y, psi Z]_{input} on all basis
     triples of the carrier space, exactly."""
-    psi = intertwiner(nf)
-    a, d = nf.input, nf.normal
-    basis = space.basis_matrices()
-    if not basis:
-        return True
-    try:
-        lhs = _flat_triples(basis, d)
-        pmat, pden, pbound = _linear_map_matrix(psi, basis[0])
-        if lhs.bound * pbound * pmat.shape[1] >= kernel.FLOAT_EXACT_CAP:
-            raise kernel.PrecisionError("psi image bound too large")
-        lhs_a = np.tensordot(lhs.a, pmat, axes=([3], [1]))
-        lhs_den = lhs.den * pden
-        lhs_bound = lhs.bound * pbound * pmat.shape[1]
-        rhs = _flat_triples([psi(b) for b in basis], a)
-        den = np.lcm(lhs_den, rhs.den)
-        f1, f2 = den // lhs_den, den // rhs.den
-        if max(lhs_bound * f1, rhs.bound * f2) >= kernel.FLOAT_EXACT_CAP:
-            raise kernel.PrecisionError("comparison bound too large")
-        return bool(np.array_equal(lhs_a * f1, rhs.a * f2))
-    except kernel.PrecisionError:
-        pass
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                if psi(triple_param(x, y, z, d)) != triple_param(psi(x), psi(y), psi(z), a):
-                    return False
-    return True
+    return intertwines(intertwiner(nf), space.basis_matrices(), nf.normal, nf.input)

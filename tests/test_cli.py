@@ -1,14 +1,22 @@
 """Unit tests for the command-line surface: subcommands, exit codes,
 deterministic output."""
 
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homotopes.cli import main
 from homotopes.families import sample_in_subspace, sym_space
-from homotopes.scalars import Q
+from homotopes.matrices import Matrix
+from homotopes.scalars import HQ, Q, QI, ring_components
 
 
 def run(tmp_path, *argv):
@@ -142,3 +150,42 @@ class TestDeterminism:
             assert code == 0
             outputs.append(text)
         assert outputs[0] == outputs[1]
+
+
+@st.composite
+def normal_form_inputs(draw):
+    ring = draw(st.sampled_from([Q, QI, HQ]))
+    kind = draw(st.sampled_from(["rectangular", "symmetric", "skew", "hermitian"]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if kind != "rectangular" and draw(st.booleans()):
+        cols = rows
+    k = ring_components(ring)
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    a = Matrix.unflatten((rows, cols, ring), draw(st.lists(entry, min_size=rows * cols * k,
+                                                           max_size=rows * cols * k)))
+    # star-symmetrise square inputs so the congruence kinds get past validation
+    if rows == cols and draw(st.booleans()):
+        a = {"symmetric": a + a.transpose(), "skew": a - a.transpose(),
+             "hermitian": a + a.dagger("conj") if ring != HQ else a + a.dagger("qconj"),
+             "rectangular": a}[kind]
+    return kind, a.to_json()
+
+
+@settings(max_examples=50, deadline=None)
+@given(normal_form_inputs())
+def test_normal_form_exit_codes(case):
+    """Any well-formed matrix either gets a verified normal form (exit 0) or
+    is rejected as bad input (exit 2, one error line); never exit 1 or a
+    traceback."""
+    kind, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = os.path.join(tmp, "m.json")
+        with open(inp, "w") as fh:
+            json.dump(data, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["normal-form", "--kind", kind, "--input", inp,
+                         "--out", os.path.join(tmp, "out.json")])
+    assert code in (0, 2), (code, kind, data)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from structure_reference import reference_structure
 
 from homotopes.families import (asym_space, matrix_space, rand_invertible,
                                 rand_matrix, sample_in_subspace, sym_space)
 from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple,
                                 TripleSystem, bracket_param, cdual, check_closure,
                                 check_lts, gamma_intertwines, hom_sxt,
-                                hom_sxt_check, standard_imbedding, triple_param)
+                                hom_sxt_check, intertwines, standard_imbedding,
+                                triple_param)
 from homotopes.involutions import MatrixInvolution, joint_eigenspaces
 from homotopes.matrices import Matrix
 from homotopes.scalars import Q, QI, Scalar
@@ -99,13 +101,11 @@ class TestCheckLts:
     def test_kernel_and_exact_structure_agree(self):
         sp = sym_space(2, Q)
         a = sample_in_subspace(sp, self.rng)
-        s1 = TripleSystem.from_parameter(sp, a)
-        s2 = TripleSystem.from_parameter(sp, a)
-        k = s1._structure_kernel()
-        e = s2._structure_exact()
-        import numpy as np
-        assert k.closed == e.closed
-        assert np.array_equal(k.coords.a * e.coords.den, e.coords.a * k.coords.den)
+        k = TripleSystem.from_parameter(sp, a).structure()
+        _, coords, closed, _ = reference_structure(sp, lambda x, y, z: triple_param(x, y, z, a))
+        assert k.closed == closed
+        assert all([k.c(i, j, kk, m) for m in range(sp.dim)] == list(co)
+                   for (i, j, kk), co in coords.items())
 
 
 class TestHomomorphisms:
@@ -130,6 +130,13 @@ class TestHomomorphisms:
         a = sample_in_subspace(dec.piece((1,)), self.rng)
         g = rand_invertible(2, Q, self.rng)
         assert gamma_intertwines(g, a, tau, matrix_space(2, 2, Q))
+
+    def test_identity_does_not_intertwine_different_parameters(self):
+        basis = matrix_space(2, 2, Q).basis_matrices()
+        a = rand_invertible(2, Q, self.rng)
+        assert intertwines(lambda x: x, basis, a, a)
+        assert not intertwines(lambda x: x, basis, a.scale(Fraction(2)), a)
+        assert not intertwines(lambda x: x, basis, rand_matrix(2, 2, Q, self.rng), a)
 
 
 class TestStandardImbedding:

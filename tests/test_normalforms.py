@@ -11,7 +11,7 @@ from homotopes.families import (asym_space, herm_space, matrix_space,
 from homotopes.matrices import Matrix
 from homotopes.normalforms import (intertwiner_check, normal_form,
                                    rectangular_normal_form)
-from homotopes.scalars import Q, QI
+from homotopes.scalars import HQ, Q, QI
 
 
 class TestRectangular:
@@ -41,6 +41,19 @@ class TestRectangular:
         a = rand_matrix(2, 3, Q, self.rng)
         nf = normal_form(a, "rectangular")
         assert intertwiner_check(nf, matrix_space(3, 2, Q))
+
+    def test_intertwiner_large_witness(self):
+        """Witness entries large enough that the batched check leaves the
+        float64 range."""
+        a = rand_matrix(2, 3, QI, random.Random(2))
+        nf = normal_form(a, "rectangular")
+        assert nf.verified
+        assert intertwiner_check(nf, matrix_space(3, 2, QI))
+
+    def test_quaternion(self):
+        a = rand_matrix(2, 3, HQ, self.rng)
+        nf = normal_form(a, "rectangular")
+        assert nf.verified and intertwiner_check(nf, matrix_space(3, 2, HQ))
 
 
 class TestCongruence:
@@ -73,6 +86,13 @@ class TestCongruence:
         with pytest.raises(ValueError):
             normal_form(Matrix.from_rows(Q, [[0, 1], [0, 0]]), "symmetric")
 
+    def test_symmetric_rejects_gaussian_rationals(self):
+        """The reduction reads the diagonal as rational; over Q(i) it is not."""
+        a = Matrix.from_json({"rows": 2, "cols": 2, "ring": "QI",
+                              "entries": [["0", "1+i"], ["1+i", "1"]]})
+        with pytest.raises(ValueError, match="over Q"):
+            normal_form(a, "symmetric")
+
     def test_intertwiner(self):
         a = sample_in_subspace(sym_space(2, Q), self.rng)
         nf = normal_form(a, "symmetric")
@@ -102,6 +122,11 @@ class TestSkew:
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError):
             normal_form(Matrix.identity(2, Q), "skew")
+
+    def test_rejects_quaternions(self):
+        a = sample_in_subspace(asym_space(3, HQ), self.rng)
+        with pytest.raises(ValueError, match="quaternions"):
+            normal_form(a, "skew")
 
     def test_intertwiner(self):
         a = sample_in_subspace(asym_space(4, Q), self.rng)
