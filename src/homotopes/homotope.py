@@ -327,17 +327,30 @@ class LtsReport:
         return out
 
 
-def _lt3_residual(c: np.ndarray, d_op: np.ndarray, bound: int):
-    """LT3 residual of a single derivation candidate D: returns the tensor
-    lhs - (r1 + r2 + r3) where lhs[ijkm] = sum_w D[m,w] c[ijkw] etc."""
-    cc, dd = kernel.fit(c, bound), kernel.fit(d_op, bound)
-    dim = c.shape[0]
-    lhs = (cc.reshape(dim**3, dim) @ dd.T).reshape(dim, dim, dim, dim)
-    # (D b_i)_t = D[t, i]: contract the first axis of D against each slot
-    r1 = np.tensordot(dd, cc, axes=([0], [0]))
-    r2 = np.tensordot(dd, cc, axes=([0], [1])).transpose(1, 0, 2, 3)
-    r3 = np.tensordot(dd, cc, axes=([0], [2])).transpose(1, 2, 0, 3)
-    return lhs - (r1 + r2 + r3)
+def _lt3_residuals(c: np.ndarray, bound: int):
+    """The LT3 residual over the coordinates c as a function of a derivation
+    candidate D, given by e[w, m] = (D b_w)_m:
+
+        res[i, j, k, m] = (D[b_i, b_j, b_k] - [D b_i, b_j, b_k]
+                           - [b_i, D b_j, b_k] - [b_i, b_j, D b_k])_m,
+
+    four (batched) GEMMs that read c in place, into one buffer that the next
+    call reuses.  ``bound`` covers 4 d max|c| max|e|: each term sums d products.
+    """
+    cc = kernel.fit(c, bound)
+    d = c.shape[0]
+    res, term = np.empty_like(cc), np.empty_like(cc)
+
+    def residual(e: np.ndarray) -> np.ndarray:
+        e = kernel.fit(e, bound)
+        np.matmul(cc.reshape(d**3, d), e, out=res.reshape(d**3, d))
+        # e against the first, second and third axis of c
+        for shape in ((d, d**3), (d, d, d * d), (d * d, d, d)):
+            np.matmul(e, cc.reshape(shape), out=term.reshape(shape))
+            np.subtract(res, term, out=res)
+        return res
+
+    return residual
 
 
 def check_lts(system: TripleSystem) -> LtsReport:
@@ -374,50 +387,24 @@ def _check_lt3(st: Structure, lt1_ok: bool = False):
     """
     c = st.coords.a
     d = c.shape[0]
-    if d == 0:
-        return True, None
     if lt1_ok and d > 1:
         # antisymmetry R(v, u) = -R(u, v) (verified as LT1) halves the scan
         iu, ju = np.triu_indices(d, k=1)
-        rows = c[iu, ju].reshape(-1, d * d)
+        ops = c[iu, ju]
     else:
-        rows = c.reshape(d * d, d * d)
-    rows = _distinct_rows(rows)
-    # a maximal independent subset of the original rows: LT3 is linear in the
-    # derivation candidate, and the original rows are well-conditioned
-    picked = kernel.independent_row_indices(rows)
-    cmax = st.coords.bound
-    for i in picked:
-        row = rows[i]
-        d_op = row.reshape(d, d).T
-        dmax = max(int(np.abs(row).max(initial=0)), 1)
-        # D is unscaled integer; c carries denominator st.coords.den which
-        # cancels from both sides of the identity.
-        res = _lt3_residual(c, d_op, cmax * dmax * d * 3)
+        ops = c.reshape(d * d, d, d)
+    # ops[t][w, m] = (R(u, v) b_w)_m, unscaled: the coordinate denominator
+    # cancels from both sides of the identity; max|ops| <= max|c|
+    picked = kernel.independent_row_indices(ops.reshape(len(ops), d * d))
+    residual = _lt3_residuals(c, 4 * d * st.coords.bound**2)
+    if not any(np.any(residual(ops[t])) for t in picked):
+        return True, None
+    for u, v in combinations(range(d), 2):
+        res = residual(c[u, v])
         if np.any(res):
-            return False, _lt3_witness(st)
-    return True, None
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows in lexicographic order, for float64 and ``object``
-    arrays alike (np.unique(axis=0) rejects ``object`` arrays)."""
-    if rows.dtype == object:
-        return np.array(sorted(set(map(tuple, rows))), dtype=object)
-    return np.unique(rows, axis=0)
-
-
-def _lt3_witness(st: Structure):
-    c = st.coords.a
-    d = c.shape[0]
-    for u in range(d):
-        for v in range(u + 1, d):
-            d_op = c[u, v].T
-            res = _lt3_residual(c, d_op, st.coords.bound**2 * d * 3)
-            if np.any(res):
-                i, j, k = (int(x) for x in np.argwhere(np.any(res, axis=-1))[0])
-                return (u, v, i, j, k)
-    return None
+            i, j, k = (int(x) for x in np.argwhere(np.any(res, axis=-1))[0])
+            return False, (u, v, i, j, k)
+    return False, None
 
 
 def check_closure(space, product) -> bool:
@@ -465,7 +452,7 @@ def symmetric_pair(dec, s, t, a: Matrix) -> SymmetricPairRec:
         raise ValueError("parameter is not in its declared joint eigenspace")
     h = dec.piece(minus_t)
     m = dec.piece(s)
-    g = h.sum(m)
+    g = dec.piece_sum(minus_t, s)
     group_type = s == minus_t
     failures = []
     if not group_type and g.dim != h.dim + m.dim:

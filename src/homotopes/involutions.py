@@ -145,16 +145,24 @@ def commute(tau: MatrixInvolution, sigma: MatrixInvolution) -> bool:
 class JointDecomposition:
     """Joint eigenspace decomposition of k pairwise commuting involutions."""
 
-    __slots__ = ("involutions", "pieces", "ambient")
+    __slots__ = ("involutions", "pieces", "ambient", "_sums")
 
     def __init__(self, involutions, pieces):
         self.involutions = tuple(involutions)
         self.pieces = dict(pieces)
         inv0 = self.involutions[0]
         self.ambient = (inv0.n, inv0.n, inv0.ring)
+        self._sums = {}
 
     def piece(self, signs) -> Subspace:
         return self.pieces[tuple(signs)]
+
+    def piece_sum(self, signs, other) -> Subspace:
+        """piece(signs) + piece(other), computed once per pair of pieces."""
+        key = (tuple(signs), tuple(other))
+        if key not in self._sums:
+            self._sums[key] = self.piece(signs).sum(self.piece(other))
+        return self._sums[key]
 
     def piece_of(self, a: Matrix):
         """The sign vector whose piece contains ``a``, or None."""

@@ -8,11 +8,18 @@ operation computes the bound of its result before it runs and picks the
 dtype from it (``fit``): float64, so BLAS runs, while the bound is below 2^53
 (the float64 exact-integer range), numpy ``object`` arrays of Python ints
 otherwise.  There is one code path; only the dtype changes.
+
+``independent_row_indices`` (the LT3 operator span) picks rows from their
+residues modulo a prime and accepts the pick only behind a deterministic
+certificate: an integer identity checked modulo primes whose product exceeds
+its Hadamard bound proves that the picked rows span every row.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from functools import lru_cache
+from itertools import islice
+from math import isqrt, lcm, prod
 from operator import mul
 
 import numpy as np
@@ -285,75 +292,146 @@ def coordinates(flat: Arr, basis: BasisInt):
     return Arr(fit(coords, flat.bound), flat.den, flat.bound, flat.ring), member
 
 
-def independent_row_indices(rows: np.ndarray):
-    """Indices of a maximal Q-linearly-independent subset of the rows of an
-    integer matrix.
+# -- maximal independent rows, modulo primes behind an exact certificate -----
 
-    Input integers are float64 (exact range) or Python ints in an ``object``
-    array; the elimination runs in int64 with gcd normalization and falls
-    back to Python integers when a row's magnitudes grow too large.
+
+def independent_row_indices(rows: np.ndarray) -> list:
+    """Sorted indices of a maximal Q-linearly-independent subset of the rows
+    of an integer matrix (float64 in the exact range, or Python ints in an
+    ``object`` array).
+
+    Rows independent modulo a prime p are independent over Q, so the rows are
+    picked modulo p, and the pick is accepted only behind an exact certificate
+    that it spans every row (``_spans``).  Otherwise the next prime is tried:
+    only finitely many primes divide a nonzero maximal minor.
     """
-    return sorted(b[4] for b in _echelon(rows))
+    nonzero = rows != 0
+    live = np.flatnonzero(nonzero.any(axis=1))
+    r = rows[np.ix_(live, np.flatnonzero(nonzero.any(axis=0)))]
+    if r.size == 0:
+        return []
+    # float64 only below 2^52, so that r minus a residue sum stays exact
+    r = fit(r, 2 * int(np.abs(r).max()))
+    for p in _primes_below(_modulus_limit(min(r.shape))):
+        picked, pivots = _pick(r, p)
+        if _spans(r, picked, pivots):
+            return live[picked].tolist()
+    raise ArithmeticError("every prime below the limit divides a maximal minor")
 
 
-def _echelon(rows: np.ndarray):
-    basis = []  # (row ndarray int64|object, pivot, pivot value, bound, index)
-    int64_cap = 2**61
-    gcd_threshold = 2**32
-    for ridx, raw in enumerate(rows):
-        if raw.dtype == object:
-            row = raw.copy()
-            rbound = max((abs(int(v)) for v in row), default=0)
-        else:
-            row = np.rint(raw).astype(np.int64)
-            rbound = int(np.abs(row).max(initial=0))
-        for brow, piv, bp, bbound, _ in basis:
-            x = row[piv]
-            if x == 0:
-                continue
-            # conservative magnitude bound tracked instead of rescanning
-            newbound = rbound * abs(bp) + bbound * abs(int(x))
-            if newbound >= int64_cap:
-                if row.dtype != object:
-                    row = row.astype(object)
-                if brow.dtype != object:
-                    brow = brow.astype(object)
-            row = row * bp - brow * int(x)
-            rbound = newbound
-            if rbound >= gcd_threshold:
-                g, rbound = _gcd_and_max(row)
-                if g > 1:
-                    row = row // g
-                    rbound //= g
-                if row.dtype == object and rbound < int64_cap:
-                    row = row.astype(np.int64)
-        nz = np.nonzero(row)[0]
+def _modulus_limit(terms: int) -> int:
+    """A bound on primes q with terms * q^2 < 2^52: sums of that many
+    products of residues (``_smod``) stay inside float64's exact range."""
+    return isqrt(2**52 >> terms.bit_length())
+
+
+def _primes_below(limit: int):
+    """The primes below ``limit``, largest first: a fixed list, sieved in
+    windows of 2^12 numbers as far as it is read."""
+    for hi in range(limit, 2, -2**12):
+        yield from _prime_window(hi)
+
+
+@lru_cache(maxsize=None)
+def _prime_window(hi: int) -> tuple:
+    """The primes in [hi - 2^12, hi), largest first."""
+    lo = max(hi - 2**12, 2)
+    prime = np.ones(hi - lo, dtype=bool)
+    for p in _primes_below(isqrt(hi - 1) + 1):
+        prime[max(p * p, -(-lo // p) * p) - lo::p] = False
+    return tuple((lo + np.flatnonzero(prime)[::-1]).tolist())
+
+
+def _smod(x: np.ndarray, q) -> np.ndarray:
+    """Reduce the float64 integers x (|x| + q < 2^53) modulo q (broadcasting)
+    in place, to magnitude at most q/2 + 2.  Exact: x/q, computed within 2/q,
+    is rounded to an integer t, and t*q and x - t*q are integers below 2^53."""
+    t = np.rint(x * (1.0 / q))
+    x -= t * q
+    return x
+
+
+def _residues(a: np.ndarray, q) -> np.ndarray:
+    """The integers ``a`` modulo q (broadcasting), as a new float64 array."""
+    if a.dtype == object:
+        return (a % np.asarray(q, dtype=np.int64).astype(object)).astype(np.float64)
+    return _smod(a + np.zeros(np.shape(q)), q)
+
+
+def _pick(r: np.ndarray, p: int):
+    """The rows of ``r`` independent of the rows before them modulo p, and
+    their pivot columns: r[picked, pivots] is invertible mod p.  A row is
+    reduced when its turn comes; until then it takes one update per pivot,
+    which ``_modulus_limit`` allows for."""
+    a = _residues(r, p)
+    picked, pivots = [], []
+    for i, row in enumerate(a):
+        nz = np.flatnonzero(_smod(row, p))
         if nz.size:
-            piv = int(nz[0])
-            if row[piv] < 0:
-                row = -row
-            g, rbound = _gcd_and_max(row)
-            if g > 1:
-                row = row // g
-                rbound //= g
-            if row.dtype == object and rbound < int64_cap:
-                row = row.astype(np.int64)
-            basis.append((row, piv, int(row[piv]), rbound, ridx))
-    basis.sort(key=lambda b: b[1])
-    return basis
+            j = int(nz[0])
+            row *= pow(int(row[j]) % p, -1, p)
+            _smod(row, p)
+            a[i + 1:] -= _smod(a[i + 1:, j].copy(), p)[:, None] * row
+            picked.append(i)
+            pivots.append(j)
+    return picked, pivots
 
 
-def _gcd_and_max(row):
-    """(gcd, max magnitude) of an integer row in one pass."""
-    if row.dtype == object:
-        g, mx = 0, 0
-        for v in row:
-            a = abs(int(v))
-            if a > mx:
-                mx = a
-            if g != 1:
-                g = gcd(g, a)
-        return (g if g else 1), mx
-    a = np.abs(row)
-    return (int(np.gcd.reduce(a)) or 1), int(a.max(initial=0))
+def _spans(r: np.ndarray, picked: list, pivots: list) -> bool:
+    """Exact certificate that every row of ``r`` lies in the Q-span of the
+    rows ``picked``, whose minor M = r[picked, pivots] is invertible.
 
+    They do exactly when det(M) r = r[:, pivots] adj(M) r[picked].  Both sides
+    are below B H + k^2 B^2 H in magnitude (B = max |r|, H = prod ceil(||M_i||)
+    bounds det(M) and every cofactor, by Hadamard), so the identity holds once
+    it holds modulo primes whose product exceeds twice that.  Modulo a prime q
+    where M is invertible it reads r = (r[:, pivots] M^-1) r[picked]; other
+    primes are skipped.  Batches of primes share float64 GEMMs.
+    """
+    k, (n, width) = len(picked), r.shape
+    if k in (n, width):
+        return True
+    m = r[np.ix_(picked, pivots)]
+    b = int(np.abs(r).max())
+    h = prod(isqrt(int(s) - 1) + 1 for s in np.square(m.astype(object)).sum(axis=1))
+    bound = 2 * (k * k * b * b * h + b * h)
+    rest = np.ones(n, dtype=bool)
+    rest[picked] = False
+    lhs, coef, basis = r[rest], r[np.ix_(rest, pivots)], r[picked]
+    limit = _modulus_limit(k)
+    primes, covered = _primes_below(limit), 1
+    while covered <= bound:
+        # the primes the bound still needs, at most 2^19 entries of lhs per batch
+        need = (bound // covered).bit_length() // (limit.bit_length() - 1) + 1
+        qs = np.array(list(islice(primes, min(need, max(1, 2**19 // lhs.size)))), dtype=np.float64)
+        if not qs.size:
+            raise ArithmeticError("the primes below the limit cannot cover the bound")
+        q = qs[:, None, None]
+        inv, ok = _inverse_mod(m, qs)
+        y = _smod(np.matmul(_residues(coef, q), inv), q) @ _residues(basis, q)
+        y -= _residues(lhs, q) if lhs.dtype == object else lhs
+        if np.any(ok & _smod(y, q).any(axis=(1, 2))):
+            return False
+        covered *= prod(int(v) for v in qs[ok])
+    return True
+
+
+def _inverse_mod(m: np.ndarray, qs: np.ndarray):
+    """Inverses of the integer matrix m modulo each prime in ``qs``, by one
+    batched Gauss-Jordan elimination, and the mask of the primes where m is
+    invertible (the other inverses are garbage)."""
+    s, k = len(qs), len(m)
+    q = qs[:, None, None]
+    a = np.concatenate([_residues(m, q), np.broadcast_to(np.eye(k), (s, k, k))], axis=2)
+    at, ok = np.arange(s), np.ones(s, dtype=bool)
+    for j in range(k):
+        column = a[:, j:, j]
+        ok &= column.any(axis=1)
+        piv = j + (column != 0).argmax(axis=1)
+        row = a[at, piv]
+        a[at, piv] = a[:, j]
+        inv = [pow(int(v) % int(p), -1, int(p)) if v else 0 for v, p in zip(row[:, j], qs)]
+        row = _smod(row * np.array(inv, dtype=np.float64)[:, None], qs[:, None])
+        a = _smod(a - a[:, :, j, None] * row[:, None, :], q)
+        a[:, j] = row
+    return a[:, :, k:], ok

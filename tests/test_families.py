@@ -8,8 +8,10 @@ import pytest
 from homotopes.families import (CONSTRUCTIONS, SIGNS, family,
                                 family_axiom_suite, family_labels,
                                 hermquat_check, herm_space, instantiate,
-                                sample_styles, sym_space, verify_table)
-from homotopes.homotope import AlphaMap, AlphaTriple, TripleSystem, check_lts
+                                sample_in_subspace, sample_styles, sym_space,
+                                verify_table)
+from homotopes.homotope import (AlphaMap, AlphaTriple, TripleSystem, check_lts,
+                                symmetric_pair)
 from homotopes.scalars import HQ, Q, QI
 
 
@@ -107,6 +109,18 @@ class TestTables:
         art = verify_table(instantiate("proj", (1, 1)), 3, 5)
         assert art.verified
         assert len(art.cells) == 16
+
+    def test_symmetric_pair_sums_each_pair_of_pieces_once(self):
+        """g = h + m depends on the two pieces, not on the parameter: every
+        sample of a cell gets the same g, equal to the sum taken afresh."""
+        c = instantiate("proj", (1, 1))
+        rng = random.Random(3)
+        s, t = SIGNS[0], SIGNS[1]
+        piece_t = c.piece(t)
+        recs = [symmetric_pair(c.decomposition, s, t, sample_in_subspace(piece_t, rng))
+                for _ in range(2)]
+        assert recs[0].g is recs[1].g
+        assert recs[0].g == c.piece(tuple(-x for x in t)).sum(c.piece(s))
 
     def test_table_json_and_markdown(self):
         art = verify_table(instantiate("siegel", (1,)), 2, 5)

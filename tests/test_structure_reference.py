@@ -6,13 +6,14 @@ runs on Python-int ``object`` arrays."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from structure_reference import reference_lts, reference_structure
 
 from homotopes.families import asym_space, herm_space, matrix_space, sym_space
-from homotopes.homotope import (GenericTriple, TripleSystem, _distinct_rows,
-                                check_lts, triple_param)
+from homotopes.homotope import GenericTriple, TripleSystem, check_lts, triple_param
+from homotopes.kernel import independent_row_indices
 from homotopes.matrices import Matrix
 from homotopes.scalars import HQ, Q, QI, ring_components
 
@@ -113,11 +114,36 @@ def test_object_tier_matches_reference():
     assert check_lts(TripleSystem.from_parameter(matrix_space(2, 2, Q), a2)).ok
 
 
+def _broken_derivation(width, scale):
+    """[x, y, z] = scale (x_0 y_1 - x_1 y_0) z_0 e_0 on 1 x width row vectors:
+    antisymmetric in x, y, with zero cyclic sum, but R(e_0, e_1) (e_0 -> e_0,
+    every other e_w -> 0) is no derivation, since
+    R [e_0, e_1, e_0] = e_0 and 2 [e_0, e_1, e_0] = 2 e_0."""
+    def product(x, y, z):
+        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
+        value = scale * (xs[0] * ys[1] - xs[1] * ys[0]) * zs[0]
+        return Matrix.unflatten((1, width, Q), [value] + [0] * (width - 1))
+    return product
+
+
+@pytest.mark.parametrize("width, scale", [(2, 1), (3, 1), (3, Fraction(2**60, 7))])
+def test_lt3_fails_where_lt1_lt2_hold(width, scale):
+    """Closed, LT1 and LT2 hold, LT3 fails: the verdicts and the witness are
+    the reference's (the last case runs on the ``object`` tier)."""
+    space = matrix_space(1, width, Q)
+    product = _broken_derivation(width, scale)
+    report = check_lts(TripleSystem(space, GenericTriple(product)))
+    entries = [(e["axiom"], e["pass"], e["witness"]) for e in report.entries]
+    assert entries == reference_lts(space, product)
+    assert [e["axiom"] for e in report.failing()] == ["LT3"]
+    assert report.failing()[0]["witness"] == (0, 1, 0, 1, 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=12))
-def test_distinct_rows_same_in_both_tiers(rows):
-    """The LT3 row dedupe keeps the same rows, in the same order, whether the
-    coordinates are float64 or Python ints."""
+def test_row_selection_same_in_both_tiers(rows):
+    """The LT3 row selection picks the same rows whether the coordinates are
+    float64 or Python ints."""
     floats = np.array(rows, dtype=np.float64)
     ints = np.array(rows, dtype=object)
-    assert _distinct_rows(ints).tolist() == _distinct_rows(floats).tolist()
+    assert independent_row_indices(ints) == independent_row_indices(floats)
