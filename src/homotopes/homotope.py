@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from . import kernel
 from .kernel import Arr, BasisInt
-from .matrices import Matrix, Subspace, linear_map_ints, rref, rref_coordinates
+from .matrices import Matrix, Subspace, linear_map_ints, rref_coordinates
 from .scalars import ring_components
 
 
@@ -327,32 +328,6 @@ class LtsReport:
         return out
 
 
-def _lt3_residuals(c: np.ndarray, bound: int):
-    """The LT3 residual over the coordinates c as a function of a derivation
-    candidate D, given by e[w, m] = (D b_w)_m:
-
-        res[i, j, k, m] = (D[b_i, b_j, b_k] - [D b_i, b_j, b_k]
-                           - [b_i, D b_j, b_k] - [b_i, b_j, D b_k])_m,
-
-    four (batched) GEMMs that read c in place, into one buffer that the next
-    call reuses.  ``bound`` covers 4 d max|c| max|e|: each term sums d products.
-    """
-    cc = kernel.fit(c, bound)
-    d = c.shape[0]
-    res, term = np.empty_like(cc), np.empty_like(cc)
-
-    def residual(e: np.ndarray) -> np.ndarray:
-        e = kernel.fit(e, bound)
-        np.matmul(cc.reshape(d**3, d), e, out=res.reshape(d**3, d))
-        # e against the first, second and third axis of c
-        for shape in ((d, d**3), (d, d, d * d), (d * d, d, d)):
-            np.matmul(e, cc.reshape(shape), out=term.reshape(shape))
-            np.subtract(res, term, out=res)
-        return res
-
-    return residual
-
-
 def check_lts(system: TripleSystem) -> LtsReport:
     """Verify closure and LT1-LT3 exactly; failures carry a witness tuple of
     basis indices."""
@@ -361,50 +336,105 @@ def check_lts(system: TripleSystem) -> LtsReport:
     report.add("closure", st.closed, st.witness)
     flat = kernel.fit(st.flat.a, 3 * st.flat.bound)
     anti = flat + np.swapaxes(flat, 0, 1)
-    if np.any(anti):
-        report.add("LT1", False, tuple(int(v) for v in np.argwhere(anti)[0][:3]))
-    else:
-        report.add("LT1", True)
+    lt1_ok = not np.any(anti)
+    report.add("LT1", lt1_ok, None if lt1_ok else tuple(int(v) for v in np.argwhere(anti)[0][:3]))
     cyc = flat + np.einsum("jkiw->ijkw", flat) + np.einsum("kijw->ijkw", flat)
-    if np.any(cyc):
-        report.add("LT2", False, tuple(int(v) for v in np.argwhere(cyc)[0][:3]))
-    else:
-        report.add("LT2", True)
+    lt2_ok = not np.any(cyc)
+    report.add("LT2", lt2_ok, None if lt2_ok else tuple(int(v) for v in np.argwhere(cyc)[0][:3]))
     if not st.closed:
         report.add("LT3", False, None)
         return report
-    report.add("LT3", *_check_lt3(st, lt1_ok=not np.any(anti)))
+    report.add("LT3", *_check_lt3(st, lt1_ok, lt2_ok))
     return report
 
 
-def _check_lt3(st: Structure, lt1_ok: bool = False):
+def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     """LT3 via the span of the inner operators R(u, v).
 
     LT3 says every R(u, v) is a derivation of the triple bracket.  Being a
     derivation is linear in the operator, so it suffices to check a basis of
     span{R(u, v)}; on failure a concrete (u, v, i, j, k) witness is recovered
-    by rescanning individual pairs.
+    by rescanning individual pairs over every basis triple.
+
+    The residual of a linear operator D,
+
+        r(x, y, z) = D[x, y, z] - [Dx, y, z] - [x, Dy, z] - [x, y, Dz],
+
+    is antisymmetric in (x, y) when LT1 holds (each term is), and its cyclic
+    sum vanishes when LT2 holds (the nine bracket terms regroup into three
+    cyclic sums, and the D term is D of one).  Such an r is zero once it is
+    zero at the basis triples (i, j, k) with i < j and i <= k, the (2, 1)
+    hook: for a < b and c < a, r(a, b, c) = r(c, b, a) - r(c, a, b).  So when
+    both hold only those (d^3 - d)/3 triples are checked; otherwise all d^3.
     """
-    c = st.coords.a
-    d = c.shape[0]
-    if lt1_ok and d > 1:
-        # antisymmetry R(v, u) = -R(u, v) (verified as LT1) halves the scan
-        iu, ju = np.triu_indices(d, k=1)
-        ops = c[iu, ju]
-    else:
-        ops = c.reshape(d * d, d, d)
-    # ops[t][w, m] = (R(u, v) b_w)_m, unscaled: the coordinate denominator
-    # cancels from both sides of the identity; max|ops| <= max|c|
-    picked = kernel.independent_row_indices(ops.reshape(len(ops), d * d))
-    residual = _lt3_residuals(c, 4 * d * st.coords.bound**2)
-    if not any(np.any(residual(ops[t])) for t in picked):
+    d = st.coords.a.shape[0]
+    _, ops = _inner_operators(st.coords.a, lt1_ok)
+    bound = 4 * d * st.coords.bound**2
+    # in the residuals' dtype once, not once per rescanned pair
+    c = kernel.fit(st.coords.a, bound)
+    if _lt3_first_nonzero(c, ops, bound, hook=lt1_ok and lt2_ok) is None:
         return True, None
     for u, v in combinations(range(d), 2):
-        res = residual(c[u, v])
-        if np.any(res):
-            i, j, k = (int(x) for x in np.argwhere(np.any(res, axis=-1))[0])
-            return False, (u, v, i, j, k)
+        hit = _lt3_first_nonzero(c, c[u, v][None], bound, hook=False)
+        if hit is not None:
+            return False, (u, v) + hit[1:]
     return False, None
+
+
+def _inner_operators(c: np.ndarray, lt1_ok: bool):
+    """A basis of span{R(b_u, b_v)} over the coordinates c: the pairs (u, v)
+    and their operators ops[t][w, m] = (R(b_u, b_v) b_w)_m = c[u, v, w, m],
+    unscaled (the coordinate denominator cancels from both sides of the LT3
+    identity; max|ops| <= max|c|).  With LT1, R(b_v, b_u) = -R(b_u, b_v), so
+    the pairs u < v span."""
+    d = c.shape[0]
+    iu, ju = np.triu_indices(d, k=1) if lt1_ok else np.divmod(np.arange(d * d), d)
+    ops = c[iu, ju]
+    picked = kernel.independent_row_indices(ops.reshape(len(ops), d * d))
+    return [(int(iu[t]), int(ju[t])) for t in picked], ops[picked]
+
+
+def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool):
+    """The first (t, i, j, k) at which the LT3 residual of the operator
+    e = ops[t], given by e[w, m] = (D b_w)_m, is nonzero, or None:
+
+        res[i, j, k, m] = (D[b_i, b_j, b_k] - [D b_i, b_j, b_k]
+                           - [b_i, D b_j, b_k] - [b_i, b_j, D b_k])_m.
+
+    For each i, the slab j >= jlo, k >= klo of up to d operators at once is
+    four batched GEMMs that read c in place and write into two buffers
+    allocated once, together no larger than two copies of c.  With ``hook``
+    the slab is j > i, k >= i (the (2, 1) hook, see ``_check_lt3``), else
+    every j and k.  ``bound`` covers 4 d max|c| max|e|: each term sums d
+    products.
+    """
+    d = c.shape[0]
+    c, ops = kernel.fit(c, bound), kernel.fit(ops, bound)
+    res = np.empty(min(len(ops), d) * d**3, dtype=c.dtype)
+    term = np.empty_like(res)
+    for t0 in range(0, len(ops), d or 1):  # d = 0: no operators
+        e = ops[t0:t0 + d]
+        n = len(e)
+        for i in range(d - 1 if hook else d):
+            jlo, klo = (i + 1, i) if hook else (0, 0)
+            shape = (n, d - jlo, d - klo, d)
+            r = res[:prod(shape)].reshape(shape)
+            np.matmul(c[i, jlo:, klo:], e[:, None], out=r)
+            # e against the first axis of c, over every k: c[:, jlo:] is a
+            # view only with all k
+            full = term[:n * (d - jlo) * d * d].reshape(n, d - jlo, d, d)
+            np.matmul(e[:, i], c[:, jlo:].reshape(d, -1), out=full.reshape(n, -1))
+            r -= full[:, :, klo:]
+            # ... against the second and the third axis
+            t = term[:r.size].reshape(shape)
+            np.matmul(e[:, jlo:], c[i, :, klo:].reshape(d, -1), out=t.reshape(n, d - jlo, -1))
+            r -= t
+            np.matmul(e[:, None, klo:], c[i, jlo:], out=t)
+            r -= t
+            if r.any():
+                t, j, k = (int(x) for x in np.argwhere(r.any(axis=-1))[0])
+                return t0 + t, i, jlo + j, klo + k
+    return None
 
 
 def check_closure(space, product) -> bool:
@@ -533,76 +563,28 @@ def intertwines(psi, basis, a_new: Matrix, a: Matrix) -> bool:
 @dataclass
 class StandardImbedding:
     system: TripleSystem
-    h_basis: list          # operator matrices (tuples of Fraction rows), acting on m-coordinates
+    h_pairs: list          # (u, v): the operators R(b_u, b_v) form a basis of h
     h_dim: int
     m_dim: int
-    jacobi_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.jacobi_ok
+    ok: bool
 
 
 def standard_imbedding(system: TripleSystem) -> StandardImbedding:
-    """The Lie algebra q + [q, q] built from the inner operators R(x, y).
+    """The Lie algebra h + m, m the triple system and h the span of the inner
+    operators R(x, y), with [D, D'] = DD' - D'D, [D, x] = D(x) and
+    [x, y] = R(x, y).
 
-    h is the span of the operators R(b_i, b_j); the bracket is
-    [D, D'] = DD' - D'D, [D, x] = D(x), [x, y] = R(x, y).  Jacobi reduces to
-    (i) LT2 for three m-elements, (ii) LT3 for (D, x, y), (iii) operator
-    identities that hold automatically for (D, D', x) and (D, D', D'');
-    closure [h, h] in h is verified explicitly.
+    It is a Lie algebra exactly when the system is a Lie triple system: the
+    bracket on m is antisymmetric by LT1, Jacobi on m x m x m is LT2, Jacobi
+    on h x m x m is LT3, [h, h] lies in h because each D in h is a
+    derivation (LT3: [D, R(x, y)] = R(Dx, y) + R(x, Dy)), and the other
+    Jacobi components hold for any operators.  So ``ok`` is ``check_lts``'s
+    verdict, and h has the basis LT3 picks (``_inner_operators``).
     """
     st = system.structure()
     if not st.closed:
         raise ValueError("triple system is not closed; no standard imbedding")
-    d = system.dim
-    den = st.coords.den
-    c = st.coords.a
-
-    def op(u, v):
-        return tuple(tuple(Fraction(int(c[u, v, w, m])) / den for w in range(d)) for m in range(d))
-
-    pair_ops = [op(u, v) for u, v in combinations(range(d), 2)] + [op(u, u) for u in range(d)]
-    flat_ops = [tuple(x for row in o for x in row) for o in pair_ops]
-    h_rows, _ = rref(flat_ops)
-    h_basis = [tuple(tuple(row[m * d + w] for w in range(d)) for m in range(d)) for row in h_rows]
-
-    def mat_mul(p, q):
-        return tuple(tuple(sum((p[i][k] * q[k][j] for k in range(d)), Fraction(0)) for j in range(d)) for i in range(d))
-
-    def mat_sub(p, q):
-        return tuple(tuple(a - b for a, b in zip(pr, qr)) for pr, qr in zip(p, q))
-
-    jacobi_ok = True
-    # closure [h, h] in h
-    hset = h_rows
-    for p in h_basis:
-        for q in h_basis:
-            comm = mat_sub(mat_mul(p, q), mat_mul(q, p))
-            flat = tuple(x for row in comm for x in row)
-            red, _ = rref(list(hset) + [flat])
-            if len(red) != len(hset):
-                jacobi_ok = False
-    # LT2 on the coordinates (the (x, y, z) Jacobi component)
-    cyc = c + np.einsum("jkiw->ijkw", c) + np.einsum("kijw->ijkw", c)
-    if np.any(cyc):
-        jacobi_ok = False
-    # D R(x,y) - R(x,y) D = R(Dx, y) + R(x, Dy) for the generating pairs
-    for dmat in h_basis:
-        for u in range(d):
-            for v in range(u + 1, d):
-                r = op(u, v)
-                lhs = mat_sub(mat_mul(dmat, r), mat_mul(r, dmat))
-                # operators act on coordinates: (D x)_w = sum_t dmat[w][t] x_t,
-                # so for x = b_u the image has coordinates dmat[:, u]
-                rhs = [[Fraction(0)] * d for _ in range(d)]
-                for m in range(d):
-                    for w in range(d):
-                        acc = Fraction(0)
-                        for t in range(d):
-                            acc += dmat[t][u] * (Fraction(int(c[t, v, w, m])) / den)
-                            acc += dmat[t][v] * (Fraction(int(c[u, t, w, m])) / den)
-                        rhs[m][w] = acc
-                if lhs != tuple(tuple(row) for row in rhs):
-                    jacobi_ok = False
-    return StandardImbedding(system, h_basis, len(h_basis), d, jacobi_ok)
+    report = check_lts(system)
+    lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
+    pairs, _ = _inner_operators(st.coords.a, lt1_ok)
+    return StandardImbedding(system, pairs, len(pairs), system.dim, report.ok)

@@ -7,6 +7,9 @@ choices: the independent oracle the batched kernel is compared against.
 
 from itertools import product as tuples
 
+from homotopes.matrices import Matrix
+from homotopes.scalars import Q
+
 
 def reference_structure(space, product):
     """(flat, coords, closed, witness) of a product (x, y, z) -> Matrix on the
@@ -28,16 +31,22 @@ def _first_nonzero(d, vector):
     return next((t for t in tuples(range(d), repeat=3) if any(vector(*t))), None)
 
 
-def _lt3_residual(c, d, u, v, i, j, k):
-    """[u, v, [i, j, k]] - ([[u, v, i], j, k] + [i, [u, v, j], k] + [i, j, [u, v, k]])
-    in coordinates; ``c[x, y, z]`` are the structure constants."""
+def derivation_residual(c, d, e, i, j, k):
+    """D[i, j, k] - ([D i, j, k] + [i, D j, k] + [i, j, D k]) in coordinates,
+    for the operator D b_w = sum_m e[w][m] b_m; ``c[x, y, z]`` are the
+    structure constants."""
     out = []
     for m in range(d):
-        lhs = sum(c[i, j, k][w] * c[u, v, w][m] for w in range(d))
-        rhs = sum(c[u, v, i][t] * c[t, j, k][m] + c[u, v, j][t] * c[i, t, k][m]
-                  + c[u, v, k][t] * c[i, j, t][m] for t in range(d))
+        lhs = sum(c[i, j, k][w] * e[w][m] for w in range(d))
+        rhs = sum(e[i][t] * c[t, j, k][m] + e[j][t] * c[i, t, k][m]
+                  + e[k][t] * c[i, j, t][m] for t in range(d))
         out.append(lhs - rhs)
     return out
+
+
+def _lt3_residual(c, d, u, v, i, j, k):
+    """[u, v, [i, j, k]] - ([[u, v, i], j, k] + [i, [u, v, j], k] + [i, j, [u, v, k]])."""
+    return derivation_residual(c, d, [c[u, v, w] for w in range(d)], i, j, k)
 
 
 def reference_lts(space, product):
@@ -61,3 +70,17 @@ def reference_lts(space, product):
                         for u, v in failing if u < v), None)
     entries.append(("LT3", not failing, lt3_witness))
     return entries
+
+
+def broken_derivation(width, scale, first=0, second=1):
+    """[x, y, z] = scale (x_f y_s - x_s y_f) z_f e_f on 1 x width row vectors
+    (f = first, s = second): antisymmetric in x, y, with zero cyclic sum, but
+    R(e_f, e_s) (e_f -> scale e_f, every other e_w -> 0) is no derivation,
+    since R [e_f, e_s, e_f] = scale^2 e_f and 2 [e_f, e_s, e_f] = 2 scale^2 e_f.
+    Its residual is nonzero only at the triples (f, s, f) and (s, f, f), and
+    the only one with i < j, i <= k is (f, s, f) if f < s, else (s, f, f)."""
+    def product(x, y, z):
+        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
+        value = scale * (xs[first] * ys[second] - xs[second] * ys[first]) * zs[first]
+        return Matrix.unflatten((1, width, Q), [value if w == first else 0 for w in range(width)])
+    return product

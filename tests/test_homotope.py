@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from structure_reference import reference_structure
+from structure_reference import broken_derivation, reference_structure
 
 from homotopes.families import (asym_space, matrix_space, rand_invertible,
                                 rand_matrix, sample_in_subspace, sym_space)
@@ -15,7 +15,7 @@ from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple,
                                 hom_sxt_check, intertwines, standard_imbedding,
                                 triple_param)
 from homotopes.involutions import MatrixInvolution, joint_eigenspaces
-from homotopes.matrices import Matrix
+from homotopes.matrices import Matrix, rref
 from homotopes.scalars import Q, QI, Scalar
 
 
@@ -139,14 +139,43 @@ class TestHomomorphisms:
         assert not intertwines(lambda x: x, basis, rand_matrix(2, 2, Q, self.rng), a)
 
 
+def _operator_rank(system):
+    """The Fraction rank of the inner operators R(b_u, b_v), all pairs."""
+    st, d = system.structure(), system.dim
+    return len(rref([[st.c(u, v, w, m) for w in range(d) for m in range(d)]
+                     for u in range(d) for v in range(d)])[0])
+
+
 class TestStandardImbedding:
     def test_ok_for_homotope(self):
         rng = random.Random(8)
-        sp = sym_space(2, Q)
-        a = sample_in_subspace(sp, rng)
-        emb = standard_imbedding(TripleSystem.from_parameter(sp, a))
-        assert emb.ok
-        assert emb.m_dim == 3
+        for sp in (sym_space(2, Q), matrix_space(2, 2, Q), asym_space(3, Q)):
+            a = sample_in_subspace(sp, rng) if sp.dim == 3 else rand_matrix(2, 2, Q, rng)
+            system = TripleSystem.from_parameter(sp, a)
+            emb = standard_imbedding(system)
+            assert emb.ok
+            assert emb.m_dim == sp.dim
+            # h is spanned by the picked R(b_u, b_v) and has the dimension of
+            # the span of all of them
+            assert emb.h_dim == len(emb.h_pairs) == _operator_rank(system) > 0
+            assert all(u < v for u, v in emb.h_pairs)
+
+    def test_fails_without_lt1(self):
+        """Closed, LT2 and LT3 hold but [x, y] = R(x, y) is not antisymmetric."""
+        def product(x, y, z):
+            xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
+            return Matrix.unflatten((1, 2, Q), [xs[1] * ys[0] * zs[1] - ys[1] * zs[0] * xs[1], 0])
+        system = TripleSystem(matrix_space(1, 2, Q), GenericTriple(product))
+        assert [e["axiom"] for e in check_lts(system).failing()] == ["LT1"]
+        emb = standard_imbedding(system)
+        assert not emb.ok
+        assert emb.h_dim == _operator_rank(system)
+
+    def test_fails_where_only_lt3_fails(self):
+        system = TripleSystem(matrix_space(1, 3, Q), GenericTriple(broken_derivation(3, 1)))
+        emb = standard_imbedding(system)
+        assert not emb.ok
+        assert emb.h_pairs == [(0, 1)] and emb.h_dim == _operator_rank(system) == 1
 
     def test_rejects_unclosed(self):
         sp = sym_space(2, Q)

@@ -4,15 +4,18 @@ parameters whose numerators leave the float64 range, so that the kernel
 runs on Python-int ``object`` arrays."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from structure_reference import reference_lts, reference_structure
+from structure_reference import (broken_derivation, derivation_residual,
+                                 reference_lts, reference_structure)
 
 from homotopes.families import asym_space, herm_space, matrix_space, sym_space
-from homotopes.homotope import GenericTriple, TripleSystem, check_lts, triple_param
+from homotopes.homotope import (GenericTriple, TripleSystem, _lt3_first_nonzero,
+                                check_lts, triple_param)
 from homotopes.kernel import independent_row_indices
 from homotopes.matrices import Matrix
 from homotopes.scalars import HQ, Q, QI, ring_components
@@ -114,29 +117,146 @@ def test_object_tier_matches_reference():
     assert check_lts(TripleSystem.from_parameter(matrix_space(2, 2, Q), a2)).ok
 
 
-def _broken_derivation(width, scale):
-    """[x, y, z] = scale (x_0 y_1 - x_1 y_0) z_0 e_0 on 1 x width row vectors:
-    antisymmetric in x, y, with zero cyclic sum, but R(e_0, e_1) (e_0 -> e_0,
-    every other e_w -> 0) is no derivation, since
-    R [e_0, e_1, e_0] = e_0 and 2 [e_0, e_1, e_0] = 2 e_0."""
-    def product(x, y, z):
-        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
-        value = scale * (xs[0] * ys[1] - xs[1] * ys[0]) * zs[0]
-        return Matrix.unflatten((1, width, Q), [value] + [0] * (width - 1))
-    return product
+def _assert_lt3_alone_fails(width, scale, first, second):
+    space = matrix_space(1, width, Q)
+    product = broken_derivation(width, scale, first, second)
+    report = check_lts(TripleSystem(space, GenericTriple(product)))
+    entries = [(e["axiom"], e["pass"], e["witness"]) for e in report.entries]
+    assert entries == reference_lts(space, product)
+    assert [e["axiom"] for e in report.failing()] == ["LT3"]
+    f, s = first, second
+    assert report.failing()[0]["witness"] == (min(f, s), max(f, s)) + min((f, s, f), (s, f, f))
 
 
 @pytest.mark.parametrize("width, scale", [(2, 1), (3, 1), (3, Fraction(2**60, 7))])
 def test_lt3_fails_where_lt1_lt2_hold(width, scale):
     """Closed, LT1 and LT2 hold, LT3 fails: the verdicts and the witness are
     the reference's (the last case runs on the ``object`` tier)."""
-    space = matrix_space(1, width, Q)
-    product = _broken_derivation(width, scale)
+    _assert_lt3_alone_fails(width, scale, 0, 1)
+
+
+@pytest.mark.parametrize("first, second", [(1, 0), (2, 1), (2, 4), (4, 3)])
+def test_lt3_failure_in_each_hook_slab(first, second):
+    """On five basis vectors, the only nonzero LT3 residual entry with
+    i < j, i <= k lies in slab i = min(first, second): in the first, a
+    middle, and the last slab (i = d - 2), at k = i and at k = j."""
+    _assert_lt3_alone_fails(5, 1, first, second)
+
+
+def test_lt3_reads_every_triple_without_lt2():
+    """[x, y, z] = (x_1 y_3 - x_3 y_1) z_0 e_0 + (x_2 y_3 - x_3 y_2) z_1 e_1:
+    LT1 holds and LT2 fails, and the LT3 residuals vanish on every triple with
+    i < j, i <= k but not at (1, 3, 0), so the hook alone would pass it."""
+    def product(x, y, z):
+        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
+        return Matrix.unflatten((1, 4, Q), [(xs[1] * ys[3] - xs[3] * ys[1]) * zs[0],
+                                            (xs[2] * ys[3] - xs[3] * ys[2]) * zs[1], 0, 0])
+    space = matrix_space(1, 4, Q)
     report = check_lts(TripleSystem(space, GenericTriple(product)))
     entries = [(e["axiom"], e["pass"], e["witness"]) for e in report.entries]
     assert entries == reference_lts(space, product)
-    assert [e["axiom"] for e in report.failing()] == ["LT3"]
-    assert report.failing()[0]["witness"] == (0, 1, 0, 1, 0)
+    assert [e["axiom"] for e in report.failing()] == ["LT2", "LT3"]
+    assert report.failing()[1]["witness"] == (2, 3, 1, 3, 0)
+
+
+def _homotope_coords(space, a):
+    """The structure constants of the A-homotope on ``space`` as Fractions."""
+    s = TripleSystem.from_parameter(space, a).structure()
+    d = space.dim
+    return {(i, j, k): [s.c(i, j, k, m) for m in range(d)]
+            for i in range(d) for j in range(d) for k in range(d)}
+
+
+@st.composite
+def homotopes(draw):
+    """A small closed A-homotope (an LTS): its space and structure constants."""
+    space, symmetrise = draw(st.sampled_from(SPACES[:5]))
+    rows, cols, ring = space.ambient
+    n = rows * cols * ring_components(ring)
+    a = Matrix.unflatten((cols, rows, ring), draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    if symmetrise:
+        a = a + a.dagger("conj")
+    return space, _homotope_coords(space, a)
+
+
+def _lt1_lt2_part(d, u, v, w, m, delta):
+    """delta e_m placed at (u, v, w), projected onto the tensors that are
+    antisymmetric in (i, j) with zero cyclic sum: P = A - S/3, with A the
+    (i, j)-antisymmetrisation and S the cyclic sum of A (totally
+    antisymmetric, so the cyclic sum of S/3 is S)."""
+    def a(i, j, k):
+        return delta * (((i, j, k) == (u, v, w)) - ((j, i, k) == (u, v, w)))
+    out = {}
+    for i, j, k in np.ndindex(d, d, d):
+        value = a(i, j, k) - Fraction(a(i, j, k) + a(j, k, i) + a(k, i, j), 3)
+        if value:
+            out[i, j, k] = value
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(homotopes(), st.data())
+def test_hook_check_matches_reference_on_perturbed_lts(base, data):
+    """An LTS whose structure constants are perturbed in one entry, projected
+    so that LT1 and LT2 still hold: ``check_lts`` checks LT3 on the (2, 1)
+    hook only, and its verdicts and witness are the reference's, which checks
+    every triple."""
+    space, c = base
+    d = space.dim
+    u, v = sorted(data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
+    w, m = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    delta = data.draw(st.sampled_from([1, -3, Fraction(3, 2)]))
+    for key, value in _lt1_lt2_part(d, u, v, w, m, delta).items():
+        c[key] = c[key][:m] + [c[key][m] + value] + c[key][m + 1:]
+
+    def product(x, y, z):
+        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
+        out = [Fraction(0)] * d
+        for (i, j, k), vec in c.items():
+            coef = xs[i] * ys[j] * zs[k]
+            if coef:
+                out = [o + coef * t for o, t in zip(out, vec)]
+        return Matrix.unflatten((1, d, Q), out)
+
+    flat_space = matrix_space(1, d, Q)
+    report = check_lts(TripleSystem(flat_space, GenericTriple(product)))
+    entries = [(e["axiom"], e["pass"], e["witness"]) for e in report.entries]
+    assert entries[:3] == [("closure", True, None), ("LT1", True, None), ("LT2", True, None)]
+    assert entries == reference_lts(flat_space, product)
+
+
+@settings(max_examples=25, deadline=None)
+@given(homotopes(), st.data())
+def test_residual_slabs_match_reference(base, data):
+    """The LT3 residual slabs of a stack of more than d operators: every
+    R(u, v) of an LTS (derivations) with one operator R(u, v) + delta E_wm
+    inserted at a drawn position.  With the hook they report a nonzero
+    residual exactly when the reference finds one on some triple, at the
+    inserted operator and at a hook triple where the reference's residual is
+    nonzero; over every triple, at the reference's first nonzero triple."""
+    space, c = base
+    d = space.dim
+    ops = [[c[u, v, w] for w in range(d)] for u in range(d) for v in range(d)]
+    u, v, w, m = (data.draw(st.integers(0, d - 1)) for _ in range(4))
+    delta = data.draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
+    e = [list(row) for row in ops[u * d + v]]
+    e[w][m] += delta
+    at = data.draw(st.sampled_from([0, d, len(ops)]))
+    ops.insert(at, e)
+    den = lcm(*(x.denominator for vec in c.values() for x in vec),
+              *(x.denominator for op in ops for row in op for x in row))
+    cc = np.array([[[[int(x * den) for x in c[i, j, k]] for k in range(d)] for j in range(d)]
+                   for i in range(d)], dtype=np.float64)
+    stack = np.array([[[int(x * den) for x in row] for row in op] for op in ops], dtype=np.float64)
+    bound = 4 * d * int(max(np.abs(cc).max(), np.abs(stack).max())) ** 2
+    triples = list(np.ndindex(d, d, d))
+    first = next((t for t in triples if any(derivation_residual(c, d, e, *t))), None)
+    hook = _lt3_first_nonzero(cc, stack, bound, hook=True)
+    assert (hook is None) == (first is None)
+    if hook is not None:
+        t, i, j, k = hook
+        assert t == at and i < j and i <= k and any(derivation_residual(c, d, e, i, j, k))
+        assert _lt3_first_nonzero(cc, stack, bound, hook=False) == (at,) + first
 
 
 @settings(max_examples=30, deadline=None)
