@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .homotope import (AlphaMap, AlphaTriple, PairTriple, ProductSpace, bracket_closure,
-                       TripleSystem, check_lts, symmetric_pair)
+                       TripleSystem, check_lts, symmetric_pair, twist_matrix)
 from .involutions import JointDecomposition, MatrixInvolution, joint_eigenspaces
 from .matrices import (Matrix, Subspace, block_F, block_I, block_Ipq, block_J,
                        linear_map_ints)
@@ -198,7 +198,7 @@ class FamilyDescriptor:
     alpha_fn: object         # (sizes, params) -> AlphaTriple | PairTriple
 
     def space(self, sizes):
-        return self.space_fn(sizes)
+        return self.space_fn(tuple(sizes))
 
     def param_classes(self, sizes):
         return self.params_fn(sizes)
@@ -220,29 +220,39 @@ class FamilyDescriptor:
         }
 
 
-def _entrywise(m: Matrix, delta: str) -> Matrix:
-    return m.conjugate(delta)
-
-
-def _phi(m: Matrix) -> Matrix:
-    """Entrywise conjugation by the quaternion j (fixes 1 and j, negates i, k);
-    this is the order-2 automorphism qconj composed with qsplit."""
-    return m.map_entries(lambda e: Scalar.unflatten(
-        e.ring, (e.parts[0], -e.parts[1], e.parts[2], -e.parts[3])))
-
-
 _CATALOG: dict = {}
 
 
 def _add(label, ring, sizes, space_name, pair_name, space_fn, params_fn, alpha_fn,
          polarized=False):
+    # one space per sizes: a space caches its integer basis and basis stacks
     _CATALOG[label] = FamilyDescriptor(
-        label, ring, sizes, space_name, pair_name, polarized, space_fn, params_fn, alpha_fn
+        label, ring, sizes, space_name, pair_name, polarized, lru_cache(maxsize=None)(space_fn),
+        params_fn, alpha_fn
     )
 
 
-def _alpha_triple(fn, name):
-    return AlphaTriple(AlphaMap(fn, name))
+def _sandwich_alpha(twist: str, name: str):
+    """alpha(X) = A twist(X) twist(A) for the one parameter A."""
+    def build(sizes, params):
+        a = params[0]
+        return AlphaTriple(AlphaMap(a, twist_matrix(a, twist), twist, name=name))
+
+    return build
+
+
+def _dagger_alpha(twist: str, name: str):
+    """alpha(X) = B twist(X)^t A for the parameters (A, B)."""
+    def build(sizes, params):
+        a, b = params
+        return AlphaTriple(AlphaMap(b, a, twist, transpose=True, name=name))
+
+    return build
+
+
+_axa = _sandwich_alpha("id", "AXA")
+_conj_axa = _sandwich_alpha("conj", "A conj(XA)")
+_phi_axa = _sandwich_alpha("phi", "A phi(XA)")
 
 
 def _neg(alpha_fn):
@@ -260,21 +270,14 @@ def _build_catalog():
     def t1_param(sz):
         return [ParamClass("M(q,p;K)", matrix_space(sz[1], sz[0], Q), "full")]
 
-    def t1a_alpha(sz, ps):
-        a = ps[0]
-        return _alpha_triple(lambda x: a @ x @ a, "AXA")
-
-    _add("1.a", Q, "pq", "M(p,q;K)", "group case Gl_pq(A,K)", t1_space, t1_param, t1a_alpha)
-    _add("1.a'", Q, "pq", "M(p,q;K)", "Gl_pq(A,K[i])/Gl_pq(A,K)", t1_space, t1_param, _neg(t1a_alpha))
+    _add("1.a", Q, "pq", "M(p,q;K)", "group case Gl_pq(A,K)", t1_space, t1_param, _axa)
+    _add("1.a'", Q, "pq", "M(p,q;K)", "Gl_pq(A,K[i])/Gl_pq(A,K)", t1_space, t1_param, _neg(_axa))
 
     def t1b_param(sz):
         return [ParamClass("Sym(p,K)", sym_space(sz[0], Q), "sym"),
                 ParamClass("Sym(q,K)", sym_space(sz[1], Q), "sym")]
 
-    def t1b_alpha(sz, ps):
-        a, b = ps
-        return _alpha_triple(lambda x: b @ x.transpose() @ a, "B X^t A")
-
+    t1b_alpha = _dagger_alpha("id", "B X^t A")
     _add("1.b", Q, "pq", "M(p,q;K)", "O_{p+q}(diag(A,B);K)/O_p(A)xO_q(B)", t1_space, t1b_param, t1b_alpha)
 
     def t1c_param(sz):
@@ -290,22 +293,15 @@ def _build_catalog():
     def t1A_param(sz):
         return [ParamClass("M(q,p;C)", matrix_space(sz[1], sz[0], QI), "full")]
 
-    def t1A_alpha(sz, ps):
-        a = ps[0]
-        return _alpha_triple(lambda x: a @ _entrywise(x @ a, "conj"), "A conj(XA)")
-
-    _add("1.A", QI, "pq", "M(p,q;C)", "Gl_pq(A;M(2,2;R))/Gl_pq(A;C)", t1A_space, t1A_param, t1A_alpha)
-    _add("1.A'", QI, "pq", "M(p,q;C)", "Gl_pq(A;H)/Gl_pq(A;C)", t1A_space, t1A_param, _neg(t1A_alpha))
+    _add("1.A", QI, "pq", "M(p,q;C)", "Gl_pq(A;M(2,2;R))/Gl_pq(A;C)", t1A_space, t1A_param, _conj_axa)
+    _add("1.A'", QI, "pq", "M(p,q;C)", "Gl_pq(A;H)/Gl_pq(A;C)", t1A_space, t1A_param, _neg(_conj_axa))
 
     def t1B_param(sz):
         return [ParamClass("Herm(p,C)", herm_space(sz[0], QI, "conj"), "herm:conj"),
                 ParamClass("Herm(q,C)", herm_space(sz[1], QI, "conj"), "herm:conj")]
 
-    def t1B_alpha(sz, ps):
-        a, b = ps
-        return _alpha_triple(lambda x: b @ x.dagger("conj") @ a, "B conj(X)^t A")
-
-    _add("1.B", QI, "pq", "M(p,q;C)", "U_{p+q}(diag(A,B);C)/U_p(A)xU_q(B)", t1A_space, t1B_param, t1B_alpha)
+    _add("1.B", QI, "pq", "M(p,q;C)", "U_{p+q}(diag(A,B);C)/U_p(A)xU_q(B)", t1A_space, t1B_param,
+         _dagger_alpha("conj", "B conj(X)^t A"))
 
     # ---- table 1.3: rectangular over H -----------------------------------
     def t13_space(sz):
@@ -314,12 +310,8 @@ def _build_catalog():
     def t13_param(sz):
         return [ParamClass("M(q,p;H)", matrix_space(sz[1], sz[0], HQ), "full")]
 
-    def t13a_alpha(sz, ps):
-        a = ps[0]
-        return _alpha_triple(lambda x: a @ x @ a, "AXA")
-
-    _add("1.3.a", HQ, "pq", "M(p,q;H)", "group case Gl_pq(A,H)", t13_space, t13_param, t13a_alpha)
-    _add("1.3.a'", HQ, "pq", "M(p,q;H)", "Gl_pq(A,M(2,2;C))/Gl_pq(A,H)", t13_space, t13_param, _neg(t13a_alpha))
+    _add("1.3.a", HQ, "pq", "M(p,q;H)", "group case Gl_pq(A,H)", t13_space, t13_param, _axa)
+    _add("1.3.a'", HQ, "pq", "M(p,q;H)", "Gl_pq(A,M(2,2;C))/Gl_pq(A,H)", t13_space, t13_param, _neg(_axa))
 
     def t13_herm_param(delta):
         def build(sz):
@@ -328,25 +320,14 @@ def _build_catalog():
 
         return build
 
-    def t13_dagger_alpha(delta):
-        def build(sz, ps):
-            a, b = ps
-            return _alpha_triple(lambda x: b @ x.dagger(delta) @ a, f"B {delta}(X)^t A")
-
-        return build
-
     _add("1.3.b", HQ, "pq", "M(p,q;H)", "U_{p+q}(diag(A,B);H)/U_p(A)xU_q(B)",
-         t13_space, t13_herm_param("qconj"), t13_dagger_alpha("qconj"))
+         t13_space, t13_herm_param("qconj"), _dagger_alpha("qconj", "B qconj(X)^t A"))
     _add("1.3.c", HQ, "pq", "M(p,q;H)", "U_{p+q}(diag(A,B);H~)/U_p(A)xU_q(B)",
-         t13_space, t13_herm_param("qsplit"), t13_dagger_alpha("qsplit"))
+         t13_space, t13_herm_param("qsplit"), _dagger_alpha("qsplit", "B qsplit(X)^t A"))
 
     # ---- table 2: symmetric over K ---------------------------------------
     def t2_space(sz):
         return sym_space(sz[0], Q)
-
-    def _axa(sz, ps):
-        a = ps[0]
-        return _alpha_triple(lambda x: a @ x @ a, "AXA")
 
     _add("2.a", Q, "n", "Sym(n,K)", "Gl_n(A;K)/O_n(A;K)", t2_space,
          lambda sz: [ParamClass("Sym(n,K)", sym_space(sz[0], Q), "sym")], _axa)
@@ -361,15 +342,10 @@ def _build_catalog():
     def t2A_space(sz):
         return sym_space(sz[0], QI)
 
-    def t2A_alpha(sz, ps):
-        a = ps[0]
-        ac = _entrywise(a, "conj")
-        return _alpha_triple(lambda x: a @ _entrywise(x, "conj") @ ac, "A conj(XA)")
-
     _add("2.A", QI, "n", "Sym(n,C)", "U_n(A;H)/U_n(A;C)", t2A_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], t2A_alpha)
+         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _conj_axa)
     _add("2.A'", QI, "n", "Sym(n,C)", "Sp_n((b,a;-a,b))/U_n(b+ia,C)", t2A_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(t2A_alpha))
+         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(_conj_axa))
 
     # ---- table 3: skew over K --------------------------------------------
     def t3_space(sz):
@@ -388,15 +364,10 @@ def _build_catalog():
     def t3A_space(sz):
         return asym_space(sz[0], QI)
 
-    def t3A_alpha(sz, ps):
-        a = ps[0]
-        ac = _entrywise(a, "conj")
-        return _alpha_triple(lambda x: a @ _entrywise(x, "conj") @ ac, "A conj(XA)")
-
     _add("3.A", QI, "n", "Asym(n,C)", "U_n(A,H~)/U_n(A,C)", t3A_space,
-         lambda sz: [ParamClass("iHerm(n,C)", iherm_space(sz[0]), "iherm")], t3A_alpha)
+         lambda sz: [ParamClass("iHerm(n,C)", iherm_space(sz[0]), "iherm")], _conj_axa)
     _add("3.A'", QI, "n", "Asym(n,C)", "O_2n((a,b;-b,a),R)/U_n(b+ia,C)", t3A_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(t3A_alpha))
+         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(_conj_axa))
 
     # ---- table 1.1: Herm(n, C) -------------------------------------------
     def t11_space(sz):
@@ -407,19 +378,14 @@ def _build_catalog():
     _add("1.1.a'", QI, "n", "Herm(n,C)", "group case U_n(A,C)", t11_space,
          lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(_axa))
 
-    def t11b_alpha(sz, ps):
-        a = ps[0]
-        ac = _entrywise(a, "conj")
-        return _alpha_triple(lambda x: a @ _entrywise(x, "conj") @ ac, "A conj(XA)")
-
     _add("1.1.b", QI, "n", "Herm(n,C)", "U_n(A,H~)/O_n(A,C)", t11_space,
-         lambda sz: [ParamClass("Sym(n,C)", sym_space(sz[0], QI), "sym")], t11b_alpha)
+         lambda sz: [ParamClass("Sym(n,C)", sym_space(sz[0], QI), "sym")], _conj_axa)
     _add("1.1.b'", QI, "n", "Herm(n,C)", "O_2n((a,b;b,-a);R)/O_n(a+ib;C)", t11_space,
-         lambda sz: [ParamClass("Sym(n,C)", sym_space(sz[0], QI), "sym")], _neg(t11b_alpha))
+         lambda sz: [ParamClass("Sym(n,C)", sym_space(sz[0], QI), "sym")], _neg(_conj_axa))
     _add("1.1.c", QI, "n", "Herm(n,C)", "Sp_n((a,b;b,-a);R)/Sp(a+ib;C)", t11_space,
-         lambda sz: [ParamClass("Asym(n,C)", asym_space(sz[0], QI), "asym")], t11b_alpha)
+         lambda sz: [ParamClass("Asym(n,C)", asym_space(sz[0], QI), "asym")], _conj_axa)
     _add("1.1.c'", QI, "n", "Herm(n,C)", "U_n(A,H)/Sp(A,C)", t11_space,
-         lambda sz: [ParamClass("Asym(n,C)", asym_space(sz[0], QI), "asym")], _neg(t11b_alpha))
+         lambda sz: [ParamClass("Asym(n,C)", asym_space(sz[0], QI), "asym")], _neg(_conj_axa))
 
     # ---- table 3.1: Herm(n, H) -------------------------------------------
     def t31_space(sz):
@@ -431,15 +397,10 @@ def _build_catalog():
     def t31b_param(sz):
         return [ParamClass("Herm(n,H~)", herm_space(sz[0], HQ, "qsplit"), "herm:qsplit")]
 
-    def t31b_alpha(sz, ps):
-        a = ps[0]
-        ap = _phi(a)
-        return _alpha_triple(lambda x: a @ _phi(x) @ ap, "A phi(XA)")
-
     _add("3.1.a", HQ, "n", "Herm(n,H)", "Gl_n(A,H)/U_n(A,H)", t31_space, t31_param, _axa)
     _add("3.1.a'", HQ, "n", "Herm(n,H)", "U_2n(IA,C)/U_n(A,H)", t31_space, t31_param, _neg(_axa))
-    _add("3.1.b", HQ, "n", "Herm(n,H)", "group case U_n(A,H~)", t31_space, t31b_param, t31b_alpha)
-    _add("3.1.b'", HQ, "n", "Herm(n,H)", "O_2n(IA,C)/U_n(A,H~)", t31_space, t31b_param, _neg(t31b_alpha))
+    _add("3.1.b", HQ, "n", "Herm(n,H)", "group case U_n(A,H~)", t31_space, t31b_param, _phi_axa)
+    _add("3.1.b'", HQ, "n", "Herm(n,H)", "O_2n(IA,C)/U_n(A,H~)", t31_space, t31b_param, _neg(_phi_axa))
 
     # ---- table 2.2: Herm(n, H~) ------------------------------------------
     def t22_space(sz):
@@ -451,15 +412,10 @@ def _build_catalog():
     def t22b_param(sz):
         return [ParamClass("Herm(n,H)", herm_space(sz[0], HQ, "qconj"), "herm:qconj")]
 
-    def t22b_alpha(sz, ps):
-        a = ps[0]
-        ap = _phi(a)
-        return _alpha_triple(lambda x: a @ _phi(x) @ ap, "A phi(XA)")
-
     _add("2.2.a", HQ, "n", "Herm(n,H~)", "Gl_n(A,H)/U_n(A,H~)", t22_space, t22_param, _axa)
     _add("2.2.a'", HQ, "n", "Herm(n,H~)", "U_2n(IA,C)/U_n(A,H~)", t22_space, t22_param, _neg(_axa))
-    _add("2.2.b", HQ, "n", "Herm(n,H~)", "group case U_n(A,H)", t22_space, t22b_param, t22b_alpha)
-    _add("2.2.b'", HQ, "n", "Herm(n,H~)", "Sp_2n(IA,C)/U_n(A,H)", t22_space, t22b_param, _neg(t22b_alpha))
+    _add("2.2.b", HQ, "n", "Herm(n,H~)", "group case U_n(A,H)", t22_space, t22b_param, _phi_axa)
+    _add("2.2.b'", HQ, "n", "Herm(n,H~)", "Sp_2n(IA,C)/U_n(A,H)", t22_space, t22b_param, _neg(_phi_axa))
 
     _build_polarized()
 
@@ -475,12 +431,9 @@ def _build_polarized():
 
     def pol1a_alpha(sz, ps):
         a, b = ps
-
-        def fn(u):
-            p, m = u
-            return (a @ p.transpose() @ b, a.transpose() @ m.transpose() @ b.transpose())
-
-        return PairTriple(fn, "(A P^t B, A^t M^t B^t)")
+        return PairTriple((AlphaMap(a, b, transpose=True),
+                           AlphaMap(a.transpose(), b.transpose(), transpose=True)),
+                          "(A P^t B, A^t M^t B^t)")
 
     _add("pol1-1.a", Q, "pq", "M(p,q;K) x M(q,p;K)",
          "Gl_{2p,2q}(diag(A,B);K)/Gl_pq(A)xGl_pq(B)", pol1a_space, pol1a_param, pol1a_alpha,
@@ -492,30 +445,19 @@ def _build_polarized():
 
     def pol1b_alpha(sz, ps):
         a, b = ps
-
-        def fn(u):
-            p, m = u
-            return (a @ p @ b, b @ m @ a)
-
-        return PairTriple(fn, "(A P B, B M A)")
+        return PairTriple((AlphaMap(a, b), AlphaMap(b, a)), "(A P B, B M A)")
 
     _add("pol1-1.b", Q, "pq", "M(p,q;K) x M(q,p;K)",
          "Gl_{p+q}(diag(A,B);K)/Gl_p(A)xGl_q(B)", pol1a_space, pol1b_param, pol1b_alpha,
          polarized=True)
 
-    def _conjugated_pair_alpha(delta, sign):
+    def _conjugated_pair_alpha(delta, sign, name):
         """alpha(P, M) = (sign * delta(A)^t P A, sign * A M delta(A)^t)."""
 
         def build(sz, ps):
             a = ps[0]
             at = a.dagger(delta)
-
-            def fn(u):
-                p, m = u
-                out = (at @ p @ a, a @ m @ at)
-                return out if sign == 1 else (-out[0], -out[1])
-
-            return PairTriple(fn, f"({'-' if sign < 0 else ''}{delta}(A)^t P A, ...)")
+            return PairTriple((AlphaMap(at, a, sign=sign), AlphaMap(a, at, sign=sign)), name)
 
         return build
 
@@ -529,23 +471,23 @@ def _build_polarized():
     _add("pol1-2", Q, "n", "Sym(n,K) x Sym(n,K)", "Sp_n((0,A;-A^t,0);K)/Gl_n(A;K)",
          _square_pair(lambda n: sym_space(n, Q), Q),
          lambda sz: [ParamClass("M(n,n;K)", matrix_space(sz[0], sz[0], Q), "full")],
-         _conjugated_pair_alpha("id", -1), polarized=True)
+         _conjugated_pair_alpha("id", -1, "(-id(A)^t P A, ...)"), polarized=True)
     _add("pol1-3", Q, "n", "Asym(n,K) x Asym(n,K)", "O_2n((0,A;A^t,0);K)/Gl_n(A;K)",
          _square_pair(lambda n: asym_space(n, Q), Q),
          lambda sz: [ParamClass("M(n,n;K)", matrix_space(sz[0], sz[0], Q), "full")],
-         _conjugated_pair_alpha("id", 1), polarized=True)
+         _conjugated_pair_alpha("id", 1, "(id(A)^t P A, ...)"), polarized=True)
     _add("pol1-1.1", QI, "n", "Herm(n,C) x Herm(n,C)", "U_2n((0,A;conj(A)^t,0);C)/Gl_n(A;C)",
          _square_pair(lambda n: herm_space(n, QI, "conj"), QI),
          lambda sz: [ParamClass("M(n,n;C)", matrix_space(sz[0], sz[0], QI), "full")],
-         _conjugated_pair_alpha("conj", 1), polarized=True)
+         _conjugated_pair_alpha("conj", 1, "(conj(A)^t P A, ...)"), polarized=True)
     _add("pol1-3.1", HQ, "n", "Herm(n,H) x Herm(n,H)", "U_2n((0,A;qconj(A)^t,0);H)/Gl_n(A;H)",
          _square_pair(lambda n: herm_space(n, HQ, "qconj"), HQ),
          lambda sz: [ParamClass("M(n,n;H)", matrix_space(sz[0], sz[0], HQ), "full")],
-         _conjugated_pair_alpha("qconj", 1), polarized=True)
+         _conjugated_pair_alpha("qconj", 1, "(qconj(A)^t P A, ...)"), polarized=True)
     _add("pol1-2.2", HQ, "n", "Herm(n,H~) x Herm(n,H~)", "U_2n((0,A;split(A)^t,0);H~)/Gl_n(A;H)",
          _square_pair(lambda n: herm_space(n, HQ, "qsplit"), HQ),
          lambda sz: [ParamClass("M(n,n;H)", matrix_space(sz[0], sz[0], HQ), "full")],
-         _conjugated_pair_alpha("qsplit", 1), polarized=True)
+         _conjugated_pair_alpha("qsplit", 1, "(qsplit(A)^t P A, ...)"), polarized=True)
 
     # ---- twisted polarized table (rectangular sizes p, q) ----------------
     def pol2_1_space(sz):
@@ -557,17 +499,8 @@ def _build_polarized():
         return [ParamClass("M(q,p;K)", matrix_space(q, p, Q), "full"),
                 ParamClass("M(q,p;K)", matrix_space(q, p, Q), "full")]
 
-    def pol2_1_alpha(sz, ps):
-        c1, c2 = ps
-
-        def fn(u):
-            p, m = u
-            return (c1 @ p @ c2, c2 @ m @ c1)
-
-        return PairTriple(fn, "(C1 P C2, C2 M C1)")
-
     _add("pol2-1", Q, "pq", "M(p,q;K) x M(p,q;K)",
-         "Gl(diag(A,B);K)/Gl(A)xGl(B)", pol2_1_space, pol2_1_param, pol2_1_alpha,
+         "Gl(diag(A,B);K)/Gl(A)xGl(B)", pol2_1_space, pol2_1_param, pol1b_alpha,
          polarized=True)
 
     def _rect_pair(space_fn, ring, delta, sign, name):
@@ -577,18 +510,7 @@ def _build_polarized():
         def param(sz):
             return [ParamClass("M(p,q)", matrix_space(sz[0], sz[1], ring), "full")]
 
-        def alpha(sz, ps):
-            a = ps[0]
-            at = a.dagger(delta)
-
-            def fn(u):
-                p, m = u
-                out = (at @ p @ a, a @ m @ at)
-                return out if sign == 1 else (-out[0], -out[1])
-
-            return PairTriple(fn, name)
-
-        return space, param, alpha
+        return space, param, _conjugated_pair_alpha(delta, sign, name)
 
     s, p, a = _rect_pair(lambda n, r: sym_space(n, r), Q, "id", -1, "(-A^t P A, -A M A^t)")
     _add("pol2-2", Q, "pq", "Sym(p,K) x Sym(q,K)", "Sp((0,A;-A^t,0);K)/Gl_pq(A;K)", s, p, a,

@@ -49,29 +49,56 @@ def triple_alpha(x: Matrix, y: Matrix, z: Matrix, alpha) -> Matrix:
     return ternary_t(x, alpha(y), z) - ternary_t(y, alpha(x), z)
 
 
+def twist_matrix(x: Matrix, twist: str) -> Matrix:
+    """The entrywise twist of an ``AlphaMap``: a base involution, or phi,
+    conjugation by the quaternion j (qconj followed by qsplit)."""
+    return x.conjugate("qconj").conjugate("qsplit") if twist == "phi" else x.conjugate(twist)
+
+
 class AlphaMap:
-    """A Q-linear map from the V+ ambient into the V- ambient."""
+    """The Q-linear map alpha(X) = sign * L * twist(X)[^t] * R from the V+
+    ambient into the V- ambient: ``twist`` is an entrywise base involution
+    or phi (a component sign pattern of ``kernel.CONJ_SIGNS``), followed by
+    the transpose when ``transpose`` is set; a factor L or R given as None
+    is the identity.
 
-    __slots__ = ("fn", "name")
+    Being declared, not a closure, it applies to a whole stacked basis in two
+    batched products (``stack``); ``__call__`` is the same map on one
+    ``Matrix``.
+    """
 
-    def __init__(self, fn, name: str = "alpha"):
-        self.fn = fn
+    __slots__ = ("left", "right", "twist", "transpose", "sign", "name")
+
+    def __init__(self, left: Matrix | None, right: Matrix | None, twist: str = "id", transpose: bool = False,
+                 sign: int = 1, name: str = "alpha"):
+        self.left = left
+        self.right = right
+        self.twist = twist
+        self.transpose = transpose
+        self.sign = sign
         self.name = name
 
     def __call__(self, x: Matrix) -> Matrix:
-        return self.fn(x)
+        out = twist_matrix(x, self.twist)
+        out = out.transpose() if self.transpose else out
+        out = out if self.left is None else self.left @ out
+        out = out if self.right is None else out @ self.right
+        return out if self.sign > 0 else -out
+
+    def stack(self, x: Arr) -> Arr:
+        """alpha of every matrix of the stack ``x`` (exact, batched)."""
+        left, right = (None if m is None else Arr.from_matrix(m) for m in (self.left, self.right))
+        out = kernel.sandwich(x, left, right, self.twist, self.transpose)
+        return out if self.sign > 0 else -out
 
     @staticmethod
     def param(a: Matrix) -> "AlphaMap":
         """alpha(X) = A X A (the plain homotope with parameter A)."""
-        return AlphaMap(lambda x: a @ x @ a, "AXA")
-
-    @staticmethod
-    def zero(rows: int, cols: int, ring) -> "AlphaMap":
-        return AlphaMap(lambda x: Matrix.zeros(rows, cols, ring), "0")
+        return AlphaMap(a, a, name="AXA")
 
     def negated(self) -> "AlphaMap":
-        return AlphaMap(lambda x: -self.fn(x), f"-({self.name})")
+        return AlphaMap(self.left, self.right, self.twist, self.transpose, -self.sign,
+                        f"-({self.name})")
 
 
 # -- product objects --------------------------------------------------------
@@ -80,8 +107,6 @@ class AlphaMap:
 class AlphaTriple:
     """Triple bracket on a matrix space given by an alpha map."""
 
-    pair = False
-
     def __init__(self, alpha: AlphaMap):
         self.alpha = alpha
 
@@ -89,7 +114,14 @@ class AlphaTriple:
         return triple_alpha(x, y, z, self.alpha)
 
     def middle_images(self, basis):
+        """alpha of each basis matrix, one ``Matrix`` at a time."""
         return [self.alpha(b) for b in basis]
+
+    def flat(self, space) -> Arr:
+        """The flattened products [b_i, b_j, b_k] over the basis of ``space``,
+        with the middle images of the whole basis from one ``AlphaMap.stack``."""
+        basis = space.basis_arr()
+        return _flat_triples(basis, self.alpha.stack(basis))
 
     def negated(self) -> "AlphaTriple":
         return AlphaTriple(self.alpha.negated())
@@ -101,17 +133,16 @@ class PairTriple:
     T((X,X'),(Y,Y'),(Z,Z')) = (X Y' Z + Z Y' X,  X' Y Z' + Z' Y X'),
     [u, v, w] = T(u, alpha(v), w) - T(v, alpha(u), w),
 
-    where alpha defaults to the identity on pairs.
+    where alpha(X, X') = (alpha_+(X), alpha_-(X')) for the pair ``alphas`` of
+    ``AlphaMap``s, one per component, and the identity when ``alphas`` is None.
     """
 
-    pair = True
-
-    def __init__(self, alpha=None, name: str = "id"):
-        self.alpha = alpha
+    def __init__(self, alphas=None, name: str = "id"):
+        self.alphas = alphas
         self.name = name
 
     def _alpha(self, u):
-        return u if self.alpha is None else self.alpha(u)
+        return u if self.alphas is None else tuple(f(x) for f, x in zip(self.alphas, u))
 
     @staticmethod
     def t(u, v, w):
@@ -126,22 +157,21 @@ class PairTriple:
         p2 = PairTriple.t(v, au, w)
         return (p1[0] - p2[0], p1[1] - p2[1])
 
-    def middle_images(self, basis_pairs):
-        return [self._alpha(u) for u in basis_pairs]
+    def flat(self, space) -> Arr:
+        """The flattened products over the basis pairs of a ``ProductSpace``:
+        the plus components, then the minus components."""
+        bp, bm = space.basis_stacks()
+        wp, wm = (bp, bm) if self.alphas is None else (f.stack(b) for f, b in zip(self.alphas, (bp, bm)))
+        return kernel.concat_last(_flat_triples(bp, wm), _flat_triples(bm, wp))
 
     def negated(self) -> "PairTriple":
-        def neg(u, inner=self.alpha):
-            v = u if inner is None else inner(u)
-            return (-v[0], -v[1])
-
-        return PairTriple(neg, f"-({self.name})")
+        alphas = self.alphas or (AlphaMap(None, None, name="id"),) * 2
+        return PairTriple(tuple(f.negated() for f in alphas), f"-({self.name})")
 
 
 class GenericTriple:
     """An arbitrary ternary product given by a callable, evaluated on each
     basis triple."""
-
-    pair = False
 
     def __init__(self, fn):
         self.fn = fn
@@ -149,8 +179,11 @@ class GenericTriple:
     def eval(self, x, y, z):
         return self.fn(x, y, z)
 
-    def middle_images(self, basis):
-        return None
+    def flat(self, space) -> Arr:
+        """The flattened products over the basis of ``space``, one call each."""
+        basis = space.basis_matrices()
+        values = [self.fn(x, y, z).flatten() for x in basis for y in basis for z in basis]
+        return Arr.from_rows(values, (len(basis),) * 3 + (-1,), basis[0].ring)
 
     def negated(self) -> "GenericTriple":
         return GenericTriple(lambda x, y, z: -self.fn(x, y, z))
@@ -167,7 +200,7 @@ class ProductSpace:
     exactly as for Subspace.
     """
 
-    __slots__ = ("plus", "minus", "basis", "pivots")
+    __slots__ = ("plus", "minus", "basis", "pivots", "_int", "_stacks")
 
     def __init__(self, plus: Subspace, minus: Subspace):
         self.plus = plus
@@ -179,6 +212,7 @@ class ProductSpace:
             [tuple(v) + zero2 for v in plus.basis] + [zero1 + tuple(v) for v in minus.basis]
         )
         self.pivots = tuple(list(plus.pivots) + [n1 + p for p in minus.pivots])
+        self._int = self._stacks = None
 
     @property
     def dim(self) -> int:
@@ -193,7 +227,21 @@ class ProductSpace:
         return [(b, zm) for b in self.plus.basis_matrices()] + [(zp, b) for b in self.minus.basis_matrices()]
 
     def basis_int(self) -> BasisInt:
-        return BasisInt(self.basis, self.pivots)
+        if self._int is None:
+            self._int = BasisInt(self.basis, self.pivots)
+        return self._int
+
+    def basis_stacks(self) -> tuple:
+        """The plus and the minus components of the basis pairs, each stacked
+        as an exact tensor (dim, rows, cols, comps)."""
+        if self._stacks is None:
+            def padded(b: Arr, before: int, after: int) -> Arr:
+                zeros = [np.zeros((n,) + b.a.shape[1:], b.a.dtype) for n in (before, after)]
+                return Arr(np.concatenate([zeros[0], b.a, zeros[1]]), b.den, b.bound, b.ring)
+
+            self._stacks = (padded(self.plus.basis_arr(), 0, self.minus.dim),
+                            padded(self.minus.basis_arr(), self.plus.dim, 0))
+        return self._stacks
 
     def flatten_pair(self, u):
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
@@ -252,21 +300,10 @@ class TripleSystem:
         return self._structure
 
     def _compute_structure(self) -> Structure:
-        basis = self.basis()
-        d = len(basis)
-        if d == 0:
+        if self.dim == 0:
             empty = Arr(np.zeros((0, 0, 0, 0)), 1, 1, None)
             return Structure(empty, empty, True, None)
-        middles = self.product.middle_images(basis)
-        if middles is None:
-            values = [self.product.eval(x, y, z).flatten() for x in basis for y in basis for z in basis]
-            flat = Arr.from_rows(values, (d, d, d, -1), basis[0].ring)
-        elif self.product.pair:
-            bp, bm, wp, wm = (Arr.from_matrices([u[side] for u in seq])
-                              for seq in (basis, middles) for side in (0, 1))
-            flat = kernel.concat_last(_flat_triples(bp, wm), _flat_triples(bm, wp))
-        else:
-            flat = _flat_triples(self.space.basis_arr(), Arr.from_matrices(middles))
+        flat = self.product.flat(self.space)
         coords, member = kernel.coordinates(flat, self.space.basis_int())
         if member.all():
             return Structure(flat, coords, True, None)
@@ -550,7 +587,8 @@ def intertwines(psi, basis, a_new: Matrix, a: Matrix) -> bool:
     pmat = Arr(ints.a, den, ints.bound, x.ring)
 
     def triples(mats, p):
-        return _flat_triples(Arr.from_matrices(mats), Arr.from_matrices([p @ m @ p for m in mats]))
+        stack = Arr.from_matrices(mats)
+        return _flat_triples(stack, AlphaMap(p, p).stack(stack))
 
     lhs = kernel.map_last(triples(basis, a_new), pmat)
     rhs = triples([psi(b) for b in basis], a)

@@ -86,14 +86,9 @@ class MatrixInvolution:
 
     def _apply_arr(self, x: "kernel.Arr") -> "kernel.Arr":
         """The declared action on a batched coefficient array (exact)."""
-        out = x.conj(self.delta)
-        if self.kind == "anti":
-            out = out.transpose_mat()
-        if self.twist is not None:
-            b = kernel.Arr.from_matrix(self.twist)
-            binv = kernel.Arr.from_matrix(self._twist_inv)
-            out = kernel.matrix_mul(kernel.matrix_mul(b, out), binv)
-        return out
+        b, binv = ((None, None) if self.twist is None else
+                   (kernel.Arr.from_matrix(self.twist), kernel.Arr.from_matrix(self._twist_inv)))
+        return kernel.sandwich(x, b, binv, self.delta, self.kind == "anti")
 
     def _validate(self):
         num, den = self.action()
@@ -104,15 +99,9 @@ class MatrixInvolution:
         barr = kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1, self.ring)
         ints = kernel.Arr.from_rows([num], (dim, dim), self.ring)
         iarr = kernel.Arr(ints.a.T.reshape(dim, self.n, self.n, -1), den, ints.bound, self.ring)
-        prods = kernel.matrix_mul(
-            kernel.Arr(barr.a[:, None], barr.den, barr.bound, barr.ring),
-            kernel.Arr(barr.a[None, :], barr.den, barr.bound, barr.ring),
-        )
-        got = self._apply_arr(prods)
-        lhs = kernel.Arr(iarr.a[None, :] if self.kind == "anti" else iarr.a[:, None],
-                         iarr.den, iarr.bound, iarr.ring)
-        rhs = kernel.Arr(iarr.a[:, None] if self.kind == "anti" else iarr.a[None, :],
-                         iarr.den, iarr.bound, iarr.ring)
+        got = self._apply_arr(kernel.matrix_mul(barr[:, None], barr[None]))
+        # tau(e_s e_t) = tau(e_s) tau(e_t), or tau(e_t) tau(e_s) for an antimorphism
+        lhs, rhs = (iarr[None], iarr[:, None]) if self.kind == "anti" else (iarr[:, None], iarr[None])
         expect = kernel.matrix_mul(lhs, rhs)
         if np.any((got - expect).a):
             raise ValueError(f"declared action is not an {self.kind}morphism")

@@ -9,6 +9,13 @@ dtype from it (``fit``): float64, so BLAS runs, while the bound is below 2^53
 (the float64 exact-integer range), numpy ``object`` arrays of Python ints
 otherwise.  There is one code path; only the dtype changes.
 
+Every ring product over Q, Q(i) or the quaternions is one GEMM against the
+right regular representation of its right operand (``right_rep``), a signed
+gather of its components: there is no einsum.  A product entry sums
+shared * k products of components, so each partial sum of the GEMM, in
+whatever order BLAS adds, is bounded by the same shared * k * |x| * |y| that
+bounds the result, and float64 stays exact below 2^53.
+
 ``independent_row_indices`` (the LT3 operator span) picks rows from their
 residues modulo a prime and accepts the pick only behind a deterministic
 certificate: an integer identity checked modulo primes whose product exceeds
@@ -69,6 +76,18 @@ def _left_mult(t: np.ndarray) -> tuple:
 LEFT_MULT = {r: _left_mult(t) for r, t in MULT_TENSOR.items()}
 
 
+def _right_gather(t: np.ndarray) -> np.ndarray:
+    """g[a, c] = b + k * (s < 0) for the one b with e_a e_b = s e_c: the entry
+    (a, c) of the right regular representation of y is component g[a, c] of
+    the concatenation (y, -y)."""
+    b = np.abs(t).argmax(axis=1)
+    s = np.take_along_axis(t, b[:, None], axis=1)[:, 0]
+    return b + t.shape[0] * (s < 0)
+
+
+RIGHT_GATHER = {r: _right_gather(t) for r, t in MULT_TENSOR.items()}
+
+
 def fraction_matrix_to_ints(rows):
     """Integer numerators of rows of Fractions (or ints) over their least
     common denominator: returns (numerator rows, den)."""
@@ -101,6 +120,8 @@ CONJ_SIGNS = {
     (HQ, "id"): (1, 1, 1, 1),
     (HQ, "qconj"): (1, -1, -1, -1),
     (HQ, "qsplit"): (1, 1, -1, 1),
+    # entrywise conjugation by j: qconj followed by qsplit, an automorphism
+    (HQ, "phi"): (1, -1, 1, -1),
 }
 
 
@@ -148,8 +169,11 @@ class Arr:
 
     @staticmethod
     def from_matrix(mat) -> "Arr":
-        stacked = Arr.from_matrices([mat])
-        return Arr(stacked.a[0], stacked.den, stacked.bound, stacked.ring)
+        return Arr.from_matrices([mat])[0]
+
+    def __getitem__(self, index) -> "Arr":
+        """The entries at ``index`` (leading axes), same denominator and bound."""
+        return Arr(self.a[index], self.den, self.bound, self.ring)
 
     def actual_bound(self) -> "Arr":
         """Tighten the tracked bound to the actual maximum entry."""
@@ -159,7 +183,8 @@ class Arr:
     def over(self, den: int, bound: int) -> np.ndarray:
         """The entries rescaled to the multiple ``den`` of the denominator, in
         the dtype of ``bound`` (which must cover the rescaled entries)."""
-        return fit(self.a, bound) * (den // self.den)
+        a = fit(self.a, bound)
+        return a if den == self.den else a * (den // self.den)
 
     def __neg__(self) -> "Arr":
         return Arr(-self.a, self.den, self.bound, self.ring)
@@ -201,54 +226,72 @@ def map_last(x: Arr, m: Arr) -> Arr:
     return Arr(out, x.den * m.den, bound, x.ring).actual_bound()
 
 
-def _contract(sub: str, xa, ya, ring, bound: int) -> np.ndarray:
-    """One ring product contraction, run in the dtype of its result bound."""
-    t = MULT_TENSOR[ring]
-    return np.einsum(sub, fit(xa, bound), fit(ya, bound), fit(t, bound), optimize=True)
+def right_rep(y: np.ndarray, ring) -> np.ndarray:
+    """The right regular representation of the integer matrices y (shape
+    (..., q, r, k)), as shape (..., q, k, r, k): R[..., q, a, r, c] =
+    s * y[..., q, r, b] for e_a e_b = s e_c, so that for x of shape
+    (..., p, q, k), x y is x.reshape(..., p, q k) @ R.reshape(..., q k, r k)."""
+    return np.swapaxes(np.concatenate([y, -y], axis=-1)[..., RIGHT_GATHER[ring]], -3, -2)
 
 
-def ring_einsum(sub: str, x: Arr, y: Arr, shared: int) -> Arr:
-    """Ring-aware product contraction.  ``sub`` must contract one matrix index
-    pair and the component indices a, b against the multiplication tensor c;
-    ``shared`` is the size of the contracted matrix index."""
-    if x.ring != y.ring:
-        raise ValueError("ring mismatch")
-    bound = x.bound * y.bound * shared * ring_components(x.ring)
-    out = _contract(sub, x.a, y.a, x.ring, bound)
-    return Arr(out, x.den * y.den, bound, x.ring).actual_bound()
+def _rep_columns(y: np.ndarray, ring) -> np.ndarray:
+    """The right regular representations of the stack y (n, q, r, k) side by
+    side, shape (q k, n r k): one GEMM multiplies on the right by every y[t]."""
+    n, q, r, k = y.shape
+    return np.moveaxis(right_rep(y, ring), 0, 2).reshape(q * k, n * r * k)
 
 
 def matrix_mul(x: Arr, y: Arr) -> Arr:
-    """Batched matrix product with broadcasting over leading axes."""
-    shared = x.a.shape[-2]
-    return ring_einsum("...pqa,...qrb,abc->...prc", x, y, shared)
+    """Batched matrix product with broadcasting over leading axes: one GEMM
+    against the right regular representation of ``y``."""
+    if x.ring != y.ring:
+        raise ValueError("ring mismatch")
+    *_, q, k = x.a.shape
+    r = y.a.shape[-2]
+    bound = x.bound * y.bound * q * k
+    rep = right_rep(fit(y.a, bound), y.ring)
+    out = fit(x.a, bound).reshape(x.a.shape[:-2] + (q * k,)) @ rep.reshape(rep.shape[:-4] + (q * k, r * k))
+    return Arr(out.reshape(out.shape[:-1] + (r, k)), x.den * y.den, bound, x.ring).actual_bound()
+
+
+def sandwich(x: Arr, left: Arr | None, right: Arr | None, twist: str = "id",
+             transpose: bool = False) -> Arr:
+    """left * twist(X)[^t] * right for every matrix X of the stack ``x``:
+    ``twist`` is a component sign pattern of ``CONJ_SIGNS``, and a missing
+    factor is the identity."""
+    out = x.conj(twist)
+    if transpose:
+        out = out.transpose_mat()
+    if left is not None:
+        out = matrix_mul(left, out)
+    return out if right is None else matrix_mul(out, right)
 
 
 def t_tensor(basis: Arr, middle: Arr) -> Arr:
-    """TT[i, j, k] = b_i w_j b_k + b_k w_j b_i over the basis/middle stacks."""
+    """TT[i, j, k] = b_i w_j b_k + b_k w_j b_i over the basis stack (d, p, q, k)
+    and the middle stack (d, q, p, k): four GEMMs, b_i w_j, (b_i w_j) b_k,
+    w_j b_i and b_k (w_j b_i), each over every index at once."""
     ring = basis.ring
-    k = ring_components(ring)
-    q = basis.a.shape[-2]
-    p = basis.a.shape[-3] if basis.a.ndim >= 3 else 1
+    d, p, q, k = basis.a.shape
     # b_i w_j sums over q, w_j b_i over p; both triple terms sum over p * q
     bw, wb = basis.bound * middle.bound * q * k, basis.bound * middle.bound * p * k
     bound = 2 * bw * basis.bound * p * k
-    m1 = _contract("ipqa,jqrb,abc->ijprc", basis.a, middle.a, ring, bw)
-    t1 = _contract("ijpqa,kqrb,abc->ijkprc", m1, basis.a, ring, bound)
-    m2 = _contract("jpqa,iqrb,abc->jiprc", middle.a, basis.a, ring, wb)
-    t2 = _contract("kpqa,jiqrb,abc->ijkprc", basis.a, m2, ring, bound)
-    den = basis.den * basis.den * middle.den
-    return Arr(t1 + t2, den, bound, ring).actual_bound()
+    # rows (j, q) x columns (i, q', c); then per (i, j), rows (k, p) x columns
+    # (q', c): the result comes out in place, and the first term adds into it
+    m2 = fit(middle.a, wb).reshape(d * q, p * k) @ _rep_columns(fit(basis.a, wb), ring)
+    rep = right_rep(fit(m2.reshape(d, q, d, q, k).swapaxes(0, 2).swapaxes(1, 2), bound), ring)
+    out = (fit(basis.a, bound).reshape(d * p, q * k) @ rep.reshape(d * d, q * k, q * k)).reshape(d, d, d, p, q, k)
+    # rows (i, p) x columns (j, p', c), then rows (i, j, p) x columns (k, q, c)
+    m1 = fit(basis.a, bw).reshape(d * p, q * k) @ _rep_columns(fit(middle.a, bw), ring)
+    m1 = m1.reshape(d, p, d, p * k).swapaxes(1, 2).reshape(d * d * p, p * k)
+    out += (fit(m1, bound) @ _rep_columns(fit(basis.a, bound), ring)).reshape(d, d, p, d, q, k).swapaxes(2, 3)
+    return Arr(out, basis.den * basis.den * middle.den, bound, ring).actual_bound()
 
 
 def bilinear_tensor(left: Arr, right: Arr, param: Arr) -> Arr:
     """BB[i, j] = x_i A y_j - y_j A x_i for basis stacks x, y and parameter A."""
-    xa = matrix_mul(Arr(left.a[:, None], left.den, left.bound, left.ring),
-                    Arr(param.a[None, None], param.den, param.bound, param.ring))
-    xay = ring_einsum("ijpqa,jqrb,abc->ijprc", xa, right, right.a.shape[-2])
-    ya = matrix_mul(Arr(right.a[:, None], right.den, right.bound, right.ring),
-                    Arr(param.a[None, None], param.den, param.bound, param.ring))
-    yax = ring_einsum("jipqa,iqrb,abc->jiprc", ya, left, left.a.shape[-2])
+    xay = matrix_mul(matrix_mul(left, param)[:, None], right[None])
+    yax = matrix_mul(matrix_mul(right, param)[:, None], left[None])
     return (xay - yax.swap_first()).actual_bound()
 
 

@@ -5,26 +5,51 @@ the axioms written out over those coordinates, with no tensors and no dtype
 choices: the independent oracle the batched kernel is compared against.
 """
 
+from fractions import Fraction
 from itertools import product as tuples
 
+from homotopes.homotope import ProductSpace, bracket_param
 from homotopes.matrices import Matrix
 from homotopes.scalars import Q
 
 
+def matrix_of(arr):
+    """The ``Matrix`` an exact tensor of shape (rows, cols, comps) holds."""
+    rows, cols, _ = arr.a.shape
+    return Matrix.unflatten((rows, cols, arr.ring), [Fraction(int(v), arr.den) for v in arr.a.ravel()])
+
+
 def reference_structure(space, product):
-    """(flat, coords, closed, witness) of a product (x, y, z) -> Matrix on the
-    basis of ``space``: flat[i, j, k] is the flattened value of the product on
-    basis triple (i, j, k), coords[i, j, k] its coordinates (None outside the
-    span), witness the first triple outside the span."""
+    """(flat, coords, closed, witness) of a product (x, y, z) -> Matrix (or a
+    pair of matrices on a ``ProductSpace``) on the basis of ``space``:
+    flat[i, j, k] is the flattened value of the product on basis triple
+    (i, j, k), coords[i, j, k] its coordinates (None outside the span),
+    witness the first triple outside the span."""
+    pair = isinstance(space, ProductSpace)
+    flatten = space.flatten_pair if pair else Matrix.flatten
+    coordinates = space.coordinates_pair if pair else space.coordinates
     basis = space.basis_matrices()
     flat, coords, witness = {}, {}, None
     for i, j, k in tuples(range(len(basis)), repeat=3):
         value = product(basis[i], basis[j], basis[k])
-        flat[i, j, k] = value.flatten()
-        coords[i, j, k] = space.coordinates(value)
+        flat[i, j, k] = flatten(value)
+        coords[i, j, k] = coordinates(value)
         if coords[i, j, k] is None and witness is None:
             witness = (i, j, k)
     return flat, coords, witness is None, witness
+
+
+def reference_bilinear(left, right, a):
+    """{(i, j): flattened [x_i, y_j]_A = x_i A y_j - y_j A x_i} over the bases
+    of the subspaces ``left`` and ``right``, one ``Matrix`` product at a time."""
+    return {(i, j): bracket_param(x, y, a).flatten()
+            for i, x in enumerate(left.basis_matrices()) for j, y in enumerate(right.basis_matrices())}
+
+
+def reference_bracket_closure(left, right, target, a):
+    """[left, right]_A lies in ``target``, checked bracket by bracket."""
+    return all(target.coordinates_vector(v) is not None
+               for v in reference_bilinear(left, right, a).values())
 
 
 def _first_nonzero(d, vector):

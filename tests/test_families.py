@@ -68,7 +68,7 @@ class TestAxiomSuites:
         space = sym_space(2, QI)
         desc = family("2.A")
         a = desc.sample_params((2,), rng, "generic")[0]
-        bad = AlphaTriple(AlphaMap(lambda x: a @ x @ a, "A X A"))
+        bad = AlphaTriple(AlphaMap(a, a, name="A X A"))
         report = check_lts(TripleSystem(space, bad))
         assert not report.ok
 

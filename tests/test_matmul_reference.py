@@ -1,13 +1,18 @@
-"""Differential tests of the integer-numerator matrix product against a
-reference product that multiplies Scalar entries one at a time, and of the
-integer basis a Subspace caches."""
+"""Differential tests of the integer-numerator matrix product and of the
+kernel's batched products (``matrix_mul``, ``t_tensor``) against a reference
+product that multiplies Scalar entries one at a time, and of the integer
+basis a Subspace caches."""
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from structure_reference import matrix_of
 
+from homotopes import kernel
 from homotopes.families import herm_space, sym_space
+from homotopes.kernel import Arr
 from homotopes.matrices import Matrix, Subspace
 from homotopes.scalars import HQ, Q, QI, Scalar, ring_components
 
@@ -61,6 +66,64 @@ def test_matmul_matches_reference_on_units():
         for u in units:
             for v in units:
                 assert u @ v == reference_matmul(u, v)
+
+
+@st.composite
+def kernel_stacks(draw):
+    """A ring, a tier, and a function drawing stacks of n matrices rows x cols
+    over it with negative entries and a common denominator 1 or 3: in the
+    upper tier every numerator has magnitude at least 2^27, so that every
+    product bound passes 2^53."""
+    ring = draw(st.sampled_from([Q, QI, HQ]))
+    big = draw(st.booleans())
+    k = ring_components(ring)
+    small = st.integers(-2**12, 2**12)
+    # prime to 3, so that no numerator shrinks over the common denominator
+    large = st.integers(2**27, 2**40).map(lambda v: 3 * v + 1).flatmap(lambda v: st.sampled_from([v, -v]))
+    den = draw(st.sampled_from([1, 3]))
+
+    def stack(n, rows, cols):
+        size = rows * cols * k
+        return [Matrix.unflatten((rows, cols, ring), [Fraction(v, den) for v in draw(
+            st.lists(large if big else small, min_size=size, max_size=size))]) for _ in range(n)]
+
+    return ring, big, stack
+
+
+def _assert_tier(arr, big):
+    assert arr.a.dtype == (object if big else np.float64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_stacks(), st.data())
+def test_kernel_matrix_mul_matches_reference(case, data):
+    """``kernel.matrix_mul`` on stacks of rectangular matrices, and with a
+    single right factor broadcast over the stack, in both tiers."""
+    ring, big, stack = case
+    n, p, q, r = (data.draw(st.integers(1, 3)) for _ in range(4))
+    xs, ys = stack(n, p, q), stack(n, q, r)
+    broadcast = data.draw(st.booleans())
+    y = Arr.from_matrix(ys[0]) if broadcast else Arr.from_matrices(ys)
+    out = kernel.matrix_mul(Arr.from_matrices(xs), y)
+    _assert_tier(out, big)
+    for t, x in enumerate(xs):
+        assert matrix_of(out[t]) == reference_matmul(x, ys[0] if broadcast else ys[t])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_stacks(), st.data())
+def test_kernel_t_tensor_matches_reference(case, data):
+    """TT[i, j, k] = b_i w_j b_k + b_k w_j b_i for p x q basis and q x p middle
+    stacks, in both tiers."""
+    _, big, stack = case
+    d, p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    bs, ws = stack(d, p, q), stack(d, q, p)
+    tt = kernel.t_tensor(Arr.from_matrices(bs), Arr.from_matrices(ws))
+    _assert_tier(tt, big)
+    for i, j, k in np.ndindex(d, d, d):
+        expect = reference_matmul(reference_matmul(bs[i], ws[j]), bs[k]) \
+            + reference_matmul(reference_matmul(bs[k], ws[j]), bs[i])
+        assert matrix_of(tt[i, j, k]) == expect
 
 
 class TestSubspaceCache:

@@ -3,6 +3,7 @@ against the Fraction reference in ``structure_reference``, including
 parameters whose numerators leave the float64 range, so that the kernel
 runs on Python-int ``object`` arrays."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -10,14 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from structure_reference import (broken_derivation, derivation_residual,
+from structure_reference import (broken_derivation, derivation_residual, matrix_of,
+                                 reference_bilinear, reference_bracket_closure,
                                  reference_lts, reference_structure)
 
-from homotopes.families import asym_space, herm_space, matrix_space, sym_space
-from homotopes.homotope import (GenericTriple, TripleSystem, _lt3_first_nonzero,
-                                check_lts, triple_param)
-from homotopes.kernel import independent_row_indices
-from homotopes.matrices import Matrix
+from homotopes import kernel
+from homotopes.families import (asym_space, family, family_labels, herm_space, matrix_space,
+                                rand_matrix, sym_space)
+from homotopes.homotope import (AlphaMap, GenericTriple, TripleSystem, _lt3_first_nonzero,
+                                bracket_closure, check_lts, triple_param)
+from homotopes.kernel import Arr, independent_row_indices
+from homotopes.matrices import Matrix, Subspace
 from homotopes.scalars import HQ, Q, QI, ring_components
 
 # (carrier space, whether a star-symmetrised parameter keeps it closed)
@@ -115,6 +119,105 @@ def test_object_tier_matches_reference():
     s = TripleSystem.from_parameter(matrix_space(2, 2, Q), a2).structure()
     assert s.flat.a.dtype == object and s.coords.a.dtype == object
     assert check_lts(TripleSystem.from_parameter(matrix_space(2, 2, Q), a2)).ok
+
+
+def _smallest_sizes(desc):
+    """(1, 2) for the rectangular families, so that transposes show; else the
+    smallest n whose space is nonzero."""
+    if desc.sizes == "pq":
+        return (1, 2)
+    return next((n,) for n in (1, 2) if desc.space((n,)).dim)
+
+
+@pytest.mark.parametrize("label", family_labels())
+def test_family_structure_matches_reference(label):
+    """Every catalog family, plain or polarized, at its smallest sizes with one
+    generic sample: the batched structure (declared alpha, stacked middle
+    images) is the reference's over ``system.eval``, one ``Matrix`` product
+    at a time."""
+    desc = family(label)
+    sizes = _smallest_sizes(desc)
+    system = desc.system(sizes, desc.sample_params(sizes, random.Random(label), "generic"))
+    assert_structure_matches(system, system.space, system.eval)
+
+
+def test_object_tier_twisted_family():
+    """1.3.c (qsplit twist and transpose) with parameters over 2^61 - 1 and
+    numerators near 2^40: the object tier keeps the reference's structure, and
+    the system is an LTS."""
+    desc = family("1.3.c")
+    params = [p.scale(Fraction(2**40 - 87, BIG))
+              for p in desc.sample_params((1, 2), random.Random(13), "generic")]
+    system = desc.system((1, 2), params)
+    s = assert_structure_matches(system, system.space, system.eval)
+    assert s.flat.a.dtype == object and s.coords.a.dtype == object
+    assert check_lts(system).ok
+
+
+TWISTS = [(Q, "id"), (QI, "id"), (QI, "conj"), (HQ, "id"), (HQ, "qconj"), (HQ, "qsplit"), (HQ, "phi")]
+
+
+@pytest.mark.parametrize("ring, twist", TWISTS)
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("factors", [True, False])
+def test_alpha_stack_matches_matrix_path(ring, twist, transpose, sign, factors):
+    """``AlphaMap.stack`` on a stack of 2 x 3 matrices is ``AlphaMap`` applied
+    to each (its ``Matrix`` path), with rectangular factors L, R or none."""
+    rng = random.Random(f"{ring} {twist} {transpose} {sign}")
+    rows, cols = (3, 2) if transpose else (2, 3)
+    left, right = (rand_matrix(1, rows, ring, rng), rand_matrix(cols, 2, ring, rng)) if factors else (None, None)
+    alpha = AlphaMap(left, right, twist, transpose, sign)
+    basis = [rand_matrix(2, 3, ring, rng) for _ in range(3)]
+    got = alpha.stack(Arr.from_matrices(basis))
+    assert [matrix_of(got[t]) for t in range(len(basis))] == [alpha(b) for b in basis]
+
+
+@st.composite
+def bracket_cases(draw):
+    """Spans of 1-3 matrices in M(n, n; ring), a parameter, and a target: the
+    span of the brackets (closed), a random span (mostly not), or the span
+    of the brackets without its last basis vector."""
+    ring = draw(st.sampled_from([Q, QI, HQ]))
+    n = draw(st.integers(1, 2))
+    k = ring_components(ring)
+
+    def span():
+        count = draw(st.integers(1, 3))
+        comps = st.lists(fractions(5), min_size=n * n * k, max_size=n * n * k)
+        return Subspace.span([Matrix.unflatten((n, n, ring), draw(comps)) for _ in range(count)])
+
+    left, right, a = span(), span(), Matrix.unflatten((n, n, ring), draw(
+        st.lists(fractions(5), min_size=n * n * k, max_size=n * n * k)))
+    brackets = Subspace((n, n, ring), list(reference_bilinear(left, right, a).values()))
+    target = draw(st.sampled_from(["brackets", "random", "short"]))
+    if target == "random":
+        return left, right, span(), a
+    if target == "short" and brackets.dim:
+        return left, right, Subspace((n, n, ring), brackets.basis[:-1]), a
+    return left, right, brackets, a
+
+
+@settings(max_examples=40, deadline=None)
+@given(bracket_cases())
+def test_bilinear_tensor_matches_reference(case):
+    """``kernel.bilinear_tensor`` is the bracket of every basis pair, and
+    ``bracket_closure`` is the reference's verdict, true or false."""
+    left, right, target, a = case
+    bb = kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), Arr.from_matrix(a))
+    for (i, j), value in reference_bilinear(left, right, a).items():
+        assert matrix_of(bb[i, j]).flatten() == value
+    assert bracket_closure(left, right, target, a) == reference_bracket_closure(left, right, target, a)
+
+
+def test_bracket_closure_rejects_wrong_target_piece():
+    """The transpose splits M(2, 2; Q) into h = Asym(2) and m = Sym(2), and
+    with A = 1, [h, m] lies in m, not in h: [J, E_11] = -(E_12 + E_21)."""
+    h, m, one = asym_space(2, Q), sym_space(2, Q), Matrix.identity(2, Q)
+    assert bracket_closure(h, m, m, one) and bracket_closure(m, m, h, one)
+    assert not bracket_closure(h, m, h, one)
+    assert not bracket_closure(m, m, m, one)
+    assert not reference_bracket_closure(h, m, h, one)
 
 
 def _assert_lt3_alone_fails(width, scale, first, second):
