@@ -18,8 +18,7 @@ from functools import lru_cache
 from .homotope import (AlphaMap, AlphaTriple, PairTriple, ProductSpace, bracket_closure,
                        TripleSystem, check_lts, symmetric_pair, twist_matrix)
 from .involutions import JointDecomposition, MatrixInvolution, joint_eigenspaces
-from .matrices import (Matrix, Subspace, block_F, block_I, block_Ipq, block_J,
-                       linear_map_ints)
+from .matrices import Matrix, Subspace, block_F, block_I, block_Ipq, block_J
 from .scalars import HQ, Q, QI, Scalar, ring_components
 
 # -- model subspaces -------------------------------------------------------
@@ -32,23 +31,23 @@ def matrix_space(p: int, q: int, ring) -> Subspace:
 
 @lru_cache(maxsize=None)
 def sym_space(n: int, ring) -> Subspace:
-    return _fixed_space(n, ring, lambda m: m.transpose(), 1)
+    return _fixed_space(n, ring, "id", 1)
 
 
 @lru_cache(maxsize=None)
 def asym_space(n: int, ring) -> Subspace:
-    return _fixed_space(n, ring, lambda m: m.transpose(), -1)
+    return _fixed_space(n, ring, "id", -1)
 
 
 @lru_cache(maxsize=None)
 def herm_space(n: int, ring, delta: str) -> Subspace:
     """Fixed space of X -> delta(X)^t."""
-    return _fixed_space(n, ring, lambda m: m.dagger(delta), 1)
+    return _fixed_space(n, ring, delta, 1)
 
 
 @lru_cache(maxsize=None)
 def aherm_space(n: int, ring, delta: str) -> Subspace:
-    return _fixed_space(n, ring, lambda m: m.dagger(delta), -1)
+    return _fixed_space(n, ring, delta, -1)
 
 
 def iherm_space(n: int) -> Subspace:
@@ -56,13 +55,10 @@ def iherm_space(n: int) -> Subspace:
     return aherm_space(n, QI, "conj")
 
 
-def _fixed_space(n: int, ring, op, sign: int) -> Subspace:
-    """The sign-eigenspace of the involution op, spanned by the columns of
-    (1 + sign * op), computed on flattened coordinates."""
-    num, den = linear_map_ints(op, (n, n, ring))
-    dim = n * n * ring_components(ring)
-    proj = [den * (idx // dim == idx % dim) + sign * v for idx, v in enumerate(num)]
-    return Subspace((n, n, ring), [col for col in (proj[b::dim] for b in range(dim)) if any(col)])
+def _fixed_space(n: int, ring, delta: str, sign: int) -> Subspace:
+    """The sign-eigenspace of X -> delta(X)^t, from its declared action."""
+    tau = MatrixInvolution("anti", delta, n, ring, validate=False)
+    return joint_eigenspaces([tau]).piece((sign,))
 
 
 # -- seeded exact samplers -------------------------------------------------

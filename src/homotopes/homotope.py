@@ -22,8 +22,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import Arr, BasisInt
-from .matrices import Matrix, Subspace, linear_map_ints, rref_coordinates
-from .scalars import ring_components
+from .matrices import Matrix, Subspace, vector_coordinates
 
 
 # -- basic products --------------------------------------------------------
@@ -121,7 +120,7 @@ class AlphaTriple:
         """The flattened products [b_i, b_j, b_k] over the basis of ``space``,
         with the middle images of the whole basis from one ``AlphaMap.stack``."""
         basis = space.basis_arr()
-        return _flat_triples(basis, self.alpha.stack(basis))
+        return kernel.flatten_last(_triples(basis, self.alpha.stack(basis)))
 
     def negated(self) -> "AlphaTriple":
         return AlphaTriple(self.alpha.negated())
@@ -162,7 +161,7 @@ class PairTriple:
         the plus components, then the minus components."""
         bp, bm = space.basis_stacks()
         wp, wm = (bp, bm) if self.alphas is None else (f.stack(b) for f, b in zip(self.alphas, (bp, bm)))
-        return kernel.concat_last(_flat_triples(bp, wm), _flat_triples(bm, wp))
+        return kernel.concat_last(*(kernel.flatten_last(_triples(b, w)) for b, w in ((bp, wm), (bm, wp))))
 
     def negated(self) -> "PairTriple":
         alphas = self.alphas or (AlphaMap(None, None, name="id"),) * 2
@@ -196,22 +195,15 @@ class ProductSpace:
     """V+ x V- with elements stored as (plus, minus) matrix pairs.
 
     Flattened coordinates are the concatenation of the two flattenings; the
-    block-concatenated RREF bases stay in RREF, so coordinate extraction works
-    exactly as for Subspace.
+    block-concatenated echelon rows of the two factors are echelon rows of
+    the product, so coordinate extraction works exactly as for Subspace.
     """
 
-    __slots__ = ("plus", "minus", "basis", "pivots", "_int", "_stacks")
+    __slots__ = ("plus", "minus", "_int", "_stacks")
 
     def __init__(self, plus: Subspace, minus: Subspace):
         self.plus = plus
         self.minus = minus
-        n1 = plus.ambient_dim()
-        zero1 = (Fraction(0),) * n1
-        zero2 = (Fraction(0),) * minus.ambient_dim()
-        self.basis = tuple(
-            [tuple(v) + zero2 for v in plus.basis] + [zero1 + tuple(v) for v in minus.basis]
-        )
-        self.pivots = tuple(list(plus.pivots) + [n1 + p for p in minus.pivots])
         self._int = self._stacks = None
 
     @property
@@ -228,7 +220,11 @@ class ProductSpace:
 
     def basis_int(self) -> BasisInt:
         if self._int is None:
-            self._int = BasisInt(self.basis, self.pivots)
+            n1 = self.plus.ambient_dim()
+            zero1, zero2 = (0,) * n1, (0,) * self.minus.ambient_dim()
+            rows = [v + zero2 for v in self.plus.echelon] + [zero1 + v for v in self.minus.echelon]
+            pivots = self.plus.pivots + tuple(n1 + p for p in self.minus.pivots)
+            self._int = BasisInt(rows, pivots, self.ambient_dim())
         return self._int
 
     def basis_stacks(self) -> tuple:
@@ -247,7 +243,7 @@ class ProductSpace:
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
 
     def coordinates_pair(self, u):
-        return rref_coordinates(self.basis, self.pivots, self.flatten_pair(u))
+        return vector_coordinates(self.basis_int(), self.flatten_pair(u))
 
     def contains(self, u) -> bool:
         return self.coordinates_pair(u) is not None
@@ -318,10 +314,10 @@ class TripleSystem:
         return self.product.eval(x, y, z)
 
 
-def _flat_triples(basis: Arr, middles: Arr) -> Arr:
-    """Flattened T(b_i, w_j, b_k) - T(b_j, w_i, b_k) over basis and middle
-    stacks (w_j the middle image of b_j)."""
-    tt = kernel.flatten_last(kernel.t_tensor(basis, middles))
+def _triples(basis: Arr, middles: Arr) -> Arr:
+    """T(b_i, w_j, b_k) - T(b_j, w_i, b_k) over basis and middle stacks (w_j
+    the middle image of b_j), shape (d, d, d, rows, cols, comps)."""
+    tt = kernel.t_tensor(basis, middles)
     return (tt - tt.swap_first()).actual_bound()
 
 
@@ -553,19 +549,15 @@ def hom_sxt_check(s: Matrix, t: Matrix, a: Matrix, x: Matrix, y: Matrix) -> bool
 
 def gamma_act(g: Matrix, a: Matrix, tau, phi=None):
     """The parameter-space action (g, A) -> g A tau(g) for invertible
-    phi-fixed g, together with the intertwiner psi(X) = tau(g) X g.
+    phi-fixed g, together with the intertwiner ``AlphaMap`` psi(X) = tau(g) X g.
 
     psi satisfies psi([X,Y,Z]_{A'}) = [psi X, psi Y, psi Z]_A.
     """
     g.inverse()  # raises if g is not invertible
     if phi is not None and phi(g) != g:
         raise ValueError("g is not fixed by the declared automorphism")
-    a_new = g @ a @ tau(g)
-
-    def psi(x: Matrix) -> Matrix:
-        return tau(g) @ x @ g
-
-    return a_new, psi
+    tg = tau(g)
+    return g @ a @ tg, AlphaMap(tg, g, name="psi")
 
 
 def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> bool:
@@ -575,23 +567,15 @@ def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> b
     return intertwines(psi, space.basis_matrices(), a_new, a)
 
 
-def intertwines(psi, basis, a_new: Matrix, a: Matrix) -> bool:
+def intertwines(psi: AlphaMap, basis, a_new: Matrix, a: Matrix) -> bool:
     """psi([X, Y, Z]_{A'}) = [psi X, psi Y, psi Z]_A for all basis triples,
-    exactly; psi is a Q-linear map of the basis' ambient matrix space."""
+    exactly; psi is an ``AlphaMap`` of the basis' ambient matrix space."""
     if not basis:
         return True
-    x = basis[0]
-    n = x.rows * x.cols * ring_components(x.ring)
-    num, den = linear_map_ints(psi, (x.rows, x.cols, x.ring))
-    ints = Arr.from_rows([num], (-1, n), x.ring)
-    pmat = Arr(ints.a, den, ints.bound, x.ring)
-
-    def triples(mats, p):
-        stack = Arr.from_matrices(mats)
-        return _flat_triples(stack, AlphaMap(p, p).stack(stack))
-
-    lhs = kernel.map_last(triples(basis, a_new), pmat)
-    rhs = triples([psi(b) for b in basis], a)
+    stack = Arr.from_matrices(basis)
+    lhs = psi.stack(_triples(stack, AlphaMap.param(a_new).stack(stack)))
+    images = psi.stack(stack)
+    rhs = _triples(images, AlphaMap.param(a).stack(images))
     return not np.any((lhs - rhs).a)
 
 

@@ -7,7 +7,8 @@ delta(X) for an automorphism.  Construction validates involutivity and the
 (anti)morphism property on the elementary-matrix basis, so malformed
 declarations are rejected eagerly.
 
-The maps are Q-linear, so each involution is applied once per basis matrix
+The maps are Q-linear, so each involution is applied to the stacked unit
+matrices in one ``kernel.sandwich`` of its declared form
 (``MatrixInvolution.action``); composites, commutation and the eigenspace
 projections are exact integer matrix products on flattened coordinates.
 """
@@ -20,7 +21,7 @@ from math import prod
 import numpy as np
 
 from . import kernel
-from .matrices import Matrix, Subspace, linear_map_ints
+from .matrices import Matrix, Subspace
 from .scalars import BASE_INVOLUTIONS, Q, ring_components
 
 
@@ -34,6 +35,8 @@ class MatrixInvolution:
             raise ValueError("kind must be 'anti' or 'auto'")
         if delta not in BASE_INVOLUTIONS:
             raise ValueError(f"unknown base involution {delta!r}")
+        if (ring, delta) not in kernel.CONJ_SIGNS:
+            raise ValueError(f"base involution {delta!r} is not defined over {ring}")
         self.kind = kind
         self.delta = delta
         self.n = n
@@ -77,12 +80,18 @@ class MatrixInvolution:
         """Q-dimension of the algebra the involution acts on."""
         return self.n * self.n * ring_components(self.ring)
 
-    def action(self):
-        """This map on flattened coordinates, as ``linear_map_ints`` gives it;
-        each unit matrix is mapped once."""
+    def action(self) -> kernel.Arr:
+        """This map on flattened coordinates, as an exact (dim, dim, 1) tensor
+        over Q whose column b is the image of the b-th unit matrix: the
+        declared action on the stacked unit matrices, one sandwich."""
         if self._action is None:
-            self._action = linear_map_ints(self, (self.n, self.n, self.ring))
+            images = kernel.flatten_last(self._apply_arr(self._units()))
+            self._action = kernel.Arr(images.a.T[..., None], images.den, images.bound, Q)
         return self._action
+
+    def _units(self) -> kernel.Arr:
+        dim = self.dim()
+        return kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1, self.ring)
 
     def _apply_arr(self, x: "kernel.Arr") -> "kernel.Arr":
         """The declared action on a batched coefficient array (exact)."""
@@ -91,26 +100,23 @@ class MatrixInvolution:
         return kernel.sandwich(x, b, binv, self.delta, self.kind == "anti")
 
     def _validate(self):
-        num, den = self.action()
-        dim = self.dim()
-        if kernel.ring_matmul(num, num, dim, dim, dim, Q) != _identity(dim, den * den):
+        act = self.action()
+        if np.any((kernel.matrix_mul(act, act) - _identity(self.dim())).a):
             raise ValueError("declared action is not involutive")
         # (anti)morphism property, batched over all basis pairs
-        barr = kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1, self.ring)
-        ints = kernel.Arr.from_rows([num], (dim, dim), self.ring)
-        iarr = kernel.Arr(ints.a.T.reshape(dim, self.n, self.n, -1), den, ints.bound, self.ring)
-        got = self._apply_arr(kernel.matrix_mul(barr[:, None], barr[None]))
+        units = self._units()
+        images = kernel.Arr(act.a[..., 0].T.reshape(units.a.shape), act.den, act.bound, self.ring)
+        got = self._apply_arr(kernel.matrix_mul(units[:, None], units[None]))
         # tau(e_s e_t) = tau(e_s) tau(e_t), or tau(e_t) tau(e_s) for an antimorphism
-        lhs, rhs = (iarr[None], iarr[:, None]) if self.kind == "anti" else (iarr[:, None], iarr[None])
-        expect = kernel.matrix_mul(lhs, rhs)
-        if np.any((got - expect).a):
+        lhs, rhs = (images[None], images[:, None]) if self.kind == "anti" else (images[:, None], images[None])
+        if np.any((got - kernel.matrix_mul(lhs, rhs)).a):
             raise ValueError(f"declared action is not an {self.kind}morphism")
 
     def commutes_with(self, other: "MatrixInvolution") -> bool:
         if (self.n, self.ring) != (other.n, other.ring):
             raise ValueError("ambient mismatch")
-        (a, _), (b, _), dim = self.action(), other.action(), self.dim()
-        return kernel.ring_matmul(a, b, dim, dim, dim, Q) == kernel.ring_matmul(b, a, dim, dim, dim, Q)
+        a, b = self.action(), other.action()
+        return not np.any((kernel.matrix_mul(a, b) - kernel.matrix_mul(b, a)).a)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -123,8 +129,8 @@ class MatrixInvolution:
         }
 
 
-def _identity(dim: int, scale: int) -> list:
-    return [scale if r == c else 0 for r in range(dim) for c in range(dim)]
+def _identity(dim: int) -> kernel.Arr:
+    return kernel.Arr(np.eye(dim)[..., None], 1, 1, Q)
 
 
 def commute(tau: MatrixInvolution, sigma: MatrixInvolution) -> bool:
@@ -188,21 +194,17 @@ def joint_eigenspaces(involutions) -> JointDecomposition:
                 raise ValueError("involutions do not pairwise commute")
     inv0 = involutions[0]
     ambient = (inv0.n, inv0.n, inv0.ring)
-    dim = inv0.dim()
-    # composites[mask] = (numerators, den) of the product of the tau_i with bit i set in mask
-    composites = [(_identity(dim, 1), 1)]
+    # composites[mask]: the product of the tau_i with bit i set in mask
+    composites = [_identity(inv0.dim())]
     for tau in involutions:
-        num, den = tau.action()
-        composites += [(num, den)] + [(kernel.ring_matmul(num, c, dim, dim, dim, Q), den * d)
-                                      for c, d in composites[1:]]
-    total = composites[-1][1]
+        act = tau.action()
+        composites += [act] + [kernel.matrix_mul(act, c) for c in composites[1:]]
     pieces = {}
     for signs in iproduct((1, -1), repeat=len(involutions)):
-        # the projection scaled by 2^k * total, a positive factor that keeps the span
-        proj = [0] * (dim * dim)
-        for mask, (num, den) in enumerate(composites):
-            coef = prod(s for i, s in enumerate(signs) if mask >> i & 1) * (total // den)
-            proj = [p + coef * v for p, v in zip(proj, num)]
-        columns = [proj[b::dim] for b in range(dim)]
+        # 2^k times the projection, up to a positive factor that keeps the span
+        proj = composites[0]
+        for mask, c in enumerate(composites[1:], 1):
+            proj = proj + (c if prod(s for i, s in enumerate(signs) if mask >> i & 1) > 0 else -c)
+        columns = kernel.int_rows(proj.a[..., 0].T)
         pieces[signs] = Subspace(ambient, [c for c in columns if any(c)])
     return JointDecomposition(involutions, pieces)

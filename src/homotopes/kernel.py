@@ -16,6 +16,11 @@ shared * k products of components, so each partial sum of the GEMM, in
 whatever order BLAS adds, is bounded by the same shared * k * |x| * |y| that
 bounds the result, and float64 stays exact below 2^53.
 
+A subspace basis enters as ``BasisInt``, its RREF rows as integer
+numerators over one denominator.  ``coordinates`` is the one coordinates and
+membership routine: the coordinates of v are its pivot entries, and v is in
+the span exactly when den * v is their combination of the integer rows.
+
 ``independent_row_indices`` (the LT3 operator span) picks rows from their
 residues modulo a prime and accepts the pick only behind a deterministic
 certificate: an integer identity checked modulo primes whose product exceeds
@@ -219,13 +224,6 @@ def concat_last(x: Arr, y: Arr) -> Arr:
     return Arr(np.concatenate([x.over(d, bound), y.over(d, bound)], axis=-1), d, bound, x.ring)
 
 
-def map_last(x: Arr, m: Arr) -> Arr:
-    """Apply the integer matrix ``m`` (shape (n_out, n_in)) to the last axis."""
-    bound = x.bound * m.bound * m.a.shape[1]
-    out = np.tensordot(fit(x.a, bound), fit(m.a, bound), axes=([-1], [1]))
-    return Arr(out, x.den * m.den, bound, x.ring).actual_bound()
-
-
 def right_rep(y: np.ndarray, ring) -> np.ndarray:
     """The right regular representation of the integer matrices y (shape
     (..., q, r, k)), as shape (..., q, k, r, k): R[..., q, a, r, c] =
@@ -304,15 +302,25 @@ def flatten_last(x: Arr) -> Arr:
 
 
 class BasisInt:
-    """Integer form of an RREF subspace basis for fast coordinates/membership."""
+    """An RREF subspace basis as integer numerators over one denominator, for
+    ``coordinates``, from primitive echelon rows of Python ints with positive
+    pivots (RREF row = row / row[pivot]): the lcm of the pivots is then the
+    least common denominator of the RREF."""
 
     __slots__ = ("num", "den", "pivots", "bound")
 
-    def __init__(self, basis_rows, pivots):
-        width = len(basis_rows[0]) if basis_rows else 0
-        arr = Arr.from_rows(basis_rows, (len(basis_rows), width), None)
-        self.num, self.den, self.bound = arr.a, arr.den, arr.bound
+    def __init__(self, rows, pivots, width: int):
+        self.den = lcm(*(r[p] for r, p in zip(rows, pivots)))
+        num = [[x * (self.den // r[p]) for x in r] for r, p in zip(rows, pivots)]
+        self.bound = max((abs(x) for r in num for x in r), default=1)
+        self.num = fit(np.array(num, dtype=object).reshape(len(num), width), self.bound)
         self.pivots = tuple(pivots)
+
+
+def int_rows(a: np.ndarray) -> list:
+    """An integer array (float64 in the exact range, or ``object``) as
+    (nested) lists of Python ints."""
+    return (a if a.dtype == object else a.astype(np.int64)).tolist()
 
 
 def coordinates(flat: Arr, basis: BasisInt):
@@ -323,9 +331,6 @@ def coordinates(flat: Arr, basis: BasisInt):
     flat.den, and the boolean array member (shape (...)) says which vectors
     lie in the span.
     """
-    if basis.num.size == 0:
-        coords = np.zeros(flat.a.shape[:-1] + (0,))
-        return Arr(coords, flat.den, 1, flat.ring), ~np.any(flat.a != 0, axis=-1)
     # membership: basis.den * v == coords @ basis.num   (all integers)
     bound = max(flat.bound * basis.den, flat.bound * basis.bound * len(basis.pivots))
     v = fit(flat.a, bound)

@@ -3,17 +3,22 @@ arithmetic (span, sum, intersection, membership) on flattened coordinates.
 
 Over Q, Q(i) and the rational quaternions ``Matrix`` products run on exact
 Python-int numerators over one common denominator (``kernel.ring_matmul``);
-series rings multiply entry by entry.
-
-Subspace bases are kept in reduced row echelon form, so equality of subspaces
-is a syntactic comparison and coordinates in a basis are read off pivot
-columns.  A subspace builds its basis matrices and integer basis once.
+series rings multiply entry by entry.  Every elimination (``rref``,
+``nullspace``, ``Subspace``, ``Matrix.inverse``) is one fraction-free
+Gauss-Jordan on rows of Python ints (``_echelon``, after E. H. Bareiss,
+Math. Comp. 22 (1968)); only returned values become ``Fraction``s.  Subspace
+bases are in reduced row echelon form, so equality of subspaces is a
+syntactic comparison, and every coordinate and membership query is one
+``kernel.coordinates`` against the cached integer basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import kernel
 from .scalars import HQ, Q, QI, Scalar, format_scalar, is_series, parse_scalar, ring_components
@@ -157,32 +162,40 @@ class Matrix:
         return all(e.is_zero() for e in self.entries)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gaussian elimination (works over skew fields and
-        over series rings whose pivots are invertible)."""
+        """Exact inverse; ``ZeroDivisionError`` if the matrix is singular.
+
+        Over Q, Q(i) and HQ (k components) X is invertible exactly when its
+        left regular representation L(X) (nk x nk, on Q-coordinates) has rank
+        nk, and Y = X^-1 has Y[i, j]_c = L(X)^-1[(i, c), (j, 0)].  Over a
+        series ring X = X0 + N, N nilpotent: X^-1 = (1 + U + U^2 + ...) X0^-1
+        with U = 1 - X0^-1 X.
+        """
         if self.rows != self.cols:
             raise ValueError("only square matrices are invertible")
         n = self.rows
-        a = [list(self.row(i)) + list(Matrix.identity(n, self.ring).row(i)) for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                try:
-                    inv = a[r][col].inverse()
-                except ZeroDivisionError:
-                    continue
-                piv = r
-                break
-            if piv is None:
-                raise ZeroDivisionError("matrix is not invertible")
-            a[col], a[piv] = a[piv], a[col]
-            pinv = inv
-            a[col] = [pinv * x for x in a[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero():
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Matrix(n, n, self.ring, [a[i][n + j] for i in range(n) for j in range(n)])
+        if is_series(self.ring):
+            x0inv = Matrix(n, n, self.ring.base, [e.coefficient((0, 0)) for e in self.entries]).inverse()
+            lift = Matrix(n, n, self.ring, [Scalar(self.ring, {(0, 0): e}) for e in x0inv.entries])
+            u = Matrix.identity(n, self.ring) - lift @ self
+            out = term = lift
+            while not term.is_zero():
+                term = u @ term
+                out = out + term
+            return out
+        left = kernel.LEFT_MULT[self.ring]
+        k = len(left)
+        (x,), dx = kernel.fraction_matrix_to_ints([self.flatten()])
+        # row (i, c) of L(X) * dx: s * x[i, j]_a at column (j, b), (a, s) = left[c][b]
+        rows = [[s * x[(i * n + j) * k + a] for j in range(n) for a, s in left[c]]
+                + [dx if (i, c) == (j, 0) else 0 for j in range(n)]
+                for i in range(n) for c in range(k)]
+        rows, pivots = _echelon(rows, n * k)
+        if len(pivots) < n * k:
+            raise ZeroDivisionError("matrix is not invertible")
+        # row (i, c) is now pv e_(i, c) | pv L(X)^-1[(i, c), (j, 0)] over j
+        return Matrix.unflatten((n, n, self.ring), [
+            Fraction(rows[i * k + c][n * k + j], rows[i * k + c][i * k + c])
+            for i in range(n) for j in range(n) for c in range(k)])
 
     # -- flattening --------------------------------------------------------
 
@@ -243,17 +256,6 @@ class Matrix:
         return m
 
 
-def linear_map_ints(fn, ambient):
-    """A Q-linear map on a matrix space as a matrix on flattened coordinates:
-    (numerators listed row by row, den), where column b is the flattened image
-    of the b-th unit matrix."""
-    rows, cols, ring = ambient
-    n = rows * cols * ring_components(ring)
-    images = [fn(Matrix.unflatten(ambient, [int(i == b) for i in range(n)])).flatten() for b in range(n)]
-    (num,), den = kernel.fraction_matrix_to_ints([[v[r] for r in range(len(images[0])) for v in images]])
-    return num, den
-
-
 # -- block constant matrices -----------------------------------------------
 
 
@@ -298,76 +300,94 @@ def block_I(n: int, ring=Q) -> Matrix:
 # -- exact row reduction ---------------------------------------------------
 
 
+def _primitive(row: list) -> list:
+    """The row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _echelon(vectors, ncols: int):
+    """Fraction-free Gauss-Jordan elimination of vectors (of Fractions or
+    ints), with pivots taken from the first ``ncols`` columns.
+
+    Each vector is scaled by the lcm of its denominators, which keeps the
+    span.  Row i is cleared at pivot row r by a * row_i - b * row_r (a = pv/g,
+    b = f/g, g = gcd(pv, f) for the pivot pv and the entry f) and divided by
+    its content.  Returns (rows, pivots): the rows with a pivot, each the
+    unique primitive integer multiple of its RREF row with a positive pivot.
+    """
+    rows = []
+    for v in vectors:
+        den = lcm(*(x.denominator for x in v))
+        row = _primitive([x.numerator * (den // x.denominator) for x in v])
+        if any(row):
+            rows.append(row)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    return [r if r[p] > 0 else [-x for x in r] for r, p in zip(rows, pivots)], pivots
+
+
+def _reduced(rows: list, pivots: list) -> list:
+    """The RREF rows of echelon rows, as tuples of Fractions."""
+    return [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(rows, pivots)]
+
+
 def rref(vectors: Iterable[Sequence[Fraction]]):
     """Reduced row echelon form over Q.
 
     Returns (rows, pivots): the nonzero reduced rows and their pivot columns.
     """
-    rows = [list(map(Fraction, v)) for v in vectors]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivots
+    vectors = list(vectors)
+    rows, pivots = _echelon(vectors, len(vectors[0]) if vectors else 0)
+    return _reduced(rows, pivots), pivots
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Canonical basis of the right kernel of the given row list."""
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    red_basis, _ = rref(basis)
-    return red_basis
+    """Canonical basis of the right kernel of the given row list A: the
+    combinations (A y, y) of the rows of [A^t | 1] that eliminate to (0, y)."""
+    m = len(rows)
+    stacked = [[r[c] for r in rows] + [int(c == j) for j in range(ncols)] for c in range(ncols)]
+    red, pivots = _echelon(stacked, m + ncols)
+    return rref([row[m:] for row, p in zip(red, pivots) if p >= m])[0]
 
 
-def rref_coordinates(basis, pivots, vec):
-    """Coordinates of vec in an RREF basis (read off the pivot columns), or
-    None if vec is outside the span."""
-    coords = [vec[p] for p in pivots]
-    for c in range(len(vec)):
-        if sum((x * row[c] for x, row in zip(coords, basis)), Fraction(0)) != vec[c]:
-            return None
-    return tuple(coords)
+def vector_coordinates(basis: kernel.BasisInt, vec):
+    """Coordinates of the vector ``vec`` (Fractions or ints) in the RREF
+    basis, or None if it is outside the span: one ``kernel.coordinates``."""
+    coords, member = kernel.coordinates(kernel.Arr.from_rows([vec], (1, len(vec)), None), basis)
+    return tuple(Fraction(v, coords.den) for v in kernel.int_rows(coords.a)[0]) if member[0] else None
 
 
 class Subspace:
-    """A Q-linear subspace of a matrix space, stored as an RREF basis of
-    flattened coordinate vectors.  Dimensions are always Q-dimensions."""
+    """A Q-linear subspace of a matrix space, stored as the echelon rows of
+    ``_echelon`` (RREF basis vector = row / row[pivot]), unique and so
+    deciding equality.  Dimensions are always Q-dimensions."""
 
-    __slots__ = ("ambient", "basis", "pivots", "_matrices", "_int")
+    __slots__ = ("ambient", "pivots", "echelon", "_basis", "_matrices", "_int")
 
-    def __init__(self, ambient, basis, pivots=None):
+    def __init__(self, ambient, vectors):
         rows, cols, ring = ambient
         self.ambient = (rows, cols, ring)
-        if pivots is None:
-            basis, pivots = rref(basis)
-        self.basis = tuple(tuple(v) for v in basis)
+        echelon, pivots = _echelon(vectors, rows * cols * ring_components(ring))
+        self.echelon = tuple(map(tuple, echelon))
         self.pivots = tuple(pivots)
-        self._matrices = None
-        self._int = None
+        self._basis = self._matrices = self._int = None
 
     @staticmethod
     def span(matrices: Sequence[Matrix]) -> "Subspace":
@@ -388,12 +408,18 @@ class Subspace:
     def full(ambient) -> "Subspace":
         rows, cols, ring = ambient
         n = rows * cols * ring_components(ring)
-        basis = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-        return Subspace(ambient, basis, list(range(n)))
+        return Subspace(ambient, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def basis(self) -> tuple:
+        """The RREF basis vectors, as tuples of Fractions."""
+        if self._basis is None:
+            self._basis = tuple(_reduced(self.echelon, self.pivots))
+        return self._basis
 
     def ambient_dim(self) -> int:
         rows, cols, ring = self.ambient
@@ -405,16 +431,15 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient, self.echelon + other.echelon)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus intersection: reduce [U|U] stacked on [W|0]."""
         self._check_ambient(other)
         n = self.ambient_dim()
-        stacked = [list(v) + list(v) for v in self.basis] + [list(v) + [Fraction(0)] * n for v in other.basis]
-        red, _ = rref(stacked)
-        inter = [row[n:] for row in red if all(x == 0 for x in row[:n])]
-        return Subspace(self.ambient, inter)
+        stacked = [list(v + v) for v in self.echelon] + [list(v) + [0] * n for v in other.echelon]
+        red, pivots = _echelon(stacked, 2 * n)
+        return Subspace(self.ambient, [row[n:] for row, p in zip(red, pivots) if p >= n])
 
     def coordinates(self, m: Matrix):
         """Coordinates of m in this basis, or None if m is outside the span."""
@@ -423,14 +448,16 @@ class Subspace:
         return self.coordinates_vector(m.flatten())
 
     def coordinates_vector(self, vec):
-        return rref_coordinates(self.basis, self.pivots, vec)
+        return vector_coordinates(self.basis_int(), vec)
 
     def contains(self, m: Matrix) -> bool:
         return self.coordinates(m) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.coordinates_vector(v) is not None for v in other.basis)
+        b = other.basis_int()
+        _, member = kernel.coordinates(kernel.Arr(b.num, b.den, b.bound, None), self.basis_int())
+        return bool(member.all())
 
     def basis_matrices(self):
         """The basis as a fresh list of matrices."""
@@ -441,7 +468,7 @@ class Subspace:
     def basis_int(self) -> kernel.BasisInt:
         """The RREF basis as integer numerators over one denominator."""
         if self._int is None:
-            self._int = kernel.BasisInt(self.basis, self.pivots)
+            self._int = kernel.BasisInt(self.echelon, self.pivots, self.ambient_dim())
         return self._int
 
     def basis_arr(self) -> kernel.Arr:
@@ -451,22 +478,21 @@ class Subspace:
         return kernel.Arr(b.num.reshape(self.dim, rows, cols, ring_components(ring)), b.den, b.bound, ring)
 
     def from_coordinates(self, coords) -> Matrix:
-        n = self.ambient_dim()
-        vec = [Fraction(0)] * n
-        for x, row in zip(coords, self.basis):
-            x = Fraction(x)
-            if x:
-                for c in range(n):
-                    vec[c] += x * row[c]
-        return Matrix.unflatten(self.ambient, vec)
+        """The combination of the basis with these coordinates (Fractions or
+        ints): one integer product against the integer basis."""
+        b = self.basis_int()
+        (c,), den = kernel.fraction_matrix_to_ints([coords])
+        bound = max(map(abs, c), default=0) * b.bound * len(c)
+        vec = kernel.fit(np.array(c, dtype=object), bound) @ kernel.fit(b.num, bound)
+        return Matrix.unflatten(self.ambient, [Fraction(v, den * b.den) for v in kernel.int_rows(vec)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self.echelon == other.echelon
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.echelon))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient[0]}x{self.ambient[1]} {self.ambient[2]})"

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homotope import intertwines
+from .homotope import AlphaMap, intertwines
 from .matrices import Matrix, Subspace
 from .scalars import HQ, Q, Scalar
 
@@ -306,13 +306,12 @@ def normal_form(a: Matrix, kind: str) -> NormalForm:
 
 def intertwiner(nf: NormalForm):
     """The isomorphism psi from the system deformed by the normal form to the
-    system deformed by the input parameter."""
+    system deformed by the input parameter, as a declared ``AlphaMap``."""
     if nf.kind == "rectangular":
-        g1, g2 = nf.witness["g1"], nf.witness["g2"]
-        return lambda x: g2 @ x @ g1
+        return AlphaMap(nf.witness["g2"], nf.witness["g1"], name="psi")
     g = nf.witness["g"]
     delta = {"symmetric": "id", "hermitian": "conj", "skew": "id"}[nf.kind]
-    return lambda x: g.dagger(delta) @ x @ g
+    return AlphaMap(g.dagger(delta), g, name="psi")
 
 
 def intertwiner_check(nf: NormalForm, space: Subspace) -> bool:

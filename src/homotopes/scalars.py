@@ -178,20 +178,7 @@ class Scalar:
     def inverse(self) -> "Scalar":
         ring = self.ring
         if is_series(ring):
-            const = self.parts.get((0, 0))
-            if const is None:
-                raise ZeroDivisionError("series with zero constant term is not invertible")
-            cinv = const.inverse()
-            # x = c(1 + u) with u nilpotent; 1/x = (1 - u + u^2 - ...)/c
-            one = Scalar.one(ring)
-            u = Scalar(ring, {k: cinv * v for k, v in self.parts.items()}) - one
-            acc = one
-            term = one
-            for _ in range(2 * (ring.degree - 1)):
-                term = -(term * u)
-                acc = acc + term
-            cinv_s = Scalar(ring, {(0, 0): cinv})
-            return acc * cinv_s
+            raise ValueError("series scalars are inverted as 1 x 1 matrices (Matrix.inverse)")
         if self.is_zero():
             raise ZeroDivisionError("scalar is zero")
         if ring == Q:

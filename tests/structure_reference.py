@@ -1,8 +1,12 @@
-"""Fraction reference for structure constants and the LTS axiom verdicts.
+"""Fraction references: row reduction, coordinates and matrix inverses,
+structure constants and the LTS axiom verdicts.
 
-One product evaluation and one ``Subspace.coordinates`` per basis triple, and
-the axioms written out over those coordinates, with no tensors and no dtype
-choices: the independent oracle the batched kernel is compared against.
+``reference_rref``, ``reference_coordinates`` and ``reference_inverse`` do
+``Fraction`` (and ``Scalar``) arithmetic one entry at a time, with no integer
+rows and no ``kernel`` call.  The structure reference makes one product
+evaluation and one ``reference_coordinates`` per basis triple, and writes the
+axioms out over those coordinates, with no tensors and no dtype choices: the
+independent oracle the batched kernel is compared against.
 """
 
 from fractions import Fraction
@@ -11,6 +15,74 @@ from itertools import product as tuples
 from homotopes.homotope import ProductSpace, bracket_param
 from homotopes.matrices import Matrix
 from homotopes.scalars import Q
+
+
+def reference_rref(vectors):
+    """Reduced row echelon form over Q, one Fraction at a time: (rows,
+    pivots), the nonzero reduced rows and their pivot columns."""
+    rows = [list(map(Fraction, v)) for v in vectors]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def reference_coordinates(basis, pivots, vec):
+    """Coordinates of vec in an RREF basis (read off the pivot columns), or
+    None if vec is outside the span."""
+    coords = [Fraction(vec[p]) for p in pivots]
+    for c in range(len(vec)):
+        if sum((x * row[c] for x, row in zip(coords, basis)), Fraction(0)) != vec[c]:
+            return None
+    return tuple(coords)
+
+
+def reference_basis(space):
+    """(basis, pivots): the RREF, by ``reference_rref``, of the basis of a
+    ``Subspace``, or of the block basis of a ``ProductSpace``."""
+    if isinstance(space, ProductSpace):
+        n1, n2 = space.plus.ambient_dim(), space.minus.ambient_dim()
+        vectors = ([tuple(v) + (0,) * n2 for v in space.plus.basis]
+                   + [(0,) * n1 + tuple(v) for v in space.minus.basis])
+    else:
+        vectors = space.basis
+    return reference_rref(vectors)
+
+
+def reference_inverse(m):
+    """The inverse of a square ``Matrix`` by a ``Scalar`` Gauss-Jordan
+    elimination (over skew fields too); ZeroDivisionError if singular."""
+    n = m.rows
+    ident = Matrix.identity(n, m.ring)
+    a = [list(m.row(i)) + list(ident.row(i)) for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is not invertible")
+        a[col], a[piv] = a[piv], a[col]
+        pinv = a[col][col].inverse()
+        a[col] = [pinv * x for x in a[col]]
+        for r in range(n):
+            if r != col and not a[r][col].is_zero():
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return Matrix(n, n, m.ring, [a[i][n + j] for i in range(n) for j in range(n)])
 
 
 def matrix_of(arr):
@@ -25,15 +97,14 @@ def reference_structure(space, product):
     flat[i, j, k] is the flattened value of the product on basis triple
     (i, j, k), coords[i, j, k] its coordinates (None outside the span),
     witness the first triple outside the span."""
-    pair = isinstance(space, ProductSpace)
-    flatten = space.flatten_pair if pair else Matrix.flatten
-    coordinates = space.coordinates_pair if pair else space.coordinates
+    flatten = space.flatten_pair if isinstance(space, ProductSpace) else Matrix.flatten
+    rref_basis, pivots = reference_basis(space)
     basis = space.basis_matrices()
     flat, coords, witness = {}, {}, None
     for i, j, k in tuples(range(len(basis)), repeat=3):
         value = product(basis[i], basis[j], basis[k])
         flat[i, j, k] = flatten(value)
-        coords[i, j, k] = coordinates(value)
+        coords[i, j, k] = reference_coordinates(rref_basis, pivots, flat[i, j, k])
         if coords[i, j, k] is None and witness is None:
             witness = (i, j, k)
     return flat, coords, witness is None, witness
@@ -48,7 +119,8 @@ def reference_bilinear(left, right, a):
 
 def reference_bracket_closure(left, right, target, a):
     """[left, right]_A lies in ``target``, checked bracket by bracket."""
-    return all(target.coordinates_vector(v) is not None
+    basis, pivots = reference_basis(target)
+    return all(reference_coordinates(basis, pivots, v) is not None
                for v in reference_bilinear(left, right, a).values())
 
 

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from structure_reference import broken_derivation, reference_structure
+from structure_reference import broken_derivation, reference_rref, reference_structure
 
+from homotopes import homotope
 from homotopes.families import (asym_space, matrix_space, rand_invertible,
                                 rand_matrix, sample_in_subspace, sym_space)
 from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple,
@@ -15,7 +16,7 @@ from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple,
                                 hom_sxt_check, intertwines, standard_imbedding,
                                 triple_param)
 from homotopes.involutions import MatrixInvolution, joint_eigenspaces
-from homotopes.matrices import Matrix, rref
+from homotopes.matrices import Matrix
 from homotopes.scalars import Q, QI, Scalar
 
 
@@ -131,18 +132,34 @@ class TestHomomorphisms:
         g = rand_invertible(2, Q, self.rng)
         assert gamma_intertwines(g, a, tau, matrix_space(2, 2, Q))
 
+    def test_gamma_intertwines_rejects_a_corrupted_action(self, monkeypatch):
+        """psi(X) = tau(g) X g intertwines the systems of g A tau(g) and A for
+        every invertible g (it is an S X T homomorphism), so a false case
+        needs a corrupted action: the image parameter, or psi, scaled by 2."""
+        tau = MatrixInvolution.transpose_inv(2, Q)
+        a = Matrix.from_rows(Q, [[1, 0], [0, 2]])
+        g = Matrix.from_rows(Q, [[1, 1], [0, 1]])
+        space = matrix_space(2, 2, Q)
+        assert gamma_intertwines(g, a, tau, space)
+        act = homotope.gamma_act
+        for corrupt in (lambda a_new, psi: (a_new.scale(2), psi),
+                        lambda a_new, psi: (a_new, AlphaMap(psi.left, psi.right.scale(2)))):
+            monkeypatch.setattr(homotope, "gamma_act", lambda *args, c=corrupt: c(*act(*args)))
+            assert not gamma_intertwines(g, a, tau, space)
+
     def test_identity_does_not_intertwine_different_parameters(self):
         basis = matrix_space(2, 2, Q).basis_matrices()
         a = rand_invertible(2, Q, self.rng)
-        assert intertwines(lambda x: x, basis, a, a)
-        assert not intertwines(lambda x: x, basis, a.scale(Fraction(2)), a)
-        assert not intertwines(lambda x: x, basis, rand_matrix(2, 2, Q, self.rng), a)
+        identity = AlphaMap(None, None)
+        assert intertwines(identity, basis, a, a)
+        assert not intertwines(identity, basis, a.scale(Fraction(2)), a)
+        assert not intertwines(identity, basis, rand_matrix(2, 2, Q, self.rng), a)
 
 
 def _operator_rank(system):
     """The Fraction rank of the inner operators R(b_u, b_v), all pairs."""
     st, d = system.structure(), system.dim
-    return len(rref([[st.c(u, v, w, m) for w in range(d) for m in range(d)]
+    return len(reference_rref([[st.c(u, v, w, m) for w in range(d) for m in range(d)]
                      for u in range(d) for v in range(d)])[0])
 
 

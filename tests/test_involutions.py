@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from structure_reference import reference_rref
 
+from homotopes import kernel
+from homotopes.families import instantiate
 from homotopes.involutions import (MatrixInvolution, commute,
                                    joint_eigenspaces)
-from homotopes.matrices import (Matrix, block_F, block_I, block_Ipq, block_J,
-                                nullspace)
+from homotopes.matrices import Matrix, block_F, block_I, block_Ipq, block_J
 from homotopes.scalars import HQ, Q, QI, Scalar, ring_components
 
 
@@ -27,7 +29,8 @@ def action_rows(tau):
 
 
 def eigen_dim_oracle(taus, signs):
-    """dim of the joint sign eigenspace via an independent nullspace solve."""
+    """dim of the joint sign eigenspace via an independent nullspace solve:
+    the number of columns minus the rank of the stacked tau - s rows."""
     rows = []
     dim = None
     for tau, s in zip(taus, signs):
@@ -37,7 +40,7 @@ def eigen_dim_oracle(taus, signs):
             row = list(act[r])
             row[r] -= Fraction(s)
             rows.append(row)
-    return len(nullspace(rows, dim))
+    return dim - len(reference_rref(rows)[0])
 
 
 class TestValidation:
@@ -125,3 +128,29 @@ class TestEigenspaces:
         for signs, piece in dec.pieces.items():
             for b in piece.basis_matrices():
                 assert tau(b) == b.scale(Fraction(signs[0]))
+
+
+def test_noncommuting_transposes_are_detected():
+    """The transposes twisted by diag(1, -1) and by [[1, 1], [1, -1]] are
+    both valid involutions of M(2, Q), but they do not commute: a
+    known-false input to ``commutes_with`` and ``joint_eigenspaces``."""
+    tau = MatrixInvolution("anti", "id", 2, Q, twist=Matrix.diag(Q, [1, -1]))
+    sigma = MatrixInvolution("anti", "id", 2, Q, twist=Matrix.from_rows(Q, [[1, 1], [1, -1]]))
+    assert not tau.commutes_with(sigma)
+    assert not commute(sigma, tau)
+    with pytest.raises(ValueError, match="commute"):
+        joint_eigenspaces([tau, sigma])
+
+
+@pytest.mark.parametrize("name, sizes", [("proj", (1, 2)), ("proj", (2, 2)), ("siegel", (2,)),
+                                         ("siegel", (3,)), ("quat1", (2,)), ("quat1", (3,)),
+                                         ("quat2", (1,)), ("quat2", (2,))])
+def test_action_matches_matrix_path(name, sizes):
+    """``action`` (one batched sandwich of the declared form) equals the
+    action matrix built from ``__call__``, one ``Matrix`` per unit matrix,
+    for both involutions of each construction."""
+    c = instantiate(name, sizes)
+    for tau in (c.tau, c.tau_tilde):
+        act = tau.action()
+        rows = [[Fraction(v, act.den) for v in row] for row in kernel.int_rows(act.a[..., 0])]
+        assert rows == action_rows(tau)

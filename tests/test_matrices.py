@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from homotopes.families import rand_matrix, sym_space
 from homotopes.matrices import (Matrix, Subspace, block_F, block_I, block_Ipq,
                                 block_J, nullspace, rref)
-from homotopes.scalars import HQ, Q, QI, Scalar, gaussian
+from homotopes.scalars import HQ, Q, QI, Scalar, gaussian, quaternion
 
 
 class TestMatrixAlgebra:
@@ -36,7 +36,7 @@ class TestMatrixAlgebra:
                 try:
                     inv = m.inverse()
                     break
-                except ValueError:
+                except ZeroDivisionError:
                     continue
             assert m @ inv == Matrix.identity(3, ring)
             assert inv @ m == Matrix.identity(3, ring)
@@ -44,6 +44,16 @@ class TestMatrixAlgebra:
     def test_singular_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             Matrix.zeros(2, 2, Q).inverse()
+
+    def test_rank_one_quaternion_inverse_raises(self):
+        u = Matrix.from_rows(HQ, [[quaternion(1, 2, 0, -1)], [quaternion(0, 1, 3, 1)]])
+        v = Matrix.from_rows(HQ, [[quaternion(2, 0, 1, 1)], [quaternion(-1, 1, 1, 0)]])
+        with pytest.raises(ZeroDivisionError):
+            (u @ v.transpose()).inverse()
+
+    def test_non_square_inverse_raises(self):
+        with pytest.raises(ValueError):
+            rand_matrix(2, 3, Q, self.rng).inverse()
 
     def test_dagger_antimultiplicative(self):
         a = rand_matrix(2, 2, QI, self.rng)

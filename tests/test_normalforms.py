@@ -2,6 +2,7 @@
 isomorphisms."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,20 @@ class TestSkew:
 def test_unknown_kind():
     with pytest.raises(ValueError):
         normal_form(Matrix.identity(2, Q), "mystery")
+
+
+@pytest.mark.parametrize("kind, space, name", [
+    ("rectangular", matrix_space(3, 2, Q), "g1"),
+    ("symmetric", sym_space(3, Q), "g"),
+    ("hermitian", herm_space(2, QI, "conj"), "g"),
+    ("skew", asym_space(4, Q), "g"),
+])
+def test_corrupted_witness_does_not_intertwine(kind, space, name):
+    """The witness scaled by 2 scales psi by 2 (or 4) and the bracket's
+    image by its cube: a known-false input to ``intertwiner_check``."""
+    rng = random.Random(24)
+    a = rand_matrix(2, 3, Q, rng) if kind == "rectangular" else sample_in_subspace(space, rng)
+    nf = normal_form(a, kind)
+    assert nf.verified and intertwiner_check(nf, space)
+    corrupted = replace(nf, witness={**nf.witness, name: nf.witness[name].scale(2)})
+    assert not intertwiner_check(corrupted, space)

@@ -1,4 +1,4 @@
-"""``kernel.independent_row_indices`` against a ``Fraction`` RREF oracle: the
+"""``kernel.independent_row_indices`` against the ``Fraction`` RREF oracle: the
 picked rows are independent over Q and as many as the rank, for duplicate and
 zero rows, ``object`` rows past 2^53, and rows whose rank drops modulo the
 first pick prime, so that the certificate rejects a pick and the selection
@@ -9,13 +9,13 @@ from itertools import islice
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from structure_reference import reference_rref
 
 from homotopes import kernel
-from homotopes.matrices import rref
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(reference_rref(rows)[0])
 
 
 # entries past 2^53, so the rows are Python ints in an ``object`` array
