@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .homotope import (AlphaMap, AlphaTriple, PairTriple, ProductSpace, bracket_closure,
-                       TripleSystem, check_lts, symmetric_pair, twist_matrix)
+                       TripleSystem, check_lts, symmetric_pair)
 from .involutions import JointDecomposition, MatrixInvolution, joint_eigenspaces
 from .matrices import Matrix, Subspace, block_F, block_I, block_Ipq, block_J
 from .scalars import HQ, Q, QI, Scalar, ring_components
@@ -156,8 +158,8 @@ class ParamClass:
 def _project_onto(space: Subspace, m: Matrix) -> Matrix:
     """The element of the space with the same pivot coordinates as m (the
     RREF basis has a 1 in its own pivot and 0 in the others)."""
-    coords = [m.flatten()[p] for p in space.pivots]
-    return space.from_coordinates(coords)
+    flat = m.flatten()
+    return space.from_coordinates([flat[p] for p in space.pivots])
 
 
 def sample_styles(samples: int):
@@ -232,7 +234,7 @@ def _sandwich_alpha(twist: str, name: str):
     """alpha(X) = A twist(X) twist(A) for the one parameter A."""
     def build(sizes, params):
         a = params[0]
-        return AlphaTriple(AlphaMap(a, twist_matrix(a, twist), twist, name=name))
+        return AlphaTriple(AlphaMap(a, a.conjugate(twist), twist, name=name))
 
     return build
 
@@ -628,51 +630,33 @@ SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 def _realify(m: Matrix) -> Matrix:
     """Sym/Herm-compatible realification a + ib -> [[a, b], [-b, a]]."""
-    n = m.rows
-    out = Matrix.zeros(2 * n, 2 * n, Q)
-    ents = list(out.entries)
-    for i in range(n):
-        for j in range(n):
-            a, b = m[i, j].flatten()
-            ents[i * 2 * n + j] = Scalar(Q, (a,))
-            ents[i * 2 * n + (n + j)] = Scalar(Q, (b,))
-            ents[(n + i) * 2 * n + j] = Scalar(Q, (-b,))
-            ents[(n + i) * 2 * n + (n + j)] = Scalar(Q, (a,))
-    return Matrix(2 * n, 2 * n, Q, ents)
+    a, b = (Matrix.from_numerators(Q, m.num[..., c:c + 1], m.den) for c in (0, 1))
+    return Matrix.block([[a, b], [-b, a]])
+
+
+def _embed_in_h(m: Matrix, slots: list) -> Matrix:
+    """The quaternion matrix with the two components of the Q(i) matrix m in
+    the components ``slots`` (of 1, i, j, k)."""
+    num = np.zeros((m.rows, m.cols, 4), dtype=object)
+    num[..., slots] = m.num
+    return Matrix.from_numerators(HQ, num, m.den)
 
 
 def _embed_c_in_h(m: Matrix) -> Matrix:
     """C = R + jR inside the quaternions: x + iy -> x + jy, entrywise."""
-    def emb(s):
-        x, y = s.flatten()
-        return Scalar(HQ, (x, Fraction(0), y, Fraction(0)))
-
-    return Matrix(m.rows, m.cols, HQ, [emb(e) for e in m.entries])
+    return _embed_in_h(m, [0, 2])
 
 
 def _embed_ic_in_h(m: Matrix) -> Matrix:
     """x + iy -> xi + yk (the i-multiple of the embedded copy of C)."""
-    def emb(s):
-        x, y = s.flatten()
-        return Scalar(HQ, (Fraction(0), x, Fraction(0), y))
-
-    return Matrix(m.rows, m.cols, HQ, [emb(e) for e in m.entries])
+    return _embed_in_h(m, [1, 3])
 
 
 def quat_complex_embedding(m: Matrix) -> Matrix:
     """M(n,n;H) -> M(2n,2n;C): A0+A1 i+A2 j+A3 k -> [[a, b], [-conj(b), conj(a)]]
     with a = A0 + i A1, b = A2 + i A3.  Multiplicative (tested)."""
-    n = m.rows
-    out = Matrix.zeros(2 * n, 2 * n, QI)
-    ents = list(out.entries)
-    for i in range(n):
-        for j in range(n):
-            a0, a1, a2, a3 = m[i, j].flatten()
-            ents[i * 2 * n + j] = Scalar(QI, (a0, a1))
-            ents[i * 2 * n + (n + j)] = Scalar(QI, (a2, a3))
-            ents[(n + i) * 2 * n + j] = Scalar(QI, (-a2, a3))
-            ents[(n + i) * 2 * n + (n + j)] = Scalar(QI, (a0, -a1))
-    return Matrix(2 * n, 2 * n, QI, ents)
+    a, b = (Matrix.from_numerators(QI, m.num[..., c:c + 2], m.den) for c in (0, 2))
+    return Matrix.block([[a, b], [-b.conjugate("conj"), a.conjugate("conj")]])
 
 
 def quat_split_embedding(m: Matrix) -> Matrix:
@@ -685,27 +669,17 @@ def quat_split_embedding(m: Matrix) -> Matrix:
     """
     u = Scalar.unflatten(HQ, (0, 0, 1, 1))
     uinv = u.inverse()
-    return quat_complex_embedding(m.map_entries(lambda e: u * e * uinv))
+    return quat_complex_embedding(m.scalar_mul(u).scalar_mul(uinv, "right"))
 
 
 def _block_embed(p, q, pos, ring=Q):
     """Embed a block into the (pos) block of a (p+q) x (p+q) matrix."""
-    n = p + q
+    r0, c0 = {"tl": (0, 0), "br": (p, p), "tr": (0, p), "bl": (p, 0)}[pos]
 
     def emb(m: Matrix) -> Matrix:
-        out = [[Scalar.zero(ring)] * n for _ in range(n)]
-        if pos == "tl":
-            r0, c0 = 0, 0
-        elif pos == "br":
-            r0, c0 = p, p
-        elif pos == "tr":
-            r0, c0 = 0, p
-        else:
-            r0, c0 = p, 0
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m[i, j]
-        return Matrix.from_rows(ring, out)
+        num = np.zeros((p + q, p + q, ring_components(ring)), dtype=object)
+        num[r0:r0 + m.rows, c0:c0 + m.cols] = m.num
+        return Matrix.from_numerators(ring, num, m.den)
 
     return emb
 

@@ -22,10 +22,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .families import rand_matrix
 from .homotope import bracket_param
 from .matrices import Matrix
-from .scalars import Scalar, is_series, series_ring
+from .scalars import ring_components, series_ring
 
 
 # -- quasi-group operations -------------------------------------------------
@@ -185,14 +187,20 @@ def rand_skew_invertible(n: int, ring, delta: str, rng: random.Random) -> Matrix
 
 def series_lift(x: Matrix, sring, var: str | None = None) -> Matrix:
     """Lift a matrix over the base ring to the series ring, optionally
-    multiplied by the variable t or s."""
-    exp = {None: (0, 0), "t": (1, 0), "s": (0, 1)}[var]
-    ents = [Scalar(sring, {} if e.is_zero() else {exp: e}) for e in x.entries]
-    return Matrix(x.rows, x.cols, sring, ents)
+    multiplied by the variable t or s: its components fill the slot of the
+    monomial 1, t or s (``ring_components``)."""
+    k = x.num.shape[-1]
+    slot = {None: 0, "t": sring.degree, "s": 1}[var]
+    num = np.zeros((x.rows, x.cols, ring_components(sring)), dtype=object)
+    num[..., slot * k:(slot + 1) * k] = x.num
+    return Matrix.from_numerators(sring, num, x.den)
 
 
 def series_coefficient(m: Matrix, exp: tuple, base) -> Matrix:
-    return Matrix(m.rows, m.cols, base, [e.coefficient(exp) for e in m.entries])
+    """The coefficient of t^a s^b, (a, b) = exp: a slice of the components."""
+    k = ring_components(base)
+    slot = exp[0] * m.ring.degree + exp[1]
+    return Matrix.from_numerators(base, m.num[..., slot * k:(slot + 1) * k], m.den)
 
 
 def tangent_check(x: Matrix, y: Matrix, a: Matrix):

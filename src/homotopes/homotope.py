@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -48,12 +48,6 @@ def triple_alpha(x: Matrix, y: Matrix, z: Matrix, alpha) -> Matrix:
     return ternary_t(x, alpha(y), z) - ternary_t(y, alpha(x), z)
 
 
-def twist_matrix(x: Matrix, twist: str) -> Matrix:
-    """The entrywise twist of an ``AlphaMap``: a base involution, or phi,
-    conjugation by the quaternion j (qconj followed by qsplit)."""
-    return x.conjugate("qconj").conjugate("qsplit") if twist == "phi" else x.conjugate(twist)
-
-
 class AlphaMap:
     """The Q-linear map alpha(X) = sign * L * twist(X)[^t] * R from the V+
     ambient into the V- ambient: ``twist`` is an entrywise base involution
@@ -78,7 +72,7 @@ class AlphaMap:
         self.name = name
 
     def __call__(self, x: Matrix) -> Matrix:
-        out = twist_matrix(x, self.twist)
+        out = x.conjugate(self.twist)
         out = out.transpose() if self.transpose else out
         out = out if self.left is None else self.left @ out
         out = out if self.right is None else out @ self.right
@@ -181,8 +175,9 @@ class GenericTriple:
     def flat(self, space) -> Arr:
         """The flattened products over the basis of ``space``, one call each."""
         basis = space.basis_matrices()
-        values = [self.fn(x, y, z).flatten() for x in basis for y in basis for z in basis]
-        return Arr.from_rows(values, (len(basis),) * 3 + (-1,), basis[0].ring)
+        stack = Arr.from_matrices([self.fn(x, y, z) for x in basis for y in basis for z in basis])
+        values = kernel.flatten_last(stack)
+        return Arr(values.a.reshape((len(basis),) * 3 + (-1,)), values.den, values.bound, values.ring)
 
     def negated(self) -> "GenericTriple":
         return GenericTriple(lambda x, y, z: -self.fn(x, y, z))
@@ -243,7 +238,9 @@ class ProductSpace:
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
 
     def coordinates_pair(self, u):
-        return vector_coordinates(self.basis_int(), self.flatten_pair(u))
+        den = lcm(u[0].den, u[1].den)
+        vec = np.concatenate([m.num.ravel() * (den // m.den) for m in u])
+        return vector_coordinates(self.basis_int(), vec, den)
 
     def contains(self, u) -> bool:
         return self.coordinates_pair(u) is not None

@@ -1,17 +1,19 @@
 """Exact-integer helpers for matrix products and the heavy tensor computations.
 
-``Matrix`` products run on Python-int numerators over one common denominator
-(``fraction_matrix_to_ints``, ``ring_matmul``): no rounding, no fallback.
-The batched tensors (``Arr``) hold integer numerators over a single
-denominator together with a proven bound on the largest magnitude.  Every
+A ``Matrix`` holds an ``object`` array of Python-int numerators over one
+denominator, and its products are ``ring_product`` on those arrays: no
+rounding, no fallback.  The batched tensors (``Arr``) hold integer
+numerators over a single denominator together with a proven bound on the
+largest magnitude.  Every
 operation computes the bound of its result before it runs and picks the
 dtype from it (``fit``): float64, so BLAS runs, while the bound is below 2^53
 (the float64 exact-integer range), numpy ``object`` arrays of Python ints
 otherwise.  There is one code path; only the dtype changes.
 
-Every ring product over Q, Q(i) or the quaternions is one GEMM against the
-right regular representation of its right operand (``right_rep``), a signed
-gather of its components: there is no einsum.  A product entry sums
+Every ring product, over Q, Q(i), the quaternions or a truncated series ring
+over one of them (``mult_tensor``), is one GEMM against the right regular
+representation of its right operand (``right_rep``), a signed gather of its
+components: there is no einsum.  A product entry sums at most
 shared * k products of components, so each partial sum of the GEMM, in
 whatever order BLAS adds, is bounded by the same shared * k * |x| * |y| that
 bounds the result, and float64 stays exact below 2^53.
@@ -32,11 +34,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 from math import isqrt, lcm, prod
-from operator import mul
 
 import numpy as np
 
-from .scalars import HQ, Q, QI, ring_components
+from .scalars import HQ, Q, QI, is_series, ring_components
 
 FLOAT_EXACT_CAP = 2**53
 
@@ -45,7 +46,19 @@ class PrecisionError(ArithmeticError):
     """A float64 ``Arr`` with a bound past the exact float64 range (a bug)."""
 
 
-def _mult_tensor(ring) -> np.ndarray:
+@lru_cache(maxsize=None)
+def mult_tensor(ring) -> np.ndarray:
+    """The multiplication table t (e_a e_b = sum_c t[a, b, c] e_c) of the
+    Q-basis of ``ring``.  A series ring base[t, s]/(t^deg, s^deg) has the basis
+    t^i s^j e_a at index (i deg + j) k + a, the Kronecker product of the
+    truncated monomial tables with the base table: a product past the
+    truncation is zero."""
+    if is_series(ring):
+        mono = np.zeros((ring.degree,) * 3)
+        for i, j in np.ndindex(ring.degree, ring.degree):
+            if i + j < ring.degree:
+                mono[i, j, i + j] = 1
+        return np.kron(np.kron(mono, mono), mult_tensor(ring.base))
     k = ring_components(ring)
     t = np.zeros((k, k, k))
     if ring == Q:
@@ -66,54 +79,23 @@ def _mult_tensor(ring) -> np.ndarray:
     return t
 
 
-MULT_TENSOR = {r: _mult_tensor(r) for r in (Q, QI, HQ)}
+@lru_cache(maxsize=None)
+def _gathers(ring) -> tuple:
+    """(left, right): left[c, b] and right[a, c] index the concatenation
+    (x, -x, 0) of the components of x at the entry (c, b) of the left and
+    (a, c) of the right regular representation of x.  Each product of basis
+    units is a signed unit or zero, so the one nonzero t[a, b, c] = s is
+    gathered as a + k (s < 0) resp. b + k (s < 0), and a missing one as the
+    zero slot 2k."""
+    t = mult_tensor(ring)
+    k = len(t)
 
+    def gather(axis):
+        idx = np.abs(t).argmax(axis=axis)
+        s = np.take_along_axis(t, np.expand_dims(idx, axis), axis).squeeze(axis)
+        return np.where(s == 0, 2 * k, idx + k * (s < 0))
 
-def _left_mult(t: np.ndarray) -> tuple:
-    """Rows of the left-multiplication matrix: (x y)_c = sum_b s * x_a * y_b
-    over the (a, s) listed for (c, b); each product of basis units is a
-    signed unit, so exactly one a has t[a, b, c] = s != 0."""
-    k = t.shape[0]
-    return tuple(tuple((int(np.flatnonzero(t[:, b, c])[0]), int(t[:, b, c].sum())) for b in range(k))
-                 for c in range(k))
-
-
-LEFT_MULT = {r: _left_mult(t) for r, t in MULT_TENSOR.items()}
-
-
-def _right_gather(t: np.ndarray) -> np.ndarray:
-    """g[a, c] = b + k * (s < 0) for the one b with e_a e_b = s e_c: the entry
-    (a, c) of the right regular representation of y is component g[a, c] of
-    the concatenation (y, -y)."""
-    b = np.abs(t).argmax(axis=1)
-    s = np.take_along_axis(t, b[:, None], axis=1)[:, 0]
-    return b + t.shape[0] * (s < 0)
-
-
-RIGHT_GATHER = {r: _right_gather(t) for r, t in MULT_TENSOR.items()}
-
-
-def fraction_matrix_to_ints(rows):
-    """Integer numerators of rows of Fractions (or ints) over their least
-    common denominator: returns (numerator rows, den)."""
-    den = lcm(*(f.denominator for row in rows for f in row))
-    return [[f.numerator * (den // f.denominator) for f in row] for row in rows], den
-
-
-def ring_matmul(x, y, rows: int, shared: int, cols: int, ring) -> list:
-    """Exact product of two flattened integer matrices over a base ring.
-
-    ``x`` (rows x shared) and ``y`` (shared x cols) list their entries row
-    by row, each as its components; so does the returned product.
-    """
-    left = LEFT_MULT[ring]
-    k = len(left)
-    # row (i, c) of X as a real matrix, against column j of Y, both indexed by (q, b)
-    xl = [[[s * x[(i * shared + q) * k + a] for q in range(shared) for a, s in lc] for lc in left]
-          for i in range(rows)]
-    yc = [[v for q in range(shared) for v in y[(q * cols + j) * k:(q * cols + j + 1) * k]]
-          for j in range(cols)]
-    return [sum(map(mul, xr, yj)) for xi in xl for yj in yc for xr in xi]
+    return gather(0).T, gather(1)
 
 
 # component sign patterns of the base involutions per ring
@@ -158,19 +140,11 @@ class Arr:
         self.ring = ring
 
     @staticmethod
-    def from_rows(rows, shape, ring) -> "Arr":
-        """Rows of Fractions (or ints) over one denominator, reshaped."""
-        num, den = fraction_matrix_to_ints(rows)
-        bound = max(max(map(abs, row), default=0) for row in num) if num else 0
-        data = np.array(num, dtype=np.float64 if bound < FLOAT_EXACT_CAP else object)
-        return Arr(data.reshape(shape), den, max(bound, 1), ring)
-
-    @staticmethod
     def from_matrices(mats) -> "Arr":
-        """Stack matrices (same shape/ring) to shape (n, rows, cols, comps)."""
-        ring = mats[0].ring
-        shape = (len(mats), mats[0].rows, mats[0].cols, ring_components(ring))
-        return Arr.from_rows([m.flatten() for m in mats], shape, ring)
+        """Stack matrices (same shape/ring) to shape (n, rows, cols, comps),
+        their numerators over the lcm of their denominators."""
+        den = lcm(*(m.den for m in mats))
+        return Arr(np.stack([m.num * (den // m.den) for m in mats]), den, 1, mats[0].ring).actual_bound()
 
     @staticmethod
     def from_matrix(mat) -> "Arr":
@@ -224,12 +198,39 @@ def concat_last(x: Arr, y: Arr) -> Arr:
     return Arr(np.concatenate([x.over(d, bound), y.over(d, bound)], axis=-1), d, bound, x.ring)
 
 
+def _rep(x: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """The components (x, -x, 0) of x at ``gather``, matrix axes swapped."""
+    zero = np.zeros(x.shape[:-1] + (1,), x.dtype)
+    return np.swapaxes(np.concatenate([x, -x, zero], axis=-1)[..., gather], -3, -2)
+
+
+def left_rep(x: np.ndarray, ring) -> np.ndarray:
+    """The left regular representation of the integer matrices x (shape
+    (..., p, q, k)), as shape (..., p, k, q, k): L[..., p, c, q, b] =
+    s * x[..., p, q, a] for e_a e_b = s e_c (0 if there is no such a), so
+    that for y of shape (..., q, r, k) with r = 1, x y is
+    L.reshape(..., p k, q k) @ y.reshape(..., q k)."""
+    return _rep(x, _gathers(ring)[0])
+
+
 def right_rep(y: np.ndarray, ring) -> np.ndarray:
     """The right regular representation of the integer matrices y (shape
     (..., q, r, k)), as shape (..., q, k, r, k): R[..., q, a, r, c] =
-    s * y[..., q, r, b] for e_a e_b = s e_c, so that for x of shape
-    (..., p, q, k), x y is x.reshape(..., p, q k) @ R.reshape(..., q k, r k)."""
-    return np.swapaxes(np.concatenate([y, -y], axis=-1)[..., RIGHT_GATHER[ring]], -3, -2)
+    s * y[..., q, r, b] for e_a e_b = s e_c (0 if there is no such b), so
+    that for x of shape (..., p, q, k), x y is
+    x.reshape(..., p, q k) @ R.reshape(..., q k, r k)."""
+    return _rep(y, _gathers(ring)[1])
+
+
+def ring_product(x: np.ndarray, y: np.ndarray, ring) -> np.ndarray:
+    """The products x y of the integer matrices x (..., p, q, k) and
+    y (..., q, r, k), broadcast over the leading axes: one GEMM against the
+    right regular representation of y, in the dtype of the operands."""
+    *_, q, k = x.shape
+    r = y.shape[-2]
+    rep = right_rep(y, ring)
+    out = x.reshape(x.shape[:-2] + (q * k,)) @ rep.reshape(rep.shape[:-4] + (q * k, r * k))
+    return out.reshape(out.shape[:-1] + (r, k))
 
 
 def _rep_columns(y: np.ndarray, ring) -> np.ndarray:
@@ -245,11 +246,9 @@ def matrix_mul(x: Arr, y: Arr) -> Arr:
     if x.ring != y.ring:
         raise ValueError("ring mismatch")
     *_, q, k = x.a.shape
-    r = y.a.shape[-2]
     bound = x.bound * y.bound * q * k
-    rep = right_rep(fit(y.a, bound), y.ring)
-    out = fit(x.a, bound).reshape(x.a.shape[:-2] + (q * k,)) @ rep.reshape(rep.shape[:-4] + (q * k, r * k))
-    return Arr(out.reshape(out.shape[:-1] + (r, k)), x.den * y.den, bound, x.ring).actual_bound()
+    out = ring_product(fit(x.a, bound), fit(y.a, bound), x.ring)
+    return Arr(out, x.den * y.den, bound, x.ring).actual_bound()
 
 
 def sandwich(x: Arr, left: Arr | None, right: Arr | None, twist: str = "id",

@@ -1,15 +1,19 @@
 """Dense matrices over the exact scalar rings, plus exact Q-linear subspace
 arithmetic (span, sum, intersection, membership) on flattened coordinates.
 
-Over Q, Q(i) and the rational quaternions ``Matrix`` products run on exact
-Python-int numerators over one common denominator (``kernel.ring_matmul``);
-series rings multiply entry by entry.  Every elimination (``rref``,
-``nullspace``, ``Subspace``, ``Matrix.inverse``) is one fraction-free
-Gauss-Jordan on rows of Python ints (``_echelon``, after E. H. Bareiss,
-Math. Comp. 22 (1968)); only returned values become ``Fraction``s.  Subspace
-bases are in reduced row echelon form, so equality of subspaces is a
-syntactic comparison, and every coordinate and membership query is one
-``kernel.coordinates`` against the cached integer basis.
+A ``Matrix`` is a (rows, cols, k) numpy ``object`` array of Python-int
+numerators of its k Q-coordinates per entry, over one positive denominator,
+in lowest terms: equal matrices have equal arrays.  Sums, scalings,
+conjugations and transposes are array operations; a product is one
+``kernel.ring_product`` against the right regular representation of the
+right factor, series rings included (``kernel.mult_tensor``).  ``Scalar``
+entries are only built for the views ``m[i, j]`` and ``entries``.  Every
+elimination (``rref``, ``nullspace``, ``Subspace``, ``Matrix.inverse``) is
+one fraction-free Gauss-Jordan on rows of Python ints (``_echelon``, after
+E. H. Bareiss, Math. Comp. 22 (1968)); only returned values become
+``Fraction``s.  Subspace bases are in reduced row echelon form, so equality
+of subspaces is a syntactic comparison, and every coordinate and membership
+query is one ``kernel.coordinates`` against the cached integer basis.
 """
 
 from __future__ import annotations
@@ -21,47 +25,70 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernel
-from .scalars import HQ, Q, QI, Scalar, format_scalar, is_series, parse_scalar, ring_components
+from .scalars import HQ, Q, QI, Scalar, format_components, is_series, parse_scalar, ring_components
+
+
+def _numerators(values) -> tuple:
+    """Integer numerators of rationals (Fractions or ints) over their least
+    common denominator: (list of ints, den)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class Matrix:
-    """An immutable rows x cols matrix with entries in a single scalar ring."""
+    """An immutable rows x cols matrix with entries in a single scalar ring:
+    ``num / den`` with ``num`` of shape (rows, cols, ring_components(ring))."""
 
-    __slots__ = ("rows", "cols", "ring", "entries")
+    __slots__ = ("rows", "cols", "ring", "num", "den")
 
     def __init__(self, rows: int, cols: int, ring, entries: Sequence[Scalar]):
-        if rows <= 0 or cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         for e in entries:
             if e.ring != ring:
                 raise ValueError("mixed rings in matrix entries")
-        self.rows = rows
-        self.cols = cols
-        self.ring = ring
-        self.entries = entries
+        num, den = _numerators([c for e in entries for c in e.flatten()])
+        self._set(ring, np.array(num, dtype=object).reshape(rows, cols, ring_components(ring)), den)
+
+    def _set(self, ring, num: np.ndarray, den: int):
+        if num.shape[0] <= 0 or num.shape[1] <= 0:
+            raise ValueError("matrix dimensions must be positive")
+        self.rows, self.cols, _ = num.shape
+        num.flags.writeable = False  # immutable: views of it are shared
+        self.ring, self.num, self.den = ring, num, den
+
+    @staticmethod
+    def _of(ring, num: np.ndarray, den: int) -> "Matrix":
+        """num / den, both already in lowest terms."""
+        m = object.__new__(Matrix)
+        m._set(ring, num, den)
+        return m
+
+    @staticmethod
+    def from_numerators(ring, num: np.ndarray, den: int = 1) -> "Matrix":
+        """The matrix num / den: ``num`` an ``object`` array of Python ints of
+        shape (rows, cols, ring_components(ring)), ``den`` > 0."""
+        g = gcd(den, *num.ravel().tolist())
+        return Matrix._of(ring, num if g == 1 else num // g, den // g)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int, ring) -> "Matrix":
-        z = Scalar.zero(ring)
-        return Matrix(rows, cols, ring, (z,) * (rows * cols))
+        return Matrix._of(ring, np.zeros((rows, cols, ring_components(ring)), dtype=object), 1)
 
     @staticmethod
     def identity(n: int, ring) -> "Matrix":
-        z, o = Scalar.zero(ring), Scalar.one(ring)
-        return Matrix(n, n, ring, tuple(o if i == j else z for i in range(n) for j in range(n)))
+        num = np.zeros((n, n, ring_components(ring)), dtype=object)
+        num[range(n), range(n), 0] = 1
+        return Matrix._of(ring, num, 1)
 
     @staticmethod
     def elementary(rows: int, cols: int, i: int, j: int, ring, value: Scalar | None = None) -> "Matrix":
         """value * E_ij (value defaults to 1)."""
-        value = Scalar.one(ring) if value is None else value
-        z = Scalar.zero(ring)
-        ents = [z] * (rows * cols)
-        ents[i * cols + j] = value
+        ents = [Scalar.zero(ring)] * (rows * cols)
+        ents[i * cols + j] = Scalar.one(ring) if value is None else value
         return Matrix(rows, cols, ring, ents)
 
     @staticmethod
@@ -78,133 +105,115 @@ class Matrix:
     @staticmethod
     def diag(ring, values: Sequence) -> "Matrix":
         n = len(values)
-        m = Matrix.zeros(n, n, ring)
-        ents = list(m.entries)
-        for i, v in enumerate(values):
-            ents[i * n + i] = v if isinstance(v, Scalar) else Scalar.from_rational(ring, v)
-        return Matrix(n, n, ring, ents)
+        return Matrix.from_rows(ring, [[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
+
+    @staticmethod
+    def block(rows: Sequence[Sequence["Matrix"]]) -> "Matrix":
+        """The block matrix with these rows of blocks over one ring."""
+        den = lcm(*(m.den for row in rows for m in row))
+        num = np.concatenate([np.concatenate([m.num * (den // m.den) for m in row], axis=1) for row in rows])
+        return Matrix.from_numerators(rows[0][0].ring, num, den)
 
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return Scalar.unflatten(self.ring, [Fraction(v, self.den) for v in self.num[i, j].tolist()])
 
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def row(self, i: int):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    @property
+    def entries(self) -> tuple:
+        """The entries, row by row, as Scalars."""
+        return tuple(self[i, j] for i in range(self.rows) for j in range(self.cols))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_shape(self, other: "Matrix"):
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, over the lcm of the denominators."""
         if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
             raise ValueError("shape or ring mismatch")
+        den = lcm(self.den, other.den)
+        num = self.num * (den // self.den) + other.num * (sign * den // other.den)
+        return Matrix.from_numerators(self.ring, num, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, self.ring, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, self.ring, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.ring, tuple(-a for a in self.entries))
+        return Matrix._of(self.ring, -self.num, self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
             raise ValueError("ring mismatch in product")
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        if is_series(self.ring):
-            out = []
-            for i in range(self.rows):
-                lrow = self.row(i)
-                for j in range(other.cols):
-                    acc = Scalar.zero(self.ring)
-                    for k in range(self.cols):
-                        acc = acc + lrow[k] * other[k, j]
-                    out.append(acc)
-            return Matrix(self.rows, other.cols, self.ring, out)
-        (x,), dx = kernel.fraction_matrix_to_ints([self.flatten()])
-        (y,), dy = kernel.fraction_matrix_to_ints([other.flatten()])
-        num = kernel.ring_matmul(x, y, self.rows, self.cols, other.cols, self.ring)
-        den = dx * dy
-        if den != 1:
-            num = [Fraction(v, den) for v in num]
-        return Matrix.unflatten((self.rows, other.cols, self.ring), num)
+        return Matrix.from_numerators(self.ring, kernel.ring_product(self.num, other.num, self.ring),
+                                      self.den * other.den)
 
     def scale(self, r) -> "Matrix":
         """Multiply every entry by a central rational."""
-        return Matrix(self.rows, self.cols, self.ring, tuple(e.scale(r) for e in self.entries))
+        r = Fraction(r)
+        return Matrix.from_numerators(self.ring, self.num * r.numerator, self.den * r.denominator)
 
     def scalar_mul(self, s: Scalar, side: str = "left") -> "Matrix":
-        ents = tuple((s * e) if side == "left" else (e * s) for e in self.entries)
-        return Matrix(self.rows, self.cols, self.ring, ents)
+        """s * X (side "left") or X * s, entrywise: a product with the entries
+        as a 1 x (rows cols) row resp. (rows cols) x 1 column."""
+        num, den = _numerators(s.flatten())
+        s1 = np.array(num, dtype=object).reshape(1, 1, -1)
+        flat = self.num.reshape(1, -1, self.num.shape[-1])
+        out = (kernel.ring_product(s1, flat, self.ring) if side == "left"
+               else kernel.ring_product(flat.swapaxes(0, 1), s1, self.ring))
+        return Matrix.from_numerators(self.ring, out.reshape(self.num.shape), self.den * den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self.ring, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
-
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.ring, tuple(fn(e) for e in self.entries))
+        return Matrix._of(self.ring, self.num.transpose(1, 0, 2), self.den)
 
     def conjugate(self, kind: str) -> "Matrix":
-        """Entrywise base involution."""
-        return self.map_entries(lambda e: e.conjugate(kind))
+        """Entrywise base involution, or phi (conjugation by the quaternion j):
+        a component sign pattern of ``kernel.CONJ_SIGNS``."""
+        base = self.ring.base if is_series(self.ring) else self.ring
+        if (base, kind) not in kernel.CONJ_SIGNS:
+            raise ValueError(f"base involution {kind!r} is not defined over {base}")
+        signs = kernel.CONJ_SIGNS[(base, kind)]
+        signs = np.array(signs * (self.num.shape[-1] // len(signs)), dtype=object)
+        return Matrix._of(self.ring, self.num * signs, self.den)
 
     def dagger(self, delta: str = "id") -> "Matrix":
         """delta entrywise, then transpose; an antiautomorphism of the algebra."""
         return self.conjugate(delta).transpose()
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not self.num.any()
 
     def inverse(self) -> "Matrix":
         """Exact inverse; ``ZeroDivisionError`` if the matrix is singular.
 
-        Over Q, Q(i) and HQ (k components) X is invertible exactly when its
-        left regular representation L(X) (nk x nk, on Q-coordinates) has rank
-        nk, and Y = X^-1 has Y[i, j]_c = L(X)^-1[(i, c), (j, 0)].  Over a
-        series ring X = X0 + N, N nilpotent: X^-1 = (1 + U + U^2 + ...) X0^-1
-        with U = 1 - X0^-1 X.
+        X is invertible exactly when its left regular representation L(X)
+        (nk x nk, the Q-linear map Y -> X Y on n x 1 columns, any ring) has
+        rank nk, and Y = X^-1 has Y[i, j]_c = L(X)^-1[(i, c), (j, 0)], as
+        component 0 is the unit 1.
         """
         if self.rows != self.cols:
             raise ValueError("only square matrices are invertible")
-        n = self.rows
-        if is_series(self.ring):
-            x0inv = Matrix(n, n, self.ring.base, [e.coefficient((0, 0)) for e in self.entries]).inverse()
-            lift = Matrix(n, n, self.ring, [Scalar(self.ring, {(0, 0): e}) for e in x0inv.entries])
-            u = Matrix.identity(n, self.ring) - lift @ self
-            out = term = lift
-            while not term.is_zero():
-                term = u @ term
-                out = out + term
-            return out
-        left = kernel.LEFT_MULT[self.ring]
-        k = len(left)
-        (x,), dx = kernel.fraction_matrix_to_ints([self.flatten()])
-        # row (i, c) of L(X) * dx: s * x[i, j]_a at column (j, b), (a, s) = left[c][b]
-        rows = [[s * x[(i * n + j) * k + a] for j in range(n) for a, s in left[c]]
-                + [dx if (i, c) == (j, 0) else 0 for j in range(n)]
-                for i in range(n) for c in range(k)]
+        n, k = self.rows, self.num.shape[-1]
+        # [L(num) | den e_(j, 0) over j]: the right block solves to L(X)^-1 e_(j, 0)
+        rows = [r + [self.den if p == j * k else 0 for j in range(n)]
+                for p, r in enumerate(kernel.left_rep(self.num, self.ring).reshape(n * k, n * k).tolist())]
         rows, pivots = _echelon(rows, n * k)
         if len(pivots) < n * k:
             raise ZeroDivisionError("matrix is not invertible")
-        # row (i, c) is now pv e_(i, c) | pv L(X)^-1[(i, c), (j, 0)] over j
-        return Matrix.unflatten((n, n, self.ring), [
-            Fraction(rows[i * k + c][n * k + j], rows[i * k + c][i * k + c])
-            for i in range(n) for j in range(n) for c in range(k)])
+        # row p = (i, c) is now pv e_p | pv L(X)^-1[p, (j, 0)] over j
+        den = lcm(*(r[p] for p, r in enumerate(rows)))
+        num = np.array([[x * (den // r[p]) for x in r[n * k:]] for p, r in enumerate(rows)], dtype=object)
+        return Matrix.from_numerators(self.ring, num.reshape(n, k, n).transpose(0, 2, 1), den)
 
     # -- flattening --------------------------------------------------------
 
     def flatten(self) -> tuple:
-        """Row-major Q-coordinates; complex entries give 2, quaternionic 4."""
-        out = []
-        for e in self.entries:
-            out.extend(e.flatten())
-        return tuple(out)
+        """Row-major Q-coordinates (``ring_components`` Fractions per entry)."""
+        return tuple(Fraction(v, self.den) for v in self.num.ravel().tolist())
 
     @staticmethod
     def unflatten(ambient, vec: Sequence) -> "Matrix":
@@ -212,32 +221,33 @@ class Matrix:
         k = ring_components(ring)
         if len(vec) != rows * cols * k:
             raise ValueError("coordinate vector has wrong length")
-        ents = [Scalar.unflatten(ring, vec[p * k : (p + 1) * k]) for p in range(rows * cols)]
-        return Matrix(rows, cols, ring, ents)
+        num, den = _numerators(vec)
+        return Matrix.from_numerators(ring, np.array(num, dtype=object).reshape(rows, cols, k), den)
 
     # -- comparison / JSON -------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.ring) == (other.rows, other.cols, other.ring) and self.entries == other.entries
+        return ((self.rows, self.cols, self.ring, self.den) == (other.rows, other.cols, other.ring, other.den)
+                and bool((self.num == other.num).all()))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.ring, self.entries))
+        return hash((self.rows, self.cols, self.ring, self.den, tuple(self.num.ravel().tolist())))
+
+    def _texts(self) -> list:
+        """The entries as text, row by row."""
+        return [[format_components(self.ring, [(v, self.den) for v in e]) for e in row]
+                for row in self.num.tolist()]
 
     def __repr__(self):
         if is_series(self.ring):
             return f"Matrix({self.rows}x{self.cols}, series)"
-        body = "; ".join(",".join(format_scalar(self[i, j]) for j in range(self.cols)) for i in range(self.rows))
+        body = "; ".join(",".join(row) for row in self._texts())
         return f"Matrix({self.rows}x{self.cols} {self.ring}: {body})"
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "ring": self.ring,
-            "entries": [[format_scalar(self[i, j]) for j in range(self.cols)] for i in range(self.rows)],
-        }
+        return {"rows": self.rows, "cols": self.cols, "ring": self.ring, "entries": self._texts()}
 
     @staticmethod
     def from_json(data: dict) -> "Matrix":
@@ -270,26 +280,16 @@ def block_J(n: int, ring=Q) -> Matrix:
     """[[0, 1_n], [-1_n, 0]]; J^2 = -1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = Matrix.zeros(2 * n, 2 * n, ring)
-    ents = list(m.entries)
-    one, mone = Scalar.one(ring), Scalar.from_rational(ring, -1)
-    for i in range(n):
-        ents[i * 2 * n + (n + i)] = one
-        ents[(n + i) * 2 * n + i] = mone
-    return Matrix(2 * n, 2 * n, ring, ents)
+    one, zero = Matrix.identity(n, ring), Matrix.zeros(n, n, ring)
+    return Matrix.block([[zero, one], [-one, zero]])
 
 
 def block_F(n: int, ring=Q) -> Matrix:
     """[[0, 1_n], [1_n, 0]]; F^2 = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = Matrix.zeros(2 * n, 2 * n, ring)
-    ents = list(m.entries)
-    one = Scalar.one(ring)
-    for i in range(n):
-        ents[i * 2 * n + (n + i)] = one
-        ents[(n + i) * 2 * n + i] = one
-    return Matrix(2 * n, 2 * n, ring, ents)
+    one, zero = Matrix.identity(n, ring), Matrix.zeros(n, n, ring)
+    return Matrix.block([[zero, one], [one, zero]])
 
 
 def block_I(n: int, ring=Q) -> Matrix:
@@ -367,10 +367,13 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
     return rref([row[m:] for row, p in zip(red, pivots) if p >= m])[0]
 
 
-def vector_coordinates(basis: kernel.BasisInt, vec):
-    """Coordinates of the vector ``vec`` (Fractions or ints) in the RREF
-    basis, or None if it is outside the span: one ``kernel.coordinates``."""
-    coords, member = kernel.coordinates(kernel.Arr.from_rows([vec], (1, len(vec)), None), basis)
+def vector_coordinates(basis: kernel.BasisInt, vec, den: int = 1):
+    """Coordinates of the vector vec / den (``vec`` of Fractions or ints) in
+    the RREF basis, or None if it is outside the span: one
+    ``kernel.coordinates``."""
+    num, d = _numerators(vec)
+    flat = kernel.Arr(np.array([num], dtype=object), d * den, 1, None).actual_bound()
+    coords, member = kernel.coordinates(flat, basis)
     return tuple(Fraction(v, coords.den) for v in kernel.int_rows(coords.a)[0]) if member[0] else None
 
 
@@ -398,7 +401,7 @@ class Subspace:
         for m in matrices:
             if (m.rows, m.cols, m.ring) != ambient:
                 raise ValueError("ambient mismatch in span")
-        return Subspace(ambient, [m.flatten() for m in matrices])
+        return Subspace(ambient, [m.num.ravel().tolist() for m in matrices])
 
     @staticmethod
     def zero(ambient) -> "Subspace":
@@ -445,10 +448,11 @@ class Subspace:
         """Coordinates of m in this basis, or None if m is outside the span."""
         if (m.rows, m.cols, m.ring) != self.ambient:
             raise ValueError("ambient mismatch")
-        return self.coordinates_vector(m.flatten())
+        return self.coordinates_vector(m.num.ravel(), m.den)
 
-    def coordinates_vector(self, vec):
-        return vector_coordinates(self.basis_int(), vec)
+    def coordinates_vector(self, vec, den: int = 1):
+        """Coordinates of the flat vector vec / den, or None (see ``coordinates``)."""
+        return vector_coordinates(self.basis_int(), vec, den)
 
     def contains(self, m: Matrix) -> bool:
         return self.coordinates(m) is not None
@@ -462,7 +466,9 @@ class Subspace:
     def basis_matrices(self):
         """The basis as a fresh list of matrices."""
         if self._matrices is None:
-            self._matrices = tuple(Matrix.unflatten(self.ambient, v) for v in self.basis)
+            shape, ring = self.ambient[:2] + (-1,), self.ambient[2]
+            self._matrices = tuple(Matrix.from_numerators(ring, np.array(r, dtype=object).reshape(shape), r[p])
+                                   for r, p in zip(self.echelon, self.pivots))
         return list(self._matrices)
 
     def basis_int(self) -> kernel.BasisInt:
@@ -481,10 +487,12 @@ class Subspace:
         """The combination of the basis with these coordinates (Fractions or
         ints): one integer product against the integer basis."""
         b = self.basis_int()
-        (c,), den = kernel.fraction_matrix_to_ints([coords])
+        c, den = _numerators(coords)
         bound = max(map(abs, c), default=0) * b.bound * len(c)
         vec = kernel.fit(np.array(c, dtype=object), bound) @ kernel.fit(b.num, bound)
-        return Matrix.unflatten(self.ambient, [Fraction(v, den * b.den) for v in kernel.int_rows(vec)])
+        rows, cols, ring = self.ambient
+        num = np.array(kernel.int_rows(vec), dtype=object).reshape(rows, cols, -1)
+        return Matrix.from_numerators(ring, num, den * b.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -24,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .homotope import AlphaMap, intertwines
 from .matrices import Matrix, Subspace
-from .scalars import HQ, Q, Scalar
+from .scalars import HQ, Q, QI, Scalar
 
 _KINDS = ("rectangular", "symmetric", "skew", "hermitian")
 
@@ -138,13 +140,9 @@ def rectangular_normal_form(a: Matrix) -> NormalForm:
 
 
 def _is_01_diagonal(nf: Matrix, rank: int) -> bool:
-    one, zero = Scalar.one(nf.ring), Scalar.zero(nf.ring)
-    for i in range(nf.rows):
-        for j in range(nf.cols):
-            want = one if i == j and i < rank else zero
-            if nf[i, j] != want:
-                return False
-    return True
+    want = np.zeros(nf.num.shape, dtype=object)
+    want[range(rank), range(rank), 0] = 1
+    return nf == Matrix.from_numerators(nf.ring, want)
 
 
 def _congruence_normal_form(a: Matrix, delta: str, kind: str) -> NormalForm:
@@ -225,6 +223,8 @@ def symmetric_normal_form(a: Matrix) -> NormalForm:
 
 
 def hermitian_normal_form(a: Matrix) -> NormalForm:
+    if a.ring not in (Q, QI):
+        raise ValueError(f"hermitian normal form needs a matrix over Q or QI, got {a.ring}")
     return _congruence_normal_form(a, "conj", "hermitian")
 
 
@@ -274,19 +274,10 @@ def skew_normal_form(a: Matrix) -> NormalForm:
 
 
 def _is_standard_skew(nf: Matrix, blocks: int) -> bool:
-    one, zero = Scalar.one(nf.ring), Scalar.zero(nf.ring)
-    n = nf.rows
-    for i in range(n):
-        for j in range(n):
-            want = zero
-            if i < 2 * blocks and j < 2 * blocks and i // 2 == j // 2:
-                if j == i + 1:
-                    want = one
-                elif j + 1 == i:
-                    want = -one
-            if nf[i, j] != want:
-                return False
-    return True
+    want = np.zeros(nf.num.shape, dtype=object)
+    want[range(0, 2 * blocks, 2), range(1, 2 * blocks, 2), 0] = 1
+    want[range(1, 2 * blocks, 2), range(0, 2 * blocks, 2), 0] = -1
+    return nf == Matrix.from_numerators(nf.ring, want)
 
 
 def normal_form(a: Matrix, kind: str) -> NormalForm:

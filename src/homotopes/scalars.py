@@ -11,6 +11,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 Q = "Q"
@@ -46,9 +47,11 @@ def is_series(ring) -> bool:
 
 
 def ring_components(ring) -> int:
-    """Number of Q-coordinates of one scalar (series rings are not flattened)."""
+    """Number of Q-coordinates of one scalar: 1, 2 or 4, times degree^2 for a
+    series ring, whose coordinate (i degree + j) k + a is component a of the
+    coefficient of t^i s^j."""
     if is_series(ring):
-        raise ValueError("series scalars have no finite Q-coordinate format")
+        return ring.degree**2 * _COMPONENTS[ring.base]
     return _COMPONENTS[ring]
 
 
@@ -216,13 +219,20 @@ class Scalar:
     # -- flattening --------------------------------------------------------
 
     def flatten(self) -> tuple:
-        """Q-coordinates of this scalar (1, 2 or 4 Fractions)."""
+        """Q-coordinates of this scalar (``ring_components`` Fractions)."""
         if is_series(self.ring):
-            raise ValueError("series scalars are not flattened")
+            deg = self.ring.degree
+            return sum((self.coefficient(divmod(p, deg)).parts for p in range(deg * deg)), ())
         return self.parts
 
     @staticmethod
     def unflatten(ring, comps: Iterable) -> "Scalar":
+        if is_series(ring):
+            comps, k = tuple(comps), _COMPONENTS[ring.base]
+            if len(comps) != ring_components(ring):
+                raise ValueError(f"ring {ring} needs {ring_components(ring)} components")
+            return Scalar(ring, {divmod(p, ring.degree): Scalar(ring.base, comps[p * k:(p + 1) * k])
+                                 for p in range(ring.degree**2)})
         return Scalar(ring, comps)
 
     # -- series access -----------------------------------------------------
@@ -287,21 +297,21 @@ def series_mul(a: Scalar, b: Scalar) -> Scalar:
 _TERM = _re.compile(r"([+-]?[^+-]*)")
 
 
-def _fmt_frac(f: Fraction) -> str:
-    return str(f)
-
-
 def format_scalar(s: Scalar) -> str:
-    ring = s.ring
+    return format_components(s.ring, [(p.numerator, p.denominator) for p in s.parts])
+
+
+def format_components(ring, comps) -> str:
+    """The text of the scalar of ``ring`` whose components are the rationals
+    n / d of the (integer) pairs (n, d), d > 0."""
     if is_series(ring):
         raise ValueError("series scalars have no text format")
-    if ring == Q:
-        return _fmt_frac(s.parts[0])
-    units = ("", "i") if ring == QI else ("", "i", "j", "k")
+    units = ("", "i", "j", "k")
     terms = []
-    for comp, unit in zip(s.parts, units):
-        sign = "-" if comp < 0 else "+"
-        terms.append(f"{sign}{_fmt_frac(abs(comp))}{unit}")
+    for (n, d), unit in zip(comps, units):
+        g = gcd(n, d)
+        mag = str(abs(n) // g) if d == g else f"{abs(n) // g}/{d // g}"
+        terms.append(f"{'-' if n < 0 else '+'}{mag}{unit}")
     out = "".join(terms)
     return out[1:] if out.startswith("+") else out
 

@@ -1,9 +1,10 @@
-"""Fraction references: row reduction, coordinates and matrix inverses,
-structure constants and the LTS axiom verdicts.
+"""Fraction references: row reduction, coordinates, matrix arithmetic and
+inverses, structure constants and the LTS axiom verdicts.
 
-``reference_rref``, ``reference_coordinates`` and ``reference_inverse`` do
-``Fraction`` (and ``Scalar``) arithmetic one entry at a time, with no integer
-rows and no ``kernel`` call.  The structure reference makes one product
+``reference_rref``, ``reference_coordinates``, ``reference_inverse`` and the
+``reference_matrix_*`` operations do ``Fraction`` (and ``Scalar``) arithmetic
+one entry at a time, with no integer arrays and no ``kernel`` call; their
+results enter ``Matrix`` only through its ``Scalar`` constructor.  The structure reference makes one product
 evaluation and one ``reference_coordinates`` per basis triple, and writes the
 axioms out over those coordinates, with no tensors and no dtype choices: the
 independent oracle the batched kernel is compared against.
@@ -14,7 +15,7 @@ from itertools import product as tuples
 
 from homotopes.homotope import ProductSpace, bracket_param
 from homotopes.matrices import Matrix
-from homotopes.scalars import Q
+from homotopes.scalars import Q, Scalar
 
 
 def reference_rref(vectors):
@@ -70,7 +71,7 @@ def reference_inverse(m):
     elimination (over skew fields too); ZeroDivisionError if singular."""
     n = m.rows
     ident = Matrix.identity(n, m.ring)
-    a = [list(m.row(i)) + list(ident.row(i)) for i in range(n)]
+    a = [list(m.entries[i * n:(i + 1) * n] + ident.entries[i * n:(i + 1) * n]) for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
         if piv is None:
@@ -83,6 +84,53 @@ def reference_inverse(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return Matrix(n, n, m.ring, [a[i][n + j] for i in range(n) for j in range(n)])
+
+
+def reference_matrix_sum(x, y):
+    """x + y, one ``Scalar`` sum per entry."""
+    return Matrix(x.rows, x.cols, x.ring, [a + b for a, b in zip(x.entries, y.entries)])
+
+
+def reference_matrix_difference(x, y):
+    """x - y, one ``Scalar`` difference per entry."""
+    return Matrix(x.rows, x.cols, x.ring, [a - b for a, b in zip(x.entries, y.entries)])
+
+
+def reference_matrix_product(x, y):
+    """The textbook triple loop over ``Scalar`` ring operations (series
+    rings through ``Scalar``'s dict arithmetic)."""
+    out = []
+    for i in range(x.rows):
+        for j in range(y.cols):
+            acc = Scalar.zero(x.ring)
+            for k in range(x.cols):
+                acc = acc + x[i, k] * y[k, j]
+            out.append(acc)
+    return Matrix(x.rows, y.cols, x.ring, out)
+
+
+def reference_matrix_transpose(x):
+    """The transpose, entry by entry."""
+    e = x.entries
+    return Matrix(x.cols, x.rows, x.ring, [e[i * x.cols + j] for j in range(x.cols) for i in range(x.rows)])
+
+
+def reference_matrix_dagger(x, delta):
+    """delta(x)^t: ``Scalar.conjugate`` on each entry, then the transpose."""
+    return reference_matrix_transpose(Matrix(x.rows, x.cols, x.ring, [e.conjugate(delta) for e in x.entries]))
+
+
+def reference_matrix_scale(x, r):
+    """r x for a rational r, one ``Scalar.scale`` per entry."""
+    return Matrix(x.rows, x.cols, x.ring, [e.scale(r) for e in x.entries])
+
+
+def reference_matrix_scalar_mul(x, s, side):
+    """s x (side "left") or x s, one ``Scalar`` product per entry."""
+    return Matrix(x.rows, x.cols, x.ring, [s * e if side == "left" else e * s for e in x.entries])
+
+
+reference_matrix_inverse = reference_inverse
 
 
 def matrix_of(arr):

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homotopes
 from homotopes.cli import main
 from homotopes.families import sample_in_subspace, sym_space
 from homotopes.matrices import Matrix
@@ -126,6 +129,13 @@ class TestNormalForm:
         assert code == 2 and text == ""
         assert reason in assert_one_line_error(capsys)
 
+    def test_hermitian_over_quaternions_exit_two(self, tmp_path, capsys):
+        inp = tmp_path / "m.json"
+        inp.write_text(json.dumps({"rows": 1, "cols": 1, "ring": "HQ", "entries": [["1"]]}))
+        code, text = run(tmp_path, "normal-form", "--kind", "hermitian", "--input", str(inp))
+        assert code == 2 and text == ""
+        assert assert_one_line_error(capsys) == "error: hermitian normal form needs a matrix over Q or QI, got HQ\n"
+
     def test_missing_file_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "normal-form", "--kind", "symmetric",
                       "--input", str(tmp_path / "nope.json"))
@@ -133,6 +143,15 @@ class TestNormalForm:
 
 
 class TestListFamilies:
+    def test_module_entry_point(self, capsys):
+        """``python -m homotopes`` runs the same command line as ``cli.main``."""
+        src = os.path.dirname(os.path.dirname(homotopes.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "homotopes", "list-families"],
+                              capture_output=True, env=env, check=False)
+        code = main(["list-families"])
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
+
     def test_json(self, tmp_path):
         code, text = run(tmp_path, "list-families")
         assert code == 0

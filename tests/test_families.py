@@ -12,7 +12,8 @@ from homotopes.families import (CONSTRUCTIONS, SIGNS, family,
                                 verify_table)
 from homotopes.homotope import (AlphaMap, AlphaTriple, TripleSystem, check_lts,
                                 symmetric_pair)
-from homotopes.scalars import HQ, Q, QI
+from homotopes.matrices import Matrix
+from homotopes.scalars import HQ, Q, QI, quaternion
 
 
 class TestCatalog:
@@ -134,6 +135,16 @@ class TestHermQuat:
     def test_identity(self):
         for n in (1, 2):
             assert hermquat_check(n)
+
+    def test_identity_fails_with_i_for_j(self, monkeypatch):
+        """i Herm(n,H) is not Aherm(n,H~): multiplying by i where the check
+        multiplies by j must give False."""
+        i, j = quaternion(0, 1), quaternion(0, 0, 1)
+        scalar_mul = Matrix.scalar_mul
+        monkeypatch.setattr(Matrix, "scalar_mul",
+                            lambda m, s, side="left": scalar_mul(m, i if s == j else s, side))
+        for n in (1, 2):
+            assert not hermquat_check(n)
 
     def test_hermitian_dims(self):
         for n in (1, 2, 3):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from homotopes import groups
 from homotopes.families import aherm_space, rand_matrix, sample_in_subspace
 from homotopes.groups import (GroupElement, cayley_element, g_identity, g_inv,
                               g_mul, group_axiom_suite, hom_check,
@@ -86,3 +87,14 @@ class TestTangent:
             a = rand_symmetric_invertible(2, ring, delta, rng)
             x = rand_matrix(2, 2, ring, rng)
             assert u_linearization_check(x, a, delta)
+
+    def test_u_linearization_rejects_a_wrong_defect(self, monkeypatch):
+        """On an anti-hermitian X the defect of tX vanishes to first order, so
+        the check holds; with the defect replaced by star(X) - X, which is
+        -2tX there, it must not."""
+        rng = random.Random(16)
+        a = rand_symmetric_invertible(2, QI, "conj", rng)
+        x = sample_in_subspace(aherm_space(2, QI, "conj"), rng)
+        assert not x.is_zero() and u_linearization_check(x, a, "conj")
+        monkeypatch.setattr(groups, "u_defect", lambda x, a, star: star(x) - x)
+        assert not u_linearization_check(x, a, "conj")

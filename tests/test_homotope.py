@@ -125,6 +125,17 @@ class TestHomomorphisms:
         x, y = (rand_matrix(2, 3, Q, self.rng) for _ in range(2))
         assert hom_sxt_check(s, t, a, x, y)
 
+    def test_sxt_check_rejects_a_scaled_homomorphism(self, monkeypatch):
+        """[SXT, SYT]_A = S [X, Y]_{TAS} T holds for all inputs, so a false
+        case needs a corrupted map: X -> 2 SXT scales the left side by 4,
+        which differs once the bracket is nonzero."""
+        s, t, a, x, y = (rand_matrix(2, 2, Q, self.rng) for _ in range(5))
+        assert not (s @ bracket_param(x, y, t @ a @ s) @ t).is_zero()
+        assert hom_sxt_check(s, t, a, x, y)
+        sxt = homotope.hom_sxt
+        monkeypatch.setattr(homotope, "hom_sxt", lambda *args: sxt(*args).scale(2))
+        assert not hom_sxt_check(s, t, a, x, y)
+
     def test_gamma_action(self):
         tau = MatrixInvolution.transpose_inv(2, Q)
         dec = joint_eigenspaces([tau])

@@ -1,32 +1,21 @@
 """Differential tests of the integer-numerator matrix product and of the
 kernel's batched products (``matrix_mul``, ``t_tensor``) against a reference
-product that multiplies Scalar entries one at a time, and of the integer
-basis a Subspace caches."""
+product that multiplies Scalar entries one at a time
+(``reference_matrix_product``), and of the integer basis a Subspace
+caches."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from structure_reference import matrix_of
+from structure_reference import matrix_of, reference_matrix_product
 
 from homotopes import kernel
 from homotopes.families import herm_space, sym_space
 from homotopes.kernel import Arr
 from homotopes.matrices import Matrix, Subspace
-from homotopes.scalars import HQ, Q, QI, Scalar, ring_components
-
-
-def reference_matmul(x: Matrix, y: Matrix) -> Matrix:
-    """The textbook triple loop over Scalar ring operations."""
-    out = []
-    for i in range(x.rows):
-        for j in range(y.cols):
-            acc = Scalar.zero(x.ring)
-            for k in range(x.cols):
-                acc = acc + x[i, k] * y[k, j]
-            out.append(acc)
-    return Matrix(x.rows, y.cols, x.ring, out)
+from homotopes.scalars import HQ, Q, QI, ring_components
 
 
 # large, mostly coprime denominators, so the common denominator of an
@@ -55,7 +44,7 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_matmul_matches_reference(pair):
     x, y = pair
-    assert x @ y == reference_matmul(x, y)
+    assert x @ y == reference_matrix_product(x, y)
 
 
 def test_matmul_matches_reference_on_units():
@@ -65,7 +54,7 @@ def test_matmul_matches_reference_on_units():
         units = [Matrix.unflatten((1, 1, ring), [int(c == a) for c in range(k)]) for a in range(k)]
         for u in units:
             for v in units:
-                assert u @ v == reference_matmul(u, v)
+                assert u @ v == reference_matrix_product(u, v)
 
 
 @st.composite
@@ -107,7 +96,7 @@ def test_kernel_matrix_mul_matches_reference(case, data):
     out = kernel.matrix_mul(Arr.from_matrices(xs), y)
     _assert_tier(out, big)
     for t, x in enumerate(xs):
-        assert matrix_of(out[t]) == reference_matmul(x, ys[0] if broadcast else ys[t])
+        assert matrix_of(out[t]) == reference_matrix_product(x, ys[0] if broadcast else ys[t])
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,8 +110,8 @@ def test_kernel_t_tensor_matches_reference(case, data):
     tt = kernel.t_tensor(Arr.from_matrices(bs), Arr.from_matrices(ws))
     _assert_tier(tt, big)
     for i, j, k in np.ndindex(d, d, d):
-        expect = reference_matmul(reference_matmul(bs[i], ws[j]), bs[k]) \
-            + reference_matmul(reference_matmul(bs[k], ws[j]), bs[i])
+        expect = reference_matrix_product(reference_matrix_product(bs[i], ws[j]), bs[k]) \
+            + reference_matrix_product(reference_matrix_product(bs[k], ws[j]), bs[i])
         assert matrix_of(tt[i, j, k]) == expect
 
 
