@@ -150,46 +150,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default):
-        p.add_argument("--n", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "md"), default="json")
-        p.add_argument("--out")
+    shared = {"--n": {"type": int}, "--p": {"type": int}, "--q": {"type": int},
+              "--seed": {"type": int, "default": 0},
+              "--format": {"choices": ("json", "md"), "default": "json"}, "--out": {}}
+
+    def options(p, *names, samples=None):
+        """Give the subcommand ``p`` these shared options, and --samples with
+        this default: only the ones it reads, so argparse rejects the others."""
+        for name in names:
+            p.add_argument(name, **shared[name])
+        if samples is not None:
+            p.add_argument("--samples", type=int, default=samples)
 
     p = sub.add_parser("axioms", help="run the LTS axiom suite for a family label")
     p.add_argument("--family", required=True)
-    common(p, 10)
+    options(p, "--n", "--p", "--q", "--seed", "--out", samples=10)
     p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("table", help="verify and emit the 4x4 construction table")
     p.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
-    common(p, 5)
+    options(p, "--n", "--p", "--q", "--seed", "--format", "--out", samples=5)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("eigenspaces", help="joint eigenspace dims and models")
     p.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
-    common(p, 0)
+    options(p, "--n", "--p", "--q", "--format", "--out")
     p.set_defaults(fn=cmd_eigenspaces)
 
     p = sub.add_parser("group", help="group-law verification suites")
     p.add_argument("--check", choices=("axioms", "tangent", "membership"), default="axioms")
-    common(p, 10)
+    options(p, "--n", "--seed", "--out", samples=10)
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("normal-form", help="normal form of a parameter matrix")
     p.add_argument("--kind", choices=("rectangular", "symmetric", "skew", "hermitian"),
                    required=True)
     p.add_argument("--input", required=True, help="path to a matrix JSON file")
-    p.add_argument("--format", choices=("json", "md"), default="json")
-    p.add_argument("--out")
+    options(p, "--out")
     p.set_defaults(fn=cmd_normal_form)
 
     p = sub.add_parser("list-families", help="list the family catalog")
-    p.add_argument("--format", choices=("json", "md"), default="json")
-    p.add_argument("--out")
+    options(p, "--format", "--out")
     p.set_defaults(fn=cmd_list_families)
 
     return parser
@@ -202,8 +203,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "samples", 0) < 0:
-            raise ValueError("--samples must be >= 0")
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError("--samples must be >= 1")
         return args.fn(args)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -223,7 +223,7 @@ _CATALOG: dict = {}
 
 def _add(label, ring, sizes, space_name, pair_name, space_fn, params_fn, alpha_fn,
          polarized=False):
-    # one space per sizes: a space caches its integer basis and basis stacks
+    # one space per sizes: a space keeps its integer basis
     _CATALOG[label] = FamilyDescriptor(
         label, ring, sizes, space_name, pair_name, polarized, lru_cache(maxsize=None)(space_fn),
         params_fn, alpha_fn
@@ -630,15 +630,15 @@ SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 def _realify(m: Matrix) -> Matrix:
     """Sym/Herm-compatible realification a + ib -> [[a, b], [-b, a]]."""
-    a, b = (Matrix.from_numerators(Q, m.num[..., c:c + 1], m.den) for c in (0, 1))
+    a, b = (Matrix.from_numerators(Q, m.a[..., c:c + 1], m.den) for c in (0, 1))
     return Matrix.block([[a, b], [-b, a]])
 
 
 def _embed_in_h(m: Matrix, slots: list) -> Matrix:
     """The quaternion matrix with the two components of the Q(i) matrix m in
     the components ``slots`` (of 1, i, j, k)."""
-    num = np.zeros((m.rows, m.cols, 4), dtype=object)
-    num[..., slots] = m.num
+    num = np.zeros((m.rows, m.cols, 4), m.a.dtype)
+    num[..., slots] = m.a
     return Matrix.from_numerators(HQ, num, m.den)
 
 
@@ -655,7 +655,7 @@ def _embed_ic_in_h(m: Matrix) -> Matrix:
 def quat_complex_embedding(m: Matrix) -> Matrix:
     """M(n,n;H) -> M(2n,2n;C): A0+A1 i+A2 j+A3 k -> [[a, b], [-conj(b), conj(a)]]
     with a = A0 + i A1, b = A2 + i A3.  Multiplicative (tested)."""
-    a, b = (Matrix.from_numerators(QI, m.num[..., c:c + 2], m.den) for c in (0, 2))
+    a, b = (Matrix.from_numerators(QI, m.a[..., c:c + 2], m.den) for c in (0, 2))
     return Matrix.block([[a, b], [-b.conjugate("conj"), a.conjugate("conj")]])
 
 
@@ -677,8 +677,8 @@ def _block_embed(p, q, pos, ring=Q):
     r0, c0 = {"tl": (0, 0), "br": (p, p), "tr": (0, p), "bl": (p, 0)}[pos]
 
     def emb(m: Matrix) -> Matrix:
-        num = np.zeros((p + q, p + q, ring_components(ring)), dtype=object)
-        num[r0:r0 + m.rows, c0:c0 + m.cols] = m.num
+        num = np.zeros((p + q, p + q, ring_components(ring)), m.a.dtype)
+        num[r0:r0 + m.rows, c0:c0 + m.cols] = m.a
         return Matrix.from_numerators(ring, num, m.den)
 
     return emb

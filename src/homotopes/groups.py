@@ -48,20 +48,17 @@ def quasi_inverse_witness(x: Matrix, a: Matrix) -> Matrix:
 
 
 def is_quasi_invertible(x: Matrix, a: Matrix) -> bool:
-    try:
-        quasi_inverse_witness(x, a)
-        return True
-    except ZeroDivisionError:
-        return False
+    return _element(x, a) is not None
 
 
 def g_inv(x: Matrix, a: Matrix) -> Matrix:
     """j_A(X) = -(1 - XA)^{-1} X."""
-    return -(quasi_inverse_witness(x, a) @ x)
+    return GroupElement(x, a).inverse()
 
 
 class GroupElement:
-    """An element of G_A with its cached invertibility witness."""
+    """An element of G_A with its cached invertibility witness (1 - XA)^{-1}:
+    one inversion per element."""
 
     __slots__ = ("x", "a", "witness")
 
@@ -75,11 +72,23 @@ class GroupElement:
             raise ValueError("elements of different homotope groups")
         return GroupElement(g_mul(self.x, other.x, self.a), self.a)
 
+    def inverse(self) -> Matrix:
+        """j_A(X) = -(1 - XA)^{-1} X, from the witness."""
+        return -(self.witness @ self.x)
+
     def inv(self) -> "GroupElement":
-        return GroupElement(-(self.witness @ self.x), self.a)
+        return GroupElement(self.inverse(), self.a)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.x == other.x and self.a == other.a
+
+
+def _element(x: Matrix, a: Matrix) -> GroupElement | None:
+    """X as an element of G_A, or None when it is not A-quasi-invertible."""
+    try:
+        return GroupElement(x, a)
+    except ZeroDivisionError:
+        return None
 
 
 def one_minus_ax(x: Matrix, a: Matrix) -> Matrix:
@@ -121,8 +130,11 @@ def membership(x: Matrix, a: Matrix, kind: str, star=None) -> bool:
         return is_quasi_invertible(x, a)
     if star is None:
         raise ValueError("U/S membership needs a star antiautomorphism")
-    if not is_quasi_invertible(x, a):
-        return False
+    return is_quasi_invertible(x, a) and relation_holds(x, a, kind, star)
+
+
+def relation_holds(x: Matrix, a: Matrix, kind: str, star) -> bool:
+    """The defining relation of U_A (kind "U") or S_A (kind "S") at X."""
     if kind == "U":
         if star(a) != a:
             raise ValueError("U_A needs star(A) = A")
@@ -189,10 +201,10 @@ def series_lift(x: Matrix, sring, var: str | None = None) -> Matrix:
     """Lift a matrix over the base ring to the series ring, optionally
     multiplied by the variable t or s: its components fill the slot of the
     monomial 1, t or s (``ring_components``)."""
-    k = x.num.shape[-1]
+    k = x.a.shape[-1]
     slot = {None: 0, "t": sring.degree, "s": 1}[var]
-    num = np.zeros((x.rows, x.cols, ring_components(sring)), dtype=object)
-    num[..., slot * k:(slot + 1) * k] = x.num
+    num = np.zeros((x.rows, x.cols, ring_components(sring)), x.a.dtype)
+    num[..., slot * k:(slot + 1) * k] = x.a
     return Matrix.from_numerators(sring, num, x.den)
 
 
@@ -200,7 +212,7 @@ def series_coefficient(m: Matrix, exp: tuple, base) -> Matrix:
     """The coefficient of t^a s^b, (a, b) = exp: a slice of the components."""
     k = ring_components(base)
     slot = exp[0] * m.ring.degree + exp[1]
-    return Matrix.from_numerators(base, m.num[..., slot * k:(slot + 1) * k], m.den)
+    return Matrix.from_numerators(base, m.a[..., slot * k:(slot + 1) * k], m.den)
 
 
 def tangent_check(x: Matrix, y: Matrix, a: Matrix):
@@ -252,16 +264,17 @@ def group_axiom_suite(p: int, q: int, ring, samples: int, seed: int) -> dict:
             a = u @ v
         else:
             a = rand_matrix(q, p, ring, rng)
-        xs = []
-        while len(xs) < 3:
-            x = rand_matrix(p, q, ring, rng)
-            if is_quasi_invertible(x, a):
-                xs.append(x)
-        x, y, z = xs
+        elements = []
+        while len(elements) < 3:
+            g = _element(rand_matrix(p, q, ring, rng), a)
+            if g is not None:
+                elements.append(g)
+        x, y, z = (g.x for g in elements)
+        x_inv = elements[0].inverse()
         e = g_identity(p, q, ring)
         checks = {
             "identity": g_mul(x, e, a) == x and g_mul(e, x, a) == x,
-            "inverse": g_mul(x, g_inv(x, a), a) == e and g_mul(g_inv(x, a), x, a) == e,
+            "inverse": g_mul(x, x_inv, a) == e and g_mul(x_inv, x, a) == e,
             "associativity": g_mul(g_mul(x, y, a), z, a) == g_mul(x, g_mul(y, z, a), a),
             "hom_1_minus_AX": hom_check(x, y, a),
         }
@@ -288,7 +301,8 @@ def unitary_suite(n: int, ring, delta: str, samples: int, seed: int) -> dict:
         else:
             a = rand_skew_invertible(n, ring, delta, rng)
         elems = [cayley_element(a, star, rng, symmetric) for _ in range(samples)]
-        member = all(membership(x, a, kind, star) for x in elems)
+        group = [_element(x, a) for x in elems]
+        member = all(g is not None and relation_holds(g.x, a, kind, star) for g in group)
         if kind == "U":
             equiv = all(u_defect(x, a, star).is_zero() == u_defect_variant(x, a, star).is_zero()
                         for x in elems + [rand_matrix(n, n, ring, rng) for _ in range(samples)])
@@ -296,7 +310,7 @@ def unitary_suite(n: int, ring, delta: str, samples: int, seed: int) -> dict:
             equiv = True
         closed = all(membership(g_mul(x, y, a), a, kind, star)
                      for x, y in zip(elems, elems[1:] + elems[:1]))
-        inverses = all(membership(g_inv(x, a), a, kind, star) for x in elems)
+        inverses = all(g is not None and membership(g.inverse(), a, kind, star) for g in group)
         entry = {"kind": kind, "membership": member, "equivalent_forms": equiv,
                  "closure": closed, "inverses": inverses}
         entry["pass"] = all(v for k, v in entry.items() if k != "kind")

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
 from . import kernel
-from .kernel import Arr, BasisInt
-from .matrices import Matrix, Subspace, vector_coordinates
+from .kernel import Arr
+from .matrices import Matrix, Subspace, integer_basis, stack_of, vector_coordinates
 
 
 # -- basic products --------------------------------------------------------
@@ -55,9 +55,8 @@ class AlphaMap:
     the transpose when ``transpose`` is set; a factor L or R given as None
     is the identity.
 
-    Being declared, not a closure, it applies to a whole stacked basis in two
-    batched products (``stack``); ``__call__`` is the same map on one
-    ``Matrix``.
+    Being declared, not a closure, it applies in two batched products to a
+    ``Matrix`` or to a whole stacked basis (an ``Arr``) alike.
     """
 
     __slots__ = ("left", "right", "twist", "transpose", "sign", "name")
@@ -71,17 +70,9 @@ class AlphaMap:
         self.sign = sign
         self.name = name
 
-    def __call__(self, x: Matrix) -> Matrix:
-        out = x.conjugate(self.twist)
-        out = out.transpose() if self.transpose else out
-        out = out if self.left is None else self.left @ out
-        out = out if self.right is None else out @ self.right
-        return out if self.sign > 0 else -out
-
-    def stack(self, x: Arr) -> Arr:
-        """alpha of every matrix of the stack ``x`` (exact, batched)."""
-        left, right = (None if m is None else Arr.from_matrix(m) for m in (self.left, self.right))
-        out = kernel.sandwich(x, left, right, self.twist, self.transpose)
+    def __call__(self, x: Arr) -> Arr:
+        """alpha of the matrix ``x``, or of every matrix of the stack ``x``."""
+        out = kernel.sandwich(x, self.left, self.right, self.twist, self.transpose)
         return out if self.sign > 0 else -out
 
     @staticmethod
@@ -112,9 +103,9 @@ class AlphaTriple:
 
     def flat(self, space) -> Arr:
         """The flattened products [b_i, b_j, b_k] over the basis of ``space``,
-        with the middle images of the whole basis from one ``AlphaMap.stack``."""
+        with the middle images of the whole basis from one ``AlphaMap`` call."""
         basis = space.basis_arr()
-        return kernel.flatten_last(_triples(basis, self.alpha.stack(basis)))
+        return kernel.flatten_last(_triples(basis, self.alpha(basis)))
 
     def negated(self) -> "AlphaTriple":
         return AlphaTriple(self.alpha.negated())
@@ -154,7 +145,7 @@ class PairTriple:
         """The flattened products over the basis pairs of a ``ProductSpace``:
         the plus components, then the minus components."""
         bp, bm = space.basis_stacks()
-        wp, wm = (bp, bm) if self.alphas is None else (f.stack(b) for f, b in zip(self.alphas, (bp, bm)))
+        wp, wm = (bp, bm) if self.alphas is None else (f(b) for f, b in zip(self.alphas, (bp, bm)))
         return kernel.concat_last(*(kernel.flatten_last(_triples(b, w)) for b, w in ((bp, wm), (bm, wp))))
 
     def negated(self) -> "PairTriple":
@@ -189,17 +180,23 @@ class GenericTriple:
 class ProductSpace:
     """V+ x V- with elements stored as (plus, minus) matrix pairs.
 
-    Flattened coordinates are the concatenation of the two flattenings; the
-    block-concatenated echelon rows of the two factors are echelon rows of
-    the product, so coordinate extraction works exactly as for Subspace.
+    Flattened coordinates are the concatenation of the two flattenings.  The
+    basis (``basis_int``) is the plus basis padded by zeros on the right,
+    then the minus basis padded on the left, with the pivots of both: RREF
+    rows of the product, so coordinate extraction works exactly as for
+    Subspace.
     """
 
-    __slots__ = ("plus", "minus", "_int", "_stacks")
+    __slots__ = ("plus", "minus", "pivots", "_int")
 
     def __init__(self, plus: Subspace, minus: Subspace):
         self.plus = plus
         self.minus = minus
-        self._int = self._stacks = None
+        n1, n2 = plus.ambient_dim(), minus.ambient_dim()
+        self.pivots = plus.pivots + tuple(n1 + p for p in minus.pivots)
+        rows = ([r + [0] * n2 for r in kernel.int_rows(plus.basis_int().a)]
+                + [[0] * n1 + r for r in kernel.int_rows(minus.basis_int().a)])
+        self._int = integer_basis(rows, self.pivots, n1 + n2, plus.ambient[2])
 
     @property
     def dim(self) -> int:
@@ -213,34 +210,22 @@ class ProductSpace:
         zm = Matrix.zeros(*self.minus.ambient[:2], self.minus.ambient[2])
         return [(b, zm) for b in self.plus.basis_matrices()] + [(zp, b) for b in self.minus.basis_matrices()]
 
-    def basis_int(self) -> BasisInt:
-        if self._int is None:
-            n1 = self.plus.ambient_dim()
-            zero1, zero2 = (0,) * n1, (0,) * self.minus.ambient_dim()
-            rows = [v + zero2 for v in self.plus.echelon] + [zero1 + v for v in self.minus.echelon]
-            pivots = self.plus.pivots + tuple(n1 + p for p in self.minus.pivots)
-            self._int = BasisInt(rows, pivots, self.ambient_dim())
+    def basis_int(self) -> Arr:
+        """The basis as integer rows (dim, N) over one denominator."""
         return self._int
 
     def basis_stacks(self) -> tuple:
         """The plus and the minus components of the basis pairs, each stacked
-        as an exact tensor (dim, rows, cols, comps)."""
-        if self._stacks is None:
-            def padded(b: Arr, before: int, after: int) -> Arr:
-                zeros = [np.zeros((n,) + b.a.shape[1:], b.a.dtype) for n in (before, after)]
-                return Arr(np.concatenate([zeros[0], b.a, zeros[1]]), b.den, b.bound, b.ring)
-
-            self._stacks = (padded(self.plus.basis_arr(), 0, self.minus.dim),
-                            padded(self.minus.basis_arr(), self.plus.dim, 0))
-        return self._stacks
+        as an exact tensor (dim, rows, cols, comps): slices of ``basis_int``."""
+        n1 = self.plus.ambient_dim()
+        return stack_of(self._int[:, :n1], self.plus.ambient), stack_of(self._int[:, n1:], self.minus.ambient)
 
     def flatten_pair(self, u):
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
 
     def coordinates_pair(self, u):
-        den = lcm(u[0].den, u[1].den)
-        vec = np.concatenate([m.num.ravel() * (den // m.den) for m in u])
-        return vector_coordinates(self.basis_int(), vec, den)
+        flat = kernel.concat_last(kernel.flatten_last(u[0]), kernel.flatten_last(u[1]))
+        return vector_coordinates(self.basis_int(), self.pivots, flat)
 
     def contains(self, u) -> bool:
         return self.coordinates_pair(u) is not None
@@ -297,7 +282,7 @@ class TripleSystem:
             empty = Arr(np.zeros((0, 0, 0, 0)), 1, 1, None)
             return Structure(empty, empty, True, None)
         flat = self.product.flat(self.space)
-        coords, member = kernel.coordinates(flat, self.space.basis_int())
+        coords, member = kernel.coordinates(flat, self.space.basis_int(), self.space.pivots)
         if member.all():
             return Structure(flat, coords, True, None)
         return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]))
@@ -315,7 +300,7 @@ def _triples(basis: Arr, middles: Arr) -> Arr:
     """T(b_i, w_j, b_k) - T(b_j, w_i, b_k) over basis and middle stacks (w_j
     the middle image of b_j), shape (d, d, d, rows, cols, comps)."""
     tt = kernel.t_tensor(basis, middles)
-    return (tt - tt.swap_first()).actual_bound()
+    return tt - tt.swap_first()
 
 
 def cdual(t: TripleSystem) -> TripleSystem:
@@ -494,8 +479,8 @@ def bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix
     """[left, right]_A subset of target, exact, batched."""
     if left.dim == 0 or right.dim == 0:
         return True
-    bb = kernel.flatten_last(kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), Arr.from_matrix(a)))
-    _, member = kernel.coordinates(bb, target.basis_int())
+    bb = kernel.flatten_last(kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), a))
+    _, member = kernel.coordinates(bb, target.basis_int(), target.pivots)
     return bool(member.all())
 
 
@@ -570,9 +555,9 @@ def intertwines(psi: AlphaMap, basis, a_new: Matrix, a: Matrix) -> bool:
     if not basis:
         return True
     stack = Arr.from_matrices(basis)
-    lhs = psi.stack(_triples(stack, AlphaMap.param(a_new).stack(stack)))
-    images = psi.stack(stack)
-    rhs = _triples(images, AlphaMap.param(a).stack(images))
+    lhs = psi(_triples(stack, AlphaMap.param(a_new)(stack)))
+    images = psi(stack)
+    rhs = _triples(images, AlphaMap.param(a)(images))
     return not np.any((lhs - rhs).a)
 
 

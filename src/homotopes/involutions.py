@@ -7,8 +7,9 @@ delta(X) for an automorphism.  Construction validates involutivity and the
 (anti)morphism property on the elementary-matrix basis, so malformed
 declarations are rejected eagerly.
 
-The maps are Q-linear, so each involution is applied to the stacked unit
-matrices in one ``kernel.sandwich`` of its declared form
+The action is one ``kernel.sandwich`` of the declared form, applied alike to
+one ``Matrix`` and to a stack of them.  The maps are Q-linear, so the action
+on flattened coordinates is the image of the stacked unit matrices
 (``MatrixInvolution.action``); composites, commutation and the eigenspace
 projections are exact integer matrix products on flattened coordinates.
 """
@@ -66,15 +67,12 @@ class MatrixInvolution:
 
     # -- action ------------------------------------------------------------
 
-    def __call__(self, x: Matrix) -> Matrix:
-        if (x.rows, x.cols, x.ring) != (self.n, self.n, self.ring):
+    def __call__(self, x: kernel.Arr) -> kernel.Arr:
+        """The declared action on the matrix ``x``, or on every matrix of the
+        stack ``x`` (exact, one sandwich)."""
+        if x.a.shape[-3:-1] != (self.n, self.n) or x.ring != self.ring:
             raise ValueError("matrix does not live in this involution's algebra")
-        core = x.conjugate(self.delta)
-        if self.kind == "anti":
-            core = core.transpose()
-        if self.twist is not None:
-            core = self.twist @ core @ self._twist_inv
-        return core
+        return kernel.sandwich(x, self.twist, self._twist_inv, self.delta, self.kind == "anti")
 
     def dim(self) -> int:
         """Q-dimension of the algebra the involution acts on."""
@@ -85,7 +83,7 @@ class MatrixInvolution:
         over Q whose column b is the image of the b-th unit matrix: the
         declared action on the stacked unit matrices, one sandwich."""
         if self._action is None:
-            images = kernel.flatten_last(self._apply_arr(self._units()))
+            images = kernel.flatten_last(self(self._units()))
             self._action = kernel.Arr(images.a.T[..., None], images.den, images.bound, Q)
         return self._action
 
@@ -93,20 +91,14 @@ class MatrixInvolution:
         dim = self.dim()
         return kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1, self.ring)
 
-    def _apply_arr(self, x: "kernel.Arr") -> "kernel.Arr":
-        """The declared action on a batched coefficient array (exact)."""
-        b, binv = ((None, None) if self.twist is None else
-                   (kernel.Arr.from_matrix(self.twist), kernel.Arr.from_matrix(self._twist_inv)))
-        return kernel.sandwich(x, b, binv, self.delta, self.kind == "anti")
-
     def _validate(self):
         act = self.action()
-        if np.any((kernel.matrix_mul(act, act) - _identity(self.dim())).a):
+        if np.any((kernel.matrix_mul(act, act) - Matrix.identity(self.dim(), Q)).a):
             raise ValueError("declared action is not involutive")
         # (anti)morphism property, batched over all basis pairs
         units = self._units()
-        images = kernel.Arr(act.a[..., 0].T.reshape(units.a.shape), act.den, act.bound, self.ring)
-        got = self._apply_arr(kernel.matrix_mul(units[:, None], units[None]))
+        images = self(units)
+        got = self(kernel.matrix_mul(units[:, None], units[None]))
         # tau(e_s e_t) = tau(e_s) tau(e_t), or tau(e_t) tau(e_s) for an antimorphism
         lhs, rhs = (images[None], images[:, None]) if self.kind == "anti" else (images[:, None], images[None])
         if np.any((got - kernel.matrix_mul(lhs, rhs)).a):
@@ -127,10 +119,6 @@ class MatrixInvolution:
             "transpose": self.kind == "anti",
             "twist": "identity" if self.twist is None else self.twist.to_json(),
         }
-
-
-def _identity(dim: int) -> kernel.Arr:
-    return kernel.Arr(np.eye(dim)[..., None], 1, 1, Q)
 
 
 def commute(tau: MatrixInvolution, sigma: MatrixInvolution) -> bool:
@@ -195,7 +183,7 @@ def joint_eigenspaces(involutions) -> JointDecomposition:
     inv0 = involutions[0]
     ambient = (inv0.n, inv0.n, inv0.ring)
     # composites[mask]: the product of the tau_i with bit i set in mask
-    composites = [_identity(inv0.dim())]
+    composites = [Matrix.identity(inv0.dim(), Q)]
     for tau in involutions:
         act = tau.action()
         composites += [act] + [kernel.matrix_mul(act, c) for c in composites[1:]]

@@ -1,14 +1,15 @@
-"""Exact-integer helpers for matrix products and the heavy tensor computations.
+"""Exact integer tensors (``Arr``) and the heavy computations on them.
 
-A ``Matrix`` holds an ``object`` array of Python-int numerators over one
-denominator, and its products are ``ring_product`` on those arrays: no
-rounding, no fallback.  The batched tensors (``Arr``) hold integer
-numerators over a single denominator together with a proven bound on the
-largest magnitude.  Every
+An ``Arr`` holds integer numerators over a single denominator together with
+a proven bound on the largest magnitude; its last three axes are the rows,
+columns and ring components of matrices, and leading axes stack them.  Every
 operation computes the bound of its result before it runs and picks the
 dtype from it (``fit``): float64, so BLAS runs, while the bound is below 2^53
 (the float64 exact-integer range), numpy ``object`` arrays of Python ints
-otherwise.  There is one code path; only the dtype changes.
+otherwise.  There is one code path; only the dtype changes.  A single
+matrix, ``matrices.Matrix``, is the unstacked ``Arr`` in lowest terms, so
+sums, products, conjugations and transposes are written once, here, and
+broadcast over the leading axes.
 
 Every ring product, over Q, Q(i), the quaternions or a truncated series ring
 over one of them (``mult_tensor``), is one GEMM against the right regular
@@ -18,10 +19,11 @@ shared * k products of components, so each partial sum of the GEMM, in
 whatever order BLAS adds, is bounded by the same shared * k * |x| * |y| that
 bounds the result, and float64 stays exact below 2^53.
 
-A subspace basis enters as ``BasisInt``, its RREF rows as integer
-numerators over one denominator.  ``coordinates`` is the one coordinates and
-membership routine: the coordinates of v are its pivot entries, and v is in
-the span exactly when den * v is their combination of the integer rows.
+A subspace basis enters as an ``Arr`` of its RREF rows (integer numerators
+over one denominator) with their pivot columns.  ``coordinates`` is the one
+coordinates and membership routine: the coordinates of v are its pivot
+entries, and v is in the span exactly when den * v is their combination of
+the integer rows.
 
 ``independent_row_indices`` (the LT3 operator span) picks rows from their
 residues modulo a prime and accepts the pick only behind a deterministic
@@ -31,6 +33,7 @@ its Hadamard bound proves that the picked rows span every row.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import isqrt, lcm, prod
@@ -121,12 +124,29 @@ def fit(a: np.ndarray, bound: int) -> np.ndarray:
     return a if a.dtype == object else a.astype(np.int64).astype(object)
 
 
+@lru_cache(maxsize=None)
+def conj_signs(ring, kind: str) -> np.ndarray:
+    """The component signs of the base involution or phi ``kind`` over
+    ``ring`` (``CONJ_SIGNS``), repeated over the monomials of a series ring."""
+    base = ring.base if is_series(ring) else ring
+    if (base, kind) not in CONJ_SIGNS:
+        raise ValueError(f"base involution {kind!r} is not defined over {base}")
+    signs = CONJ_SIGNS[(base, kind)]
+    return np.array(signs * (ring_components(ring) // len(signs)))
+
+
+def _kind(x: "Arr", y: "Arr") -> type:
+    """The class of a result of x and y: a ``Matrix`` when both are."""
+    return type(x) if type(x) is type(y) else Arr
+
+
 class Arr:
     """Exact integer tensor with denominator and magnitude bound.
 
     ``a`` holds integers; ``a / den`` is the represented rational tensor;
     ``bound`` is a proven upper bound for max |entry|, and ``a`` is float64
-    exactly when ``bound`` is below 2^53 (see ``fit``).
+    exactly when ``bound`` is below 2^53 (see ``fit``).  An operation whose
+    operands are all ``Matrix`` returns a ``Matrix`` (``_make``).
     """
 
     __slots__ = ("a", "den", "bound", "ring")
@@ -139,16 +159,26 @@ class Arr:
         self.bound = bound
         self.ring = ring
 
+    @classmethod
+    def _make(cls, a: np.ndarray, den: int, bound: int, ring) -> "Arr":
+        """The result a / den of an operation, with its actual bound
+        (``Matrix`` also reduces it to lowest terms)."""
+        return cls(a, den, bound, ring).actual_bound()
+
+    def _same(self, a: np.ndarray) -> "Arr":
+        """The entries ``a`` (signs and places of those of self changed) over
+        the same denominator and bound: no reduction is needed."""
+        out = object.__new__(type(self))
+        out.a, out.den, out.bound, out.ring = a, self.den, self.bound, self.ring
+        return out
+
     @staticmethod
     def from_matrices(mats) -> "Arr":
         """Stack matrices (same shape/ring) to shape (n, rows, cols, comps),
         their numerators over the lcm of their denominators."""
         den = lcm(*(m.den for m in mats))
-        return Arr(np.stack([m.num * (den // m.den) for m in mats]), den, 1, mats[0].ring).actual_bound()
-
-    @staticmethod
-    def from_matrix(mat) -> "Arr":
-        return Arr.from_matrices([mat])[0]
+        bound = max(m.bound * (den // m.den) for m in mats)
+        return Arr(np.stack([m.over(den, bound) for m in mats]), den, bound, mats[0].ring).actual_bound()
 
     def __getitem__(self, index) -> "Arr":
         """The entries at ``index`` (leading axes), same denominator and bound."""
@@ -166,25 +196,39 @@ class Arr:
         return a if den == self.den else a * (den // self.den)
 
     def __neg__(self) -> "Arr":
-        return Arr(-self.a, self.den, self.bound, self.ring)
+        return self._same(-self.a)
 
     def __add__(self, other: "Arr") -> "Arr":
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
+        if self.ring != other.ring or self.a.shape != other.a.shape:
+            raise ValueError("shape or ring mismatch")
         d = lcm(self.den, other.den)
         bound = self.bound * (d // self.den) + other.bound * (d // other.den)
-        return Arr(self.over(d, bound) + other.over(d, bound), d, bound, self.ring)
+        return _kind(self, other)._make(self.over(d, bound) + other.over(d, bound), d, bound, self.ring)
 
     def __sub__(self, other: "Arr") -> "Arr":
         return self + (-other)
 
-    def conj(self, kind: str) -> "Arr":
-        signs = np.array(CONJ_SIGNS[(self.ring, kind)])
-        return Arr(self.a * signs, self.den, self.bound, self.ring)
+    def __matmul__(self, other: "Arr") -> "Arr":
+        return matrix_mul(self, other)
 
-    def transpose_mat(self) -> "Arr":
+    def scale(self, r) -> "Arr":
+        """Multiply every entry by a central rational."""
+        r = Fraction(r)
+        bound = max(self.bound * abs(r.numerator), 1)
+        return self._make(fit(self.a, bound) * r.numerator, self.den * r.denominator, bound, self.ring)
+
+    def conjugate(self, kind: str) -> "Arr":
+        """Entrywise base involution, or phi (conjugation by the quaternion j):
+        a component sign pattern (``conj_signs``)."""
+        return self._same(self.a * conj_signs(self.ring, kind))
+
+    def transpose(self) -> "Arr":
         """Swap the matrix axes (the last three axes are rows, cols, comps)."""
-        return Arr(np.swapaxes(self.a, -3, -2), self.den, self.bound, self.ring)
+        return self._same(self.a.swapaxes(-3, -2))
+
+    def dagger(self, delta: str = "id") -> "Arr":
+        """delta entrywise, then transpose; an antiautomorphism of the algebra."""
+        return self.conjugate(delta).transpose()
 
     def swap_first(self) -> "Arr":
         """Swap the two leading axes."""
@@ -244,11 +288,13 @@ def matrix_mul(x: Arr, y: Arr) -> Arr:
     """Batched matrix product with broadcasting over leading axes: one GEMM
     against the right regular representation of ``y``."""
     if x.ring != y.ring:
-        raise ValueError("ring mismatch")
+        raise ValueError("ring mismatch in product")
     *_, q, k = x.a.shape
+    if y.a.shape[-3] != q:
+        raise ValueError("shape mismatch in product")
     bound = x.bound * y.bound * q * k
     out = ring_product(fit(x.a, bound), fit(y.a, bound), x.ring)
-    return Arr(out, x.den * y.den, bound, x.ring).actual_bound()
+    return _kind(x, y)._make(out, x.den * y.den, bound, x.ring)
 
 
 def sandwich(x: Arr, left: Arr | None, right: Arr | None, twist: str = "id",
@@ -256,9 +302,9 @@ def sandwich(x: Arr, left: Arr | None, right: Arr | None, twist: str = "id",
     """left * twist(X)[^t] * right for every matrix X of the stack ``x``:
     ``twist`` is a component sign pattern of ``CONJ_SIGNS``, and a missing
     factor is the identity."""
-    out = x.conj(twist)
+    out = x.conjugate(twist)
     if transpose:
-        out = out.transpose_mat()
+        out = out.transpose()
     if left is not None:
         out = matrix_mul(left, out)
     return out if right is None else matrix_mul(out, right)
@@ -289,7 +335,7 @@ def bilinear_tensor(left: Arr, right: Arr, param: Arr) -> Arr:
     """BB[i, j] = x_i A y_j - y_j A x_i for basis stacks x, y and parameter A."""
     xay = matrix_mul(matrix_mul(left, param)[:, None], right[None])
     yax = matrix_mul(matrix_mul(right, param)[:, None], left[None])
-    return (xay - yax.swap_first()).actual_bound()
+    return xay - yax.swap_first()
 
 
 def flatten_last(x: Arr) -> Arr:
@@ -300,42 +346,27 @@ def flatten_last(x: Arr) -> Arr:
     return Arr(x.a.reshape(shape[:-3] + (n,)), x.den, x.bound, x.ring)
 
 
-class BasisInt:
-    """An RREF subspace basis as integer numerators over one denominator, for
-    ``coordinates``, from primitive echelon rows of Python ints with positive
-    pivots (RREF row = row / row[pivot]): the lcm of the pivots is then the
-    least common denominator of the RREF."""
-
-    __slots__ = ("num", "den", "pivots", "bound")
-
-    def __init__(self, rows, pivots, width: int):
-        self.den = lcm(*(r[p] for r, p in zip(rows, pivots)))
-        num = [[x * (self.den // r[p]) for x in r] for r, p in zip(rows, pivots)]
-        self.bound = max((abs(x) for r in num for x in r), default=1)
-        self.num = fit(np.array(num, dtype=object).reshape(len(num), width), self.bound)
-        self.pivots = tuple(pivots)
-
-
 def int_rows(a: np.ndarray) -> list:
     """An integer array (float64 in the exact range, or ``object``) as
     (nested) lists of Python ints."""
     return (a if a.dtype == object else a.astype(np.int64)).tolist()
 
 
-def coordinates(flat: Arr, basis: BasisInt):
+def coordinates(flat: Arr, basis: Arr, pivots):
     """Exact coordinates of the vectors in ``flat`` (shape (..., N)) with
-    respect to the RREF basis.
+    respect to an RREF basis: the integer rows ``basis`` (shape (d, N)) over
+    their denominator, with these pivot columns.
 
     Returns (coords, member): coords has shape (..., d) with denominator
     flat.den, and the boolean array member (shape (...)) says which vectors
     lie in the span.
     """
-    # membership: basis.den * v == coords @ basis.num   (all integers)
-    bound = max(flat.bound * basis.den, flat.bound * basis.bound * len(basis.pivots))
+    # membership: basis.den * v == coords @ basis.a   (all integers)
+    bound = max(flat.bound * basis.den, flat.bound * basis.bound * len(pivots))
     v = fit(flat.a, bound)
     # contiguous: LT3 contracts the coordinates along each of their axes
-    coords = np.ascontiguousarray(v[..., list(basis.pivots)])
-    member = np.all(v * basis.den == coords @ fit(basis.num, bound), axis=-1)
+    coords = np.ascontiguousarray(v[..., list(pivots)])
+    member = np.all(v * basis.den == coords @ fit(basis.a, bound), axis=-1)
     return Arr(fit(coords, flat.bound), flat.den, flat.bound, flat.ring), member
 
 

@@ -1,19 +1,18 @@
 """Dense matrices over the exact scalar rings, plus exact Q-linear subspace
 arithmetic (span, sum, intersection, membership) on flattened coordinates.
 
-A ``Matrix`` is a (rows, cols, k) numpy ``object`` array of Python-int
-numerators of its k Q-coordinates per entry, over one positive denominator,
-in lowest terms: equal matrices have equal arrays.  Sums, scalings,
-conjugations and transposes are array operations; a product is one
-``kernel.ring_product`` against the right regular representation of the
-right factor, series rings included (``kernel.mult_tensor``).  ``Scalar``
-entries are only built for the views ``m[i, j]`` and ``entries``.  Every
-elimination (``rref``, ``nullspace``, ``Subspace``, ``Matrix.inverse``) is
-one fraction-free Gauss-Jordan on rows of Python ints (``_echelon``, after
-E. H. Bareiss, Math. Comp. 22 (1968)); only returned values become
-``Fraction``s.  Subspace bases are in reduced row echelon form, so equality
-of subspaces is a syntactic comparison, and every coordinate and membership
-query is one ``kernel.coordinates`` against the cached integer basis.
+A ``Matrix`` is the unstacked ``kernel.Arr``: integer numerators of shape
+(rows, cols, k), k Q-coordinates per entry, over one positive denominator,
+in lowest terms, so equal matrices have equal arrays.  Its sums, scalings,
+conjugations, transposes and products are the ``Arr`` operations, series
+rings included (``kernel.mult_tensor``); ``Scalar`` entries are only built
+for the views ``m[i, j]`` and ``entries``.  Every elimination (``rref``,
+``nullspace``, ``Subspace``, ``Matrix.inverse``) is one fraction-free
+Gauss-Jordan on rows of Python ints (``_echelon``, after E. H. Bareiss,
+Math. Comp. 22 (1968)); only returned values become ``Fraction``s.  A
+subspace keeps its RREF basis as one integer ``Arr`` with its pivots, so
+equality of subspaces is a syntactic comparison, and every coordinate and
+membership query is one ``kernel.coordinates`` against that basis.
 """
 
 from __future__ import annotations
@@ -35,11 +34,14 @@ def _numerators(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-class Matrix:
-    """An immutable rows x cols matrix with entries in a single scalar ring:
-    ``num / den`` with ``num`` of shape (rows, cols, ring_components(ring))."""
+class Matrix(kernel.Arr):
+    """An immutable rows x cols matrix over one scalar ring: the unstacked
+    ``kernel.Arr``, of shape (rows, cols, ring_components(ring)), in lowest
+    terms.  Its arithmetic is the ``Arr`` arithmetic; this class adds the
+    value semantics: constructors, ``==``/``hash``, the ``Scalar`` views
+    ``m[i, j]`` and ``entries``, ``inverse`` and the text forms."""
 
-    __slots__ = ("rows", "cols", "ring", "num", "den")
+    __slots__ = ()
 
     def __init__(self, rows: int, cols: int, ring, entries: Sequence[Scalar]):
         entries = tuple(entries)
@@ -48,41 +50,41 @@ class Matrix:
         for e in entries:
             if e.ring != ring:
                 raise ValueError("mixed rings in matrix entries")
-        num, den = _numerators([c for e in entries for c in e.flatten()])
-        self._set(ring, np.array(num, dtype=object).reshape(rows, cols, ring_components(ring)), den)
+        m = Matrix.unflatten((rows, cols, ring), [c for e in entries for c in e.flatten()])
+        super().__init__(m.a, m.den, m.bound, ring)
 
-    def _set(self, ring, num: np.ndarray, den: int):
-        if num.shape[0] <= 0 or num.shape[1] <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        self.rows, self.cols, _ = num.shape
-        num.flags.writeable = False  # immutable: views of it are shared
-        self.ring, self.num, self.den = ring, num, den
-
-    @staticmethod
-    def _of(ring, num: np.ndarray, den: int) -> "Matrix":
-        """num / den, both already in lowest terms."""
+    @classmethod
+    def _make(cls, a: np.ndarray, den: int, bound: int, ring) -> "Matrix":
+        """a / den in lowest terms: the numerators and the denominator divided
+        by their gcd, with the actual bound (``bound`` is not needed)."""
+        vals = kernel.int_rows(a.ravel())
+        g = gcd(den, *vals)
+        bound = max(max(vals), -min(vals)) // g
+        if g > 1 and bound:  # a zero matrix keeps its zeros, over 1
+            a = a // g
         m = object.__new__(Matrix)
-        m._set(ring, num, den)
+        m.a, m.den, m.bound, m.ring = kernel.fit(a, bound or 1), den // g, bound or 1, ring
         return m
 
     @staticmethod
     def from_numerators(ring, num: np.ndarray, den: int = 1) -> "Matrix":
-        """The matrix num / den: ``num`` an ``object`` array of Python ints of
-        shape (rows, cols, ring_components(ring)), ``den`` > 0."""
-        g = gcd(den, *num.ravel().tolist())
-        return Matrix._of(ring, num if g == 1 else num // g, den // g)
+        """The matrix num / den: ``num`` an integer array (float64 or Python
+        ints) of shape (rows, cols, ring_components(ring)), ``den`` > 0."""
+        if num.ndim != 3 or num.shape[0] <= 0 or num.shape[1] <= 0:
+            raise ValueError("matrix dimensions must be positive")
+        return Matrix._make(num, den, 0, ring)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int, ring) -> "Matrix":
-        return Matrix._of(ring, np.zeros((rows, cols, ring_components(ring)), dtype=object), 1)
+        return Matrix.from_numerators(ring, np.zeros((rows, cols, ring_components(ring))))
 
     @staticmethod
     def identity(n: int, ring) -> "Matrix":
-        num = np.zeros((n, n, ring_components(ring)), dtype=object)
+        num = np.zeros((n, n, ring_components(ring)))
         num[range(n), range(n), 0] = 1
-        return Matrix._of(ring, num, 1)
+        return Matrix.from_numerators(ring, num)
 
     @staticmethod
     def elementary(rows: int, cols: int, i: int, j: int, ring, value: Scalar | None = None) -> "Matrix":
@@ -111,81 +113,41 @@ class Matrix:
     def block(rows: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """The block matrix with these rows of blocks over one ring."""
         den = lcm(*(m.den for row in rows for m in row))
-        num = np.concatenate([np.concatenate([m.num * (den // m.den) for m in row], axis=1) for row in rows])
+        bound = max(m.bound * (den // m.den) for row in rows for m in row)
+        num = np.concatenate([np.concatenate([m.over(den, bound) for m in row], axis=1) for row in rows])
         return Matrix.from_numerators(rows[0][0].ring, num, den)
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def rows(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.a.shape[1]
+
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return Scalar.unflatten(self.ring, [Fraction(v, self.den) for v in self.num[i, j].tolist()])
+        return Scalar.unflatten(self.ring, [Fraction(v, self.den) for v in kernel.int_rows(self.a[i, j])])
 
     @property
     def entries(self) -> tuple:
         """The entries, row by row, as Scalars."""
         return tuple(self[i, j] for i in range(self.rows) for j in range(self.cols))
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, over the lcm of the denominators."""
-        if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
-            raise ValueError("shape or ring mismatch")
-        den = lcm(self.den, other.den)
-        num = self.num * (den // self.den) + other.num * (sign * den // other.den)
-        return Matrix.from_numerators(self.ring, num, den)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._of(self.ring, -self.num, self.den)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in product")
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        return Matrix.from_numerators(self.ring, kernel.ring_product(self.num, other.num, self.ring),
-                                      self.den * other.den)
-
-    def scale(self, r) -> "Matrix":
-        """Multiply every entry by a central rational."""
-        r = Fraction(r)
-        return Matrix.from_numerators(self.ring, self.num * r.numerator, self.den * r.denominator)
+    # -- arithmetic beyond ``Arr`` -----------------------------------------
 
     def scalar_mul(self, s: Scalar, side: str = "left") -> "Matrix":
         """s * X (side "left") or X * s, entrywise: a product with the entries
-        as a 1 x (rows cols) row resp. (rows cols) x 1 column."""
-        num, den = _numerators(s.flatten())
-        s1 = np.array(num, dtype=object).reshape(1, 1, -1)
-        flat = self.num.reshape(1, -1, self.num.shape[-1])
-        out = (kernel.ring_product(s1, flat, self.ring) if side == "left"
-               else kernel.ring_product(flat.swapaxes(0, 1), s1, self.ring))
-        return Matrix.from_numerators(self.ring, out.reshape(self.num.shape), self.den * den)
-
-    def transpose(self) -> "Matrix":
-        return Matrix._of(self.ring, self.num.transpose(1, 0, 2), self.den)
-
-    def conjugate(self, kind: str) -> "Matrix":
-        """Entrywise base involution, or phi (conjugation by the quaternion j):
-        a component sign pattern of ``kernel.CONJ_SIGNS``."""
-        base = self.ring.base if is_series(self.ring) else self.ring
-        if (base, kind) not in kernel.CONJ_SIGNS:
-            raise ValueError(f"base involution {kind!r} is not defined over {base}")
-        signs = kernel.CONJ_SIGNS[(base, kind)]
-        signs = np.array(signs * (self.num.shape[-1] // len(signs)), dtype=object)
-        return Matrix._of(self.ring, self.num * signs, self.den)
-
-    def dagger(self, delta: str = "id") -> "Matrix":
-        """delta entrywise, then transpose; an antiautomorphism of the algebra."""
-        return self.conjugate(delta).transpose()
+        as a 1 x (rows cols) row resp. a (rows cols) x 1 column."""
+        s1 = Matrix.unflatten((1, 1, self.ring), s.flatten())
+        row = self._same(self.a.reshape(1, -1, self.a.shape[-1]))
+        out = s1 @ row if side == "left" else row.transpose() @ s1
+        return out._same(out.a.reshape(self.a.shape))
 
     def is_zero(self) -> bool:
-        return not self.num.any()
+        return not self.a.any()
 
     def inverse(self) -> "Matrix":
         """Exact inverse; ``ZeroDivisionError`` if the matrix is singular.
@@ -197,10 +159,10 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise ValueError("only square matrices are invertible")
-        n, k = self.rows, self.num.shape[-1]
+        n, k = self.rows, self.a.shape[-1]
         # [L(num) | den e_(j, 0) over j]: the right block solves to L(X)^-1 e_(j, 0)
-        rows = [r + [self.den if p == j * k else 0 for j in range(n)]
-                for p, r in enumerate(kernel.left_rep(self.num, self.ring).reshape(n * k, n * k).tolist())]
+        rep = kernel.int_rows(kernel.left_rep(self.a, self.ring).reshape(n * k, n * k))
+        rows = [r + [self.den if p == j * k else 0 for j in range(n)] for p, r in enumerate(rep)]
         rows, pivots = _echelon(rows, n * k)
         if len(pivots) < n * k:
             raise ZeroDivisionError("matrix is not invertible")
@@ -213,7 +175,7 @@ class Matrix:
 
     def flatten(self) -> tuple:
         """Row-major Q-coordinates (``ring_components`` Fractions per entry)."""
-        return tuple(Fraction(v, self.den) for v in self.num.ravel().tolist())
+        return tuple(Fraction(v, self.den) for v in kernel.int_rows(self.a.ravel()))
 
     @staticmethod
     def unflatten(ambient, vec: Sequence) -> "Matrix":
@@ -229,16 +191,16 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return ((self.rows, self.cols, self.ring, self.den) == (other.rows, other.cols, other.ring, other.den)
-                and bool((self.num == other.num).all()))
+        return ((self.a.shape, self.ring, self.den) == (other.a.shape, other.ring, other.den)
+                and bool((self.a == other.a).all()))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.ring, self.den, tuple(self.num.ravel().tolist())))
+        return hash((self.a.shape, self.ring, self.den, tuple(kernel.int_rows(self.a.ravel()))))
 
     def _texts(self) -> list:
         """The entries as text, row by row."""
         return [[format_components(self.ring, [(v, self.den) for v in e]) for e in row]
-                for row in self.num.tolist()]
+                for row in kernel.int_rows(self.a)]
 
     def __repr__(self):
         if is_series(self.ring):
@@ -367,30 +329,49 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
     return rref([row[m:] for row, p in zip(red, pivots) if p >= m])[0]
 
 
-def vector_coordinates(basis: kernel.BasisInt, vec, den: int = 1):
-    """Coordinates of the vector vec / den (``vec`` of Fractions or ints) in
-    the RREF basis, or None if it is outside the span: one
+def integer_basis(rows, pivots, width: int, ring) -> kernel.Arr:
+    """The RREF basis of echelon rows of Python ints with positive pivots
+    (RREF row = row / row[pivot]; primitive rows, or the rows of integer
+    bases) as one integer ``Arr`` of shape (len(rows), width) over the lcm of
+    the pivot entries, the least common denominator of the RREF."""
+    den = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    scale = [den // r[p] for r, p in zip(rows, pivots)]
+    bound = max((max(max(r), -min(r)) * f for r, f in zip(rows, scale)), default=1)
+    a = kernel.fit(np.array(rows, dtype=object).reshape(len(rows), width), bound)
+    return kernel.Arr(a * kernel.fit(np.array(scale, dtype=object), bound)[:, None], den, bound, ring)
+
+
+def stack_of(flat: kernel.Arr, ambient) -> kernel.Arr:
+    """The flat vectors ``flat`` (shape (n, N)) as a stack (n, rows, cols,
+    comps) of matrices of the ambient."""
+    rows, cols, ring = ambient
+    return kernel.Arr(flat.a.reshape(len(flat.a), rows, cols, ring_components(ring)), flat.den, flat.bound, ring)
+
+
+def vector_coordinates(basis: kernel.Arr, pivots, flat: kernel.Arr):
+    """Coordinates of the one flat vector ``flat`` (shape (N,)) in the RREF
+    basis with these pivots, or None if it is outside the span: one
     ``kernel.coordinates``."""
-    num, d = _numerators(vec)
-    flat = kernel.Arr(np.array([num], dtype=object), d * den, 1, None).actual_bound()
-    coords, member = kernel.coordinates(flat, basis)
-    return tuple(Fraction(v, coords.den) for v in kernel.int_rows(coords.a)[0]) if member[0] else None
+    coords, member = kernel.coordinates(flat, basis, pivots)
+    return tuple(Fraction(v, coords.den) for v in kernel.int_rows(coords.a)) if member else None
 
 
 class Subspace:
-    """A Q-linear subspace of a matrix space, stored as the echelon rows of
-    ``_echelon`` (RREF basis vector = row / row[pivot]), unique and so
-    deciding equality.  Dimensions are always Q-dimensions."""
+    """A Q-linear subspace of a matrix space, stored as its RREF basis: one
+    integer ``Arr`` of shape (dim, N) over the least common denominator
+    (``integer_basis``) and the pivot columns, unique and so deciding
+    equality.  Dimensions are always Q-dimensions."""
 
-    __slots__ = ("ambient", "pivots", "echelon", "_basis", "_matrices", "_int")
+    __slots__ = ("ambient", "pivots", "_int", "_basis", "_matrices")
 
     def __init__(self, ambient, vectors):
         rows, cols, ring = ambient
         self.ambient = (rows, cols, ring)
-        echelon, pivots = _echelon(vectors, rows * cols * ring_components(ring))
-        self.echelon = tuple(map(tuple, echelon))
+        width = rows * cols * ring_components(ring)
+        echelon, pivots = _echelon(vectors, width)
         self.pivots = tuple(pivots)
-        self._basis = self._matrices = self._int = None
+        self._int = integer_basis(echelon, pivots, width, ring)
+        self._basis = self._matrices = None
 
     @staticmethod
     def span(matrices: Sequence[Matrix]) -> "Subspace":
@@ -401,7 +382,7 @@ class Subspace:
         for m in matrices:
             if (m.rows, m.cols, m.ring) != ambient:
                 raise ValueError("ambient mismatch in span")
-        return Subspace(ambient, [m.num.ravel().tolist() for m in matrices])
+        return Subspace(ambient, [kernel.int_rows(m.a.ravel()) for m in matrices])
 
     @staticmethod
     def zero(ambient) -> "Subspace":
@@ -421,7 +402,7 @@ class Subspace:
     def basis(self) -> tuple:
         """The RREF basis vectors, as tuples of Fractions."""
         if self._basis is None:
-            self._basis = tuple(_reduced(self.echelon, self.pivots))
+            self._basis = tuple(_reduced(kernel.int_rows(self._int.a), self.pivots))
         return self._basis
 
     def ambient_dim(self) -> int:
@@ -434,13 +415,14 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient, self.echelon + other.echelon)
+        return Subspace(self.ambient, kernel.int_rows(self._int.a) + kernel.int_rows(other._int.a))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus intersection: reduce [U|U] stacked on [W|0]."""
         self._check_ambient(other)
         n = self.ambient_dim()
-        stacked = [list(v + v) for v in self.echelon] + [list(v) + [0] * n for v in other.echelon]
+        mine, theirs = kernel.int_rows(self._int.a), kernel.int_rows(other._int.a)
+        stacked = [v + v for v in mine] + [v + [0] * n for v in theirs]
         red, pivots = _echelon(stacked, 2 * n)
         return Subspace(self.ambient, [row[n:] for row, p in zip(red, pivots) if p >= n])
 
@@ -448,59 +430,57 @@ class Subspace:
         """Coordinates of m in this basis, or None if m is outside the span."""
         if (m.rows, m.cols, m.ring) != self.ambient:
             raise ValueError("ambient mismatch")
-        return self.coordinates_vector(m.num.ravel(), m.den)
+        return self.coordinates_vector(m)
 
     def coordinates_vector(self, vec, den: int = 1):
-        """Coordinates of the flat vector vec / den, or None (see ``coordinates``)."""
-        return vector_coordinates(self.basis_int(), vec, den)
+        """Coordinates of the flat vector vec / den (``vec`` a sequence of
+        Fractions or ints), or of ``vec`` itself when it is a matrix of the
+        ambient; None outside the span (see ``coordinates``)."""
+        if not isinstance(vec, Matrix):
+            vec = Matrix.unflatten(self.ambient, vec).scale(Fraction(1, den))
+        return vector_coordinates(self._int, self.pivots, kernel.flatten_last(vec))
 
     def contains(self, m: Matrix) -> bool:
         return self.coordinates(m) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        b = other.basis_int()
-        _, member = kernel.coordinates(kernel.Arr(b.num, b.den, b.bound, None), self.basis_int())
+        _, member = kernel.coordinates(other._int, self._int, self.pivots)
         return bool(member.all())
 
     def basis_matrices(self):
         """The basis as a fresh list of matrices."""
         if self._matrices is None:
-            shape, ring = self.ambient[:2] + (-1,), self.ambient[2]
-            self._matrices = tuple(Matrix.from_numerators(ring, np.array(r, dtype=object).reshape(shape), r[p])
-                                   for r, p in zip(self.echelon, self.pivots))
+            arr = self.basis_arr()
+            self._matrices = tuple(Matrix.from_numerators(arr.ring, a, arr.den) for a in arr.a)
         return list(self._matrices)
 
-    def basis_int(self) -> kernel.BasisInt:
-        """The RREF basis as integer numerators over one denominator."""
-        if self._int is None:
-            self._int = kernel.BasisInt(self.echelon, self.pivots, self.ambient_dim())
+    def basis_int(self) -> kernel.Arr:
+        """The RREF basis as integer numerators over one denominator, shape
+        (dim, N)."""
         return self._int
 
     def basis_arr(self) -> kernel.Arr:
         """The basis matrices stacked as an exact tensor (dim, rows, cols, comps)."""
-        b = self.basis_int()
-        rows, cols, ring = self.ambient
-        return kernel.Arr(b.num.reshape(self.dim, rows, cols, ring_components(ring)), b.den, b.bound, ring)
+        return stack_of(self._int, self.ambient)
 
     def from_coordinates(self, coords) -> Matrix:
         """The combination of the basis with these coordinates (Fractions or
         ints): one integer product against the integer basis."""
-        b = self.basis_int()
+        b = self._int
         c, den = _numerators(coords)
-        bound = max(map(abs, c), default=0) * b.bound * len(c)
-        vec = kernel.fit(np.array(c, dtype=object), bound) @ kernel.fit(b.num, bound)
-        rows, cols, ring = self.ambient
-        num = np.array(kernel.int_rows(vec), dtype=object).reshape(rows, cols, -1)
-        return Matrix.from_numerators(ring, num, den * b.den)
+        bound = max(max(map(abs, c), default=0) * b.bound * len(c), 1)
+        vec = kernel.fit(np.array(c, dtype=object), bound) @ kernel.fit(b.a, bound)
+        return Matrix.from_numerators(b.ring, vec.reshape(self.ambient[:2] + (-1,)), den * b.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.echelon == other.echelon
+        return ((self.ambient, self.pivots, self._int.den) == (other.ambient, other.pivots, other._int.den)
+                and bool((self._int.a == other._int.a).all()))
 
     def __hash__(self):
-        return hash((self.ambient, self.echelon))
+        return hash((self.ambient, self.pivots, self._int.den))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient[0]}x{self.ambient[1]} {self.ambient[2]})"

@@ -140,7 +140,7 @@ def rectangular_normal_form(a: Matrix) -> NormalForm:
 
 
 def _is_01_diagonal(nf: Matrix, rank: int) -> bool:
-    want = np.zeros(nf.num.shape, dtype=object)
+    want = np.zeros(nf.a.shape)
     want[range(rank), range(rank), 0] = 1
     return nf == Matrix.from_numerators(nf.ring, want)
 
@@ -274,7 +274,7 @@ def skew_normal_form(a: Matrix) -> NormalForm:
 
 
 def _is_standard_skew(nf: Matrix, blocks: int) -> bool:
-    want = np.zeros(nf.num.shape, dtype=object)
+    want = np.zeros(nf.a.shape)
     want[range(0, 2 * blocks, 2), range(1, 2 * blocks, 2), 0] = 1
     want[range(1, 2 * blocks, 2), range(0, 2 * blocks, 2), 0] = -1
     return nf == Matrix.from_numerators(nf.ring, want)

@@ -274,7 +274,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         texts = []
         for rep in range(2):
             out = tmp_path / f"run{idx}_{rep}.json"
-            extra = [] if argv[0] == "list-families" else ["--seed", str(SEED)]
+            extra = [] if argv[0] in ("list-families", "eigenspaces") else ["--seed", str(SEED)]
             code = cli_main(argv + extra + ["--out", str(out)])
             if code != 0:
                 ok = False

@@ -56,11 +56,12 @@ class TestAxioms:
         assert code == 2 and text == ""
         assert "--samples" in assert_one_line_error(capsys)
 
-    def test_zero_samples(self, tmp_path):
+    def test_zero_samples(self, tmp_path, capsys):
+        """No samples is no check: a pass over empty results would be vacuous."""
         code, text = run(tmp_path, "axioms", "--family", "2.a", "--n", "2",
                          "--samples", "0")
-        assert code == 0
-        assert json.loads(text)["results"] == []
+        assert code == 2 and text == ""
+        assert "--samples must be >= 1" in assert_one_line_error(capsys)
 
 
 class TestTable:
@@ -158,6 +159,33 @@ class TestListFamilies:
         data = json.loads(text)
         assert len(data["families"]) == 50
         assert data["constructions"] == ["proj", "siegel", "quat1", "quat2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--construction", "quat2", "--n", "1"],
+    ["group", "--check", "axioms", "--n", "2"],
+], ids=["table", "group"])
+def test_zero_samples_exit_two(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv, "--samples", "0")
+    assert code == 2 and text == ""
+    assert "--samples must be >= 1" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenspaces", "--construction", "quat1", "--n", "1", "--samples", "3"],
+    ["eigenspaces", "--construction", "quat1", "--n", "1", "--seed", "3"],
+    ["axioms", "--family", "2.a", "--n", "2", "--format", "md"],
+    ["group", "--check", "axioms", "--n", "2", "--format", "md"],
+    ["group", "--check", "axioms", "--p", "2"],
+    ["group", "--check", "axioms", "--q", "2"],
+    ["normal-form", "--kind", "symmetric", "--input", "m.json", "--format", "md"],
+], ids=["eigenspaces-samples", "eigenspaces-seed", "axioms-format", "group-format",
+        "group-p", "group-q", "normal-form-format"])
+def test_unread_flag_exit_two(tmp_path, capsys, argv):
+    """A subcommand accepts only the flags it reads; argparse rejects the rest."""
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert argv[-2] in capsys.readouterr().err
 
 
 class TestDeterminism:

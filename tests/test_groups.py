@@ -2,6 +2,7 @@
 tangent/linearization checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from homotopes import groups
 from homotopes.families import aherm_space, rand_matrix, sample_in_subspace
 from homotopes.groups import (GroupElement, cayley_element, g_identity, g_inv,
                               g_mul, group_axiom_suite, hom_check,
-                              is_quasi_invertible, membership,
+                              is_quasi_invertible, membership, quasi_inverse_witness,
                               rand_symmetric_invertible, star_from_delta,
                               tangent_check, tangent_suite, u_defect,
                               u_linearization_check, unitary_suite)
@@ -98,3 +99,30 @@ class TestTangent:
         assert not x.is_zero() and u_linearization_check(x, a, "conj")
         monkeypatch.setattr(groups, "u_defect", lambda x, a, star: star(x) - x)
         assert not u_linearization_check(x, a, "conj")
+
+
+class TestKnownFalse:
+    """Inputs on which each verdict must come out False."""
+
+    def test_membership_rejects_a_nonzero_defect(self):
+        """X = diag(1/2, 0) is quasi-invertible for A = 1, but its unitary
+        defect X^t + X - X^t X is diag(3/4, 0)."""
+        x, a = Matrix.diag(Q, [Fraction(1, 2), 0]), Matrix.identity(2, Q)
+        star = star_from_delta("id")
+        assert is_quasi_invertible(x, a)
+        assert u_defect(x, a, star) == Matrix.diag(Q, [Fraction(3, 4), 0])
+        assert not membership(x, a, "U", star)
+
+    def test_hom_check_rejects_a_wrong_product(self, monkeypatch):
+        rng = random.Random(17)
+        x, y, a = (rand_matrix(2, 2, Q, rng) for _ in range(3))
+        assert hom_check(x, y, a)
+        monkeypatch.setattr(groups, "g_mul", lambda x, y, a: x + y - y @ a @ x)
+        assert not hom_check(x, y, a)
+
+    def test_tangent_check_rejects_a_wrong_inverse(self, monkeypatch):
+        rng = random.Random(18)
+        x, y, a = (rand_matrix(2, 2, Q, rng) for _ in range(3))
+        assert tangent_check(x, y, a)[0]
+        monkeypatch.setattr(groups, "g_inv", lambda x, a: quasi_inverse_witness(x, a) @ x)
+        assert not tangent_check(x, y, a)[0]

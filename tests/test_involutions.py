@@ -6,10 +6,10 @@ import pytest
 from structure_reference import reference_rref
 
 from homotopes import kernel
-from homotopes.families import instantiate
-from homotopes.involutions import (MatrixInvolution, commute,
+from homotopes.families import instantiate, sym_space
+from homotopes.involutions import (JointDecomposition, MatrixInvolution, commute,
                                    joint_eigenspaces)
-from homotopes.matrices import Matrix, block_F, block_I, block_Ipq, block_J
+from homotopes.matrices import Matrix, Subspace, block_F, block_I, block_Ipq, block_J
 from homotopes.scalars import HQ, Q, QI, Scalar, ring_components
 
 
@@ -98,6 +98,13 @@ class TestEigenspaces:
         tau_t = MatrixInvolution.transpose_inv(2, HQ, "qsplit")
         dec = joint_eigenspaces([tau, tau_t])
         assert dec.check_direct_sum()
+
+    def test_direct_sum_rejects_overlapping_pieces(self):
+        """Sym(2) and span{1}: dimensions 3 + 1 = 4, but 1 lies in both."""
+        pieces = {(1,): sym_space(2, Q), (-1,): Subspace.span([Matrix.identity(2, Q)])}
+        dec = JointDecomposition([MatrixInvolution.transpose_inv(2, Q)], pieces)
+        assert sum(dec.dims().values()) == 4
+        assert not dec.check_direct_sum()
 
     def test_dims_match_nullspace_oracle(self):
         cases = [

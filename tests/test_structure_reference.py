@@ -162,14 +162,14 @@ TWISTS = [(Q, "id"), (QI, "id"), (QI, "conj"), (HQ, "id"), (HQ, "qconj"), (HQ, "
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("factors", [True, False])
 def test_alpha_stack_matches_matrix_path(ring, twist, transpose, sign, factors):
-    """``AlphaMap.stack`` on a stack of 2 x 3 matrices is ``AlphaMap`` applied
-    to each (its ``Matrix`` path), with rectangular factors L, R or none."""
+    """``AlphaMap`` on a stack of 2 x 3 matrices is ``AlphaMap`` applied to
+    each ``Matrix`` of it, with rectangular factors L, R or none."""
     rng = random.Random(f"{ring} {twist} {transpose} {sign}")
     rows, cols = (3, 2) if transpose else (2, 3)
     left, right = (rand_matrix(1, rows, ring, rng), rand_matrix(cols, 2, ring, rng)) if factors else (None, None)
     alpha = AlphaMap(left, right, twist, transpose, sign)
     basis = [rand_matrix(2, 3, ring, rng) for _ in range(3)]
-    got = alpha.stack(Arr.from_matrices(basis))
+    got = alpha(Arr.from_matrices(basis))
     assert [matrix_of(got[t]) for t in range(len(basis))] == [alpha(b) for b in basis]
 
 
@@ -204,7 +204,7 @@ def test_bilinear_tensor_matches_reference(case):
     """``kernel.bilinear_tensor`` is the bracket of every basis pair, and
     ``bracket_closure`` is the reference's verdict, true or false."""
     left, right, target, a = case
-    bb = kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), Arr.from_matrix(a))
+    bb = kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), a)
     for (i, j), value in reference_bilinear(left, right, a).items():
         assert matrix_of(bb[i, j]).flatten() == value
     assert bracket_closure(left, right, target, a) == reference_bracket_closure(left, right, target, a)
