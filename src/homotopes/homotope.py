@@ -279,7 +279,7 @@ class TripleSystem:
 
     def _compute_structure(self) -> Structure:
         if self.dim == 0:
-            empty = Arr(np.zeros((0, 0, 0, 0)), 1, 1, None)
+            empty = Arr(kernel.fit(np.zeros((0, 0, 0, 0)), 1), 1, 1, None)
             return Structure(empty, empty, True, None)
         flat = self.product.flat(self.space)
         coords, member = kernel.coordinates(flat, self.space.basis_int(), self.space.pivots)
@@ -384,7 +384,7 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     """
     d = st.coords.a.shape[0]
     _, ops = _inner_operators(st.coords.a, lt1_ok)
-    bound = 4 * d * st.coords.bound**2
+    bound = _lt3_bound(st.coords)
     # in the residuals' dtype once, not once per rescanned pair
     c = kernel.fit(st.coords.a, bound)
     if _lt3_first_nonzero(c, ops, bound, hook=lt1_ok and lt2_ok) is None:
@@ -394,6 +394,22 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
         if hit is not None:
             return False, (u, v) + hit[1:]
     return False, None
+
+
+def _lt3_bound(coords: Arr) -> int:
+    """4 max|c| L, L = max over (i, j, k) of sum_m |c[i, j, k, m]|, for the
+    coordinates c: a bound on the LT3 residuals of operators that are rows
+    c[u, v] of c, and on every partial sum of their four terms
+    (``_lt3_first_nonzero``)."""
+    # one slab at a time, in float64 at least: its row sums are exact below
+    # 2^53 and stay past it above, which is all the bound needs there
+    wide = max(coords.bound, kernel.FLOAT32_EXACT_CAP)
+    top = rows = 0
+    for slab in coords.a:
+        slab = np.abs(kernel.fit(slab, wide))
+        top = max(top, int(slab.max()))
+        rows = max(rows, int(slab.sum(axis=-1).max()))
+    return 4 * top * rows
 
 
 def _inner_operators(c: np.ndarray, lt1_ok: bool):
@@ -420,8 +436,10 @@ def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool):
     four batched GEMMs that read c in place and write into two buffers
     allocated once, together no larger than two copies of c.  With ``hook``
     the slab is j > i, k >= i (the (2, 1) hook, see ``_check_lt3``), else
-    every j and k.  ``bound`` covers 4 d max|c| max|e|: each term sums d
-    products.
+    every j and k.  ``bound`` covers the running sum of the four terms and
+    every partial sum of each, whose d products are c[i, j, k, :] . e[:, m]
+    (at most max|e| L) and e[x, :] . c[..., m] (at most max|c| max_x
+    sum_w |e[x, w]|), with L = max over (i, j, k) of sum_m |c[i, j, k, m]|.
     """
     d = c.shape[0]
     c, ops = kernel.fit(c, bound), kernel.fit(ops, bound)

@@ -89,7 +89,7 @@ class MatrixInvolution:
 
     def _units(self) -> kernel.Arr:
         dim = self.dim()
-        return kernel.Arr(np.eye(dim).reshape(dim, self.n, self.n, -1), 1, 1, self.ring)
+        return kernel.Arr(kernel.fit(np.eye(dim), 1).reshape(dim, self.n, self.n, -1), 1, 1, self.ring)
 
     def _validate(self):
         act = self.action()

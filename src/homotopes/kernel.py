@@ -4,8 +4,9 @@ An ``Arr`` holds integer numerators over a single denominator together with
 a proven bound on the largest magnitude; its last three axes are the rows,
 columns and ring components of matrices, and leading axes stack them.  Every
 operation computes the bound of its result before it runs and picks the
-dtype from it (``fit``): float64, so BLAS runs, while the bound is below 2^53
-(the float64 exact-integer range), numpy ``object`` arrays of Python ints
+dtype from it (``fit``): float32 while the bound is below 2^24 and float64
+while it is below 2^53 (the exact-integer ranges of their 24- and 53-bit
+significands), so BLAS runs, and numpy ``object`` arrays of Python ints
 otherwise.  There is one code path; only the dtype changes.  A single
 matrix, ``matrices.Matrix``, is the unstacked ``Arr`` in lowest terms, so
 sums, products, conjugations and transposes are written once, here, and
@@ -17,7 +18,9 @@ representation of its right operand (``right_rep``), a signed gather of its
 components: there is no einsum.  A product entry sums at most
 shared * k products of components, so each partial sum of the GEMM, in
 whatever order BLAS adds, is bounded by the same shared * k * |x| * |y| that
-bounds the result, and float64 stays exact below 2^53.
+bounds the result, and float32 and float64 stay exact below 2^24 and 2^53
+(the argument of J.-G. Dumas, P. Giorgi, C. Pernet, ACM TOMS 35 (2008),
+which runs exact integer products in floating-point BLAS).
 
 A subspace basis enters as an ``Arr`` of its RREF rows (integer numerators
 over one denominator) with their pivot columns.  ``coordinates`` is the one
@@ -42,11 +45,12 @@ import numpy as np
 
 from .scalars import HQ, Q, QI, is_series, ring_components
 
+FLOAT32_EXACT_CAP = 2**24
 FLOAT_EXACT_CAP = 2**53
 
 
 class PrecisionError(ArithmeticError):
-    """A float64 ``Arr`` with a bound past the exact float64 range (a bug)."""
+    """A float ``Arr`` with a bound past the exact range of its dtype (a bug)."""
 
 
 @lru_cache(maxsize=None)
@@ -117,11 +121,13 @@ CONJ_SIGNS = {
 
 def fit(a: np.ndarray, bound: int) -> np.ndarray:
     """``a`` (integer entries of magnitude at most ``bound``) in the dtype that
-    holds every integer up to ``bound`` exactly: float64 below 2^53, numpy
-    ``object`` arrays of Python ints above."""
-    if bound < FLOAT_EXACT_CAP:
-        return a if a.dtype == np.float64 else a.astype(np.float64)
-    return a if a.dtype == object else a.astype(np.int64).astype(object)
+    holds every integer up to ``bound`` exactly: float32 below 2^24, float64
+    below 2^53, numpy ``object`` arrays of Python ints above.  ``bound`` must
+    cover the entries of ``a`` as well as those of what is computed from it."""
+    if bound >= FLOAT_EXACT_CAP:
+        return a if a.dtype == object else a.astype(np.int64).astype(object)
+    dtype = np.float32 if bound < FLOAT32_EXACT_CAP else np.float64
+    return a if a.dtype == dtype else a.astype(dtype)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +138,8 @@ def conj_signs(ring, kind: str) -> np.ndarray:
     if (base, kind) not in CONJ_SIGNS:
         raise ValueError(f"base involution {kind!r} is not defined over {base}")
     signs = CONJ_SIGNS[(base, kind)]
-    return np.array(signs * (ring_components(ring) // len(signs)))
+    # int8, so that a product with them keeps the dtype of the other factor
+    return np.array(signs * (ring_components(ring) // len(signs)), dtype=np.int8)
 
 
 def _kind(x: "Arr", y: "Arr") -> type:
@@ -144,16 +151,18 @@ class Arr:
     """Exact integer tensor with denominator and magnitude bound.
 
     ``a`` holds integers; ``a / den`` is the represented rational tensor;
-    ``bound`` is a proven upper bound for max |entry|, and ``a`` is float64
-    exactly when ``bound`` is below 2^53 (see ``fit``).  An operation whose
+    ``bound`` is a proven upper bound for max |entry|, and ``a`` is float32
+    exactly when ``bound`` is below 2^24, float64 exactly when it is in
+    [2^24, 2^53) and ``object`` above (see ``fit``).  An operation whose
     operands are all ``Matrix`` returns a ``Matrix`` (``_make``).
     """
 
     __slots__ = ("a", "den", "bound", "ring")
 
     def __init__(self, a: np.ndarray, den: int, bound: int, ring):
-        if bound >= FLOAT_EXACT_CAP and a.dtype != object:
-            raise PrecisionError(f"bound {bound:.3g} exceeds exact float range")
+        cap = FLOAT32_EXACT_CAP if a.dtype == np.float32 else FLOAT_EXACT_CAP
+        if bound >= cap and a.dtype != object:
+            raise PrecisionError(f"bound {bound:.3g} exceeds the exact range of {a.dtype}")
         self.a = a
         self.den = den
         self.bound = bound
@@ -214,7 +223,8 @@ class Arr:
     def scale(self, r) -> "Arr":
         """Multiply every entry by a central rational."""
         r = Fraction(r)
-        bound = max(self.bound * abs(r.numerator), 1)
+        # covers the entries and their multiples, also when r = 0
+        bound = self.bound * max(abs(r.numerator), 1)
         return self._make(fit(self.a, bound) * r.numerator, self.den * r.denominator, bound, self.ring)
 
     def conjugate(self, kind: str) -> "Arr":
@@ -347,7 +357,7 @@ def flatten_last(x: Arr) -> Arr:
 
 
 def int_rows(a: np.ndarray) -> list:
-    """An integer array (float64 in the exact range, or ``object``) as
+    """An integer array (float in its exact range, or ``object``) as
     (nested) lists of Python ints."""
     return (a if a.dtype == object else a.astype(np.int64)).tolist()
 
@@ -375,8 +385,8 @@ def coordinates(flat: Arr, basis: Arr, pivots):
 
 def independent_row_indices(rows: np.ndarray) -> list:
     """Sorted indices of a maximal Q-linearly-independent subset of the rows
-    of an integer matrix (float64 in the exact range, or Python ints in an
-    ``object`` array).
+    of an integer matrix (float32 or float64 in its exact range, or Python
+    ints in an ``object`` array).
 
     Rows independent modulo a prime p are independent over Q, so the rows are
     picked modulo p, and the pick is accepted only behind an exact certificate
@@ -388,7 +398,8 @@ def independent_row_indices(rows: np.ndarray) -> list:
     r = rows[np.ix_(live, np.flatnonzero(nonzero.any(axis=0)))]
     if r.size == 0:
         return []
-    # float64 only below 2^52, so that r minus a residue sum stays exact
+    # a float dtype only below 2^52, so that r minus a residue sum, which
+    # ``_spans`` computes in float64 (``_residues``), stays exact
     r = fit(r, 2 * int(np.abs(r).max()))
     for p in _primes_below(_modulus_limit(min(r.shape))):
         picked, pivots = _pick(r, p)
@@ -471,7 +482,8 @@ def _spans(r: np.ndarray, picked: list, pivots: list) -> bool:
         return True
     m = r[np.ix_(picked, pivots)]
     b = int(np.abs(r).max())
-    h = prod(isqrt(int(s) - 1) + 1 for s in np.square(m.astype(object)).sum(axis=1))
+    # Python ints: float squares past 2^53 would round
+    h = prod(isqrt(s - 1) + 1 for s in np.square(fit(m, FLOAT_EXACT_CAP)).sum(axis=1))
     bound = 2 * (k * k * b * b * h + b * h)
     rest = np.ones(n, dtype=bool)
     rest[picked] = False

@@ -68,7 +68,7 @@ class Matrix(kernel.Arr):
 
     @staticmethod
     def from_numerators(ring, num: np.ndarray, den: int = 1) -> "Matrix":
-        """The matrix num / den: ``num`` an integer array (float64 or Python
+        """The matrix num / den: ``num`` an integer array (float or Python
         ints) of shape (rows, cols, ring_components(ring)), ``den`` > 0."""
         if num.ndim != 3 or num.shape[0] <= 0 or num.shape[1] <= 0:
             raise ValueError("matrix dimensions must be positive")
@@ -469,7 +469,8 @@ class Subspace:
         ints): one integer product against the integer basis."""
         b = self._int
         c, den = _numerators(coords)
-        bound = max(max(map(abs, c), default=0) * b.bound * len(c), 1)
+        # covers the basis as well when every coordinate is 0
+        bound = max([1, *map(abs, c)]) * b.bound * len(c)
         vec = kernel.fit(np.array(c, dtype=object), bound) @ kernel.fit(b.a, bound)
         return Matrix.from_numerators(b.ring, vec.reshape(self.ambient[:2] + (-1,)), den * b.den)
 

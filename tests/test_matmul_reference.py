@@ -80,14 +80,18 @@ def kernel_stacks(draw):
 
 
 def _assert_tier(arr, big):
-    assert arr.a.dtype == (object if big else np.float64)
+    """The dtype is exactly the tier of the bound (float32 below 2^24, float64
+    below 2^53, ``object`` above), and the upper tier draws only ``object``."""
+    tier = np.float32 if arr.bound < 2**24 else np.float64 if arr.bound < 2**53 else object
+    assert arr.a.dtype == tier
+    assert (tier is object) == big
 
 
 @settings(max_examples=80, deadline=None)
 @given(kernel_stacks(), st.data())
 def test_kernel_matrix_mul_matches_reference(case, data):
     """``kernel.matrix_mul`` on stacks of rectangular matrices, and with a
-    single right factor broadcast over the stack, in both tiers."""
+    single right factor broadcast over the stack, in every tier."""
     ring, big, stack = case
     n, p, q, r = (data.draw(st.integers(1, 3)) for _ in range(4))
     xs, ys = stack(n, p, q), stack(n, q, r)
@@ -103,7 +107,7 @@ def test_kernel_matrix_mul_matches_reference(case, data):
 @given(kernel_stacks(), st.data())
 def test_kernel_t_tensor_matches_reference(case, data):
     """TT[i, j, k] = b_i w_j b_k + b_k w_j b_i for p x q basis and q x p middle
-    stacks, in both tiers."""
+    stacks, in every tier."""
     _, big, stack = case
     d, p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
     bs, ws = stack(d, p, q), stack(d, q, p)

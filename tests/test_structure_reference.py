@@ -364,9 +364,16 @@ def test_residual_slabs_match_reference(base, data):
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=12))
-def test_row_selection_same_in_both_tiers(rows):
+def test_row_selection_same_in_every_tier(rows):
     """The LT3 row selection picks the same rows whether the coordinates are
-    float64 or Python ints."""
-    floats = np.array(rows, dtype=np.float64)
-    ints = np.array(rows, dtype=object)
-    assert independent_row_indices(ints) == independent_row_indices(floats)
+    float32, float64 or Python ints: the rows scaled by 1, 2^30 and 2^60 fall
+    in each tier of ``kernel.fit`` (which the selection applies to twice their
+    largest entry), and scaling by a power of 2 changes no pick modulo an odd
+    prime."""
+    picks = []
+    for scale, dtype in ((1, np.float32), (2**30, np.float64), (2**60, object)):
+        scaled = np.array([[x * scale for x in row] for row in rows], dtype=dtype)
+        if scaled.any():
+            assert kernel.fit(scaled, 2 * int(np.abs(scaled).max())).dtype == dtype
+        picks.append(independent_row_indices(scaled))
+    assert picks[0] == picks[1] == picks[2] == independent_row_indices(np.array(rows, dtype=object))

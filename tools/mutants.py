@@ -52,8 +52,12 @@ MUTANTS = [
     Mutant("Matrix canonicalisation dropped", "src/homotopes/matrices.py",
            "g = gcd(den, *vals)", "g = 1"),
     Mutant("fit ignores its bound", "src/homotopes/kernel.py",
-           "    if bound < FLOAT_EXACT_CAP:\n        return a if a.dtype == np.float64",
-           "    if True:\n        return a if a.dtype == np.float64"),
+           "    if bound >= FLOAT_EXACT_CAP:\n        return a if a.dtype == object",
+           "    if False:\n        return a if a.dtype == object"),
+    Mutant("fit ignores the float32 limit", "src/homotopes/kernel.py",
+           "FLOAT32_EXACT_CAP = 2**24", "FLOAT32_EXACT_CAP = 2**53"),
+    Mutant("LT3 bound without the factor 4", "src/homotopes/homotope.py",
+           "    return 4 * top * rows", "    return top * rows"),
     Mutant("kernel._spans certificate skipped", "src/homotopes/kernel.py",
            "    k, (n, width) = len(picked), r.shape\n",
            "    return True\n"),
