@@ -401,14 +401,14 @@ def _lt3_bound(coords: Arr) -> int:
     coordinates c: a bound on the LT3 residuals of operators that are rows
     c[u, v] of c, and on every partial sum of their four terms
     (``_lt3_first_nonzero``)."""
-    # one slab at a time, in float64 at least: its row sums are exact below
-    # 2^53 and stay past it above, which is all the bound needs there
-    wide = max(coords.bound, kernel.FLOAT32_EXACT_CAP)
+    # one slab at a time, row sums in float64 at least: exact below 2^53, and
+    # past it they only have to stay past it, which puts the bound in object
+    total = object if coords.bound >= kernel.FLOAT_EXACT_CAP else np.float64
     top = rows = 0
     for slab in coords.a:
-        slab = np.abs(kernel.fit(slab, wide))
+        slab = np.abs(slab)
         top = max(top, int(slab.max()))
-        rows = max(rows, int(slab.sum(axis=-1).max()))
+        rows = max(rows, int(slab.sum(axis=-1, dtype=total).max()))
     return 4 * top * rows
 
 

@@ -441,10 +441,12 @@ def _smod(x: np.ndarray, q) -> np.ndarray:
 
 
 def _residues(a: np.ndarray, q) -> np.ndarray:
-    """The integers ``a`` modulo q (broadcasting), as a new float64 array."""
+    """The integers ``a`` modulo q (broadcasting), as a new float64 array.
+    The cast is explicit: float32 input plus a 0-d float64 array stays
+    float32 under NumPy 1's value-based promotion."""
     if a.dtype == object:
         return (a % np.asarray(q, dtype=np.int64).astype(object)).astype(np.float64)
-    return _smod(a + np.zeros(np.shape(q)), q)
+    return _smod(np.add(a, np.zeros(np.shape(q)), dtype=np.float64), q)
 
 
 def _pick(r: np.ndarray, p: int):

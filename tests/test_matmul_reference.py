@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from structure_reference import matrix_of, reference_matrix_product
+from test_tiers import tier
 
 from homotopes import kernel
 from homotopes.families import herm_space, sym_space
@@ -80,11 +81,10 @@ def kernel_stacks(draw):
 
 
 def _assert_tier(arr, big):
-    """The dtype is exactly the tier of the bound (float32 below 2^24, float64
-    below 2^53, ``object`` above), and the upper tier draws only ``object``."""
-    tier = np.float32 if arr.bound < 2**24 else np.float64 if arr.bound < 2**53 else object
-    assert arr.a.dtype == tier
-    assert (tier is object) == big
+    """The dtype is exactly the tier of the bound (``test_tiers.tier``), and
+    the upper tier draws only ``object``."""
+    assert arr.a.dtype == tier(arr.bound)
+    assert (tier(arr.bound) is object) == big
 
 
 @settings(max_examples=80, deadline=None)

@@ -23,6 +23,7 @@ INVOLUTIONS = {Q: ("id", "conj"), QI: ("id", "conj"), HQ: ("id", "qconj", "qspli
 
 
 def tier(bound):
+    """The dtype ``kernel.fit`` must pick for ``bound``."""
     return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else object
 
 
@@ -65,6 +66,23 @@ def test_zero_scaling_of_a_numerator_past_the_float_range():
     # the zero combination of a basis past the float range
     space = Subspace.span([Matrix.from_rows(Q, [[1, 2**1100]])])
     assert space.from_coordinates([0]) == Matrix.zeros(1, 2, Q)
+
+
+def test_row_selection_residues_are_float64_in_every_tier():
+    """The row selection's modular arithmetic runs on float64 residues, whose
+    products reach p^2 > 2^24, whatever the tier of its input: modulo one
+    prime (a Python int, broadcast as a 0-d operand) and modulo a batch."""
+    p = next(kernel._primes_below(kernel._modulus_limit(4)))
+    rows = [[2**24 - 1, -(2**23), 5], [0, 1, -(2**24 - 3)]]
+    qs = np.array([p, 3.0])[:, None, None]
+    for dtype in (np.float32, np.float64, object):
+        a = np.array(rows, dtype=dtype)
+        for q, primes in ((p, [p]), (qs, [p, 3])):
+            res = kernel._residues(a, q)
+            assert res.dtype == np.float64
+            got = np.broadcast_to(res, (len(primes),) + a.shape).astype(np.int64).tolist()
+            assert [[[v % m for v in row] for row in got[t]] for t, m in enumerate(primes)] \
+                == [[[v % m for v in row] for row in rows] for m in primes]
 
 
 @st.composite
