@@ -75,7 +75,7 @@ def rand_scalar(ring, rng: random.Random) -> Scalar:
 
 
 def rand_matrix(p: int, q: int, ring, rng: random.Random) -> Matrix:
-    return Matrix(p, q, ring, [rand_scalar(ring, rng) for _ in range(p * q)])
+    return Matrix.unflatten((p, q, ring), [rand_fraction(rng) for _ in range(p * q * ring_components(ring))])
 
 
 def rand_invertible(n: int, ring, rng: random.Random) -> Matrix:

@@ -14,7 +14,6 @@ T acting componentwise against the opposite component of the middle argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -192,7 +191,7 @@ class ProductSpace:
     def __init__(self, plus: Subspace, minus: Subspace):
         self.plus = plus
         self.minus = minus
-        n1, n2 = plus.ambient_dim(), minus.ambient_dim()
+        n1, n2 = plus.ambient_dim, minus.ambient_dim
         self.pivots = plus.pivots + tuple(n1 + p for p in minus.pivots)
         rows = ([r + [0] * n2 for r in kernel.int_rows(plus.basis_int().a)]
                 + [[0] * n1 + r for r in kernel.int_rows(minus.basis_int().a)])
@@ -202,8 +201,9 @@ class ProductSpace:
     def dim(self) -> int:
         return self.plus.dim + self.minus.dim
 
+    @property
     def ambient_dim(self) -> int:
-        return self.plus.ambient_dim() + self.minus.ambient_dim()
+        return self.plus.ambient_dim + self.minus.ambient_dim
 
     def basis_matrices(self):
         zp = Matrix.zeros(*self.plus.ambient[:2], self.plus.ambient[2])
@@ -217,7 +217,7 @@ class ProductSpace:
     def basis_stacks(self) -> tuple:
         """The plus and the minus components of the basis pairs, each stacked
         as an exact tensor (dim, rows, cols, comps): slices of ``basis_int``."""
-        n1 = self.plus.ambient_dim()
+        n1 = self.plus.ambient_dim
         return stack_of(self._int[:, :n1], self.plus.ambient), stack_of(self._int[:, n1:], self.minus.ambient)
 
     def flatten_pair(self, u):
@@ -247,9 +247,6 @@ class Structure:
     coords: Arr | None
     closed: bool
     witness: tuple | None
-
-    def c(self, i, j, k, m) -> Fraction:
-        return Fraction(int(self.coords.a[i, j, k, m])) / self.coords.den
 
 
 class TripleSystem:

@@ -7,12 +7,12 @@ in lowest terms, so equal matrices have equal arrays.  Its sums, scalings,
 conjugations, transposes and products are the ``Arr`` operations, series
 rings included (``kernel.mult_tensor``); ``Scalar`` entries are only built
 for the views ``m[i, j]`` and ``entries``.  Every elimination (``rref``,
-``nullspace``, ``Subspace``, ``Matrix.inverse``) is one fraction-free
-Gauss-Jordan on rows of Python ints (``_echelon``, after E. H. Bareiss,
-Math. Comp. 22 (1968)); only returned values become ``Fraction``s.  A
-subspace keeps its RREF basis as one integer ``Arr`` with its pivots, so
-equality of subspaces is a syntactic comparison, and every coordinate and
-membership query is one ``kernel.coordinates`` against that basis.
+``Subspace``, ``Matrix.inverse``) is one fraction-free Gauss-Jordan on rows
+of Python ints (``_echelon``, after E. H. Bareiss, Math. Comp. 22 (1968));
+only returned values become ``Fraction``s.  A subspace keeps its RREF basis
+as one integer ``Arr`` with its pivots, so equality of subspaces is a
+syntactic comparison, and every coordinate and membership query is one
+``kernel.coordinates`` against that basis.
 """
 
 from __future__ import annotations
@@ -106,8 +106,12 @@ class Matrix(kernel.Arr):
 
     @staticmethod
     def diag(ring, values: Sequence) -> "Matrix":
+        """The diagonal matrix of these rationals."""
         n = len(values)
-        return Matrix.from_rows(ring, [[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
+        num, den = _numerators([Fraction(v) for v in values])
+        a = np.zeros((n, n, ring_components(ring)), dtype=object)
+        a[range(n), range(n), 0] = num
+        return Matrix.from_numerators(ring, a, den)
 
     @staticmethod
     def block(rows: Sequence[Sequence["Matrix"]]) -> "Matrix":
@@ -320,15 +324,6 @@ def rref(vectors: Iterable[Sequence[Fraction]]):
     return _reduced(rows, pivots), pivots
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Canonical basis of the right kernel of the given row list A: the
-    combinations (A y, y) of the rows of [A^t | 1] that eliminate to (0, y)."""
-    m = len(rows)
-    stacked = [[r[c] for r in rows] + [int(c == j) for j in range(ncols)] for c in range(ncols)]
-    red, pivots = _echelon(stacked, m + ncols)
-    return rref([row[m:] for row, p in zip(red, pivots) if p >= m])[0]
-
-
 def integer_basis(rows, pivots, width: int, ring) -> kernel.Arr:
     """The RREF basis of echelon rows of Python ints with positive pivots
     (RREF row = row / row[pivot]; primitive rows, or the rows of integer
@@ -405,6 +400,7 @@ class Subspace:
             self._basis = tuple(_reduced(kernel.int_rows(self._int.a), self.pivots))
         return self._basis
 
+    @property
     def ambient_dim(self) -> int:
         rows, cols, ring = self.ambient
         return rows * cols * ring_components(ring)
@@ -420,7 +416,7 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus intersection: reduce [U|U] stacked on [W|0]."""
         self._check_ambient(other)
-        n = self.ambient_dim()
+        n = self.ambient_dim
         mine, theirs = kernel.int_rows(self._int.a), kernel.int_rows(other._int.a)
         stacked = [v + v for v in mine] + [v + [0] * n for v in theirs]
         red, pivots = _echelon(stacked, 2 * n)

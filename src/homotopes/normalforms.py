@@ -10,13 +10,17 @@ the induced triple systems isomorphic.
 * skew (over Q and Q(i)): congruence to the standard block diagonal
   diag(J, ..., J, 0), J = [[0, 1], [-1, 0]].
 
-Inputs over other rings are rejected with ``ValueError``: the congruence
-reduction reads the diagonal as rational, and over the quaternions the
-transpose is no anti-automorphism.
+Inputs over other rings, series rings included, are rejected with
+``ValueError``: the congruence reduction reads the diagonal as rational, over
+the quaternions the transpose is no anti-automorphism, and every kind divides
+by its pivots.
 
-Every witness is verified exactly, and the witness induces an explicit
-isomorphism of the deformed triple systems: X -> g2 X g1 (rectangular) or
-X -> star(g) X g (congruence), both instances of the S X T homomorphism.
+The working matrix and the witnesses are ``Matrix`` values.  Each pivot step
+is one product with an elimination matrix E = I + U [e_r, ...]^t
+(``_clearing``); row and column swaps permute the numerators.  Every witness
+is verified exactly, and the witness induces an explicit isomorphism of the
+deformed triple systems: X -> g2 X g1 (rectangular) or X -> star(g) X g
+(congruence), both instances of the S X T homomorphism.
 """
 
 from __future__ import annotations
@@ -26,11 +30,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernel
 from .homotope import AlphaMap, intertwines
 from .matrices import Matrix, Subspace
-from .scalars import HQ, Q, QI, Scalar
+from .scalars import HQ, Q, QI
 
-_KINDS = ("rectangular", "symmetric", "skew", "hermitian")
+# the rings each kind is defined over, and their names in the error text
+_RINGS = {"rectangular": ((Q, QI, HQ), "Q, QI or HQ"), "symmetric": ((Q,), "Q"),
+          "skew": ((Q, QI), "Q or QI"), "hermitian": ((Q, QI), "Q or QI")}
+_DELTA = {"symmetric": "id", "hermitian": "conj", "skew": "id"}
 
 
 def _squarefree(n: int) -> tuple:
@@ -67,76 +75,96 @@ class NormalForm:
         }
 
 
-# -- elimination on mutable scalar grids ------------------------------------
+# -- elimination on Matrix values -------------------------------------------
 
 
-class _Grid:
-    """A mutable square matrix of scalars supporting congruence-style row and
-    column operations mirrored on an accumulated transform g."""
-
-    def __init__(self, m: Matrix):
-        self.ring = m.ring
-        self.rows = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
-
-    def matrix(self, nrows, ncols) -> Matrix:
-        return Matrix.from_rows(self.ring, [row[:ncols] for row in self.rows[:nrows]])
+def _swap(m: Matrix, i: int, j: int, axis: int = 0) -> Matrix:
+    """m with rows (axis 0) or columns (axis 1) i and j exchanged."""
+    perm = np.arange(m.a.shape[axis])
+    perm[[i, j]] = j, i
+    return m._same(np.take(m.a, perm, axis=axis))
 
 
-def _row_swap(g, i, j):
-    g.rows[i], g.rows[j] = g.rows[j], g.rows[i]
+def _swap_both(g: Matrix, d: Matrix, i: int, j: int) -> tuple:
+    """The swap of rows i and j of g, and its congruence on d = g a star(g)."""
+    return _swap(g, i, j), _swap(_swap(d, i, j), i, j, axis=1)
 
 
-def _row_scale(g, i, c: Scalar):
-    g.rows[i] = [c * x for x in g.rows[i]]
+def _add_columns(u: kernel.Arr, r: int) -> Matrix:
+    """E = I + u [e_r, ..., e_(r+t-1)]^t for an n x t ``Arr`` u: E @ x adds
+    u[k, s] times row r + s of x to row k of x."""
+    n, t, k = u.a.shape
+    bound = u.den + u.bound
+    num = kernel.fit(np.zeros((n, n, k)), bound)
+    num[np.arange(n), np.arange(n), 0] = u.den
+    num[:, r:r + t] += kernel.fit(u.a, bound)
+    return Matrix.from_numerators(u.ring, num, u.den)
 
 
-def _row_add(g, i, j, c: Scalar):
-    """row_i += c * row_j."""
-    g.rows[i] = [x + c * y for x, y in zip(g.rows[i], g.rows[j])]
+def _clearing(d: Matrix, r: int, t: int = 1, scale: bool = False, unit: bool = False,
+              height: int | None = None) -> Matrix:
+    """The elimination matrix E = I + U [e_r, ..., e_(r+t-1)]^t of the t x t
+    pivot block P = d[r:r+t, r:r+t]; with ``unit`` the caller knows that P is
+    the identity, and no inverse is taken.
+
+    Each row k outside the block and above ``height`` gets
+    U[k] = -d[k, block] P^-1, which zeroes the block columns of E @ d there.
+    On the block rows E is the identity; with ``scale`` it scales row r by
+    the inverse of the pivot entry d[r, r+t-1] instead, that is
+    U[r] = -(d[r, block] - e) P^-1 with e the unit at the pivot entry."""
+    bound = d.bound + d.den
+    w = kernel.fit(d.a[:, r:r + t], bound).copy()
+    pivot = w[r, t - 1].copy()
+    w[r:r + t] = 0
+    if height is not None:
+        w[height:] = 0
+    if scale:
+        w[r, t - 1] = pivot
+        w[r, t - 1, 0] -= d.den
+    u = kernel.Arr(w, d.den, bound, d.ring)
+    if not unit:
+        u = u @ Matrix.from_numerators(d.ring, d.a[r:r + t, r:r + t], d.den).inverse()
+    return _add_columns(-u, r)
 
 
-def _col_swap(g, i, j):
-    for row in g.rows:
-        row[i], row[j] = row[j], row[i]
+def _congruent(g: Matrix, a: Matrix, delta: str) -> Matrix:
+    """g a star(g), star = delta entrywise, then transpose."""
+    return g @ a @ g.dagger(delta)
 
 
-def _col_add(g, i, j, c: Scalar):
-    """col_i += col_j * c (right multiplication)."""
-    for row in g.rows:
-        row[i] = row[i] + row[j] * c
+def _first_nonzero(d: Matrix, rows: slice, cols: slice, upper: bool = False):
+    """(i, j) of the first nonzero entry of the block d[rows, cols] in row
+    major order (only j > i with ``upper``), in block coordinates; or None."""
+    nz = d.a[rows, cols].any(axis=-1)
+    found = np.flatnonzero(np.triu(nz, 1) if upper else nz)
+    return divmod(int(found[0]), nz.shape[1]) if len(found) else None
 
 
-def rectangular_normal_form(a: Matrix) -> NormalForm:
+def _rectangular(a: Matrix) -> NormalForm:
     m, n, ring = a.rows, a.cols, a.ring
-    d = _Grid(a)
-    g1 = _Grid(Matrix.identity(m, ring))
-    g2 = _Grid(Matrix.identity(n, ring))
+    # the tableau [[a, I_m], [I_n, 0]]: row operations on its first m rows and
+    # column operations on its first n columns make it [[d, g1], [g2, 0]]
+    # with d = g1 a g2
+    num = kernel.fit(np.zeros((m + n, n + m, a.a.shape[-1])), a.bound + a.den)
+    num[:m, :n] = a.a
+    num[range(m + n), [*range(n, n + m), *range(n)], 0] = a.den
+    t = Matrix.from_numerators(ring, num, a.den)
     rank = 0
-    while True:
-        pivot = next(((i, j) for i in range(rank, m) for j in range(rank, n)
-                      if not d.rows[i][j].is_zero()), None)
-        if pivot is None:
-            break
+    while (pivot := _first_nonzero(t, np.s_[rank:m], np.s_[rank:n])) is not None:
         i, j = pivot
-        if i != rank:
-            _row_swap(d, i, rank), _row_swap(g1, i, rank)
-        if j != rank:
-            _col_swap(d, j, rank), _col_swap(g2, j, rank)
-        c = d.rows[rank][rank].inverse()
-        _row_scale(d, rank, c), _row_scale(g1, rank, c)
-        for k in range(m):
-            if k != rank and not d.rows[k][rank].is_zero():
-                f = -d.rows[k][rank]
-                _row_add(d, k, rank, f), _row_add(g1, k, rank, f)
-        for k in range(n):
-            if k != rank and not d.rows[rank][k].is_zero():
-                f = -d.rows[rank][k]
-                _col_add(d, k, rank, f), _col_add(g2, k, rank, f)
+        if i:
+            t = _swap(t, rank + i, rank)
+        if j:
+            t = _swap(t, rank + j, rank, axis=1)
+        t = _clearing(t, rank, scale=True, height=m) @ t
+        # the pivot is 1 now, so clearing row ``rank`` from the right is the
+        # transposed clearing of the transpose, for any ring
+        t = t @ _clearing(t.transpose(), rank, unit=True, height=n).transpose()
         rank += 1
-    nf = d.matrix(m, n)
-    w1, w2 = g1.matrix(m, m), g2.matrix(n, n)
-    verified = (w1 @ a @ w2 == nf and _is_01_diagonal(nf, rank))
-    return NormalForm("rectangular", a, nf, {"g1": w1, "g2": w2}, None, verified)
+    d, g1, g2 = (Matrix.from_numerators(ring, t.a[rows, cols], t.den) for rows, cols in
+                 ((np.s_[:m], np.s_[:n]), (np.s_[:m], np.s_[n:]), (np.s_[m:], np.s_[:n])))
+    verified = g1 @ a @ g2 == d and _is_01_diagonal(d, rank)
+    return NormalForm("rectangular", a, d, {"g1": g1, "g2": g2}, None, verified)
 
 
 def _is_01_diagonal(nf: Matrix, rank: int) -> bool:
@@ -145,132 +173,74 @@ def _is_01_diagonal(nf: Matrix, rank: int) -> bool:
     return nf == Matrix.from_numerators(nf.ring, want)
 
 
-def _congruence_normal_form(a: Matrix, delta: str, kind: str) -> NormalForm:
-    n, ring = a.rows, a.ring
+def _congruence(a: Matrix, kind: str) -> NormalForm:
+    n, ring, delta = a.rows, a.ring, _DELTA[kind]
     if a.dagger(delta) != a:
         raise ValueError(f"{kind} normal form needs a star-symmetric input")
-    g = _Grid(Matrix.identity(n, ring))
-
-    def current():
-        gm = g.matrix(n, n)
-        return _Grid(gm @ a @ gm.dagger(delta)), gm
-
-    d, _ = current()
+    g, d = Matrix.identity(n, ring), a
     for i in range(n):
-        if d.rows[i][i].is_zero():
-            j = next((j for j in range(i + 1, n) if not d.rows[j][j].is_zero()), None)
-            if j is not None:
-                _row_swap(g, i, j)
-                d, _ = current()
+        if not d.a[i, i].any():
+            later = np.flatnonzero(d.a[range(i + 1, n), range(i + 1, n)].any(axis=-1))
+            if len(later):
+                g, d = _swap_both(g, d, i, i + 1 + later[0])
             else:
-                j = next((j for j in range(i + 1, n) if not d.rows[i][j].is_zero()), None)
-                if j is None:
+                later = np.flatnonzero(d.a[i, i + 1:].any(axis=-1))
+                if not len(later):
                     continue
-                # remaining diagonal is zero: row_i += w row_j makes the
+                # the remaining diagonal is zero: row_i += w row_j makes the
                 # diagonal entry 2|w|^2 with w = d_ij
-                _row_add(g, i, j, d.rows[i][j])
-                d, _ = current()
-        for j in range(i + 1, n):
-            if not d.rows[j][i].is_zero():
-                _row_add(g, j, i, -(d.rows[j][i] * d.rows[i][i].inverse()))
-        d, _ = current()
-    # sort nonzero diagonal first, then reduce square factors
-    order = sorted(range(n), key=lambda i: d.rows[i][i].is_zero())
-    perm = Matrix.from_rows(ring, [[Scalar.one(ring) if j == order[i] else Scalar.zero(ring)
-                                    for j in range(n)] for i in range(n)])
-    g = _Grid(perm @ g.matrix(n, n))
-    d, _ = current()
-    signs = []
-    for i in range(n):
-        entry = d.rows[i][i]
-        if entry.is_zero():
-            signs.append(0)
-            continue
-        val = entry.flatten()[0]     # diagonal is rational (real) here
-        s, f = _squarefree(abs(val.numerator * val.denominator))
-        _row_scale(g, i, Scalar.from_rational(ring, Fraction(val.denominator, s)))
-        signs.append(1 if val > 0 else -1)
-    d, gm = current()
-    nf = d.matrix(n, n)
-    verified = gm @ a @ gm.dagger(delta) == nf and _is_reduced_diagonal(nf, tuple(signs))
-    return NormalForm(kind, a, nf, {"g": gm}, tuple(signs), verified)
+                j = i + 1 + later[0]
+                u = np.zeros((n, 1, d.a.shape[-1]), dtype=d.a.dtype)
+                u[i, 0] = d.a[i, j]
+                e = _add_columns(kernel.Arr(u, d.den, d.bound, ring), j)
+                g, d = e @ g, _congruent(e, d, delta)
+        if d.a[i + 1:, i].any():
+            e = _clearing(d, i)
+            g, d = e @ g, _congruent(e, d, delta)
+    # nonzero diagonal first, then reduce square factors
+    order = sorted(range(n), key=lambda i: not d.a[i, i].any())
+    g, d = g._same(g.a[order]), d._same(d.a[order][:, order])
+    # the diagonal is rational (real) here; a nonzero entry p / q times
+    # (q / s)^2 is the squarefree part of p q = s^2 f
+    diag = [Fraction(v, d.den) for v in kernel.int_rows(d.a[range(n), range(n), 0])]
+    signs = tuple((v > 0) - (v < 0) for v in diag)
+    scaling = Matrix.diag(ring, [Fraction(v.denominator, _squarefree(abs(v.numerator * v.denominator))[0])
+                                 if v else 1 for v in diag])
+    g, d = scaling @ g, _congruent(scaling, d, delta)
+    verified = _congruent(g, a, delta) == d and _is_reduced_diagonal(d, signs)
+    return NormalForm(kind, a, d, {"g": g}, signs, verified)
 
 
 def _is_reduced_diagonal(nf: Matrix, signs: tuple) -> bool:
-    for i in range(nf.rows):
-        for j in range(nf.cols):
-            e = nf[i, j]
-            if i != j:
-                if not e.is_zero():
-                    return False
-                continue
-            comps = e.flatten()
-            if any(c != 0 for c in comps[1:]):
-                return False
-            val = comps[0]
-            if (val == 0) != (signs[i] == 0) or (val != 0 and (val > 0) != (signs[i] > 0)):
-                return False
-            if val != 0:
-                if val.denominator != 1 or _squarefree(abs(val.numerator))[0] != 1:
-                    return False
-    return True
+    """nf is diagonal with squarefree integers of these signs (real parts)."""
+    n = nf.rows
+    off = nf.a.copy()
+    off[range(n), range(n), 0] = 0
+    diag = kernel.int_rows(nf.a[range(n), range(n), 0])
+    return (nf.den == 1 and not off.any()
+            and tuple((v > 0) - (v < 0) for v in diag) == tuple(signs)
+            and all(_squarefree(abs(v))[0] == 1 for v in diag if v))
 
 
-def symmetric_normal_form(a: Matrix) -> NormalForm:
-    if a.ring != Q:
-        raise ValueError(f"symmetric normal form needs a matrix over Q, got {a.ring}")
-    return _congruence_normal_form(a, "id", "symmetric")
-
-
-def hermitian_normal_form(a: Matrix) -> NormalForm:
-    if a.ring not in (Q, QI):
-        raise ValueError(f"hermitian normal form needs a matrix over Q or QI, got {a.ring}")
-    return _congruence_normal_form(a, "conj", "hermitian")
-
-
-def skew_normal_form(a: Matrix) -> NormalForm:
+def _skew(a: Matrix) -> NormalForm:
     n, ring = a.rows, a.ring
-    if ring == HQ:
-        raise ValueError("skew normal form is not defined over the quaternions")
     if a.transpose() != -a:
         raise ValueError("skew normal form needs a skew-symmetric input")
-    g = _Grid(Matrix.identity(n, ring))
-
-    def current():
-        gm = g.matrix(n, n)
-        return _Grid(gm @ a @ gm.transpose()), gm
-
-    d, _ = current()
+    g, d = Matrix.identity(n, ring), a
     pos = 0
-    while pos + 1 < n:
-        pivot = next(((i, j) for i in range(pos, n) for j in range(i + 1, n)
-                      if not d.rows[i][j].is_zero()), None)
-        if pivot is None:
-            break
+    while (pivot := _first_nonzero(d, np.s_[pos:], np.s_[pos:], upper=True)) is not None:
         i, j = pivot
-        if i != pos:
-            _row_swap(g, i, pos)
-            d, _ = current()
-        if j != pos + 1:
-            _row_swap(g, j, pos + 1)
-            d, _ = current()
-        _row_scale(g, pos, d.rows[pos][pos + 1].inverse())
-        d, _ = current()
-        for k in range(pos + 2, n):
-            ck = d.rows[pos][k]
-            if not ck.is_zero():
-                _row_add(g, k, pos + 1, -ck)    # clears d[pos][k]
-        d, _ = current()
-        for k in range(pos + 2, n):
-            ck = d.rows[pos + 1][k]
-            if not ck.is_zero():
-                _row_add(g, k, pos, ck)         # clears d[pos+1][k]
-        d, _ = current()
+        if i:
+            g, d = _swap_both(g, d, pos + i, pos)
+        if j != 1:
+            g, d = _swap_both(g, d, pos + j, pos + 1)
+        # the pivot block is [[0, p], [-p, 0]]: scale row pos by 1 / p and
+        # clear the rows below it
+        e = _clearing(d, pos, 2, scale=True)
+        g, d = e @ g, _congruent(e, d, "id")
         pos += 2
-    nf, gm = None, g.matrix(n, n)
-    nf = gm @ a @ gm.transpose()
-    verified = _is_standard_skew(nf, pos // 2)
-    return NormalForm("skew", a, nf, {"g": gm}, None, verified)
+    verified = _congruent(g, a, "id") == d and _is_standard_skew(d, pos // 2)
+    return NormalForm("skew", a, d, {"g": g}, None, verified)
 
 
 def _is_standard_skew(nf: Matrix, blocks: int) -> bool:
@@ -281,15 +251,16 @@ def _is_standard_skew(nf: Matrix, blocks: int) -> bool:
 
 
 def normal_form(a: Matrix, kind: str) -> NormalForm:
+    if kind not in _RINGS:
+        raise ValueError(f"unknown normal-form kind {kind!r}; expected one of {tuple(_RINGS)}")
+    rings, names = _RINGS[kind]
+    if kind == "skew" and a.ring == HQ:
+        raise ValueError("skew normal form is not defined over the quaternions")
+    if a.ring not in rings:
+        raise ValueError(f"{kind} normal form needs a matrix over {names}, got {a.ring}")
     if kind == "rectangular":
-        return rectangular_normal_form(a)
-    if kind == "symmetric":
-        return symmetric_normal_form(a)
-    if kind == "hermitian":
-        return hermitian_normal_form(a)
-    if kind == "skew":
-        return skew_normal_form(a)
-    raise ValueError(f"unknown normal-form kind {kind!r}; expected one of {_KINDS}")
+        return _rectangular(a)
+    return _skew(a) if kind == "skew" else _congruence(a, kind)
 
 
 # -- induced triple-system isomorphisms -------------------------------------
@@ -301,8 +272,7 @@ def intertwiner(nf: NormalForm):
     if nf.kind == "rectangular":
         return AlphaMap(nf.witness["g2"], nf.witness["g1"], name="psi")
     g = nf.witness["g"]
-    delta = {"symmetric": "id", "hermitian": "conj", "skew": "id"}[nf.kind]
-    return AlphaMap(g.dagger(delta), g, name="psi")
+    return AlphaMap(g.dagger(_DELTA[nf.kind]), g, name="psi")
 
 
 def intertwiner_check(nf: NormalForm, space: Subspace) -> bool:

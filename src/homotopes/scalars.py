@@ -113,9 +113,6 @@ class Scalar:
             return not self.parts
         return all(p == 0 for p in self.parts)
 
-    def is_one(self) -> bool:
-        return self == Scalar.one(self.ring)
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Scalar"):
@@ -271,25 +268,8 @@ def quaternion(a, b=0, c=0, d=0) -> Scalar:
     return Scalar(HQ, (Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
 
 
-def quat_conj(x: Scalar) -> Scalar:
-    """Standard quaternion conjugation a+bi+cj+dk -> a-bi-cj-dk."""
-    return x.conjugate("qconj")
-
-
-def quat_split(x: Scalar) -> Scalar:
-    """Split involution j * conj(x) * j^{-1}; fixes span{1, i, k}, negates j."""
-    return x.conjugate("qsplit")
-
-
 def series_ring(base=Q, degree=2) -> SeriesRing:
     return SeriesRing(base, degree)
-
-
-def series_mul(a: Scalar, b: Scalar) -> Scalar:
-    """Product in a truncated series ring (coefficient-wise convolution)."""
-    if not (is_series(a.ring) and a.ring == b.ring):
-        raise ValueError("series_mul needs two series over the same ring")
-    return a * b
 
 
 # -- text format: "p/q", "p/q+r/si", "a+bi+cj+dk" --------------------------

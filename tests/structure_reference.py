@@ -58,7 +58,7 @@ def reference_basis(space):
     """(basis, pivots): the RREF, by ``reference_rref``, of the basis of a
     ``Subspace``, or of the block basis of a ``ProductSpace``."""
     if isinstance(space, ProductSpace):
-        n1, n2 = space.plus.ambient_dim(), space.minus.ambient_dim()
+        n1, n2 = space.plus.ambient_dim, space.minus.ambient_dim
         vectors = ([tuple(v) + (0,) * n2 for v in space.plus.basis]
                    + [(0,) * n1 + tuple(v) for v in space.minus.basis])
     else:

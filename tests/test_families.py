@@ -8,12 +8,23 @@ import pytest
 from homotopes.families import (CONSTRUCTIONS, SIGNS, family,
                                 family_axiom_suite, family_labels,
                                 hermquat_check, herm_space, instantiate,
-                                sample_in_subspace, sample_styles, sym_space,
-                                verify_table)
+                                rand_matrix, rand_scalar, sample_in_subspace,
+                                sample_styles, sym_space, verify_table)
 from homotopes.homotope import (AlphaMap, AlphaTriple, TripleSystem, check_lts,
                                 symmetric_pair)
 from homotopes.matrices import Matrix
-from homotopes.scalars import HQ, Q, QI, quaternion
+from homotopes.scalars import HQ, Q, QI, quaternion, series_ring
+
+
+@pytest.mark.parametrize("ring", [Q, QI, HQ, series_ring(Q), series_ring(HQ)], ids=str)
+def test_rand_matrix_draws_as_the_entrywise_construction(ring):
+    """``rand_matrix`` draws the numerators directly: the same matrices, from
+    the same ``random.Random`` calls, as one ``rand_scalar`` per entry."""
+    rng, old = random.Random(7), random.Random(7)
+    for p, q in ((1, 1), (2, 3), (3, 2)):
+        want = Matrix(p, q, ring, [rand_scalar(ring, old) for _ in range(p * q)])
+        assert rand_matrix(p, q, ring, rng) == want
+    assert rng.getstate() == old.getstate()
 
 
 class TestCatalog:

@@ -105,7 +105,7 @@ class TestCheckLts:
         k = TripleSystem.from_parameter(sp, a).structure()
         _, coords, closed, _ = reference_structure(sp, lambda x, y, z: triple_param(x, y, z, a))
         assert k.closed == closed
-        assert all([k.c(i, j, kk, m) for m in range(sp.dim)] == list(co)
+        assert all([Fraction(int(x), k.coords.den) for x in k.coords.a[i, j, kk]] == list(co)
                    for (i, j, kk), co in coords.items())
 
 
@@ -170,7 +170,7 @@ class TestHomomorphisms:
 def _operator_rank(system):
     """The Fraction rank of the inner operators R(b_u, b_v), all pairs."""
     st, d = system.structure(), system.dim
-    return len(reference_rref([[st.c(u, v, w, m) for w in range(d) for m in range(d)]
+    return len(reference_rref([[Fraction(int(x), st.coords.den) for x in st.coords.a[u, v].ravel()]
                      for u in range(d) for v in range(d)])[0])
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from homotopes.families import rand_matrix, sym_space
 from homotopes.matrices import (Matrix, Subspace, block_F, block_I, block_Ipq,
-                                block_J, nullspace, rref)
+                                block_J, rref)
 from homotopes.scalars import HQ, Q, QI, Scalar, gaussian, quaternion
 
 
@@ -99,13 +99,6 @@ class TestRref:
                 [Fraction(0), Fraction(1)]]
         basis, pivots = rref(rows)
         assert len(basis) == 2 and pivots == [0, 1]
-
-    def test_nullspace(self):
-        rows = [[Fraction(1), Fraction(1), Fraction(0)]]
-        null = nullspace(rows, 3)
-        assert len(null) == 2
-        for vec in null:
-            assert sum(r * v for r, v in zip(rows[0], vec)) == 0
 
 
 class TestSubspace:

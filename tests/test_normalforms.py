@@ -2,6 +2,7 @@
 isomorphisms."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,10 +10,11 @@ import pytest
 
 from homotopes.families import (asym_space, herm_space, matrix_space,
                                 rand_matrix, sample_in_subspace, sym_space)
-from homotopes.matrices import Matrix
-from homotopes.normalforms import (intertwiner_check, normal_form,
-                                   rectangular_normal_form)
-from homotopes.scalars import HQ, Q, QI
+from homotopes.matrices import Matrix, block_J
+from homotopes.normalforms import (_is_01_diagonal, _is_reduced_diagonal,
+                                   _is_standard_skew, intertwiner_check,
+                                   normal_form)
+from homotopes.scalars import HQ, Q, QI, series_ring
 
 
 class TestRectangular:
@@ -50,6 +52,15 @@ class TestRectangular:
         nf = normal_form(a, "rectangular")
         assert nf.verified
         assert intertwiner_check(nf, matrix_space(3, 2, QI))
+
+    def test_entries_past_the_float_range(self):
+        """Numerators past 2^53 run the elimination on ``object`` arrays."""
+        big = Fraction(2**70 + 1, 3)
+        a = Matrix.unflatten((2, 3, QI), [big, 1, 2, 0, -big, 5, 7, big, 0, 1, 3, -2])
+        nf = normal_form(a, "rectangular")
+        assert nf.verified and nf.witness["g1"] @ a @ nf.witness["g2"] == nf.normal
+        skew = Matrix.from_rows(Q, [[0, big, 1], [-big, 0, 2], [-1, -2, 0]])
+        assert normal_form(skew, "skew").verified
 
     def test_quaternion(self):
         a = rand_matrix(2, 3, HQ, self.rng)
@@ -133,6 +144,45 @@ class TestSkew:
         a = sample_in_subspace(asym_space(4, Q), self.rng)
         nf = normal_form(a, "skew")
         assert intertwiner_check(nf, asym_space(4, Q))
+
+
+@pytest.mark.parametrize("kind", ["rectangular", "symmetric", "skew", "hermitian"])
+def test_series_input_is_rejected_by_its_ring(kind):
+    """A series ring is no division ring: every kind rejects it by name,
+    before the elimination could invert a unit series pivot."""
+    ring = series_ring(Q)
+    a = {"rectangular": Matrix.identity(1, ring), "skew": block_J(1, ring)}.get(kind, Matrix.identity(2, ring))
+    with pytest.raises(ValueError, match=re.escape(str(ring))):
+        normal_form(a, kind)
+
+
+def _qi(text):
+    return Matrix.from_json({"rows": 1, "cols": 1, "ring": "QI", "entries": [[text]]})
+
+
+@pytest.mark.parametrize("predicate, nf, arg, expected", [
+    pytest.param(_is_01_diagonal, Matrix.diag(Q, [1, 1, 0]), 2, True, id="01-rank-2"),
+    pytest.param(_is_01_diagonal, Matrix.from_rows(Q, [[1, 1], [0, 0]]), 1, False, id="01-off-diagonal"),
+    pytest.param(_is_01_diagonal, Matrix.diag(Q, [1, 1, 0]), 3, False, id="01-rank-too-high"),
+    pytest.param(_is_01_diagonal, Matrix.diag(Q, [1, 1, 0]), 1, False, id="01-rank-too-low"),
+    pytest.param(_is_01_diagonal, Matrix.diag(Q, [4]), 1, False, id="01-diag-4"),
+    pytest.param(_is_reduced_diagonal, Matrix.diag(Q, [2, -6, 0]), (1, -1, 0), True, id="reduced"),
+    pytest.param(_is_reduced_diagonal, Matrix.from_rows(Q, [[1, 1], [0, 1]]), (1, 1), False,
+                 id="reduced-off-diagonal"),
+    pytest.param(_is_reduced_diagonal, Matrix.diag(Q, [4]), (1,), False, id="reduced-diag-4"),
+    pytest.param(_is_reduced_diagonal, Matrix.diag(Q, [Fraction(1, 2)]), (1,), False, id="reduced-diag-half"),
+    pytest.param(_is_reduced_diagonal, _qi("1+i"), (1,), False, id="reduced-i-part"),
+    pytest.param(_is_reduced_diagonal, Matrix.diag(Q, [2, -3]), (1, 1), False, id="reduced-sign-mismatch"),
+    pytest.param(_is_reduced_diagonal, Matrix.diag(Q, [2, 0]), (1, 1), False, id="reduced-signed-zero"),
+    pytest.param(_is_standard_skew, block_J(1, Q), 1, True, id="skew-J"),
+    pytest.param(_is_standard_skew, block_J(1, Q).scale(2), 1, False, id="skew-2J"),
+    pytest.param(_is_standard_skew, block_J(1, Q), 0, False, id="skew-blocks-too-few"),
+    pytest.param(_is_standard_skew, Matrix.from_rows(Q, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]), 1, False,
+                 id="skew-off-block"),
+])
+def test_shape_predicates(predicate, nf, arg, expected):
+    """Each verified shape check accepts its shape and rejects a wrong one."""
+    assert predicate(nf, arg) is expected
 
 
 def test_unknown_kind():

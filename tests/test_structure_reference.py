@@ -73,7 +73,7 @@ def assert_structure_matches(system, space, product):
     for (i, j, k), vec in flat.items():
         assert [Fraction(int(x), s.flat.den) for x in s.flat.a[i, j, k]] == list(vec)
         if closed:
-            assert [s.c(i, j, k, m) for m in range(d)] == list(coords[i, j, k])
+            assert [Fraction(int(x), s.coords.den) for x in s.coords.a[i, j, k]] == list(coords[i, j, k])
     return s
 
 
@@ -266,7 +266,7 @@ def _homotope_coords(space, a):
     """The structure constants of the A-homotope on ``space`` as Fractions."""
     s = TripleSystem.from_parameter(space, a).structure()
     d = space.dim
-    return {(i, j, k): [s.c(i, j, k, m) for m in range(d)]
+    return {(i, j, k): [Fraction(int(x), s.coords.den) for x in s.coords.a[i, j, k]]
             for i in range(d) for j in range(d) for k in range(d)}
 
 

@@ -65,6 +65,12 @@ MUTANTS = [
            "        _, member = kernel.coordinates(other._int, self._int, self.pivots)\n"
            "        return bool(member.all())",
            "        return True"),
+    _forced_true("normalforms._is_01_diagonal -> True", "src/homotopes/normalforms.py",
+                 "def _is_01_diagonal(nf: Matrix, rank: int) -> bool:"),
+    _forced_true("normalforms._is_reduced_diagonal -> True", "src/homotopes/normalforms.py",
+                 "def _is_reduced_diagonal(nf: Matrix, signs: tuple) -> bool:"),
+    _forced_true("normalforms._is_standard_skew -> True", "src/homotopes/normalforms.py",
+                 "def _is_standard_skew(nf: Matrix, blocks: int) -> bool:"),
 ]
 
 
