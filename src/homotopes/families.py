@@ -1,7 +1,12 @@
-"""The catalog: model matrix spaces, the four two-involution constructions
-(proj, siegel, quat1, quat2) with validated model maps and verified 4x4
-tables, the classification-table families of alpha-deformed triple systems,
-the polarized families, and parameter samplers.
+"""The catalog: model matrix spaces, parameter samplers, the family table,
+and the four two-involution constructions (proj, siegel, quat1, quat2) with
+validated model maps and verified 4x4 tables.
+
+The family table has one row per family of the classification tables, plain
+and polarized: its carrier model space (M, Sym, Asym or Herm, with size
+letters), its parameter models, its deformation alpha and its symmetric pair.
+A row that also names the pair of X' declares the c-dual X', whose bracket is
+negated.  Parameters are sampled by the rule of their model space.
 
 All K = R statements are realized over Q, complex ones over Q(i), and
 quaternionic ones over the rational quaternions; every identity checked is
@@ -52,11 +57,6 @@ def aherm_space(n: int, ring, delta: str) -> Subspace:
     return _fixed_space(n, ring, delta, -1)
 
 
-def iherm_space(n: int) -> Subspace:
-    """i Herm(n, Q(i)) = Aherm(n, Q(i))."""
-    return aherm_space(n, QI, "conj")
-
-
 def _fixed_space(n: int, ring, delta: str, sign: int) -> Subspace:
     """The sign-eigenspace of X -> delta(X)^t, from its declared action."""
     tau = MatrixInvolution("anti", delta, n, ring, validate=False)
@@ -78,14 +78,19 @@ def rand_matrix(p: int, q: int, ring, rng: random.Random) -> Matrix:
     return Matrix.unflatten((p, q, ring), [rand_fraction(rng) for _ in range(p * q * ring_components(ring))])
 
 
-def rand_invertible(n: int, ring, rng: random.Random) -> Matrix:
+def first_invertible(draw) -> Matrix:
+    """The first matrix ``draw()`` returns that has an inverse."""
     while True:
-        m = rand_matrix(n, n, ring, rng)
+        m = draw()
         try:
             m.inverse()
             return m
         except ZeroDivisionError:
             continue
+
+
+def rand_invertible(n: int, ring, rng: random.Random) -> Matrix:
+    return first_invertible(lambda: rand_matrix(n, n, ring, rng))
 
 
 def sample_in_subspace(space: Subspace, rng: random.Random) -> Matrix:
@@ -95,53 +100,32 @@ def sample_in_subspace(space: Subspace, rng: random.Random) -> Matrix:
 class ParamClass:
     """A parameter space (a model subspace) with rank-controlled sampling.
 
-    ``kind`` selects the low-rank strategy: full -> u v^t; sym -> v v^t;
-    asym -> u v^t - v u^t; herm:<delta> -> v delta(v)^t; aherm:<delta> and
-    iherm -> skew projections of the hermitian rank-one.
+    The model name selects the low-rank rule: M -> u v^t; Sym -> v v^t;
+    Asym -> u v^t - v u^t; Herm:<delta> -> v delta(v)^t; iHerm -> i v conj(v)^t;
+    piece (an eigenspace piece) -> u v^t projected onto the space.
     """
 
-    def __init__(self, name: str, space: Subspace, kind: str):
-        self.name = name
+    def __init__(self, model: str, space: Subspace):
+        self.model = model
         self.space = space
-        self.kind = kind
-
-    def _vec(self, rng):
-        rows, _, ring = self.space.ambient
-        return rand_matrix(rows, 1, ring, rng)
 
     def low_rank(self, rng: random.Random) -> Matrix:
         rows, cols, ring = self.space.ambient
-        kind = self.kind
-        if kind == "full":
-            u = rand_matrix(rows, 1, ring, rng)
-            v = rand_matrix(1, cols, ring, rng)
-            return u @ v
-        if kind == "sym":
-            v = self._vec(rng)
+        name, _, delta = self.model.partition(":")
+        if name in ("M", "piece"):
+            m = rand_matrix(rows, 1, ring, rng) @ rand_matrix(1, cols, ring, rng)
+            return m if name == "M" else _project_onto(self.space, m)
+        v = rand_matrix(rows, 1, ring, rng)
+        if name == "Sym":
             return v @ v.transpose()
-        if kind == "asym":
-            u, v = self._vec(rng), self._vec(rng)
-            return u @ v.transpose() - v @ u.transpose()
-        if kind.startswith("herm:"):
-            delta = kind.split(":")[1]
-            v = self._vec(rng)
+        if name == "Asym":
+            w = rand_matrix(rows, 1, ring, rng)
+            return v @ w.transpose() - w @ v.transpose()
+        if name == "Herm":
             return v @ v.dagger(delta)
-        if kind.startswith("aherm:"):
-            delta = kind.split(":")[1]
-            v, w = self._vec(rng), self._vec(rng)
-            m = v @ w.dagger(delta)
-            return (m - m.dagger(delta)).scale(Fraction(1, 2))
-        if kind == "iherm":
-            v = self._vec(rng)
+        if name == "iHerm":
             return (v @ v.dagger("conj")).scalar_mul(Scalar(QI, (0, 1)))
-        if kind == "piece":
-            # low-rank ambient matrix projected onto an eigenspace piece
-            u = rand_matrix(rows, 1, ring, rng)
-            v = rand_matrix(1, cols, ring, rng)
-            m = u @ v
-            co = _project_onto(self.space, m)
-            return co
-        raise ValueError(f"unknown parameter kind {self.kind!r}")
+        raise ValueError(f"unknown parameter model {self.model!r}")
 
     def sample(self, rng: random.Random, style: str) -> Matrix:
         rows, cols, ring = self.space.ambient
@@ -150,7 +134,7 @@ class ParamClass:
         if style == "low":
             m = self.low_rank(rng)
             if not self.space.contains(m):
-                raise AssertionError(f"low-rank sample left class {self.name}")
+                raise AssertionError(f"low-rank sample left class {self.model}")
             return m
         return sample_in_subspace(self.space, rng)
 
@@ -176,36 +160,160 @@ def sample_styles(samples: int):
 
 # -- family catalog --------------------------------------------------------
 
+# A model is a name and its size letters ("M q p", "Sym n", "Herm:qsplit p").
+# The name gives the space over the family's ring; the space functions are
+# looked up by name when called.
+_MODELS = {
+    "M": lambda ring, p, q: matrix_space(p, q, ring),
+    "Sym": lambda ring, n: sym_space(n, ring),
+    "Asym": lambda ring, n: asym_space(n, ring),
+    "Herm:conj": lambda ring, n: herm_space(n, ring, "conj"),
+    "Herm:qconj": lambda ring, n: herm_space(n, ring, "qconj"),
+    "Herm:qsplit": lambda ring, n: herm_space(n, ring, "qsplit"),
+    "iHerm": lambda ring, n: aherm_space(n, ring, "conj"),    # i Herm(n, C) = Aherm(n, C)
+}
+
+# Each deformation alpha as a function of the parameters (A) or (A, B); a
+# polarized alpha acts on the pair (P, M).
+_ALPHAS = {
+    "A X A": lambda a: AlphaTriple(AlphaMap(a, a)),
+    "A conj(X A)": lambda a: AlphaTriple(AlphaMap(a, a.conjugate("conj"), "conj")),
+    "A phi(X A)": lambda a: AlphaTriple(AlphaMap(a, a.conjugate("phi"), "phi")),
+    "B X^t A": lambda a, b: AlphaTriple(AlphaMap(b, a, transpose=True)),
+    "B conj(X)^t A": lambda a, b: AlphaTriple(AlphaMap(b, a, "conj", transpose=True)),
+    "B qconj(X)^t A": lambda a, b: AlphaTriple(AlphaMap(b, a, "qconj", transpose=True)),
+    "B qsplit(X)^t A": lambda a, b: AlphaTriple(AlphaMap(b, a, "qsplit", transpose=True)),
+    "(A P^t B, A^t M^t B^t)": lambda a, b: PairTriple(
+        (AlphaMap(a, b, transpose=True), AlphaMap(a.transpose(), b.transpose(), transpose=True))),
+    "(A P B, B M A)": lambda a, b: PairTriple((AlphaMap(a, b), AlphaMap(b, a))),
+    "(-A^t P A, -A M A^t)": lambda a: PairTriple(
+        (AlphaMap(a.transpose(), a, sign=-1), AlphaMap(a, a.transpose(), sign=-1))),
+    "(A^t P A, A M A^t)": lambda a: PairTriple((AlphaMap(a.transpose(), a), AlphaMap(a, a.transpose()))),
+    "(conj(A)^t P A, A M conj(A)^t)": lambda a: PairTriple(
+        (AlphaMap(a.dagger("conj"), a), AlphaMap(a, a.dagger("conj")))),
+    "(qconj(A)^t P A, A M qconj(A)^t)": lambda a: PairTriple(
+        (AlphaMap(a.dagger("qconj"), a), AlphaMap(a, a.dagger("qconj")))),
+    "(qsplit(A)^t P A, A M qsplit(A)^t)": lambda a: PairTriple(
+        (AlphaMap(a.dagger("qsplit"), a), AlphaMap(a, a.dagger("qsplit")))),
+}
+
+# One row per family of the classification tables: label, ring, space name,
+# carrier model (two joined by " x " for a polarized pair space), parameter
+# models, alpha, the symmetric pair, and the pair of X' if the row has one.
+# X' is the c-dual of X: the same system with the bracket negated.  3.A' has
+# its own row: its parameters are Herm(n,C), not iHerm(n,C) as for 3.A.
+_TABLE = (
+    # table 1: rectangular over K = Q
+    ("1.a", Q, "M(p,q;K)", "M p q", "M q p", "A X A", "group case Gl_pq(A,K)", "Gl_pq(A,K[i])/Gl_pq(A,K)"),
+    ("1.b", Q, "M(p,q;K)", "M p q", "Sym p, Sym q", "B X^t A", "O_{p+q}(diag(A,B);K)/O_p(A)xO_q(B)", None),
+    ("1.c", Q, "M(p,q;K)", "M p q", "Asym p, Asym q", "B X^t A", "Sp(diag(A,B);K)/Sp(A)xSp(B)", None),
+    # table 1 antilinear: rectangular over C
+    ("1.A", QI, "M(p,q;C)", "M p q", "M q p", "A conj(X A)", "Gl_pq(A;M(2,2;R))/Gl_pq(A;C)", "Gl_pq(A;H)/Gl_pq(A;C)"),
+    ("1.B", QI, "M(p,q;C)", "M p q", "Herm:conj p, Herm:conj q", "B conj(X)^t A",
+     "U_{p+q}(diag(A,B);C)/U_p(A)xU_q(B)", None),
+    # table 1.3: rectangular over H
+    ("1.3.a", HQ, "M(p,q;H)", "M p q", "M q p", "A X A", "group case Gl_pq(A,H)", "Gl_pq(A,M(2,2;C))/Gl_pq(A,H)"),
+    ("1.3.b", HQ, "M(p,q;H)", "M p q", "Herm:qconj p, Herm:qconj q", "B qconj(X)^t A",
+     "U_{p+q}(diag(A,B);H)/U_p(A)xU_q(B)", None),
+    ("1.3.c", HQ, "M(p,q;H)", "M p q", "Herm:qsplit p, Herm:qsplit q", "B qsplit(X)^t A",
+     "U_{p+q}(diag(A,B);H~)/U_p(A)xU_q(B)", None),
+    # table 2: symmetric over K, and Sym(n, C)
+    ("2.a", Q, "Sym(n,K)", "Sym n", "Sym n", "A X A", "Gl_n(A;K)/O_n(A;K)", "U_n(A;K[i])/O_n(A;K)"),
+    ("2.b", Q, "Sym(n,K)", "Sym n", "Asym n", "A X A", "group space Sp(A;K)", "Sp(A;K[i])/Sp(A;K)"),
+    ("2.A", QI, "Sym(n,C)", "Sym n", "Herm:conj n", "A conj(X A)", "U_n(A;H)/U_n(A;C)", "Sp_n((b,a;-a,b))/U_n(b+ia,C)"),
+    # table 3: skew over K, and Asym(n, C)
+    ("3.a", Q, "Asym(n,K)", "Asym n", "Asym n", "A X A", "Gl_n(A;K)/Sp(A;K)", "U_n(A;K[i])/Sp(A;K)"),
+    ("3.b", Q, "Asym(n,K)", "Asym n", "Sym n", "A X A", "group case O_n(A;K)", "O_n(A;K[i])/O_n(A;K)"),
+    ("3.A", QI, "Asym(n,C)", "Asym n", "iHerm n", "A conj(X A)", "U_n(A,H~)/U_n(A,C)", None),
+    ("3.A'", QI, "Asym(n,C)", "Asym n", "Herm:conj n", "A conj(X A)", "O_2n((a,b;-b,a),R)/U_n(b+ia,C)", None),
+    # table 1.1: Herm(n, C)
+    ("1.1.a", QI, "Herm(n,C)", "Herm:conj n", "Herm:conj n", "A X A", "Gl_n(A,C)/U_n(A,C)", "group case U_n(A,C)"),
+    ("1.1.b", QI, "Herm(n,C)", "Herm:conj n", "Sym n", "A conj(X A)",
+     "U_n(A,H~)/O_n(A,C)", "O_2n((a,b;b,-a);R)/O_n(a+ib;C)"),
+    ("1.1.c", QI, "Herm(n,C)", "Herm:conj n", "Asym n", "A conj(X A)",
+     "Sp_n((a,b;b,-a);R)/Sp(a+ib;C)", "U_n(A,H)/Sp(A,C)"),
+    # table 3.1: Herm(n, H)
+    ("3.1.a", HQ, "Herm(n,H)", "Herm:qconj n", "Herm:qconj n", "A X A", "Gl_n(A,H)/U_n(A,H)", "U_2n(IA,C)/U_n(A,H)"),
+    ("3.1.b", HQ, "Herm(n,H)", "Herm:qconj n", "Herm:qsplit n", "A phi(X A)",
+     "group case U_n(A,H~)", "O_2n(IA,C)/U_n(A,H~)"),
+    # table 2.2: Herm(n, H~)
+    ("2.2.a", HQ, "Herm(n,H~)", "Herm:qsplit n", "Herm:qsplit n", "A X A",
+     "Gl_n(A,H)/U_n(A,H~)", "U_2n(IA,C)/U_n(A,H~)"),
+    ("2.2.b", HQ, "Herm(n,H~)", "Herm:qsplit n", "Herm:qconj n", "A phi(X A)",
+     "group case U_n(A,H)", "Sp_2n(IA,C)/U_n(A,H)"),
+    # para-Hermitian table (the p = q versions use a single size n)
+    ("pol1-1.a", Q, "M(p,q;K) x M(q,p;K)", "M p q x M q p", "M p q, M p q", "(A P^t B, A^t M^t B^t)",
+     "Gl_{2p,2q}(diag(A,B);K)/Gl_pq(A)xGl_pq(B)", None),
+    ("pol1-1.b", Q, "M(p,q;K) x M(q,p;K)", "M p q x M q p", "M p p, M q q", "(A P B, B M A)",
+     "Gl_{p+q}(diag(A,B);K)/Gl_p(A)xGl_q(B)", None),
+    ("pol1-2", Q, "Sym(n,K) x Sym(n,K)", "Sym n x Sym n", "M n n", "(-A^t P A, -A M A^t)",
+     "Sp_n((0,A;-A^t,0);K)/Gl_n(A;K)", None),
+    ("pol1-3", Q, "Asym(n,K) x Asym(n,K)", "Asym n x Asym n", "M n n", "(A^t P A, A M A^t)",
+     "O_2n((0,A;A^t,0);K)/Gl_n(A;K)", None),
+    ("pol1-1.1", QI, "Herm(n,C) x Herm(n,C)", "Herm:conj n x Herm:conj n", "M n n",
+     "(conj(A)^t P A, A M conj(A)^t)", "U_2n((0,A;conj(A)^t,0);C)/Gl_n(A;C)", None),
+    ("pol1-3.1", HQ, "Herm(n,H) x Herm(n,H)", "Herm:qconj n x Herm:qconj n", "M n n",
+     "(qconj(A)^t P A, A M qconj(A)^t)", "U_2n((0,A;qconj(A)^t,0);H)/Gl_n(A;H)", None),
+    ("pol1-2.2", HQ, "Herm(n,H~) x Herm(n,H~)", "Herm:qsplit n x Herm:qsplit n", "M n n",
+     "(qsplit(A)^t P A, A M qsplit(A)^t)", "U_2n((0,A;split(A)^t,0);H~)/Gl_n(A;H)", None),
+    # twisted polarized table (rectangular sizes p, q)
+    ("pol2-1", Q, "M(p,q;K) x M(p,q;K)", "M p q x M p q", "M q p, M q p", "(A P B, B M A)",
+     "Gl(diag(A,B);K)/Gl(A)xGl(B)", None),
+    ("pol2-2", Q, "Sym(p,K) x Sym(q,K)", "Sym p x Sym q", "M p q", "(-A^t P A, -A M A^t)",
+     "Sp((0,A;-A^t,0);K)/Gl_pq(A;K)", None),
+    ("pol2-3", Q, "Asym(p,K) x Asym(q,K)", "Asym p x Asym q", "M p q", "(A^t P A, A M A^t)",
+     "O((0,A;A^t,0);K)/Gl_pq(A;K)", None),
+    ("pol2-1.1", QI, "Herm(p,C) x Herm(q,C)", "Herm:conj p x Herm:conj q", "M p q",
+     "(conj(A)^t P A, A M conj(A)^t)", "U((0,A;conj(A)^t,0);C)/Gl_pq(A;C)", None),
+    ("pol2-3.1", HQ, "Herm(p,H) x Herm(q,H)", "Herm:qconj p x Herm:qconj q", "M p q",
+     "(qconj(A)^t P A, A M qconj(A)^t)", "U((0,A;qconj(A)^t,0);H)/Gl_pq(A;H)", None),
+    ("pol2-2.2", HQ, "Herm(p,H~) x Herm(q,H~)", "Herm:qsplit p x Herm:qsplit q", "M p q",
+     "(qsplit(A)^t P A, A M qsplit(A)^t)", "U((0,A;split(A)^t,0);H~)/Gl_pq(A;H)", None),
+)
+
 
 @dataclass
 class FamilyDescriptor:
-    """One row of the classification tables.
+    """One family of the classification tables, read from its row.
 
-    ``pair_name`` is symbolic metadata (the claimed symmetric pair); only the
-    algebraic identities are machine-verified.
+    A label ending in a prime is a c-dual: its bracket is the negation of
+    the one its alpha gives.  ``pair_name`` is symbolic metadata (the claimed
+    symmetric pair); only the algebraic identities are machine-verified.
     """
 
     label: str
     ring: str
-    sizes: str               # "pq" or "n"
+    sizes: str               # "pq" or "n": the size letters of the models
     space_name: str
     pair_name: str
-    polarized: bool
-    space_fn: object
-    params_fn: object        # sizes -> [ParamClass, ...]
-    alpha_fn: object         # (sizes, params) -> AlphaTriple | PairTriple
+    carrier: tuple           # one model, or two for a polarized pair space
+    params: tuple            # the parameter models
+    alpha: str               # the key of the deformation in _ALPHAS
+    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def polarized(self) -> bool:
+        return len(self.carrier) == 2
+
+    def _model_space(self, model: str, sizes) -> Subspace:
+        name, *letters = model.split()
+        dims = dict(zip(self.sizes, sizes))
+        return _MODELS[name](self.ring, *(dims[s] for s in letters))
 
     def space(self, sizes):
-        return self.space_fn(tuple(sizes))
-
-    def param_classes(self, sizes):
-        return self.params_fn(sizes)
+        # one space per sizes: a space keeps its integer basis
+        sizes = tuple(sizes)
+        if sizes not in self._spaces:
+            spaces = [self._model_space(m, sizes) for m in self.carrier]
+            self._spaces[sizes] = ProductSpace(*spaces) if self.polarized else spaces[0]
+        return self._spaces[sizes]
 
     def sample_params(self, sizes, rng, style):
-        return [cls.sample(rng, style) for cls in self.param_classes(sizes)]
+        return [ParamClass(m.split()[0], self._model_space(m, sizes)).sample(rng, style) for m in self.params]
 
     def system(self, sizes, params) -> TripleSystem:
-        return TripleSystem(self.space(sizes), self.alpha_fn(sizes, params))
+        product = _ALPHAS[self.alpha](*params)
+        return TripleSystem(self.space(sizes), product.negated() if self.label.endswith("'") else product)
 
     def to_json(self) -> dict:
         return {
@@ -218,319 +326,19 @@ class FamilyDescriptor:
         }
 
 
-_CATALOG: dict = {}
-
-
-def _add(label, ring, sizes, space_name, pair_name, space_fn, params_fn, alpha_fn,
-         polarized=False):
-    # one space per sizes: a space keeps its integer basis
-    _CATALOG[label] = FamilyDescriptor(
-        label, ring, sizes, space_name, pair_name, polarized, lru_cache(maxsize=None)(space_fn),
-        params_fn, alpha_fn
-    )
-
-
-def _sandwich_alpha(twist: str, name: str):
-    """alpha(X) = A twist(X) twist(A) for the one parameter A."""
-    def build(sizes, params):
-        a = params[0]
-        return AlphaTriple(AlphaMap(a, a.conjugate(twist), twist, name=name))
-
-    return build
-
-
-def _dagger_alpha(twist: str, name: str):
-    """alpha(X) = B twist(X)^t A for the parameters (A, B)."""
-    def build(sizes, params):
-        a, b = params
-        return AlphaTriple(AlphaMap(b, a, twist, transpose=True, name=name))
-
-    return build
-
-
-_axa = _sandwich_alpha("id", "AXA")
-_conj_axa = _sandwich_alpha("conj", "A conj(XA)")
-_phi_axa = _sandwich_alpha("phi", "A phi(XA)")
-
-
-def _neg(alpha_fn):
-    def build(sizes, params):
-        return alpha_fn(sizes, params).negated()
-
-    return build
-
-
-def _build_catalog():
-    # ---- table 1: rectangular over K = Q ---------------------------------
-    def t1_space(sz):
-        return matrix_space(sz[0], sz[1], Q)
-
-    def t1_param(sz):
-        return [ParamClass("M(q,p;K)", matrix_space(sz[1], sz[0], Q), "full")]
-
-    _add("1.a", Q, "pq", "M(p,q;K)", "group case Gl_pq(A,K)", t1_space, t1_param, _axa)
-    _add("1.a'", Q, "pq", "M(p,q;K)", "Gl_pq(A,K[i])/Gl_pq(A,K)", t1_space, t1_param, _neg(_axa))
-
-    def t1b_param(sz):
-        return [ParamClass("Sym(p,K)", sym_space(sz[0], Q), "sym"),
-                ParamClass("Sym(q,K)", sym_space(sz[1], Q), "sym")]
-
-    t1b_alpha = _dagger_alpha("id", "B X^t A")
-    _add("1.b", Q, "pq", "M(p,q;K)", "O_{p+q}(diag(A,B);K)/O_p(A)xO_q(B)", t1_space, t1b_param, t1b_alpha)
-
-    def t1c_param(sz):
-        return [ParamClass("Asym(p,K)", asym_space(sz[0], Q), "asym"),
-                ParamClass("Asym(q,K)", asym_space(sz[1], Q), "asym")]
-
-    _add("1.c", Q, "pq", "M(p,q;K)", "Sp(diag(A,B);K)/Sp(A)xSp(B)", t1_space, t1c_param, t1b_alpha)
-
-    # ---- table 1 antilinear: rectangular over C --------------------------
-    def t1A_space(sz):
-        return matrix_space(sz[0], sz[1], QI)
-
-    def t1A_param(sz):
-        return [ParamClass("M(q,p;C)", matrix_space(sz[1], sz[0], QI), "full")]
-
-    _add("1.A", QI, "pq", "M(p,q;C)", "Gl_pq(A;M(2,2;R))/Gl_pq(A;C)", t1A_space, t1A_param, _conj_axa)
-    _add("1.A'", QI, "pq", "M(p,q;C)", "Gl_pq(A;H)/Gl_pq(A;C)", t1A_space, t1A_param, _neg(_conj_axa))
-
-    def t1B_param(sz):
-        return [ParamClass("Herm(p,C)", herm_space(sz[0], QI, "conj"), "herm:conj"),
-                ParamClass("Herm(q,C)", herm_space(sz[1], QI, "conj"), "herm:conj")]
-
-    _add("1.B", QI, "pq", "M(p,q;C)", "U_{p+q}(diag(A,B);C)/U_p(A)xU_q(B)", t1A_space, t1B_param,
-         _dagger_alpha("conj", "B conj(X)^t A"))
-
-    # ---- table 1.3: rectangular over H -----------------------------------
-    def t13_space(sz):
-        return matrix_space(sz[0], sz[1], HQ)
-
-    def t13_param(sz):
-        return [ParamClass("M(q,p;H)", matrix_space(sz[1], sz[0], HQ), "full")]
-
-    _add("1.3.a", HQ, "pq", "M(p,q;H)", "group case Gl_pq(A,H)", t13_space, t13_param, _axa)
-    _add("1.3.a'", HQ, "pq", "M(p,q;H)", "Gl_pq(A,M(2,2;C))/Gl_pq(A,H)", t13_space, t13_param, _neg(_axa))
-
-    def t13_herm_param(delta):
-        def build(sz):
-            return [ParamClass(f"Herm(p,{delta})", herm_space(sz[0], HQ, delta), f"herm:{delta}"),
-                    ParamClass(f"Herm(q,{delta})", herm_space(sz[1], HQ, delta), f"herm:{delta}")]
-
-        return build
-
-    _add("1.3.b", HQ, "pq", "M(p,q;H)", "U_{p+q}(diag(A,B);H)/U_p(A)xU_q(B)",
-         t13_space, t13_herm_param("qconj"), _dagger_alpha("qconj", "B qconj(X)^t A"))
-    _add("1.3.c", HQ, "pq", "M(p,q;H)", "U_{p+q}(diag(A,B);H~)/U_p(A)xU_q(B)",
-         t13_space, t13_herm_param("qsplit"), _dagger_alpha("qsplit", "B qsplit(X)^t A"))
-
-    # ---- table 2: symmetric over K ---------------------------------------
-    def t2_space(sz):
-        return sym_space(sz[0], Q)
-
-    _add("2.a", Q, "n", "Sym(n,K)", "Gl_n(A;K)/O_n(A;K)", t2_space,
-         lambda sz: [ParamClass("Sym(n,K)", sym_space(sz[0], Q), "sym")], _axa)
-    _add("2.a'", Q, "n", "Sym(n,K)", "U_n(A;K[i])/O_n(A;K)", t2_space,
-         lambda sz: [ParamClass("Sym(n,K)", sym_space(sz[0], Q), "sym")], _neg(_axa))
-    _add("2.b", Q, "n", "Sym(n,K)", "group space Sp(A;K)", t2_space,
-         lambda sz: [ParamClass("Asym(n,K)", asym_space(sz[0], Q), "asym")], _axa)
-    _add("2.b'", Q, "n", "Sym(n,K)", "Sp(A;K[i])/Sp(A;K)", t2_space,
-         lambda sz: [ParamClass("Asym(n,K)", asym_space(sz[0], Q), "asym")], _neg(_axa))
-
-    # ---- table 2 antilinear: Sym(n, C) -----------------------------------
-    def t2A_space(sz):
-        return sym_space(sz[0], QI)
-
-    _add("2.A", QI, "n", "Sym(n,C)", "U_n(A;H)/U_n(A;C)", t2A_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _conj_axa)
-    _add("2.A'", QI, "n", "Sym(n,C)", "Sp_n((b,a;-a,b))/U_n(b+ia,C)", t2A_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(_conj_axa))
-
-    # ---- table 3: skew over K --------------------------------------------
-    def t3_space(sz):
-        return asym_space(sz[0], Q)
-
-    _add("3.a", Q, "n", "Asym(n,K)", "Gl_n(A;K)/Sp(A;K)", t3_space,
-         lambda sz: [ParamClass("Asym(n,K)", asym_space(sz[0], Q), "asym")], _axa)
-    _add("3.a'", Q, "n", "Asym(n,K)", "U_n(A;K[i])/Sp(A;K)", t3_space,
-         lambda sz: [ParamClass("Asym(n,K)", asym_space(sz[0], Q), "asym")], _neg(_axa))
-    _add("3.b", Q, "n", "Asym(n,K)", "group case O_n(A;K)", t3_space,
-         lambda sz: [ParamClass("Sym(n,K)", sym_space(sz[0], Q), "sym")], _axa)
-    _add("3.b'", Q, "n", "Asym(n,K)", "O_n(A;K[i])/O_n(A;K)", t3_space,
-         lambda sz: [ParamClass("Sym(n,K)", sym_space(sz[0], Q), "sym")], _neg(_axa))
-
-    # ---- table 3 antilinear: Asym(n, C) ----------------------------------
-    def t3A_space(sz):
-        return asym_space(sz[0], QI)
-
-    _add("3.A", QI, "n", "Asym(n,C)", "U_n(A,H~)/U_n(A,C)", t3A_space,
-         lambda sz: [ParamClass("iHerm(n,C)", iherm_space(sz[0]), "iherm")], _conj_axa)
-    _add("3.A'", QI, "n", "Asym(n,C)", "O_2n((a,b;-b,a),R)/U_n(b+ia,C)", t3A_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(_conj_axa))
-
-    # ---- table 1.1: Herm(n, C) -------------------------------------------
-    def t11_space(sz):
-        return herm_space(sz[0], QI, "conj")
-
-    _add("1.1.a", QI, "n", "Herm(n,C)", "Gl_n(A,C)/U_n(A,C)", t11_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _axa)
-    _add("1.1.a'", QI, "n", "Herm(n,C)", "group case U_n(A,C)", t11_space,
-         lambda sz: [ParamClass("Herm(n,C)", herm_space(sz[0], QI, "conj"), "herm:conj")], _neg(_axa))
-
-    _add("1.1.b", QI, "n", "Herm(n,C)", "U_n(A,H~)/O_n(A,C)", t11_space,
-         lambda sz: [ParamClass("Sym(n,C)", sym_space(sz[0], QI), "sym")], _conj_axa)
-    _add("1.1.b'", QI, "n", "Herm(n,C)", "O_2n((a,b;b,-a);R)/O_n(a+ib;C)", t11_space,
-         lambda sz: [ParamClass("Sym(n,C)", sym_space(sz[0], QI), "sym")], _neg(_conj_axa))
-    _add("1.1.c", QI, "n", "Herm(n,C)", "Sp_n((a,b;b,-a);R)/Sp(a+ib;C)", t11_space,
-         lambda sz: [ParamClass("Asym(n,C)", asym_space(sz[0], QI), "asym")], _conj_axa)
-    _add("1.1.c'", QI, "n", "Herm(n,C)", "U_n(A,H)/Sp(A,C)", t11_space,
-         lambda sz: [ParamClass("Asym(n,C)", asym_space(sz[0], QI), "asym")], _neg(_conj_axa))
-
-    # ---- table 3.1: Herm(n, H) -------------------------------------------
-    def t31_space(sz):
-        return herm_space(sz[0], HQ, "qconj")
-
-    def t31_param(sz):
-        return [ParamClass("Herm(n,H)", herm_space(sz[0], HQ, "qconj"), "herm:qconj")]
-
-    def t31b_param(sz):
-        return [ParamClass("Herm(n,H~)", herm_space(sz[0], HQ, "qsplit"), "herm:qsplit")]
-
-    _add("3.1.a", HQ, "n", "Herm(n,H)", "Gl_n(A,H)/U_n(A,H)", t31_space, t31_param, _axa)
-    _add("3.1.a'", HQ, "n", "Herm(n,H)", "U_2n(IA,C)/U_n(A,H)", t31_space, t31_param, _neg(_axa))
-    _add("3.1.b", HQ, "n", "Herm(n,H)", "group case U_n(A,H~)", t31_space, t31b_param, _phi_axa)
-    _add("3.1.b'", HQ, "n", "Herm(n,H)", "O_2n(IA,C)/U_n(A,H~)", t31_space, t31b_param, _neg(_phi_axa))
-
-    # ---- table 2.2: Herm(n, H~) ------------------------------------------
-    def t22_space(sz):
-        return herm_space(sz[0], HQ, "qsplit")
-
-    def t22_param(sz):
-        return [ParamClass("Herm(n,H~)", herm_space(sz[0], HQ, "qsplit"), "herm:qsplit")]
-
-    def t22b_param(sz):
-        return [ParamClass("Herm(n,H)", herm_space(sz[0], HQ, "qconj"), "herm:qconj")]
-
-    _add("2.2.a", HQ, "n", "Herm(n,H~)", "Gl_n(A,H)/U_n(A,H~)", t22_space, t22_param, _axa)
-    _add("2.2.a'", HQ, "n", "Herm(n,H~)", "U_2n(IA,C)/U_n(A,H~)", t22_space, t22_param, _neg(_axa))
-    _add("2.2.b", HQ, "n", "Herm(n,H~)", "group case U_n(A,H)", t22_space, t22b_param, _phi_axa)
-    _add("2.2.b'", HQ, "n", "Herm(n,H~)", "Sp_2n(IA,C)/U_n(A,H)", t22_space, t22b_param, _neg(_phi_axa))
-
-    _build_polarized()
-
-
-def _build_polarized():
-    # ---- para-Hermitian table (p = q versions use a single size n) -------
-    def pol1a_space(sz):
-        return ProductSpace(matrix_space(sz[0], sz[1], Q), matrix_space(sz[1], sz[0], Q))
-
-    def pol1a_param(sz):
-        return [ParamClass("M(p,q;K)", matrix_space(sz[0], sz[1], Q), "full"),
-                ParamClass("M(p,q;K)", matrix_space(sz[0], sz[1], Q), "full")]
-
-    def pol1a_alpha(sz, ps):
-        a, b = ps
-        return PairTriple((AlphaMap(a, b, transpose=True),
-                           AlphaMap(a.transpose(), b.transpose(), transpose=True)),
-                          "(A P^t B, A^t M^t B^t)")
-
-    _add("pol1-1.a", Q, "pq", "M(p,q;K) x M(q,p;K)",
-         "Gl_{2p,2q}(diag(A,B);K)/Gl_pq(A)xGl_pq(B)", pol1a_space, pol1a_param, pol1a_alpha,
-         polarized=True)
-
-    def pol1b_param(sz):
-        return [ParamClass("M(p,p;K)", matrix_space(sz[0], sz[0], Q), "full"),
-                ParamClass("M(q,q;K)", matrix_space(sz[1], sz[1], Q), "full")]
-
-    def pol1b_alpha(sz, ps):
-        a, b = ps
-        return PairTriple((AlphaMap(a, b), AlphaMap(b, a)), "(A P B, B M A)")
-
-    _add("pol1-1.b", Q, "pq", "M(p,q;K) x M(q,p;K)",
-         "Gl_{p+q}(diag(A,B);K)/Gl_p(A)xGl_q(B)", pol1a_space, pol1b_param, pol1b_alpha,
-         polarized=True)
-
-    def _conjugated_pair_alpha(delta, sign, name):
-        """alpha(P, M) = (sign * delta(A)^t P A, sign * A M delta(A)^t)."""
-
-        def build(sz, ps):
-            a = ps[0]
-            at = a.dagger(delta)
-            return PairTriple((AlphaMap(at, a, sign=sign), AlphaMap(a, at, sign=sign)), name)
-
-        return build
-
-    def _square_pair(space_fn, ring):
-        def build(sz):
-            s = space_fn(sz[0])
-            return ProductSpace(s, s)
-
-        return build
-
-    _add("pol1-2", Q, "n", "Sym(n,K) x Sym(n,K)", "Sp_n((0,A;-A^t,0);K)/Gl_n(A;K)",
-         _square_pair(lambda n: sym_space(n, Q), Q),
-         lambda sz: [ParamClass("M(n,n;K)", matrix_space(sz[0], sz[0], Q), "full")],
-         _conjugated_pair_alpha("id", -1, "(-id(A)^t P A, ...)"), polarized=True)
-    _add("pol1-3", Q, "n", "Asym(n,K) x Asym(n,K)", "O_2n((0,A;A^t,0);K)/Gl_n(A;K)",
-         _square_pair(lambda n: asym_space(n, Q), Q),
-         lambda sz: [ParamClass("M(n,n;K)", matrix_space(sz[0], sz[0], Q), "full")],
-         _conjugated_pair_alpha("id", 1, "(id(A)^t P A, ...)"), polarized=True)
-    _add("pol1-1.1", QI, "n", "Herm(n,C) x Herm(n,C)", "U_2n((0,A;conj(A)^t,0);C)/Gl_n(A;C)",
-         _square_pair(lambda n: herm_space(n, QI, "conj"), QI),
-         lambda sz: [ParamClass("M(n,n;C)", matrix_space(sz[0], sz[0], QI), "full")],
-         _conjugated_pair_alpha("conj", 1, "(conj(A)^t P A, ...)"), polarized=True)
-    _add("pol1-3.1", HQ, "n", "Herm(n,H) x Herm(n,H)", "U_2n((0,A;qconj(A)^t,0);H)/Gl_n(A;H)",
-         _square_pair(lambda n: herm_space(n, HQ, "qconj"), HQ),
-         lambda sz: [ParamClass("M(n,n;H)", matrix_space(sz[0], sz[0], HQ), "full")],
-         _conjugated_pair_alpha("qconj", 1, "(qconj(A)^t P A, ...)"), polarized=True)
-    _add("pol1-2.2", HQ, "n", "Herm(n,H~) x Herm(n,H~)", "U_2n((0,A;split(A)^t,0);H~)/Gl_n(A;H)",
-         _square_pair(lambda n: herm_space(n, HQ, "qsplit"), HQ),
-         lambda sz: [ParamClass("M(n,n;H)", matrix_space(sz[0], sz[0], HQ), "full")],
-         _conjugated_pair_alpha("qsplit", 1, "(qsplit(A)^t P A, ...)"), polarized=True)
-
-    # ---- twisted polarized table (rectangular sizes p, q) ----------------
-    def pol2_1_space(sz):
-        p, q = sz
-        return ProductSpace(matrix_space(p, q, Q), matrix_space(p, q, Q))
-
-    def pol2_1_param(sz):
-        p, q = sz
-        return [ParamClass("M(q,p;K)", matrix_space(q, p, Q), "full"),
-                ParamClass("M(q,p;K)", matrix_space(q, p, Q), "full")]
-
-    _add("pol2-1", Q, "pq", "M(p,q;K) x M(p,q;K)",
-         "Gl(diag(A,B);K)/Gl(A)xGl(B)", pol2_1_space, pol2_1_param, pol1b_alpha,
-         polarized=True)
-
-    def _rect_pair(space_fn, ring, delta, sign, name):
-        def space(sz):
-            return ProductSpace(space_fn(sz[0], ring), space_fn(sz[1], ring))
-
-        def param(sz):
-            return [ParamClass("M(p,q)", matrix_space(sz[0], sz[1], ring), "full")]
-
-        return space, param, _conjugated_pair_alpha(delta, sign, name)
-
-    s, p, a = _rect_pair(lambda n, r: sym_space(n, r), Q, "id", -1, "(-A^t P A, -A M A^t)")
-    _add("pol2-2", Q, "pq", "Sym(p,K) x Sym(q,K)", "Sp((0,A;-A^t,0);K)/Gl_pq(A;K)", s, p, a,
-         polarized=True)
-    s, p, a = _rect_pair(lambda n, r: asym_space(n, r), Q, "id", 1, "(A^t P A, A M A^t)")
-    _add("pol2-3", Q, "pq", "Asym(p,K) x Asym(q,K)", "O((0,A;A^t,0);K)/Gl_pq(A;K)", s, p, a,
-         polarized=True)
-    s, p, a = _rect_pair(lambda n, r: herm_space(n, r, "conj"), QI, "conj", 1,
-                         "(conj(A)^t P A, A M conj(A)^t)")
-    _add("pol2-1.1", QI, "pq", "Herm(p,C) x Herm(q,C)", "U((0,A;conj(A)^t,0);C)/Gl_pq(A;C)",
-         s, p, a, polarized=True)
-    s, p, a = _rect_pair(lambda n, r: herm_space(n, r, "qconj"), HQ, "qconj", 1,
-                         "(qconj(A)^t P A, A M qconj(A)^t)")
-    _add("pol2-3.1", HQ, "pq", "Herm(p,H) x Herm(q,H)", "U((0,A;qconj(A)^t,0);H)/Gl_pq(A;H)",
-         s, p, a, polarized=True)
-    s, p, a = _rect_pair(lambda n, r: herm_space(n, r, "qsplit"), HQ, "qsplit", 1,
-                         "(split(A)^t P A, A M split(A)^t)")
-    _add("pol2-2.2", HQ, "pq", "Herm(p,H~) x Herm(q,H~)", "U((0,A;split(A)^t,0);H~)/Gl_pq(A;H)",
-         s, p, a, polarized=True)
-
-
-_build_catalog()
+def _catalog() -> dict:
+    """The families of ``_TABLE``: each row, and X' where the row names its pair."""
+    out = {}
+    for label, ring, space_name, carrier, params, alpha, pair, dual_pair in _TABLE:
+        carrier, params = tuple(carrier.split(" x ")), tuple(params.split(", "))
+        sizes = "".join(sorted({s for m in carrier for s in m.split()[1:]}))
+        for name, pair_name in ((label, pair), (label + "'", dual_pair)):
+            if pair_name:
+                out[name] = FamilyDescriptor(name, ring, sizes, space_name, pair_name, carrier, params, alpha)
+    return out
+
+
+_CATALOG = _catalog()
 
 
 def family(label: str) -> FamilyDescriptor:
@@ -667,9 +475,9 @@ def quat_split_embedding(m: Matrix) -> Matrix:
     j <-> k), chosen so that X -> I X^t I^{-1} on the image pulls back to
     the split adjoint X -> qsplit(X)^t on M(n,n;H).
     """
-    u = Scalar.unflatten(HQ, (0, 0, 1, 1))
-    uinv = u.inverse()
-    return quat_complex_embedding(m.scalar_mul(u).scalar_mul(uinv, "right"))
+    u = Scalar(HQ, (0, 0, 1, 1))
+    u_inv = Scalar(HQ, (0, 0, Fraction(-1, 2), Fraction(-1, 2)))  # (j + k)^-1 = -(j + k)/2
+    return quat_complex_embedding(m.scalar_mul(u).scalar_mul(u_inv, "right"))
 
 
 def _block_embed(p, q, pos, ring=Q):
@@ -762,21 +570,18 @@ def instantiate(name: str, sizes) -> ConstructionDescriptor:
         dec = joint_eigenspaces([tau, tau_t])
         i_unit = Scalar(QI, (0, 1))
 
-        def emb(m):
-            return quat_split_embedding(m)
-
         def i_emb(m):
             return quat_split_embedding(m).scalar_mul(i_unit)
 
         models = {
             (1, 1): ModelPiece((1, 1), "Herm(n,H~) = j Aherm(n,H)",
-                               [(herm_space(n, HQ, "qsplit"), emb)]),
+                               [(herm_space(n, HQ, "qsplit"), quat_split_embedding)]),
             (-1, 1): ModelPiece((-1, 1), "i Aherm(n,H~) = i j Herm(n,H)",
                                 [(aherm_space(n, HQ, "qsplit"), i_emb)]),
             (1, -1): ModelPiece((1, -1), "i Herm(n,H~) = i j Aherm(n,H)",
                                 [(herm_space(n, HQ, "qsplit"), i_emb)]),
             (-1, -1): ModelPiece((-1, -1), "Aherm(n,H~) = j Herm(n,H)",
-                                 [(aherm_space(n, HQ, "qsplit"), emb)]),
+                                 [(aherm_space(n, HQ, "qsplit"), quat_split_embedding)]),
         }
         return ConstructionDescriptor("quat2", sizes, (2 * n, 2 * n, QI), tau, tau_t, dec, models)
 
@@ -850,7 +655,7 @@ def verify_table(c: ConstructionDescriptor, samples: int, seed: int) -> TableArt
              for s in SIGNS for t in SIGNS}
     for t in SIGNS:
         piece_t = c.piece(t)
-        cls = ParamClass(str(t), piece_t, "piece")
+        cls = ParamClass("piece", piece_t)
         for style in sample_styles(samples):
             a = cls.sample(rng, style)
             for s in SIGNS:

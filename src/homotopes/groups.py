@@ -24,10 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import rand_matrix
+from .families import first_invertible, rand_matrix
 from .homotope import bracket_param
 from .matrices import Matrix
-from .scalars import ring_components, series_ring
+from .scalars import Q, QI, ring_components, series_ring
 
 
 # -- quasi-group operations -------------------------------------------------
@@ -168,30 +168,28 @@ def cayley_element(a: Matrix, star, rng: random.Random, symmetric: bool) -> Matr
         return b @ (ident - u)
 
 
+def skew_is_singular(n: int, ring, delta: str) -> bool:
+    """Every star-skew n x n matrix is singular: n is odd and star is the
+    plain transpose over a commutative ring (ring Q with any delta, or QI with
+    delta "id"), so det X = det(-X^t) = -det X."""
+    return n % 2 == 1 and (ring == Q or (ring == QI and delta == "id"))
+
+
 def rand_symmetric_invertible(n: int, ring, delta: str, rng: random.Random) -> Matrix:
     star = star_from_delta(delta)
-    while True:
-        m = rand_matrix(n, n, ring, rng)
-        m = (m + star(m)).scale(Fraction(1, 2))
-        try:
-            m.inverse()
-            return m
-        except ZeroDivisionError:
-            continue
+    return first_invertible(lambda: _star_half(rand_matrix(n, n, ring, rng), star, 1))
 
 
 def rand_skew_invertible(n: int, ring, delta: str, rng: random.Random) -> Matrix:
-    if n % 2 and ring == "Q":
-        raise ValueError("no invertible skew matrices in odd dimension over Q")
+    if skew_is_singular(n, ring, delta):
+        raise ValueError(f"no invertible skew matrices in odd dimension over {ring} with delta {delta!r}")
     star = star_from_delta(delta)
-    while True:
-        m = rand_matrix(n, n, ring, rng)
-        m = (m - star(m)).scale(Fraction(1, 2))
-        try:
-            m.inverse()
-            return m
-        except ZeroDivisionError:
-            continue
+    return first_invertible(lambda: _star_half(rand_matrix(n, n, ring, rng), star, -1))
+
+
+def _star_half(m: Matrix, star, sign: int) -> Matrix:
+    """(m + star(m)) / 2 for sign 1, (m - star(m)) / 2 for sign -1."""
+    return (m + star(m) if sign > 0 else m - star(m)).scale(Fraction(1, 2))
 
 
 # -- series lifts and tangent statements ------------------------------------
@@ -287,13 +285,14 @@ def group_axiom_suite(p: int, q: int, ring, samples: int, seed: int) -> dict:
 def unitary_suite(n: int, ring, delta: str, samples: int, seed: int) -> dict:
     """U_A and S_A: Cayley-built rational points, membership in both
     equivalent forms, closure under the group operations, and the tangent
-    condition.  S_A needs even n over Q (skew parameters must be invertible)."""
+    condition.  S_A is skipped where no skew parameter is invertible
+    (``skew_is_singular``)."""
     rng = random.Random(seed)
     star = star_from_delta(delta)
     results = []
     ok = True
     cases = [("U", False)]
-    if n % 2 == 0 or ring != "Q":
+    if not skew_is_singular(n, ring, delta):
         cases.append(("S", True))
     for kind, symmetric in cases:
         if kind == "U":

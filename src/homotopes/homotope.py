@@ -58,16 +58,15 @@ class AlphaMap:
     ``Matrix`` or to a whole stacked basis (an ``Arr``) alike.
     """
 
-    __slots__ = ("left", "right", "twist", "transpose", "sign", "name")
+    __slots__ = ("left", "right", "twist", "transpose", "sign")
 
     def __init__(self, left: Matrix | None, right: Matrix | None, twist: str = "id", transpose: bool = False,
-                 sign: int = 1, name: str = "alpha"):
+                 sign: int = 1):
         self.left = left
         self.right = right
         self.twist = twist
         self.transpose = transpose
         self.sign = sign
-        self.name = name
 
     def __call__(self, x: Arr) -> Arr:
         """alpha of the matrix ``x``, or of every matrix of the stack ``x``."""
@@ -77,11 +76,10 @@ class AlphaMap:
     @staticmethod
     def param(a: Matrix) -> "AlphaMap":
         """alpha(X) = A X A (the plain homotope with parameter A)."""
-        return AlphaMap(a, a, name="AXA")
+        return AlphaMap(a, a)
 
     def negated(self) -> "AlphaMap":
-        return AlphaMap(self.left, self.right, self.twist, self.transpose, -self.sign,
-                        f"-({self.name})")
+        return AlphaMap(self.left, self.right, self.twist, self.transpose, -self.sign)
 
 
 # -- product objects --------------------------------------------------------
@@ -120,9 +118,8 @@ class PairTriple:
     ``AlphaMap``s, one per component, and the identity when ``alphas`` is None.
     """
 
-    def __init__(self, alphas=None, name: str = "id"):
+    def __init__(self, alphas=None):
         self.alphas = alphas
-        self.name = name
 
     def _alpha(self, u):
         return u if self.alphas is None else tuple(f(x) for f, x in zip(self.alphas, u))
@@ -148,8 +145,8 @@ class PairTriple:
         return kernel.concat_last(*(kernel.flatten_last(_triples(b, w)) for b, w in ((bp, wm), (bm, wp))))
 
     def negated(self) -> "PairTriple":
-        alphas = self.alphas or (AlphaMap(None, None, name="id"),) * 2
-        return PairTriple(tuple(f.negated() for f in alphas), f"-({self.name})")
+        alphas = self.alphas or (AlphaMap(None, None),) * 2
+        return PairTriple(tuple(f.negated() for f in alphas))
 
 
 class GenericTriple:
@@ -554,7 +551,7 @@ def gamma_act(g: Matrix, a: Matrix, tau, phi=None):
     if phi is not None and phi(g) != g:
         raise ValueError("g is not fixed by the declared automorphism")
     tg = tau(g)
-    return g @ a @ tg, AlphaMap(tg, g, name="psi")
+    return g @ a @ tg, AlphaMap(tg, g)
 
 
 def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> bool:

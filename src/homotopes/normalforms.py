@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -39,12 +40,22 @@ from .scalars import HQ, Q, QI
 _RINGS = {"rectangular": ((Q, QI, HQ), "Q, QI or HQ"), "symmetric": ((Q,), "Q"),
           "skew": ((Q, QI), "Q or QI"), "hermitian": ((Q, QI), "Q or QI")}
 _DELTA = {"symmetric": "id", "hermitian": "conj", "skew": "id"}
+# the largest trial divisor of _squarefree: every n < 2^60 needs none past it
+SQUAREFREE_TRIAL_LIMIT = 2**20
 
 
 def _squarefree(n: int) -> tuple:
-    """(s, f) with n = s^2 * f, f squarefree (n > 0)."""
+    """(s, f) with n = s^2 * f, f squarefree (n > 0).
+
+    Trial division runs while d^3 <= n.  The cofactor m left then has every
+    prime factor >= d > m^(1/3), so at most two of them, and its square part
+    is m itself exactly when m is a perfect square.  A cofactor that still
+    needs a divisor past SQUAREFREE_TRIAL_LIMIT raises ``ValueError``.
+    """
     s, f, d = 1, 1, 2
-    while d * d <= n:
+    while d * d * d <= n:
+        if d > SQUAREFREE_TRIAL_LIMIT:
+            raise ValueError(f"entry too large for the squarefree reduction: trial division past {d - 1}")
         e = 0
         while n % d == 0:
             n //= d
@@ -52,7 +63,8 @@ def _squarefree(n: int) -> tuple:
         s *= d ** (e // 2)
         f *= d ** (e % 2)
         d += 1
-    return s, f * n
+    r = isqrt(n)
+    return (s * r, f) if r * r == n else (s, f * n)
 
 
 @dataclass
@@ -270,9 +282,9 @@ def intertwiner(nf: NormalForm):
     """The isomorphism psi from the system deformed by the normal form to the
     system deformed by the input parameter, as a declared ``AlphaMap``."""
     if nf.kind == "rectangular":
-        return AlphaMap(nf.witness["g2"], nf.witness["g1"], name="psi")
+        return AlphaMap(nf.witness["g2"], nf.witness["g1"])
     g = nf.witness["g"]
-    return AlphaMap(g.dagger(_DELTA[nf.kind]), g, name="psi")
+    return AlphaMap(g.dagger(_DELTA[nf.kind]), g)
 
 
 def intertwiner_check(nf: NormalForm, space: Subspace) -> bool:

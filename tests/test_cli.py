@@ -137,6 +137,14 @@ class TestNormalForm:
         assert code == 2 and text == ""
         assert assert_one_line_error(capsys) == "error: hermitian normal form needs a matrix over Q or QI, got HQ\n"
 
+    def test_entry_too_large_for_the_squarefree_reduction_exit_two(self, tmp_path, capsys):
+        inp = tmp_path / "m.json"
+        big = (2**61 - 1)**2 * (2**89 - 1)
+        inp.write_text(json.dumps({"rows": 1, "cols": 1, "ring": "Q", "entries": [[str(big)]]}))
+        code, text = run(tmp_path, "normal-form", "--kind", "symmetric", "--input", str(inp))
+        assert code == 2 and text == ""
+        assert "too large for the squarefree reduction" in assert_one_line_error(capsys)
+
     def test_missing_file_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "normal-form", "--kind", "symmetric",
                       "--input", str(tmp_path / "nope.json"))

@@ -3,6 +3,7 @@ verified 4x4 tables."""
 
 import random
 
+import numpy as np
 import pytest
 
 from homotopes.families import (CONSTRUCTIONS, SIGNS, family,
@@ -54,6 +55,27 @@ class TestCatalog:
         assert styles.count("generic") >= 10
 
 
+PRIMED = [label for label in family_labels() if label.endswith("'")]
+
+
+@pytest.mark.parametrize("label", PRIMED)
+def test_primed_family_is_the_c_dual(label):
+    """X' is X with the bracket negated (3.A' too, whose parameters are
+    Herm(n,C) where those of 3.A are iHerm(n,C)): on generic parameters drawn
+    from X', at the smallest sizes where the bracket of X is nonzero, the
+    structure constants of X' are those of X negated."""
+    dual, twin = family(label), family(label[:-1])
+    grid = [(p, q) for q in (1, 2, 3) for p in (1, 2, 3)] if dual.sizes == "pq" else [(1,), (2,), (3,)]
+    for sizes in grid:
+        params = dual.sample_params(sizes, random.Random(label), "generic")
+        plain = twin.system(sizes, params).structure().flat
+        if plain.a.any():
+            negated = dual.system(sizes, params).structure().flat
+            assert negated.den == plain.den and np.array_equal(negated.a, -plain.a)
+            return
+    pytest.fail(f"the bracket of {label[:-1]} is zero at every size")
+
+
 class TestAxiomSuites:
     """Fast spot checks; the full grid runs in the acceptance gate."""
 
@@ -80,7 +102,7 @@ class TestAxiomSuites:
         space = sym_space(2, QI)
         desc = family("2.A")
         a = desc.sample_params((2,), rng, "generic")[0]
-        bad = AlphaTriple(AlphaMap(a, a, name="A X A"))
+        bad = AlphaTriple(AlphaMap(a, a))
         report = check_lts(TripleSystem(space, bad))
         assert not report.ok
 

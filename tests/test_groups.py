@@ -11,7 +11,7 @@ from homotopes.families import aherm_space, rand_matrix, sample_in_subspace
 from homotopes.groups import (GroupElement, cayley_element, g_identity, g_inv,
                               g_mul, group_axiom_suite, hom_check,
                               is_quasi_invertible, membership, quasi_inverse_witness,
-                              rand_symmetric_invertible, star_from_delta,
+                              rand_skew_invertible, rand_symmetric_invertible, star_from_delta,
                               tangent_check, tangent_suite, u_defect,
                               u_linearization_check, unitary_suite)
 from homotopes.matrices import Matrix
@@ -60,6 +60,18 @@ class TestUnitary:
         for n, ring, delta in [(2, Q, "id"), (2, QI, "conj"),
                                (2, HQ, "qconj"), (2, HQ, "qsplit")]:
             assert unitary_suite(n, ring, delta, 5, 0)["pass"]
+
+    def test_odd_skew_parameters(self):
+        """Over Q(i) with delta "id" an odd skew matrix is singular, as over
+        Q: the sampler refuses it and the suite skips S_A.  With "conj" the
+        odd star-skew matrices include invertible ones, and S_A runs."""
+        for ring in (Q, QI):
+            with pytest.raises(ValueError, match="odd dimension"):
+                rand_skew_invertible(3, ring, "id", random.Random(0))
+        report = unitary_suite(3, QI, "id", 2, 0)
+        assert report["pass"] and [r["kind"] for r in report["results"]] == ["U"]
+        report = unitary_suite(3, QI, "conj", 2, 0)
+        assert report["pass"] and [r["kind"] for r in report["results"]] == ["U", "S"]
 
     def test_membership_defect(self):
         rng = random.Random(13)

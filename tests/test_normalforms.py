@@ -94,6 +94,22 @@ class TestCongruence:
         assert [nf.normal[i, i].flatten()[0] for i in range(3)] == [1, 2, -2]
         assert nf.signs == (1, 1, -1)
 
+    def test_squarefree_part_of_a_large_square(self):
+        """3 (2^19 - 1)^2 reduces to 3: the square of a prime past the cube
+        root of the entry is found without trial division up to it."""
+        p = 2**19 - 1
+        nf = normal_form(Matrix.from_rows(Q, [[3 * p * p]]), "symmetric")
+        assert nf.verified
+        assert nf.normal == Matrix.from_rows(Q, [[3]])
+        assert nf.witness["g"] == Matrix.from_rows(Q, [[Fraction(1, p)]])
+
+    def test_squarefree_part_past_the_trial_limit_raises(self):
+        """(2^61 - 1)^2 (2^89 - 1) has no factor below 2^20 and is too large
+        to settle by then: ValueError, not an unbounded trial division."""
+        big = (2**61 - 1)**2 * (2**89 - 1)
+        with pytest.raises(ValueError, match="too large"):
+            normal_form(Matrix.from_rows(Q, [[big]]), "symmetric")
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
             normal_form(Matrix.from_rows(Q, [[0, 1], [0, 0]]), "symmetric")

@@ -65,6 +65,8 @@ MUTANTS = [
            "        _, member = kernel.coordinates(other._int, self._int, self.pivots)\n"
            "        return bool(member.all())",
            "        return True"),
+    Mutant("primed rows not negated", "src/homotopes/families.py",
+           "product.negated() if self.label.endswith(\"'\") else product", "product"),
     _forced_true("normalforms._is_01_diagonal -> True", "src/homotopes/normalforms.py",
                  "def _is_01_diagonal(nf: Matrix, rank: int) -> bool:"),
     _forced_true("normalforms._is_reduced_diagonal -> True", "src/homotopes/normalforms.py",
