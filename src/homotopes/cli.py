@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import families, groups
-from .families import (CONSTRUCTIONS, SIGNS, family, family_axiom_suite,
-                       family_labels, instantiate, verify_table)
+from .families import (CONSTRUCTIONS, SIGNS, check_sizes, family, family_axiom_suite,
+                       family_labels, instantiate, size_letters, verify_table)
 from .matrices import Matrix
 from .normalforms import intertwiner_check, normal_form
 from .scalars import Q
@@ -33,45 +33,35 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _sizes_for(kind: str, args) -> tuple:
-    if kind == "pq":
-        if args.p is None or args.q is None:
-            raise ValueError("this label needs --p and --q")
-        if args.p < 1 or args.q < 1:
-            raise ValueError("sizes must be >= 1")
-        sizes = (args.p, args.q)
-    else:
-        if args.n is None:
-            raise ValueError("this label needs --n")
-        if args.n < 1:
-            raise ValueError("sizes must be >= 1")
-        sizes = (args.n,)
+def _sizes(target: str, letters: str, args) -> tuple:
+    """The sizes of ``target`` read from --p, --q and --n by its size letters
+    ("pq" or "n"); a size flag the target does not take is an error."""
+    extra = [f"--{s}" for s in "pqn" if s not in letters and getattr(args, s) is not None]
+    if extra:
+        raise ValueError(f"{target} does not take {' or '.join(extra)}")
+    missing = [f"--{s}" for s in letters if getattr(args, s) is None]
+    if missing:
+        raise ValueError(f"{target} needs {' and '.join(missing)}")
+    sizes = check_sizes(letters, [getattr(args, s) for s in letters])
     if max(sizes) > 4:
         print("warning: sizes above 4 get slow quickly", file=sys.stderr)
     return sizes
 
 
-def _construction_sizes(args) -> tuple:
-    if args.construction == "proj":
-        if args.p is None or args.q is None:
-            raise ValueError("proj needs --p and --q")
-        return (args.p, args.q)
-    if args.n is None:
-        raise ValueError(f"{args.construction} needs --n")
-    return (args.n,)
+def _construction(args):
+    name = args.construction
+    return instantiate(name, _sizes(name, size_letters(name), args))
 
 
 def cmd_axioms(args) -> int:
-    desc = family(args.family)
-    sizes = _sizes_for(desc.sizes, args)
+    sizes = _sizes(f"family {args.family}", family(args.family).sizes, args)
     report = family_axiom_suite(args.family, sizes, args.samples, args.seed)
     _emit(_dump_json(report), args.out)
     return 0 if report["pass"] else 1
 
 
 def cmd_table(args) -> int:
-    c = instantiate(args.construction, _construction_sizes(args))
-    artifact = verify_table(c, args.samples, args.seed)
+    artifact = verify_table(_construction(args), args.samples, args.seed)
     if args.format == "md":
         _emit(artifact.to_markdown(), args.out)
     else:
@@ -80,12 +70,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_eigenspaces(args) -> int:
-    sizes = _construction_sizes(args)
-    c = instantiate(args.construction, sizes)
+    c = _construction(args)
     model_failures = c.validate_models()
     report = {
         "construction": c.name,
-        "sizes": list(sizes),
+        "sizes": list(c.sizes),
         "dims": [c.piece(s).dim for s in SIGNS],
         "pieces": [{"signs": list(s), "dim": c.piece(s).dim,
                     "model": c.models[s].name} for s in SIGNS],
@@ -95,7 +84,7 @@ def cmd_eigenspaces(args) -> int:
         "notes": c.notes,
     }
     if args.format == "md":
-        lines = [f"# {c.name}{list(sizes)} joint eigenspaces", "",
+        lines = [f"# {c.name}{list(c.sizes)} joint eigenspaces", "",
                  "| signs | dim | model |", "|---|---|---|"]
         for p in report["pieces"]:
             lines.append(f"| {tuple(p['signs'])} | {p['dim']} | {p['model']} |")

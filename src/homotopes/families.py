@@ -8,6 +8,9 @@ letters), its parameter models, its deformation alpha and its symmetric pair.
 A row that also names the pair of X' declares the c-dual X', whose bracket is
 negated.  Parameters are sampled by the rule of their model space.
 
+A construction is declared as a builder of its sizes with its size letters,
+and ``instantiate`` sets it up; families and constructions share one size rule.
+
 All K = R statements are realized over Q, complex ones over Q(i), and
 quaternionic ones over the rational quaternions; every identity checked is
 Q-rational, so nothing is lost by exactness.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -351,9 +354,19 @@ def family_labels():
     return sorted(_CATALOG)
 
 
+def check_sizes(letters: str, sizes) -> tuple:
+    """The sizes of a family or construction with these size letters ("pq"
+    or "n"): one integer >= 1 per letter."""
+    sizes = tuple(sizes)
+    if len(sizes) != len(letters) or any(s < 1 for s in sizes):
+        raise ValueError(f"sizes {','.join(letters)} must be one integer >= 1 each, got {list(sizes)}")
+    return sizes
+
+
 def family_axiom_suite(label: str, sizes, samples: int, seed: int) -> dict:
     """Run the LTS axiom suite (closure, LT1-LT3) over seeded parameters."""
     desc = family(label)
+    sizes = check_sizes(desc.sizes, sizes)
     rng = random.Random(seed)
     results = []
     ok = True
@@ -384,25 +397,17 @@ def family_axiom_suite(label: str, sizes, samples: int, seed: int) -> dict:
 
 @dataclass
 class ModelPiece:
-    signs: tuple
     name: str
     maps: list  # list of (model Subspace, embedding fn Matrix -> Matrix)
 
-    def model_dim(self) -> int:
-        return sum(m.dim for m, _ in self.maps)
-
     def image_matrices(self):
-        out = []
-        for model, emb in self.maps:
-            out.extend(emb(b) for b in model.basis_matrices())
-        return out
+        return [emb(b) for model, emb in self.maps for b in model.basis_matrices()]
 
 
 @dataclass
 class ConstructionDescriptor:
     name: str
     sizes: tuple
-    ambient: tuple
     tau: MatrixInvolution
     tau_tilde: MatrixInvolution
     decomposition: JointDecomposition
@@ -426,7 +431,7 @@ class ConstructionDescriptor:
                     failures.append((signs, "empty model for nonzero piece"))
                 continue
             span = Subspace.span(imgs)
-            if span.dim != model.model_dim():
+            if span.dim != len(imgs):
                 failures.append((signs, "model map is not injective"))
             if span != piece:
                 failures.append((signs, "model image differs from computed piece"))
@@ -444,20 +449,11 @@ def _realify(m: Matrix) -> Matrix:
 
 def _embed_in_h(m: Matrix, slots: list) -> Matrix:
     """The quaternion matrix with the two components of the Q(i) matrix m in
-    the components ``slots`` (of 1, i, j, k)."""
+    the components ``slots`` (of 1, i, j, k): [0, 2] embeds C = R + jR,
+    x + iy -> x + jy; [1, 3] its i-multiple, x + iy -> xi + yk."""
     num = np.zeros((m.rows, m.cols, 4), m.a.dtype)
     num[..., slots] = m.a
     return Matrix.from_numerators(HQ, num, m.den)
-
-
-def _embed_c_in_h(m: Matrix) -> Matrix:
-    """C = R + jR inside the quaternions: x + iy -> x + jy, entrywise."""
-    return _embed_in_h(m, [0, 2])
-
-
-def _embed_ic_in_h(m: Matrix) -> Matrix:
-    """x + iy -> xi + yk (the i-multiple of the embedded copy of C)."""
-    return _embed_in_h(m, [1, 3])
 
 
 def quat_complex_embedding(m: Matrix) -> Matrix:
@@ -472,123 +468,105 @@ def quat_split_embedding(m: Matrix) -> Matrix:
 
     The standard embedding composed with entrywise conjugation by the unit
     j + k (an inner automorphism of H fixing 1, negating i and swapping
-    j <-> k), chosen so that X -> I X^t I^{-1} on the image pulls back to
-    the split adjoint X -> qsplit(X)^t on M(n,n;H).
+    j <-> k: a + bi + cj + dk -> a - bi + dj + ck), chosen so that
+    X -> I X^t I^{-1} on the image pulls back to the split adjoint
+    X -> qsplit(X)^t on M(n,n;H).
     """
-    u = Scalar(HQ, (0, 0, 1, 1))
-    u_inv = Scalar(HQ, (0, 0, Fraction(-1, 2), Fraction(-1, 2)))  # (j + k)^-1 = -(j + k)/2
-    return quat_complex_embedding(m.scalar_mul(u).scalar_mul(u_inv, "right"))
+    num = m.a[..., [0, 1, 3, 2]]
+    num[..., 1] = -num[..., 1]
+    return quat_complex_embedding(Matrix.from_numerators(HQ, num, m.den))
 
 
-def _block_embed(p, q, pos, ring=Q):
-    """Embed a block into the (pos) block of a (p+q) x (p+q) matrix."""
+def _block_embed(p, q, pos):
+    """Embed a block into the (pos) block of a (p+q) x (p+q) matrix over Q."""
     r0, c0 = {"tl": (0, 0), "br": (p, p), "tr": (0, p), "bl": (p, 0)}[pos]
 
     def emb(m: Matrix) -> Matrix:
-        num = np.zeros((p + q, p + q, ring_components(ring)), m.a.dtype)
+        num = np.zeros((p + q, p + q, 1), m.a.dtype)
         num[r0:r0 + m.rows, c0:c0 + m.cols] = m.a
-        return Matrix.from_numerators(ring, num, m.den)
+        return Matrix.from_numerators(Q, num, m.den)
 
     return emb
 
 
+# Each construction is a builder of its sizes (declared in _BUILDERS with its
+# size letters).  A builder returns the ambient size n and ring, tau and tau~
+# as (delta, twist B) of X -> B delta(X)^t B^-1 on M(n, n; ring), the model of
+# each piece as {signs: (name, [(model space, embedding), ...])}, and notes.
+
+
+def _proj(p, q):
+    tl, br, tr, bl = (_block_embed(p, q, pos) for pos in ("tl", "br", "tr", "bl"))
+    models = {
+        (1, 1): ("Sym(p,K) + Sym(q,K)", [(sym_space(p, Q), tl), (sym_space(q, Q), br)]),
+        (-1, 1): ("M(q,p;K)", [(matrix_space(q, p, Q), lambda y: tr(y.transpose()) + bl(-y))]),
+        (1, -1): ("M(p,q;K)", [(matrix_space(p, q, Q), lambda a: tr(a) + bl(a.transpose()))]),
+        (-1, -1): ("Asym(p,K) + Asym(q,K)", [(asym_space(p, Q), tl), (asym_space(q, Q), br)]),
+    }
+    notes = ["the (-1,-1) piece is Asym(p) + Asym(q); the source text prints "
+             "Asym(n) + Asym(n), which contradicts the dimension count"]
+    return p + q, Q, [("id", None), ("id", block_Ipq(p, q))], models, notes
+
+
+def _siegel(n):
+    i_mat, f_mat = block_I(n), block_F(n)
+    models = {
+        (1, 1): ("Sym(n,C)", [(sym_space(n, QI), _realify)]),
+        (-1, 1): ("F Herm(n,C)", [(herm_space(n, QI, "conj"), lambda m: f_mat @ _realify(m))]),
+        (1, -1): ("I Herm(n,C)", [(herm_space(n, QI, "conj"), lambda m: i_mat @ _realify(m))]),
+        (-1, -1): ("Asym(n,C)", [(asym_space(n, QI), _realify)]),
+    }
+    return 2 * n, Q, [("id", i_mat), ("id", f_mat)], models, []
+
+
+def _quat1(n):
+    c_in_h, ic_in_h = (partial(_embed_in_h, slots=slots) for slots in ([0, 2], [1, 3]))
+    models = {
+        (1, 1): ("Herm(n,C)", [(herm_space(n, QI, "conj"), c_in_h)]),
+        (-1, 1): ("i Sym(n,C)", [(sym_space(n, QI), ic_in_h)]),
+        (1, -1): ("i Asym(n,C)", [(asym_space(n, QI), ic_in_h)]),
+        (-1, -1): ("Aherm(n,C)", [(aherm_space(n, QI, "conj"), c_in_h)]),
+    }
+    return n, HQ, [("qconj", None), ("qsplit", None)], models, []
+
+
+def _quat2(n):
+    i_unit = Scalar(QI, (0, 1))
+
+    def i_emb(m):
+        return quat_split_embedding(m).scalar_mul(i_unit)
+
+    models = {
+        (1, 1): ("Herm(n,H~) = j Aherm(n,H)", [(herm_space(n, HQ, "qsplit"), quat_split_embedding)]),
+        (-1, 1): ("i Aherm(n,H~) = i j Herm(n,H)", [(aherm_space(n, HQ, "qsplit"), i_emb)]),
+        (1, -1): ("i Herm(n,H~) = i j Aherm(n,H)", [(herm_space(n, HQ, "qsplit"), i_emb)]),
+        (-1, -1): ("Aherm(n,H~) = j Herm(n,H)", [(aherm_space(n, HQ, "qsplit"), quat_split_embedding)]),
+    }
+    return 2 * n, QI, [("id", block_I(n, QI)), ("conj", block_F(n, QI))], models, []
+
+
+_BUILDERS = {"proj": ("pq", _proj), "siegel": ("n", _siegel),
+             "quat1": ("n", _quat1), "quat2": ("n", _quat2)}
+CONSTRUCTIONS = tuple(_BUILDERS)
+
+
+def size_letters(name: str) -> str:
+    """The size letters of the construction ``name``: "pq" or "n"."""
+    return _BUILDERS[name][0]
+
+
 def instantiate(name: str, sizes) -> ConstructionDescriptor:
-    if name == "proj":
-        p, q = sizes
-        if p < 1 or q < 1:
-            raise ValueError("proj needs p, q >= 1")
-        n = p + q
-        tau = MatrixInvolution.transpose_inv(n, Q)
-        tau_t = MatrixInvolution("anti", "id", n, Q, twist=block_Ipq(p, q))
-        dec = joint_eigenspaces([tau, tau_t])
-        tl, br, tr, bl = (_block_embed(p, q, pos) for pos in ("tl", "br", "tr", "bl"))
-
-        def offdiag_plus(a: Matrix) -> Matrix:
-            return tr(a) + bl(a.transpose())
-
-        def offdiag_minus(y: Matrix) -> Matrix:
-            return tr(y.transpose()) + bl(-y)
-
-        models = {
-            (1, 1): ModelPiece((1, 1), "Sym(p,K) + Sym(q,K)",
-                               [(sym_space(p, Q), tl), (sym_space(q, Q), br)]),
-            (1, -1): ModelPiece((1, -1), "M(p,q;K)",
-                                [(matrix_space(p, q, Q), offdiag_plus)]),
-            (-1, 1): ModelPiece((-1, 1), "M(q,p;K)",
-                                [(matrix_space(q, p, Q), offdiag_minus)]),
-            (-1, -1): ModelPiece((-1, -1), "Asym(p,K) + Asym(q,K)",
-                                 [(asym_space(p, Q), tl), (asym_space(q, Q), br)]),
-        }
-        notes = ["the (-1,-1) piece is Asym(p) + Asym(q); the source text prints "
-                 "Asym(n) + Asym(n), which contradicts the dimension count"]
-        return ConstructionDescriptor("proj", sizes, (n, n, Q), tau, tau_t, dec, models, notes)
-
-    if name == "siegel":
-        (n,) = sizes
-        if n < 1:
-            raise ValueError("siegel needs n >= 1")
-        base = MatrixInvolution.transpose_inv(2 * n, Q)
-        tau = MatrixInvolution("anti", "id", 2 * n, Q, twist=block_I(n))
-        tau_t = MatrixInvolution("anti", "id", 2 * n, Q, twist=block_F(n))
-        dec = joint_eigenspaces([tau, tau_t])
-        i_mat, f_mat = block_I(n), block_F(n)
-        models = {
-            (1, 1): ModelPiece((1, 1), "Sym(n,C)", [(sym_space(n, QI), _realify)]),
-            (1, -1): ModelPiece((1, -1), "I Herm(n,C)",
-                                [(herm_space(n, QI, "conj"), lambda m: i_mat @ _realify(m))]),
-            (-1, 1): ModelPiece((-1, 1), "F Herm(n,C)",
-                                [(herm_space(n, QI, "conj"), lambda m: f_mat @ _realify(m))]),
-            (-1, -1): ModelPiece((-1, -1), "Asym(n,C)", [(asym_space(n, QI), _realify)]),
-        }
-        return ConstructionDescriptor("siegel", sizes, (2 * n, 2 * n, Q), tau, tau_t, dec, models)
-
-    if name == "quat1":
-        (n,) = sizes
-        if n < 1:
-            raise ValueError("quat1 needs n >= 1")
-        tau = MatrixInvolution.transpose_inv(n, HQ, "qconj")
-        tau_t = MatrixInvolution.transpose_inv(n, HQ, "qsplit")
-        dec = joint_eigenspaces([tau, tau_t])
-        models = {
-            (1, 1): ModelPiece((1, 1), "Herm(n,C)",
-                               [(herm_space(n, QI, "conj"), _embed_c_in_h)]),
-            (-1, 1): ModelPiece((-1, 1), "i Sym(n,C)",
-                                [(sym_space(n, QI), _embed_ic_in_h)]),
-            (1, -1): ModelPiece((1, -1), "i Asym(n,C)",
-                                [(asym_space(n, QI), _embed_ic_in_h)]),
-            (-1, -1): ModelPiece((-1, -1), "Aherm(n,C)",
-                                 [(aherm_space(n, QI, "conj"), _embed_c_in_h)]),
-        }
-        return ConstructionDescriptor("quat1", sizes, (n, n, HQ), tau, tau_t, dec, models)
-
-    if name == "quat2":
-        (n,) = sizes
-        if n < 1:
-            raise ValueError("quat2 needs n >= 1")
-        tau = MatrixInvolution("anti", "id", 2 * n, QI, twist=block_I(n, QI))
-        tau_t = MatrixInvolution("anti", "conj", 2 * n, QI, twist=block_F(n, QI))
-        dec = joint_eigenspaces([tau, tau_t])
-        i_unit = Scalar(QI, (0, 1))
-
-        def i_emb(m):
-            return quat_split_embedding(m).scalar_mul(i_unit)
-
-        models = {
-            (1, 1): ModelPiece((1, 1), "Herm(n,H~) = j Aherm(n,H)",
-                               [(herm_space(n, HQ, "qsplit"), quat_split_embedding)]),
-            (-1, 1): ModelPiece((-1, 1), "i Aherm(n,H~) = i j Herm(n,H)",
-                                [(aherm_space(n, HQ, "qsplit"), i_emb)]),
-            (1, -1): ModelPiece((1, -1), "i Herm(n,H~) = i j Aherm(n,H)",
-                                [(herm_space(n, HQ, "qsplit"), i_emb)]),
-            (-1, -1): ModelPiece((-1, -1), "Aherm(n,H~) = j Herm(n,H)",
-                                 [(aherm_space(n, HQ, "qsplit"), quat_split_embedding)]),
-        }
-        return ConstructionDescriptor("quat2", sizes, (2 * n, 2 * n, QI), tau, tau_t, dec, models)
-
-    raise ValueError(f"unknown construction {name!r}")
-
-
-CONSTRUCTIONS = ("proj", "siegel", "quat1", "quat2")
+    """The construction ``name`` at these sizes: its two involutions, their
+    joint eigenspaces and the model of each piece."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown construction {name!r}")
+    letters, build = _BUILDERS[name]
+    sizes = check_sizes(letters, sizes)
+    n, ring, taus, models, notes = build(*sizes)
+    tau, tau_t = (MatrixInvolution("anti", delta, n, ring, twist=b) for delta, b in taus)
+    dec = joint_eigenspaces([tau, tau_t])
+    return ConstructionDescriptor(name, sizes, tau, tau_t, dec,
+                                  {signs: ModelPiece(*models[signs]) for signs in SIGNS}, notes)
 
 
 # -- the verified 4x4 table -------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 from .families import first_invertible, rand_matrix
 from .homotope import bracket_param
 from .matrices import Matrix
-from .scalars import Q, QI, ring_components, series_ring
+from .scalars import Q, QI, SERIES_DEGREE, ring_components, series_ring
 
 
 # -- quasi-group operations -------------------------------------------------
@@ -200,7 +200,7 @@ def series_lift(x: Matrix, sring, var: str | None = None) -> Matrix:
     multiplied by the variable t or s: its components fill the slot of the
     monomial 1, t or s (``ring_components``)."""
     k = x.a.shape[-1]
-    slot = {None: 0, "t": sring.degree, "s": 1}[var]
+    slot = {None: 0, "t": SERIES_DEGREE, "s": 1}[var]
     num = np.zeros((x.rows, x.cols, ring_components(sring)), x.a.dtype)
     num[..., slot * k:(slot + 1) * k] = x.a
     return Matrix.from_numerators(sring, num, x.den)
@@ -209,7 +209,7 @@ def series_lift(x: Matrix, sring, var: str | None = None) -> Matrix:
 def series_coefficient(m: Matrix, exp: tuple, base) -> Matrix:
     """The coefficient of t^a s^b, (a, b) = exp: a slice of the components."""
     k = ring_components(base)
-    slot = exp[0] * m.ring.degree + exp[1]
+    slot = exp[0] * SERIES_DEGREE + exp[1]
     return Matrix.from_numerators(base, m.a[..., slot * k:(slot + 1) * k], m.den)
 
 

@@ -55,16 +55,6 @@ class MatrixInvolution:
         """The basic involution X -> delta(X)^t."""
         return MatrixInvolution("anti", delta, n, ring)
 
-    @staticmethod
-    def twisted(base: "MatrixInvolution", b: Matrix) -> "MatrixInvolution":
-        """B_* composed with ``base``: X -> B * base(X) * B^{-1}.
-
-        Valid whenever base(B) = B^{-1} or -B^{-1} (checked by validation).
-        """
-        if base.twist is not None:
-            raise ValueError("compose twists by multiplying the matrices first")
-        return MatrixInvolution(base.kind, base.delta, base.n, base.ring, twist=b)
-
     # -- action ------------------------------------------------------------
 
     def __call__(self, x: kernel.Arr) -> kernel.Arr:
@@ -158,16 +148,14 @@ class JointDecomposition:
         return {signs: sub.dim for signs, sub in self.pieces.items()}
 
     def check_direct_sum(self) -> bool:
-        total = sum(sub.dim for sub in self.pieces.values())
+        """The algebra is the direct sum of the pieces: their dims add up to
+        its dim N, and all their bases together span a space of dim N."""
         n, _, ring = self.ambient
-        if total != n * n * ring_components(ring):
+        total = n * n * ring_components(ring)
+        if sum(sub.dim for sub in self.pieces.values()) != total:
             return False
-        pieces = list(self.pieces.values())
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                if pieces[i].intersect(pieces[j]).dim != 0:
-                    return False
-        return True
+        rows = [r for sub in self.pieces.values() for r in kernel.int_rows(sub.basis_int().a)]
+        return Subspace(self.ambient, rows).dim == total
 
 
 def joint_eigenspaces(involutions) -> JointDecomposition:

@@ -43,7 +43,7 @@ from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .scalars import HQ, Q, QI, is_series, ring_components
+from .scalars import HQ, Q, QI, SERIES_DEGREE, is_series, ring_components
 
 FLOAT32_EXACT_CAP = 2**24
 FLOAT_EXACT_CAP = 2**53
@@ -56,14 +56,14 @@ class PrecisionError(ArithmeticError):
 @lru_cache(maxsize=None)
 def mult_tensor(ring) -> np.ndarray:
     """The multiplication table t (e_a e_b = sum_c t[a, b, c] e_c) of the
-    Q-basis of ``ring``.  A series ring base[t, s]/(t^deg, s^deg) has the basis
-    t^i s^j e_a at index (i deg + j) k + a, the Kronecker product of the
+    Q-basis of ``ring``.  A series ring base[t, s]/(t^2, s^2) has the basis
+    t^i s^j e_a at index (2 i + j) k + a, the Kronecker product of the
     truncated monomial tables with the base table: a product past the
     truncation is zero."""
     if is_series(ring):
-        mono = np.zeros((ring.degree,) * 3)
-        for i, j in np.ndindex(ring.degree, ring.degree):
-            if i + j < ring.degree:
+        mono = np.zeros((SERIES_DEGREE,) * 3)
+        for i, j in np.ndindex(SERIES_DEGREE, SERIES_DEGREE):
+            if i + j < SERIES_DEGREE:
                 mono[i, j, i + j] = 1
         return np.kron(np.kron(mono, mono), mult_tensor(ring.base))
     k = ring_components(ring)

@@ -1,5 +1,5 @@
 """Dense matrices over the exact scalar rings, plus exact Q-linear subspace
-arithmetic (span, sum, intersection, membership) on flattened coordinates.
+arithmetic (span, sum, membership) on flattened coordinates.
 
 A ``Matrix`` is the unstacked ``kernel.Arr``: integer numerators of shape
 (rows, cols, k), k Q-coordinates per entry, over one positive denominator,
@@ -87,11 +87,11 @@ class Matrix(kernel.Arr):
         return Matrix.from_numerators(ring, num)
 
     @staticmethod
-    def elementary(rows: int, cols: int, i: int, j: int, ring, value: Scalar | None = None) -> "Matrix":
-        """value * E_ij (value defaults to 1)."""
-        ents = [Scalar.zero(ring)] * (rows * cols)
-        ents[i * cols + j] = Scalar.one(ring) if value is None else value
-        return Matrix(rows, cols, ring, ents)
+    def elementary(rows: int, cols: int, i: int, j: int, ring) -> "Matrix":
+        """The unit matrix E_ij."""
+        num = np.zeros((rows, cols, ring_components(ring)))
+        num[i, j, 0] = 1
+        return Matrix.from_numerators(ring, num)
 
     @staticmethod
     def from_rows(ring, rows: Sequence[Sequence]) -> "Matrix":
@@ -142,12 +142,11 @@ class Matrix(kernel.Arr):
 
     # -- arithmetic beyond ``Arr`` -----------------------------------------
 
-    def scalar_mul(self, s: Scalar, side: str = "left") -> "Matrix":
-        """s * X (side "left") or X * s, entrywise: a product with the entries
-        as a 1 x (rows cols) row resp. a (rows cols) x 1 column."""
+    def scalar_mul(self, s: Scalar) -> "Matrix":
+        """s * X, entrywise: a product with the entries as a 1 x (rows cols)
+        row."""
         s1 = Matrix.unflatten((1, 1, self.ring), s.flatten())
-        row = self._same(self.a.reshape(1, -1, self.a.shape[-1]))
-        out = s1 @ row if side == "left" else row.transpose() @ s1
+        out = s1 @ self._same(self.a.reshape(1, -1, self.a.shape[-1]))
         return out._same(out.a.reshape(self.a.shape))
 
     def is_zero(self) -> bool:
@@ -412,15 +411,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace(self.ambient, kernel.int_rows(self._int.a) + kernel.int_rows(other._int.a))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus intersection: reduce [U|U] stacked on [W|0]."""
-        self._check_ambient(other)
-        n = self.ambient_dim
-        mine, theirs = kernel.int_rows(self._int.a), kernel.int_rows(other._int.a)
-        stacked = [v + v for v in mine] + [v + [0] * n for v in theirs]
-        red, pivots = _echelon(stacked, 2 * n)
-        return Subspace(self.ambient, [row[n:] for row, p in zip(red, pivots) if p >= n])
 
     def coordinates(self, m: Matrix):
         """Coordinates of m in this basis, or None if m is outside the span."""

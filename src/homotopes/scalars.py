@@ -24,19 +24,19 @@ _COMPONENTS = {Q: 1, QI: 2, HQ: 4}
 BASE_INVOLUTIONS = ("id", "conj", "qconj", "qsplit")
 
 
+# a series ring discards every monomial of degree >= 2 in t or in s
+SERIES_DEGREE = 2
+
+
 @dataclass(frozen=True)
 class SeriesRing:
-    """Truncated polynomial ring base[t, s] with all monomials of per-variable
-    degree >= ``degree`` discarded (default: base[t,s]/(t^2, s^2))."""
+    """The truncated polynomial ring base[t, s]/(t^2, s^2)."""
 
     base: str
-    degree: int = 2
 
     def __post_init__(self):
         if self.base not in _COMPONENTS:
             raise ValueError(f"unsupported series base ring {self.base!r}")
-        if self.degree < 1:
-            raise ValueError("truncation degree must be >= 1")
 
 
 Ring = "str | SeriesRing"
@@ -47,11 +47,11 @@ def is_series(ring) -> bool:
 
 
 def ring_components(ring) -> int:
-    """Number of Q-coordinates of one scalar: 1, 2 or 4, times degree^2 for a
-    series ring, whose coordinate (i degree + j) k + a is component a of the
-    coefficient of t^i s^j."""
+    """Number of Q-coordinates of one scalar: 1, 2 or 4, times 4 for a series
+    ring, whose coordinate (2 i + j) k + a is component a of the coefficient
+    of t^i s^j."""
     if is_series(ring):
-        return ring.degree**2 * _COMPONENTS[ring.base]
+        return SERIES_DEGREE**2 * _COMPONENTS[ring.base]
     return _COMPONENTS[ring]
 
 
@@ -140,12 +140,11 @@ class Scalar:
         self._check(other)
         ring = self.ring
         if is_series(ring):
-            deg = ring.degree
             out: dict = {}
             for (a1, a2), c1 in self.parts.items():
                 for (b1, b2), c2 in other.parts.items():
                     e = (a1 + b1, a2 + b2)
-                    if e[0] >= deg or e[1] >= deg:
+                    if max(e) >= SERIES_DEGREE:
                         continue
                     prod = c1 * c2
                     out[e] = out[e] + prod if e in out else prod
@@ -218,8 +217,8 @@ class Scalar:
     def flatten(self) -> tuple:
         """Q-coordinates of this scalar (``ring_components`` Fractions)."""
         if is_series(self.ring):
-            deg = self.ring.degree
-            return sum((self.coefficient(divmod(p, deg)).parts for p in range(deg * deg)), ())
+            return sum((self.coefficient(divmod(p, SERIES_DEGREE)).parts
+                        for p in range(SERIES_DEGREE**2)), ())
         return self.parts
 
     @staticmethod
@@ -228,8 +227,8 @@ class Scalar:
             comps, k = tuple(comps), _COMPONENTS[ring.base]
             if len(comps) != ring_components(ring):
                 raise ValueError(f"ring {ring} needs {ring_components(ring)} components")
-            return Scalar(ring, {divmod(p, ring.degree): Scalar(ring.base, comps[p * k:(p + 1) * k])
-                                 for p in range(ring.degree**2)})
+            return Scalar(ring, {divmod(p, SERIES_DEGREE): Scalar(ring.base, comps[p * k:(p + 1) * k])
+                                 for p in range(SERIES_DEGREE**2)})
         return Scalar(ring, comps)
 
     # -- series access -----------------------------------------------------
@@ -268,8 +267,8 @@ def quaternion(a, b=0, c=0, d=0) -> Scalar:
     return Scalar(HQ, (Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
 
 
-def series_ring(base=Q, degree=2) -> SeriesRing:
-    return SeriesRing(base, degree)
+def series_ring(base=Q) -> SeriesRing:
+    return SeriesRing(base)
 
 
 # -- text format: "p/q", "p/q+r/si", "a+bi+cj+dk" --------------------------
@@ -297,12 +296,17 @@ def format_components(ring, comps) -> str:
 
 
 def parse_scalar(ring, text: str) -> Scalar:
+    """The scalar of ``ring`` written ``text``; whitespace is allowed only
+    next to a + or - sign, and an empty literal is an error."""
     if is_series(ring):
         raise ValueError("series scalars have no text format")
+    compact = _re.sub(r"\s*([+-])\s*", r"\1", text)
+    if not compact or _re.search(r"\s", compact):
+        raise ValueError(f"bad scalar literal {text!r}")
     ncomp = _COMPONENTS[ring]
     comps = [Fraction(0)] * ncomp
     unit_index = {"": 0, "i": 1, "j": 2, "k": 3}
-    for term in _TERM.findall(text.replace(" ", "")):
+    for term in _TERM.findall(compact):
         if not term:
             continue
         m = _re.fullmatch(r"([+-]?)(\d+(?:/\d+)?)?([ijk]?)", term)

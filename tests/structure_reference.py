@@ -125,9 +125,9 @@ def reference_matrix_scale(x, r):
     return Matrix(x.rows, x.cols, x.ring, [e.scale(r) for e in x.entries])
 
 
-def reference_matrix_scalar_mul(x, s, side):
-    """s x (side "left") or x s, one ``Scalar`` product per entry."""
-    return Matrix(x.rows, x.cols, x.ring, [s * e if side == "left" else e * s for e in x.entries])
+def reference_matrix_scalar_mul(x, s):
+    """s x, one ``Scalar`` product per entry."""
+    return Matrix(x.rows, x.cols, x.ring, [s * e for e in x.entries])
 
 
 reference_matrix_inverse = reference_inverse

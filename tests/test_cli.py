@@ -121,7 +121,12 @@ class TestNormalForm:
         ({"rows": 1, "cols": 2, "ring": "Q", "entries": [["1/0", "1"]]}, "zero denominator"),
         ([["1", "0"], ["0", "1"]], "must be an object"),
         ({"rows": 1, "cols": 1, "ring": "QQ", "entries": [["1"]]}, "unknown ring 'QQ'"),
-    ], ids=["zero-denominator", "top-level-array", "unknown-ring"])
+        ({"rows": 1, "cols": 2, "ring": "Q", "entries": [["", "1 2"]]}, "bad scalar literal ''"),
+        ({"rows": 1, "cols": 1, "ring": "Q", "entries": [[" "]]}, "bad scalar literal ' '"),
+        ({"rows": 1, "cols": 1, "ring": "Q", "entries": [["1 2"]]}, "bad scalar literal '1 2'"),
+        ({"rows": 1, "cols": 1, "ring": "Q", "entries": [["1/2 3"]]}, "bad scalar literal '1/2 3'"),
+    ], ids=["zero-denominator", "top-level-array", "unknown-ring", "empty-literal", "blank-literal",
+            "space-between-digits", "space-after-fraction"])
     def test_bad_input_exit_two(self, tmp_path, capsys, data, reason):
         inp = tmp_path / "m.json"
         inp.write_text(json.dumps(data))
@@ -194,6 +199,19 @@ def test_unread_flag_exit_two(tmp_path, capsys, argv):
     code, text = run(tmp_path, *argv)
     assert code == 2 and text == ""
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--construction", "siegel", "--n", "1", "--p", "2"],
+    ["eigenspaces", "--construction", "proj", "--p", "1", "--q", "1", "--n", "2"],
+    ["axioms", "--family", "2.a", "--n", "2", "--p", "7"],
+    ["axioms", "--family", "1.a", "--p", "1", "--q", "1", "--n", "1"],
+], ids=["table-siegel-p", "eigenspaces-proj-n", "axioms-n-family-p", "axioms-pq-family-n"])
+def test_size_flag_not_taken_exit_two(tmp_path, capsys, argv):
+    """A size flag the target does not take is rejected, not ignored."""
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert f"does not take {argv[-2]}" in assert_one_line_error(capsys)
 
 
 class TestDeterminism:

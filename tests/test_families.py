@@ -2,15 +2,17 @@
 verified 4x4 tables."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from homotopes.families import (CONSTRUCTIONS, SIGNS, family,
+from homotopes.families import (CONSTRUCTIONS, SIGNS, _check_proj_middle, family,
                                 family_axiom_suite, family_labels,
                                 hermquat_check, herm_space, instantiate,
+                                quat_complex_embedding, quat_split_embedding,
                                 rand_matrix, rand_scalar, sample_in_subspace,
-                                sample_styles, sym_space, verify_table)
+                                sample_styles, size_letters, sym_space, verify_table)
 from homotopes.homotope import (AlphaMap, AlphaTriple, TripleSystem, check_lts,
                                 symmetric_pair)
 from homotopes.matrices import Matrix
@@ -94,6 +96,12 @@ class TestAxiomSuites:
         assert report["pass"]
         assert report["results"][0]["rank_style"] == "zero"
 
+    @pytest.mark.parametrize("label,sizes", [("2.a", (0,)), ("2.a", (2, 7)), ("1.a", (2,)), ("1.a", (1, -1))])
+    def test_bad_sizes(self, label, sizes):
+        """One size >= 1 per size letter of the family, as for instantiate."""
+        with pytest.raises(ValueError, match="sizes"):
+            family_axiom_suite(label, sizes, 1, 0)
+
     def test_wrong_alpha_rejected(self):
         """Sanity: check_lts is not vacuous on these carriers.  Inserting a
         conjugate-transposed parameter into the symmetric carrier breaks
@@ -136,6 +144,30 @@ class TestConstructions:
             instantiate("quat2", (0,))
         with pytest.raises(ValueError):
             instantiate("mystery", (1,))
+        for name, sizes in (("proj", (2,)), ("siegel", (1, 1)), ("quat1", ())):
+            with pytest.raises(ValueError, match="sizes"):
+                instantiate(name, sizes)
+
+    def test_size_letters(self):
+        assert [size_letters(name) for name in CONSTRUCTIONS] == ["pq", "n", "n", "n"]
+
+    def test_swapped_models_are_rejected(self):
+        """proj(1, 1) with the models of its two middle pieces swapped: each
+        maps onto the other piece, a known-false input to validate_models."""
+        c = instantiate("proj", (1, 1))
+        c.models[(1, -1)], c.models[(-1, 1)] = c.models[(-1, 1)], c.models[(1, -1)]
+        assert sorted(signs for signs, _ in c.validate_models()) == [(-1, 1), (1, -1)]
+
+    def test_quat_split_embedding_is_conjugation_by_j_plus_k(self):
+        """The component gather equals the standard embedding of u X u^-1,
+        u = j + k, taken with two Scalar products per entry."""
+        u, u_inv = quaternion(0, 0, 1, 1), quaternion(0, 0, Fraction(-1, 2), Fraction(-1, 2))
+        rng = random.Random(11)
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            x = rand_matrix(n, n, HQ, rng)
+            conjugated = Matrix(n, n, HQ, [u * e * u_inv for e in x.entries])
+            assert quat_split_embedding(x) == quat_complex_embedding(conjugated)
 
 
 class TestTables:
@@ -156,6 +188,15 @@ class TestTables:
         assert recs[0].g is recs[1].g
         assert recs[0].g == c.piece(tuple(-x for x in t)).sum(c.piece(s))
 
+    def test_proj_middle_splitting_rejects_a_non_middle_parameter(self):
+        """For A = 1 the two off-diagonal blocks of proj(1, 1) do not commute
+        under [., .]_A ([E12, E21]_A = E11 - E22): a known-false input to the
+        direct-product splitting of the middle square."""
+        c = instantiate("proj", (1, 1))
+        cells = {(s, t): {"verified": True, "failures": []} for s in SIGNS for t in SIGNS}
+        _check_proj_middle(c, Matrix.identity(2, Q), (1, -1), cells, "generic")
+        assert cells[((1, -1), (1, -1))]["verified"] is False
+
     def test_table_json_and_markdown(self):
         art = verify_table(instantiate("siegel", (1,)), 2, 5)
         data = art.to_json()
@@ -175,7 +216,7 @@ class TestHermQuat:
         i, j = quaternion(0, 1), quaternion(0, 0, 1)
         scalar_mul = Matrix.scalar_mul
         monkeypatch.setattr(Matrix, "scalar_mul",
-                            lambda m, s, side="left": scalar_mul(m, i if s == j else s, side))
+                            lambda m, s: scalar_mul(m, i if s == j else s))
         for n in (1, 2):
             assert not hermquat_check(n)
 

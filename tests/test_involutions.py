@@ -106,6 +106,16 @@ class TestEigenspaces:
         assert sum(dec.dims().values()) == 4
         assert not dec.check_direct_sum()
 
+    def test_direct_sum_rejects_dependent_pieces(self):
+        """E11, E12, E21 and E11 + E12 + E21: dimensions 1 + 1 + 1 + 1 = 4 and
+        every two pieces meet in 0, but together they span only 3."""
+        e11, e12, e21 = (Matrix.elementary(2, 2, i, j, Q) for i, j in ((0, 0), (0, 1), (1, 0)))
+        lines = [Subspace.span([m]) for m in (e11, e12, e21, e11 + e12 + e21)]
+        tau = MatrixInvolution.transpose_inv(2, Q)
+        dec = JointDecomposition([tau, tau], dict(zip([(1, 1), (-1, 1), (1, -1), (-1, -1)], lines)))
+        assert sum(dec.dims().values()) == 4
+        assert not dec.check_direct_sum()
+
     def test_dims_match_nullspace_oracle(self):
         cases = [
             [MatrixInvolution.transpose_inv(3, Q)],

@@ -121,17 +121,6 @@ class TestSubspace:
         assert coords is not None
         assert sp.from_coordinates(coords) == m
 
-    def test_intersect_sum_dims(self):
-        amb = (2, 2, Q)
-        e = [Matrix.elementary(2, 2, i, j, Q) for i in range(2) for j in range(2)]
-        s1 = Subspace.span([e[0], e[1]])
-        s2 = Subspace.span([e[1], e[2]])
-        inter = s1.intersect(s2)
-        total = s1.sum(s2)
-        assert inter.dim == 1 and total.dim == 3
-        assert inter.dim + total.dim == s1.dim + s2.dim
-        assert inter.contains(e[1])
-
     def test_zero_and_full(self):
         amb = (2, 2, QI)
         assert Subspace.zero(amb).dim == 0

@@ -19,7 +19,7 @@ from homotopes.matrices import Matrix
 from homotopes.scalars import HQ, Q, QI, Scalar, SeriesRing, is_series, ring_components
 
 BASES = (Q, QI, HQ)
-RINGS = BASES + tuple(SeriesRing(b, 2) for b in BASES)
+RINGS = BASES + tuple(SeriesRing(b) for b in BASES)
 INVOLUTIONS = {Q: ("id", "conj"), QI: ("id", "conj"), HQ: ("id", "qconj", "qsplit")}
 
 # small numerators cancel often; large ones pass 2^64
@@ -82,8 +82,7 @@ def test_matrix_ops_match_reference(ring, data):
     factor = data.draw(st.sampled_from([Fraction(0), Fraction(-1), Fraction(2, 3), Fraction(2**70, 7)]))
     assert_same(x.scale(factor), reference_matrix_scale(x, factor))
     s = z[0, 0]
-    for side in ("left", "right"):
-        assert_same(x.scalar_mul(s, side), reference_matrix_scalar_mul(x, s, side))
+    assert_same(x.scalar_mul(s), reference_matrix_scalar_mul(x, s))
     assert_same(Matrix.unflatten((p, q, ring), x.flatten()), x)
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopes.scalars import (HQ, Q, QI, Scalar, gaussian, quaternion, rational,
-                               ring_components, series_ring)
+from homotopes.scalars import (HQ, Q, QI, Scalar, gaussian, parse_scalar, quaternion,
+                               rational, ring_components, series_ring)
 
 fracs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
 
@@ -114,7 +114,7 @@ class TestInvolutions:
 
 class TestSeries:
     def test_truncation(self):
-        sr = series_ring(Q, degree=2)
+        sr = series_ring(Q)
         t = Scalar.variable(sr, "t")
         s = Scalar.variable(sr, "s")
         one = Scalar.one(sr)
@@ -126,9 +126,19 @@ class TestSeries:
         assert prod.coefficient((1, 1)).flatten()[0] == 1
 
     def test_degree_drop(self):
-        sr = series_ring(Q, degree=2)
+        sr = series_ring(Q)
         t = Scalar.variable(sr, "t")
         assert (t * t).is_zero()
+
+
+def test_parse_allows_whitespace_only_next_to_a_sign():
+    """Whitespace elsewhere would join or drop digits ("1 2" read as 12, ""
+    as 0), so it is an error, as is an empty literal."""
+    assert parse_scalar(QI, "1 + 2i") == parse_scalar(QI, "1+2i") == gaussian(1, 2)
+    assert parse_scalar(Q, " - 1/2") == rational(Fraction(-1, 2))
+    for text in ("", " ", "1 2", "1/2 3", "1 ", " 1", "2 i"):
+        with pytest.raises(ValueError, match="bad scalar literal"):
+            parse_scalar(QI, text)
 
 
 def test_bad_ring_rejected():

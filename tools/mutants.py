@@ -47,6 +47,14 @@ MUTANTS = [
                  "def tangent_check(x: Matrix, y: Matrix, a: Matrix):", "True, None"),
     _forced_true("JointDecomposition.check_direct_sum -> True", "src/homotopes/involutions.py",
                  "    def check_direct_sum(self) -> bool:"),
+    Mutant("direct sum without the span rank", "src/homotopes/involutions.py",
+           "        return Subspace(self.ambient, rows).dim == total", "        return True"),
+    _forced_true("MatrixInvolution.commutes_with -> True", "src/homotopes/involutions.py",
+                 '    def commutes_with(self, other: "MatrixInvolution") -> bool:'),
+    _forced_true("validate_models returns []", "src/homotopes/families.py",
+                 "    def validate_models(self):", "[]"),
+    Mutant("proj middle splitting forced ok", "src/homotopes/families.py",
+           "    ok = (bracket_closure(", "    ok = True or (bracket_closure("),
     Mutant("CONJ_SIGNS (QI, conj) second sign flipped", "src/homotopes/kernel.py",
            '(QI, "conj"): (1, -1),', '(QI, "conj"): (1, 1),'),
     Mutant("Matrix canonicalisation dropped", "src/homotopes/matrices.py",
