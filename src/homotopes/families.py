@@ -299,8 +299,10 @@ class FamilyDescriptor:
         return len(self.carrier) == 2
 
     def _model_space(self, model: str, sizes) -> Subspace:
+        """The model space at these sizes; every size-taking method ends here,
+        so this is where they meet the size rule (``check_sizes``)."""
         name, *letters = model.split()
-        dims = dict(zip(self.sizes, sizes))
+        dims = dict(zip(self.sizes, check_sizes(self.sizes, sizes)))
         return _MODELS[name](self.ring, *(dims[s] for s in letters))
 
     def space(self, sizes):

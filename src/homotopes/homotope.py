@@ -339,7 +339,12 @@ class LtsReport:
 
 def check_lts(system: TripleSystem) -> LtsReport:
     """Verify closure and LT1-LT3 exactly; failures carry a witness tuple of
-    basis indices."""
+    basis indices.  BLAS runs on one thread (``kernel.one_blas_thread``)."""
+    with kernel.one_blas_thread():
+        return _check_lts(system)
+
+
+def _check_lts(system: TripleSystem) -> LtsReport:
     report = LtsReport()
     st = system.structure()
     report.add("closure", st.closed, st.witness)
@@ -395,14 +400,13 @@ def _lt3_bound(coords: Arr) -> int:
     coordinates c: a bound on the LT3 residuals of operators that are rows
     c[u, v] of c, and on every partial sum of their four terms
     (``_lt3_first_nonzero``)."""
-    # one slab at a time, row sums in float64 at least: exact below 2^53, and
-    # past it they only have to stay past it, which puts the bound in object
-    total = object if coords.bound >= kernel.FLOAT_EXACT_CAP else np.float64
-    top = rows = 0
-    for slab in coords.a:
-        slab = np.abs(slab)
-        top = max(top, int(slab.max()))
-        rows = max(rows, int(slab.sum(axis=-1, dtype=total).max()))
+    mag = np.abs(coords.a)
+    top = int(mag.max(initial=0))
+    # exact row sums: float32 below 2^24, float64 below 2^53; past it they
+    # only have to stay past it, which puts the bound in object
+    total = (np.float32 if top * mag.shape[-1] < kernel.FLOAT32_EXACT_CAP
+             else object if coords.bound >= kernel.FLOAT_EXACT_CAP else np.float64)
+    rows = int(np.max(mag.sum(axis=-1, dtype=total), initial=0))
     return 4 * top * rows
 
 
@@ -563,12 +567,25 @@ def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> b
 
 def intertwines(psi: AlphaMap, basis, a_new: Matrix, a: Matrix) -> bool:
     """psi([X, Y, Z]_{A'}) = [psi X, psi Y, psi Z]_A for all basis triples,
-    exactly; psi is an ``AlphaMap`` of the basis' ambient matrix space."""
+    exactly; psi is an ``AlphaMap`` of the basis' ambient matrix space.
+
+    A sandwich psi(X) = L X R is first checked by the middle identity
+    R alpha_A(psi Y) L = alpha_{A'}(Y) on the d basis elements Y.  It implies
+    psi(X alpha_{A'}(Y) Z) = L X R alpha_A(psi Y) L Z R = psi X alpha_A(psi Y) psi Z
+    for every term of the bracket, by associativity alone.  It is sufficient,
+    not necessary (where the bracket vanishes every psi intertwines), so when
+    it fails, or psi is no sandwich, all d^3 basis triples decide.
+    """
     if not basis:
         return True
     stack = Arr.from_matrices(basis)
-    lhs = psi(_triples(stack, AlphaMap.param(a_new)(stack)))
     images = psi(stack)
+    middle_new = AlphaMap.param(a_new)(stack)
+    if psi.twist == "id" and not psi.transpose and psi.sign > 0:
+        middle = kernel.sandwich(AlphaMap.param(a)(images), psi.right, psi.left)
+        if not np.any((middle - middle_new).a):
+            return True
+    lhs = psi(_triples(stack, middle_new))
     rhs = _triples(images, AlphaMap.param(a)(images))
     return not np.any((lhs - rhs).a)
 
@@ -597,10 +614,11 @@ def standard_imbedding(system: TripleSystem) -> StandardImbedding:
     Jacobi components hold for any operators.  So ``ok`` is ``check_lts``'s
     verdict, and h has the basis LT3 picks (``_inner_operators``).
     """
-    st = system.structure()
-    if not st.closed:
-        raise ValueError("triple system is not closed; no standard imbedding")
-    report = check_lts(system)
-    lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
-    pairs, _ = _inner_operators(st.coords.a, lt1_ok)
+    with kernel.one_blas_thread():
+        st = system.structure()
+        if not st.closed:
+            raise ValueError("triple system is not closed; no standard imbedding")
+        report = check_lts(system)
+        lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
+        pairs, _ = _inner_operators(st.coords.a, lt1_ok)
     return StandardImbedding(system, pairs, len(pairs), system.dim, report.ok)

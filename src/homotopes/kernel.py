@@ -32,10 +32,26 @@ the integer rows.
 residues modulo a prime and accepts the pick only behind a deterministic
 certificate: an integer identity checked modulo primes whose product exceeds
 its Hadamard bound proves that the picked rows span every row.
+
+``one_blas_thread()`` runs the LTS check (``homotope.check_lts``) with
+OpenBLAS on one thread, and then gives the caller's thread count back.  The
+check's GEMMs are small or batched below OpenBLAS's threading threshold, so
+a second thread mostly spin-waits between calls.  On a 2-vCPU machine
+(OpenBLAS 0.3.31, numpy 2.4) one thread cut the CPU time of the lts-sweep
+benchmark (d from 4 to 24) by 36-42 % in every pair, and changed its wall
+time by under 1 % when the two alternated pass by pass in one process.  At
+d = 42 (the pol2-2.2(3, 3) axiom suite) it cut the CPU time by 45 % but
+cost about 10 % of the wall time; the rule is still one thread at every d,
+since no benchmark workload lies above d = 24 to set a size limit by.
+Results do not depend on it: every bound above holds in any summation
+order.  Without an OpenBLAS whose thread-count functions can be found, it
+does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -140,6 +156,50 @@ def conj_signs(ring, kind: str) -> np.ndarray:
     signs = CONJ_SIGNS[(base, kind)]
     # int8, so that a product with them keeps the dtype of the other factor
     return np.array(signs * (ring_components(ring) // len(signs)), dtype=np.int8)
+
+
+@lru_cache(maxsize=None)
+def _blas_threads_api():
+    """The (get, set) thread-count functions of the OpenBLAS loaded into this
+    process, or None: looked up once, on first use, among the mapped
+    libraries whose path names openblas (``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread (module docstring), then
+    restore the caller's thread count, also when the block raises.  Nothing
+    changes without an OpenBLAS (``_blas_threads_api``) or when it already
+    runs on one thread.  The count is process-wide: scopes that overlap in
+    several Python threads leave it as they found it, though a body may then
+    run on the caller's count for a while, which changes no result."""
+    api = _blas_threads_api()
+    before = api[0]() if api is not None else 1
+    if before == 1:
+        yield
+        return
+    api[1](1)
+    try:
+        yield
+    finally:
+        api[1](before)
 
 
 def _kind(x: "Arr", y: "Arr") -> type:

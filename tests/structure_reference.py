@@ -13,7 +13,7 @@ independent oracle the batched kernel is compared against.
 from fractions import Fraction
 from itertools import product as tuples
 
-from homotopes.homotope import ProductSpace, bracket_param
+from homotopes.homotope import ProductSpace, bracket_param, triple_param
 from homotopes.matrices import Matrix
 from homotopes.scalars import Q, Scalar
 
@@ -163,6 +163,14 @@ def reference_bilinear(left, right, a):
     of the subspaces ``left`` and ``right``, one ``Matrix`` product at a time."""
     return {(i, j): bracket_param(x, y, a).flatten()
             for i, x in enumerate(left.basis_matrices()) for j, y in enumerate(right.basis_matrices())}
+
+
+def reference_intertwines(psi, basis, a_new, a):
+    """psi([X, Y, Z]_{A'}) = [psi X, psi Y, psi Z]_A on every basis triple,
+    one ``Matrix`` triple product at a time: the d^3 check with no middle
+    identity and no stacked tensor."""
+    return all(psi(triple_param(x, y, z, a_new)) == triple_param(psi(x), psi(y), psi(z), a)
+               for x in basis for y in basis for z in basis)
 
 
 def reference_bracket_closure(left, right, target, a):

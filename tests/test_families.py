@@ -102,6 +102,19 @@ class TestAxiomSuites:
         with pytest.raises(ValueError, match="sizes"):
             family_axiom_suite(label, sizes, 1, 0)
 
+    @pytest.mark.parametrize("label,sizes", [("2.a", (2, 5)), ("1.a", (2,))])
+    def test_descriptor_methods_apply_the_size_rule(self, label, sizes):
+        """Known false: ``space``, ``sample_params`` and ``system`` take the
+        size rule of ``family_axiom_suite``.  Without it 2.a at (2, 5) built
+        and cached Sym(2, Q), and 1.a at (2,) raised ``KeyError: 'q'``."""
+        desc = family(label)
+        params = desc.sample_params((2,) * len(desc.sizes), random.Random(0), "generic")
+        for call in (lambda: desc.space(sizes), lambda: desc.system(sizes, params),
+                     lambda: desc.sample_params(sizes, random.Random(0), "generic")):
+            with pytest.raises(ValueError, match="sizes"):
+                call()
+        assert tuple(sizes) not in desc._spaces
+
     def test_wrong_alpha_rejected(self):
         """Sanity: check_lts is not vacuous on these carriers.  Inserting a
         conjugate-transposed parameter into the symmetric carrier breaks

@@ -1,20 +1,24 @@
 """Unit tests for the deformed products, LTS axiom checks and the standard
 imbedding."""
 
+import contextlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from structure_reference import broken_derivation, reference_rref, reference_structure
+from structure_reference import (broken_derivation, reference_intertwines, reference_rref,
+                                 reference_structure)
 
-from homotopes import homotope
-from homotopes.families import (asym_space, matrix_space, rand_invertible,
+from homotopes import homotope, kernel
+from homotopes.families import (asym_space, herm_space, matrix_space, rand_invertible,
                                 rand_matrix, sample_in_subspace, sym_space)
 from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple,
                                 TripleSystem, bracket_param, cdual, check_closure,
-                                check_lts, gamma_intertwines, hom_sxt,
+                                check_lts, gamma_act, gamma_intertwines, hom_sxt,
                                 hom_sxt_check, intertwines, standard_imbedding,
                                 triple_param)
+from homotopes.kernel import Arr
 from homotopes.involutions import MatrixInvolution, joint_eigenspaces
 from homotopes.matrices import Matrix
 from homotopes.scalars import Q, QI, Scalar
@@ -167,6 +171,76 @@ class TestHomomorphisms:
         assert not intertwines(identity, basis, rand_matrix(2, 2, Q, self.rng), a)
 
 
+    def test_middle_identity_settles_a_sandwich(self, monkeypatch):
+        """psi(X) = tau(g) X g satisfies R alpha_A(psi Y) L = alpha_{A'}(Y) on
+        every basis element, so no basis triple is evaluated."""
+        tau = MatrixInvolution.transpose_inv(2, Q)
+        a = Matrix.from_rows(Q, [[1, 0], [0, 2]])
+        a_new, psi = gamma_act(Matrix.from_rows(Q, [[1, 1], [0, 1]]), a, tau)
+        calls = []
+        triples = homotope._triples
+        monkeypatch.setattr(homotope, "_triples", lambda *args: calls.append(args) or triples(*args))
+        assert intertwines(psi, matrix_space(2, 2, Q).basis_matrices(), a_new, a)
+        assert calls == []
+
+    def test_fallback_decides_where_the_bracket_vanishes(self, monkeypatch):
+        """Known true where the middle identity fails: on a 1-dimensional
+        space [X, X, X] = 0, so every psi intertwines, also the identity from
+        A' = 2A to A, whose middle identity A X A = 4 A X A is false.  The
+        d^3 check decides."""
+        basis = matrix_space(1, 1, Q).basis_matrices()
+        a = Matrix.from_rows(Q, [[1]])
+        identity = AlphaMap(None, None)
+        assert AlphaMap.param(a)(basis[0]) != AlphaMap.param(a.scale(2))(basis[0])
+        calls = []
+        triples = homotope._triples
+        monkeypatch.setattr(homotope, "_triples", lambda *args: calls.append(args) or triples(*args))
+        assert intertwines(identity, basis, a.scale(2), a)
+        assert calls
+        assert reference_intertwines(identity, basis, a.scale(2), a)
+
+    def test_a_negated_sandwich_is_not_settled_by_the_middle_identity(self):
+        """Known false: psi(X) = -L X R from A' = i R A L to A.  Here
+        R alpha_A(psi Y) L = -M Y M = alpha_{A'}(Y) (M = R A L), but psi
+        reverses the sign of every bracket, so only a plain sandwich may be
+        settled by that identity."""
+        rng = random.Random(3)
+        left, right, a = rand_matrix(1, 1, QI, rng), rand_matrix(2, 2, QI, rng), rand_matrix(2, 1, QI, rng)
+        psi = AlphaMap(left, right, sign=-1)
+        a_new = (right @ a @ left).scalar_mul(Scalar(QI, (0, 1)))
+        basis = matrix_space(1, 2, QI).basis_matrices()
+        stack = Arr.from_matrices(basis)
+        middle = kernel.sandwich(AlphaMap.param(a)(psi(stack)), right, left)
+        assert not np.any((middle - AlphaMap.param(a_new)(stack)).a)
+        assert not reference_intertwines(psi, basis, a_new, a)
+        assert not intertwines(psi, basis, a_new, a)
+
+    def test_verdicts_match_the_triple_by_triple_reference(self):
+        """Random sandwiches (some twisted or transposed, so that only the
+        d^3 check applies) and image parameters R A L (the middle identity
+        holds), -R A L (so does it), 2 R A L and random ones: the verdict
+        is the reference's, and both verdicts occur."""
+        rng = random.Random(11)
+        spaces = [matrix_space(1, 1, Q), matrix_space(1, 2, Q), matrix_space(2, 2, Q),
+                  matrix_space(1, 2, QI), sym_space(2, Q), asym_space(2, Q), asym_space(3, Q),
+                  herm_space(2, QI, "conj")]
+        verdicts = []
+        for _ in range(40):
+            space = rng.choice(spaces)
+            p, q, ring = space.ambient
+            left, right = rand_matrix(p, p, ring, rng), rand_matrix(q, q, ring, rng)
+            twist = rng.choice(["id", "id", "conj"]) if ring == QI else "id"
+            psi = AlphaMap(left, right, twist, transpose=p == q and rng.random() < 0.2)
+            a = rand_matrix(q, p, ring, rng)
+            a_new = rng.choice([right @ a @ left, -(right @ a @ left), (right @ a @ left).scale(2),
+                                rand_matrix(q, p, ring, rng)])
+            basis = space.basis_matrices()
+            verdict = intertwines(psi, basis, a_new, a)
+            assert verdict == reference_intertwines(psi, basis, a_new, a), (space, psi.twist, psi.transpose)
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+
 def _operator_rank(system):
     """The Fraction rank of the inner operators R(b_u, b_v), all pairs."""
     st, d = system.structure(), system.dim
@@ -210,3 +284,105 @@ class TestStandardImbedding:
         a = Matrix.from_rows(Q, [[0, 1], [0, 0]])
         with pytest.raises(ValueError):
             standard_imbedding(TripleSystem.from_parameter(sp, a))
+
+
+class _FakeBlas:
+    """The thread-count functions of a stand-in BLAS at ``threads``."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def api(self):
+        return (lambda: self.threads), self.set
+
+    def set(self, threads):
+        self.threads = threads
+
+
+def _lts_fixtures():
+    """Fresh systems (structure constants are cached) of the pass and fail
+    cases above: homotopes, an LT2 and an LT1 failure, an unclosed one, and
+    one where only LT3 fails."""
+    a = rand_matrix(2, 2, Q, random.Random(6))
+    return [
+        TripleSystem.from_parameter(matrix_space(2, 2, Q), a),
+        TripleSystem.from_parameter(matrix_space(2, 3, Q), Matrix.zeros(3, 2, Q)),
+        TripleSystem(matrix_space(2, 2, Q), GenericTriple(lambda x, y, z: (x @ y - y @ x) @ z)),
+        TripleSystem(matrix_space(2, 2, Q), GenericTriple(lambda x, y, z: x @ a @ y @ a @ z)),
+        TripleSystem.from_parameter(sym_space(2, Q), Matrix.from_rows(Q, [[0, 1], [0, 0]])),
+        TripleSystem(matrix_space(1, 3, Q), GenericTriple(broken_derivation(3, 1))),
+    ]
+
+
+class TestLtsBlasThreads:
+    """``check_lts`` runs its BLAS on one thread and gives the caller's
+    thread count back."""
+
+    def test_one_thread_inside_and_the_count_restored_after(self, monkeypatch):
+        fake = _FakeBlas(3)
+        monkeypatch.setattr(kernel, "_blas_threads_api", fake.api)
+        seen = []
+        body = homotope._check_lts
+        monkeypatch.setattr(homotope, "_check_lts", lambda system: seen.append(fake.threads) or body(system))
+        assert check_lts(_lts_fixtures()[0]).ok
+        assert seen == [1] and fake.threads == 3
+
+    def test_the_count_is_restored_when_the_check_raises(self, monkeypatch):
+        fake = _FakeBlas(3)
+        monkeypatch.setattr(kernel, "_blas_threads_api", fake.api)
+
+        def fail(*args):
+            raise RuntimeError("inside the scope")
+
+        monkeypatch.setattr(homotope, "_check_lt3", fail)
+        with pytest.raises(RuntimeError, match="inside the scope"):
+            check_lts(_lts_fixtures()[0])
+        assert fake.threads == 3
+
+    def test_no_blas_found_is_a_no_op(self, monkeypatch):
+        want = [check_lts(system).entries for system in _lts_fixtures()]
+        monkeypatch.setattr(kernel, "_blas_threads_api", lambda: None)
+        assert [check_lts(system).entries for system in _lts_fixtures()] == want
+
+    def test_reports_do_not_depend_on_the_scope(self, monkeypatch):
+        """Every verdict and witness, pass and fail, with the scope stubbed
+        out: the bounds make each GEMM exact in any summation order."""
+        want = [check_lts(system).entries for system in _lts_fixtures()]
+        assert [e["pass"] for entries in want for e in entries].count(False) >= 5
+        monkeypatch.setattr(kernel, "one_blas_thread", contextlib.nullcontext)
+        assert [check_lts(system).entries for system in _lts_fixtures()] == want
+
+    def test_the_loaded_blas_gets_its_count_back(self):
+        """The process's own OpenBLAS, where one is found: the count the
+        caller set is back after ``check_lts`` and after a raising
+        ``standard_imbedding``."""
+        api = kernel._blas_threads_api()
+        get, put = api if api is not None else (lambda: None, lambda threads: None)
+        original = get()
+        try:
+            put(2)
+            before = get()
+            assert check_lts(_lts_fixtures()[0]).ok
+            assert get() == before
+            with pytest.raises(ValueError):
+                standard_imbedding(_lts_fixtures()[4])
+            assert get() == before
+        finally:
+            put(original)
+
+
+@pytest.mark.parametrize("top, dtype", [(2**10, np.float32), (2**23, np.float32),
+                                        (2**30, np.float64), (2**60, object)])
+def test_lt3_bound_is_the_formula(top, dtype):
+    """4 max|c| L, L the largest sum of |c[i, j, k, :]|, equals the formula
+    in Python ints in each tier of the coordinates ``kernel.coordinates``
+    returns (at 2^23 the row sums pass 2^24)."""
+    rng, d = random.Random(top), 3
+    nums = [rng.randint(-top, top) for _ in range(d**4)]
+    nums[5] = top
+    space = matrix_space(1, d, Q)
+    flat = Arr(np.array(nums, dtype=object).reshape(d, d, d, d), 1, top, Q).actual_bound()
+    coords, member = kernel.coordinates(flat, space.basis_int(), space.pivots)
+    assert member.all() and coords.a.dtype == dtype
+    rows = [nums[t:t + d] for t in range(0, d**4, d)]
+    assert homotope._lt3_bound(coords) == 4 * top * max(sum(map(abs, row)) for row in rows)

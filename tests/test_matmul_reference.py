@@ -81,10 +81,13 @@ def kernel_stacks(draw):
 
 
 def _assert_tier(arr, big):
-    """The dtype is exactly the tier of the bound (``test_tiers.tier``), and
-    the upper tier draws only ``object``."""
+    """The dtype is exactly the tier of the bound (``test_tiers.tier``).  The
+    lower tier never draws ``object``; the upper tier draws it unless the
+    products cancel below 2^53, since a result's bound is its actual maximum
+    (x = [v, v] times y = [v, -v]^t is 0, in float32)."""
     assert arr.a.dtype == tier(arr.bound)
-    assert (tier(arr.bound) is object) == big
+    top = int(np.abs(arr.a).max(initial=0))
+    assert (tier(arr.bound) is object) == (big and top >= 2**53)
 
 
 @settings(max_examples=80, deadline=None)

@@ -81,6 +81,36 @@ MUTANTS = [
                  "def _is_reduced_diagonal(nf: Matrix, signs: tuple) -> bool:"),
     _forced_true("normalforms._is_standard_skew -> True", "src/homotopes/normalforms.py",
                  "def _is_standard_skew(nf: Matrix, blocks: int) -> bool:"),
+    # the verdicts of the LTS check and of the homomorphism checks
+    _forced_true("bracket_closure -> True", "src/homotopes/homotope.py",
+                 "def bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix) -> bool:"),
+    _forced_true("hom_sxt_check -> True", "src/homotopes/homotope.py",
+                 "def hom_sxt_check(s: Matrix, t: Matrix, a: Matrix, x: Matrix, y: Matrix) -> bool:"),
+    _forced_true("hermquat_check -> True", "src/homotopes/families.py", "def hermquat_check(n: int) -> bool:"),
+    _forced_true("u_linearization_check -> True", "src/homotopes/groups.py",
+                 "def u_linearization_check(x: Matrix, a: Matrix, delta: str) -> bool:"),
+    _forced_true("intertwines -> True", "src/homotopes/homotope.py",
+                 "def intertwines(psi: AlphaMap, basis, a_new: Matrix, a: Matrix) -> bool:"),
+    _forced_true("gamma_intertwines -> True", "src/homotopes/homotope.py",
+                 "def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> bool:"),
+    Mutant("middle identity forced true", "src/homotopes/homotope.py",
+           "        if not np.any((middle - middle_new).a):", "        if True:"),
+    Mutant("middle identity on any AlphaMap", "src/homotopes/homotope.py",
+           '    if psi.twist == "id" and not psi.transpose and psi.sign > 0:', "    if True:"),
+    _forced_true("check_closure -> True", "src/homotopes/homotope.py", "def check_closure(space, product) -> bool:"),
+    Mutant("LT1 dropped", "src/homotopes/homotope.py", "    lt1_ok = not np.any(anti)", "    lt1_ok = True"),
+    Mutant("LT2 dropped", "src/homotopes/homotope.py", "    lt2_ok = not np.any(cyc)", "    lt2_ok = True"),
+    Mutant("LT3 dropped", "src/homotopes/homotope.py",
+           'report.add("LT3", *_check_lt3(st, lt1_ok, lt2_ok))', 'report.add("LT3", True, None)'),
+    Mutant("hook drops k = i", "src/homotopes/homotope.py",
+           "jlo, klo = (i + 1, i) if hook else (0, 0)", "jlo, klo = (i + 1, i + 1) if hook else (0, 0)"),
+    Mutant("last operator chunk skipped", "src/homotopes/homotope.py",
+           "for t0 in range(0, len(ops), d or 1):", "for t0 in range(0, len(ops), d or 1)[:-1]:"),
+    Mutant("standard_imbedding forced ok", "src/homotopes/homotope.py",
+           "StandardImbedding(system, pairs, len(pairs), system.dim, report.ok)",
+           "StandardImbedding(system, pairs, len(pairs), system.dim, True)"),
+    Mutant("BLAS scope never restores the thread count", "src/homotopes/kernel.py",
+           "    finally:\n        api[1](before)", "    finally:\n        pass"),
 ]
 
 
