@@ -307,7 +307,15 @@ def cdual(t: TripleSystem) -> TripleSystem:
 
 @dataclass
 class LtsReport:
+    """The verdicts and witnesses of ``check_lts`` (``entries``, the JSON
+    report), and ``pairs``: the pairs (u, v) whose operators R(b_u, b_v) LT3
+    picked as a basis of the inner operators, or None where it picked none
+    (the system is not closed, or d is small enough to check every operator,
+    see ``_check_lt3``).  ``standard_imbedding`` reuses them as the basis of
+    h; they are not part of the report."""
+
     entries: list = field(default_factory=list)
+    pairs: list | None = None
 
     def add(self, axiom: str, ok: bool, witness=None):
         self.entries.append({"axiom": axiom, "pass": bool(ok), "witness": witness})
@@ -355,20 +363,37 @@ def _check_lts(system: TripleSystem) -> LtsReport:
     cyc = flat + np.einsum("jkiw->ijkw", flat) + np.einsum("kijw->ijkw", flat)
     lt2_ok = not np.any(cyc)
     report.add("LT2", lt2_ok, None if lt2_ok else tuple(int(v) for v in np.argwhere(cyc)[0][:3]))
+    # LT3 reads the coordinates only: its buffers need not sit next to these
+    del flat, anti, cyc
     if not st.closed:
         report.add("LT3", False, None)
         return report
-    report.add("LT3", *_check_lt3(st, lt1_ok, lt2_ok))
+    ok, witness, report.pairs = _check_lt3(st, lt1_ok, lt2_ok)
+    report.add("LT3", ok, witness)
     return report
 
 
+# the largest dimension at which LT3 checks every operator R(u, v) instead of
+# a picked basis of them (``_check_lt3``)
+LT3_ALL_PAIRS_MAX_DIM = 8
+
+
 def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
-    """LT3 via the span of the inner operators R(u, v).
+    """LT3 via the inner operators R(u, v): (ok, witness, pairs).
 
     LT3 says every R(u, v) is a derivation of the triple bracket.  Being a
     derivation is linear in the operator, so it suffices to check a basis of
-    span{R(u, v)}; on failure a concrete (u, v, i, j, k) witness is recovered
-    by rescanning individual pairs over every basis triple.
+    span{R(u, v)}, which ``_inner_operators`` picks; ``pairs`` are its pairs.
+    Up to d = ``LT3_ALL_PAIRS_MAX_DIM`` every nonzero R(u, v) is checked
+    instead, with no pick and no certificate, and ``pairs`` is None.  That is
+    the crossover measured on the LT3 checks of the lts-sweep benchmark
+    (seeds 42 and 7, one BLAS thread): at d = 8 checking every operator took
+    8.8 and 8.1 ms against 12.2 and 11.2 ms for the pick, at d = 9 it took
+    5.4 and 5.8 ms against 4.7 and 4.7 ms, and from d = 10 on the pick won by
+    more, since the operators outnumber their span more.  On failure a
+    concrete (u, v, i, j, k) witness is recovered by rescanning individual
+    pairs u < v: the first failing pair and its lexicographically first
+    failing triple.
 
     The residual of a linear operator D,
 
@@ -378,21 +403,30 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     sum vanishes when LT2 holds (the nine bracket terms regroup into three
     cyclic sums, and the D term is D of one).  Such an r is zero once it is
     zero at the basis triples (i, j, k) with i < j and i <= k, the (2, 1)
-    hook: for a < b and c < a, r(a, b, c) = r(c, b, a) - r(c, a, b).  So when
-    both hold only those (d^3 - d)/3 triples are checked; otherwise all d^3.
+    hook: for a < b and c < a, r(a, b, c) = r(c, b, a) - r(c, a, b).  That
+    argument holds for any order of the basis; in the reversed order it
+    gives the triples i > j, i >= k, and by the antisymmetry in (x, y) r is
+    zero there exactly when it is zero at the triples i < j, k <= j.  Those
+    are checked when both axioms hold, (d^3 - d)/3 of them: for each j the
+    rectangle i < j, k <= j, on which each term of the residual is one GEMM
+    on a view of the coordinates (``_lt3_first_nonzero``).  Otherwise all
+    d^3 triples are checked.
     """
     d = st.coords.a.shape[0]
-    _, ops = _inner_operators(st.coords.a, lt1_ok)
+    pick = d > LT3_ALL_PAIRS_MAX_DIM
+    pairs, ops = _inner_operators(st.coords.a, lt1_ok, pick)
+    pairs = pairs if pick else None
     bound = _lt3_bound(st.coords)
     # in the residuals' dtype once, not once per rescanned pair
     c = kernel.fit(st.coords.a, bound)
-    if _lt3_first_nonzero(c, ops, bound, hook=lt1_ok and lt2_ok) is None:
-        return True, None
+    hook = lt1_ok and lt2_ok
+    if _lt3_first_nonzero(c, ops, bound, hook) is None:
+        return True, None, pairs
     for u, v in combinations(range(d), 2):
-        hit = _lt3_first_nonzero(c, c[u, v][None], bound, hook=False)
+        hit = _lt3_first_nonzero(c, c[u, v][None], bound, hook)
         if hit is not None:
-            return False, (u, v) + hit[1:]
-    return False, None
+            return False, (u, v) + hit[1:], pairs
+    return False, None, pairs
 
 
 def _lt3_bound(coords: Arr) -> int:
@@ -410,17 +444,19 @@ def _lt3_bound(coords: Arr) -> int:
     return 4 * top * rows
 
 
-def _inner_operators(c: np.ndarray, lt1_ok: bool):
-    """A basis of span{R(b_u, b_v)} over the coordinates c: the pairs (u, v)
-    and their operators ops[t][w, m] = (R(b_u, b_v) b_w)_m = c[u, v, w, m],
-    unscaled (the coordinate denominator cancels from both sides of the LT3
-    identity; max|ops| <= max|c|).  With LT1, R(b_v, b_u) = -R(b_u, b_v), so
-    the pairs u < v span."""
+def _inner_operators(c: np.ndarray, lt1_ok: bool, pick: bool = True):
+    """The inner operators R(b_u, b_v) over the coordinates c, as the pairs
+    (u, v) and their operators ops[t][w, m] = (R(b_u, b_v) b_w)_m =
+    c[u, v, w, m], unscaled (the coordinate denominator cancels from both
+    sides of the LT3 identity; max|ops| <= max|c|).  With ``pick`` a basis of
+    their span, else every nonzero one.  With LT1, R(b_v, b_u) = -R(b_u, b_v),
+    so the pairs u < v span."""
     d = c.shape[0]
     iu, ju = np.triu_indices(d, k=1) if lt1_ok else np.divmod(np.arange(d * d), d)
     ops = c[iu, ju]
-    picked = kernel.independent_row_indices(ops.reshape(len(ops), d * d))
-    return [(int(iu[t]), int(ju[t])) for t in picked], ops[picked]
+    rows = ops.reshape(len(ops), d * d)
+    kept = kernel.independent_row_indices(rows) if pick else np.flatnonzero(rows.any(axis=1))
+    return [(int(iu[t]), int(ju[t])) for t in kept], ops[kept]
 
 
 def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool):
@@ -430,42 +466,66 @@ def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool):
         res[i, j, k, m] = (D[b_i, b_j, b_k] - [D b_i, b_j, b_k]
                            - [b_i, D b_j, b_k] - [b_i, b_j, D b_k])_m.
 
-    For each i, the slab j >= jlo, k >= klo of up to d operators at once is
-    four batched GEMMs that read c in place and write into two buffers
-    allocated once, together no larger than two copies of c.  With ``hook``
-    the slab is j > i, k >= i (the (2, 1) hook, see ``_check_lt3``), else
-    every j and k.  ``bound`` covers the running sum of the four terms and
-    every partial sum of each, whose d products are c[i, j, k, :] . e[:, m]
-    (at most max|e| L) and e[x, :] . c[..., m] (at most max|c| max_x
-    sum_w |e[x, w]|), with L = max over (i, j, k) of sum_m |c[i, j, k, m]|.
+    The operators are checked d at a time, one slab of fixed j after the
+    other (``_lt3_slab``): with ``hook`` the rectangle i < j, k <= j (see
+    ``_check_lt3``), else every i and k.  t is the first operator with a
+    nonzero residual in the first slab that has one, and (i, j, k) the
+    lexicographically first triple where its residual is nonzero, over every
+    triple (with LT1 and LT2, one with i < j and i <= k: otherwise
+    r(i, j, k) = r(k, j, i) - r(k, i, j) would be nonzero before it).
+    ``bound`` covers the running sum of the four terms and every partial sum
+    of each, whose d products are c[i, j, k, :] . e[:, m] (at most max|e| L)
+    and e[x, :] . c[..., m] (at most max|c| max_x sum_w |e[x, w]|), with
+    L = max over (i, j, k) of sum_m |c[i, j, k, m]|.
     """
     d = c.shape[0]
     c, ops = kernel.fit(c, bound), kernel.fit(ops, bound)
+    # two buffers, allocated once, together no larger than two copies of c
     res = np.empty(min(len(ops), d) * d**3, dtype=c.dtype)
     term = np.empty_like(res)
     for t0 in range(0, len(ops), d or 1):  # d = 0: no operators
         e = ops[t0:t0 + d]
-        n = len(e)
-        for i in range(d - 1 if hook else d):
-            jlo, klo = (i + 1, i) if hook else (0, 0)
-            shape = (n, d - jlo, d - klo, d)
-            r = res[:prod(shape)].reshape(shape)
-            np.matmul(c[i, jlo:, klo:], e[:, None], out=r)
-            # e against the first axis of c, over every k: c[:, jlo:] is a
-            # view only with all k
-            full = term[:n * (d - jlo) * d * d].reshape(n, d - jlo, d, d)
-            np.matmul(e[:, i], c[:, jlo:].reshape(d, -1), out=full.reshape(n, -1))
-            r -= full[:, :, klo:]
-            # ... against the second and the third axis
-            t = term[:r.size].reshape(shape)
-            np.matmul(e[:, jlo:], c[i, :, klo:].reshape(d, -1), out=t.reshape(n, d - jlo, -1))
-            r -= t
-            np.matmul(e[:, None, klo:], c[i, jlo:], out=t)
-            r -= t
+        for j in range(d):
+            r = _lt3_slab(c, e, j, j if hook else d, j + 1 if hook else d, res, term)
             if r.any():
-                t, j, k = (int(x) for x in np.argwhere(r.any(axis=-1))[0])
-                return t0 + t, i, jlo + j, klo + k
+                t = t0 + int(np.flatnonzero(r.any(axis=(1, 2, 3)))[0])
+                return (t,) + _lt3_first_triple(c, ops[t], res, term)
     return None
+
+
+def _lt3_first_triple(c: np.ndarray, e: np.ndarray, res: np.ndarray, term: np.ndarray):
+    """The lexicographically first (i, j, k) at which the LT3 residual of the
+    one operator e is nonzero, or None: every slab j, each over the i below
+    the first i found so far."""
+    d = c.shape[0]
+    first = None
+    for j in range(d):
+        r = _lt3_slab(c, e[None], j, d if first is None else first[0], d, res, term)
+        hit = np.argwhere(r[0].any(axis=-1))
+        if hit.size:
+            first = (int(hit[0, 0]), j, int(hit[0, 1]))
+    return first
+
+
+def _lt3_slab(c: np.ndarray, e: np.ndarray, j: int, ni: int, nk: int, res: np.ndarray, term: np.ndarray):
+    """The LT3 residuals r[t, i, k, m] at the triples (i, j, k), i < ni and
+    k < nk, of the operators e (``_lt3_first_nonzero``), in the buffer
+    ``res``: one GEMM per term on a view of c that spans exactly these i and
+    k, each subtracted through the buffer ``term``."""
+    n, d = len(e), c.shape[0]
+    shape = (n, ni, nk, d)
+    r = res[:prod(shape)].reshape(shape)
+    t = term[:r.size].reshape(shape)
+    wide = t.reshape(n, ni, nk * d)
+    np.matmul(c[:ni, j, :nk], e[:, None], out=r)
+    # e against the first, the second and the third axis of c
+    np.matmul(e[:, :ni], c[:, j, :nk].reshape(d, nk * d), out=wide)
+    r -= t
+    np.matmul(e[:, j], c[:ni, :, :nk].reshape(ni, d, nk * d), out=wide.swapaxes(0, 1))
+    r -= t
+    np.matmul(e[:, None, :nk], c[:ni, j], out=t)
+    r -= t
+    return r
 
 
 def check_closure(space, product) -> bool:
@@ -612,13 +672,17 @@ def standard_imbedding(system: TripleSystem) -> StandardImbedding:
     on h x m x m is LT3, [h, h] lies in h because each D in h is a
     derivation (LT3: [D, R(x, y)] = R(Dx, y) + R(x, Dy)), and the other
     Jacobi components hold for any operators.  So ``ok`` is ``check_lts``'s
-    verdict, and h has the basis LT3 picks (``_inner_operators``).
+    verdict, and h has the basis LT3 picks (``_inner_operators``): the one
+    ``check_lts`` picked, or, where it checked every operator instead, one
+    picked here.
     """
     with kernel.one_blas_thread():
         st = system.structure()
         if not st.closed:
             raise ValueError("triple system is not closed; no standard imbedding")
         report = check_lts(system)
-        lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
-        pairs, _ = _inner_operators(st.coords.a, lt1_ok)
+        pairs = report.pairs
+        if pairs is None:
+            lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
+            pairs, _ = _inner_operators(st.coords.a, lt1_ok)
     return StandardImbedding(system, pairs, len(pairs), system.dim, report.ok)

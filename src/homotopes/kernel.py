@@ -29,9 +29,12 @@ entries, and v is in the span exactly when den * v is their combination of
 the integer rows.
 
 ``independent_row_indices`` (the LT3 operator span) picks rows from their
-residues modulo a prime and accepts the pick only behind a deterministic
+residues modulo a prime p and accepts the pick only behind a deterministic
 certificate: an integer identity checked modulo primes whose product exceeds
-its Hadamard bound proves that the picked rows span every row.
+its Hadamard bound proves that the picked rows span every row.  The pick
+itself proves the identity modulo p, so p counts toward that product; the
+other primes are checked one at a time, in a working set the size of the
+rows, not of the rows times the primes.
 
 ``one_blas_thread()`` runs the LTS check (``homotope.check_lts``) with
 OpenBLAS on one thread, and then gives the caller's thread count back.  The
@@ -463,7 +466,7 @@ def independent_row_indices(rows: np.ndarray) -> list:
     r = fit(r, 2 * int(np.abs(r).max()))
     for p in _primes_below(_modulus_limit(min(r.shape))):
         picked, pivots = _pick(r, p)
-        if _spans(r, picked, pivots):
+        if _spans(r, picked, pivots, p):
             return live[picked].tolist()
     raise ArithmeticError("every prime below the limit divides a maximal minor")
 
@@ -494,9 +497,12 @@ def _prime_window(hi: int) -> tuple:
 def _smod(x: np.ndarray, q) -> np.ndarray:
     """Reduce the float64 integers x (|x| + q < 2^53) modulo q (broadcasting)
     in place, to magnitude at most q/2 + 2.  Exact: x/q, computed within 2/q,
-    is rounded to an integer t, and t*q and x - t*q are integers below 2^53."""
-    t = np.rint(x * (1.0 / q))
-    x -= t * q
+    is rounded to an integer t, and t*q and x - t*q are integers below 2^53.
+    One temporary, t, of the size of x."""
+    t = np.multiply(x, 1.0 / q)
+    np.rint(t, out=t)
+    t *= q
+    x -= t
     return x
 
 
@@ -509,35 +515,51 @@ def _residues(a: np.ndarray, q) -> np.ndarray:
     return _smod(np.add(a, np.zeros(np.shape(q)), dtype=np.float64), q)
 
 
+# rows reduced together when the pick looks for its next independent row
+PICK_BLOCK = 8
+
+
 def _pick(r: np.ndarray, p: int):
     """The rows of ``r`` independent of the rows before them modulo p, and
-    their pivot columns: r[picked, pivots] is invertible mod p.  A row is
-    reduced when its turn comes; until then it takes one update per pivot,
-    which ``_modulus_limit`` allows for."""
+    their pivot columns: r[picked, pivots] is invertible mod p, with nonzero
+    leading principal minors (each picked row is reduced by the picked rows
+    before it, and its pivot is its first nonzero entry).  Rows are reduced
+    ``PICK_BLOCK`` at a time, so a run of dependent rows costs one reduction
+    per block; until then a row takes one update per pivot, which
+    ``_modulus_limit`` allows for."""
     a = _residues(r, p)
     picked, pivots = [], []
-    for i, row in enumerate(a):
-        nz = np.flatnonzero(_smod(row, p))
-        if nz.size:
-            j = int(nz[0])
-            row *= pow(int(row[j]) % p, -1, p)
-            _smod(row, p)
-            a[i + 1:] -= _smod(a[i + 1:, j].copy(), p)[:, None] * row
-            picked.append(i)
-            pivots.append(j)
+    i = 0
+    while i < len(a):
+        live = np.flatnonzero(_smod(a[i:i + PICK_BLOCK], p).any(axis=1))
+        if not live.size:
+            i += PICK_BLOCK
+            continue
+        i += int(live[0])
+        row = a[i]
+        j = int(np.flatnonzero(row)[0])
+        row *= pow(int(row[j]) % p, -1, p)
+        _smod(row, p)
+        a[i + 1:] -= _smod(a[i + 1:, j].copy(), p)[:, None] * row
+        picked.append(i)
+        pivots.append(j)
+        i += 1
     return picked, pivots
 
 
-def _spans(r: np.ndarray, picked: list, pivots: list) -> bool:
+def _spans(r: np.ndarray, picked: list, pivots: list, p: int) -> bool:
     """Exact certificate that every row of ``r`` lies in the Q-span of the
-    rows ``picked``, whose minor M = r[picked, pivots] is invertible.
+    rows ``picked``, which ``_pick`` chose modulo p, so that their minor
+    M = r[picked, pivots] is invertible.
 
     They do exactly when det(M) r = r[:, pivots] adj(M) r[picked].  Both sides
     are below B H + k^2 B^2 H in magnitude (B = max |r|, H = prod ceil(||M_i||)
     bounds det(M) and every cofactor, by Hadamard), so the identity holds once
-    it holds modulo primes whose product exceeds twice that.  Modulo a prime q
-    where M is invertible it reads r = (r[:, pivots] M^-1) r[picked]; other
-    primes are skipped.  Batches of primes share float64 GEMMs.
+    it holds modulo primes whose product exceeds twice that.  Modulo p it
+    holds already: there every row not picked reduced to zero against the
+    picked rows before it.  Modulo each other prime q where M is invertible
+    it reads r = (r[:, pivots] M^-1) r[picked], checked for one q at a time;
+    primes where ``_inverse_mod`` finds a zero pivot are skipped.
     """
     k, (n, width) = len(picked), r.shape
     if k in (n, width):
@@ -551,39 +573,39 @@ def _spans(r: np.ndarray, picked: list, pivots: list) -> bool:
     rest[picked] = False
     lhs, coef, basis = r[rest], r[np.ix_(rest, pivots)], r[picked]
     limit = _modulus_limit(k)
-    primes, covered = _primes_below(limit), 1
+    primes, covered = (q for q in _primes_below(limit) if q != p), p
     while covered <= bound:
-        # the primes the bound still needs, at most 2^19 entries of lhs per batch
+        # the primes the bound still needs, their inverses at most 2^19 entries
         need = (bound // covered).bit_length() // (limit.bit_length() - 1) + 1
-        qs = np.array(list(islice(primes, min(need, max(1, 2**19 // lhs.size)))), dtype=np.float64)
+        qs = np.array(list(islice(primes, min(need, max(1, 2**18 // (k * k))))), dtype=np.float64)
         if not qs.size:
             raise ArithmeticError("the primes below the limit cannot cover the bound")
-        q = qs[:, None, None]
         inv, ok = _inverse_mod(m, qs)
-        y = _smod(np.matmul(_residues(coef, q), inv), q) @ _residues(basis, q)
-        y -= _residues(lhs, q) if lhs.dtype == object else lhs
-        if np.any(ok & _smod(y, q).any(axis=(1, 2))):
-            return False
-        covered *= prod(int(v) for v in qs[ok])
+        for q, inv_q in zip(qs[ok], inv[ok]):
+            y = _smod(_residues(coef, q) @ inv_q, q) @ _residues(basis, q)
+            y -= _residues(lhs, q) if lhs.dtype == object else lhs
+            if _smod(y, q).any():
+                return False
+            covered *= int(q)
     return True
 
 
 def _inverse_mod(m: np.ndarray, qs: np.ndarray):
     """Inverses of the integer matrix m modulo each prime in ``qs``, by one
-    batched Gauss-Jordan elimination, and the mask of the primes where m is
-    invertible (the other inverses are garbage)."""
+    batched Gauss-Jordan elimination without row exchanges, and the mask of
+    the primes where every pivot is nonzero.  The other primes divide a
+    leading principal minor of m; their inverses are garbage, and a caller
+    that skips them spends at most one more prime for each."""
     s, k = len(qs), len(m)
     q = qs[:, None, None]
     a = np.concatenate([_residues(m, q), np.broadcast_to(np.eye(k), (s, k, k))], axis=2)
-    at, ok = np.arange(s), np.ones(s, dtype=bool)
+    ok = np.ones(s, dtype=bool)
     for j in range(k):
-        column = a[:, j:, j]
-        ok &= column.any(axis=1)
-        piv = j + (column != 0).argmax(axis=1)
-        row = a[at, piv]
-        a[at, piv] = a[:, j]
-        inv = [pow(int(v) % int(p), -1, int(p)) if v else 0 for v, p in zip(row[:, j], qs)]
-        row = _smod(row * np.array(inv, dtype=np.float64)[:, None], qs[:, None])
-        a = _smod(a - a[:, :, j, None] * row[:, None, :], q)
+        pivot = a[:, j, j]
+        ok &= pivot != 0
+        inv = [pow(int(v) % int(p), -1, int(p)) if v else 0 for v, p in zip(pivot, qs)]
+        row = _smod(a[:, j] * np.array(inv, dtype=np.float64)[:, None], qs[:, None])
+        a -= a[:, :, j, None] * row[:, None, :]
+        _smod(a, q)
         a[:, j] = row
     return a[:, :, k:], ok

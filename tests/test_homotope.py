@@ -3,6 +3,7 @@ imbedding."""
 
 import contextlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ from structure_reference import (broken_derivation, reference_intertwines, refer
                                  reference_structure)
 
 from homotopes import homotope, kernel
-from homotopes.families import (asym_space, herm_space, matrix_space, rand_invertible,
-                                rand_matrix, sample_in_subspace, sym_space)
+from homotopes.families import (asym_space, family, family_axiom_suite, herm_space,
+                                matrix_space, rand_invertible, rand_matrix,
+                                sample_in_subspace, sym_space)
 from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple,
                                 TripleSystem, bracket_param, cdual, check_closure,
                                 check_lts, gamma_act, gamma_intertwines, hom_sxt,
@@ -285,6 +287,22 @@ class TestStandardImbedding:
         with pytest.raises(ValueError):
             standard_imbedding(TripleSystem.from_parameter(sp, a))
 
+    @pytest.mark.parametrize("label, sizes", [("2.2.b", (3,)), ("2.2.b", (1,))])
+    def test_picks_once(self, monkeypatch, label, sizes):
+        """One row pick per call: at 2.2.b(3) (d = 21) h is the basis that
+        ``check_lts`` picked for LT3; at 2.2.b(1) (d = 3, every operator
+        checked, no pick there) the one picked for h."""
+        desc = family(label)
+        system = desc.system(sizes, desc.sample_params(sizes, random.Random(3), "generic"))
+        assert (system.dim > homotope.LT3_ALL_PAIRS_MAX_DIM) == (sizes == (3,))
+        pick, calls = kernel.independent_row_indices, []
+        monkeypatch.setattr(kernel, "independent_row_indices", lambda rows: calls.append(1) or pick(rows))
+        emb = standard_imbedding(system)
+        assert emb.ok and len(calls) == 1
+        picked, _ = homotope._inner_operators(system.structure().coords.a, True)
+        assert emb.h_pairs == picked and emb.h_dim == len(picked)
+        assert "pairs" not in str(check_lts(system).to_json(system))
+
 
 class _FakeBlas:
     """The thread-count functions of a stand-in BLAS at ``threads``."""
@@ -386,3 +404,20 @@ def test_lt3_bound_is_the_formula(top, dtype):
     assert member.all() and coords.a.dtype == dtype
     rows = [nums[t:t + d] for t in range(0, d**4, d)]
     assert homotope._lt3_bound(coords) == 4 * top * max(sum(map(abs, row)) for row in rows)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_lts_working_set(seed):
+    """Known false for the old LT3 path, which traced 17 MB here: the axiom
+    suite of 2.2.b(3) (d = 21, 210 operators) stays under 8 MB of traced
+    allocations once its carrier is cached.  The certificate holds one
+    prime's residues at a time, and LT1 and LT2 free their tensors before
+    LT3 runs."""
+    family_axiom_suite("2.2.b", (3,), 5, seed)
+    tracemalloc.start()
+    try:
+        assert family_axiom_suite("2.2.b", (3,), 5, seed)["pass"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -15,7 +15,7 @@ from structure_reference import (broken_derivation, derivation_residual, matrix_
                                  reference_bilinear, reference_bracket_closure,
                                  reference_lts, reference_structure)
 
-from homotopes import kernel
+from homotopes import homotope, kernel
 from homotopes.families import (asym_space, family, family_labels, herm_space, matrix_space,
                                 rand_matrix, sym_space)
 from homotopes.homotope import (AlphaMap, GenericTriple, TripleSystem, _lt3_first_nonzero,
@@ -220,12 +220,13 @@ def test_bracket_closure_rejects_wrong_target_piece():
     assert not reference_bracket_closure(h, m, h, one)
 
 
-def _assert_lt3_alone_fails(width, scale, first, second):
+def _assert_lt3_alone_fails(width, scale, first, second, reference=True):
     space = matrix_space(1, width, Q)
     product = broken_derivation(width, scale, first, second)
     report = check_lts(TripleSystem(space, GenericTriple(product)))
     entries = [(e["axiom"], e["pass"], e["witness"]) for e in report.entries]
-    assert entries == reference_lts(space, product)
+    if reference:
+        assert entries == reference_lts(space, product)
     assert [e["axiom"] for e in report.failing()] == ["LT3"]
     f, s = first, second
     assert report.failing()[0]["witness"] == (min(f, s), max(f, s)) + min((f, s, f), (s, f, f))
@@ -244,6 +245,19 @@ def test_lt3_failure_in_each_hook_slab(first, second):
     i < j, i <= k lies in slab i = min(first, second): in the first, a
     middle, and the last slab (i = d - 2), at k = i and at k = j."""
     _assert_lt3_alone_fails(5, 1, first, second)
+
+
+@pytest.mark.parametrize("width", [homotope.LT3_ALL_PAIRS_MAX_DIM, homotope.LT3_ALL_PAIRS_MAX_DIM + 1])
+@pytest.mark.parametrize("first, second", [(0, 1), (-1, -2)])
+def test_lt3_alone_fails_on_each_side_of_the_size_rule(monkeypatch, width, first, second):
+    """Only LT3 fails, at the largest d where every operator is checked
+    (no row pick) and at the smallest where a picked basis is: the verdicts
+    and the witness are those ``broken_derivation`` states (the reference
+    takes minutes at these d)."""
+    pick, calls = kernel.independent_row_indices, []
+    monkeypatch.setattr(kernel, "independent_row_indices", lambda rows: calls.append(1) or pick(rows))
+    _assert_lt3_alone_fails(width, 1, first % width, second % width, reference=False)
+    assert len(calls) == (width > homotope.LT3_ALL_PAIRS_MAX_DIM)
 
 
 def test_lt3_reads_every_triple_without_lt2():

@@ -4,8 +4,12 @@ Copies the repository (``src``, ``tests`` and ``pyproject.toml``) into a
 temporary directory, applies one mutant at a time (an exact text substitution
 that must match once), runs the Tier-1 tests with ``-x`` and the long
 criterion-1 sweep deselected, restores the file, and prints a kill table.
-A mutant is killed when the suite fails.  Standard library only; not part of
-Tier-1.
+A mutant is killed when the suite fails, or when it runs past ``TIMEOUT_S``.
+A mutant may name the tests that should kill it (``first``): those run
+first, and only if they pass does the whole suite run; the table says which
+run killed it.  That keeps a mutant that makes some earlier test loop for
+long (a row pick that never spans, retried prime after prime) from holding
+up the probe.  Standard library only; not part of Tier-1.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py fit conj   # the mutants whose name contains a word
@@ -23,6 +27,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DESELECT = "tests/test_acceptance.py::test_criterion_1_lts_axiom_suite"
+TIMEOUT_S = 1800
 
 
 class Mutant(NamedTuple):
@@ -30,6 +35,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str
     new: str
+    first: str = ""  # the tests to run before the whole suite
 
 
 def _forced_true(name: str, path: str, signature: str, value: str = "True") -> Mutant:
@@ -101,9 +107,9 @@ MUTANTS = [
     Mutant("LT1 dropped", "src/homotopes/homotope.py", "    lt1_ok = not np.any(anti)", "    lt1_ok = True"),
     Mutant("LT2 dropped", "src/homotopes/homotope.py", "    lt2_ok = not np.any(cyc)", "    lt2_ok = True"),
     Mutant("LT3 dropped", "src/homotopes/homotope.py",
-           'report.add("LT3", *_check_lt3(st, lt1_ok, lt2_ok))', 'report.add("LT3", True, None)'),
-    Mutant("hook drops k = i", "src/homotopes/homotope.py",
-           "jlo, klo = (i + 1, i) if hook else (0, 0)", "jlo, klo = (i + 1, i + 1) if hook else (0, 0)"),
+           'report.add("LT3", ok, witness)', 'report.add("LT3", True, None)'),
+    Mutant("hook uses k < j instead of k <= j", "src/homotopes/homotope.py",
+           "j if hook else d, j + 1 if hook else d, res, term)", "j if hook else d, j if hook else d, res, term)"),
     Mutant("last operator chunk skipped", "src/homotopes/homotope.py",
            "for t0 in range(0, len(ops), d or 1):", "for t0 in range(0, len(ops), d or 1)[:-1]:"),
     Mutant("standard_imbedding forced ok", "src/homotopes/homotope.py",
@@ -111,6 +117,14 @@ MUTANTS = [
            "StandardImbedding(system, pairs, len(pairs), system.dim, True)"),
     Mutant("BLAS scope never restores the thread count", "src/homotopes/kernel.py",
            "    finally:\n        api[1](before)", "    finally:\n        pass"),
+    # the row pick and its certificate
+    Mutant("inverse keeps a prime with a zero pivot", "src/homotopes/kernel.py",
+           "        ok &= pivot != 0\n", "", "tests/test_row_selection.py"),
+    Mutant("certificate checks the pick prime again", "src/homotopes/kernel.py",
+           "primes, covered = (q for q in _primes_below(limit) if q != p), p",
+           "primes, covered = _primes_below(limit), p", "tests/test_row_selection.py"),
+    Mutant("pick block steps past a row", "src/homotopes/kernel.py",
+           "            i += PICK_BLOCK\n", "            i += PICK_BLOCK + 1\n", "tests/test_row_selection.py"),
 ]
 
 
@@ -121,14 +135,19 @@ def _copy_tree(dest: str):
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def _run_tests(cwd: str) -> tuple:
+def _run_tests(cwd: str, tests: str = "") -> tuple:
     """(exit code, seconds, the failing test or else the summary line) of
-    Tier-1 with -x."""
+    ``tests`` (the whole Tier-1 suite when empty) with -x; a run past
+    ``TIMEOUT_S`` is stopped and fails."""
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           "--deselect", DESELECT],
-                          cwd=cwd, env=env, capture_output=True, text=True, check=False)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               "--deselect", DESELECT, *tests.split()],
+                              cwd=cwd, env=env, capture_output=True, text=True, check=False,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return 1, time.perf_counter() - start, f"timeout after {TIMEOUT_S} s"
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
     return proc.returncode, time.perf_counter() - start, failed[0] if failed else lines[-1] if lines else ""
@@ -149,15 +168,22 @@ def main(argv=None) -> int:
             with open(path, "w") as fh:
                 fh.write(original.replace(m.old, m.new))
             try:
-                code, seconds, last = _run_tests(tmp)
+                code, seconds, last, run = 0, 0.0, "", "suite"
+                if m.first:
+                    code, seconds, last = _run_tests(tmp, m.first)
+                    run = m.first
+                if code == 0:
+                    code, more, last = _run_tests(tmp)
+                    seconds += more
+                    run = "suite"
             finally:
                 with open(path, "w") as fh:
                     fh.write(original)
             status = "killed" if code != 0 else "SURVIVED"
-            rows.append((m.name, status, f"{seconds:.0f} s", last))
-            print(f"{m.name}: {status} ({seconds:.0f} s) {last}", file=sys.stderr, flush=True)
-    print("| mutant | result | time | killed by |")
-    print("|---|---|---|---|")
+            rows.append((m.name, status, run, f"{seconds:.0f} s", last))
+            print(f"{m.name}: {status} ({run}, {seconds:.0f} s) {last}", file=sys.stderr, flush=True)
+    print("| mutant | result | run | time | killed by |")
+    print("|---|---|---|---|---|")
     for row in rows:
         print("| " + " | ".join(row) + " |")
     return 0
