@@ -196,7 +196,9 @@ def main(argv=None) -> int:
             raise ValueError("--samples must be >= 1")
         return args.fn(args)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

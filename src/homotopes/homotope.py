@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -116,6 +116,14 @@ class PairTriple:
 
     where alpha(X, X') = (alpha_+(X), alpha_-(X')) for the pair ``alphas`` of
     ``AlphaMap``s, one per component, and the identity when ``alphas`` is None.
+
+    The bracket is graded (O. Loos, *Jordan Pairs*, LNM 460, 1975): with P
+    and M the plus and the minus basis pairs, [P, M, P] lies in V+,
+    [M, P, M] in V-, [M, P, P] and [P, M, M] are their negatives with the
+    first two arguments swapped, and every other block is zero, since each
+    term of T multiplies a component of its first argument by the opposite
+    component of its second.  ``structure`` computes the two nonzero blocks
+    only.
     """
 
     def __init__(self, alphas=None):
@@ -137,12 +145,37 @@ class PairTriple:
         p2 = PairTriple.t(v, au, w)
         return (p1[0] - p2[0], p1[1] - p2[1])
 
-    def flat(self, space) -> Arr:
-        """The flattened products over the basis pairs of a ``ProductSpace``:
-        the plus components, then the minus components."""
-        bp, bm = space.basis_stacks()
+    def structure(self, space: "ProductSpace") -> "Structure":
+        """The structure constants over the basis pairs of ``space`` (plus,
+        then minus), by grade.  v+ = t_tensor(B+, alpha_-(B-)) is the block
+        [P, M, P], in V+, and v- = t_tensor(B-, alpha_+(B+)) the block
+        [M, P, M], in V-; each takes one ``coordinates`` against its grade's
+        diagonal block of the basis.  Both are brought to one denominator and
+        bound (those of the whole flattened tensor) and scattered into zeros,
+        with their negatives at [M, P, P] and [P, M, M].  When a grade is
+        empty the bracket is zero: both blocks are empty, and only fix the
+        denominator."""
+        (bp, rows_p, piv_p), (bm, rows_m, piv_m) = space.grades()
         wp, wm = (bp, bm) if self.alphas is None else (f(b) for f, b in zip(self.alphas, (bp, bm)))
-        return kernel.concat_last(*(kernel.flatten_last(_triples(b, w)) for b, w in ((bp, wm), (bm, wp))))
+        vp, vm = kernel.t_tensor(bp, wm), kernel.t_tensor(bm, wp)
+        den = lcm(vp.den, vm.den)
+        bound = max(v.bound * (den // v.den) for v in (vp, vm))
+        s, d, n1 = len(bp.a), space.dim, space.plus.ambient_dim
+        plus, minus = slice(s), slice(s, d)
+        flat = kernel.fit(np.zeros((d, d, d, space.ambient_dim), np.float32), bound)
+        coords = kernel.fit(np.zeros((d, d, d, d), np.float32), bound)
+        member = np.ones((d, d, d), dtype=bool)
+        # v at [own, other, own] in its grade's columns, -v at [other, own, own]
+        for v, rows, pivots, own, other, cols in ((vp, rows_p, piv_p, plus, minus, slice(n1)),
+                                                  (vm, rows_m, piv_m, minus, plus, slice(n1, None))):
+            if not v.a.size:
+                continue
+            block = kernel.flatten_last(Arr(v.over(den, bound), den, bound, v.ring))
+            c, m = kernel.coordinates(block, rows, pivots)
+            flat[own, other, own, cols], flat[other, own, own, cols] = block.a, -block.a.swapaxes(0, 1)
+            coords[own, other, own, own], coords[other, own, own, own] = c.a, -c.a.swapaxes(0, 1)
+            member[own, other, own], member[other, own, own] = m, m.swapaxes(0, 1)
+        return _structure(Arr(flat, den, bound, vp.ring), Arr(coords, den, bound, vp.ring), member, s)
 
     def negated(self) -> "PairTriple":
         alphas = self.alphas or (AlphaMap(None, None),) * 2
@@ -180,7 +213,8 @@ class ProductSpace:
     basis (``basis_int``) is the plus basis padded by zeros on the right,
     then the minus basis padded on the left, with the pivots of both: RREF
     rows of the product, so coordinate extraction works exactly as for
-    Subspace.
+    Subspace.  It is block diagonal, and ``grades`` gives its two diagonal
+    blocks, over its one denominator.
     """
 
     __slots__ = ("plus", "minus", "pivots", "_int")
@@ -211,11 +245,14 @@ class ProductSpace:
         """The basis as integer rows (dim, N) over one denominator."""
         return self._int
 
-    def basis_stacks(self) -> tuple:
-        """The plus and the minus components of the basis pairs, each stacked
-        as an exact tensor (dim, rows, cols, comps): slices of ``basis_int``."""
-        n1 = self.plus.ambient_dim
-        return stack_of(self._int[:, :n1], self.plus.ambient), stack_of(self._int[:, n1:], self.minus.ambient)
+    def grades(self) -> tuple:
+        """(stack, rows, pivots) of the plus and of the minus grade: the
+        rows of ``basis_int`` on the grade's own columns, over its one
+        denominator, their pivots there, and the rows stacked as matrices of
+        the grade's ambient (dim, rows, cols, comps)."""
+        s, n1 = self.plus.dim, self.plus.ambient_dim
+        return tuple((stack_of(rows, sub.ambient), rows, sub.pivots)
+                     for sub, rows in ((self.plus, self._int[:s, :n1]), (self.minus, self._int[s:, n1:])))
 
     def flatten_pair(self, u):
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
@@ -237,13 +274,25 @@ class Structure:
 
     ``flat``: ambient flattened products [b_i, b_j, b_k], exact integers with
     a denominator.  ``coords``: coordinates in the space's basis (present only
-    when the product is closed).
+    when the product is closed).  ``split``: for a polarized system
+    (``PairTriple``) the dimension d+ of the plus grade, whose basis comes
+    before the minus grade's; None for any other.
     """
 
     flat: Arr
     coords: Arr | None
     closed: bool
     witness: tuple | None
+    split: int | None = None
+
+
+def _structure(flat: Arr, coords: Arr, member: np.ndarray, split: int | None = None) -> Structure:
+    """The ``Structure`` of the products ``flat``, with their coordinates and
+    the flags ``member`` of those that lie in the space: the witness is the
+    first basis triple whose product does not."""
+    if member.all():
+        return Structure(flat, coords, True, None, split)
+    return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]), split)
 
 
 class TripleSystem:
@@ -275,11 +324,11 @@ class TripleSystem:
         if self.dim == 0:
             empty = Arr(kernel.fit(np.zeros((0, 0, 0, 0)), 1), 1, 1, None)
             return Structure(empty, empty, True, None)
+        if isinstance(self.product, PairTriple):
+            return self.product.structure(self.space)
         flat = self.product.flat(self.space)
         coords, member = kernel.coordinates(flat, self.space.basis_int(), self.space.pivots)
-        if member.all():
-            return Structure(flat, coords, True, None)
-        return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]))
+        return _structure(flat, coords, member)
 
     # derived systems --------------------------------------------------------
 
@@ -411,6 +460,16 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     rectangle i < j, k <= j, on which each term of the residual is one GEMM
     on a view of the coordinates (``_lt3_first_nonzero``).  Otherwise all
     d^3 triples are checked.
+
+    A graded system (``Structure.split`` s, a polarized one with its d+ = s
+    plus pairs first) has c[i, j, k, m] = 0 unless grade(i) != grade(j) and
+    grade(m) = grade(k).  So each R(u, v) is zero or grade-preserving, and
+    at a triple with grade(i) = grade(j) each of the four residual terms has
+    a zero factor: [b_i, b_j, b_k] = 0, and D b_i and D b_j keep the grades
+    of b_i and b_j, so [D b_i, b_j, .], [b_i, D b_j, .] and [b_i, b_j, .]
+    vanish.  In the hook (i < j) opposite grades means i < s <= j, and only
+    those slabs and rows are checked.  The rows skipped are zero, so the
+    first failing slab, operator and triple are unchanged.
     """
     d = st.coords.a.shape[0]
     pick = d > LT3_ALL_PAIRS_MAX_DIM
@@ -420,10 +479,10 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     # in the residuals' dtype once, not once per rescanned pair
     c = kernel.fit(st.coords.a, bound)
     hook = lt1_ok and lt2_ok
-    if _lt3_first_nonzero(c, ops, bound, hook) is None:
+    if _lt3_first_nonzero(c, ops, bound, hook, st.split) is None:
         return True, None, pairs
     for u, v in combinations(range(d), 2):
-        hit = _lt3_first_nonzero(c, c[u, v][None], bound, hook)
+        hit = _lt3_first_nonzero(c, c[u, v][None], bound, hook, st.split)
         if hit is not None:
             return False, (u, v) + hit[1:], pairs
     return False, None, pairs
@@ -459,7 +518,7 @@ def _inner_operators(c: np.ndarray, lt1_ok: bool, pick: bool = True):
     return [(int(iu[t]), int(ju[t])) for t in kept], ops[kept]
 
 
-def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool):
+def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, split: int | None = None):
     """The first (t, i, j, k) at which the LT3 residual of the operator
     e = ops[t], given by e[w, m] = (D b_w)_m, is nonzero, or None:
 
@@ -468,7 +527,10 @@ def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool):
 
     The operators are checked d at a time, one slab of fixed j after the
     other (``_lt3_slab``): with ``hook`` the rectangle i < j, k <= j (see
-    ``_check_lt3``), else every i and k.  t is the first operator with a
+    ``_check_lt3``), else every i and k.  With ``hook`` and the ``split``
+    s of a graded system, only the slabs j >= s over the rows i < s, where
+    i and j have opposite grades: the other rows are zero (``_check_lt3``).
+    t is the first operator with a
     nonzero residual in the first slab that has one, and (i, j, k) the
     lexicographically first triple where its residual is nonzero, over every
     triple (with LT1 and LT2, one with i < j and i <= k: otherwise
@@ -483,10 +545,12 @@ def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool):
     # two buffers, allocated once, together no larger than two copies of c
     res = np.empty(min(len(ops), d) * d**3, dtype=c.dtype)
     term = np.empty_like(res)
+    # the hook's slabs j >= lo over the rows i < min(j, hi)
+    lo, hi = (0, d) if split is None else (split, split)
     for t0 in range(0, len(ops), d or 1):  # d = 0: no operators
         e = ops[t0:t0 + d]
-        for j in range(d):
-            r = _lt3_slab(c, e, j, j if hook else d, j + 1 if hook else d, res, term)
+        for j in range(lo, d) if hook else range(d):
+            r = _lt3_slab(c, e, j, min(j, hi) if hook else d, j + 1 if hook else d, res, term)
             if r.any():
                 t = t0 + int(np.flatnonzero(r.any(axis=(1, 2, 3)))[0])
                 return (t,) + _lt3_first_triple(c, ops[t], res, term)

@@ -385,22 +385,25 @@ def sandwich(x: Arr, left: Arr | None, right: Arr | None, twist: str = "id",
 
 def t_tensor(basis: Arr, middle: Arr) -> Arr:
     """TT[i, j, k] = b_i w_j b_k + b_k w_j b_i over the basis stack (d, p, q, k)
-    and the middle stack (d, q, p, k): four GEMMs, b_i w_j, (b_i w_j) b_k,
-    w_j b_i and b_k (w_j b_i), each over every index at once."""
+    and the middle stack (e, q, p, k), shape (d, e, d, p, q, k): four GEMMs,
+    b_i w_j, (b_i w_j) b_k, w_j b_i and b_k (w_j b_i), each over every index
+    at once.  The stacks may differ in length (e != d): a polarized system
+    pairs the basis of one grade with the middle images of the other."""
     ring = basis.ring
     d, p, q, k = basis.a.shape
+    e = middle.a.shape[0]
     # b_i w_j sums over q, w_j b_i over p; both triple terms sum over p * q
     bw, wb = basis.bound * middle.bound * q * k, basis.bound * middle.bound * p * k
     bound = 2 * bw * basis.bound * p * k
     # rows (j, q) x columns (i, q', c); then per (i, j), rows (k, p) x columns
     # (q', c): the result comes out in place, and the first term adds into it
-    m2 = fit(middle.a, wb).reshape(d * q, p * k) @ _rep_columns(fit(basis.a, wb), ring)
-    rep = right_rep(fit(m2.reshape(d, q, d, q, k).swapaxes(0, 2).swapaxes(1, 2), bound), ring)
-    out = (fit(basis.a, bound).reshape(d * p, q * k) @ rep.reshape(d * d, q * k, q * k)).reshape(d, d, d, p, q, k)
+    m2 = fit(middle.a, wb).reshape(e * q, p * k) @ _rep_columns(fit(basis.a, wb), ring)
+    rep = right_rep(fit(m2.reshape(e, q, d, q, k).swapaxes(0, 2).swapaxes(1, 2), bound), ring)
+    out = (fit(basis.a, bound).reshape(d * p, q * k) @ rep.reshape(d * e, q * k, q * k)).reshape(d, e, d, p, q, k)
     # rows (i, p) x columns (j, p', c), then rows (i, j, p) x columns (k, q, c)
     m1 = fit(basis.a, bw).reshape(d * p, q * k) @ _rep_columns(fit(middle.a, bw), ring)
-    m1 = m1.reshape(d, p, d, p * k).swapaxes(1, 2).reshape(d * d * p, p * k)
-    out += (fit(m1, bound) @ _rep_columns(fit(basis.a, bound), ring)).reshape(d, d, p, d, q, k).swapaxes(2, 3)
+    m1 = m1.reshape(d, p, e, p * k).swapaxes(1, 2).reshape(d * e * p, p * k)
+    out += (fit(m1, bound) @ _rep_columns(fit(basis.a, bound), ring)).reshape(d, e, p, d, q, k).swapaxes(2, 3)
     return Arr(out, basis.den * basis.den * middle.den, bound, ring).actual_bound()
 
 

@@ -42,9 +42,14 @@ class TestAxioms:
         assert code == 0
         assert json.loads(text)["pass"] is True
 
-    def test_unknown_family_exit_two(self, tmp_path):
+    def test_unknown_family_exit_two(self, tmp_path, capsys):
+        """The message of the KeyError, not its quoted repr."""
         code, _ = run(tmp_path, "axioms", "--family", "bogus", "--p", "1", "--q", "1")
         assert code == 2
+        assert assert_one_line_error(capsys) == "error: unknown family label 'bogus'\n"
+        code, text = run(tmp_path, "axioms", "--family", "nope", "--n", "1")
+        assert code == 2 and text == ""
+        assert assert_one_line_error(capsys) == "error: unknown family label 'nope'\n"
 
     def test_missing_sizes_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "axioms", "--family", "1.a")

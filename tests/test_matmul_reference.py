@@ -110,13 +110,17 @@ def test_kernel_matrix_mul_matches_reference(case, data):
 @given(kernel_stacks(), st.data())
 def test_kernel_t_tensor_matches_reference(case, data):
     """TT[i, j, k] = b_i w_j b_k + b_k w_j b_i for p x q basis and q x p middle
-    stacks, in every tier."""
+    stacks, in every tier, square (d basis and d middle matrices) or
+    rectangular (e != d middle matrices, as a polarized system pairs one
+    grade's basis with the other grade's middle images)."""
     _, big, stack = case
     d, p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
-    bs, ws = stack(d, p, q), stack(d, q, p)
+    e = data.draw(st.sampled_from([d, d % 3 + 1]))
+    bs, ws = stack(d, p, q), stack(e, q, p)
     tt = kernel.t_tensor(Arr.from_matrices(bs), Arr.from_matrices(ws))
+    assert tt.a.shape[:3] == (d, e, d)
     _assert_tier(tt, big)
-    for i, j, k in np.ndindex(d, d, d):
+    for i, j, k in np.ndindex(d, e, d):
         expect = reference_matrix_product(reference_matrix_product(bs[i], ws[j]), bs[k]) \
             + reference_matrix_product(reference_matrix_product(bs[k], ws[j]), bs[i])
         assert matrix_of(tt[i, j, k]) == expect

@@ -18,8 +18,8 @@ from structure_reference import (broken_derivation, derivation_residual, matrix_
 from homotopes import homotope, kernel
 from homotopes.families import (asym_space, family, family_labels, herm_space, matrix_space,
                                 rand_matrix, sym_space)
-from homotopes.homotope import (AlphaMap, GenericTriple, TripleSystem, _lt3_first_nonzero,
-                                bracket_closure, check_lts, triple_param)
+from homotopes.homotope import (AlphaMap, GenericTriple, PairTriple, ProductSpace, TripleSystem,
+                                _lt3_first_nonzero, bracket_closure, check_lts, triple_param)
 from homotopes.kernel import Arr, independent_row_indices
 from homotopes.matrices import Matrix, Subspace
 from homotopes.scalars import HQ, Q, QI, ring_components
@@ -152,6 +152,90 @@ def test_object_tier_twisted_family():
     s = assert_structure_matches(system, system.space, system.eval)
     assert s.flat.a.dtype == object and s.coords.a.dtype == object
     assert check_lts(system).ok
+
+
+def _graded(p, q, seed, dens=(1, 1), spaces=None):
+    """A ``PairTriple`` on M(p, q; Q) x M(q, p; Q), or on the pair ``spaces``,
+    with alpha_+ = AlphaMap(L1, R1) and alpha_- = AlphaMap(L2, R2) drawn
+    independently, L1 and L2 scaled by 1/dens[0] and 1/dens[1]: LT1 and LT2
+    hold by the form of the bracket, LT3 mostly fails."""
+    rng = random.Random(seed)
+    l1, r1 = rand_matrix(p, p, Q, rng).scale(Fraction(1, dens[0])), rand_matrix(q, q, Q, rng)
+    l2, r2 = rand_matrix(q, q, Q, rng).scale(Fraction(1, dens[1])), rand_matrix(p, p, Q, rng)
+    space = ProductSpace(*(spaces or (matrix_space(p, q, Q), matrix_space(q, p, Q))))
+    return TripleSystem(space, PairTriple((AlphaMap(l1, r1), AlphaMap(l2, r2))))
+
+
+def _family_system(label, sizes, scale=1):
+    desc = family(label)
+    return desc.system(sizes, [p.scale(scale) for p in desc.sample_params(sizes, random.Random(13), "generic")])
+
+
+GRADED_CASES = {
+    "pol2-3 (1, 2)": lambda: _family_system("pol2-3", (1, 2)),
+    "pol2-3 (2, 1)": lambda: _family_system("pol2-3", (2, 1)),
+    "middle denominators": lambda: _graded(1, 2, 3, dens=(3, 7)),
+    "not closed": lambda: _graded(2, 2, 5, spaces=(sym_space(2, Q), sym_space(2, Q))),
+    "object tier": lambda: _family_system("pol2-2.2", (1, 1), Fraction(2**40 - 87, BIG)),
+}
+
+
+@pytest.mark.parametrize("case", list(GRADED_CASES))
+def test_graded_structure_matches_reference(case):
+    """A polarized structure is built by grade, from the two nonzero blocks:
+    its products, coordinates, closure verdict and witness are the
+    reference's when one grade is empty (pol2-3 with Asym(1) = 0), when the
+    two middle stacks have different denominators, when the products leave
+    the space (Sym(2) x Sym(2) under a non-symmetric alpha), and on the
+    object tier (pol2-2.2, qsplit-Hermitian pairs, with parameters over
+    2^61 - 1 and numerators near 2^40, built like
+    ``test_object_tier_twisted_family``)."""
+    system = GRADED_CASES[case]()
+    space = system.space
+    s = assert_structure_matches(system, space, system.eval)
+    assert s.split == space.plus.dim
+    assert s.closed == (case != "not closed")
+    if case.startswith("pol2-3"):
+        assert 0 in (space.plus.dim, space.minus.dim)
+    if case == "middle denominators":
+        (bp, _, _), (bm, _, _) = space.grades()
+        alpha_p, alpha_m = system.product.alphas
+        assert alpha_p(bp).den != alpha_m(bm).den
+    if case == "object tier":
+        assert s.flat.a.dtype == object and s.coords.a.dtype == object
+        assert check_lts(system).ok
+
+
+def _lts_entries(system):
+    return [(e["axiom"], e["pass"], e["witness"]) for e in check_lts(system).entries]
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (1, 3)])
+def test_graded_lt3_fails_as_the_reference(p, q):
+    """Independent alpha_+ and alpha_- (d = 2 p q <= 6): LT1 and LT2 hold,
+    LT3 fails, and the verdicts and the witness are the reference's.  At
+    d = 2 the minus grade has one basis pair, so the graded hook is one slab
+    of one row."""
+    system = _graded(p, q, 11)
+    entries = _lts_entries(system)
+    assert entries == reference_lts(system.space, system.eval)
+    assert [e[0] for e in entries if not e[1]] == ["LT3"]
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (1, 5), (2, 3), (3, 3), (3, 4), (3, 6)])
+def test_graded_lt3_fails_as_the_plain_hook(monkeypatch, p, q):
+    """Independent alpha_+ and alpha_- at d = 2 p q from 8 to 36, on each
+    side of ``LT3_ALL_PAIRS_MAX_DIM``: the graded hook (the slabs j >= d+
+    over the rows i < d+) gives the verdicts and the witness of the plain
+    hook, which reads every slab with the split ignored."""
+    system = _graded(p, q, 11)
+    assert system.structure().split == p * q
+    graded = _lts_entries(system)
+    assert [e[0] for e in graded if not e[1]] == ["LT3"]
+    plain = homotope._lt3_first_nonzero
+    monkeypatch.setattr(homotope, "_lt3_first_nonzero",
+                        lambda c, ops, bound, hook, split=None: plain(c, ops, bound, hook))
+    assert graded == _lts_entries(_graded(p, q, 11))
 
 
 TWISTS = [(Q, "id"), (QI, "id"), (QI, "conj"), (HQ, "id"), (HQ, "qconj"), (HQ, "qsplit"), (HQ, "phi")]

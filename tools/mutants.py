@@ -109,7 +109,8 @@ MUTANTS = [
     Mutant("LT3 dropped", "src/homotopes/homotope.py",
            'report.add("LT3", ok, witness)', 'report.add("LT3", True, None)'),
     Mutant("hook uses k < j instead of k <= j", "src/homotopes/homotope.py",
-           "j if hook else d, j + 1 if hook else d, res, term)", "j if hook else d, j if hook else d, res, term)"),
+           "min(j, hi) if hook else d, j + 1 if hook else d, res, term)",
+           "min(j, hi) if hook else d, j if hook else d, res, term)"),
     Mutant("last operator chunk skipped", "src/homotopes/homotope.py",
            "for t0 in range(0, len(ops), d or 1):", "for t0 in range(0, len(ops), d or 1)[:-1]:"),
     Mutant("standard_imbedding forced ok", "src/homotopes/homotope.py",
@@ -117,6 +118,32 @@ MUTANTS = [
            "StandardImbedding(system, pairs, len(pairs), system.dim, True)"),
     Mutant("BLAS scope never restores the thread count", "src/homotopes/kernel.py",
            "    finally:\n        api[1](before)", "    finally:\n        pass"),
+    # the graded structure of a polarized system and its LT3 hook
+    Mutant("graded hook starts at j = s + 1", "src/homotopes/homotope.py",
+           "lo, hi = (0, d) if split is None else (split, split)",
+           "lo, hi = (0, d) if split is None else (split + 1, split)", "tests/test_structure_reference.py"),
+    Mutant("graded hook stops i at s - 1", "src/homotopes/homotope.py",
+           "lo, hi = (0, d) if split is None else (split, split)",
+           "lo, hi = (0, d) if split is None else (split, split - 1)", "tests/test_structure_reference.py"),
+    Mutant("mirrored block [M, P, P] left zero", "src/homotopes/homotope.py",
+           "flat[own, other, own, cols], flat[other, own, own, cols] = block.a, -block.a.swapaxes(0, 1)",
+           "flat[own, other, own, cols] = block.a\n"
+           "            if v is vm:\n"
+           "                flat[other, own, own, cols] = -block.a.swapaxes(0, 1)",
+           "tests/test_structure_reference.py"),
+    Mutant("mirrored coordinates [M, P, P] left zero", "src/homotopes/homotope.py",
+           "coords[own, other, own, own], coords[other, own, own, own] = c.a, -c.a.swapaxes(0, 1)",
+           "coords[own, other, own, own] = c.a\n"
+           "            if v is vm:\n"
+           "                coords[other, own, own, own] = -c.a.swapaxes(0, 1)",
+           "tests/test_structure_reference.py"),
+    Mutant("plus block member forced True", "src/homotopes/homotope.py",
+           "            c, m = kernel.coordinates(block, rows, pivots)\n",
+           "            c, m = kernel.coordinates(block, rows, pivots)\n            m = m | (v is vp)\n",
+           "tests/test_structure_reference.py"),
+    Mutant("coordinates member flag forced all-True", "src/homotopes/kernel.py",
+           "    member = np.all(v * basis.den == coords @ fit(basis.a, bound), axis=-1)\n",
+           "    member = np.ones(v.shape[:-1], dtype=bool)\n"),
     # the row pick and its certificate
     Mutant("inverse keeps a prime with a zero pivot", "src/homotopes/kernel.py",
            "        ok &= pivot != 0\n", "", "tests/test_row_selection.py"),
