@@ -14,7 +14,6 @@ T acting componentwise against the opposite component of the middle argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import lcm, prod
 
 import numpy as np
@@ -357,14 +356,13 @@ def cdual(t: TripleSystem) -> TripleSystem:
 @dataclass
 class LtsReport:
     """The verdicts and witnesses of ``check_lts`` (``entries``, the JSON
-    report), and ``pairs``: the pairs (u, v) whose operators R(b_u, b_v) LT3
-    picked as a basis of the inner operators, or None where it picked none
-    (the system is not closed, or d is small enough to check every operator,
-    see ``_check_lt3``).  ``standard_imbedding`` reuses them as the basis of
-    h; they are not part of the report."""
+    report).  It carries no basis of the inner operators: LT3's pick is
+    certified only modulo primes past the bound of its residuals, which
+    proves LT3 but not that the picked operators span the others over Q
+    (``_check_lt3``); ``standard_imbedding`` picks h's basis behind the
+    Hadamard cover of ``kernel.independent_row_indices``."""
 
     entries: list = field(default_factory=list)
-    pairs: list | None = None
 
     def add(self, axiom: str, ok: bool, witness=None):
         self.entries.append({"axiom": axiom, "pass": bool(ok), "witness": witness})
@@ -405,21 +403,61 @@ def _check_lts(system: TripleSystem) -> LtsReport:
     report = LtsReport()
     st = system.structure()
     report.add("closure", st.closed, st.witness)
-    flat = kernel.fit(st.flat.a, 3 * st.flat.bound)
-    anti = flat + np.swapaxes(flat, 0, 1)
-    lt1_ok = not np.any(anti)
-    report.add("LT1", lt1_ok, None if lt1_ok else tuple(int(v) for v in np.argwhere(anti)[0][:3]))
-    cyc = flat + np.einsum("jkiw->ijkw", flat) + np.einsum("kijw->ijkw", flat)
-    lt2_ok = not np.any(cyc)
-    report.add("LT2", lt2_ok, None if lt2_ok else tuple(int(v) for v in np.argwhere(cyc)[0][:3]))
-    # LT3 reads the coordinates only: its buffers need not sit next to these
-    del flat, anti, cyc
+    lt1, lt2 = _lt1_lt2_witnesses(st.flat)
+    report.add("LT1", lt1 is None, lt1)
+    report.add("LT2", lt2 is None, lt2)
     if not st.closed:
         report.add("LT3", False, None)
         return report
-    ok, witness, report.pairs = _check_lt3(st, lt1_ok, lt2_ok)
-    report.add("LT3", ok, witness)
+    report.add("LT3", *_check_lt3(st, lt1 is None, lt2 is None))
     return report
+
+
+# about as many products as LT1 and LT2 read per block of slabs i: on the
+# lts-sweep benchmark (2 vCPUs) 2^16 took under 1 % less time than 2^15 but
+# raised the peak RSS by 0.5 MB, past that of checking the whole tensor at once
+LT12_BLOCK = 2**15
+
+
+def _lt1_lt2_witnesses(flat: Arr):
+    """The first basis triples (i, j, k) at which the LT1 sum
+    [b_i, b_j, b_k] + [b_j, b_i, b_k] and the LT2 sum
+    [b_i, b_j, b_k] + [b_j, b_k, b_i] + [b_k, b_i, b_j] of the flattened
+    products are nonzero, or None where an axiom holds.
+
+    One block of slabs i at a time, of about ``LT12_BLOCK`` products, each
+    in the dtype of 3 * bound (``kernel.fit``), which covers both sums; the
+    loop stops once both witnesses are known.  The LT1 sum is the same at
+    (j, i, k), and the LT2 sum at (j, k, i) and (k, i, j), so the first
+    triple where either is nonzero has i <= j, resp. i <= j and i <= k.  A
+    block whose first slab is i0 reads only j >= i0, resp. j, k >= i0:
+    every triple it leaves out, and every triple of the blocks before, is
+    zero or comes after that first triple, so the first nonzero block and
+    its first nonzero entry give the witness."""
+    a, bound = flat.a, 3 * flat.bound
+    d = len(a)
+    step = max(1, LT12_BLOCK // max(1, prod(a.shape[1:])))
+    lt1 = lt2 = None
+    for i in range(0, d, step):
+        block = slice(i, i + step)
+        # x[t, j - i, k] = flat[i + t, j, k] and y[t, j - i, k] = flat[j, i + t, k]
+        x, y = kernel.fit(a[block, i:], bound), kernel.fit(a[i:, block].swapaxes(0, 1), bound)
+        if lt1 is None:
+            lt1 = _first_nonzero_triple(x + y, (i, i, 0))
+        if lt2 is None:
+            z = kernel.fit(np.moveaxis(a[i:, i:, block], 2, 0), bound)
+            lt2 = _first_nonzero_triple(x[:, :, i:] + z + y[:, :, i:].swapaxes(1, 2), (i, i, i))
+        if lt1 is not None and lt2 is not None:
+            break
+    return lt1, lt2
+
+
+def _first_nonzero_triple(sums: np.ndarray, origin: tuple):
+    """origin + (i, j, k) for the first (i, j, k) at which sums[i, j, k, :]
+    is nonzero, or None."""
+    if not sums.any():
+        return None
+    return tuple(o + int(v) for o, v in zip(origin, np.argwhere(sums)[0][:3]))
 
 
 # the largest dimension at which LT3 checks every operator R(u, v) instead of
@@ -428,21 +466,31 @@ LT3_ALL_PAIRS_MAX_DIM = 8
 
 
 def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
-    """LT3 via the inner operators R(u, v): (ok, witness, pairs).
+    """LT3 via the inner operators R(u, v): (ok, witness).
 
-    LT3 says every R(u, v) is a derivation of the triple bracket.  Being a
-    derivation is linear in the operator, so it suffices to check a basis of
-    span{R(u, v)}, which ``_inner_operators`` picks; ``pairs`` are its pairs.
+    LT3 says every R(u, v) is a derivation of the triple bracket: its
+    residual (below) vanishes.  ``_inner_operators`` picks operators modulo
+    a prime p, and ``kernel.independent_row_indices`` certifies the pick up
+    to the cover ``_lt3_bound``: every R(u, v) is congruent to a combination
+    of the picked operators modulo each checked prime q (p among them), and
+    the product of the q exceeds the bound.  The residual is Z-linear in the
+    operator, so once the picked operators pass, the residual of every
+    R(u, v) is congruent to 0 modulo each q; it is an integer with
+    |residual| <= bound < prod q, so it is 0.  The picked operators are
+    independent over Q but need not span the others over Q;
+    ``standard_imbedding`` picks its own basis.
+
     Up to d = ``LT3_ALL_PAIRS_MAX_DIM`` every nonzero R(u, v) is checked
-    instead, with no pick and no certificate, and ``pairs`` is None.  That is
-    the crossover measured on the LT3 checks of the lts-sweep benchmark
-    (seeds 42 and 7, one BLAS thread): at d = 8 checking every operator took
-    8.8 and 8.1 ms against 12.2 and 11.2 ms for the pick, at d = 9 it took
-    5.4 and 5.8 ms against 4.7 and 4.7 ms, and from d = 10 on the pick won by
-    more, since the operators outnumber their span more.  On failure a
-    concrete (u, v, i, j, k) witness is recovered by rescanning individual
-    pairs u < v: the first failing pair and its lexicographically first
-    failing triple.
+    instead, with no pick and no certificate.  That is the crossover
+    measured on the LT3 checks of the lts-sweep benchmark (seeds 42 and 7,
+    one BLAS thread): at d = 8 checking every operator took 8.8 and 8.1 ms
+    against 12.2 and 11.2 ms for the pick, at d = 9 it took 5.4 and 5.8 ms
+    against 4.7 and 4.7 ms, and from d = 10 on the pick won by more, since
+    the operators outnumber their span more.  On failure a concrete
+    (u, v, i, j, k) witness is recovered by rescanning each nonzero R(u, v)
+    over the pairs the check used (u < v with LT1, every ordered pair
+    without), in order: the first failing pair and its lexicographically
+    first failing triple.
 
     The residual of a linear operator D,
 
@@ -472,20 +520,21 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     first failing slab, operator and triple are unchanged.
     """
     d = st.coords.a.shape[0]
-    pick = d > LT3_ALL_PAIRS_MAX_DIM
-    pairs, ops = _inner_operators(st.coords.a, lt1_ok, pick)
-    pairs = pairs if pick else None
     bound = _lt3_bound(st.coords)
+    pick = d > LT3_ALL_PAIRS_MAX_DIM
+    pairs, ops = _inner_operators(st.coords.a, lt1_ok, pick, bound)
     # in the residuals' dtype once, not once per rescanned pair
     c = kernel.fit(st.coords.a, bound)
     hook = lt1_ok and lt2_ok
     if _lt3_first_nonzero(c, ops, bound, hook, st.split) is None:
-        return True, None, pairs
-    for u, v in combinations(range(d), 2):
-        hit = _lt3_first_nonzero(c, c[u, v][None], bound, hook, st.split)
+        return True, None
+    if pick:
+        pairs, ops = _inner_operators(c, lt1_ok, False)
+    for (u, v), e in zip(pairs, ops):
+        hit = _lt3_first_nonzero(c, e[None], bound, hook, st.split)
         if hit is not None:
-            return False, (u, v) + hit[1:], pairs
-    return False, None, pairs
+            return False, (u, v) + hit[1:]
+    return False, None
 
 
 def _lt3_bound(coords: Arr) -> int:
@@ -503,18 +552,20 @@ def _lt3_bound(coords: Arr) -> int:
     return 4 * top * rows
 
 
-def _inner_operators(c: np.ndarray, lt1_ok: bool, pick: bool = True):
+def _inner_operators(c: np.ndarray, lt1_ok: bool, pick: bool = True, cover: int | None = None):
     """The inner operators R(b_u, b_v) over the coordinates c, as the pairs
     (u, v) and their operators ops[t][w, m] = (R(b_u, b_v) b_w)_m =
     c[u, v, w, m], unscaled (the coordinate denominator cancels from both
-    sides of the LT3 identity; max|ops| <= max|c|).  With ``pick`` a basis of
-    their span, else every nonzero one.  With LT1, R(b_v, b_u) = -R(b_u, b_v),
-    so the pairs u < v span."""
+    sides of the LT3 identity; max|ops| <= max|c|), in the order of the
+    pairs.  With ``pick`` a basis of their span, or with a ``cover`` the
+    operators that ``kernel.independent_row_indices`` certifies up to it;
+    else every nonzero one.  With LT1, R(b_v, b_u) = -R(b_u, b_v), so the
+    pairs u < v span."""
     d = c.shape[0]
     iu, ju = np.triu_indices(d, k=1) if lt1_ok else np.divmod(np.arange(d * d), d)
     ops = c[iu, ju]
     rows = ops.reshape(len(ops), d * d)
-    kept = kernel.independent_row_indices(rows) if pick else np.flatnonzero(rows.any(axis=1))
+    kept = kernel.independent_row_indices(rows, cover) if pick else np.flatnonzero(rows.any(axis=1))
     return [(int(iu[t]), int(ju[t])) for t in kept], ops[kept]
 
 
@@ -736,17 +787,14 @@ def standard_imbedding(system: TripleSystem) -> StandardImbedding:
     on h x m x m is LT3, [h, h] lies in h because each D in h is a
     derivation (LT3: [D, R(x, y)] = R(Dx, y) + R(x, Dy)), and the other
     Jacobi components hold for any operators.  So ``ok`` is ``check_lts``'s
-    verdict, and h has the basis LT3 picks (``_inner_operators``): the one
-    ``check_lts`` picked, or, where it checked every operator instead, one
-    picked here.
+    verdict, and h has a basis of the inner operators picked behind the
+    Hadamard cover (``_inner_operators``), which makes it a basis over Q.
     """
     with kernel.one_blas_thread():
         st = system.structure()
         if not st.closed:
             raise ValueError("triple system is not closed; no standard imbedding")
         report = check_lts(system)
-        pairs = report.pairs
-        if pairs is None:
-            lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
-            pairs, _ = _inner_operators(st.coords.a, lt1_ok)
+        lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
+        pairs, _ = _inner_operators(st.coords.a, lt1_ok)
     return StandardImbedding(system, pairs, len(pairs), system.dim, report.ok)

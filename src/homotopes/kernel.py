@@ -30,11 +30,17 @@ the integer rows.
 
 ``independent_row_indices`` (the LT3 operator span) picks rows from their
 residues modulo a prime p and accepts the pick only behind a deterministic
-certificate: an integer identity checked modulo primes whose product exceeds
-its Hadamard bound proves that the picked rows span every row.  The pick
-itself proves the identity modulo p, so p counts toward that product; the
-other primes are checked one at a time, in a working set the size of the
-rows, not of the rows times the primes.
+certificate: every row is congruent to a combination of the picked rows
+modulo each of a set of primes whose product passes a cover.  The default
+cover is the Hadamard bound of that integer identity, past which it holds
+over Q: the picked rows span.  A caller that only needs a Z-linear function
+of the rows to vanish passes that function's bound (LT3 passes the bound of
+its residuals, ``homotope._check_lt3``): zero on the picked rows, it is
+then zero modulo primes whose product passes its bound on every row, so
+zero, though the picked rows need not span over Q.  The pick itself proves
+the congruences modulo p, so p counts toward the product; the other primes
+are checked one at a time, in a working set the size of the rows, not of
+the rows times the primes.
 
 ``one_blas_thread()`` runs the LTS check (``homotope.check_lts``) with
 OpenBLAS on one thread, and then gives the caller's thread count back.  The
@@ -449,7 +455,7 @@ def coordinates(flat: Arr, basis: Arr, pivots):
 # -- maximal independent rows, modulo primes behind an exact certificate -----
 
 
-def independent_row_indices(rows: np.ndarray) -> list:
+def independent_row_indices(rows: np.ndarray, cover: int | None = None) -> list:
     """Sorted indices of a maximal Q-linearly-independent subset of the rows
     of an integer matrix (float32 or float64 in its exact range, or Python
     ints in an ``object`` array).
@@ -457,7 +463,9 @@ def independent_row_indices(rows: np.ndarray) -> list:
     Rows independent modulo a prime p are independent over Q, so the rows are
     picked modulo p, and the pick is accepted only behind an exact certificate
     that it spans every row (``_spans``).  Otherwise the next prime is tried:
-    only finitely many primes divide a nonzero maximal minor.
+    only finitely many primes divide a nonzero maximal minor.  A smaller
+    ``cover`` certifies less, and the picked rows need not be maximal
+    (``_spans``, module docstring).
     """
     nonzero = rows != 0
     live = np.flatnonzero(nonzero.any(axis=1))
@@ -469,7 +477,7 @@ def independent_row_indices(rows: np.ndarray) -> list:
     r = fit(r, 2 * int(np.abs(r).max()))
     for p in _primes_below(_modulus_limit(min(r.shape))):
         picked, pivots = _pick(r, p)
-        if _spans(r, picked, pivots, p):
+        if _spans(r, picked, pivots, p, cover):
             return live[picked].tolist()
     raise ArithmeticError("every prime below the limit divides a maximal minor")
 
@@ -550,10 +558,12 @@ def _pick(r: np.ndarray, p: int):
     return picked, pivots
 
 
-def _spans(r: np.ndarray, picked: list, pivots: list, p: int) -> bool:
+def _spans(r: np.ndarray, picked: list, pivots: list, p: int, cover: int | None = None) -> bool:
     """Exact certificate that every row of ``r`` lies in the Q-span of the
     rows ``picked``, which ``_pick`` chose modulo p, so that their minor
-    M = r[picked, pivots] is invertible.
+    M = r[picked, pivots] is invertible; with a ``cover`` below the Hadamard
+    bound, only that every row is congruent to a combination of them modulo
+    primes whose product exceeds ``cover``.
 
     They do exactly when det(M) r = r[:, pivots] adj(M) r[picked].  Both sides
     are below B H + k^2 B^2 H in magnitude (B = max |r|, H = prod ceil(||M_i||)
@@ -565,13 +575,15 @@ def _spans(r: np.ndarray, picked: list, pivots: list, p: int) -> bool:
     primes where ``_inverse_mod`` finds a zero pivot are skipped.
     """
     k, (n, width) = len(picked), r.shape
-    if k in (n, width):
+    if k in (n, width) or (cover is not None and p > cover):
         return True
     m = r[np.ix_(picked, pivots)]
     b = int(np.abs(r).max())
     # Python ints: float squares past 2^53 would round
     h = prod(isqrt(s - 1) + 1 for s in np.square(fit(m, FLOAT_EXACT_CAP)).sum(axis=1))
     bound = 2 * (k * k * b * b * h + b * h)
+    if cover is not None:
+        bound = min(bound, cover)
     rest = np.ones(n, dtype=bool)
     rest[picked] = False
     lhs, coef, basis = r[rest], r[np.ix_(rest, pivots)], r[picked]

@@ -205,7 +205,7 @@ def _lt3_residual(c, d, u, v, i, j, k):
 def reference_lts(space, product):
     """[(axiom, pass, witness)] as ``check_lts`` reports them: witnesses are
     the first failing basis triple in (i, j, k) order, and for LT3 the first
-    failing (u < v, i, j, k)."""
+    failing (u, v, i, j, k), with u < v when LT1 holds."""
     flat, c, closed, witness = reference_structure(space, product)
     d = space.dim
     entries = [("closure", closed, witness)]
@@ -217,12 +217,49 @@ def reference_lts(space, product):
     if not closed:
         entries.append(("LT3", False, None))
         return entries
-    failing = [(u, v) for u, v in tuples(range(d), repeat=2)
-               if _first_nonzero(d, lambda i, j, k: _lt3_residual(c, d, u, v, i, j, k))]
-    lt3_witness = next(((u, v) + _first_nonzero(d, lambda i, j, k: _lt3_residual(c, d, u, v, i, j, k))
-                        for u, v in failing if u < v), None)
-    entries.append(("LT3", not failing, lt3_witness))
+    hits = {(u, v): _first_nonzero(d, lambda i, j, k: _lt3_residual(c, d, u, v, i, j, k))
+            for u, v in tuples(range(d), repeat=2)
+            # a zero operator is a derivation
+            if any(x for w in range(d) for x in c[u, v, w])}
+    # the first failing pair among u < v with LT1, among every ordered pair
+    # without, and its first failing triple
+    lt3_witness = next(((u, v) + hit for (u, v), hit in hits.items() if hit and (u < v or lt1)), None)
+    entries.append(("LT3", not any(hits.values()), lt3_witness))
     return entries
+
+
+def operator_rank(system):
+    """The Fraction rank of the inner operators R(b_u, b_v) of a closed
+    system, all pairs."""
+    st, d = system.structure(), system.dim
+    return len(reference_rref([[Fraction(int(x), st.coords.den) for x in st.coords.a[u, v].ravel()]
+                               for u in range(d) for v in range(d)])[0])
+
+
+def constants_product(constants, d):
+    """The product on 1 x d row vectors with the structure constants
+    ``constants``: [e_i, e_j, e_k] = sum over m of constants[i, j, k, m] e_m,
+    the entries not given being 0."""
+    def product(x, y, z):
+        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
+        out = [Fraction(0)] * d
+        for (i, j, k, m), value in constants.items():
+            out[m] += value * xs[i] * ys[j] * zs[k]
+        return Matrix.unflatten((1, d, Q), out)
+    return product
+
+
+def lattice_of_index(p: int, base: int, n: int) -> list:
+    """n integer rows of determinant p < base^n: base e_t - e_{t+1} for
+    t < n - 1, whose n - 1 x n - 1 minor on the last columns is triangular
+    with -1 on its diagonal, so they are independent modulo every prime, and
+    last the base-``base`` digits of p, least first.  The map x -> sum over t
+    of x_t base^t takes the first rows to 0 and the digits to p, so the rows
+    span a lattice of index p: the last row is a combination of the others
+    modulo p, and independent of them over Q."""
+    digits = [p // base**t % base for t in range(n)]
+    assert sum(x * base**t for t, x in enumerate(digits)) == p
+    return [[base if w == t else -1 if w == t + 1 else 0 for w in range(n)] for t in range(n - 1)] + [digits]
 
 
 def broken_derivation(width, scale, first=0, second=1):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from structure_reference import (broken_derivation, reference_intertwines, reference_rref,
+from structure_reference import (broken_derivation, operator_rank, reference_intertwines,
                                  reference_structure)
 
 from homotopes import homotope, kernel
@@ -243,13 +243,6 @@ class TestHomomorphisms:
         assert True in verdicts and False in verdicts
 
 
-def _operator_rank(system):
-    """The Fraction rank of the inner operators R(b_u, b_v), all pairs."""
-    st, d = system.structure(), system.dim
-    return len(reference_rref([[Fraction(int(x), st.coords.den) for x in st.coords.a[u, v].ravel()]
-                     for u in range(d) for v in range(d)])[0])
-
-
 class TestStandardImbedding:
     def test_ok_for_homotope(self):
         rng = random.Random(8)
@@ -261,7 +254,7 @@ class TestStandardImbedding:
             assert emb.m_dim == sp.dim
             # h is spanned by the picked R(b_u, b_v) and has the dimension of
             # the span of all of them
-            assert emb.h_dim == len(emb.h_pairs) == _operator_rank(system) > 0
+            assert emb.h_dim == len(emb.h_pairs) == operator_rank(system) > 0
             assert all(u < v for u, v in emb.h_pairs)
 
     def test_fails_without_lt1(self):
@@ -273,13 +266,13 @@ class TestStandardImbedding:
         assert [e["axiom"] for e in check_lts(system).failing()] == ["LT1"]
         emb = standard_imbedding(system)
         assert not emb.ok
-        assert emb.h_dim == _operator_rank(system)
+        assert emb.h_dim == operator_rank(system)
 
     def test_fails_where_only_lt3_fails(self):
         system = TripleSystem(matrix_space(1, 3, Q), GenericTriple(broken_derivation(3, 1)))
         emb = standard_imbedding(system)
         assert not emb.ok
-        assert emb.h_pairs == [(0, 1)] and emb.h_dim == _operator_rank(system) == 1
+        assert emb.h_pairs == [(0, 1)] and emb.h_dim == operator_rank(system) == 1
 
     def test_rejects_unclosed(self):
         sp = sym_space(2, Q)
@@ -289,16 +282,21 @@ class TestStandardImbedding:
 
     @pytest.mark.parametrize("label, sizes", [("2.2.b", (3,)), ("2.2.b", (1,))])
     def test_picks_once(self, monkeypatch, label, sizes):
-        """One row pick per call: at 2.2.b(3) (d = 21) h is the basis that
-        ``check_lts`` picked for LT3; at 2.2.b(1) (d = 3, every operator
-        checked, no pick there) the one picked for h."""
+        """h is picked once, behind the Hadamard cover, and its pairs are
+        those ``_inner_operators`` picks with LT1.  At 2.2.b(3) (d = 21)
+        ``check_lts`` makes one more pick for LT3, behind the cover of its
+        residual bound; at 2.2.b(1) (d = 3, every operator checked) it makes
+        none."""
         desc = family(label)
         system = desc.system(sizes, desc.sample_params(sizes, random.Random(3), "generic"))
-        assert (system.dim > homotope.LT3_ALL_PAIRS_MAX_DIM) == (sizes == (3,))
-        pick, calls = kernel.independent_row_indices, []
-        monkeypatch.setattr(kernel, "independent_row_indices", lambda rows: calls.append(1) or pick(rows))
+        large = system.dim > homotope.LT3_ALL_PAIRS_MAX_DIM
+        assert large == (sizes == (3,))
+        pick, covers = kernel.independent_row_indices, []
+        monkeypatch.setattr(kernel, "independent_row_indices",
+                            lambda rows, cover=None: covers.append(cover) or pick(rows, cover))
         emb = standard_imbedding(system)
-        assert emb.ok and len(calls) == 1
+        bound = homotope._lt3_bound(system.structure().coords)
+        assert emb.ok and covers == ([bound, None] if large else [None])
         picked, _ = homotope._inner_operators(system.structure().coords.a, True)
         assert emb.h_pairs == picked and emb.h_dim == len(picked)
         assert "pairs" not in str(check_lts(system).to_json(system))

@@ -4,14 +4,15 @@ zero rows, ``object`` rows past 2^53, and rows whose rank drops modulo the
 first pick prime, so that the certificate rejects a pick and the selection
 retries with the next prime.  The pick modulo p against a row-by-row
 reference, and the certificate's known-false cases: the pick prime counted
-once, and a prime where its inverse meets a zero pivot."""
+once, a prime where its inverse meets a zero pivot, and a cover at which it
+stops."""
 
 from itertools import islice
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from structure_reference import reference_rref
+from structure_reference import lattice_of_index, reference_rref
 
 from homotopes import kernel
 
@@ -198,3 +199,22 @@ def test_certificate_skips_a_prime_with_a_zero_pivot(monkeypatch):
     monkeypatch.setattr(kernel, "_pick", lambda r, p: primes.append(p) or pick(r, p))
     assert kernel.independent_row_indices(r) == [0, 1]
     assert primes == [p]
+
+
+def test_cover_sets_where_the_certificate_stops(monkeypatch):
+    """Rows of determinant p, the pick prime: (2^13, -1) and the base-2^13
+    digits of p, which are dependent modulo p and independent over Q.  With
+    no cover, or a cover of p or more, the certificate checks the next
+    prime q and rejects the pick modulo p, and the pick modulo q takes both
+    rows; with a cover below p the pick modulo p, one row, is accepted with
+    no other prime, since p alone passes the cover."""
+    p, q = islice(kernel._primes_below(kernel._modulus_limit(2)), 2)
+    rows = lattice_of_index(p, 2**13, 2)
+    assert rank(rows) == 2
+    pick, primes = kernel._pick, []
+    monkeypatch.setattr(kernel, "_pick", lambda r, prime: primes.append(prime) or pick(r, prime))
+    for dtype in (np.float64, object):
+        for cover, picked, tried in ((None, [0, 1], [p, q]), (p, [0, 1], [p, q]), (p - 1, [0], [p])):
+            primes.clear()
+            assert kernel.independent_row_indices(np.array(rows, dtype=dtype), cover) == picked
+            assert primes == tried

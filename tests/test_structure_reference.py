@@ -5,21 +5,24 @@ runs on Python-int ``object`` arrays."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from structure_reference import (broken_derivation, derivation_residual, matrix_of,
-                                 reference_bilinear, reference_bracket_closure,
-                                 reference_lts, reference_structure)
+from structure_reference import (broken_derivation, constants_product, derivation_residual,
+                                 lattice_of_index, matrix_of, operator_rank, reference_bilinear,
+                                 reference_bracket_closure, reference_lts, reference_rref,
+                                 reference_structure)
 
 from homotopes import homotope, kernel
 from homotopes.families import (asym_space, family, family_labels, herm_space, matrix_space,
                                 rand_matrix, sym_space)
 from homotopes.homotope import (AlphaMap, GenericTriple, PairTriple, ProductSpace, TripleSystem,
-                                _lt3_first_nonzero, bracket_closure, check_lts, triple_param)
+                                _lt3_first_nonzero, bracket_closure, check_lts, standard_imbedding,
+                                triple_param)
 from homotopes.kernel import Arr, independent_row_indices
 from homotopes.matrices import Matrix, Subspace
 from homotopes.scalars import HQ, Q, QI, ring_components
@@ -339,7 +342,8 @@ def test_lt3_alone_fails_on_each_side_of_the_size_rule(monkeypatch, width, first
     and the witness are those ``broken_derivation`` states (the reference
     takes minutes at these d)."""
     pick, calls = kernel.independent_row_indices, []
-    monkeypatch.setattr(kernel, "independent_row_indices", lambda rows: calls.append(1) or pick(rows))
+    monkeypatch.setattr(kernel, "independent_row_indices",
+                        lambda rows, cover=None: calls.append(1) or pick(rows, cover))
     _assert_lt3_alone_fails(width, 1, first % width, second % width, reference=False)
     assert len(calls) == (width > homotope.LT3_ALL_PAIRS_MAX_DIM)
 
@@ -358,6 +362,145 @@ def test_lt3_reads_every_triple_without_lt2():
     assert entries == reference_lts(space, product)
     assert [e["axiom"] for e in report.failing()] == ["LT2", "LT3"]
     assert report.failing()[1]["witness"] == (2, 3, 1, 3, 0)
+
+
+def test_lt3_witness_without_lt1_is_the_first_ordered_pair():
+    """Known false: [x, y, z] = x_1 y_0 z_0 e_1 on 1 x 2 row vectors.  LT1
+    fails, so LT3 checks every ordered pair, and the one nonzero operator,
+    R(e_1, e_0): e_0 -> e_1, is no derivation: its residual is -e_1 at
+    (0, 0, 0).  The witness names that pair, (1, 0), though 1 > 0."""
+    space, product = matrix_space(1, 2, Q), constants_product({(1, 0, 0, 1): 1}, 2)
+    entries = _lts_entries(TripleSystem(space, GenericTriple(product)))
+    assert entries == reference_lts(space, product)
+    assert entries[1][:2] == ("LT1", False) and entries[3] == ("LT3", False, (1, 0, 0, 0, 0))
+
+
+def _pick_prime(k: int) -> int:
+    """The first prime the row pick tries on k rows or columns."""
+    return next(kernel._primes_below(kernel._modulus_limit(k)))
+
+
+def _operator_constants(ops: dict, x: int, targets) -> dict:
+    """Structure constants under which each R(e_u, e_v) of ``ops`` maps e_x
+    to the combination ``ops[u, v]`` of the ``targets`` (and every other e_w
+    to 0), and R(e_v, e_u) = -R(e_u, e_v)."""
+    constants = {}
+    for (u, v), row in ops.items():
+        for w, value in zip(targets, row):
+            constants[u, v, x, w], constants[v, u, x, w] = value, -value
+    return constants
+
+
+def test_lt3_pick_certified_by_the_residual_bound(monkeypatch):
+    """An operator dependent modulo the pick prime p and independent over Q,
+    whose residual is zero.  On e_0, ..., e_8, R(e_0, e_1), R(e_0, e_2),
+    R(e_0, e_3) and R(e_1, e_2) map e_4 to the rows of ``lattice_of_index``
+    (base 256) on e_5, ..., e_8, and every other operator is 0.  Each is a
+    derivation: no bracket takes an argument among e_5, ..., e_8, and none
+    has a value at e_4.  The residual bound, at most 4 * 256 * 1020, is
+    below p, so the pick modulo p, three operators, needs no other prime:
+    LT3 checks those three and passes.  h, picked behind the Hadamard
+    cover, has all four operators, their rank over Q.  (LT2 fails, so LT3
+    reads every triple.)"""
+    p = _pick_prime(4)
+    rows = lattice_of_index(p, 256, 4)
+    constants = _operator_constants(dict(zip([(0, 1), (0, 2), (0, 3), (1, 2)], rows)), 4, range(5, 9))
+    space, product = matrix_space(1, 9, Q), constants_product(constants, 9)
+    system = TripleSystem(space, GenericTriple(product))
+    assert homotope._lt3_bound(system.structure().coords) < p
+    pick, picks = kernel.independent_row_indices, []
+    monkeypatch.setattr(kernel, "independent_row_indices",
+                        lambda rows, cover=None: picks.append(pick(rows, cover)) or picks[-1])
+    entries = _lts_entries(system)
+    assert entries == reference_lts(space, product)
+    assert entries[3] == ("LT3", True, None) and len(picks) == 1 and len(picks[0]) == 3
+    emb = standard_imbedding(system)
+    assert emb.h_dim == len(reference_rref(rows)[0]) == operator_rank(system) == 4
+
+
+def test_lt3_pick_past_p_rejects_an_operator_it_missed():
+    """Known false: an operator dependent modulo the pick prime p and
+    independent over Q, whose residual is a nonzero multiple of p.  On
+    e_0, ..., e_8, R(e_0, e_1) and R(e_0, e_2) map e_3 to the rows (b, -1)
+    and (d_0, d_1) of ``lattice_of_index`` (base b = 2^13, p = d_0 + d_1 b)
+    on e_4, e_5, and [e_4, e_6, e_7] = e_8, [e_5, e_6, e_7] = b e_8 (so
+    R(e_4, e_6) and R(e_5, e_6) are multiples of e_7 -> e_8), antisymmetric
+    in the first two arguments.  Each operator but R(e_0, e_2) is a
+    derivation; R(e_0, e_2) has the residual -(d_0 + d_1 b) e_8 = -p e_8 at
+    (3, 6, 7).  The residual bound lies between p and p q, q the next prime,
+    so the certificate checks q, where R(e_0, e_2) is no combination of the
+    two operators picked modulo p, and the pick modulo q takes all three:
+    LT3 fails, with the reference's witness."""
+    p, q = islice(kernel._primes_below(kernel._modulus_limit(3)), 2)
+    assert p == _pick_prime(3)
+    base = 2**13
+    (lead, digits) = lattice_of_index(p, base, 2)
+    constants = _operator_constants({(0, 1): lead, (0, 2): digits}, 3, (4, 5))
+    for w, f in ((4, 1), (5, base)):
+        constants[w, 6, 7, 8], constants[6, w, 7, 8] = f, -f
+    space, product = matrix_space(1, 9, Q), constants_product(constants, 9)
+    system = TripleSystem(space, GenericTriple(product))
+    assert p < homotope._lt3_bound(system.structure().coords) < p * q
+    entries = _lts_entries(system)
+    assert entries == reference_lts(space, product)
+    assert entries[3] == ("LT3", False, (0, 2, 3, 6, 7))
+    emb = standard_imbedding(system)
+    assert not emb.ok and emb.h_dim == operator_rank(system) == 3
+
+
+# scales of the structure constants that put the flattened products in each
+# tier: float32, float64, float64 with 3 * bound past 2^53 (so LT1 and LT2
+# run on Python ints), and ``object``; None scales max |c| to just below 2^52
+TIER_SCALES = [(1, np.float32), (2**30, np.float64), (None, np.float64), (2**60, object)]
+
+
+@st.composite
+def lt1_lt2_systems(draw):
+    """Integer structure constants c = 3 A - S on 1 x d row vectors, A the
+    (i, j)-antisymmetrisation of a random tensor and S its cyclic sum, so
+    that LT1 and LT2 hold (``_lt1_lt2_part``); then none, one entry, or an
+    entry and its (i, j)-mirror perturbed, so that both, LT1, or only LT2
+    fail at a drawn triple; scaled into a tier of ``TIER_SCALES``."""
+    d = draw(st.integers(2, 4))
+    t = draw(st.lists(st.integers(-3, 3), min_size=d**4, max_size=d**4))
+
+    def a(i, j, k, m):
+        return t[((i * d + j) * d + k) * d + m] - t[((j * d + i) * d + k) * d + m]
+    c = {(i, j, k, m): 3 * a(i, j, k, m) - a(i, j, k, m) - a(j, k, i, m) - a(k, i, j, m)
+         for i, j, k, m in np.ndindex(d, d, d, d)}
+    kind = draw(st.sampled_from(["none", "entry", "mirrored"]))
+    if kind != "none":
+        i, j, k, m = (draw(st.integers(0, d - 1)) for _ in range(4))
+        delta = draw(st.sampled_from([1, -2]))
+        c[i, j, k, m] += delta
+        if kind == "mirrored":
+            c[j, i, k, m] -= delta
+    scale, dtype = draw(st.sampled_from(TIER_SCALES))
+    top = max(map(abs, c.values()))
+    if scale is None:
+        scale = 2**52 // max(top, 1)
+    return d, {key: value * scale for key, value in c.items() if value}, dtype
+
+
+@settings(max_examples=40, deadline=None)
+@given(lt1_lt2_systems(), st.integers(1, 3))
+def test_lt1_lt2_blocks_match_reference(case, slabs):
+    """LT1 and LT2, checked a block of slabs i at a time (here blocks of
+    one to three slabs), give the reference's verdicts and witnesses in
+    every tier of the flattened products, including float64 products whose
+    sums need Python ints."""
+    d, constants, dtype = case
+    space, product = matrix_space(1, d, Q), constants_product(constants, d)
+    system = TripleSystem(space, GenericTriple(product))
+    flat = system.structure().flat
+    if constants:
+        assert flat.a.dtype == dtype
+    if dtype == np.float64 and flat.bound > 2**50:
+        assert 3 * flat.bound >= 2**53
+    with pytest.MonkeyPatch.context() as patch:
+        # d x d products of d entries per slab
+        patch.setattr(homotope, "LT12_BLOCK", slabs * d**3)
+        assert _lts_entries(system) == reference_lts(space, product)
 
 
 def _homotope_coords(space, a):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from structure_reference import derivation_residual
+from structure_reference import constants_product, derivation_residual
 
 from homotopes import kernel
 from homotopes.families import matrix_space
@@ -144,16 +144,6 @@ SKEW_CONSTANTS = {
 }
 
 
-def _product_of(constants, d):
-    def product(x, y, z):
-        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
-        out = [Fraction(0)] * d
-        for (i, j, k, m), value in constants.items():
-            out[m] += value * xs[i] * ys[j] * zs[k]
-        return Matrix.unflatten((1, d, Q), out)
-    return product
-
-
 def test_lt3_residual_of_one_past_float32_is_found():
     """Known false: the only nonzero LT3 residual is 1, next to a partial sum
     of 33529861 > 2^24.  float32 rounds that sum to an even number and the
@@ -162,7 +152,7 @@ def test_lt3_residual_of_one_past_float32_is_found():
     reports the witness of the reference residuals.  The bracket is not
     antisymmetric, so LT3 runs over every triple and every operator R(u, v)."""
     d = 7
-    space, product = matrix_space(1, d, Q), _product_of(SKEW_CONSTANTS, d)
+    space, product = matrix_space(1, d, Q), constants_product(SKEW_CONSTANTS, d)
     c = {(i, j, k): [0] * d for i in range(d) for j in range(d) for k in range(d)}
     for (i, j, k, m), value in SKEW_CONSTANTS.items():
         c[i, j, k][m] = value

@@ -104,10 +104,26 @@ MUTANTS = [
     Mutant("middle identity on any AlphaMap", "src/homotopes/homotope.py",
            '    if psi.twist == "id" and not psi.transpose and psi.sign > 0:', "    if True:"),
     _forced_true("check_closure -> True", "src/homotopes/homotope.py", "def check_closure(space, product) -> bool:"),
-    Mutant("LT1 dropped", "src/homotopes/homotope.py", "    lt1_ok = not np.any(anti)", "    lt1_ok = True"),
-    Mutant("LT2 dropped", "src/homotopes/homotope.py", "    lt2_ok = not np.any(cyc)", "    lt2_ok = True"),
+    Mutant("LT1 dropped", "src/homotopes/homotope.py", "    lt1, lt2 = _lt1_lt2_witnesses(st.flat)",
+           "    (_, lt2), lt1 = _lt1_lt2_witnesses(st.flat), None"),
+    Mutant("LT2 dropped", "src/homotopes/homotope.py", "    lt1, lt2 = _lt1_lt2_witnesses(st.flat)",
+           "    (lt1, _), lt2 = _lt1_lt2_witnesses(st.flat), None"),
     Mutant("LT3 dropped", "src/homotopes/homotope.py",
-           'report.add("LT3", ok, witness)', 'report.add("LT3", True, None)'),
+           'report.add("LT3", *_check_lt3(st, lt1 is None, lt2 is None))', 'report.add("LT3", True, None)'),
+    # LT1 and LT2 one block of slabs at a time
+    Mutant("LT2 block missing its third term", "src/homotopes/homotope.py",
+           "x[:, :, i:] + z + y[:, :, i:].swapaxes(1, 2)", "x[:, :, i:] + z", "tests/test_structure_reference.py"),
+    Mutant("LT1 block reads j > i0 only", "src/homotopes/homotope.py",
+           "lt1 = _first_nonzero_triple(x + y, (i, i, 0))",
+           "lt1 = _first_nonzero_triple((x + y)[:, 1:], (i, i + 1, 0))", "tests/test_structure_reference.py"),
+    Mutant("LT2 block reads k > i0 only", "src/homotopes/homotope.py",
+           "lt2 = _first_nonzero_triple(x[:, :, i:] + z + y[:, :, i:].swapaxes(1, 2), (i, i, i))",
+           "lt2 = _first_nonzero_triple((x[:, :, i:] + z + y[:, :, i:].swapaxes(1, 2))[:, :, 1:], (i, i, i + 1))",
+           "tests/test_structure_reference.py"),
+    Mutant("LT1/LT2 block loop skips i = 0", "src/homotopes/homotope.py",
+           "    for i in range(0, d, step):", "    for i in range(1, d, step):", "tests/test_structure_reference.py"),
+    Mutant("LT1/LT2 block drops its last slab", "src/homotopes/homotope.py",
+           "block = slice(i, i + step)", "block = slice(i, i + step - 1)", "tests/test_structure_reference.py"),
     Mutant("hook uses k < j instead of k <= j", "src/homotopes/homotope.py",
            "min(j, hi) if hook else d, j + 1 if hook else d, res, term)",
            "min(j, hi) if hook else d, j if hook else d, res, term)"),
@@ -145,13 +161,26 @@ MUTANTS = [
            "    member = np.all(v * basis.den == coords @ fit(basis.a, bound), axis=-1)\n",
            "    member = np.ones(v.shape[:-1], dtype=bool)\n"),
     # the row pick and its certificate
+    # a kept zero-pivot prime can make every later pick fail the same way, so
+    # the hypothesis tests before the targeted one may loop for many minutes
     Mutant("inverse keeps a prime with a zero pivot", "src/homotopes/kernel.py",
-           "        ok &= pivot != 0\n", "", "tests/test_row_selection.py"),
+           "        ok &= pivot != 0\n", "",
+           "tests/test_row_selection.py::test_certificate_skips_a_prime_with_a_zero_pivot"),
     Mutant("certificate checks the pick prime again", "src/homotopes/kernel.py",
            "primes, covered = (q for q in _primes_below(limit) if q != p), p",
            "primes, covered = _primes_below(limit), p", "tests/test_row_selection.py"),
     Mutant("pick block steps past a row", "src/homotopes/kernel.py",
            "            i += PICK_BLOCK\n", "            i += PICK_BLOCK + 1\n", "tests/test_row_selection.py"),
+    Mutant("Hadamard bound with the square left out", "src/homotopes/kernel.py",
+           "bound = 2 * (k * k * b * b * h + b * h)", "bound = 2 * (k * k * b * h + b * h)",
+           "tests/test_row_selection.py"),
+    # the LT3 pick certified up to the residual bound
+    Mutant("LT3 cover ignored: the pick accepted at once", "src/homotopes/kernel.py",
+           "or (cover is not None and p > cover):", "or cover is not None:",
+           "tests/test_row_selection.py tests/test_structure_reference.py"),
+    Mutant("LT3 cover one prime short", "src/homotopes/kernel.py",
+           "        bound = min(bound, cover)\n", "        bound = min(bound, cover // _modulus_limit(k))\n",
+           "tests/test_row_selection.py tests/test_structure_reference.py"),
 ]
 
 
