@@ -10,8 +10,8 @@ from .homotope import (AlphaMap, AlphaTriple, GenericTriple,
                        LtsReport, PairTriple, ProductSpace, TripleSystem,
                        bracket_param, cdual, check_lts, gamma_act,
                        gamma_intertwines, hom_sxt, hom_sxt_check,
-                       standard_imbedding, symmetric_pair, triple_alpha,
-                       triple_param)
+                       standard_imbedding, symmetric_pair, symmetric_pairs,
+                       triple_alpha, triple_param)
 from .families import (CONSTRUCTIONS, ConstructionDescriptor, FamilyDescriptor,
                        TableArtifact, family, family_axiom_suite,
                        family_labels, hermquat_check, instantiate,

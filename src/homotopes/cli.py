@@ -10,6 +10,7 @@ JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -132,7 +133,10 @@ def cmd_list_families(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, so every in-process ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="homotopes",
         description="Exact verification of homotope Lie algebras, triple systems and groups.",

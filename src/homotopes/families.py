@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .homotope import (AlphaMap, AlphaTriple, PairTriple, ProductSpace, bracket_closure,
-                       TripleSystem, check_lts, symmetric_pair)
+                       TripleSystem, check_lts, symmetric_pairs)
 from .involutions import JointDecomposition, MatrixInvolution, joint_eigenspaces
 from .matrices import Matrix, Subspace, block_F, block_I, block_Ipq, block_J
 from .scalars import HQ, Q, QI, Scalar, ring_components
@@ -627,7 +627,12 @@ def verify_table(c: ConstructionDescriptor, samples: int, seed: int) -> TableArt
     """Verify all 16 (space, parameter) cells: closure + LTS axioms on the
     space piece, symmetric-pair invariants, group-type flags on the
     antidiagonal, and the double group-type splitting of the proj middle
-    square."""
+    square.
+
+    Each sampled parameter A in piece t is checked against the four space
+    pieces of its column at once (``symmetric_pairs``): h = V^(-t), the
+    closure [h, h]_A in h and the test A in V^t do not depend on the space
+    piece, so they are made once per parameter, not once per cell."""
     rng = random.Random(seed)
     cells = {(s, t): {"space": list(s), "param": list(t), "kind":
                       "group-type" if s == tuple(-x for x in t) else "symmetric-pair",
@@ -638,6 +643,7 @@ def verify_table(c: ConstructionDescriptor, samples: int, seed: int) -> TableArt
         cls = ParamClass("piece", piece_t)
         for style in sample_styles(samples):
             a = cls.sample(rng, style)
+            recs = symmetric_pairs(c.decomposition, t, a, SIGNS)
             for s in SIGNS:
                 cell = cells[(s, t)]
                 system = TripleSystem.from_parameter(c.piece(s), a)
@@ -646,7 +652,7 @@ def verify_table(c: ConstructionDescriptor, samples: int, seed: int) -> TableArt
                     cell["verified"] = False
                     cell["failures"].append(
                         {"style": style, "axioms": [e["axiom"] for e in report.failing()]})
-                rec = symmetric_pair(c.decomposition, s, t, a)
+                rec = recs[s]
                 if not rec.verified:
                     cell["verified"] = False
                     cell["failures"].append({"style": style, "pair": rec.failures})
@@ -659,6 +665,15 @@ def verify_table(c: ConstructionDescriptor, samples: int, seed: int) -> TableArt
                          [cells[(s, t)] for s in SIGNS for t in SIGNS], list(c.notes))
 
 
+@lru_cache(maxsize=None)
+def _proj_blocks(p: int, q: int) -> tuple:
+    """The spans of the top-right (p x q) and bottom-left (q x p) off-diagonal
+    blocks of M(p + q; Q): built once per size pair, like the model spaces."""
+    n = p + q
+    return (Subspace.span([Matrix.elementary(n, n, i, p + j, Q) for i in range(p) for j in range(q)]),
+            Subspace.span([Matrix.elementary(n, n, p + i, j, Q) for i in range(q) for j in range(p)]))
+
+
 def _check_proj_middle(c: ConstructionDescriptor, a: Matrix, t, cells, style):
     """For A in a middle piece, the Lie algebra on the anti-fixed space of phi
     splits as a direct product of the two off-diagonal block algebras: each
@@ -666,10 +681,8 @@ def _check_proj_middle(c: ConstructionDescriptor, a: Matrix, t, cells, style):
     middle = ((-1, 1), (1, -1))
     if t not in middle:
         return
-    p, q = c.sizes
-    n = p + q
-    tr_space = Subspace.span([Matrix.elementary(n, n, i, p + j, Q) for i in range(p) for j in range(q)])
-    bl_space = Subspace.span([Matrix.elementary(n, n, p + i, j, Q) for i in range(q) for j in range(p)])
+    tr_space, bl_space = _proj_blocks(*c.sizes)
+    n = sum(c.sizes)
     ok = (bracket_closure(tr_space, tr_space, tr_space, a) and bracket_closure(bl_space, bl_space, bl_space, a)
           and bracket_closure(tr_space, bl_space, Subspace.zero((n, n, Q)), a))
     for s in middle:

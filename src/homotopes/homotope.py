@@ -257,7 +257,7 @@ class ProductSpace:
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
 
     def coordinates_pair(self, u):
-        flat = kernel.concat_last(kernel.flatten_last(u[0]), kernel.flatten_last(u[1]))
+        flat = kernel.concat([kernel.flatten_last(u[0]), kernel.flatten_last(u[1])], -1)
         return vector_coordinates(self.basis_int(), self.pivots, flat)
 
     def contains(self, u) -> bool:
@@ -668,10 +668,13 @@ class SymmetricPairRec:
 
 def bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix) -> bool:
     """[left, right]_A subset of target, exact, batched."""
-    if left.dim == 0 or right.dim == 0:
-        return True
-    bb = kernel.flatten_last(kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), a))
-    _, member = kernel.coordinates(bb, target.basis_int(), target.pivots)
+    return left.dim == 0 or right.dim == 0 or _inside(
+        kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), a), target)
+
+
+def _inside(brackets: Arr, target: Subspace) -> bool:
+    """Every bracket of the stack (..., rows, cols, comps) lies in target."""
+    _, member = kernel.coordinates(kernel.flatten_last(brackets), target.basis_int(), target.pivots)
     return bool(member.all())
 
 
@@ -680,28 +683,56 @@ def symmetric_pair(dec, s, t, a: Matrix) -> SymmetricPairRec:
     parameter piece t of a joint decomposition: h is the piece with signs -t,
     m the piece with signs s, and g = h + m.
 
-    When s = -t the two coincide and the record is flagged group type.
+    When s = -t the two coincide and the record is flagged group type.  This
+    is ``symmetric_pairs`` for the one piece s, with the same bracket
+    products as the three closures [h, h], [h, m] and [m, m] taken apart.
     """
-    s, t = tuple(s), tuple(t)
+    return symmetric_pairs(dec, t, a, [s])[tuple(s)]
+
+
+def symmetric_pairs(dec, t, a: Matrix, spaces) -> dict:
+    """The verified symmetric pair (``symmetric_pair``) of every space piece
+    s in ``spaces`` for the one parameter a in piece t, keyed by s.
+
+    A parameter in V^t deforms every space piece, and the pair of (s, t) is
+    h = V^(-t), m = V^s: the test a in V^t, h and the closure [h, h]_A in h
+    do not depend on s, so they are made once per parameter.  One bilinear
+    tensor brackets h's basis with the bases of h and of every requested
+    m_s stacked, and its column blocks are [h, h] and each [h, m_s]; it
+    never holds a cross block [m_s, m_s'].  [m_s, m_s] in h is its own
+    tensor, except for the group-type piece s = -t, where m = h and all three
+    closures are the [h, h] one.
+    """
+    t = tuple(t)
     minus_t = tuple(-x for x in t)
     if not dec.piece(t).contains(a):
         raise ValueError("parameter is not in its declared joint eigenspace")
     h = dec.piece(minus_t)
-    m = dec.piece(s)
-    g = dec.piece_sum(minus_t, s)
-    group_type = s == minus_t
-    failures = []
-    if not group_type and g.dim != h.dim + m.dim:
-        failures.append("g is not a direct sum of h and m")
-    sigma_signs = tuple(1 if si == ti else -1 for si, ti in zip(s, t))
-    for name, (lft, rgt, tgt) in {
-        "[h,h] in h": (h, h, h),
-        "[h,m] in m": (h, m, m),
-        "[m,m] in h": (m, m, h),
-    }.items():
-        if not bracket_closure(lft, rgt, tgt, a):
-            failures.append(name)
-    return SymmetricPairRec(g, h, m, a, sigma_signs, group_type, not failures, failures)
+    spaces = [tuple(s) for s in spaces]
+    # h first, then each other piece once: the column blocks of the tensor
+    blocks = [minus_t] + [s for s in dict.fromkeys(spaces) if s != minus_t]
+    inside = dict.fromkeys(blocks, True)
+    if h.dim:
+        bb = kernel.bilinear_tensor(h.basis_arr(), kernel.concat([dec.piece(s).basis_arr() for s in blocks], 0), a)
+        lo = 0
+        for s in blocks:
+            m = dec.piece(s)
+            if m.dim:
+                inside[s] = _inside(bb[:, lo:lo + m.dim], m)
+            lo += m.dim
+    recs = {}
+    for s in spaces:
+        m = dec.piece(s)
+        g = dec.piece_sum(minus_t, s)
+        group_type = s == minus_t
+        failures = []
+        if not group_type and g.dim != h.dim + m.dim:
+            failures.append("g is not a direct sum of h and m")
+        closed = (inside[minus_t], inside[s], inside[minus_t] if group_type else bracket_closure(m, m, h, a))
+        failures += [name for name, ok in zip(("[h,h] in h", "[h,m] in m", "[m,m] in h"), closed) if not ok]
+        sigma_signs = tuple(1 if si == ti else -1 for si, ti in zip(s, t))
+        recs[s] = SymmetricPairRec(g, h, m, a, sigma_signs, group_type, not failures, failures)
+    return recs
 
 
 # -- homomorphisms and the parameter-space action ---------------------------

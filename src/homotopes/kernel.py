@@ -314,11 +314,11 @@ class Arr:
         return Arr(np.swapaxes(self.a, 0, 1), self.den, self.bound, self.ring)
 
 
-def concat_last(x: Arr, y: Arr) -> Arr:
-    """Concatenate along the last axis over a common denominator."""
-    d = lcm(x.den, y.den)
-    bound = max(x.bound * (d // x.den), y.bound * (d // y.den))
-    return Arr(np.concatenate([x.over(d, bound), y.over(d, bound)], axis=-1), d, bound, x.ring)
+def concat(xs, axis: int) -> Arr:
+    """Concatenate the ``Arr`` xs along ``axis`` over a common denominator."""
+    d = lcm(*(x.den for x in xs))
+    bound = max(x.bound * (d // x.den) for x in xs)
+    return Arr(np.concatenate([x.over(d, bound) for x in xs], axis=axis), d, bound, xs[0].ring)
 
 
 def _rep(x: np.ndarray, gather: np.ndarray) -> np.ndarray:

@@ -180,6 +180,21 @@ def reference_bracket_closure(left, right, target, a):
                for v in reference_bilinear(left, right, a).values())
 
 
+def reference_pair_failures(dec, s, t, a):
+    """The failures of the symmetric pair h = V^(-t), m = V^s for the
+    parameter a, in ``homotope.symmetric_pair``'s names and order: the direct
+    sum by a Fraction rank (except for the group type s = -t, where h = m),
+    then the three closures checked bracket by bracket."""
+    minus_t = tuple(-x for x in t)
+    h, m = dec.piece(minus_t), dec.piece(s)
+    failures = []
+    if tuple(s) != minus_t and len(reference_rref(h.basis + m.basis)[1]) != h.dim + m.dim:
+        failures.append("g is not a direct sum of h and m")
+    closures = {"[h,h] in h": (h, h, h), "[h,m] in m": (h, m, m), "[m,m] in h": (m, m, h)}
+    return failures + [name for name, (left, right, target) in closures.items()
+                       if not reference_bracket_closure(left, right, target, a)]
+
+
 def _first_nonzero(d, vector):
     return next((t for t in tuples(range(d), repeat=3) if any(vector(*t))), None)
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homotopes
+from homotopes import cli
 from homotopes.cli import main
 from homotopes.families import sample_in_subspace, sym_space
 from homotopes.matrices import Matrix
@@ -228,6 +229,24 @@ class TestDeterminism:
             assert code == 0
             outputs.append(text)
         assert outputs[0] == outputs[1]
+
+    def test_one_parser_for_every_call(self, tmp_path, capsys):
+        """The parser is built once per process and parsing leaves it as it
+        was: in one process, table, list-families, an unknown family and
+        table again exit 0, 0, 2, 0, and the repeated table writes the bytes
+        of the first."""
+        calls = [["table", "--construction", "proj", "--p", "1", "--q", "1", "--samples", "2", "--seed", "4"],
+                 ["list-families"], ["axioms", "--family", "bogus", "--n", "1"]]
+        calls.append(calls[0])
+        codes, outputs = [], []
+        for idx, argv in enumerate(calls):
+            out = tmp_path / f"out{idx}.json"
+            codes.append(main(argv + ["--out", str(out)]))
+            outputs.append(out.read_bytes() if out.exists() else None)
+        assert codes == [0, 0, 2, 0]
+        assert outputs[3] == outputs[0] and outputs[0] and outputs[2] is None
+        assert assert_one_line_error(capsys) == "error: unknown family label 'bogus'\n"
+        assert cli.build_parser() is cli.build_parser()
 
 
 @st.composite

@@ -14,15 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from structure_reference import (broken_derivation, constants_product, derivation_residual,
                                  lattice_of_index, matrix_of, operator_rank, reference_bilinear,
-                                 reference_bracket_closure, reference_lts, reference_rref,
-                                 reference_structure)
+                                 reference_bracket_closure, reference_lts, reference_pair_failures,
+                                 reference_rref, reference_structure)
 
 from homotopes import homotope, kernel
-from homotopes.families import (asym_space, family, family_labels, herm_space, matrix_space,
-                                rand_matrix, sym_space)
+from homotopes.families import (SIGNS, ParamClass, asym_space, family, family_labels, herm_space,
+                                instantiate, matrix_space, rand_matrix, sym_space)
 from homotopes.homotope import (AlphaMap, GenericTriple, PairTriple, ProductSpace, TripleSystem,
                                 _lt3_first_nonzero, bracket_closure, check_lts, standard_imbedding,
-                                triple_param)
+                                symmetric_pair, symmetric_pairs, triple_param)
+from homotopes.involutions import JointDecomposition
 from homotopes.kernel import Arr, independent_row_indices
 from homotopes.matrices import Matrix, Subspace
 from homotopes.scalars import HQ, Q, QI, ring_components
@@ -305,6 +306,64 @@ def test_bracket_closure_rejects_wrong_target_piece():
     assert not bracket_closure(h, m, h, one)
     assert not bracket_closure(m, m, m, one)
     assert not reference_bracket_closure(h, m, h, one)
+
+
+@pytest.mark.parametrize("name, sizes", [("proj", (1, 1)), ("proj", (1, 2)), ("siegel", (1,)), ("siegel", (2,)),
+                                         ("quat1", (1,)), ("quat1", (2,)), ("quat2", (1,))], ids=str)
+def test_symmetric_pairs_match_reference(name, sizes):
+    """One parameter against the four space pieces at once gives, in every
+    cell, the failures of the reference: its three closures bracket by
+    bracket and its direct sum by a Fraction rank, and those of the one-cell
+    ``symmetric_pair``."""
+    dec = instantiate(name, sizes).decomposition
+    rng = random.Random(5)
+    for t in SIGNS:
+        param = ParamClass("piece", dec.piece(t))
+        for style in ("zero", "low", "generic"):
+            a = param.sample(rng, style)
+            recs = symmetric_pairs(dec, t, a, SIGNS)
+            assert list(recs) == list(SIGNS)
+            for s in SIGNS:
+                want = reference_pair_failures(dec, s, t, a)
+                assert recs[s].failures == symmetric_pair(dec, s, t, a).failures == want
+                assert recs[s].verified == (not want)
+                assert recs[s].group_type == (s == tuple(-x for x in t))
+
+
+def test_symmetric_pairs_fail_on_swapped_pieces():
+    """proj(1, 2) with its pieces (1, 1) and (1, -1) swapped is not the
+    decomposition of its involutions: a known-false input on which named
+    cells fail, one parameter at a time and one cell at a time alike, as the
+    reference says, with each of the three closures failing somewhere."""
+    c = instantiate("proj", (1, 2))
+    pieces = dict(c.decomposition.pieces)
+    pieces[(1, 1)], pieces[(1, -1)] = pieces[(1, -1)], pieces[(1, 1)]
+    dec = JointDecomposition(c.decomposition.involutions, pieces)
+    rng = random.Random(1)
+    failed = {}
+    for t in SIGNS:
+        a = ParamClass("piece", dec.piece(t)).sample(rng, "generic")
+        recs = symmetric_pairs(dec, t, a, SIGNS)
+        for s in SIGNS:
+            want = reference_pair_failures(dec, s, t, a)
+            assert recs[s].failures == symmetric_pair(dec, s, t, a).failures == want
+            failed[(s, t)] = want
+    # A in the swapped piece (1, 1) (the old (1, -1)): h = V^(-1, -1) is
+    # still closed, but the space pieces (1, 1) and (1, -1) break the pair
+    assert failed[((1, 1), (1, 1))] == failed[((1, -1), (1, 1))] == ["[h,m] in m", "[m,m] in h"]
+    assert failed[((-1, 1), (-1, 1))] == ["[h,h] in h", "[h,m] in m", "[m,m] in h"]
+
+
+def test_symmetric_pairs_reject_a_parameter_outside_its_piece():
+    """A nonzero parameter of piece (1, 1) is not in piece (1, -1): both the
+    per-parameter and the per-cell path refuse it."""
+    dec = instantiate("proj", (1, 2)).decomposition
+    a = ParamClass("piece", dec.piece((1, 1))).sample(random.Random(2), "generic")
+    with pytest.raises(ValueError, match="declared joint eigenspace"):
+        symmetric_pairs(dec, (1, -1), a, SIGNS)
+    with pytest.raises(ValueError, match="declared joint eigenspace"):
+        symmetric_pair(dec, (1, 1), (1, -1), a)
+    assert symmetric_pairs(dec, (1, 1), a, SIGNS)[(1, 1)].verified
 
 
 def _assert_lt3_alone_fails(width, scale, first, second, reference=True):

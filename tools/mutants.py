@@ -181,6 +181,25 @@ MUTANTS = [
     Mutant("LT3 cover one prime short", "src/homotopes/kernel.py",
            "        bound = min(bound, cover)\n", "        bound = min(bound, cover // _modulus_limit(k))\n",
            "tests/test_row_selection.py tests/test_structure_reference.py"),
+    # the symmetric pairs of one parameter, from one bracket tensor
+    Mutant("[m,m] reuses the [h,h] verdict off the group type", "src/homotopes/homotope.py",
+           "inside[minus_t] if group_type else bracket_closure(m, m, h, a)", "inside[minus_t]",
+           "tests/test_structure_reference.py tests/test_families.py"),
+    Mutant("bracket tensor block offset shifted by one", "src/homotopes/homotope.py",
+           "        lo = 0\n", "        lo = 1\n", "tests/test_structure_reference.py tests/test_families.py"),
+    Mutant("parameter membership check dropped", "src/homotopes/homotope.py",
+           "    if not dec.piece(t).contains(a):\n"
+           "        raise ValueError(\"parameter is not in its declared joint eigenspace\")\n", "",
+           "tests/test_structure_reference.py tests/test_families.py"),
+    Mutant("[m,m] membership forced True", "src/homotopes/homotope.py",
+           "if group_type else bracket_closure(m, m, h, a))", "if group_type else True)",
+           "tests/test_structure_reference.py tests/test_families.py"),
+    # guards
+    Mutant("check_sizes accepts 0", "src/homotopes/families.py",
+           "any(s < 1 for s in sizes)", "any(s < 0 for s in sizes)"),
+    Mutant("float32 PrecisionError guard removed", "src/homotopes/kernel.py",
+           "        cap = FLOAT32_EXACT_CAP if a.dtype == np.float32 else FLOAT_EXACT_CAP\n",
+           "        cap = FLOAT_EXACT_CAP\n"),
 ]
 
 
