@@ -81,19 +81,19 @@ def rand_matrix(p: int, q: int, ring, rng: random.Random) -> Matrix:
     return Matrix.unflatten((p, q, ring), [rand_fraction(rng) for _ in range(p * q * ring_components(ring))])
 
 
-def first_invertible(draw) -> Matrix:
-    """The first matrix ``draw()`` returns that has an inverse."""
+def first_invertible(draw) -> tuple:
+    """The first matrix ``draw()`` returns that has an inverse, and its
+    inverse."""
     while True:
         m = draw()
         try:
-            m.inverse()
-            return m
+            return m, m.inverse()
         except ZeroDivisionError:
             continue
 
 
 def rand_invertible(n: int, ring, rng: random.Random) -> Matrix:
-    return first_invertible(lambda: rand_matrix(n, n, ring, rng))
+    return first_invertible(lambda: rand_matrix(n, n, ring, rng))[0]
 
 
 def sample_in_subspace(space: Subspace, rng: random.Random) -> Matrix:

@@ -15,6 +15,13 @@ An equivalent form of the unitary condition, star(X) + X = X A star(X), is
 also provided and their equivalence is checked sample-wise.  Tangent-level
 statements are verified exactly over the truncated series ring base[t,s] with
 t^2 = s^2 = 0.
+
+Every operation and check here takes one matrix or a stack of them (a
+``kernel.Arr`` whose leading axes stack matrices, broadcast against a single
+matrix), and a check gives one boolean per matrix of the stack
+(``kernel.equal``, ``Arr.is_zero``; a numpy bool for one matrix).  The
+suites draw all their samples first, in the order of a loop over the
+samples, and then evaluate each identity once over the stack of them.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import numpy as np
 
 from .families import first_invertible, rand_matrix
 from .homotope import bracket_param
-from .matrices import Matrix
+from .kernel import Arr, concat, equal
+from .matrices import Matrix, inverses
 from .scalars import Q, QI, SERIES_DEGREE, ring_components, series_ring
 
 
@@ -42,13 +50,22 @@ def g_identity(p: int, q: int, ring) -> Matrix:
     return Matrix.zeros(p, q, ring)
 
 
+def one_minus_xa(x: Matrix, a: Matrix) -> Matrix:
+    return Matrix.identity(x.rows, x.ring) - x @ a
+
+
 def quasi_inverse_witness(x: Matrix, a: Matrix) -> Matrix:
-    """(1 - XA)^{-1}; raises ZeroDivisionError when X is not A-invertible."""
-    return (Matrix.identity(x.rows, x.ring) - x @ a).inverse()
+    """(1 - XA)^{-1}; raises ZeroDivisionError when X (or a matrix of the
+    stack X) is not A-invertible."""
+    inv, ok = inverses(one_minus_xa(x, a))
+    if not ok.all():
+        raise ZeroDivisionError("X is not A-quasi-invertible")
+    return inv
 
 
 def is_quasi_invertible(x: Matrix, a: Matrix) -> bool:
-    return _element(x, a) is not None
+    """Whether 1 - XA is invertible, per matrix of a stack X."""
+    return inverses(one_minus_xa(x, a))[1]
 
 
 def g_inv(x: Matrix, a: Matrix) -> Matrix:
@@ -58,7 +75,8 @@ def g_inv(x: Matrix, a: Matrix) -> Matrix:
 
 class GroupElement:
     """An element of G_A with its cached invertibility witness (1 - XA)^{-1}:
-    one inversion per element."""
+    one inversion per element.  A stack X gives the stack of witnesses;
+    ``==`` compares single elements."""
 
     __slots__ = ("x", "a", "witness")
 
@@ -84,7 +102,8 @@ class GroupElement:
 
 
 def _element(x: Matrix, a: Matrix) -> GroupElement | None:
-    """X as an element of G_A, or None when it is not A-quasi-invertible."""
+    """X as an element of G_A, or None when it (or a matrix of the stack X)
+    is not A-quasi-invertible."""
     try:
         return GroupElement(x, a)
     except ZeroDivisionError:
@@ -97,7 +116,7 @@ def one_minus_ax(x: Matrix, a: Matrix) -> Matrix:
 
 def hom_check(x: Matrix, y: Matrix, a: Matrix) -> bool:
     """1 - A(X *_A Y) = (1 - AX)(1 - AY), exact."""
-    return one_minus_ax(g_mul(x, y, a), a) == one_minus_ax(x, a) @ one_minus_ax(y, a)
+    return equal(one_minus_ax(g_mul(x, y, a), a), one_minus_ax(x, a) @ one_minus_ax(y, a))
 
 
 # -- unitary and symplectic subgroups ---------------------------------------
@@ -130,7 +149,7 @@ def membership(x: Matrix, a: Matrix, kind: str, star=None) -> bool:
         return is_quasi_invertible(x, a)
     if star is None:
         raise ValueError("U/S membership needs a star antiautomorphism")
-    return is_quasi_invertible(x, a) and relation_holds(x, a, kind, star)
+    return is_quasi_invertible(x, a) & relation_holds(x, a, kind, star)
 
 
 def relation_holds(x: Matrix, a: Matrix, kind: str, star) -> bool:
@@ -148,18 +167,19 @@ def relation_holds(x: Matrix, a: Matrix, kind: str, star) -> bool:
 
 def cayley_element(a: Matrix, star, rng: random.Random, symmetric: bool) -> Matrix:
     """A rational point of U_A (symmetric=False, star(A)=A) or S_A
-    (symmetric=True, star(A)=-A) for invertible A.
+    (symmetric=True, star(A)=-A) for invertible A (``_cayley``)."""
+    return _cayley(a.inverse(), star, rng, symmetric)
 
-    Via X = A^{-1}(1 - u) with u = (1 + SB)(1 - SB)^{-1}, B = A^{-1}, and S
-    star-skew (unitary case) or star-symmetric (symplectic case); then
-    star(u) B u = B, which is equivalent to the defining relation.
-    """
-    b = a.inverse()
-    n = a.rows
-    ident = Matrix.identity(n, a.ring)
+
+def _cayley(b: Matrix, star, rng: random.Random, symmetric: bool) -> Matrix:
+    """The point X = A^{-1}(1 - u) of ``cayley_element``, from B = A^{-1}:
+    u = (1 + SB)(1 - SB)^{-1} with S star-skew (unitary case) or
+    star-symmetric (symplectic case); then star(u) B u = B, which is
+    equivalent to the defining relation."""
+    n = b.rows
+    ident = Matrix.identity(n, b.ring)
     while True:
-        s0 = rand_matrix(n, n, a.ring, rng)
-        s = (s0 + star(s0)).scale(Fraction(1, 2)) if symmetric else (s0 - star(s0)).scale(Fraction(1, 2))
+        s = _star_half(rand_matrix(n, n, b.ring, rng), star, 1 if symmetric else -1)
         try:
             minv = (ident - s @ b).inverse()
         except ZeroDivisionError:
@@ -176,15 +196,19 @@ def skew_is_singular(n: int, ring, delta: str) -> bool:
 
 
 def rand_symmetric_invertible(n: int, ring, delta: str, rng: random.Random) -> Matrix:
-    star = star_from_delta(delta)
-    return first_invertible(lambda: _star_half(rand_matrix(n, n, ring, rng), star, 1))
+    return _rand_star_invertible(n, ring, delta, rng, 1)[0]
 
 
 def rand_skew_invertible(n: int, ring, delta: str, rng: random.Random) -> Matrix:
     if skew_is_singular(n, ring, delta):
         raise ValueError(f"no invertible skew matrices in odd dimension over {ring} with delta {delta!r}")
+    return _rand_star_invertible(n, ring, delta, rng, -1)[0]
+
+
+def _rand_star_invertible(n: int, ring, delta: str, rng: random.Random, sign: int) -> tuple:
+    """(A, A^{-1}) for the first invertible (m + sign star(m)) / 2 over random m."""
     star = star_from_delta(delta)
-    return first_invertible(lambda: _star_half(rand_matrix(n, n, ring, rng), star, -1))
+    return first_invertible(lambda: _star_half(rand_matrix(n, n, ring, rng), star, sign))
 
 
 def _star_half(m: Matrix, star, sign: int) -> Matrix:
@@ -196,21 +220,21 @@ def _star_half(m: Matrix, star, sign: int) -> Matrix:
 
 
 def series_lift(x: Matrix, sring, var: str | None = None) -> Matrix:
-    """Lift a matrix over the base ring to the series ring, optionally
-    multiplied by the variable t or s: its components fill the slot of the
-    monomial 1, t or s (``ring_components``)."""
+    """Lift a matrix (or a stack) over the base ring to the series ring,
+    optionally multiplied by the variable t or s: its components fill the
+    slot of the monomial 1, t or s (``ring_components``)."""
     k = x.a.shape[-1]
     slot = {None: 0, "t": SERIES_DEGREE, "s": 1}[var]
-    num = np.zeros((x.rows, x.cols, ring_components(sring)), x.a.dtype)
+    num = np.zeros(x.a.shape[:-1] + (ring_components(sring),), x.a.dtype)
     num[..., slot * k:(slot + 1) * k] = x.a
-    return Matrix.from_numerators(sring, num, x.den)
+    return type(x)._make(num, x.den, x.bound, sring)
 
 
 def series_coefficient(m: Matrix, exp: tuple, base) -> Matrix:
     """The coefficient of t^a s^b, (a, b) = exp: a slice of the components."""
     k = ring_components(base)
     slot = exp[0] * SERIES_DEGREE + exp[1]
-    return Matrix.from_numerators(base, m.a[..., slot * k:(slot + 1) * k], m.den)
+    return type(m)._make(m.a[..., slot * k:(slot + 1) * k], m.den, m.bound, base)
 
 
 def tangent_check(x: Matrix, y: Matrix, a: Matrix):
@@ -226,11 +250,10 @@ def tangent_check(x: Matrix, y: Matrix, a: Matrix):
     aa = series_lift(a, sring)
     comm = g_mul(g_mul(g_mul(tx, sy, aa), g_inv(tx, aa), aa), g_inv(sy, aa), aa)
     ok = (series_coefficient(comm, (0, 0), ring).is_zero()
-          and series_coefficient(comm, (1, 0), ring).is_zero()
-          and series_coefficient(comm, (0, 1), ring).is_zero())
+          & series_coefficient(comm, (1, 0), ring).is_zero()
+          & series_coefficient(comm, (0, 1), ring).is_zero())
     ts = series_coefficient(comm, (1, 1), ring)
-    ok = ok and ts == -bracket_param(x, y, a)
-    return ok, ts
+    return ok & equal(ts, -bracket_param(x, y, a)), ts
 
 
 def u_linearization_check(x: Matrix, a: Matrix, delta: str) -> bool:
@@ -241,18 +264,23 @@ def u_linearization_check(x: Matrix, a: Matrix, delta: str) -> bool:
     sring = series_ring(ring)
     star = star_from_delta(delta)
     defect = u_defect(series_lift(x, sring, "t"), series_lift(a, sring), star)
-    return defect.is_zero() == (star(x) == -x)
+    return defect.is_zero() == equal(star(x), -x)
 
 
 # -- seeded verification suites ---------------------------------------------
 
 
+def _check_samples(samples: int):
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
 def group_axiom_suite(p: int, q: int, ring, samples: int, seed: int) -> dict:
     """Identity, inverses, associativity and the 1 - AX homomorphism on
     seeded quasi-invertible samples, including degenerate parameters."""
+    _check_samples(samples)
     rng = random.Random(seed)
-    results = []
-    ok = True
+    params, drawn = [], []
     for idx in range(samples):
         if idx == 0:
             a = Matrix.zeros(q, p, ring)
@@ -267,68 +295,66 @@ def group_axiom_suite(p: int, q: int, ring, samples: int, seed: int) -> dict:
             g = _element(rand_matrix(p, q, ring, rng), a)
             if g is not None:
                 elements.append(g)
-        x, y, z = (g.x for g in elements)
-        x_inv = elements[0].inverse()
-        e = g_identity(p, q, ring)
-        checks = {
-            "identity": g_mul(x, e, a) == x and g_mul(e, x, a) == x,
-            "inverse": g_mul(x, x_inv, a) == e and g_mul(x_inv, x, a) == e,
-            "associativity": g_mul(g_mul(x, y, a), z, a) == g_mul(x, g_mul(y, z, a), a),
-            "hom_1_minus_AX": hom_check(x, y, a),
-        }
-        ok = ok and all(checks.values())
-        results.append({"sample": idx, "checks": checks, "pass": all(checks.values())})
+        params.append(a)
+        drawn.append(elements)
+    a = Arr.from_matrices(params)
+    x, y, z = (Arr.from_matrices([elements[i].x for elements in drawn]) for i in range(3))
+    x_inv = Arr.from_matrices([elements[0].inverse() for elements in drawn])
+    e = g_identity(p, q, ring)
+    checks = {
+        "identity": equal(g_mul(x, e, a), x) & equal(g_mul(e, x, a), x),
+        "inverse": equal(g_mul(x, x_inv, a), e) & equal(g_mul(x_inv, x, a), e),
+        "associativity": equal(g_mul(g_mul(x, y, a), z, a), g_mul(x, g_mul(y, z, a), a)),
+        "hom_1_minus_AX": hom_check(x, y, a),
+    }
+    results = []
+    for idx in range(samples):
+        sample = {name: bool(flags[idx]) for name, flags in checks.items()}
+        results.append({"sample": idx, "checks": sample, "pass": all(sample.values())})
     return {"suite": "group-axioms", "sizes": [p, q], "ring": str(ring),
-            "samples": samples, "seed": seed, "pass": ok, "results": results}
+            "samples": samples, "seed": seed, "pass": all(r["pass"] for r in results), "results": results}
 
 
 def unitary_suite(n: int, ring, delta: str, samples: int, seed: int) -> dict:
     """U_A and S_A: Cayley-built rational points, membership in both
     equivalent forms, closure under the group operations, and the tangent
     condition.  S_A is skipped where no skew parameter is invertible
-    (``skew_is_singular``)."""
+    (``skew_is_singular``).  A is inverted once per kind."""
+    _check_samples(samples)
     rng = random.Random(seed)
     star = star_from_delta(delta)
     results = []
-    ok = True
-    cases = [("U", False)]
+    cases = [("U", 1)]
     if not skew_is_singular(n, ring, delta):
-        cases.append(("S", True))
-    for kind, symmetric in cases:
+        cases.append(("S", -1))
+    for kind, sign in cases:
+        a, b = _rand_star_invertible(n, ring, delta, rng, sign)
+        elems = Arr.from_matrices([_cayley(b, star, rng, sign < 0) for _ in range(samples)])
+        group = _element(elems, a)
+        member = group is not None and bool(relation_holds(elems, a, kind, star).all())
         if kind == "U":
-            a = rand_symmetric_invertible(n, ring, delta, rng)
-        else:
-            a = rand_skew_invertible(n, ring, delta, rng)
-        elems = [cayley_element(a, star, rng, symmetric) for _ in range(samples)]
-        group = [_element(x, a) for x in elems]
-        member = all(g is not None and relation_holds(g.x, a, kind, star) for g in group)
-        if kind == "U":
-            equiv = all(u_defect(x, a, star).is_zero() == u_defect_variant(x, a, star).is_zero()
-                        for x in elems + [rand_matrix(n, n, ring, rng) for _ in range(samples)])
+            both = concat([elems, Arr.from_matrices([rand_matrix(n, n, ring, rng) for _ in range(samples)])], 0)
+            equiv = bool((u_defect(both, a, star).is_zero() == u_defect_variant(both, a, star).is_zero()).all())
         else:
             equiv = True
-        closed = all(membership(g_mul(x, y, a), a, kind, star)
-                     for x, y in zip(elems, elems[1:] + elems[:1]))
-        inverses = all(g is not None and membership(g.inverse(), a, kind, star) for g in group)
+        rotated = elems[np.roll(np.arange(samples), -1)]
+        closed = bool(membership(g_mul(elems, rotated, a), a, kind, star).all())
+        inverted = group is not None and bool(membership(group.inverse(), a, kind, star).all())
         entry = {"kind": kind, "membership": member, "equivalent_forms": equiv,
-                 "closure": closed, "inverses": inverses}
+                 "closure": closed, "inverses": inverted}
         entry["pass"] = all(v for k, v in entry.items() if k != "kind")
-        ok = ok and entry["pass"]
         results.append(entry)
     return {"suite": "unitary", "n": n, "ring": str(ring), "delta": delta,
-            "samples": samples, "seed": seed, "pass": ok, "results": results}
+            "samples": samples, "seed": seed, "pass": all(r["pass"] for r in results), "results": results}
 
 
 def tangent_suite(p: int, q: int, ring, samples: int, seed: int) -> dict:
+    _check_samples(samples)
     rng = random.Random(seed)
-    results = []
-    ok = True
-    for idx in range(samples):
-        a = rand_matrix(q, p, ring, rng)
-        x = rand_matrix(p, q, ring, rng)
-        y = rand_matrix(p, q, ring, rng)
-        good, _ = tangent_check(x, y, a)
-        ok = ok and good
-        results.append({"sample": idx, "pass": good})
+    draws = [(rand_matrix(q, p, ring, rng), rand_matrix(p, q, ring, rng), rand_matrix(p, q, ring, rng))
+             for _ in range(samples)]
+    a, x, y = (Arr.from_matrices(column) for column in zip(*draws))
+    good, _ = tangent_check(x, y, a)
+    results = [{"sample": idx, "pass": bool(good[idx])} for idx in range(samples)]
     return {"suite": "tangent", "sizes": [p, q], "ring": str(ring),
-            "samples": samples, "seed": seed, "pass": ok, "results": results}
+            "samples": samples, "seed": seed, "pass": all(r["pass"] for r in results), "results": results}

@@ -15,7 +15,9 @@ broadcast over the leading axes.
 Every ring product, over Q, Q(i), the quaternions or a truncated series ring
 over one of them (``mult_tensor``), is one GEMM against the right regular
 representation of its right operand (``right_rep``), a signed gather of its
-components: there is no einsum.  A product entry sums at most
+components: there is no einsum.  Over Q (one component) that representation
+is the right operand itself, so the product is the plain GEMM of the two
+component planes, with nothing gathered.  A product entry sums at most
 shared * k products of components, so each partial sum of the GEMM, in
 whatever order BLAS adds, is bounded by the same shared * k * |x| * |y| that
 bounds the result, and float32 and float64 stay exact below 2^24 and 2^53
@@ -262,6 +264,21 @@ class Arr:
         """The entries at ``index`` (leading axes), same denominator and bound."""
         return Arr(self.a[index], self.den, self.bound, self.ring)
 
+    @property
+    def rows(self) -> int:
+        return self.a.shape[-3]
+
+    @property
+    def cols(self) -> int:
+        return self.a.shape[-2]
+
+    def is_zero(self):
+        """Whether each matrix of the stack is zero: a boolean array of the
+        leading shape (a numpy bool for one matrix).  Compared with 0 first:
+        under NumPy 1, ``any`` of an ``object`` array can return an entry
+        rather than a bool."""
+        return ~(self.a != 0).any(axis=(-3, -2, -1))
+
     def actual_bound(self) -> "Arr":
         """Tighten the tracked bound to the actual maximum entry."""
         b = max(int(np.abs(self.a).max(initial=0)), 1)
@@ -277,7 +294,9 @@ class Arr:
         return self._same(-self.a)
 
     def __add__(self, other: "Arr") -> "Arr":
-        if self.ring != other.ring or self.a.shape != other.a.shape:
+        """The sums, broadcast over the leading axes (a matrix plus a stack
+        adds it to every matrix of the stack)."""
+        if self.ring != other.ring or self.a.shape[-3:] != other.a.shape[-3:]:
             raise ValueError("shape or ring mismatch")
         d = lcm(self.den, other.den)
         bound = self.bound * (d // self.den) + other.bound * (d // other.den)
@@ -314,6 +333,18 @@ class Arr:
         return Arr(np.swapaxes(self.a, 0, 1), self.den, self.bound, self.ring)
 
 
+def equal(x: Arr, y: Arr) -> np.ndarray:
+    """Whether x and y hold the same matrix, per matrix of the stacks
+    (broadcast over the leading axes): a boolean array of the leading shape
+    (a numpy bool for two matrices).  Both sides are compared over the lcm of
+    their denominators, in the dtype of the larger rescaled bound."""
+    if x.ring != y.ring or x.a.shape[-3:] != y.a.shape[-3:]:
+        raise ValueError("shape or ring mismatch")
+    d = lcm(x.den, y.den)
+    bound = max(x.bound * (d // x.den), y.bound * (d // y.den))
+    return np.all(x.over(d, bound) == y.over(d, bound), axis=(-3, -2, -1))
+
+
 def concat(xs, axis: int) -> Arr:
     """Concatenate the ``Arr`` xs along ``axis`` over a common denominator."""
     d = lcm(*(x.den for x in xs))
@@ -348,8 +379,11 @@ def right_rep(y: np.ndarray, ring) -> np.ndarray:
 def ring_product(x: np.ndarray, y: np.ndarray, ring) -> np.ndarray:
     """The products x y of the integer matrices x (..., p, q, k) and
     y (..., q, r, k), broadcast over the leading axes: one GEMM against the
-    right regular representation of y, in the dtype of the operands."""
+    right regular representation of y, in the dtype of the operands.  For
+    k = 1 (Q) that representation is y, and the GEMM is x y itself."""
     *_, q, k = x.shape
+    if k == 1:
+        return (x[..., 0] @ y[..., 0])[..., None]
     r = y.shape[-2]
     rep = right_rep(y, ring)
     out = x.reshape(x.shape[:-2] + (q * k,)) @ rep.reshape(rep.shape[:-4] + (q * k, r * k))

@@ -7,12 +7,13 @@ in lowest terms, so equal matrices have equal arrays.  Its sums, scalings,
 conjugations, transposes and products are the ``Arr`` operations, series
 rings included (``kernel.mult_tensor``); ``Scalar`` entries are only built
 for the views ``m[i, j]`` and ``entries``.  Every elimination (``rref``,
-``Subspace``, ``Matrix.inverse``) is one fraction-free Gauss-Jordan on rows
-of Python ints (``_echelon``, after E. H. Bareiss, Math. Comp. 22 (1968));
-only returned values become ``Fraction``s.  A subspace keeps its RREF basis
-as one integer ``Arr`` with its pivots, so equality of subspaces is a
-syntactic comparison, and every coordinate and membership query is one
-``kernel.coordinates`` against that basis.
+``Subspace``, ``inverses`` of a matrix or of each matrix of a stack) is one
+fraction-free Gauss-Jordan on rows of Python ints (``_echelon``, after
+E. H. Bareiss, Math. Comp. 22 (1968)); only returned values become
+``Fraction``s.  A subspace keeps its RREF basis as one integer ``Arr`` with
+its pivots, so equality of subspaces is a syntactic comparison, and every
+coordinate and membership query is one ``kernel.coordinates`` against that
+basis.
 """
 
 from __future__ import annotations
@@ -123,14 +124,6 @@ class Matrix(kernel.Arr):
 
     # -- access ------------------------------------------------------------
 
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         return Scalar.unflatten(self.ring, [Fraction(v, self.den) for v in kernel.int_rows(self.a[i, j])])
@@ -149,30 +142,13 @@ class Matrix(kernel.Arr):
         out = s1 @ self._same(self.a.reshape(1, -1, self.a.shape[-1]))
         return out._same(out.a.reshape(self.a.shape))
 
-    def is_zero(self) -> bool:
-        return not self.a.any()
-
     def inverse(self) -> "Matrix":
-        """Exact inverse; ``ZeroDivisionError`` if the matrix is singular.
-
-        X is invertible exactly when its left regular representation L(X)
-        (nk x nk, the Q-linear map Y -> X Y on n x 1 columns, any ring) has
-        rank nk, and Y = X^-1 has Y[i, j]_c = L(X)^-1[(i, c), (j, 0)], as
-        component 0 is the unit 1.
-        """
-        if self.rows != self.cols:
-            raise ValueError("only square matrices are invertible")
-        n, k = self.rows, self.a.shape[-1]
-        # [L(num) | den e_(j, 0) over j]: the right block solves to L(X)^-1 e_(j, 0)
-        rep = kernel.int_rows(kernel.left_rep(self.a, self.ring).reshape(n * k, n * k))
-        rows = [r + [self.den if p == j * k else 0 for j in range(n)] for p, r in enumerate(rep)]
-        rows, pivots = _echelon(rows, n * k)
-        if len(pivots) < n * k:
+        """Exact inverse; ``ZeroDivisionError`` if the matrix is singular
+        (``inverses``)."""
+        inv, ok = inverses(self)
+        if not ok:
             raise ZeroDivisionError("matrix is not invertible")
-        # row p = (i, c) is now pv e_p | pv L(X)^-1[p, (j, 0)] over j
-        den = lcm(*(r[p] for p, r in enumerate(rows)))
-        num = np.array([[x * (den // r[p]) for x in r[n * k:]] for p, r in enumerate(rows)], dtype=object)
-        return Matrix.from_numerators(self.ring, num.reshape(n, k, n).transpose(0, 2, 1), den)
+        return inv
 
     # -- flattening --------------------------------------------------------
 
@@ -229,6 +205,34 @@ class Matrix(kernel.Arr):
         if (m.rows, m.cols) != (data["rows"], data["cols"]):
             raise ValueError("inconsistent matrix JSON")
         return m
+
+
+def inverses(x: kernel.Arr):
+    """(inverse, invertible): the exact inverse of every square matrix of the
+    stack x, zero where it is singular, and the boolean mask (of the leading
+    shape; a numpy bool for one matrix) of the invertible ones.  A ``Matrix``
+    gives a ``Matrix``.
+
+    X is invertible exactly when its left regular representation L(X)
+    (nk x nk, the Q-linear map Y -> X Y on n x 1 columns, any ring) has rank
+    nk, and Y = X^-1 has Y[i, j]_c = L(X)^-1[(i, c), (j, 0)], as component 0
+    is the unit 1: one ``_echelon`` per matrix.
+    """
+    *lead, n, cols, k = x.a.shape
+    if n != cols:
+        raise ValueError("only square matrices are invertible")
+    solved, ok = [], []
+    for rep in kernel.int_rows(kernel.left_rep(x.a, x.ring).reshape(-1, n * k, n * k)):
+        # [L(num) | den e_(j, 0) over j]: the right block solves to L(X)^-1 e_(j, 0)
+        rows = [r + [x.den if p == j * k else 0 for j in range(n)] for p, r in enumerate(rep)]
+        rows, pivots = _echelon(rows, n * k)
+        ok.append(len(pivots) == n * k)
+        # row p = (i, c) is now pv e_p | pv L(X)^-1[p, (j, 0)] over j; zeros if singular
+        solved.append([(r[p], r[n * k:]) for p, r in enumerate(rows)] if ok[-1] else [(1, [0] * n)] * (n * k))
+    den = lcm(*(pv for rows in solved for pv, _ in rows))
+    num = np.array([[[v * (den // pv) for v in rest] for pv, rest in rows] for rows in solved], dtype=object)
+    num = num.reshape(*lead, n, k, n).swapaxes(-1, -2)
+    return type(x)._make(num, den, 0, x.ring), np.array(ok).reshape(lead)[()]
 
 
 # -- block constant matrices -----------------------------------------------

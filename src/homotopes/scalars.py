@@ -301,7 +301,7 @@ def parse_scalar(ring, text: str) -> Scalar:
     if is_series(ring):
         raise ValueError("series scalars have no text format")
     compact = _re.sub(r"\s*([+-])\s*", r"\1", text)
-    if not compact or _re.search(r"\s", compact):
+    if not compact:
         raise ValueError(f"bad scalar literal {text!r}")
     ncomp = _COMPONENTS[ring]
     comps = [Fraction(0)] * ncomp
@@ -309,6 +309,7 @@ def parse_scalar(ring, text: str) -> Scalar:
     for term in _TERM.findall(compact):
         if not term:
             continue
+        # the pattern has no whitespace: what is left of it after the signs fails here
         m = _re.fullmatch(r"([+-]?)(\d+(?:/\d+)?)?([ijk]?)", term)
         if m is None:
             raise ValueError(f"bad scalar literal {text!r}")

@@ -1,5 +1,6 @@
 """Fraction references: row reduction, coordinates, matrix arithmetic and
-inverses, structure constants and the LTS axiom verdicts.
+inverses, structure constants and the LTS axiom verdicts; and the group
+suites one sample at a time.
 
 ``reference_rref``, ``reference_coordinates``, ``reference_inverse`` and the
 ``reference_matrix_*`` operations do ``Fraction`` (and ``Scalar``) arithmetic
@@ -8,11 +9,20 @@ results enter ``Matrix`` only through its ``Scalar`` constructor.  The structure
 evaluation and one ``reference_coordinates`` per basis triple, and writes the
 axioms out over those coordinates, with no tensors and no dtype choices: the
 independent oracle the batched kernel is compared against.
+
+``reference_group_axiom_suite``, ``reference_tangent_suite`` and
+``reference_unitary_suite`` are the suites of ``groups`` as they were before
+they stacked their samples: one sample at a time, with ``Matrix`` equality.
+They call ``groups``' operations through the module, so that a test which
+monkeypatches one of them changes both paths.
 """
 
+import random
 from fractions import Fraction
 from itertools import product as tuples
 
+from homotopes import groups
+from homotopes.families import rand_matrix
 from homotopes.homotope import ProductSpace, bracket_param, triple_param
 from homotopes.matrices import Matrix
 from homotopes.scalars import Q, Scalar
@@ -289,3 +299,97 @@ def broken_derivation(width, scale, first=0, second=1):
         value = scale * (xs[first] * ys[second] - xs[second] * ys[first]) * zs[first]
         return Matrix.unflatten((1, width, Q), [value if w == first else 0 for w in range(width)])
     return product
+
+
+def _group_element(x, a):
+    """X as an element of G_A, or None when it is not A-quasi-invertible."""
+    try:
+        return groups.GroupElement(x, a)
+    except ZeroDivisionError:
+        return None
+
+
+def reference_group_axiom_suite(p, q, ring, samples, seed):
+    """``groups.group_axiom_suite``, one sample at a time."""
+    rng = random.Random(seed)
+    results = []
+    ok = True
+    for idx in range(samples):
+        if idx == 0:
+            a = Matrix.zeros(q, p, ring)
+        elif idx == 1:
+            u = rand_matrix(q, 1, ring, rng)
+            v = rand_matrix(1, p, ring, rng)
+            a = u @ v
+        else:
+            a = rand_matrix(q, p, ring, rng)
+        elements = []
+        while len(elements) < 3:
+            g = _group_element(rand_matrix(p, q, ring, rng), a)
+            if g is not None:
+                elements.append(g)
+        x, y, z = (g.x for g in elements)
+        x_inv = elements[0].inverse()
+        e = groups.g_identity(p, q, ring)
+        g_mul = groups.g_mul
+        checks = {
+            "identity": g_mul(x, e, a) == x and g_mul(e, x, a) == x,
+            "inverse": g_mul(x, x_inv, a) == e and g_mul(x_inv, x, a) == e,
+            "associativity": g_mul(g_mul(x, y, a), z, a) == g_mul(x, g_mul(y, z, a), a),
+            "hom_1_minus_AX": bool(groups.hom_check(x, y, a)),
+        }
+        ok = ok and all(checks.values())
+        results.append({"sample": idx, "checks": checks, "pass": all(checks.values())})
+    return {"suite": "group-axioms", "sizes": [p, q], "ring": str(ring),
+            "samples": samples, "seed": seed, "pass": ok, "results": results}
+
+
+def reference_unitary_suite(n, ring, delta, samples, seed):
+    """``groups.unitary_suite``, one sample at a time, A inverted for every
+    Cayley point (``groups.cayley_element``)."""
+    rng = random.Random(seed)
+    star = groups.star_from_delta(delta)
+    results = []
+    ok = True
+    cases = [("U", False)]
+    if not groups.skew_is_singular(n, ring, delta):
+        cases.append(("S", True))
+    for kind, symmetric in cases:
+        if kind == "U":
+            a = groups.rand_symmetric_invertible(n, ring, delta, rng)
+        else:
+            a = groups.rand_skew_invertible(n, ring, delta, rng)
+        elems = [groups.cayley_element(a, star, rng, symmetric) for _ in range(samples)]
+        group = [_group_element(x, a) for x in elems]
+        member = all(g is not None and groups.relation_holds(g.x, a, kind, star) for g in group)
+        if kind == "U":
+            equiv = all(groups.u_defect(x, a, star).is_zero() == groups.u_defect_variant(x, a, star).is_zero()
+                        for x in elems + [rand_matrix(n, n, ring, rng) for _ in range(samples)])
+        else:
+            equiv = True
+        closed = all(groups.membership(groups.g_mul(x, y, a), a, kind, star)
+                     for x, y in zip(elems, elems[1:] + elems[:1]))
+        inverses = all(g is not None and groups.membership(g.inverse(), a, kind, star) for g in group)
+        entry = {"kind": kind, "membership": member, "equivalent_forms": equiv,
+                 "closure": closed, "inverses": inverses}
+        entry["pass"] = all(v for k, v in entry.items() if k != "kind")
+        ok = ok and entry["pass"]
+        results.append(entry)
+    return {"suite": "unitary", "n": n, "ring": str(ring), "delta": delta,
+            "samples": samples, "seed": seed, "pass": ok, "results": results}
+
+
+def reference_tangent_suite(p, q, ring, samples, seed):
+    """``groups.tangent_suite``, one sample at a time."""
+    rng = random.Random(seed)
+    results = []
+    ok = True
+    for idx in range(samples):
+        a = rand_matrix(q, p, ring, rng)
+        x = rand_matrix(p, q, ring, rng)
+        y = rand_matrix(p, q, ring, rng)
+        good = bool(groups.tangent_check(x, y, a)[0])
+        ok = ok and good
+        results.append({"sample": idx, "pass": good})
+    return {"suite": "tangent", "sizes": [p, q], "ring": str(ring),
+            "samples": samples, "seed": seed, "pass": ok, "results": results}

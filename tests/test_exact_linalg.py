@@ -1,7 +1,7 @@
 """Differential tests of the fraction-free linear algebra in ``matrices``
-(``rref``, subspace coordinates and membership,
-``from_coordinates``, ``Matrix.inverse``) against the ``Fraction`` and
-``Scalar`` references in ``structure_reference``: zero and duplicate rows,
+(``rref``, subspace coordinates and membership, ``from_coordinates``,
+``Matrix.inverse`` and ``inverses`` over a stack) against the ``Fraction``
+and ``Scalar`` references in ``structure_reference``: zero and duplicate rows,
 mixed denominators, entries past 2^53, vectors one basis element off a span,
 and nonzero singular matrices, over Q, Q(i) and the quaternions."""
 
@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from structure_reference import (reference_basis, reference_coordinates,
+from structure_reference import (matrix_of, reference_basis, reference_coordinates,
                                  reference_inverse, reference_rref)
 
 from homotopes.homotope import ProductSpace
-from homotopes.matrices import Matrix, Subspace, rref
+from homotopes.kernel import Arr
+from homotopes.matrices import Matrix, Subspace, inverses, rref
 from homotopes.scalars import HQ, Q, QI, Scalar, ring_components
 
 HUGE = [2**53 + 1, -(2**61 - 1), 3 * 2**70]
@@ -111,11 +112,12 @@ def test_pair_coordinates_match_reference(data):
 
 
 @st.composite
-def square_matrices(draw):
-    """Square matrices over Q, Q(i) and HQ; in some draws the last row is a
-    left multiple of the first (a nonzero singular matrix)."""
-    ring = draw(st.sampled_from([Q, QI, HQ]))
-    n, k = draw(st.integers(1, 3)), ring_components(ring)
+def square_matrices(draw, shape=None):
+    """Square matrices over Q, Q(i) and HQ, or of this (ring, n); in some
+    draws the last row is a left multiple of the first (a nonzero singular
+    matrix)."""
+    ring, n = shape or (draw(st.sampled_from([Q, QI, HQ])), draw(st.integers(1, 3)))
+    k = ring_components(ring)
     entry = entries(draw(st.booleans()))
     scalars = st.lists(entry, min_size=k, max_size=k).map(lambda c: Scalar(ring, c))
     rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -135,3 +137,21 @@ def test_inverse_matches_reference(m):
             m.inverse()
         return
     assert m.inverse() == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(), st.data())
+def test_stacked_inverses_match_reference(first, data):
+    """``inverses`` over a stack of invertible and singular matrices: the
+    reference inverse of each invertible one, and a False mask and a zero
+    inverse at each singular one."""
+    mats = [first] + data.draw(st.lists(square_matrices((first.ring, first.rows)), max_size=3))
+    inv, ok = inverses(Arr.from_matrices(mats))
+    assert type(inv) is Arr and ok.shape == (len(mats),)
+    for t, m in enumerate(mats):
+        try:
+            expect = reference_inverse(m)
+        except ZeroDivisionError:
+            assert not ok[t] and inv[t].is_zero()
+            continue
+        assert ok[t] and matrix_of(inv[t]) == expect

@@ -7,6 +7,7 @@ caches."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from structure_reference import matrix_of, reference_matrix_product
@@ -104,6 +105,45 @@ def test_kernel_matrix_mul_matches_reference(case, data):
     _assert_tier(out, big)
     for t, x in enumerate(xs):
         assert matrix_of(out[t]) == reference_matrix_product(x, ys[0] if broadcast else ys[t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_stacks(), st.data())
+def test_matrix_times_stack_is_the_stack_of_products(case, data):
+    """A ``Matrix`` to the left of a stack (``Matrix @ Arr``, as the group
+    law X + Y - XAY writes it for a single X) gives the stack of the
+    per-matrix products, and ``rows``/``cols`` read the matrix axes of a
+    stack."""
+    ring, big, stack = case
+    n, p, q, r = (data.draw(st.integers(1, 3)) for _ in range(4))
+    x, ys = stack(1, p, q)[0], stack(n, q, r)
+    right = Arr.from_matrices(ys)
+    assert (right.rows, right.cols) == (q, r)
+    out = x @ right
+    assert type(out) is Arr and out.a.shape[0] == n and (out.rows, out.cols) == (p, r)
+    _assert_tier(out, big)
+    for t, y in enumerate(ys):
+        assert matrix_of(out[t]) == reference_matrix_product(x, y)
+
+
+def test_equality_and_zero_per_matrix_of_a_stack():
+    """Known false: ``kernel.equal`` and ``Arr.is_zero`` decide each matrix of
+    a stack on its own, also over different denominators, and a sum
+    broadcasts a matrix over a stack."""
+    for ring in (Q, QI, HQ):
+        k = ring_components(ring)
+        ms = [Matrix.unflatten((2, 3, ring), [Fraction(t + c, 2) for c in range(6 * k)]) for t in range(3)]
+        stack = Arr.from_matrices(ms)
+        bumped = ms[1] + Matrix.elementary(2, 3, 1, 2, ring).scale(Fraction(1, 7))
+        other = Arr.from_matrices([ms[0], bumped, ms[2]])
+        assert other.den != stack.den
+        assert kernel.equal(stack, other).tolist() == [True, False, True]
+        assert kernel.equal(stack, ms[1]).tolist() == [False, True, False]
+        assert (stack - other).is_zero().tolist() == [True, False, True]
+        assert (stack - ms[2]).is_zero().tolist() == [False, False, True]
+        assert kernel.equal(ms[0], ms[0]) and not ms[0].is_zero()
+        with pytest.raises(ValueError):
+            stack + Matrix.zeros(3, 2, ring)
 
 
 @settings(max_examples=40, deadline=None)

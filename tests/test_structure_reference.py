@@ -3,6 +3,7 @@ against the Fraction reference in ``structure_reference``, including
 parameters whose numerators leave the float64 range, so that the kernel
 runs on Python-int ``object`` arrays."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import islice
@@ -432,6 +433,41 @@ def test_lt3_witness_without_lt1_is_the_first_ordered_pair():
     entries = _lts_entries(TripleSystem(space, GenericTriple(product)))
     assert entries == reference_lts(space, product)
     assert entries[1][:2] == ("LT1", False) and entries[3] == ("LT3", False, (1, 0, 0, 0, 0))
+
+
+def test_witness_json_names_indices_and_basis_matrices():
+    """Known false: the JSON of a failing LTS report, rendered against its
+    system, gives each witness's basis indices and basis matrices; LT3 fails
+    for ``broken_derivation`` on 1 x 3 rows at (0, 1, 0, 1, 0)."""
+    system = TripleSystem(matrix_space(1, 3, Q), GenericTriple(broken_derivation(3, 1)))
+    unit = [{"rows": 1, "cols": 3, "ring": "Q", "entries": [["1" if w == i else "0" for w in range(3)]]}
+            for i in range(3)]
+    assert json.loads(json.dumps(check_lts(system).to_json(system))) == [
+        {"axiom": "closure", "pass": True, "witness": None},
+        {"axiom": "LT1", "pass": True, "witness": None},
+        {"axiom": "LT2", "pass": True, "witness": None},
+        {"axiom": "LT3", "pass": False, "witness": {"indices": [0, 1, 0, 1, 0],
+                                                    "matrices": [unit[i] for i in (0, 1, 0, 1, 0)]}},
+    ]
+
+
+def test_polarized_witness_json_renders_plus_and_minus():
+    """Known false: a polarized system's witness renders each basis element
+    as its pair of blocks, the other grade's block zero; LT3 fails for
+    independent alphas on M(1, 2) x M(2, 1), and ``to_json()`` without the
+    system gives the indices alone."""
+    system = _graded(1, 2, 5)
+    report = check_lts(system)
+    (failed,) = report.failing()
+    assert failed["axiom"] == "LT3"
+    (rendered,) = [e["witness"] for e in report.to_json(system) if not e["pass"]]
+    assert rendered["indices"] == list(failed["witness"]) == [0, 2, 0, 2, 0]
+    plus, minus = system.space.plus.basis_matrices(), system.space.minus.basis_matrices()
+    zero_plus, zero_minus = Matrix.zeros(1, 2, Q).to_json(), Matrix.zeros(2, 1, Q).to_json()
+    expect = [{"plus": plus[i].to_json(), "minus": zero_minus} if i < len(plus)
+              else {"plus": zero_plus, "minus": minus[i - len(plus)].to_json()} for i in rendered["indices"]]
+    assert rendered["matrices"] == expect
+    assert [e["witness"] for e in report.to_json() if not e["pass"]] == [{"indices": [0, 2, 0, 2, 0]}]
 
 
 def _pick_prime(k: int) -> int:

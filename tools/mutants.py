@@ -38,19 +38,24 @@ class Mutant(NamedTuple):
     first: str = ""  # the tests to run before the whole suite
 
 
-def _forced_true(name: str, path: str, signature: str, value: str = "True") -> Mutant:
+def _forced_true(name: str, path: str, signature: str, value: str = "True", first: str = "") -> Mutant:
     """The function with this ``def`` line returns ``value`` at once."""
     indent = " " * (len(signature) - len(signature.lstrip()) + 4)
-    return Mutant(name, path, signature, f"{signature}\n{indent}return {value}")
+    return Mutant(name, path, signature, f"{signature}\n{indent}return {value}", first)
 
 
 MUTANTS = [
+    # a forced True also breaks the stacked suites, which index one boolean
+    # per sample; the known-false tests of one matrix run first
     _forced_true("groups.membership -> True", "src/homotopes/groups.py",
-                 "def membership(x: Matrix, a: Matrix, kind: str, star=None) -> bool:"),
+                 "def membership(x: Matrix, a: Matrix, kind: str, star=None) -> bool:",
+                 first="tests/test_groups.py::TestKnownFalse::test_membership_rejects_a_nonzero_defect"),
     _forced_true("groups.hom_check -> True", "src/homotopes/groups.py",
-                 "def hom_check(x: Matrix, y: Matrix, a: Matrix) -> bool:"),
+                 "def hom_check(x: Matrix, y: Matrix, a: Matrix) -> bool:",
+                 first="tests/test_groups.py::TestKnownFalse::test_hom_check_rejects_a_wrong_product"),
     _forced_true("groups.tangent_check -> True", "src/homotopes/groups.py",
-                 "def tangent_check(x: Matrix, y: Matrix, a: Matrix):", "True, None"),
+                 "def tangent_check(x: Matrix, y: Matrix, a: Matrix):", "True, None",
+                 "tests/test_groups.py::TestKnownFalse::test_tangent_check_rejects_a_wrong_inverse"),
     _forced_true("JointDecomposition.check_direct_sum -> True", "src/homotopes/involutions.py",
                  "    def check_direct_sum(self) -> bool:"),
     Mutant("direct sum without the span rank", "src/homotopes/involutions.py",
@@ -194,6 +199,25 @@ MUTANTS = [
     Mutant("[m,m] membership forced True", "src/homotopes/homotope.py",
            "if group_type else bracket_closure(m, m, h, a))", "if group_type else True)",
            "tests/test_structure_reference.py tests/test_families.py"),
+    # the modulus and prime window of the row pick, and LT3's residual bound
+    Mutant("_modulus_limit with one factor of 2 dropped", "src/homotopes/kernel.py",
+           "    return isqrt(2**52 >> terms.bit_length())", "    return isqrt(2**51 >> terms.bit_length())",
+           "tests/test_row_selection.py::test_pick_prime_counts_once"),
+    Mutant("_prime_window one prime short", "src/homotopes/kernel.py",
+           "    return tuple((lo + np.flatnonzero(prime)[::-1]).tolist())",
+           "    return tuple((lo + np.flatnonzero(prime)[::-1]).tolist()[:-1])",
+           "tests/test_row_selection.py::test_primes_are_the_primes_below_the_limit"),
+    Mutant("_lt3_bound with top for rows", "src/homotopes/homotope.py",
+           "    return 4 * top * rows", "    return 4 * top * top", "tests/test_homotope.py"),
+    # products over Q as one plain GEMM, and the group suites over stacks
+    Mutant("k = 1 product with its operands' matrix axes transposed", "src/homotopes/kernel.py",
+           "        return (x[..., 0] @ y[..., 0])[..., None]",
+           "        return (x[..., 0].swapaxes(-1, -2) @ y[..., 0].swapaxes(-1, -2))[..., None]",
+           "tests/test_matmul_reference.py"),
+    Mutant("stacked per-matrix equality forced all-True", "src/homotopes/kernel.py",
+           "    return np.all(x.over(d, bound) == y.over(d, bound), axis=(-3, -2, -1))",
+           "    return np.ones(np.broadcast_shapes(x.a.shape[:-3], y.a.shape[:-3]), dtype=bool)",
+           "tests/test_group_reference.py tests/test_matmul_reference.py"),
     # guards
     Mutant("check_sizes accepts 0", "src/homotopes/families.py",
            "any(s < 1 for s in sizes)", "any(s < 0 for s in sizes)"),
