@@ -22,6 +22,20 @@ matrix), and a check gives one boolean per matrix of the stack
 (``kernel.equal``, ``Arr.is_zero``; a numpy bool for one matrix).  The
 suites draw all their samples first, in the order of a loop over the
 samples, and then evaluate each identity once over the stack of them.
+
+The witness (1 - XA)^{-1} of A-invertibility (quasi-invertibility, after
+O. Loos, Jordan Pairs, LNM 460 (1975)) is eliminated only where no ring
+identity gives it:
+
+    1 - (X *_A Y)A = (1 - XA)(1 - YA), so W(X *_A Y) = W(Y) W(X);
+    1 - j_A(X)A = (1 - XA)^{-1}, so W(j_A(X)) = 1 - XA;
+    at a Cayley point X = A^{-1}(1 - u), W(X) = star(u) (``_cayley``);
+    at a tangent lift tX, W(tX) = 1 + tXA, as t^2 = 0 (``_nilpotent_guess``).
+
+Each such guess is certified by one product, (1 - XA) W = 1 exactly, per
+matrix of a stack (``matrices.inverses``); a matrix where it fails is
+eliminated.  ``membership`` and ``is_quasi_invertible`` without a guess
+eliminate, as the per-sample reference of the tests does.
 """
 
 from __future__ import annotations
@@ -35,7 +49,7 @@ from .families import first_invertible, rand_matrix
 from .homotope import bracket_param
 from .kernel import Arr, concat, equal
 from .matrices import Matrix, inverses
-from .scalars import Q, QI, SERIES_DEGREE, ring_components, series_ring
+from .scalars import HQ, Q, QI, SERIES_DEGREE, is_series, ring_components, series_ring
 
 
 # -- quasi-group operations -------------------------------------------------
@@ -54,58 +68,76 @@ def one_minus_xa(x: Matrix, a: Matrix) -> Matrix:
     return Matrix.identity(x.rows, x.ring) - x @ a
 
 
-def quasi_inverse_witness(x: Matrix, a: Matrix) -> Matrix:
-    """(1 - XA)^{-1}; raises ZeroDivisionError when X (or a matrix of the
-    stack X) is not A-invertible."""
-    inv, ok = inverses(one_minus_xa(x, a))
+def quasi_inverse_witness(x: Matrix, a: Matrix, guess: Matrix | None = None) -> Matrix:
+    """(1 - XA)^{-1}, from the ``guess`` where it is certified (``inverses``);
+    raises ZeroDivisionError when X (or a matrix of the stack X) is not
+    A-invertible."""
+    inv, ok = inverses(one_minus_xa(x, a), guess)
     if not ok.all():
         raise ZeroDivisionError("X is not A-quasi-invertible")
     return inv
 
 
-def is_quasi_invertible(x: Matrix, a: Matrix) -> bool:
-    """Whether 1 - XA is invertible, per matrix of a stack X."""
-    return inverses(one_minus_xa(x, a))[1]
+def is_quasi_invertible(x: Matrix, a: Matrix, guess: Matrix | None = None) -> bool:
+    """Whether 1 - XA is invertible, per matrix of a stack X; a ``guess`` of
+    the witnesses saves the elimination where it is certified."""
+    return inverses(one_minus_xa(x, a), guess)[1]
 
 
 def g_inv(x: Matrix, a: Matrix) -> Matrix:
-    """j_A(X) = -(1 - XA)^{-1} X."""
-    return GroupElement(x, a).inverse()
+    """j_A(X) = -(1 - XA)^{-1} X; over a series ring the witness is guessed
+    by ``_nilpotent_guess``."""
+    return GroupElement(x, a, _nilpotent_guess(x, a) if is_series(x.ring) else None).inverse()
+
+
+def _nilpotent_guess(x: Matrix, a: Matrix) -> Matrix:
+    """1 + M + ... + M^top for M = XA over a series ring, with
+    top = 2 * SERIES_DEGREE - 2 (1 + M + M^2): the witness (1 - M)^{-1}
+    whenever M has no constant term, as then every product of more than top
+    factors M vanishes (tX and sY in the tangent check)."""
+    one, m = Matrix.identity(x.rows, x.ring), x @ a
+    guess = one + m
+    for _ in range(2 * SERIES_DEGREE - 3):
+        guess = one + m @ guess
+    return guess
 
 
 class GroupElement:
     """An element of G_A with its cached invertibility witness (1 - XA)^{-1}:
-    one inversion per element.  A stack X gives the stack of witnesses;
+    taken from a ``guess`` where one product certifies it (``inverses``), else
+    eliminated.  A product takes W_Y W_X as its guess, since
+    1 - (X *_A Y)A = (1 - XA)(1 - YA), and the inverse takes 1 - XA, since
+    1 - j_A(X)A = (1 - XA)^{-1}.  A stack X gives the stack of witnesses;
     ``==`` compares single elements."""
 
     __slots__ = ("x", "a", "witness")
 
-    def __init__(self, x: Matrix, a: Matrix):
+    def __init__(self, x: Matrix, a: Matrix, guess: Matrix | None = None):
         self.x = x
         self.a = a
-        self.witness = quasi_inverse_witness(x, a)
+        self.witness = quasi_inverse_witness(x, a, guess)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.a != other.a:
             raise ValueError("elements of different homotope groups")
-        return GroupElement(g_mul(self.x, other.x, self.a), self.a)
+        return GroupElement(g_mul(self.x, other.x, self.a), self.a, other.witness @ self.witness)
 
     def inverse(self) -> Matrix:
         """j_A(X) = -(1 - XA)^{-1} X, from the witness."""
         return -(self.witness @ self.x)
 
     def inv(self) -> "GroupElement":
-        return GroupElement(self.inverse(), self.a)
+        return GroupElement(self.inverse(), self.a, one_minus_xa(self.x, self.a))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.x == other.x and self.a == other.a
 
 
-def _element(x: Matrix, a: Matrix) -> GroupElement | None:
+def _element(x: Matrix, a: Matrix, guess: Matrix | None = None) -> GroupElement | None:
     """X as an element of G_A, or None when it (or a matrix of the stack X)
     is not A-quasi-invertible."""
     try:
-        return GroupElement(x, a)
+        return GroupElement(x, a, guess)
     except ZeroDivisionError:
         return None
 
@@ -142,14 +174,15 @@ def s_defect(x: Matrix, a: Matrix, star) -> Matrix:
     return star(x) - x - star(x) @ a @ x
 
 
-def membership(x: Matrix, a: Matrix, kind: str, star=None) -> bool:
+def membership(x: Matrix, a: Matrix, kind: str, star=None, guess: Matrix | None = None) -> bool:
     """Membership in G_A, U_A or S_A.  U/S require a compatible parameter
-    (star(A) = A resp. star(A) = -A) and quasi-invertibility."""
+    (star(A) = A resp. star(A) = -A) and quasi-invertibility, which a
+    ``guess`` of the witnesses may certify (``is_quasi_invertible``)."""
     if kind == "G":
-        return is_quasi_invertible(x, a)
+        return is_quasi_invertible(x, a, guess)
     if star is None:
         raise ValueError("U/S membership needs a star antiautomorphism")
-    return is_quasi_invertible(x, a) & relation_holds(x, a, kind, star)
+    return is_quasi_invertible(x, a, guess) & relation_holds(x, a, kind, star)
 
 
 def relation_holds(x: Matrix, a: Matrix, kind: str, star) -> bool:
@@ -168,24 +201,33 @@ def relation_holds(x: Matrix, a: Matrix, kind: str, star) -> bool:
 def cayley_element(a: Matrix, star, rng: random.Random, symmetric: bool) -> Matrix:
     """A rational point of U_A (symmetric=False, star(A)=A) or S_A
     (symmetric=True, star(A)=-A) for invertible A (``_cayley``)."""
-    return _cayley(a.inverse(), star, rng, symmetric)
+    x, _ = _cayley(a.inverse(), star, rng, symmetric, 1)
+    return Matrix._make(x.a[0], x.den, x.bound, x.ring)
 
 
-def _cayley(b: Matrix, star, rng: random.Random, symmetric: bool) -> Matrix:
-    """The point X = A^{-1}(1 - u) of ``cayley_element``, from B = A^{-1}:
+def _cayley(b: Matrix, star, rng: random.Random, symmetric: bool, count: int) -> tuple:
+    """A stack of ``count`` points X = A^{-1}(1 - u) of ``cayley_element``,
+    from B = A^{-1}, and the stack of their witnesses (1 - XA)^{-1}.
+
     u = (1 + SB)(1 - SB)^{-1} with S star-skew (unitary case) or
     star-symmetric (symplectic case); then star(u) B u = B, which is
-    equivalent to the defining relation."""
+    equivalent to the defining relation.  As 1 - XA = B u A and
+    u^{-1} = A star(u) B, the witness is B u^{-1} A = star(u).  The S are
+    drawn as by a loop that redraws while 1 - SB is singular: all the
+    (1 - SB) of a stack of draws are inverted at once, and the singular ones
+    are replaced by the next draws."""
     n = b.rows
     ident = Matrix.identity(n, b.ring)
-    while True:
-        s = _star_half(rand_matrix(n, n, b.ring, rng), star, 1 if symmetric else -1)
-        try:
-            minv = (ident - s @ b).inverse()
-        except ZeroDivisionError:
-            continue
-        u = (ident + s @ b) @ minv
-        return b @ (ident - u)
+    parts, need = [], count
+    while need:
+        s = _star_half(Arr.from_matrices([rand_matrix(n, n, b.ring, rng) for _ in range(need)]),
+                       star, 1 if symmetric else -1)
+        minv, ok = inverses(ident - s @ b)
+        parts.append((s[ok], minv[ok]))
+        need -= int(ok.sum())
+    s, minv = (concat(part, 0) for part in zip(*parts))
+    u = (ident + s @ b) @ minv
+    return b @ (ident - u), star(u)
 
 
 def skew_is_singular(n: int, ring, delta: str) -> bool:
@@ -319,8 +361,13 @@ def unitary_suite(n: int, ring, delta: str, samples: int, seed: int) -> dict:
     """U_A and S_A: Cayley-built rational points, membership in both
     equivalent forms, closure under the group operations, and the tangent
     condition.  S_A is skipped where no skew parameter is invertible
-    (``skew_is_singular``).  A is inverted once per kind."""
+    (``skew_is_singular``).  A is inverted once per kind; the witnesses of
+    the points, of their products and of their inverses come from the group
+    law (``_cayley``, ``GroupElement``), each certified by one product.  Over
+    HQ, the deltas "id" and "phi" are automorphisms and are rejected."""
     _check_samples(samples)
+    if ring == HQ and delta in ("id", "phi"):
+        raise ValueError(f"delta {delta!r} is an automorphism of {HQ}: X -> {delta}(X)^t is no antiautomorphism")
     rng = random.Random(seed)
     star = star_from_delta(delta)
     results = []
@@ -329,17 +376,19 @@ def unitary_suite(n: int, ring, delta: str, samples: int, seed: int) -> dict:
         cases.append(("S", -1))
     for kind, sign in cases:
         a, b = _rand_star_invertible(n, ring, delta, rng, sign)
-        elems = Arr.from_matrices([_cayley(b, star, rng, sign < 0) for _ in range(samples)])
-        group = _element(elems, a)
+        elems, witness = _cayley(b, star, rng, sign < 0, samples)
+        group = _element(elems, a, witness)
         member = group is not None and bool(relation_holds(elems, a, kind, star).all())
         if kind == "U":
             both = concat([elems, Arr.from_matrices([rand_matrix(n, n, ring, rng) for _ in range(samples)])], 0)
             equiv = bool((u_defect(both, a, star).is_zero() == u_defect_variant(both, a, star).is_zero()).all())
         else:
             equiv = True
-        rotated = elems[np.roll(np.arange(samples), -1)]
-        closed = bool(membership(g_mul(elems, rotated, a), a, kind, star).all())
-        inverted = group is not None and bool(membership(group.inverse(), a, kind, star).all())
+        # the witnesses of X *_A Y and of j_A(X), as in ``GroupElement``
+        roll = np.roll(np.arange(samples), -1)
+        closed = bool(membership(g_mul(elems, elems[roll], a), a, kind, star, witness[roll] @ witness).all())
+        inverted = group is not None and bool(
+            membership(group.inverse(), a, kind, star, one_minus_xa(elems, a)).all())
         entry = {"kind": kind, "membership": member, "equivalent_forms": equiv,
                  "closure": closed, "inverses": inverted}
         entry["pass"] = all(v for k, v in entry.items() if k != "kind")

@@ -10,7 +10,8 @@ for the views ``m[i, j]`` and ``entries``.  Every elimination (``rref``,
 ``Subspace``, ``inverses`` of a matrix or of each matrix of a stack) is one
 fraction-free Gauss-Jordan on rows of Python ints (``_echelon``, after
 E. H. Bareiss, Math. Comp. 22 (1968)); only returned values become
-``Fraction``s.  A subspace keeps its RREF basis as one integer ``Arr`` with
+``Fraction``s, and ``inverses`` skips it wherever one product certifies a
+guessed inverse.  A subspace keeps its RREF basis as one integer ``Arr`` with
 its pivots, so equality of subspaces is a syntactic comparison, and every
 coordinate and membership query is one ``kernel.coordinates`` against that
 basis.
@@ -207,20 +208,49 @@ class Matrix(kernel.Arr):
         return m
 
 
-def inverses(x: kernel.Arr):
+def inverses(x: kernel.Arr, guess: kernel.Arr | None = None):
     """(inverse, invertible): the exact inverse of every square matrix of the
     stack x, zero where it is singular, and the boolean mask (of the leading
     shape; a numpy bool for one matrix) of the invertible ones.  A ``Matrix``
     gives a ``Matrix``.
+
+    A ``guess`` (of the shape of x) is a certificate: it is taken as the
+    inverse of each matrix X where X @ guess is the identity exactly, one
+    product over the stack, and only the other matrices are eliminated.  A
+    right inverse is two-sided here: every ring is a finite-dimensional
+    Q-algebra, and so is M_n of it, where Y -> X Y onto means one-to-one,
+    so X (W X) = X gives W X = 1.
+    """
+    *lead, n, cols, k = x.a.shape
+    if n != cols:
+        raise ValueError("only square matrices are invertible")
+    if guess is None:
+        return _eliminated(x)
+    if guess.a.shape != x.a.shape:
+        raise ValueError("a guess must have the shape of the stack it inverts")
+    ok = kernel.equal(x @ guess, Matrix.identity(n, x.ring))
+    if ok.all():
+        return type(x)._make(guess.a, guess.den, guess.bound, x.ring), ok
+    todo = np.flatnonzero(~ok)
+    inv, solved = _eliminated(kernel.Arr(x.a.reshape(-1, n, n, k)[todo], x.den, x.bound, x.ring))
+    d = lcm(guess.den, inv.den)
+    bound = max(guess.bound * (d // guess.den), inv.bound * (d // inv.den))
+    num = guess.over(d, bound).reshape(-1, n, n, k).copy()
+    num[todo] = inv.over(d, bound)
+    ok = ok.reshape(-1).copy()
+    ok[todo] = solved
+    return type(x)._make(num.reshape(x.a.shape), d, bound, x.ring), ok.reshape(lead)[()]
+
+
+def _eliminated(x: kernel.Arr):
+    """``inverses`` of x by elimination.
 
     X is invertible exactly when its left regular representation L(X)
     (nk x nk, the Q-linear map Y -> X Y on n x 1 columns, any ring) has rank
     nk, and Y = X^-1 has Y[i, j]_c = L(X)^-1[(i, c), (j, 0)], as component 0
     is the unit 1: one ``_echelon`` per matrix.
     """
-    *lead, n, cols, k = x.a.shape
-    if n != cols:
-        raise ValueError("only square matrices are invertible")
+    *lead, n, _, k = x.a.shape
     solved, ok = [], []
     for rep in kernel.int_rows(kernel.left_rep(x.a, x.ring).reshape(-1, n * k, n * k)):
         # [L(num) | den e_(j, 0) over j]: the right block solves to L(X)^-1 e_(j, 0)

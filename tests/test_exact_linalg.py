@@ -3,8 +3,10 @@
 ``Matrix.inverse`` and ``inverses`` over a stack) against the ``Fraction``
 and ``Scalar`` references in ``structure_reference``: zero and duplicate rows,
 mixed denominators, entries past 2^53, vectors one basis element off a span,
-and nonzero singular matrices, over Q, Q(i) and the quaternions."""
+and nonzero singular matrices, over Q, Q(i) and the quaternions; and the
+certificate of a guessed inverse, on wrong guesses and singular matrices."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +15,12 @@ from hypothesis import strategies as st
 from structure_reference import (matrix_of, reference_basis, reference_coordinates,
                                  reference_inverse, reference_rref)
 
+from homotopes import matrices
+from homotopes.families import rand_matrix
 from homotopes.homotope import ProductSpace
-from homotopes.kernel import Arr
+from homotopes.kernel import Arr, equal
 from homotopes.matrices import Matrix, Subspace, inverses, rref
-from homotopes.scalars import HQ, Q, QI, Scalar, ring_components
+from homotopes.scalars import HQ, Q, QI, Scalar, ring_components, series_ring
 
 HUGE = [2**53 + 1, -(2**61 - 1), 3 * 2**70]
 
@@ -155,3 +159,33 @@ def test_stacked_inverses_match_reference(first, data):
             assert not ok[t] and inv[t].is_zero()
             continue
         assert ok[t] and matrix_of(inv[t]) == expect
+
+
+@pytest.mark.parametrize("ring", [Q, QI, HQ, series_ring(QI)], ids=str)
+def test_guessed_inverses_are_certified_per_matrix(ring, monkeypatch):
+    """Known false: a guess wrong in one entry of one matrix of the stack is
+    rejected for that matrix only (one elimination), and a singular matrix
+    (its rows equal) stays singular whatever the guess; the result equals the
+    guess-free ``inverses`` by value, mask included; one matrix gives a
+    ``Matrix``, and a guess of another shape is refused."""
+    rng = random.Random(3)
+    x0, x1, r = (rand_matrix(2, 2, ring, rng) for _ in range(3))
+    singular = Matrix._make(r.a[[0, 0]], r.den, r.bound, ring)
+    x = Arr.from_matrices([x0, x1, singular])
+    expect, expect_ok = inverses(x)
+    assert expect_ok.tolist() == [True, True, False]
+    eliminated = []
+    echelon = matrices._echelon
+    monkeypatch.setattr(matrices, "_echelon", lambda *args: eliminated.append(1) or echelon(*args))
+    wrong = expect[0] + Matrix.elementary(2, 2, 1, 0, ring)
+    for guess, eliminations in [([wrong, expect[1], expect[1]], 2),
+                                ([expect[0], expect[1], Matrix.identity(2, ring)], 1),
+                                ([expect[0], expect[1], expect[0]], 1)]:
+        eliminated.clear()
+        inv, ok = inverses(x, Arr.from_matrices(guess))
+        assert len(eliminated) == eliminations
+        assert ok.tolist() == expect_ok.tolist() and equal(inv, expect).all()
+    inv, ok = inverses(x0, wrong)
+    assert type(inv) is Matrix and ok and inv == x0.inverse()
+    with pytest.raises(ValueError, match="shape"):
+        inverses(x, expect[0])

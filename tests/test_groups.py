@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from homotopes import groups
+from homotopes import groups, matrices
 from homotopes.families import aherm_space, rand_matrix, sample_in_subspace
 from homotopes.groups import (GroupElement, cayley_element, g_identity, g_inv,
                               g_mul, group_axiom_suite, hom_check,
                               is_quasi_invertible, membership, quasi_inverse_witness,
-                              rand_skew_invertible, rand_symmetric_invertible, star_from_delta,
-                              tangent_check, tangent_suite, u_defect,
+                              rand_skew_invertible, rand_symmetric_invertible, series_lift,
+                              star_from_delta, tangent_check, tangent_suite, u_defect,
                               u_linearization_check, unitary_suite)
 from homotopes.matrices import Matrix
-from homotopes.scalars import HQ, Q, QI
+from homotopes.kernel import equal
+from homotopes.scalars import HQ, Q, QI, series_ring
 
 
 class TestGroupLaw:
@@ -53,6 +54,48 @@ class TestGroupLaw:
             a = rand_matrix(2, 2, QI, self.rng)
             x, y = (rand_matrix(2, 2, QI, self.rng) for _ in range(2))
             assert hom_check(x, y, a)
+
+
+class TestWitnesses:
+    """The witnesses (1 - XA)^{-1} that the group law gives are right, so
+    their certificates accept them and no elimination runs; each equals the
+    eliminated witness.  Over HQ, where the order W_Y W_X matters."""
+
+    def setup_method(self):
+        self.rng = random.Random(19)
+
+    def _count(self, monkeypatch) -> list:
+        calls = []
+        echelon = matrices._echelon
+        monkeypatch.setattr(matrices, "_echelon", lambda *args: calls.append(1) or echelon(*args))
+        return calls
+
+    def test_products_and_inverses(self, monkeypatch):
+        a = rand_matrix(2, 2, HQ, self.rng)
+        g, h = (GroupElement(rand_matrix(2, 2, HQ, self.rng), a) for _ in range(2))
+        calls = self._count(monkeypatch)
+        gh, g_inv_ = g * h, g.inv()
+        assert not calls
+        for elem in (gh, g_inv_):
+            assert elem.witness == quasi_inverse_witness(elem.x, a)
+        assert (g * g_inv_).x == g_identity(2, 2, HQ)
+
+    def test_cayley_points(self, monkeypatch):
+        star = star_from_delta("qsplit")
+        a = rand_symmetric_invertible(2, HQ, "qsplit", self.rng)
+        x, witness = groups._cayley(a.inverse(), star, self.rng, False, 3)
+        calls = self._count(monkeypatch)
+        assert equal(GroupElement(x, a, witness).witness, witness).all() and not calls
+        assert equal(witness, quasi_inverse_witness(x, a)).all()
+
+    def test_tangent_lifts(self, monkeypatch):
+        sring = series_ring(QI)
+        a, x = rand_matrix(2, 2, QI, self.rng), rand_matrix(2, 2, QI, self.rng)
+        tx, aa = series_lift(x, sring, "t"), series_lift(a, sring)
+        calls = self._count(monkeypatch)
+        inv = g_inv(tx, aa)
+        assert not calls
+        assert inv == -(quasi_inverse_witness(tx, aa) @ tx)
 
 
 class TestUnitary:

@@ -48,7 +48,7 @@ MUTANTS = [
     # a forced True also breaks the stacked suites, which index one boolean
     # per sample; the known-false tests of one matrix run first
     _forced_true("groups.membership -> True", "src/homotopes/groups.py",
-                 "def membership(x: Matrix, a: Matrix, kind: str, star=None) -> bool:",
+                 "def membership(x: Matrix, a: Matrix, kind: str, star=None, guess: Matrix | None = None) -> bool:",
                  first="tests/test_groups.py::TestKnownFalse::test_membership_rejects_a_nonzero_defect"),
     _forced_true("groups.hom_check -> True", "src/homotopes/groups.py",
                  "def hom_check(x: Matrix, y: Matrix, a: Matrix) -> bool:",
@@ -218,6 +218,14 @@ MUTANTS = [
            "    return np.all(x.over(d, bound) == y.over(d, bound), axis=(-3, -2, -1))",
            "    return np.ones(np.broadcast_shapes(x.a.shape[:-3], y.a.shape[:-3]), dtype=bool)",
            "tests/test_group_reference.py tests/test_matmul_reference.py"),
+    # guessed inverses behind a one-product certificate, and the group-law guesses
+    Mutant("guess accepted without its product check", "src/homotopes/matrices.py",
+           "    ok = kernel.equal(x @ guess, Matrix.identity(n, x.ring))\n",
+           "    ok = np.ones(x.a.shape[:-3], dtype=bool)[()]\n",
+           "tests/test_exact_linalg.py::test_guessed_inverses_are_certified_per_matrix"),
+    Mutant("product witness guessed as W_X W_Y", "src/homotopes/groups.py",
+           "self.a, other.witness @ self.witness)", "self.a, self.witness @ other.witness)",
+           "tests/test_groups.py::TestWitnesses"),
     # guards
     Mutant("check_sizes accepts 0", "src/homotopes/families.py",
            "any(s < 1 for s in sizes)", "any(s < 0 for s in sizes)"),
