@@ -39,31 +39,28 @@ def matrix_space(p: int, q: int, ring) -> Subspace:
     return Subspace.full((p, q, ring))
 
 
-@lru_cache(maxsize=None)
 def sym_space(n: int, ring) -> Subspace:
-    return _fixed_space(n, ring, "id", 1)
+    return _star_pieces(n, ring, "id").piece((1,))
 
 
-@lru_cache(maxsize=None)
 def asym_space(n: int, ring) -> Subspace:
-    return _fixed_space(n, ring, "id", -1)
+    return _star_pieces(n, ring, "id").piece((-1,))
 
 
-@lru_cache(maxsize=None)
 def herm_space(n: int, ring, delta: str) -> Subspace:
     """Fixed space of X -> delta(X)^t."""
-    return _fixed_space(n, ring, delta, 1)
+    return _star_pieces(n, ring, delta).piece((1,))
+
+
+def aherm_space(n: int, ring, delta: str) -> Subspace:
+    return _star_pieces(n, ring, delta).piece((-1,))
 
 
 @lru_cache(maxsize=None)
-def aherm_space(n: int, ring, delta: str) -> Subspace:
-    return _fixed_space(n, ring, delta, -1)
-
-
-def _fixed_space(n: int, ring, delta: str, sign: int) -> Subspace:
-    """The sign-eigenspace of X -> delta(X)^t, from its declared action."""
-    tau = MatrixInvolution("anti", delta, n, ring, validate=False)
-    return joint_eigenspaces([tau]).piece((sign,))
+def _star_pieces(n: int, ring, delta: str) -> JointDecomposition:
+    """The (+1)- and (-1)-eigenspaces of X -> delta(X)^t on M(n, n; ring),
+    from its declared action: one decomposition serves both signs."""
+    return joint_eigenspaces([MatrixInvolution("anti", delta, n, ring, validate=False)])
 
 
 # -- seeded exact samplers -------------------------------------------------
@@ -657,7 +654,7 @@ def verify_table(c: ConstructionDescriptor, samples: int, seed: int) -> TableArt
                     cell["verified"] = False
                     cell["failures"].append({"style": style, "pair": rec.failures})
                 if cell["dims"] is None:
-                    cell["dims"] = {"g": rec.g.dim, "h": rec.h.dim, "m": rec.m.dim,
+                    cell["dims"] = {"g": rec.g_dim, "h": rec.h.dim, "m": rec.m.dim,
                                     "group_type": rec.group_type}
             if c.name == "proj":
                 _check_proj_middle(c, a, t, cells, style)
@@ -668,10 +665,12 @@ def verify_table(c: ConstructionDescriptor, samples: int, seed: int) -> TableArt
 @lru_cache(maxsize=None)
 def _proj_blocks(p: int, q: int) -> tuple:
     """The spans of the top-right (p x q) and bottom-left (q x p) off-diagonal
-    blocks of M(p + q; Q): built once per size pair, like the model spaces."""
+    blocks of M(p + q; Q), and its zero subspace: built once per size pair,
+    like the model spaces."""
     n = p + q
     return (Subspace.span([Matrix.elementary(n, n, i, p + j, Q) for i in range(p) for j in range(q)]),
-            Subspace.span([Matrix.elementary(n, n, p + i, j, Q) for i in range(q) for j in range(p)]))
+            Subspace.span([Matrix.elementary(n, n, p + i, j, Q) for i in range(q) for j in range(p)]),
+            Subspace.zero((n, n, Q)))
 
 
 def _check_proj_middle(c: ConstructionDescriptor, a: Matrix, t, cells, style):
@@ -681,10 +680,9 @@ def _check_proj_middle(c: ConstructionDescriptor, a: Matrix, t, cells, style):
     middle = ((-1, 1), (1, -1))
     if t not in middle:
         return
-    tr_space, bl_space = _proj_blocks(*c.sizes)
-    n = sum(c.sizes)
+    tr_space, bl_space, zero = _proj_blocks(*c.sizes)
     ok = (bracket_closure(tr_space, tr_space, tr_space, a) and bracket_closure(bl_space, bl_space, bl_space, a)
-          and bracket_closure(tr_space, bl_space, Subspace.zero((n, n, Q)), a))
+          and bracket_closure(tr_space, bl_space, zero, a))
     for s in middle:
         cell = cells[(s, t)]
         if s == t:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import Arr
-from .matrices import Matrix, Subspace, integer_basis, stack_of, vector_coordinates
+from .matrices import Matrix, Subspace
 
 
 # -- basic products --------------------------------------------------------
@@ -149,10 +149,10 @@ class PairTriple:
         then minus), by grade.  v+ = t_tensor(B+, alpha_-(B-)) is the block
         [P, M, P], in V+, and v- = t_tensor(B-, alpha_+(B+)) the block
         [M, P, M], in V-; each takes one ``coordinates`` against its grade's
-        diagonal block of the basis.  Both are brought to one denominator and
-        bound (those of the whole flattened tensor) and scattered into zeros,
-        with their negatives at [M, P, P] and [P, M, M].  When a grade is
-        empty the bracket is zero: both blocks are empty, and only fix the
+        own basis.  Both are brought to one denominator and bound (those of
+        the whole flattened tensor) and scattered into zeros, with their
+        negatives at [M, P, P] and [P, M, M].  When a grade is empty the
+        bracket is zero: both blocks are empty, and only fix the
         denominator."""
         (bp, rows_p, piv_p), (bm, rows_m, piv_m) = space.grades()
         wp, wm = (bp, bm) if self.alphas is None else (f(b) for f, b in zip(self.alphas, (bp, bm)))
@@ -209,23 +209,17 @@ class ProductSpace:
     """V+ x V- with elements stored as (plus, minus) matrix pairs.
 
     Flattened coordinates are the concatenation of the two flattenings.  The
-    basis (``basis_int``) is the plus basis padded by zeros on the right,
-    then the minus basis padded on the left, with the pivots of both: RREF
-    rows of the product, so coordinate extraction works exactly as for
-    Subspace.  It is block diagonal, and ``grades`` gives its two diagonal
-    blocks, over its one denominator.
+    basis is the plus basis pairs (b, 0), then the minus basis pairs (0, b).
+    It is block diagonal, so each grade keeps its own RREF basis
+    (``grades``), and the coordinates of a pair are those of its two grades
+    joined.
     """
 
-    __slots__ = ("plus", "minus", "pivots", "_int")
+    __slots__ = ("plus", "minus")
 
     def __init__(self, plus: Subspace, minus: Subspace):
         self.plus = plus
         self.minus = minus
-        n1, n2 = plus.ambient_dim, minus.ambient_dim
-        self.pivots = plus.pivots + tuple(n1 + p for p in minus.pivots)
-        rows = ([r + [0] * n2 for r in kernel.int_rows(plus.basis_int().a)]
-                + [[0] * n1 + r for r in kernel.int_rows(minus.basis_int().a)])
-        self._int = integer_basis(rows, self.pivots, n1 + n2, plus.ambient[2])
 
     @property
     def dim(self) -> int:
@@ -240,25 +234,20 @@ class ProductSpace:
         zm = Matrix.zeros(*self.minus.ambient[:2], self.minus.ambient[2])
         return [(b, zm) for b in self.plus.basis_matrices()] + [(zp, b) for b in self.minus.basis_matrices()]
 
-    def basis_int(self) -> Arr:
-        """The basis as integer rows (dim, N) over one denominator."""
-        return self._int
-
     def grades(self) -> tuple:
         """(stack, rows, pivots) of the plus and of the minus grade: the
-        rows of ``basis_int`` on the grade's own columns, over its one
-        denominator, their pivots there, and the rows stacked as matrices of
-        the grade's ambient (dim, rows, cols, comps)."""
-        s, n1 = self.plus.dim, self.plus.ambient_dim
-        return tuple((stack_of(rows, sub.ambient), rows, sub.pivots)
-                     for sub, rows in ((self.plus, self._int[:s, :n1]), (self.minus, self._int[s:, n1:])))
+        grade's basis stacked as matrices of its ambient (dim, rows, cols,
+        comps), its integer rows (dim, N) over its denominator, and their
+        pivots."""
+        return tuple((sub.basis_arr(), sub.basis_int(), sub.pivots) for sub in (self.plus, self.minus))
 
     def flatten_pair(self, u):
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
 
     def coordinates_pair(self, u):
-        flat = kernel.concat([kernel.flatten_last(u[0]), kernel.flatten_last(u[1])], -1)
-        return vector_coordinates(self.basis_int(), self.pivots, flat)
+        """Coordinates of the pair u, or None if it is outside the space."""
+        plus, minus = self.plus.coordinates(u[0]), self.minus.coordinates(u[1])
+        return None if plus is None or minus is None else plus + minus
 
     def contains(self, u) -> bool:
         return self.coordinates_pair(u) is not None
@@ -656,7 +645,7 @@ def check_closure(space, product) -> bool:
 
 @dataclass
 class SymmetricPairRec:
-    g: Subspace
+    g_dim: int               # dim g = h.dim + m.dim, or h.dim for the group type (h = m)
     h: Subspace
     m: Subspace
     a: Matrix
@@ -681,11 +670,15 @@ def _inside(brackets: Arr, target: Subspace) -> bool:
 def symmetric_pair(dec, s, t, a: Matrix) -> SymmetricPairRec:
     """Assemble and verify the symmetric pair attached to space piece s and
     parameter piece t of a joint decomposition: h is the piece with signs -t,
-    m the piece with signs s, and g = h + m.
+    m the piece with signs s, and g = h + m.  The pieces must be a direct sum
+    (``JointDecomposition.check_direct_sum``, decided once per decomposition;
+    ``ValueError`` otherwise), so for s != -t the sum g is direct and the
+    record carries g's dimension h.dim + m.dim.
 
-    When s = -t the two coincide and the record is flagged group type.  This
-    is ``symmetric_pairs`` for the one piece s, with the same bracket
-    products as the three closures [h, h], [h, m] and [m, m] taken apart.
+    When s = -t the two coincide, g = h, and the record is flagged group
+    type.  This is ``symmetric_pairs`` for the one piece s, with the same
+    bracket products as the three closures [h, h], [h, m] and [m, m] taken
+    apart.
     """
     return symmetric_pairs(dec, t, a, [s])[tuple(s)]
 
@@ -705,6 +698,8 @@ def symmetric_pairs(dec, t, a: Matrix, spaces) -> dict:
     """
     t = tuple(t)
     minus_t = tuple(-x for x in t)
+    if not dec.check_direct_sum():
+        raise ValueError("the pieces of the decomposition are not a direct sum")
     if not dec.piece(t).contains(a):
         raise ValueError("parameter is not in its declared joint eigenspace")
     h = dec.piece(minus_t)
@@ -723,15 +718,12 @@ def symmetric_pairs(dec, t, a: Matrix, spaces) -> dict:
     recs = {}
     for s in spaces:
         m = dec.piece(s)
-        g = dec.piece_sum(minus_t, s)
         group_type = s == minus_t
-        failures = []
-        if not group_type and g.dim != h.dim + m.dim:
-            failures.append("g is not a direct sum of h and m")
         closed = (inside[minus_t], inside[s], inside[minus_t] if group_type else bracket_closure(m, m, h, a))
-        failures += [name for name, ok in zip(("[h,h] in h", "[h,m] in m", "[m,m] in h"), closed) if not ok]
+        failures = [name for name, ok in zip(("[h,h] in h", "[h,m] in m", "[m,m] in h"), closed) if not ok]
         sigma_signs = tuple(1 if si == ti else -1 for si, ti in zip(s, t))
-        recs[s] = SymmetricPairRec(g, h, m, a, sigma_signs, group_type, not failures, failures)
+        g_dim = h.dim if group_type else h.dim + m.dim
+        recs[s] = SymmetricPairRec(g_dim, h, m, a, sigma_signs, group_type, not failures, failures)
     return recs
 
 

@@ -118,24 +118,17 @@ def commute(tau: MatrixInvolution, sigma: MatrixInvolution) -> bool:
 class JointDecomposition:
     """Joint eigenspace decomposition of k pairwise commuting involutions."""
 
-    __slots__ = ("involutions", "pieces", "ambient", "_sums")
+    __slots__ = ("involutions", "pieces", "ambient", "_direct")
 
     def __init__(self, involutions, pieces):
         self.involutions = tuple(involutions)
         self.pieces = dict(pieces)
         inv0 = self.involutions[0]
         self.ambient = (inv0.n, inv0.n, inv0.ring)
-        self._sums = {}
+        self._direct = None
 
     def piece(self, signs) -> Subspace:
         return self.pieces[tuple(signs)]
-
-    def piece_sum(self, signs, other) -> Subspace:
-        """piece(signs) + piece(other), computed once per pair of pieces."""
-        key = (tuple(signs), tuple(other))
-        if key not in self._sums:
-            self._sums[key] = self.piece(signs).sum(self.piece(other))
-        return self._sums[key]
 
     def piece_of(self, a: Matrix):
         """The sign vector whose piece contains ``a``, or None."""
@@ -149,13 +142,14 @@ class JointDecomposition:
 
     def check_direct_sum(self) -> bool:
         """The algebra is the direct sum of the pieces: their dims add up to
-        its dim N, and all their bases together span a space of dim N."""
-        n, _, ring = self.ambient
-        total = n * n * ring_components(ring)
-        if sum(sub.dim for sub in self.pieces.values()) != total:
-            return False
-        rows = [r for sub in self.pieces.values() for r in kernel.int_rows(sub.basis_int().a)]
-        return Subspace(self.ambient, rows).dim == total
+        its dim N, and all their bases together span a space of dim N.
+        Decided once per decomposition: one elimination of all the bases."""
+        if self._direct is None:
+            n, _, ring = self.ambient
+            total = n * n * ring_components(ring)
+            rows = [r for sub in self.pieces.values() for r in kernel.int_rows(sub.basis_int().a)]
+            self._direct = len(rows) == total and Subspace(self.ambient, rows).dim == total
+        return self._direct
 
 
 def joint_eigenspaces(involutions) -> JointDecomposition:

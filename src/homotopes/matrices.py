@@ -357,38 +357,11 @@ def rref(vectors: Iterable[Sequence[Fraction]]):
     return _reduced(rows, pivots), pivots
 
 
-def integer_basis(rows, pivots, width: int, ring) -> kernel.Arr:
-    """The RREF basis of echelon rows of Python ints with positive pivots
-    (RREF row = row / row[pivot]; primitive rows, or the rows of integer
-    bases) as one integer ``Arr`` of shape (len(rows), width) over the lcm of
-    the pivot entries, the least common denominator of the RREF."""
-    den = lcm(*(r[p] for r, p in zip(rows, pivots)))
-    scale = [den // r[p] for r, p in zip(rows, pivots)]
-    bound = max((max(max(r), -min(r)) * f for r, f in zip(rows, scale)), default=1)
-    a = kernel.fit(np.array(rows, dtype=object).reshape(len(rows), width), bound)
-    return kernel.Arr(a * kernel.fit(np.array(scale, dtype=object), bound)[:, None], den, bound, ring)
-
-
-def stack_of(flat: kernel.Arr, ambient) -> kernel.Arr:
-    """The flat vectors ``flat`` (shape (n, N)) as a stack (n, rows, cols,
-    comps) of matrices of the ambient."""
-    rows, cols, ring = ambient
-    return kernel.Arr(flat.a.reshape(len(flat.a), rows, cols, ring_components(ring)), flat.den, flat.bound, ring)
-
-
-def vector_coordinates(basis: kernel.Arr, pivots, flat: kernel.Arr):
-    """Coordinates of the one flat vector ``flat`` (shape (N,)) in the RREF
-    basis with these pivots, or None if it is outside the span: one
-    ``kernel.coordinates``."""
-    coords, member = kernel.coordinates(flat, basis, pivots)
-    return tuple(Fraction(v, coords.den) for v in kernel.int_rows(coords.a)) if member else None
-
-
 class Subspace:
     """A Q-linear subspace of a matrix space, stored as its RREF basis: one
-    integer ``Arr`` of shape (dim, N) over the least common denominator
-    (``integer_basis``) and the pivot columns, unique and so deciding
-    equality.  Dimensions are always Q-dimensions."""
+    integer ``Arr`` of shape (dim, N) over the least common denominator and
+    the pivot columns, unique and so deciding equality.  Dimensions are
+    always Q-dimensions."""
 
     __slots__ = ("ambient", "pivots", "_int", "_basis", "_matrices")
 
@@ -398,7 +371,12 @@ class Subspace:
         width = rows * cols * ring_components(ring)
         echelon, pivots = _echelon(vectors, width)
         self.pivots = tuple(pivots)
-        self._int = integer_basis(echelon, pivots, width, ring)
+        # RREF row = row / row[pivot] (positive), over the lcm of the pivot entries
+        den = lcm(*(r[p] for r, p in zip(echelon, pivots)))
+        num = [[x * (den // r[p]) for x in r] for r, p in zip(echelon, pivots)]
+        bound = max((abs(x) for r in num for x in r), default=1)
+        a = kernel.fit(np.array(num, dtype=object).reshape(len(num), width), bound)
+        self._int = kernel.Arr(a, den, bound, ring)
         self._basis = self._matrices = None
 
     @staticmethod
@@ -452,13 +430,14 @@ class Subspace:
             raise ValueError("ambient mismatch")
         return self.coordinates_vector(m)
 
-    def coordinates_vector(self, vec, den: int = 1):
-        """Coordinates of the flat vector vec / den (``vec`` a sequence of
-        Fractions or ints), or of ``vec`` itself when it is a matrix of the
-        ambient; None outside the span (see ``coordinates``)."""
+    def coordinates_vector(self, vec):
+        """Coordinates of the flat vector ``vec`` (a sequence of Fractions or
+        ints), or of ``vec`` itself when it is a matrix of the ambient; None
+        outside the span (see ``coordinates``): one ``kernel.coordinates``."""
         if not isinstance(vec, Matrix):
-            vec = Matrix.unflatten(self.ambient, vec).scale(Fraction(1, den))
-        return vector_coordinates(self._int, self.pivots, kernel.flatten_last(vec))
+            vec = Matrix.unflatten(self.ambient, vec)
+        coords, member = kernel.coordinates(kernel.flatten_last(vec), self._int, self.pivots)
+        return tuple(Fraction(v, coords.den) for v in kernel.int_rows(coords.a)) if member else None
 
     def contains(self, m: Matrix) -> bool:
         return self.coordinates(m) is not None
@@ -482,7 +461,9 @@ class Subspace:
 
     def basis_arr(self) -> kernel.Arr:
         """The basis matrices stacked as an exact tensor (dim, rows, cols, comps)."""
-        return stack_of(self._int, self.ambient)
+        rows, cols, ring = self.ambient
+        b = self._int
+        return kernel.Arr(b.a.reshape(self.dim, rows, cols, ring_components(ring)), b.den, b.bound, ring)
 
     def from_coordinates(self, coords) -> Matrix:
         """The combination of the basis with these coordinates (Fractions or

@@ -193,8 +193,9 @@ def reference_bracket_closure(left, right, target, a):
 def reference_pair_failures(dec, s, t, a):
     """The failures of the symmetric pair h = V^(-t), m = V^s for the
     parameter a, in ``homotope.symmetric_pair``'s names and order: the direct
-    sum by a Fraction rank (except for the group type s = -t, where h = m),
-    then the three closures checked bracket by bracket."""
+    sum by a Fraction rank (except for the group type s = -t, where h = m;
+    it holds on every decomposition ``symmetric_pair`` accepts, which must be
+    a direct sum), then the three closures checked bracket by bracket."""
     minus_t = tuple(-x for x in t)
     h, m = dec.piece(minus_t), dec.piece(s)
     failures = []

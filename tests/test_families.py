@@ -1,20 +1,23 @@
 """Unit tests for the family catalog, the two-involution constructions and the
 verified 4x4 tables."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from structure_reference import reference_pair_failures, reference_rref
 
-from homotopes.families import (CONSTRUCTIONS, SIGNS, _check_proj_middle, family,
+from homotopes import matrices
+from homotopes.families import (CONSTRUCTIONS, SIGNS, ParamClass, _check_proj_middle, family,
                                 family_axiom_suite, family_labels,
                                 hermquat_check, herm_space, instantiate,
                                 quat_complex_embedding, quat_split_embedding,
-                                rand_matrix, rand_scalar, sample_in_subspace,
+                                rand_matrix, rand_scalar,
                                 sample_styles, size_letters, sym_space, verify_table)
-from homotopes.homotope import (AlphaMap, AlphaTriple, TripleSystem, check_lts,
-                                symmetric_pair)
+from homotopes.homotope import AlphaMap, AlphaTriple, TripleSystem, check_lts
+from homotopes.involutions import JointDecomposition
 from homotopes.matrices import Matrix
 from homotopes.scalars import HQ, Q, QI, quaternion, series_ring
 
@@ -189,17 +192,61 @@ class TestTables:
         assert art.verified
         assert len(art.cells) == 16
 
-    def test_symmetric_pair_sums_each_pair_of_pieces_once(self):
-        """g = h + m depends on the two pieces, not on the parameter: every
-        sample of a cell gets the same g, equal to the sum taken afresh."""
-        c = instantiate("proj", (1, 1))
-        rng = random.Random(3)
-        s, t = SIGNS[0], SIGNS[1]
-        piece_t = c.piece(t)
-        recs = [symmetric_pair(c.decomposition, s, t, sample_in_subspace(piece_t, rng))
-                for _ in range(2)]
-        assert recs[0].g is recs[1].g
-        assert recs[0].g == c.piece(tuple(-x for x in t)).sum(c.piece(s))
+    def test_table_eliminates_once_per_decomposition(self, monkeypatch):
+        """With its caches warm, a table eliminates once: the decomposition's
+        direct sum (all the piece bases together), not a sum h + m per cell.
+        Each cell's dim g is the Fraction rank of the bases of h and m."""
+        for name, sizes in (("proj", (2, 2)), ("siegel", (3,)), ("quat1", (3,)), ("quat2", (2,))):
+            verify_table(instantiate(name, sizes), 2, 42)  # the model spaces and proj blocks
+            c = instantiate(name, sizes)
+            calls = []
+            echelon = matrices._echelon
+            monkeypatch.setattr(matrices, "_echelon", lambda *args: calls.append(args) or echelon(*args))
+            art = verify_table(c, 2, 42)
+            monkeypatch.undo()
+            assert len(calls) == 1, name
+            for cell in art.cells:
+                h, m = c.piece(tuple(-x for x in cell["param"])), c.piece(tuple(cell["space"]))
+                assert cell["dims"]["g"] == len(reference_rref(h.basis + m.basis)[1])
+
+    def test_table_fails_on_swapped_pieces(self):
+        """proj(1, 2) with its pieces (1, 1) and (1, -1) swapped is still a
+        direct sum, but not the decomposition of its involutions: the table
+        does not verify, its pair failures are the reference's for the same
+        draws (t, then style), and its markdown marks the failing cells FAIL.
+        The direct-product splitting, which has no reference here, fails
+        only on the diagonal of the middle square."""
+        c = instantiate("proj", (1, 2))
+        pieces = dict(c.decomposition.pieces)
+        pieces[(1, 1)], pieces[(1, -1)] = pieces[(1, -1)], pieces[(1, 1)]
+        bad = dataclasses.replace(c, decomposition=JointDecomposition(c.decomposition.involutions, pieces))
+        samples, seed = 5, 3
+        art = verify_table(bad, samples, seed)
+        assert not art.verified
+        rng, want = random.Random(seed), {}
+        for t in SIGNS:
+            param = ParamClass("piece", bad.piece(t))
+            for style in sample_styles(samples):
+                a = param.sample(rng, style)
+                for s in SIGNS:
+                    failures = reference_pair_failures(bad.decomposition, s, t, a)
+                    if failures:
+                        want.setdefault((s, t), []).append({"style": style, "pair": failures})
+        splitting = ["direct-product splitting"]
+        marks = {}
+        for cell in art.cells:
+            key = (tuple(cell["space"]), tuple(cell["param"]))
+            pairs = [f for f in cell["failures"] if "pair" in f]
+            assert [f for f in pairs if f["pair"] != splitting] == want.get(key, [])
+            if any(f["pair"] == splitting for f in pairs):
+                assert key in (((-1, 1), (-1, 1)), ((1, -1), (1, -1)))
+            assert cell["verified"] == (not cell["failures"])
+            marks[key] = "ok" if cell["verified"] else "FAIL"
+        assert set(marks.values()) == {"ok", "FAIL"}
+        rows = [line.strip("| ").split(" | ") for line in art.to_markdown().splitlines() if line.startswith("| (")]
+        assert [r[0] for r in rows] == [str(s) for s in SIGNS]
+        assert [[text.rsplit(": ", 1)[1] for text in r[1:]] for r in rows] == [
+            [marks[(s, t)] for t in SIGNS] for s in SIGNS]
 
     def test_proj_middle_splitting_rejects_a_non_middle_parameter(self):
         """For A = 1 the two off-diagonal blocks of proj(1, 1) do not commute

@@ -24,7 +24,7 @@ from homotopes.families import (SIGNS, ParamClass, asym_space, family, family_la
 from homotopes.homotope import (AlphaMap, GenericTriple, PairTriple, ProductSpace, TripleSystem,
                                 _lt3_first_nonzero, bracket_closure, check_lts, standard_imbedding,
                                 symmetric_pair, symmetric_pairs, triple_param)
-from homotopes.involutions import JointDecomposition
+from homotopes.involutions import JointDecomposition, MatrixInvolution
 from homotopes.kernel import Arr, independent_row_indices
 from homotopes.matrices import Matrix, Subspace
 from homotopes.scalars import HQ, Q, QI, ring_components
@@ -365,6 +365,22 @@ def test_symmetric_pairs_reject_a_parameter_outside_its_piece():
     with pytest.raises(ValueError, match="declared joint eigenspace"):
         symmetric_pair(dec, (1, 1), (1, -1), a)
     assert symmetric_pairs(dec, (1, 1), a, SIGNS)[(1, 1)].verified
+
+
+def test_symmetric_pairs_reject_a_decomposition_that_is_not_direct():
+    """Sym(2) and span{1} overlap in 1 (dims 3 + 1 = 4), so they are not a
+    direct sum: both the per-parameter and the per-cell path refuse the
+    decomposition, for a parameter that lies in its piece."""
+    one = Matrix.identity(2, Q)
+    pieces = {(1,): sym_space(2, Q), (-1,): Subspace.span([one])}
+    dec = JointDecomposition([MatrixInvolution.transpose_inv(2, Q)], pieces)
+    assert not dec.check_direct_sum()
+    for t in pieces:
+        assert dec.piece(t).contains(one)
+        with pytest.raises(ValueError, match="not a direct sum"):
+            symmetric_pairs(dec, t, one, list(pieces))
+        with pytest.raises(ValueError, match="not a direct sum"):
+            symmetric_pair(dec, (1,), t, one)
 
 
 def _assert_lt3_alone_fails(width, scale, first, second, reference=True):

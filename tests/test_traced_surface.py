@@ -1,0 +1,67 @@
+"""The surface the benchmark's tracer wraps still exists and still runs.
+
+``perfbench/tracer.py`` wraps the package's functions and methods by name
+(``perfbench/layers.py``), and some of its counters read the arguments of the
+calls they wrap.  A renamed function, or an argument without the attribute a
+counter reads, breaks only the traced benchmark run, which no other test
+makes.  Both files are loaded read-only from the benchmark directory.
+"""
+
+import importlib.util
+import os
+import random
+import sys
+
+from homotopes import cli, families, homotope
+from homotopes.families import family, rand_matrix, rand_scalar
+from homotopes.kernel import Arr
+from homotopes.matrices import Matrix
+from homotopes.scalars import Q
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+# the layers a proj(1, 1) table runs through
+TABLE_LAYERS = ("cli.main", "families.instantiate", "involutions.construct", "involutions.joint_eigenspaces",
+                "homotope.check_lts", "homotope.structure", "kernel.coordinates", "kernel.bilinear_tensor",
+                "kernel.t_tensor", "matrices.coordinates")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_of_the_wrapped_surface(monkeypatch, tmp_path):
+    """Under ``Tracer(*package_layers())``: a proj(1, 1) table through the
+    CLI, one ``symmetric_pair``, one polarized ``check_lts``, a
+    ``Matrix @ Arr`` product and a ``rand_scalar`` product.  Every layer
+    resolves to a wrapped name, the table's layers record calls, and
+    uninstalling puts the originals back."""
+    tracer = _load("tracer")
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # layers.py imports it by name
+    layers, modules = _load("layers").package_layers()
+    originals = [getattr(layer.owner, layer.attr) for layer in layers]
+    rng = random.Random(4)
+    with tracer.Tracer(layers, modules) as traced:
+        for layer, original in zip(layers, originals):
+            assert getattr(layer.owner, layer.attr).__wrapped__ is original, layer.name
+        out = tmp_path / "table.json"
+        assert cli.main(["table", "--construction", "proj", "--p", "1", "--q", "1",
+                         "--samples", "2", "--seed", "3", "--out", str(out)]) == 0
+        # through the module attributes, which the tracer replaced
+        dec = families.instantiate("proj", (1, 1)).decomposition
+        assert homotope.symmetric_pair(dec, (1, 1), (1, 1), Matrix.zeros(2, 2, Q)).verified
+        desc = family("pol1-1.a")
+        system = desc.system((1, 1), desc.sample_params((1, 1), rng, "generic"))
+        assert homotope.check_lts(system).ok
+        m = rand_matrix(2, 2, Q, rng)
+        assert (Matrix.identity(2, Q) @ Arr.from_matrices([m, m])).a.shape == (2, 2, 2, 1)
+        assert rand_scalar(Q, rng) * rand_scalar(Q, rng) is not None
+        stats = traced.snapshot()
+    for name in TABLE_LAYERS + ("homotope.symmetric_pair", "matrices.matmul", "scalars.mul"):
+        assert stats[f"{name}.calls"] > 0, name
+    assert stats["matrices.matmul.scalar_mults"] > 0
+    for layer, original in zip(layers, originals):
+        assert getattr(layer.owner, layer.attr) is original, layer.name

@@ -1,9 +1,10 @@
 """Mutation probe: does the Tier-1 suite notice a broken verdict?
 
-Copies the repository (``src``, ``tests`` and ``pyproject.toml``) into a
-temporary directory, applies one mutant at a time (an exact text substitution
-that must match once), runs the Tier-1 tests with ``-x`` and the long
-criterion-1 sweep deselected, restores the file, and prints a kill table.
+Copies the repository (``src``, ``tests``, ``perfbench`` and
+``pyproject.toml``) into a temporary directory, applies one mutant at a time
+(an exact text substitution that must match once), runs the Tier-1 tests
+with ``-x`` and the long criterion-1 sweep deselected, restores the file,
+and prints a kill table.
 A mutant is killed when the suite fails, or when it runs past ``TIMEOUT_S``.
 A mutant may name the tests that should kill it (``first``): those run
 first, and only if they pass does the whole suite run; the table says which
@@ -59,11 +60,14 @@ MUTANTS = [
     _forced_true("JointDecomposition.check_direct_sum -> True", "src/homotopes/involutions.py",
                  "    def check_direct_sum(self) -> bool:"),
     Mutant("direct sum without the span rank", "src/homotopes/involutions.py",
-           "        return Subspace(self.ambient, rows).dim == total", "        return True"),
+           " and Subspace(self.ambient, rows).dim == total", ""),
     _forced_true("MatrixInvolution.commutes_with -> True", "src/homotopes/involutions.py",
                  '    def commutes_with(self, other: "MatrixInvolution") -> bool:'),
     _forced_true("validate_models returns []", "src/homotopes/families.py",
                  "    def validate_models(self):", "[]"),
+    Mutant("table pair failures not recorded", "src/homotopes/families.py",
+           '                    cell["failures"].append({"style": style, "pair": rec.failures})\n', "",
+           "tests/test_families.py::TestTables::test_table_fails_on_swapped_pieces"),
     Mutant("proj middle splitting forced ok", "src/homotopes/families.py",
            "    ok = (bracket_closure(", "    ok = True or (bracket_closure("),
     Mutant("CONJ_SIGNS (QI, conj) second sign flipped", "src/homotopes/kernel.py",
@@ -192,6 +196,9 @@ MUTANTS = [
            "tests/test_structure_reference.py tests/test_families.py"),
     Mutant("bracket tensor block offset shifted by one", "src/homotopes/homotope.py",
            "        lo = 0\n", "        lo = 1\n", "tests/test_structure_reference.py tests/test_families.py"),
+    Mutant("symmetric pairs without the direct-sum check", "src/homotopes/homotope.py",
+           "    if not dec.check_direct_sum():\n", "    if False:\n",
+           "tests/test_structure_reference.py::test_symmetric_pairs_reject_a_decomposition_that_is_not_direct"),
     Mutant("parameter membership check dropped", "src/homotopes/homotope.py",
            "    if not dec.piece(t).contains(a):\n"
            "        raise ValueError(\"parameter is not in its declared joint eigenspace\")\n", "",
@@ -236,7 +243,8 @@ MUTANTS = [
 
 
 def _copy_tree(dest: str):
-    for name in ("src", "tests"):
+    # tests/test_traced_surface.py loads the benchmark's tracer
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
