@@ -49,7 +49,7 @@ from .families import first_invertible, rand_matrix
 from .homotope import bracket_param
 from .kernel import Arr, concat, equal
 from .matrices import Matrix, inverses
-from .scalars import HQ, Q, QI, SERIES_DEGREE, is_series, ring_components, series_ring
+from .scalars import HQ, Q, QI, SERIES_DEGREE, is_series, ring_components, series_ring, series_slot
 
 
 # -- quasi-group operations -------------------------------------------------
@@ -264,19 +264,16 @@ def _star_half(m: Matrix, star, sign: int) -> Matrix:
 def series_lift(x: Matrix, sring, var: str | None = None) -> Matrix:
     """Lift a matrix (or a stack) over the base ring to the series ring,
     optionally multiplied by the variable t or s: its components fill the
-    slot of the monomial 1, t or s (``ring_components``)."""
-    k = x.a.shape[-1]
-    slot = {None: 0, "t": SERIES_DEGREE, "s": 1}[var]
+    slot of the monomial 1, t or s (``series_slot``)."""
+    exp = {None: (0, 0), "t": (1, 0), "s": (0, 1)}[var]
     num = np.zeros(x.a.shape[:-1] + (ring_components(sring),), x.a.dtype)
-    num[..., slot * k:(slot + 1) * k] = x.a
+    num[..., series_slot(x.ring, exp)] = x.a
     return type(x)._make(num, x.den, x.bound, sring)
 
 
 def series_coefficient(m: Matrix, exp: tuple, base) -> Matrix:
     """The coefficient of t^a s^b, (a, b) = exp: a slice of the components."""
-    k = ring_components(base)
-    slot = exp[0] * SERIES_DEGREE + exp[1]
-    return type(m)._make(m.a[..., slot * k:(slot + 1) * k], m.den, m.bound, base)
+    return type(m)._make(m.a[..., series_slot(base, exp)], m.den, m.bound, base)
 
 
 def tangent_check(x: Matrix, y: Matrix, a: Matrix):

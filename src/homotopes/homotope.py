@@ -49,7 +49,7 @@ def triple_alpha(x: Matrix, y: Matrix, z: Matrix, alpha) -> Matrix:
 class AlphaMap:
     """The Q-linear map alpha(X) = sign * L * twist(X)[^t] * R from the V+
     ambient into the V- ambient: ``twist`` is an entrywise base involution
-    or phi (a component sign pattern of ``kernel.CONJ_SIGNS``), followed by
+    or phi (a component sign pattern of ``scalars.CONJ_SIGNS``), followed by
     the transpose when ``transpose`` is set; a factor L or R given as None
     is the identity.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernel
 from .matrices import Matrix, Subspace
-from .scalars import BASE_INVOLUTIONS, Q, ring_components
+from .scalars import BASE_INVOLUTIONS, CONJ_SIGNS, Q, ring_components
 
 
 class MatrixInvolution:
@@ -36,7 +36,7 @@ class MatrixInvolution:
             raise ValueError("kind must be 'anti' or 'auto'")
         if delta not in BASE_INVOLUTIONS:
             raise ValueError(f"unknown base involution {delta!r}")
-        if (ring, delta) not in kernel.CONJ_SIGNS:
+        if (ring, delta) not in CONJ_SIGNS:
             raise ValueError(f"base involution {delta!r} is not defined over {ring}")
         self.kind = kind
         self.delta = delta

@@ -12,12 +12,12 @@ matrix, ``matrices.Matrix``, is the unstacked ``Arr`` in lowest terms, so
 sums, products, conjugations and transposes are written once, here, and
 broadcast over the leading axes.
 
-Every ring product, over Q, Q(i), the quaternions or a truncated series ring
-over one of them (``mult_tensor``), is one GEMM against the right regular
-representation of its right operand (``right_rep``), a signed gather of its
-components: there is no einsum.  Over Q (one component) that representation
-is the right operand itself, so the product is the plain GEMM of the two
-component planes, with nothing gathered.  A product entry sums at most
+Products and conjugations over every ring read its tables in ``scalars``
+(``mult_tensor``, ``conj_signs``).  A ring product is one GEMM against the
+right regular representation of its right operand (``right_rep``), a signed
+gather of its components: there is no einsum.  Over Q (one component) that
+representation is the right operand itself, so the product is the plain GEMM
+of the two component planes, with nothing gathered.  A product entry sums at most
 shared * k products of components, so each partial sum of the GEMM, in
 whatever order BLAS adds, is bounded by the same shared * k * |x| * |y| that
 bounds the result, and float32 and float64 stay exact below 2^24 and 2^53
@@ -70,7 +70,7 @@ from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .scalars import HQ, Q, QI, SERIES_DEGREE, is_series, ring_components
+from .scalars import conj_signs, mult_tensor
 
 FLOAT32_EXACT_CAP = 2**24
 FLOAT_EXACT_CAP = 2**53
@@ -78,39 +78,6 @@ FLOAT_EXACT_CAP = 2**53
 
 class PrecisionError(ArithmeticError):
     """A float ``Arr`` with a bound past the exact range of its dtype (a bug)."""
-
-
-@lru_cache(maxsize=None)
-def mult_tensor(ring) -> np.ndarray:
-    """The multiplication table t (e_a e_b = sum_c t[a, b, c] e_c) of the
-    Q-basis of ``ring``.  A series ring base[t, s]/(t^2, s^2) has the basis
-    t^i s^j e_a at index (2 i + j) k + a, the Kronecker product of the
-    truncated monomial tables with the base table: a product past the
-    truncation is zero."""
-    if is_series(ring):
-        mono = np.zeros((SERIES_DEGREE,) * 3)
-        for i, j in np.ndindex(SERIES_DEGREE, SERIES_DEGREE):
-            if i + j < SERIES_DEGREE:
-                mono[i, j, i + j] = 1
-        return np.kron(np.kron(mono, mono), mult_tensor(ring.base))
-    k = ring_components(ring)
-    t = np.zeros((k, k, k))
-    if ring == Q:
-        t[0, 0, 0] = 1
-    elif ring == QI:
-        t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = 1
-        t[1, 1, 0] = -1
-    else:
-        # quaternions: basis (1, i, j, k), ij = k, jk = i, ki = j
-        table = {
-            (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-            (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-            (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-            (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-        }
-        for (a, b), (c, s) in table.items():
-            t[a, b, c] = s
-    return t
 
 
 @lru_cache(maxsize=None)
@@ -132,20 +99,6 @@ def _gathers(ring) -> tuple:
     return gather(0).T, gather(1)
 
 
-# component sign patterns of the base involutions per ring
-CONJ_SIGNS = {
-    (Q, "id"): (1,),
-    (Q, "conj"): (1,),
-    (QI, "id"): (1, 1),
-    (QI, "conj"): (1, -1),
-    (HQ, "id"): (1, 1, 1, 1),
-    (HQ, "qconj"): (1, -1, -1, -1),
-    (HQ, "qsplit"): (1, 1, -1, 1),
-    # entrywise conjugation by j: qconj followed by qsplit, an automorphism
-    (HQ, "phi"): (1, -1, 1, -1),
-}
-
-
 def fit(a: np.ndarray, bound: int) -> np.ndarray:
     """``a`` (integer entries of magnitude at most ``bound``) in the dtype that
     holds every integer up to ``bound`` exactly: float32 below 2^24, float64
@@ -155,18 +108,6 @@ def fit(a: np.ndarray, bound: int) -> np.ndarray:
         return a if a.dtype == object else a.astype(np.int64).astype(object)
     dtype = np.float32 if bound < FLOAT32_EXACT_CAP else np.float64
     return a if a.dtype == dtype else a.astype(dtype)
-
-
-@lru_cache(maxsize=None)
-def conj_signs(ring, kind: str) -> np.ndarray:
-    """The component signs of the base involution or phi ``kind`` over
-    ``ring`` (``CONJ_SIGNS``), repeated over the monomials of a series ring."""
-    base = ring.base if is_series(ring) else ring
-    if (base, kind) not in CONJ_SIGNS:
-        raise ValueError(f"base involution {kind!r} is not defined over {base}")
-    signs = CONJ_SIGNS[(base, kind)]
-    # int8, so that a product with them keeps the dtype of the other factor
-    return np.array(signs * (ring_components(ring) // len(signs)), dtype=np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +354,7 @@ def matrix_mul(x: Arr, y: Arr) -> Arr:
 def sandwich(x: Arr, left: Arr | None, right: Arr | None, twist: str = "id",
              transpose: bool = False) -> Arr:
     """left * twist(X)[^t] * right for every matrix X of the stack ``x``:
-    ``twist`` is a component sign pattern of ``CONJ_SIGNS``, and a missing
+    ``twist`` is a component sign pattern of ``scalars.CONJ_SIGNS``, and a missing
     factor is the identity."""
     out = x.conjugate(twist)
     if transpose:

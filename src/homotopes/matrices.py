@@ -5,7 +5,7 @@ A ``Matrix`` is the unstacked ``kernel.Arr``: integer numerators of shape
 (rows, cols, k), k Q-coordinates per entry, over one positive denominator,
 in lowest terms, so equal matrices have equal arrays.  Its sums, scalings,
 conjugations, transposes and products are the ``Arr`` operations, series
-rings included (``kernel.mult_tensor``); ``Scalar`` entries are only built
+rings included (``scalars.mult_tensor``); ``Scalar`` entries are only built
 for the views ``m[i, j]`` and ``entries``.  Every elimination (``rref``,
 ``Subspace``, ``inverses`` of a matrix or of each matrix of a stack) is one
 fraction-free Gauss-Jordan on rows of Python ints (``_echelon``, after

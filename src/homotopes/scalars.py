@@ -1,5 +1,10 @@
-"""Exact scalar arithmetic for the base rings Q, Q(i), rational quaternions,
-and a truncated bivariate series extension of each.
+"""The base rings Q, Q(i), the rational quaternions and a truncated bivariate
+series ring over each, defined once: a ring is the multiplication table of its
+Q-basis (``mult_tensor``) and the component sign patterns of its involutions
+(``CONJ_SIGNS``, ``conj_signs``).  The same tables drive every ``Matrix`` and
+``kernel.Arr`` product and conjugation, and the products and conjugations of
+one ``Scalar``, the flat tuple of its ``ring_components`` Fractions (the
+layout of one matrix entry).
 
 All arithmetic is exact: every component is a ``fractions.Fraction`` and no
 floating point is ever produced.  Quaternions use the basis (1, i, j, k) with
@@ -11,8 +16,10 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+
+import numpy as np
 
 Q = "Q"
 QI = "QI"
@@ -39,81 +46,134 @@ class SeriesRing:
             raise ValueError(f"unsupported series base ring {self.base!r}")
 
 
-Ring = "str | SeriesRing"
-
-
 def is_series(ring) -> bool:
     return isinstance(ring, SeriesRing)
 
 
 def ring_components(ring) -> int:
     """Number of Q-coordinates of one scalar: 1, 2 or 4, times 4 for a series
-    ring, whose coordinate (2 i + j) k + a is component a of the coefficient
-    of t^i s^j."""
+    ring (``series_slot``)."""
     if is_series(ring):
         return SERIES_DEGREE**2 * _COMPONENTS[ring.base]
     return _COMPONENTS[ring]
 
 
-class Scalar:
-    """An exact element of one of the supported rings.
+def series_slot(base, exp: tuple) -> slice:
+    """The components of the coefficient of t^a s^b, (a, b) = exp, among those
+    of a scalar of the series ring over ``base``: index (2 a + b) k + c holds
+    component c of that coefficient, k = ``ring_components(base)``."""
+    k = _COMPONENTS[base]
+    p = exp[0] * SERIES_DEGREE + exp[1]
+    return slice(p * k, (p + 1) * k)
 
-    ``parts`` is a tuple of Fractions (length 1, 2 or 4) for the plain rings,
-    or a dict {(deg_t, deg_s): Scalar-over-base} for series rings; zero series
-    coefficients are never stored.
-    """
+
+@lru_cache(maxsize=None)
+def mult_tensor(ring) -> np.ndarray:
+    """The multiplication table t (e_a e_b = sum_c t[a, b, c] e_c) of the
+    Q-basis of ``ring``.  A series ring base[t, s]/(t^2, s^2) has the basis
+    t^i s^j e_a at its ``series_slot``, the Kronecker product of the
+    truncated monomial tables with the base table: a product past the
+    truncation is zero."""
+    if is_series(ring):
+        mono = np.zeros((SERIES_DEGREE,) * 3)
+        for i, j in np.ndindex(SERIES_DEGREE, SERIES_DEGREE):
+            if i + j < SERIES_DEGREE:
+                mono[i, j, i + j] = 1
+        return np.kron(np.kron(mono, mono), mult_tensor(ring.base))
+    k = ring_components(ring)
+    t = np.zeros((k, k, k))
+    if ring == Q:
+        t[0, 0, 0] = 1
+    elif ring == QI:
+        t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = 1
+        t[1, 1, 0] = -1
+    else:
+        # quaternions: basis (1, i, j, k), ij = k, jk = i, ki = j
+        table = {
+            (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
+            (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
+            (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
+            (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
+        }
+        for (a, b), (c, s) in table.items():
+            t[a, b, c] = s
+    return t
+
+
+@lru_cache(maxsize=None)
+def _terms(ring) -> tuple:
+    """The nonzero entries of ``mult_tensor(ring)`` as (a, b, c, t > 0): every
+    product of basis units is a signed unit or zero."""
+    t = mult_tensor(ring)
+    return tuple((int(a), int(b), int(c), bool(t[a, b, c] > 0)) for a, b, c in zip(*np.nonzero(t)))
+
+
+# component sign patterns of the base involutions per ring
+CONJ_SIGNS = {
+    (Q, "id"): (1,),
+    (Q, "conj"): (1,),
+    (QI, "id"): (1, 1),
+    (QI, "conj"): (1, -1),
+    (HQ, "id"): (1, 1, 1, 1),
+    (HQ, "qconj"): (1, -1, -1, -1),
+    (HQ, "qsplit"): (1, 1, -1, 1),
+    # entrywise conjugation by j: qconj followed by qsplit, an automorphism
+    (HQ, "phi"): (1, -1, 1, -1),
+}
+
+
+@lru_cache(maxsize=None)
+def conj_signs(ring, kind: str) -> np.ndarray:
+    """The component signs of the base involution or phi ``kind`` over
+    ``ring`` (``CONJ_SIGNS``), repeated over the monomials of a series ring."""
+    base = ring.base if is_series(ring) else ring
+    if (base, kind) not in CONJ_SIGNS:
+        raise ValueError(f"base involution {kind!r} is not defined over {base}")
+    signs = CONJ_SIGNS[(base, kind)]
+    # int8, so that a product with them keeps the dtype of the other factor
+    return np.array(signs * (ring_components(ring) // len(signs)), dtype=np.int8)
+
+
+class Scalar:
+    """An exact element of one of the supported rings: ``parts`` is the tuple
+    of its ``ring_components(ring)`` Fractions, a series scalar's
+    coefficient of t^a s^b at its ``series_slot``."""
 
     __slots__ = ("ring", "parts")
 
     def __init__(self, ring, parts):
-        self.ring = ring
-        if is_series(ring):
-            self.parts = {k: v for k, v in parts.items() if not v.is_zero()}
-        else:
-            parts = tuple(p if type(p) is Fraction else Fraction(p) for p in parts)
-            if len(parts) != _COMPONENTS[ring]:
-                raise ValueError(f"ring {ring} needs {_COMPONENTS[ring]} components")
-            self.parts = parts
+        parts = tuple(p if type(p) is Fraction else Fraction(p) for p in parts)
+        if len(parts) != ring_components(ring):
+            raise ValueError(f"ring {ring} needs {ring_components(ring)} components")
+        self.ring, self.parts = ring, parts
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ring) -> "Scalar":
-        if is_series(ring):
-            return Scalar(ring, {})
-        return Scalar(ring, (Fraction(0),) * _COMPONENTS[ring])
+        return Scalar.from_rational(ring, 0)
 
     @staticmethod
     def one(ring) -> "Scalar":
-        if is_series(ring):
-            return Scalar(ring, {(0, 0): Scalar.one(ring.base)})
-        return Scalar(ring, (Fraction(1),) + (Fraction(0),) * (_COMPONENTS[ring] - 1))
+        return Scalar.from_rational(ring, 1)
 
     @staticmethod
     def from_rational(ring, value) -> "Scalar":
-        value = Fraction(value)
-        if is_series(ring):
-            if value == 0:
-                return Scalar(ring, {})
-            return Scalar(ring, {(0, 0): Scalar.from_rational(ring.base, value)})
-        return Scalar(ring, (value,) + (Fraction(0),) * (_COMPONENTS[ring] - 1))
+        return Scalar(ring, (value,) + (0,) * (ring_components(ring) - 1))
 
     @staticmethod
     def variable(ring: SeriesRing, name: str) -> "Scalar":
         """The generator t or s of a series ring."""
         if not is_series(ring):
             raise ValueError("variables only exist in series rings")
-        exp = {"t": (1, 0), "s": (0, 1)}[name]
-        return Scalar(ring, {exp: Scalar.one(ring.base)})
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        if is_series(self.ring):
-            return not self.parts
-        return all(p == 0 for p in self.parts)
+        parts = [0] * ring_components(ring)
+        parts[series_slot(ring.base, {"t": (1, 0), "s": (0, 1)}[name]).start] = 1
+        return Scalar(ring, parts)
 
     # -- ring operations ---------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not any(self.parts)
 
     def _check(self, other: "Scalar"):
         if self.ring != other.ring:
@@ -121,123 +181,58 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        if is_series(self.ring):
-            out = dict(self.parts)
-            for k, v in other.parts.items():
-                out[k] = out[k] + v if k in out else v
-            return Scalar(self.ring, out)
-        return Scalar(self.ring, tuple(a + b for a, b in zip(self.parts, other.parts)))
+        return Scalar(self.ring, [a + b for a, b in zip(self.parts, other.parts)])
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        if is_series(self.ring):
-            return Scalar(self.ring, {k: -v for k, v in self.parts.items()})
-        return Scalar(self.ring, tuple(-p for p in self.parts))
+        return Scalar(self.ring, [-p for p in self.parts])
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        """The product by the table of the ring (``mult_tensor``)."""
         self._check(other)
-        ring = self.ring
-        if is_series(ring):
-            out: dict = {}
-            for (a1, a2), c1 in self.parts.items():
-                for (b1, b2), c2 in other.parts.items():
-                    e = (a1 + b1, a2 + b2)
-                    if max(e) >= SERIES_DEGREE:
-                        continue
-                    prod = c1 * c2
-                    out[e] = out[e] + prod if e in out else prod
-            return Scalar(ring, out)
-        if ring == Q:
-            return Scalar(ring, (self.parts[0] * other.parts[0],))
-        if ring == QI:
-            a, b = self.parts
-            c, d = other.parts
-            return Scalar(ring, (a * c - b * d, a * d + b * c))
-        a1, b1, c1, d1 = self.parts
-        a2, b2, c2, d2 = other.parts
-        return Scalar(
-            ring,
-            (
-                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            ),
-        )
+        x, y = self.parts, other.parts
+        out = [0] * len(x)
+        for a, b, c, positive in _terms(self.ring):
+            out[c] += x[a] * y[b] if positive else -(x[a] * y[b])
+        return Scalar(self.ring, out)
 
     def scale(self, r) -> "Scalar":
         """Multiply by a central rational number."""
         r = Fraction(r)
-        if is_series(self.ring):
-            return Scalar(self.ring, {k: v.scale(r) for k, v in self.parts.items()})
-        return Scalar(self.ring, tuple(r * p for p in self.parts))
+        return Scalar(self.ring, [r * p for p in self.parts])
 
     def inverse(self) -> "Scalar":
-        ring = self.ring
-        if is_series(ring):
+        """The inverse over Q, Q(i) or the quaternions: the standard conjugate
+        (component signs 1, -1, -1, -1) over the norm, the sum of the squared
+        components."""
+        if is_series(self.ring):
             raise ValueError("series scalars are inverted as 1 x 1 matrices (Matrix.inverse)")
         if self.is_zero():
             raise ZeroDivisionError("scalar is zero")
-        if ring == Q:
-            return Scalar(ring, (1 / self.parts[0],))
         n = sum(p * p for p in self.parts)
-        conj = self.conjugate("conj" if ring == QI else "qconj")
-        return Scalar(ring, tuple(p / n for p in conj.parts))
-
-    # -- involutions -------------------------------------------------------
+        return Scalar(self.ring, [p / n if c == 0 else -p / n for c, p in enumerate(self.parts)])
 
     def conjugate(self, kind: str) -> "Scalar":
-        """Apply a base involution: id, conj (Q(i)), qconj or qsplit (quaternions)."""
-        if kind not in BASE_INVOLUTIONS:
-            raise ValueError(f"unknown base involution {kind!r}")
-        ring = self.ring
-        if is_series(ring):
-            return Scalar(ring, {k: v.conjugate(kind) for k, v in self.parts.items()})
-        if kind == "id":
-            return self
-        if kind == "conj":
-            if ring == Q:
-                return self
-            if ring != QI:
-                raise ValueError("complex conjugation needs ring Q or QI")
-            a, b = self.parts
-            return Scalar(ring, (a, -b))
-        if ring != HQ:
-            raise ValueError(f"{kind} needs ring HQ")
-        a, b, c, d = self.parts
-        if kind == "qconj":
-            return Scalar(ring, (a, -b, -c, -d))
-        # qsplit: j * qconj(x) * j^{-1}; fixes 1, i, k and negates j
-        return Scalar(ring, (a, b, -c, d))
+        """Apply the base involution or phi ``kind`` (``conj_signs``)."""
+        return Scalar(self.ring, [p if s > 0 else -p for p, s in zip(self.parts, conj_signs(self.ring, kind))])
 
-    # -- flattening --------------------------------------------------------
+    # -- components --------------------------------------------------------
 
     def flatten(self) -> tuple:
         """Q-coordinates of this scalar (``ring_components`` Fractions)."""
-        if is_series(self.ring):
-            return sum((self.coefficient(divmod(p, SERIES_DEGREE)).parts
-                        for p in range(SERIES_DEGREE**2)), ())
         return self.parts
 
     @staticmethod
-    def unflatten(ring, comps: Iterable) -> "Scalar":
-        if is_series(ring):
-            comps, k = tuple(comps), _COMPONENTS[ring.base]
-            if len(comps) != ring_components(ring):
-                raise ValueError(f"ring {ring} needs {ring_components(ring)} components")
-            return Scalar(ring, {divmod(p, SERIES_DEGREE): Scalar(ring.base, comps[p * k:(p + 1) * k])
-                                 for p in range(SERIES_DEGREE**2)})
+    def unflatten(ring, comps) -> "Scalar":
         return Scalar(ring, comps)
-
-    # -- series access -----------------------------------------------------
 
     def coefficient(self, exp: tuple) -> "Scalar":
         """Coefficient of t^a s^b in a series scalar."""
         if not is_series(self.ring):
             raise ValueError("not a series scalar")
-        return self.parts.get(exp, Scalar.zero(self.ring.base))
+        return Scalar(self.ring.base, self.parts[series_slot(self.ring.base, exp)])
 
     # -- comparison / display ---------------------------------------------
 
@@ -247,12 +242,10 @@ class Scalar:
         return self.parts == other.parts
 
     def __hash__(self):
-        if is_series(self.ring):
-            return hash((self.ring, tuple(sorted((k, v) for k, v in self.parts.items()))))
         return hash((self.ring, self.parts))
 
     def __repr__(self):
-        return f"Scalar({self.ring}, {format_scalar(self)!r})" if not is_series(self.ring) else f"Scalar({self.ring}, {self.parts})"
+        return f"Scalar({self.ring}, {self.parts if is_series(self.ring) else format_scalar(self)!r})"
 
 
 def rational(value) -> Scalar:
@@ -274,6 +267,7 @@ def series_ring(base=Q) -> SeriesRing:
 # -- text format: "p/q", "p/q+r/si", "a+bi+cj+dk" --------------------------
 
 _TERM = _re.compile(r"([+-]?[^+-]*)")
+_UNITS = ("", "i", "j", "k")
 
 
 def format_scalar(s: Scalar) -> str:
@@ -285,9 +279,8 @@ def format_components(ring, comps) -> str:
     n / d of the (integer) pairs (n, d), d > 0."""
     if is_series(ring):
         raise ValueError("series scalars have no text format")
-    units = ("", "i", "j", "k")
     terms = []
-    for (n, d), unit in zip(comps, units):
+    for (n, d), unit in zip(comps, _UNITS):
         g = gcd(n, d)
         mag = str(abs(n) // g) if d == g else f"{abs(n) // g}/{d // g}"
         terms.append(f"{'-' if n < 0 else '+'}{mag}{unit}")
@@ -303,9 +296,7 @@ def parse_scalar(ring, text: str) -> Scalar:
     compact = _re.sub(r"\s*([+-])\s*", r"\1", text)
     if not compact:
         raise ValueError(f"bad scalar literal {text!r}")
-    ncomp = _COMPONENTS[ring]
-    comps = [Fraction(0)] * ncomp
-    unit_index = {"": 0, "i": 1, "j": 2, "k": 3}
+    comps = [Fraction(0)] * ring_components(ring)
     for term in _TERM.findall(compact):
         if not term:
             continue
@@ -316,8 +307,8 @@ def parse_scalar(ring, text: str) -> Scalar:
         sign, mag, unit = m.groups()
         if mag is None and not unit:
             raise ValueError(f"bad scalar literal {text!r}")
-        idx = unit_index[unit]
-        if idx >= ncomp:
+        idx = _UNITS.index(unit)
+        if idx >= len(comps):
             raise ValueError(f"unit {unit!r} not available in ring {ring}")
         try:
             val = Fraction(mag) if mag else Fraction(1)

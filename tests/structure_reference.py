@@ -2,10 +2,15 @@
 inverses, structure constants and the LTS axiom verdicts; and the group
 suites one sample at a time.
 
-``reference_rref``, ``reference_coordinates``, ``reference_inverse`` and the
-``reference_matrix_*`` operations do ``Fraction`` (and ``Scalar``) arithmetic
-one entry at a time, with no integer arrays and no ``kernel`` call; their
-results enter ``Matrix`` only through its ``Scalar`` constructor.  The structure reference makes one product
+``reference_scalar_product`` and ``reference_scalar_conjugate`` write the
+rings out by hand: the Q(i) and Hamilton products, the involutions, and the
+truncated series product as a convolution of monomials, with no
+``scalars.mult_tensor`` or ``CONJ_SIGNS``.  ``reference_rref``,
+``reference_coordinates``, ``reference_inverse`` and the
+``reference_matrix_*`` operations do ``Fraction`` arithmetic one entry at a
+time, their products and conjugations by those two, with no integer arrays
+and no ``kernel`` call; their results enter ``Matrix`` only through its
+``Scalar`` constructor.  The structure reference makes one product
 evaluation and one ``reference_coordinates`` per basis triple, and writes the
 axioms out over those coordinates, with no tensors and no dtype choices: the
 independent oracle the batched kernel is compared against.
@@ -25,7 +30,76 @@ from homotopes import groups
 from homotopes.families import rand_matrix
 from homotopes.homotope import ProductSpace, bracket_param, triple_param
 from homotopes.matrices import Matrix
-from homotopes.scalars import Q, Scalar
+from homotopes.scalars import HQ, Q, QI, SERIES_DEGREE, Scalar, is_series, ring_components
+
+
+def _base_product(ring, x, y):
+    """The product of two component tuples over Q, Q(i) or the quaternions
+    (ij = k, jk = i, ki = j)."""
+    if ring == Q:
+        return (x[0] * y[0],)
+    if ring == QI:
+        (a, b), (c, d) = x, y
+        return (a * c - b * d, a * d + b * c)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _coefficients(x):
+    """{(a, b): components of the coefficient of t^a s^b} of a series scalar,
+    whose index (2 a + b) k + c holds component c of that coefficient."""
+    k = ring_components(x.ring.base)
+    return {divmod(p, SERIES_DEGREE): x.parts[p * k:(p + 1) * k] for p in range(SERIES_DEGREE**2)}
+
+
+def _from_coefficients(ring, coeffs):
+    return Scalar(ring, [c for p in range(SERIES_DEGREE**2) for c in coeffs[divmod(p, SERIES_DEGREE)]])
+
+
+def reference_scalar_product(x, y):
+    """x y by the textbook formulas; over a series ring the convolution of the
+    coefficients, dropping every monomial of degree SERIES_DEGREE or more in
+    t or in s."""
+    ring = x.ring
+    if not is_series(ring):
+        return Scalar(ring, _base_product(ring, x.parts, y.parts))
+    cx, cy = _coefficients(x), _coefficients(y)
+    out = {e: (0,) * ring_components(ring.base) for e in cx}
+    for (a1, b1), u in cx.items():
+        for (a2, b2), v in cy.items():
+            e = (a1 + a2, b1 + b2)
+            if max(e) < SERIES_DEGREE:
+                out[e] = tuple(p + q for p, q in zip(out[e], _base_product(ring.base, u, v)))
+    return _from_coefficients(ring, out)
+
+
+def reference_scalar_conjugate(x, kind):
+    """The base involution or phi ``kind`` on x: conj negates i over Q(i)
+    (and fixes Q), qconj negates i, j and k, qsplit negates j, phi negates i
+    and k; over a series ring, on every coefficient."""
+    ring = x.ring
+    if is_series(ring):
+        return _from_coefficients(ring, {e: reference_scalar_conjugate(Scalar(ring.base, c), kind).parts
+                                         for e, c in _coefficients(x).items()})
+    if kind == "id" or (kind, ring) == ("conj", Q):
+        return x
+    if (kind, ring) == ("conj", QI):
+        a, b = x.parts
+        return Scalar(ring, (a, -b))
+    if ring != HQ or kind not in ("qconj", "qsplit", "phi"):
+        raise ValueError(f"{kind} is not an involution over {ring}")
+    a, b, c, d = x.parts
+    return Scalar(ring, {"qconj": (a, -b, -c, -d), "qsplit": (a, b, -c, d), "phi": (a, -b, c, -d)}[kind])
+
+
+def reference_scalar_inverse(x):
+    """The conjugate of x over its norm x conj(x), over Q, Q(i) or the
+    quaternions; ZeroDivisionError if x is zero."""
+    conj = reference_scalar_conjugate(x, {Q: "id", QI: "conj", HQ: "qconj"}[x.ring])
+    return conj.scale(1 / reference_scalar_product(x, conj).parts[0])
 
 
 def reference_rref(vectors):
@@ -77,8 +151,9 @@ def reference_basis(space):
 
 
 def reference_inverse(m):
-    """The inverse of a square ``Matrix`` by a ``Scalar`` Gauss-Jordan
-    elimination (over skew fields too); ZeroDivisionError if singular."""
+    """The inverse of a square ``Matrix`` by a Gauss-Jordan elimination over
+    the reference scalar operations (over skew fields too);
+    ZeroDivisionError if singular."""
     n = m.rows
     ident = Matrix.identity(n, m.ring)
     a = [list(m.entries[i * n:(i + 1) * n] + ident.entries[i * n:(i + 1) * n]) for i in range(n)]
@@ -87,12 +162,12 @@ def reference_inverse(m):
         if piv is None:
             raise ZeroDivisionError("matrix is not invertible")
         a[col], a[piv] = a[piv], a[col]
-        pinv = a[col][col].inverse()
-        a[col] = [pinv * x for x in a[col]]
+        pinv = reference_scalar_inverse(a[col][col])
+        a[col] = [reference_scalar_product(pinv, x) for x in a[col]]
         for r in range(n):
             if r != col and not a[r][col].is_zero():
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                a[r] = [x - reference_scalar_product(f, y) for x, y in zip(a[r], a[col])]
     return Matrix(n, n, m.ring, [a[i][n + j] for i in range(n) for j in range(n)])
 
 
@@ -107,14 +182,13 @@ def reference_matrix_difference(x, y):
 
 
 def reference_matrix_product(x, y):
-    """The textbook triple loop over ``Scalar`` ring operations (series
-    rings through ``Scalar``'s dict arithmetic)."""
+    """The textbook triple loop over ``reference_scalar_product``."""
     out = []
     for i in range(x.rows):
         for j in range(y.cols):
             acc = Scalar.zero(x.ring)
             for k in range(x.cols):
-                acc = acc + x[i, k] * y[k, j]
+                acc = acc + reference_scalar_product(x[i, k], y[k, j])
             out.append(acc)
     return Matrix(x.rows, y.cols, x.ring, out)
 
@@ -126,8 +200,10 @@ def reference_matrix_transpose(x):
 
 
 def reference_matrix_dagger(x, delta):
-    """delta(x)^t: ``Scalar.conjugate`` on each entry, then the transpose."""
-    return reference_matrix_transpose(Matrix(x.rows, x.cols, x.ring, [e.conjugate(delta) for e in x.entries]))
+    """delta(x)^t: ``reference_scalar_conjugate`` on each entry, then the
+    transpose."""
+    return reference_matrix_transpose(Matrix(x.rows, x.cols, x.ring,
+                                             [reference_scalar_conjugate(e, delta) for e in x.entries]))
 
 
 def reference_matrix_scale(x, r):
@@ -136,8 +212,8 @@ def reference_matrix_scale(x, r):
 
 
 def reference_matrix_scalar_mul(x, s):
-    """s x, one ``Scalar`` product per entry."""
-    return Matrix(x.rows, x.cols, x.ring, [s * e for e in x.entries])
+    """s x, one ``reference_scalar_product`` per entry."""
+    return Matrix(x.rows, x.cols, x.ring, [reference_scalar_product(s, e) for e in x.entries])
 
 
 reference_matrix_inverse = reference_inverse

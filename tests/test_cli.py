@@ -102,6 +102,14 @@ class TestEigenspaces:
         assert code == 0
         assert json.loads(text)["dims"] == [3, 1, 3, 1]
 
+    def test_sizes_above_four_warn(self, tmp_path, capsys):
+        """A size above 4 runs, with one warning line on stderr; 4 has none."""
+        code, text = run(tmp_path, "eigenspaces", "--construction", "proj", "--p", "5", "--q", "1")
+        assert code == 0 and json.loads(text)["dims"] == [16, 5, 5, 10]
+        assert capsys.readouterr().err == "warning: sizes above 4 get slow quickly\n"
+        assert run(tmp_path, "eigenspaces", "--construction", "proj", "--p", "4", "--q", "1")[0] == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestGroup:
     @pytest.mark.parametrize("check", ["axioms", "tangent", "membership"])
@@ -131,8 +139,9 @@ class TestNormalForm:
         ({"rows": 1, "cols": 1, "ring": "Q", "entries": [[" "]]}, "bad scalar literal ' '"),
         ({"rows": 1, "cols": 1, "ring": "Q", "entries": [["1 2"]]}, "bad scalar literal '1 2'"),
         ({"rows": 1, "cols": 1, "ring": "Q", "entries": [["1/2 3"]]}, "bad scalar literal '1/2 3'"),
+        ({"rows": 1, "cols": 2, "ring": "QI", "entries": [["1", "2j"]]}, "unit 'j' not available in ring QI"),
     ], ids=["zero-denominator", "top-level-array", "unknown-ring", "empty-literal", "blank-literal",
-            "space-between-digits", "space-after-fraction"])
+            "space-between-digits", "space-after-fraction", "quaternion-unit-over-qi"])
     def test_bad_input_exit_two(self, tmp_path, capsys, data, reason):
         inp = tmp_path / "m.json"
         inp.write_text(json.dumps(data))

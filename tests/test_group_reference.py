@@ -12,8 +12,7 @@ from structure_reference import (reference_group_axiom_suite, reference_tangent_
                                  reference_unitary_suite)
 
 from homotopes import groups
-from homotopes.kernel import CONJ_SIGNS
-from homotopes.scalars import HQ, Q, QI
+from homotopes.scalars import CONJ_SIGNS, HQ, Q, QI
 
 SEEDS = range(5)
 

@@ -152,3 +152,9 @@ def test_from_json_rejects_bad_input_with_value_error(data):
     except ValueError:
         return
     assert Matrix.from_json(m.to_json()) == m
+
+
+@pytest.mark.parametrize("entries", [[], "1", [[1]], [["1"], "2"]], ids=["empty", "string", "number", "ragged-string"])
+def test_from_json_rejects_entries_that_are_not_rows_of_strings(entries):
+    with pytest.raises(ValueError, match="non-empty list of rows of strings"):
+        Matrix.from_json({"rows": 1, "cols": 1, "ring": "Q", "entries": entries})

@@ -70,8 +70,15 @@ MUTANTS = [
            "tests/test_families.py::TestTables::test_table_fails_on_swapped_pieces"),
     Mutant("proj middle splitting forced ok", "src/homotopes/families.py",
            "    ok = (bracket_closure(", "    ok = True or (bracket_closure("),
-    Mutant("CONJ_SIGNS (QI, conj) second sign flipped", "src/homotopes/kernel.py",
+    Mutant("CONJ_SIGNS (QI, conj) second sign flipped", "src/homotopes/scalars.py",
            '(QI, "conj"): (1, -1),', '(QI, "conj"): (1, 1),'),
+    # the ring tables: the differential product tests must see them
+    Mutant("mult_tensor HQ ij sign flipped", "src/homotopes/scalars.py",
+           "(1, 2): (3, 1),", "(1, 2): (3, -1),", "tests/test_matmul_reference.py"),
+    Mutant("mult_tensor QI i^2 sign flipped", "src/homotopes/scalars.py",
+           "t[1, 1, 0] = -1", "t[1, 1, 0] = 1", "tests/test_matmul_reference.py"),
+    Mutant("series truncation < as <=", "src/homotopes/scalars.py",
+           "if i + j < SERIES_DEGREE:", "if i + j <= SERIES_DEGREE:", "tests/test_scalars.py"),
     Mutant("Matrix canonicalisation dropped", "src/homotopes/matrices.py",
            "g = gcd(den, *vals)", "g = 1"),
     Mutant("fit ignores its bound", "src/homotopes/kernel.py",
