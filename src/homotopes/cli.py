@@ -95,16 +95,17 @@ def cmd_eigenspaces(args) -> int:
     return 0 if report["direct_sum"] and report["models_verified"] else 1
 
 
+# --check of the group subcommand: its suite over Q at size n
+GROUP_CHECKS = {
+    "axioms": lambda n, samples, seed: groups.group_axiom_suite(n, n, Q, samples, seed),
+    "tangent": lambda n, samples, seed: groups.tangent_suite(n, n, Q, samples, seed),
+    "membership": lambda n, samples, seed: groups.unitary_suite(n, Q, "id", samples, seed),
+}
+
+
 def cmd_group(args) -> int:
     n = args.n if args.n is not None else 2
-    if args.check == "axioms":
-        report = groups.group_axiom_suite(n, n, Q, args.samples, args.seed)
-    elif args.check == "tangent":
-        report = groups.tangent_suite(n, n, Q, args.samples, args.seed)
-    elif args.check == "membership":
-        report = groups.unitary_suite(n, Q, "id", args.samples, args.seed)
-    else:
-        raise ValueError(f"unknown group check {args.check!r}")
+    report = GROUP_CHECKS[args.check](n, args.samples, args.seed)
     _emit(_dump_json(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eigenspaces)
 
     p = sub.add_parser("group", help="group-law verification suites")
-    p.add_argument("--check", choices=("axioms", "tangent", "membership"), default="axioms")
+    p.add_argument("--check", choices=tuple(GROUP_CHECKS), default="axioms")
     options(p, "--n", "--seed", "--out", samples=10)
     p.set_defaults(fn=cmd_group)
 

@@ -154,7 +154,7 @@ class PairTriple:
         negatives at [M, P, P] and [P, M, M].  When a grade is empty the
         bracket is zero: both blocks are empty, and only fix the
         denominator."""
-        (bp, rows_p, piv_p), (bm, rows_m, piv_m) = space.grades()
+        bp, bm = space.plus.basis_arr(), space.minus.basis_arr()
         wp, wm = (bp, bm) if self.alphas is None else (f(b) for f, b in zip(self.alphas, (bp, bm)))
         vp, vm = kernel.t_tensor(bp, wm), kernel.t_tensor(bm, wp)
         den = lcm(vp.den, vm.den)
@@ -165,12 +165,12 @@ class PairTriple:
         coords = kernel.fit(np.zeros((d, d, d, d), np.float32), bound)
         member = np.ones((d, d, d), dtype=bool)
         # v at [own, other, own] in its grade's columns, -v at [other, own, own]
-        for v, rows, pivots, own, other, cols in ((vp, rows_p, piv_p, plus, minus, slice(n1)),
-                                                  (vm, rows_m, piv_m, minus, plus, slice(n1, None))):
+        for v, grade, own, other, cols in ((vp, space.plus, plus, minus, slice(n1)),
+                                           (vm, space.minus, minus, plus, slice(n1, None))):
             if not v.a.size:
                 continue
             block = kernel.flatten_last(Arr(v.over(den, bound), den, bound, v.ring))
-            c, m = kernel.coordinates(block, rows, pivots)
+            c, m = grade.flat_coordinates(block)
             flat[own, other, own, cols], flat[other, own, own, cols] = block.a, -block.a.swapaxes(0, 1)
             coords[own, other, own, own], coords[other, own, own, own] = c.a, -c.a.swapaxes(0, 1)
             member[own, other, own], member[other, own, own] = m, m.swapaxes(0, 1)
@@ -182,8 +182,9 @@ class PairTriple:
 
 
 class GenericTriple:
-    """An arbitrary ternary product given by a callable, evaluated on each
-    basis triple."""
+    """An arbitrary ternary product: a callable built from ``Arr`` operations
+    (``@``, ``+``, ``-``, ``scale``), which broadcast over leading axes, so it
+    takes stacks of matrices, and gives a ``Matrix`` on three ``Matrix``."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -192,11 +193,13 @@ class GenericTriple:
         return self.fn(x, y, z)
 
     def flat(self, space) -> Arr:
-        """The flattened products over the basis of ``space``, one call each."""
-        basis = space.basis_matrices()
-        stack = Arr.from_matrices([self.fn(x, y, z) for x in basis for y in basis for z in basis])
-        values = kernel.flatten_last(stack)
-        return Arr(values.a.reshape((len(basis),) * 3 + (-1,)), values.den, values.bound, values.ring)
+        """The flattened products [b_i, b_j, b_k]: one call on the basis stack
+        along each leading axis, broadcast to (d, d, d), since a product need
+        not read every argument."""
+        b = space.basis_arr()
+        d = len(b.a)
+        out = kernel.flatten_last(self.fn(b[:, None, None], b[None, :, None], b[None, None, :]))
+        return Arr(np.broadcast_to(out.a, (d, d, d) + out.a.shape[-1:]), out.den, out.bound, out.ring)
 
     def negated(self) -> "GenericTriple":
         return GenericTriple(lambda x, y, z: -self.fn(x, y, z))
@@ -210,8 +213,8 @@ class ProductSpace:
 
     Flattened coordinates are the concatenation of the two flattenings.  The
     basis is the plus basis pairs (b, 0), then the minus basis pairs (0, b).
-    It is block diagonal, so each grade keeps its own RREF basis
-    (``grades``), and the coordinates of a pair are those of its two grades
+    It is block diagonal, so each grade is its own ``Subspace`` (``plus``,
+    ``minus``), and the coordinates of a pair are those of its two grades
     joined.
     """
 
@@ -233,13 +236,6 @@ class ProductSpace:
         zp = Matrix.zeros(*self.plus.ambient[:2], self.plus.ambient[2])
         zm = Matrix.zeros(*self.minus.ambient[:2], self.minus.ambient[2])
         return [(b, zm) for b in self.plus.basis_matrices()] + [(zp, b) for b in self.minus.basis_matrices()]
-
-    def grades(self) -> tuple:
-        """(stack, rows, pivots) of the plus and of the minus grade: the
-        grade's basis stacked as matrices of its ambient (dim, rows, cols,
-        comps), its integer rows (dim, N) over its denominator, and their
-        pivots."""
-        return tuple((sub.basis_arr(), sub.basis_int(), sub.pivots) for sub in (self.plus, self.minus))
 
     def flatten_pair(self, u):
         return tuple(u[0].flatten()) + tuple(u[1].flatten())
@@ -315,13 +311,7 @@ class TripleSystem:
         if isinstance(self.product, PairTriple):
             return self.product.structure(self.space)
         flat = self.product.flat(self.space)
-        coords, member = kernel.coordinates(flat, self.space.basis_int(), self.space.pivots)
-        return _structure(flat, coords, member)
-
-    # derived systems --------------------------------------------------------
-
-    def cdual(self) -> "TripleSystem":
-        return TripleSystem(self.space, self.product.negated())
+        return _structure(flat, *self.space.flat_coordinates(flat))
 
     def eval(self, x, y, z):
         return self.product.eval(x, y, z)
@@ -336,7 +326,7 @@ def _triples(basis: Arr, middles: Arr) -> Arr:
 
 def cdual(t: TripleSystem) -> TripleSystem:
     """The c-dual system: same space, negated triple bracket."""
-    return t.cdual()
+    return TripleSystem(t.space, t.product.negated())
 
 
 # -- LTS axiom verification -------------------------------------------------
@@ -523,6 +513,9 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
         hit = _lt3_first_nonzero(c, e[None], bound, hook, st.split)
         if hit is not None:
             return False, (u, v) + hit[1:]
+    # not reached: the operator that failed above is among those rescanned
+    # (every nonzero R(u, v) of the same pairs after a pick), and its exact
+    # residual does not depend on the other operators of its batch
     return False, None
 
 
@@ -663,7 +656,7 @@ def bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix
 
 def _inside(brackets: Arr, target: Subspace) -> bool:
     """Every bracket of the stack (..., rows, cols, comps) lies in target."""
-    _, member = kernel.coordinates(kernel.flatten_last(brackets), target.basis_int(), target.pivots)
+    _, member = target.flat_coordinates(kernel.flatten_last(brackets))
     return bool(member.all())
 
 
@@ -760,12 +753,12 @@ def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> b
     """Exact check that the action intertwines the two triple systems on all
     basis triples of the given space."""
     a_new, psi = gamma_act(g, a, tau, phi)
-    return intertwines(psi, space.basis_matrices(), a_new, a)
+    return intertwines(psi, space, a_new, a)
 
 
-def intertwines(psi: AlphaMap, basis, a_new: Matrix, a: Matrix) -> bool:
-    """psi([X, Y, Z]_{A'}) = [psi X, psi Y, psi Z]_A for all basis triples,
-    exactly; psi is an ``AlphaMap`` of the basis' ambient matrix space.
+def intertwines(psi: AlphaMap, space: Subspace, a_new: Matrix, a: Matrix) -> bool:
+    """psi([X, Y, Z]_{A'}) = [psi X, psi Y, psi Z]_A for all basis triples of
+    ``space``, exactly; psi is an ``AlphaMap`` of its ambient matrix space.
 
     A sandwich psi(X) = L X R is first checked by the middle identity
     R alpha_A(psi Y) L = alpha_{A'}(Y) on the d basis elements Y.  It implies
@@ -774,9 +767,7 @@ def intertwines(psi: AlphaMap, basis, a_new: Matrix, a: Matrix) -> bool:
     not necessary (where the bracket vanishes every psi intertwines), so when
     it fails, or psi is no sandwich, all d^3 basis triples decide.
     """
-    if not basis:
-        return True
-    stack = Arr.from_matrices(basis)
+    stack = space.basis_arr()
     images = psi(stack)
     middle_new = AlphaMap.param(a_new)(stack)
     if psi.twist == "id" and not psi.transpose and psi.sign > 0:

@@ -143,12 +143,11 @@ class JointDecomposition:
     def check_direct_sum(self) -> bool:
         """The algebra is the direct sum of the pieces: their dims add up to
         its dim N, and all their bases together span a space of dim N.
-        Decided once per decomposition: one elimination of all the bases."""
+        Decided once per decomposition: one ``Subspace.sum`` of all pieces."""
         if self._direct is None:
-            n, _, ring = self.ambient
-            total = n * n * ring_components(ring)
-            rows = [r for sub in self.pieces.values() for r in kernel.int_rows(sub.basis_int().a)]
-            self._direct = len(rows) == total and Subspace(self.ambient, rows).dim == total
+            first, *rest = self.pieces.values()
+            total = first.ambient_dim
+            self._direct = sum(p.dim for p in self.pieces.values()) == total and first.sum(*rest).dim == total
         return self._direct
 
 

@@ -12,9 +12,9 @@ fraction-free Gauss-Jordan on rows of Python ints (``_echelon``, after
 E. H. Bareiss, Math. Comp. 22 (1968)); only returned values become
 ``Fraction``s, and ``inverses`` skips it wherever one product certifies a
 guessed inverse.  A subspace keeps its RREF basis as one integer ``Arr`` with
-its pivots, so equality of subspaces is a syntactic comparison, and every
-coordinate and membership query is one ``kernel.coordinates`` against that
-basis.
+its pivots, so equality of subspaces is a syntactic comparison; only
+``Subspace`` reads it, and every coordinate and membership query, of a vector
+or a stack, is one ``kernel.coordinates`` against it (``flat_coordinates``).
 """
 
 from __future__ import annotations
@@ -420,9 +420,11 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace(self.ambient, kernel.int_rows(self._int.a) + kernel.int_rows(other._int.a))
+    def sum(self, *others: "Subspace") -> "Subspace":
+        """The sum of this subspace and ``others``: one elimination."""
+        for other in others:
+            self._check_ambient(other)
+        return Subspace(self.ambient, [r for sub in (self, *others) for r in kernel.int_rows(sub._int.a)])
 
     def coordinates(self, m: Matrix):
         """Coordinates of m in this basis, or None if m is outside the span."""
@@ -436,15 +438,21 @@ class Subspace:
         outside the span (see ``coordinates``): one ``kernel.coordinates``."""
         if not isinstance(vec, Matrix):
             vec = Matrix.unflatten(self.ambient, vec)
-        coords, member = kernel.coordinates(kernel.flatten_last(vec), self._int, self.pivots)
+        coords, member = self.flat_coordinates(kernel.flatten_last(vec))
         return tuple(Fraction(v, coords.den) for v in kernel.int_rows(coords.a)) if member else None
+
+    def flat_coordinates(self, flat: kernel.Arr):
+        """(coords, member): the coordinates (..., dim) in this basis of the
+        flat vectors ``flat`` (..., N), and which lie in the span; one
+        ``kernel.coordinates`` against the integer RREF rows."""
+        return kernel.coordinates(flat, self._int, self.pivots)
 
     def contains(self, m: Matrix) -> bool:
         return self.coordinates(m) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        _, member = kernel.coordinates(other._int, self._int, self.pivots)
+        _, member = self.flat_coordinates(other._int)
         return bool(member.all())
 
     def basis_matrices(self):
@@ -453,11 +461,6 @@ class Subspace:
             arr = self.basis_arr()
             self._matrices = tuple(Matrix.from_numerators(arr.ring, a, arr.den) for a in arr.a)
         return list(self._matrices)
-
-    def basis_int(self) -> kernel.Arr:
-        """The RREF basis as integer numerators over one denominator, shape
-        (dim, N)."""
-        return self._int
 
     def basis_arr(self) -> kernel.Arr:
         """The basis matrices stacked as an exact tensor (dim, rows, cols, comps)."""

@@ -290,4 +290,4 @@ def intertwiner(nf: NormalForm):
 def intertwiner_check(nf: NormalForm, space: Subspace) -> bool:
     """psi([X,Y,Z]_{normal}) = [psi X, psi Y, psi Z]_{input} on all basis
     triples of the carrier space, exactly."""
-    return intertwines(intertwiner(nf), space.basis_matrices(), nf.normal, nf.input)
+    return intertwines(intertwiner(nf), space, nf.normal, nf.input)

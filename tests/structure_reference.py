@@ -341,13 +341,22 @@ def operator_rank(system):
 def constants_product(constants, d):
     """The product on 1 x d row vectors with the structure constants
     ``constants``: [e_i, e_j, e_k] = sum over m of constants[i, j, k, m] e_m,
-    the entries not given being 0."""
+    the entries not given being 0.  It is built from ``Arr`` products and
+    sums, so it takes stacks (``GenericTriple``) as well as single matrices:
+    with x_i = x e_i (a 1 x 1 matrix) and C_ij the d x d matrix of the
+    constants[i, j, k, m] over (k, m), [x, y, z] = sum over (i, j) of
+    x_i y_j z C_ij."""
+    rows = {}
+    for (i, j, k, m), value in constants.items():
+        rows.setdefault((i, j), [[0] * d for _ in range(d)])[k][m] = value
+    blocks = {ij: Matrix.from_rows(Q, block) for ij, block in rows.items()}
+    units = [Matrix.elementary(d, 1, i, 0, Q) for i in range(d)]
+
     def product(x, y, z):
-        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
-        out = [Fraction(0)] * d
-        for (i, j, k, m), value in constants.items():
-            out[m] += value * xs[i] * ys[j] * zs[k]
-        return Matrix.unflatten((1, d, Q), out)
+        out = z.scale(0)
+        for (i, j), c in blocks.items():
+            out = out + (x @ units[i]) @ (y @ units[j]) @ z @ c
+        return out
     return product
 
 
@@ -370,11 +379,13 @@ def broken_derivation(width, scale, first=0, second=1):
     R(e_f, e_s) (e_f -> scale e_f, every other e_w -> 0) is no derivation,
     since R [e_f, e_s, e_f] = scale^2 e_f and 2 [e_f, e_s, e_f] = 2 scale^2 e_f.
     Its residual is nonzero only at the triples (f, s, f) and (s, f, f), and
-    the only one with i < j, i <= k is (f, s, f) if f < s, else (s, f, f)."""
+    the only one with i < j, i <= k is (f, s, f) if f < s, else (s, f, f).
+    Built from ``Arr`` products like ``constants_product``: x_f = x e_f."""
+    f, s = (Matrix.elementary(width, 1, w, 0, Q) for w in (first, second))
+    out = Matrix.elementary(1, width, 0, first, Q).scale(scale)
+
     def product(x, y, z):
-        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
-        value = scale * (xs[first] * ys[second] - xs[second] * ys[first]) * zs[first]
-        return Matrix.unflatten((1, width, Q), [value if w == first else 0 for w in range(width)])
+        return ((x @ f) @ (y @ s) - (x @ s) @ (y @ f)) @ (z @ f) @ out
     return product
 
 

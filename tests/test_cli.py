@@ -119,6 +119,14 @@ class TestGroup:
         assert code == 0
         assert json.loads(text)["pass"] is True
 
+    def test_unknown_check_exit_two(self, tmp_path, capsys):
+        """The --check choices are the keys of ``cli.GROUP_CHECKS``: argparse
+        rejects any other before a suite runs."""
+        assert set(cli.GROUP_CHECKS) == {"axioms", "tangent", "membership"}
+        code, text = run(tmp_path, "group", "--check", "unitary", "--n", "2")
+        assert code == 2 and text == ""
+        assert "invalid choice: 'unitary'" in capsys.readouterr().err
+
 
 class TestNormalForm:
     def test_symmetric(self, tmp_path):

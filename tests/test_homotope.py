@@ -8,22 +8,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from structure_reference import (broken_derivation, operator_rank, reference_intertwines,
-                                 reference_structure)
+from structure_reference import (broken_derivation, constants_product, operator_rank,
+                                 reference_intertwines, reference_structure)
 
 from homotopes import homotope, kernel
 from homotopes.families import (asym_space, family, family_axiom_suite, herm_space,
                                 matrix_space, rand_invertible, rand_matrix,
                                 sample_in_subspace, sym_space)
-from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple,
-                                TripleSystem, bracket_param, cdual, check_closure,
-                                check_lts, gamma_act, gamma_intertwines, hom_sxt,
-                                hom_sxt_check, intertwines, standard_imbedding,
+from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple, PairTriple,
+                                ProductSpace, TripleSystem, bracket_param, cdual,
+                                check_closure, check_lts, gamma_act, gamma_intertwines,
+                                hom_sxt, hom_sxt_check, intertwines, standard_imbedding,
                                 triple_param)
-from homotopes.kernel import Arr
 from homotopes.involutions import MatrixInvolution, joint_eigenspaces
-from homotopes.matrices import Matrix
-from homotopes.scalars import Q, QI, Scalar
+from homotopes.kernel import Arr
+from homotopes.matrices import Matrix, Subspace
+from homotopes.scalars import HQ, Q, QI, Scalar
 
 
 class TestProducts:
@@ -62,6 +62,74 @@ class TestProducts:
         b = sp.basis_matrices()
         assert all(cd.eval(x, y, z) == -sysm.eval(x, y, z)
                    for x in b[:2] for y in b[:2] for z in b[:2])
+
+    @pytest.mark.parametrize("case", ["polarized", "polarized with alphas", "generic"])
+    def test_cdual_negates_the_structure(self, case):
+        """The c-dual negates the flattened products and their coordinates
+        exactly, over the same denominator, and its bracket: a polarized
+        system without alphas (whose negation is the identity maps
+        negated), one with alphas, and a generic product."""
+        rng = random.Random(9)
+        if case == "generic":
+            space = sym_space(2, Q)
+            a = sample_in_subspace(space, rng)
+            system = TripleSystem(space, GenericTriple(lambda x, y, z: triple_param(x, y, z, a)))
+        elif case == "polarized":
+            system = TripleSystem(ProductSpace(matrix_space(1, 2, Q), matrix_space(2, 1, Q)), PairTriple())
+        else:
+            desc = family("pol1-1.a")
+            system = desc.system((1, 2), desc.sample_params((1, 2), rng, "generic"))
+        dual = cdual(system)
+        st, st_dual = system.structure(), dual.structure()
+        assert st.closed and st_dual.closed and st.flat.a.any()
+        for x, y in ((st.flat, st_dual.flat), (st.coords, st_dual.coords)):
+            assert x.den == y.den and np.array_equal(y.a, -x.a)
+        b = system.basis()
+        value, dual_value = system.eval(b[0], b[-1], b[0]), dual.eval(b[0], b[-1], b[0])
+        assert dual_value == (tuple(-v for v in value) if isinstance(value, tuple) else -value)
+
+
+def _as_fractions(arr, index):
+    return [Fraction(int(v), arr.den) for v in arr.a[index]]
+
+
+class TestGenericTriple:
+    """``GenericTriple`` calls its product once, on the basis stacks."""
+
+    @pytest.mark.parametrize("space", [matrix_space(1, 1, Q), sym_space(2, Q), matrix_space(2, 2, QI),
+                                       matrix_space(2, 2, HQ)], ids=["d1", "d3", "d8", "d16"])
+    def test_one_call_per_structure(self, space):
+        """One call at every d, with the values the plain homotope's tensor
+        path computes, and none more for the LTS check."""
+        p, q, ring = space.ambient
+        a = rand_matrix(q, p, ring, random.Random(space.dim))
+        calls = []
+        system = TripleSystem(space, GenericTriple(lambda x, y, z: calls.append(1) or triple_param(x, y, z, a)))
+        got, want = system.structure(), TripleSystem.from_parameter(space, a).structure()
+        check_lts(system)
+        assert len(calls) == 1
+        assert (got.closed, got.witness) == (want.closed, want.witness)
+        pairs = [(got.flat, want.flat)] + ([(got.coords, want.coords)] if got.closed else [])
+        for x, y in pairs:
+            assert x.a.shape == y.a.shape
+            assert np.array_equal(kernel.fit(x.a, 1 << 60) * y.den, kernel.fit(y.a, 1 << 60) * x.den)
+
+    @pytest.mark.parametrize("reads", ["x and z", "x", "nothing"])
+    def test_a_product_need_not_read_every_argument(self, reads):
+        """The products' stack is broadcast to (d, d, d): a product that reads
+        only some of its arguments gives the reference's structure."""
+        space = sym_space(2, Q)
+        a = Matrix.from_rows(Q, [[1, 2], [0, -1]])
+        product = {"x and z": lambda x, y, z: x @ a @ z, "x": lambda x, y, z: x.scale(3),
+                   "nothing": lambda x, y, z: Matrix.identity(2, Q)}[reads]
+        flat, coords, closed, witness = reference_structure(space, product)
+        st = TripleSystem(space, GenericTriple(product)).structure()
+        assert (st.closed, st.witness) == (closed, witness)
+        assert closed == (reads != "x and z")
+        for t in np.ndindex((space.dim,) * 3):
+            assert _as_fractions(st.flat, t) == list(flat[t])
+            if closed:
+                assert _as_fractions(st.coords, t) == list(coords[t])
 
 
 class TestCheckLts:
@@ -164,13 +232,40 @@ class TestHomomorphisms:
             monkeypatch.setattr(homotope, "gamma_act", lambda *args, c=corrupt: c(*act(*args)))
             assert not gamma_intertwines(g, a, tau, space)
 
+    def test_gamma_act_rejects_g_not_fixed_by_phi(self):
+        """Known false: over HQ phi negates i and k, so g = i is not fixed by
+        it and g = j is.  The action of i raises; that of j is g A tau(g)."""
+        tau = MatrixInvolution.transpose_inv(1, HQ, "qconj")
+        a = Matrix.identity(1, HQ)
+        i, j = (Matrix.from_rows(HQ, [[Scalar(HQ, parts)]]) for parts in ((0, 1, 0, 0), (0, 0, 1, 0)))
+
+        def phi(m):
+            return m.conjugate("phi")
+
+        with pytest.raises(ValueError, match="not fixed"):
+            gamma_act(i, a, tau, phi)
+        with pytest.raises(ValueError, match="not fixed"):
+            gamma_intertwines(i, a, tau, matrix_space(1, 1, HQ), phi)
+        assert gamma_act(j, a, tau, phi)[0] == j @ a @ tau(j)
+        assert gamma_intertwines(j, a, tau, matrix_space(1, 1, HQ), phi)
+
+    def test_the_zero_space_intertwines_vacuously(self):
+        """The identity does not intertwine A' = 2A with A on M(2, 2), but the
+        zero space has no basis triple, so there every psi intertwines: a
+        plain sandwich, and a twisted and transposed one, which only the d^3
+        check can decide."""
+        a = rand_invertible(2, QI, self.rng)
+        assert not intertwines(AlphaMap(None, None), matrix_space(2, 2, QI), a.scale(2), a)
+        for psi in (AlphaMap(None, None), AlphaMap(a, a, "conj", transpose=True)):
+            assert intertwines(psi, Subspace.zero((2, 2, QI)), a.scale(2), a)
+
     def test_identity_does_not_intertwine_different_parameters(self):
-        basis = matrix_space(2, 2, Q).basis_matrices()
+        space = matrix_space(2, 2, Q)
         a = rand_invertible(2, Q, self.rng)
         identity = AlphaMap(None, None)
-        assert intertwines(identity, basis, a, a)
-        assert not intertwines(identity, basis, a.scale(Fraction(2)), a)
-        assert not intertwines(identity, basis, rand_matrix(2, 2, Q, self.rng), a)
+        assert intertwines(identity, space, a, a)
+        assert not intertwines(identity, space, a.scale(Fraction(2)), a)
+        assert not intertwines(identity, space, rand_matrix(2, 2, Q, self.rng), a)
 
 
     def test_middle_identity_settles_a_sandwich(self, monkeypatch):
@@ -182,7 +277,7 @@ class TestHomomorphisms:
         calls = []
         triples = homotope._triples
         monkeypatch.setattr(homotope, "_triples", lambda *args: calls.append(args) or triples(*args))
-        assert intertwines(psi, matrix_space(2, 2, Q).basis_matrices(), a_new, a)
+        assert intertwines(psi, matrix_space(2, 2, Q), a_new, a)
         assert calls == []
 
     def test_fallback_decides_where_the_bracket_vanishes(self, monkeypatch):
@@ -190,14 +285,15 @@ class TestHomomorphisms:
         space [X, X, X] = 0, so every psi intertwines, also the identity from
         A' = 2A to A, whose middle identity A X A = 4 A X A is false.  The
         d^3 check decides."""
-        basis = matrix_space(1, 1, Q).basis_matrices()
+        space = matrix_space(1, 1, Q)
+        basis = space.basis_matrices()
         a = Matrix.from_rows(Q, [[1]])
         identity = AlphaMap(None, None)
         assert AlphaMap.param(a)(basis[0]) != AlphaMap.param(a.scale(2))(basis[0])
         calls = []
         triples = homotope._triples
         monkeypatch.setattr(homotope, "_triples", lambda *args: calls.append(args) or triples(*args))
-        assert intertwines(identity, basis, a.scale(2), a)
+        assert intertwines(identity, space, a.scale(2), a)
         assert calls
         assert reference_intertwines(identity, basis, a.scale(2), a)
 
@@ -210,12 +306,12 @@ class TestHomomorphisms:
         left, right, a = rand_matrix(1, 1, QI, rng), rand_matrix(2, 2, QI, rng), rand_matrix(2, 1, QI, rng)
         psi = AlphaMap(left, right, sign=-1)
         a_new = (right @ a @ left).scalar_mul(Scalar(QI, (0, 1)))
-        basis = matrix_space(1, 2, QI).basis_matrices()
-        stack = Arr.from_matrices(basis)
+        space = matrix_space(1, 2, QI)
+        stack = space.basis_arr()
         middle = kernel.sandwich(AlphaMap.param(a)(psi(stack)), right, left)
         assert not np.any((middle - AlphaMap.param(a_new)(stack)).a)
-        assert not reference_intertwines(psi, basis, a_new, a)
-        assert not intertwines(psi, basis, a_new, a)
+        assert not reference_intertwines(psi, space.basis_matrices(), a_new, a)
+        assert not intertwines(psi, space, a_new, a)
 
     def test_verdicts_match_the_triple_by_triple_reference(self):
         """Random sandwiches (some twisted or transposed, so that only the
@@ -236,9 +332,9 @@ class TestHomomorphisms:
             a = rand_matrix(q, p, ring, rng)
             a_new = rng.choice([right @ a @ left, -(right @ a @ left), (right @ a @ left).scale(2),
                                 rand_matrix(q, p, ring, rng)])
-            basis = space.basis_matrices()
-            verdict = intertwines(psi, basis, a_new, a)
-            assert verdict == reference_intertwines(psi, basis, a_new, a), (space, psi.twist, psi.transpose)
+            verdict = intertwines(psi, space, a_new, a)
+            assert verdict == reference_intertwines(psi, space.basis_matrices(), a_new, a), \
+                (space, psi.twist, psi.transpose)
             verdicts.append(verdict)
         assert True in verdicts and False in verdicts
 
@@ -258,10 +354,9 @@ class TestStandardImbedding:
             assert all(u < v for u, v in emb.h_pairs)
 
     def test_fails_without_lt1(self):
-        """Closed, LT2 and LT3 hold but [x, y] = R(x, y) is not antisymmetric."""
-        def product(x, y, z):
-            xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
-            return Matrix.unflatten((1, 2, Q), [xs[1] * ys[0] * zs[1] - ys[1] * zs[0] * xs[1], 0])
+        """Closed, LT2 and LT3 hold but [x, y] = R(x, y) is not antisymmetric:
+        [x, y, z] = (x_1 y_0 z_1 - x_1 y_1 z_0) e_0."""
+        product = constants_product({(1, 0, 1, 0): 1, (1, 1, 0, 0): -1}, 2)
         system = TripleSystem(matrix_space(1, 2, Q), GenericTriple(product))
         assert [e["axiom"] for e in check_lts(system).failing()] == ["LT1"]
         emb = standard_imbedding(system)
@@ -398,7 +493,7 @@ def test_lt3_bound_is_the_formula(top, dtype):
     nums[5] = top
     space = matrix_space(1, d, Q)
     flat = Arr(np.array(nums, dtype=object).reshape(d, d, d, d), 1, top, Q).actual_bound()
-    coords, member = kernel.coordinates(flat, space.basis_int(), space.pivots)
+    coords, member = space.flat_coordinates(flat)
     assert member.all() and coords.a.dtype == dtype
     rows = [nums[t:t + d] for t in range(0, d**4, d)]
     assert homotope._lt3_bound(coords) == 4 * top * max(sum(map(abs, row)) for row in rows)

@@ -203,7 +203,7 @@ def test_graded_structure_matches_reference(case):
     if case.startswith("pol2-3"):
         assert 0 in (space.plus.dim, space.minus.dim)
     if case == "middle denominators":
-        (bp, _, _), (bm, _, _) = space.grades()
+        bp, bm = space.plus.basis_arr(), space.minus.basis_arr()
         alpha_p, alpha_m = system.product.alphas
         assert alpha_p(bp).den != alpha_m(bm).den
     if case == "object tier":
@@ -428,10 +428,7 @@ def test_lt3_reads_every_triple_without_lt2():
     """[x, y, z] = (x_1 y_3 - x_3 y_1) z_0 e_0 + (x_2 y_3 - x_3 y_2) z_1 e_1:
     LT1 holds and LT2 fails, and the LT3 residuals vanish on every triple with
     i < j, i <= k but not at (1, 3, 0), so the hook alone would pass it."""
-    def product(x, y, z):
-        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
-        return Matrix.unflatten((1, 4, Q), [(xs[1] * ys[3] - xs[3] * ys[1]) * zs[0],
-                                            (xs[2] * ys[3] - xs[3] * ys[2]) * zs[1], 0, 0])
+    product = constants_product({(1, 3, 0, 0): 1, (3, 1, 0, 0): -1, (2, 3, 1, 1): 1, (3, 2, 1, 1): -1}, 4)
     space = matrix_space(1, 4, Q)
     report = check_lts(TripleSystem(space, GenericTriple(product)))
     entries = [(e["axiom"], e["pass"], e["witness"]) for e in report.entries]
@@ -664,15 +661,8 @@ def test_hook_check_matches_reference_on_perturbed_lts(base, data):
     for key, value in _lt1_lt2_part(d, u, v, w, m, delta).items():
         c[key] = c[key][:m] + [c[key][m] + value] + c[key][m + 1:]
 
-    def product(x, y, z):
-        xs, ys, zs = x.flatten(), y.flatten(), z.flatten()
-        out = [Fraction(0)] * d
-        for (i, j, k), vec in c.items():
-            coef = xs[i] * ys[j] * zs[k]
-            if coef:
-                out = [o + coef * t for o, t in zip(out, vec)]
-        return Matrix.unflatten((1, d, Q), out)
-
+    product = constants_product({(i, j, k, m): value for (i, j, k), vec in c.items()
+                                 for m, value in enumerate(vec) if value}, d)
     flat_space = matrix_space(1, d, Q)
     report = check_lts(TripleSystem(flat_space, GenericTriple(product)))
     entries = [(e["axiom"], e["pass"], e["witness"]) for e in report.entries]

@@ -116,7 +116,7 @@ def test_every_result_has_the_dtype_of_its_bound(case, data):
     d = data.draw(st.integers(1, 3))
     results.append(kernel.t_tensor(stack(d, p, q), stack(d, q, p)))
     space = matrix_space(p, q, ring)
-    coords, member = kernel.coordinates(kernel.flatten_last(x), space.basis_int(), space.pivots)
+    coords, member = space.flat_coordinates(kernel.flatten_last(x))
     assert member.all()
     results.append(coords)
     loose = Arr(kernel.fit(x.a, 2**60), x.den, 2**60, ring)

@@ -60,7 +60,7 @@ MUTANTS = [
     _forced_true("JointDecomposition.check_direct_sum -> True", "src/homotopes/involutions.py",
                  "    def check_direct_sum(self) -> bool:"),
     Mutant("direct sum without the span rank", "src/homotopes/involutions.py",
-           " and Subspace(self.ambient, rows).dim == total", ""),
+           " and first.sum(*rest).dim == total", ""),
     _forced_true("MatrixInvolution.commutes_with -> True", "src/homotopes/involutions.py",
                  '    def commutes_with(self, other: "MatrixInvolution") -> bool:'),
     _forced_true("validate_models returns []", "src/homotopes/families.py",
@@ -92,7 +92,7 @@ MUTANTS = [
            "    k, (n, width) = len(picked), r.shape\n",
            "    return True\n"),
     Mutant("Subspace.contains_subspace -> True", "src/homotopes/matrices.py",
-           "        _, member = kernel.coordinates(other._int, self._int, self.pivots)\n"
+           "        _, member = self.flat_coordinates(other._int)\n"
            "        return bool(member.all())",
            "        return True"),
     Mutant("primed rows not negated", "src/homotopes/families.py",
@@ -112,7 +112,7 @@ MUTANTS = [
     _forced_true("u_linearization_check -> True", "src/homotopes/groups.py",
                  "def u_linearization_check(x: Matrix, a: Matrix, delta: str) -> bool:"),
     _forced_true("intertwines -> True", "src/homotopes/homotope.py",
-                 "def intertwines(psi: AlphaMap, basis, a_new: Matrix, a: Matrix) -> bool:"),
+                 "def intertwines(psi: AlphaMap, space: Subspace, a_new: Matrix, a: Matrix) -> bool:"),
     _forced_true("gamma_intertwines -> True", "src/homotopes/homotope.py",
                  "def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> bool:"),
     Mutant("middle identity forced true", "src/homotopes/homotope.py",
@@ -170,8 +170,8 @@ MUTANTS = [
            "                coords[other, own, own, own] = -c.a.swapaxes(0, 1)",
            "tests/test_structure_reference.py"),
     Mutant("plus block member forced True", "src/homotopes/homotope.py",
-           "            c, m = kernel.coordinates(block, rows, pivots)\n",
-           "            c, m = kernel.coordinates(block, rows, pivots)\n            m = m | (v is vp)\n",
+           "            c, m = grade.flat_coordinates(block)\n",
+           "            c, m = grade.flat_coordinates(block)\n            m = m | (v is vp)\n",
            "tests/test_structure_reference.py"),
     Mutant("coordinates member flag forced all-True", "src/homotopes/kernel.py",
            "    member = np.all(v * basis.den == coords @ fit(basis.a, bound), axis=-1)\n",
@@ -240,6 +240,14 @@ MUTANTS = [
     Mutant("product witness guessed as W_X W_Y", "src/homotopes/groups.py",
            "self.a, other.witness @ self.witness)", "self.a, self.witness @ other.witness)",
            "tests/test_groups.py::TestWitnesses"),
+    # a generic product: one call over the basis stacks, broadcast to (d, d, d)
+    Mutant("generic product with the y and z stacks swapped", "src/homotopes/homotope.py",
+           "self.fn(b[:, None, None], b[None, :, None], b[None, None, :])",
+           "self.fn(b[:, None, None], b[None, None, :], b[None, :, None])",
+           "tests/test_homotope.py tests/test_structure_reference.py"),
+    Mutant("generic product not broadcast to (d, d, d)", "src/homotopes/homotope.py",
+           "        return Arr(np.broadcast_to(out.a, (d, d, d) + out.a.shape[-1:]), out.den, out.bound, out.ring)",
+           "        return out", "tests/test_homotope.py::TestGenericTriple"),
     # guards
     Mutant("check_sizes accepts 0", "src/homotopes/families.py",
            "any(s < 1 for s in sizes)", "any(s < 0 for s in sizes)"),
