@@ -28,7 +28,8 @@ import numpy as np
 from .homotope import (AlphaMap, AlphaTriple, PairTriple, ProductSpace, bracket_closure,
                        TripleSystem, check_lts, symmetric_pairs)
 from .involutions import JointDecomposition, MatrixInvolution, joint_eigenspaces
-from .matrices import Matrix, Subspace, block_F, block_I, block_Ipq, block_J
+from .kernel import Arr, concat
+from .matrices import Matrix, Subspace, block_F, block_I, block_Ipq, block_J, inverses
 from .scalars import HQ, Q, QI, Scalar, ring_components
 
 # -- model subspaces -------------------------------------------------------
@@ -78,19 +79,34 @@ def rand_matrix(p: int, q: int, ring, rng: random.Random) -> Matrix:
     return Matrix.unflatten((p, q, ring), [rand_fraction(rng) for _ in range(p * q * ring_components(ring))])
 
 
-def first_invertible(draw) -> tuple:
-    """The first matrix ``draw()`` returns that has an inverse, and its
-    inverse."""
-    while True:
-        m = draw()
-        try:
-            return m, m.inverse()
-        except ZeroDivisionError:
-            continue
+def rand_stack(count: int, p: int, q: int, ring, rng: random.Random) -> Arr:
+    """``count`` draws of ``rand_matrix``, stacked: one (count p) x q draw,
+    which reads the random stream as ``count`` p x q draws do."""
+    m = rand_matrix(count * p, q, ring, rng)
+    return Arr(m.a.reshape(count, p, q, -1), m.den, m.bound, ring)
+
+
+def invertible_draws(draw, count: int, invert) -> tuple:
+    """(draws, inverses): a stack of ``count`` matrices m of ``draw`` whose
+    ``invert(m)`` is invertible, in the order drawn, and the stack of the
+    inverses of their ``invert(m)``.
+
+    ``draw(k)`` gives a stack of k matrices.  The draws still missing are
+    drawn as one stack; those that ``inverses`` accepts are kept, and the
+    rest are drawn again.  So the random stream is read as by a loop that
+    draws one matrix at a time until ``count`` of them are accepted."""
+    kept, need = [], count
+    while need:
+        m = draw(need)
+        inv, ok = inverses(invert(m))
+        kept.append((m[ok], inv[ok]))
+        need -= int(ok.sum())
+    return tuple(concat(part, 0) for part in zip(*kept))
 
 
 def rand_invertible(n: int, ring, rng: random.Random) -> Matrix:
-    return first_invertible(lambda: rand_matrix(n, n, ring, rng))[0]
+    m, _ = invertible_draws(lambda k: rand_stack(k, n, n, ring, rng), 1, lambda m: m)
+    return Matrix._make(m.a[0], m.den, m.bound, ring)
 
 
 def sample_in_subspace(space: Subspace, rng: random.Random) -> Matrix:

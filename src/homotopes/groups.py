@@ -22,6 +22,11 @@ matrix), and a check gives one boolean per matrix of the stack
 (``kernel.equal``, ``Arr.is_zero``; a numpy bool for one matrix).  The
 suites draw all their samples first, in the order of a loop over the
 samples, and then evaluate each identity once over the stack of them.
+Every sample that must be invertible (A, the points of G_A and the Cayley
+parameters S) comes from one stacked rejection sampler,
+``families.invertible_draws``: it draws the samples still missing as one
+stack, keeps those ``inverses`` accepts, and draws the rest again, which
+reads the random stream as a loop over single draws does.
 
 The witness (1 - XA)^{-1} of A-invertibility (quasi-invertibility, after
 O. Loos, Jordan Pairs, LNM 460 (1975)) is eliminated only where no ring
@@ -45,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import first_invertible, rand_matrix
+from .families import invertible_draws, rand_matrix, rand_stack
 from .homotope import bracket_param
 from .kernel import Arr, concat, equal
 from .matrices import Matrix, inverses
@@ -133,15 +138,6 @@ class GroupElement:
         return isinstance(other, GroupElement) and self.x == other.x and self.a == other.a
 
 
-def _element(x: Matrix, a: Matrix, guess: Matrix | None = None) -> GroupElement | None:
-    """X as an element of G_A, or None when it (or a matrix of the stack X)
-    is not A-quasi-invertible."""
-    try:
-        return GroupElement(x, a, guess)
-    except ZeroDivisionError:
-        return None
-
-
 def one_minus_ax(x: Matrix, a: Matrix) -> Matrix:
     return Matrix.identity(a.rows, a.ring) - a @ x
 
@@ -213,19 +209,11 @@ def _cayley(b: Matrix, star, rng: random.Random, symmetric: bool, count: int) ->
     star-symmetric (symplectic case); then star(u) B u = B, which is
     equivalent to the defining relation.  As 1 - XA = B u A and
     u^{-1} = A star(u) B, the witness is B u^{-1} A = star(u).  The S are
-    drawn as by a loop that redraws while 1 - SB is singular: all the
-    (1 - SB) of a stack of draws are inverted at once, and the singular ones
-    are replaced by the next draws."""
+    drawn until 1 - SB is invertible (``invertible_draws``)."""
     n = b.rows
     ident = Matrix.identity(n, b.ring)
-    parts, need = [], count
-    while need:
-        s = _star_half(Arr.from_matrices([rand_matrix(n, n, b.ring, rng) for _ in range(need)]),
-                       star, 1 if symmetric else -1)
-        minv, ok = inverses(ident - s @ b)
-        parts.append((s[ok], minv[ok]))
-        need -= int(ok.sum())
-    s, minv = (concat(part, 0) for part in zip(*parts))
+    s, minv = invertible_draws(lambda k: _star_half(rand_stack(k, n, n, b.ring, rng), star, 1 if symmetric else -1),
+                               count, lambda s: ident - s @ b)
     u = (ident + s @ b) @ minv
     return b @ (ident - u), star(u)
 
@@ -250,7 +238,8 @@ def rand_skew_invertible(n: int, ring, delta: str, rng: random.Random) -> Matrix
 def _rand_star_invertible(n: int, ring, delta: str, rng: random.Random, sign: int) -> tuple:
     """(A, A^{-1}) for the first invertible (m + sign star(m)) / 2 over random m."""
     star = star_from_delta(delta)
-    return first_invertible(lambda: _star_half(rand_matrix(n, n, ring, rng), star, sign))
+    draws = invertible_draws(lambda k: _star_half(rand_stack(k, n, n, ring, rng), star, sign), 1, lambda m: m)
+    return tuple(Matrix._make(x.a[0], x.den, x.bound, ring) for x in draws)
 
 
 def _star_half(m: Matrix, star, sign: int) -> Matrix:
@@ -329,16 +318,13 @@ def group_axiom_suite(p: int, q: int, ring, samples: int, seed: int) -> dict:
             a = u @ v
         else:
             a = rand_matrix(q, p, ring, rng)
-        elements = []
-        while len(elements) < 3:
-            g = _element(rand_matrix(p, q, ring, rng), a)
-            if g is not None:
-                elements.append(g)
         params.append(a)
-        drawn.append(elements)
+        drawn.append(invertible_draws(lambda k: rand_stack(k, p, q, ring, rng), 3, lambda x: one_minus_xa(x, a)))
     a = Arr.from_matrices(params)
-    x, y, z = (Arr.from_matrices([elements[i].x for elements in drawn]) for i in range(3))
-    x_inv = Arr.from_matrices([elements[0].inverse() for elements in drawn])
+    # the elements X, Y, Z of each sample, and the witnesses (1 - XA)^{-1} of X
+    xs, ws = (Arr.from_matrices(parts) for parts in zip(*drawn))
+    x, y, z = (xs[:, i] for i in range(3))
+    x_inv = -(ws[:, 0] @ x)
     e = g_identity(p, q, ring)
     checks = {
         "identity": equal(g_mul(x, e, a), x) & equal(g_mul(e, x, a), x),
@@ -374,18 +360,18 @@ def unitary_suite(n: int, ring, delta: str, samples: int, seed: int) -> dict:
     for kind, sign in cases:
         a, b = _rand_star_invertible(n, ring, delta, rng, sign)
         elems, witness = _cayley(b, star, rng, sign < 0, samples)
-        group = _element(elems, a, witness)
-        member = group is not None and bool(relation_holds(elems, a, kind, star).all())
+        quasi = bool(is_quasi_invertible(elems, a, witness).all())
+        member = quasi and bool(relation_holds(elems, a, kind, star).all())
         if kind == "U":
-            both = concat([elems, Arr.from_matrices([rand_matrix(n, n, ring, rng) for _ in range(samples)])], 0)
+            both = concat([elems, rand_stack(samples, n, n, ring, rng)], 0)
             equiv = bool((u_defect(both, a, star).is_zero() == u_defect_variant(both, a, star).is_zero()).all())
         else:
             equiv = True
-        # the witnesses of X *_A Y and of j_A(X), as in ``GroupElement``
+        # j_A(X) = -W X with the exact Cayley witness W, and the witnesses of
+        # X *_A Y and of j_A(X), as in ``GroupElement``
         roll = np.roll(np.arange(samples), -1)
         closed = bool(membership(g_mul(elems, elems[roll], a), a, kind, star, witness[roll] @ witness).all())
-        inverted = group is not None and bool(
-            membership(group.inverse(), a, kind, star, one_minus_xa(elems, a)).all())
+        inverted = quasi and bool(membership(-(witness @ elems), a, kind, star, one_minus_xa(elems, a)).all())
         entry = {"kind": kind, "membership": member, "equivalent_forms": equiv,
                  "closure": closed, "inverses": inverted}
         entry["pass"] = all(v for k, v in entry.items() if k != "kind")

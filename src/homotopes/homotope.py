@@ -237,9 +237,6 @@ class ProductSpace:
         zm = Matrix.zeros(*self.minus.ambient[:2], self.minus.ambient[2])
         return [(b, zm) for b in self.plus.basis_matrices()] + [(zp, b) for b in self.minus.basis_matrices()]
 
-    def flatten_pair(self, u):
-        return tuple(u[0].flatten()) + tuple(u[1].flatten())
-
     def coordinates_pair(self, u):
         """Coordinates of the pair u, or None if it is outside the space."""
         plus, minus = self.plus.coordinates(u[0]), self.minus.coordinates(u[1])
@@ -448,9 +445,9 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     """LT3 via the inner operators R(u, v): (ok, witness).
 
     LT3 says every R(u, v) is a derivation of the triple bracket: its
-    residual (below) vanishes.  ``_inner_operators`` picks operators modulo
-    a prime p, and ``kernel.independent_row_indices`` certifies the pick up
-    to the cover ``_lt3_bound``: every R(u, v) is congruent to a combination
+    residual (below) vanishes.  ``kernel.independent_row_indices`` picks
+    operators of ``_inner_operators`` modulo a prime p and certifies the pick
+    up to the cover ``_lt3_bound``: every R(u, v) is congruent to a combination
     of the picked operators modulo each checked prime q (p among them), and
     the product of the q exceeds the bound.  The residual is Z-linear in the
     operator, so once the picked operators pass, the residual of every
@@ -465,11 +462,12 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     one BLAS thread): at d = 8 checking every operator took 8.8 and 8.1 ms
     against 12.2 and 11.2 ms for the pick, at d = 9 it took 5.4 and 5.8 ms
     against 4.7 and 4.7 ms, and from d = 10 on the pick won by more, since
-    the operators outnumber their span more.  On failure a concrete
-    (u, v, i, j, k) witness is recovered by rescanning each nonzero R(u, v)
-    over the pairs the check used (u < v with LT1, every ordered pair
-    without), in order: the first failing pair and its lexicographically
-    first failing triple.
+    the operators outnumber their span more.  The batched check only says
+    whether every residual vanishes.  On failure a concrete (u, v, i, j, k)
+    witness is recovered by rescanning each nonzero R(u, v) over the pairs
+    the check used (u < v with LT1, every ordered pair without), in order:
+    the first failing pair and its lexicographically first failing triple
+    (``_lt3_first_triple``).
 
     The residual of a linear operator D,
 
@@ -485,7 +483,7 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     zero there exactly when it is zero at the triples i < j, k <= j.  Those
     are checked when both axioms hold, (d^3 - d)/3 of them: for each j the
     rectangle i < j, k <= j, on which each term of the residual is one GEMM
-    on a view of the coordinates (``_lt3_first_nonzero``).  Otherwise all
+    on a view of the coordinates (``_lt3_holds``).  Otherwise all
     d^3 triples are checked.
 
     A graded system (``Structure.split`` s, a polarized one with its d+ = s
@@ -496,26 +494,29 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     of b_i and b_j, so [D b_i, b_j, .], [b_i, D b_j, .] and [b_i, b_j, .]
     vanish.  In the hook (i < j) opposite grades means i < s <= j, and only
     those slabs and rows are checked.  The rows skipped are zero, so the
-    first failing slab, operator and triple are unchanged.
+    verdict of each operator is unchanged.
     """
     d = st.coords.a.shape[0]
     bound = _lt3_bound(st.coords)
-    pick = d > LT3_ALL_PAIRS_MAX_DIM
-    pairs, ops = _inner_operators(st.coords.a, lt1_ok, pick, bound)
+    _, ops = _inner_operators(st.coords.a, lt1_ok)
+    rows = ops.reshape(len(ops), d * d)
+    kept = (kernel.independent_row_indices(rows, bound) if d > LT3_ALL_PAIRS_MAX_DIM
+            else np.flatnonzero(rows.any(axis=1)))
+    # the whole operator array is dropped before the residuals are checked
+    ops, rows = ops[kept], None
     # in the residuals' dtype once, not once per rescanned pair
     c = kernel.fit(st.coords.a, bound)
     hook = lt1_ok and lt2_ok
-    if _lt3_first_nonzero(c, ops, bound, hook, st.split) is None:
+    if _lt3_holds(c, ops, bound, hook, st.split):
         return True, None
-    if pick:
-        pairs, ops = _inner_operators(c, lt1_ok, False)
-    for (u, v), e in zip(pairs, ops):
-        hit = _lt3_first_nonzero(c, e[None], bound, hook, st.split)
-        if hit is not None:
-            return False, (u, v) + hit[1:]
-    # not reached: the operator that failed above is among those rescanned
-    # (every nonzero R(u, v) of the same pairs after a pick), and its exact
-    # residual does not depend on the other operators of its batch
+    pairs, ops = _inner_operators(c, lt1_ok)
+    for t in np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1)):
+        if not _lt3_holds(c, ops[t:t + 1], bound, hook, st.split):
+            return False, tuple(pairs[t].tolist()) + _lt3_first_triple(c, ops[t])
+    # not reached: the kept operators that failed above are nonzero rows of
+    # the same pairs, all rescanned here, and the residual of each operator
+    # does not depend on the other operators of its batch (``_lt3_slab``
+    # multiplies each alone)
     return False, None
 
 
@@ -523,7 +524,7 @@ def _lt3_bound(coords: Arr) -> int:
     """4 max|c| L, L = max over (i, j, k) of sum_m |c[i, j, k, m]|, for the
     coordinates c: a bound on the LT3 residuals of operators that are rows
     c[u, v] of c, and on every partial sum of their four terms
-    (``_lt3_first_nonzero``)."""
+    (``_lt3_holds``)."""
     mag = np.abs(coords.a)
     top = int(mag.max(initial=0))
     # exact row sums: float32 below 2^24, float64 below 2^53; past it they
@@ -534,44 +535,35 @@ def _lt3_bound(coords: Arr) -> int:
     return 4 * top * rows
 
 
-def _inner_operators(c: np.ndarray, lt1_ok: bool, pick: bool = True, cover: int | None = None):
-    """The inner operators R(b_u, b_v) over the coordinates c, as the pairs
-    (u, v) and their operators ops[t][w, m] = (R(b_u, b_v) b_w)_m =
+def _inner_operators(c: np.ndarray, lt1_ok: bool):
+    """Every inner operator R(b_u, b_v) over the coordinates c, as the pairs
+    pairs[t] = (u, v) and their operators ops[t][w, m] = (R(b_u, b_v) b_w)_m =
     c[u, v, w, m], unscaled (the coordinate denominator cancels from both
     sides of the LT3 identity; max|ops| <= max|c|), in the order of the
-    pairs.  With ``pick`` a basis of their span, or with a ``cover`` the
-    operators that ``kernel.independent_row_indices`` certifies up to it;
-    else every nonzero one.  With LT1, R(b_v, b_u) = -R(b_u, b_v), so the
-    pairs u < v span."""
+    pairs.  With LT1, R(b_v, b_u) = -R(b_u, b_v), so the pairs u < v span,
+    and only they are listed."""
     d = c.shape[0]
     iu, ju = np.triu_indices(d, k=1) if lt1_ok else np.divmod(np.arange(d * d), d)
-    ops = c[iu, ju]
-    rows = ops.reshape(len(ops), d * d)
-    kept = kernel.independent_row_indices(rows, cover) if pick else np.flatnonzero(rows.any(axis=1))
-    return [(int(iu[t]), int(ju[t])) for t in kept], ops[kept]
+    return np.stack((iu, ju), axis=1), c[iu, ju]
 
 
-def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, split: int | None = None):
-    """The first (t, i, j, k) at which the LT3 residual of the operator
-    e = ops[t], given by e[w, m] = (D b_w)_m, is nonzero, or None:
+def _lt3_holds(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, split: int | None = None) -> bool:
+    """Whether the LT3 residual of every operator e = ops[t], given by
+    e[w, m] = (D b_w)_m, vanishes:
 
         res[i, j, k, m] = (D[b_i, b_j, b_k] - [D b_i, b_j, b_k]
                            - [b_i, D b_j, b_k] - [b_i, b_j, D b_k])_m.
 
     The operators are checked d at a time, one slab of fixed j after the
-    other (``_lt3_slab``): with ``hook`` the rectangle i < j, k <= j (see
-    ``_check_lt3``), else every i and k.  With ``hook`` and the ``split``
-    s of a graded system, only the slabs j >= s over the rows i < s, where
-    i and j have opposite grades: the other rows are zero (``_check_lt3``).
-    t is the first operator with a
-    nonzero residual in the first slab that has one, and (i, j, k) the
-    lexicographically first triple where its residual is nonzero, over every
-    triple (with LT1 and LT2, one with i < j and i <= k: otherwise
-    r(i, j, k) = r(k, j, i) - r(k, i, j) would be nonzero before it).
-    ``bound`` covers the running sum of the four terms and every partial sum
-    of each, whose d products are c[i, j, k, :] . e[:, m] (at most max|e| L)
-    and e[x, :] . c[..., m] (at most max|c| max_x sum_w |e[x, w]|), with
-    L = max over (i, j, k) of sum_m |c[i, j, k, m]|.
+    other (``_lt3_slab``), up to the first slab with a nonzero residual: with
+    ``hook`` the rectangle i < j, k <= j (see ``_check_lt3``), else every i
+    and k.  With ``hook`` and the ``split`` s of a graded system, only the
+    slabs j >= s over the rows i < s, where i and j have opposite grades:
+    the other rows are zero (``_check_lt3``).  ``bound`` covers the running
+    sum of the four terms and every partial sum of each, whose d products
+    are c[i, j, k, :] . e[:, m] (at most max|e| L) and e[x, :] . c[..., m]
+    (at most max|c| max_x sum_w |e[x, w]|), with L = max over (i, j, k) of
+    sum_m |c[i, j, k, m]|.
     """
     d = c.shape[0]
     c, ops = kernel.fit(c, bound), kernel.fit(ops, bound)
@@ -583,18 +575,18 @@ def _lt3_first_nonzero(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, s
     for t0 in range(0, len(ops), d or 1):  # d = 0: no operators
         e = ops[t0:t0 + d]
         for j in range(lo, d) if hook else range(d):
-            r = _lt3_slab(c, e, j, min(j, hi) if hook else d, j + 1 if hook else d, res, term)
-            if r.any():
-                t = t0 + int(np.flatnonzero(r.any(axis=(1, 2, 3)))[0])
-                return (t,) + _lt3_first_triple(c, ops[t], res, term)
-    return None
+            if _lt3_slab(c, e, j, min(j, hi) if hook else d, j + 1 if hook else d, res, term).any():
+                return False
+    return True
 
 
-def _lt3_first_triple(c: np.ndarray, e: np.ndarray, res: np.ndarray, term: np.ndarray):
+def _lt3_first_triple(c: np.ndarray, e: np.ndarray):
     """The lexicographically first (i, j, k) at which the LT3 residual of the
     one operator e is nonzero, or None: every slab j, each over the i below
-    the first i found so far."""
+    the first i found so far.  c and e are in the residuals' dtype
+    (``_lt3_holds``)."""
     d = c.shape[0]
+    res, term = np.empty(d**3, dtype=c.dtype), np.empty(d**3, dtype=c.dtype)
     first = None
     for j in range(d):
         r = _lt3_slab(c, e[None], j, d if first is None else first[0], d, res, term)
@@ -606,7 +598,7 @@ def _lt3_first_triple(c: np.ndarray, e: np.ndarray, res: np.ndarray, term: np.nd
 
 def _lt3_slab(c: np.ndarray, e: np.ndarray, j: int, ni: int, nk: int, res: np.ndarray, term: np.ndarray):
     """The LT3 residuals r[t, i, k, m] at the triples (i, j, k), i < ni and
-    k < nk, of the operators e (``_lt3_first_nonzero``), in the buffer
+    k < nk, of the operators e (``_lt3_holds``), in the buffer
     ``res``: one GEMM per term on a view of c that spans exactly these i and
     k, each subtracted through the buffer ``term``."""
     n, d = len(e), c.shape[0]
@@ -627,8 +619,12 @@ def _lt3_slab(c: np.ndarray, e: np.ndarray, j: int, ni: int, nk: int, res: np.nd
 
 def check_closure(space, product) -> bool:
     """Exact closure of the triple product on the space over all basis
-    triples; ``product`` is a product object or a callable (x, y, z)."""
+    triples; ``product`` is a product object, or on a ``Subspace`` a callable
+    (x, y, z) that takes stacks (``GenericTriple``).  A ``ProductSpace``
+    takes a ``PairTriple``: its products are computed by grade."""
     if not isinstance(product, (AlphaTriple, PairTriple, GenericTriple)):
+        if isinstance(space, ProductSpace):
+            raise ValueError("a ProductSpace takes its product as a PairTriple, not as a callable")
         product = GenericTriple(product)
     return TripleSystem(space, product).structure().closed
 
@@ -801,8 +797,9 @@ def standard_imbedding(system: TripleSystem) -> StandardImbedding:
     on h x m x m is LT3, [h, h] lies in h because each D in h is a
     derivation (LT3: [D, R(x, y)] = R(Dx, y) + R(x, Dy)), and the other
     Jacobi components hold for any operators.  So ``ok`` is ``check_lts``'s
-    verdict, and h has a basis of the inner operators picked behind the
-    Hadamard cover (``_inner_operators``), which makes it a basis over Q.
+    verdict, and h has a basis of the inner operators (``_inner_operators``)
+    picked behind the Hadamard cover of ``kernel.independent_row_indices``,
+    which makes it a basis over Q.
     """
     with kernel.one_blas_thread():
         st = system.structure()
@@ -810,5 +807,7 @@ def standard_imbedding(system: TripleSystem) -> StandardImbedding:
             raise ValueError("triple system is not closed; no standard imbedding")
         report = check_lts(system)
         lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
-        pairs, _ = _inner_operators(st.coords.a, lt1_ok)
-    return StandardImbedding(system, pairs, len(pairs), system.dim, report.ok)
+        pairs, ops = _inner_operators(st.coords.a, lt1_ok)
+        kept = kernel.independent_row_indices(ops.reshape(len(ops), system.dim**2))
+        basis = [tuple(pair) for pair in pairs[kept].tolist()]
+    return StandardImbedding(system, basis, len(basis), system.dim, report.ok)

@@ -454,6 +454,12 @@ def independent_row_indices(rows: np.ndarray, cover: int | None = None) -> list:
         picked, pivots = _pick(r, p)
         if _spans(r, picked, pivots, p, cover):
             return live[picked].tolist()
+    # not reached while the Hadamard bound H of r stays below the product of
+    # the primes below the limit, about e^limit (Chebyshev), at least
+    # e^(2^20) for fewer than 2^12 rows or columns: a pick modulo a prime
+    # that divides no maximal minor has full rank, so it spans over Q and
+    # ``_spans`` accepts it; each rejected prime divides one fixed nonzero
+    # maximal minor, so the rejected primes multiply to at most H
     raise ArithmeticError("every prime below the limit divides a maximal minor")
 
 
@@ -569,6 +575,12 @@ def _spans(r: np.ndarray, picked: list, pivots: list, p: int, cover: int | None 
         need = (bound // covered).bit_length() // (limit.bit_length() - 1) + 1
         qs = np.array(list(islice(primes, min(need, max(1, 2**18 // (k * k))))), dtype=np.float64)
         if not qs.size:
+            # not reached while bound * H^k stays below the product of the
+            # primes below the limit, about e^limit (Chebyshev), H the
+            # Hadamard bound of m: a prime is skipped only when it divides
+            # one of the k leading principal minors of m, nonzero integers
+            # of at most H (``_pick``), so the skipped primes multiply to at
+            # most H^k, and the others cover the bound
             raise ArithmeticError("the primes below the limit cannot cover the bound")
         inv, ok = _inverse_mod(m, qs)
         for q, inv_q in zip(qs[ok], inv[ok]):

@@ -161,15 +161,6 @@ class Scalar:
     def from_rational(ring, value) -> "Scalar":
         return Scalar(ring, (value,) + (0,) * (ring_components(ring) - 1))
 
-    @staticmethod
-    def variable(ring: SeriesRing, name: str) -> "Scalar":
-        """The generator t or s of a series ring."""
-        if not is_series(ring):
-            raise ValueError("variables only exist in series rings")
-        parts = [0] * ring_components(ring)
-        parts[series_slot(ring.base, {"t": (1, 0), "s": (0, 1)}[name]).start] = 1
-        return Scalar(ring, parts)
-
     # -- ring operations ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -203,17 +194,6 @@ class Scalar:
         r = Fraction(r)
         return Scalar(self.ring, [r * p for p in self.parts])
 
-    def inverse(self) -> "Scalar":
-        """The inverse over Q, Q(i) or the quaternions: the standard conjugate
-        (component signs 1, -1, -1, -1) over the norm, the sum of the squared
-        components."""
-        if is_series(self.ring):
-            raise ValueError("series scalars are inverted as 1 x 1 matrices (Matrix.inverse)")
-        if self.is_zero():
-            raise ZeroDivisionError("scalar is zero")
-        n = sum(p * p for p in self.parts)
-        return Scalar(self.ring, [p / n if c == 0 else -p / n for c, p in enumerate(self.parts)])
-
     def conjugate(self, kind: str) -> "Scalar":
         """Apply the base involution or phi ``kind`` (``conj_signs``)."""
         return Scalar(self.ring, [p if s > 0 else -p for p, s in zip(self.parts, conj_signs(self.ring, kind))])
@@ -228,12 +208,6 @@ class Scalar:
     def unflatten(ring, comps) -> "Scalar":
         return Scalar(ring, comps)
 
-    def coefficient(self, exp: tuple) -> "Scalar":
-        """Coefficient of t^a s^b in a series scalar."""
-        if not is_series(self.ring):
-            raise ValueError("not a series scalar")
-        return Scalar(self.ring.base, self.parts[series_slot(self.ring.base, exp)])
-
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -245,7 +219,10 @@ class Scalar:
         return hash((self.ring, self.parts))
 
     def __repr__(self):
-        return f"Scalar({self.ring}, {self.parts if is_series(self.ring) else format_scalar(self)!r})"
+        if is_series(self.ring):
+            return f"Scalar({self.ring}, {self.parts})"
+        text = format_components(self.ring, [(p.numerator, p.denominator) for p in self.parts])
+        return f"Scalar({self.ring}, {text!r})"
 
 
 def rational(value) -> Scalar:
@@ -268,10 +245,6 @@ def series_ring(base=Q) -> SeriesRing:
 
 _TERM = _re.compile(r"([+-]?[^+-]*)")
 _UNITS = ("", "i", "j", "k")
-
-
-def format_scalar(s: Scalar) -> str:
-    return format_components(s.ring, [(p.numerator, p.denominator) for p in s.parts])
 
 
 def format_components(ring, comps) -> str:

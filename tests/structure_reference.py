@@ -231,7 +231,9 @@ def reference_structure(space, product):
     flat[i, j, k] is the flattened value of the product on basis triple
     (i, j, k), coords[i, j, k] its coordinates (None outside the span),
     witness the first triple outside the span."""
-    flatten = space.flatten_pair if isinstance(space, ProductSpace) else Matrix.flatten
+    def flatten(value):
+        return value[0].flatten() + value[1].flatten() if isinstance(space, ProductSpace) else value.flatten()
+
     rref_basis, pivots = reference_basis(space)
     basis = space.basis_matrices()
     flat, coords, witness = {}, {}, None

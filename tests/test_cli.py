@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -102,6 +103,14 @@ class TestEigenspaces:
         assert code == 0
         assert json.loads(text)["dims"] == [3, 1, 3, 1]
 
+    def test_markdown(self, tmp_path):
+        code, text = run(tmp_path, "eigenspaces", "--construction", "quat1", "--n", "1", "--format", "md")
+        assert code == 0
+        assert text == ("# quat1[1] joint eigenspaces\n\n"
+                        "| signs | dim | model |\n|---|---|---|\n"
+                        "| (1, 1) | 1 | Herm(n,C) |\n| (-1, 1) | 2 | i Sym(n,C) |\n"
+                        "| (1, -1) | 0 | i Asym(n,C) |\n| (-1, -1) | 1 | Aherm(n,C) |\n")
+
     def test_sizes_above_four_warn(self, tmp_path, capsys):
         """A size above 4 runs, with one warning line on stderr; 4 has none."""
         code, text = run(tmp_path, "eigenspaces", "--construction", "proj", "--p", "5", "--q", "1")
@@ -188,6 +197,25 @@ class TestListFamilies:
                               capture_output=True, env=env, check=False)
         code = main(["list-families"])
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
+
+    def test_module_runs_in_process(self, monkeypatch, capsys):
+        """``runpy`` runs ``homotopes.__main__`` in this process, as
+        ``python -m homotopes`` does: it exits with the code of ``cli.main``
+        and writes the same text."""
+        code = main(["list-families"])
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["homotopes", "list-families"])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("homotopes", run_name="__main__")
+        assert (stop.value.code, capsys.readouterr().out) == (code, want)
+
+    def test_markdown(self, tmp_path):
+        code, text = run(tmp_path, "list-families", "--format", "md")
+        lines = text.splitlines()
+        assert code == 0 and len(lines) == 2 + 50
+        assert lines[:2] == ["| label | ring | sizes | space | pair |", "|---|---|---|---|---|"]
+        assert "| 1.a | Q | pq | M(p,q;K) | group case Gl_pq(A,K) |" in lines
+        assert "| 1.a' | Q | pq | M(p,q;K) | Gl_pq(A,K[i])/Gl_pq(A,K) |" in lines
 
     def test_json(self, tmp_path):
         code, text = run(tmp_path, "list-families")

@@ -7,18 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from structure_reference import reference_pair_failures, reference_rref
+from structure_reference import reference_lts, reference_pair_failures, reference_rref
 
 from homotopes import matrices
 from homotopes.families import (CONSTRUCTIONS, SIGNS, ParamClass, _check_proj_middle, family,
                                 family_axiom_suite, family_labels,
-                                hermquat_check, herm_space, instantiate,
+                                hermquat_check, herm_space, instantiate, invertible_draws,
                                 quat_complex_embedding, quat_split_embedding,
                                 rand_matrix, rand_scalar,
                                 sample_styles, size_letters, sym_space, verify_table)
-from homotopes.homotope import AlphaMap, AlphaTriple, TripleSystem, check_lts
+from homotopes.homotope import AlphaMap, AlphaTriple, TripleSystem, check_lts, triple_param
 from homotopes.involutions import JointDecomposition
-from homotopes.matrices import Matrix
+from homotopes.kernel import Arr
+from homotopes.matrices import Matrix, Subspace
 from homotopes.scalars import HQ, Q, QI, quaternion, series_ring
 
 
@@ -31,6 +32,29 @@ def test_rand_matrix_draws_as_the_entrywise_construction(ring):
         want = Matrix(p, q, ring, [rand_scalar(ring, old) for _ in range(p * q)])
         assert rand_matrix(p, q, ring, rng) == want
     assert rng.getstate() == old.getstate()
+
+
+def test_invertible_draws_keep_the_accepted_draws_in_order():
+    """A scripted stream of 1 x 1 draws, 0 where a draw is singular: the
+    sampler keeps the invertible draws in the order drawn, with their
+    inverses, and reads the stream as far as a loop over single draws does,
+    in stacks of the draws still missing."""
+    stream, sizes = iter([0, 2, 0, 0, 3, 0, 5, 7]), []
+
+    def draw(k):
+        sizes.append(k)
+        return Arr.from_matrices([Matrix.diag(Q, [next(stream)]) for _ in range(k)])
+
+    def values(x):
+        return [Fraction(int(v), x.den) for v in x.a.ravel()]
+
+    m, inv = invertible_draws(draw, 3, lambda x: x)
+    assert values(m) == [2, 3, 5] and values(inv) == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]
+    assert sizes == [3, 2, 1, 1] and next(stream) == 7
+    # invert(m) = 1 - m is singular at m = 1
+    stream = iter([1, 4, 1])
+    m, inv = invertible_draws(draw, 1, lambda x: Matrix.identity(1, Q) - x)
+    assert values(m) == [4] and values(inv) == [Fraction(-1, 3)] and next(stream) == 1
 
 
 class TestCatalog:
@@ -174,6 +198,21 @@ class TestConstructions:
         c.models[(1, -1)], c.models[(-1, 1)] = c.models[(-1, 1)], c.models[(1, -1)]
         assert sorted(signs for signs, _ in c.validate_models()) == [(-1, 1), (1, -1)]
 
+    def test_empty_model_of_a_nonzero_piece_is_rejected(self):
+        """proj(1, 1) with the empty model of its zero piece (-1, -1) given
+        to its piece (1, 1), of dimension 2."""
+        c = instantiate("proj", (1, 1))
+        c.models[(1, 1)] = c.models[(-1, -1)]
+        assert c.validate_models() == [((1, 1), "empty model for nonzero piece")]
+
+    def test_model_map_that_is_not_injective_is_rejected(self):
+        """proj(1, 1) with every map of the model of (1, 1) listed twice: its
+        image is still the piece, but the images of its basis are dependent."""
+        c = instantiate("proj", (1, 1))
+        model = c.models[(1, 1)]
+        c.models[(1, 1)] = dataclasses.replace(model, maps=model.maps * 2)
+        assert c.validate_models() == [((1, 1), "model map is not injective")]
+
     def test_quat_split_embedding_is_conjugation_by_j_plus_k(self):
         """The component gather equals the standard embedding of u X u^-1,
         u = j + k, taken with two Scalar products per entry."""
@@ -247,6 +286,35 @@ class TestTables:
         assert [r[0] for r in rows] == [str(s) for s in SIGNS]
         assert [[text.rsplit(": ", 1)[1] for text in r[1:]] for r in rows] == [
             [marks[(s, t)] for t in SIGNS] for s in SIGNS]
+
+    def test_table_records_failing_lts_axioms(self):
+        """proj(1, 1) with its piece (1, 1) tilted off its eigenspace, to the
+        span of E11 + E12 and E22: the pieces are still a direct sum, but
+        [X, Y, Z]_A leaves the tilted piece.  Every cell records, per style,
+        the axioms that the reference finds failing for the same draws (t,
+        then style), and a cell that records any does not verify."""
+        c = instantiate("proj", (1, 1))
+        pieces = dict(c.decomposition.pieces)
+        pieces[(1, 1)] = Subspace.span([Matrix.from_rows(Q, [[1, 1], [0, 0]]), Matrix.from_rows(Q, [[0, 0], [0, 1]])])
+        bad = dataclasses.replace(c, decomposition=JointDecomposition(c.decomposition.involutions, pieces))
+        samples, seed = 5, 3
+        art = verify_table(bad, samples, seed)
+        rng, want = random.Random(seed), {}
+        for t in SIGNS:
+            param = ParamClass("piece", bad.piece(t))
+            for style in sample_styles(samples):
+                a = param.sample(rng, style)
+                for s in SIGNS:
+                    entries = reference_lts(bad.piece(s), lambda x, y, z: triple_param(x, y, z, a))
+                    failing = [axiom for axiom, ok, _ in entries if not ok]
+                    if failing:
+                        want.setdefault((s, t), []).append({"style": style, "axioms": failing})
+        assert {s for s, _ in want} == {(1, 1)}
+        for cell in art.cells:
+            key = (tuple(cell["space"]), tuple(cell["param"]))
+            assert [f for f in cell["failures"] if "axioms" in f] == want.get(key, [])
+            if key in want:
+                assert not cell["verified"]
 
     def test_proj_middle_splitting_rejects_a_non_middle_parameter(self):
         """For A = 1 the two off-diagonal blocks of proj(1, 1) do not commute

@@ -167,6 +167,15 @@ class TestCheckLts:
         assert not report.ok
         assert any(e["axiom"] == "LT1" for e in report.failing())
 
+    def test_closure_of_a_pair_space_takes_a_pair_triple(self):
+        """On a ``ProductSpace`` the ``PairTriple`` object decides closure;
+        its ``eval`` as a callable is refused with a one-line ValueError."""
+        space = ProductSpace(matrix_space(1, 2, Q), matrix_space(2, 1, Q))
+        assert check_closure(space, PairTriple())
+        with pytest.raises(ValueError, match="PairTriple") as refused:
+            check_closure(space, PairTriple().eval)
+        assert "\n" not in str(refused.value)
+
     def test_closure_fails_off_carrier(self):
         """Sym(2) with a generic non-symmetric parameter is not closed."""
         sp = sym_space(2, Q)
@@ -377,8 +386,8 @@ class TestStandardImbedding:
 
     @pytest.mark.parametrize("label, sizes", [("2.2.b", (3,)), ("2.2.b", (1,))])
     def test_picks_once(self, monkeypatch, label, sizes):
-        """h is picked once, behind the Hadamard cover, and its pairs are
-        those ``_inner_operators`` picks with LT1.  At 2.2.b(3) (d = 21)
+        """h is picked once, behind the Hadamard cover, among the pairs
+        ``_inner_operators`` lists with LT1.  At 2.2.b(3) (d = 21)
         ``check_lts`` makes one more pick for LT3, behind the cover of its
         residual bound; at 2.2.b(1) (d = 3, every operator checked) it makes
         none."""
@@ -392,7 +401,8 @@ class TestStandardImbedding:
         emb = standard_imbedding(system)
         bound = homotope._lt3_bound(system.structure().coords)
         assert emb.ok and covers == ([bound, None] if large else [None])
-        picked, _ = homotope._inner_operators(system.structure().coords.a, True)
+        pairs, ops = homotope._inner_operators(system.structure().coords.a, True)
+        picked = [tuple(pairs[t].tolist()) for t in pick(ops.reshape(len(ops), system.dim**2))]
         assert emb.h_pairs == picked and emb.h_dim == len(picked)
         assert "pairs" not in str(check_lts(system).to_json(system))
 

@@ -67,6 +67,14 @@ class TestRectangular:
         nf = normal_form(a, "rectangular")
         assert nf.verified and intertwiner_check(nf, matrix_space(3, 2, HQ))
 
+    def test_zero_first_row(self):
+        """The pivot lies below the first row, so a row swap brings it up."""
+        a = Matrix.from_rows(Q, [[0, 0, 0], [0, 2, 1]])
+        nf = normal_form(a, "rectangular")
+        assert nf.verified and nf.normal == Matrix.elementary(2, 3, 0, 0, Q)
+        assert nf.witness["g1"] @ a @ nf.witness["g2"] == nf.normal
+        assert intertwiner_check(nf, matrix_space(3, 2, Q))
+
 
 class TestCongruence:
     def setup_method(self):
@@ -159,6 +167,17 @@ class TestSkew:
     def test_intertwiner(self):
         a = sample_in_subspace(asym_space(4, Q), self.rng)
         nf = normal_form(a, "skew")
+        assert intertwiner_check(nf, asym_space(4, Q))
+
+    def test_zero_first_row(self):
+        """The first pivot, at (1, 3), lies below the first row: row and
+        column swaps bring it to (0, 1)."""
+        a = Matrix.from_rows(Q, [[0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0], [0, -3, 0, 0]])
+        nf = normal_form(a, "skew")
+        want = Matrix.elementary(4, 4, 0, 1, Q) - Matrix.elementary(4, 4, 1, 0, Q)
+        assert nf.verified and nf.normal == want
+        g = nf.witness["g"]
+        assert g @ a @ g.transpose() == nf.normal
         assert intertwiner_check(nf, asym_space(4, Q))
 
 

@@ -1,7 +1,9 @@
 """Unit tests for the exact scalar rings Q, Q(i), the rational quaternions
 and the truncated series rings over them: the unit tables and sign patterns
 written out, and ``Scalar`` against the hand-written references of
-``structure_reference``."""
+``structure_reference``.  Series variables and coefficients, and inverses,
+are those of 1 x 1 matrices (``groups.series_lift``,
+``groups.series_coefficient``, ``Matrix.inverse``)."""
 
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from structure_reference import reference_scalar_conjugate, reference_scalar_product
 
+from homotopes.groups import series_coefficient, series_lift
 from homotopes.matrices import Matrix
 from homotopes.scalars import (CONJ_SIGNS, HQ, Q, QI, Scalar, gaussian, is_series, parse_scalar,
                                quaternion, rational, ring_components, series_ring)
@@ -42,6 +45,11 @@ class TestRingBasics:
             assert o.flatten() == (1,) + (0,) * (ring_components(ring) - 1)
             assert (o * z).is_zero()
             assert o * o == o
+
+    def test_repr(self):
+        """The text format of a base ring scalar, the components of a series one."""
+        assert repr(gaussian(1, Fraction(-2, 3))) == "Scalar(QI, '1-2/3i')"
+        assert repr(Scalar.one(series_ring(Q))) == f"Scalar({series_ring(Q)}, {Scalar.one(series_ring(Q)).parts})"
 
     def test_unflatten_roundtrip(self):
         s = quaternion(1, -2, Fraction(1, 3), 0)
@@ -98,12 +106,13 @@ class TestSeriesTable:
 
     def test_variables_and_coefficients(self):
         ring = series_ring(HQ)
-        assert Scalar.variable(ring, "t") == monomial(HQ, (1, 0), 0)
-        assert Scalar.variable(ring, "s") == monomial(HQ, (0, 1), 0)
-        x = monomial(HQ, (1, 1), 3) + monomial(HQ, (0, 0), 2).scale(5)
-        assert x.coefficient((1, 1)) == quaternion(0, 0, 0, 1)
-        assert x.coefficient((0, 0)) == quaternion(0, 0, 5)
-        assert x.coefficient((1, 0)).is_zero()
+        one = Matrix.identity(1, HQ)
+        assert series_lift(one, ring, "t") == Matrix(1, 1, ring, [monomial(HQ, (1, 0), 0)])
+        assert series_lift(one, ring, "s") == Matrix(1, 1, ring, [monomial(HQ, (0, 1), 0)])
+        x = Matrix(1, 1, ring, [monomial(HQ, (1, 1), 3) + monomial(HQ, (0, 0), 2).scale(5)])
+        assert series_coefficient(x, (1, 1), HQ) == Matrix(1, 1, HQ, [quaternion(0, 0, 0, 1)])
+        assert series_coefficient(x, (0, 0), HQ) == Matrix(1, 1, HQ, [quaternion(0, 0, 5)])
+        assert series_coefficient(x, (1, 0), HQ).is_zero()
 
 
 # the images of the units 1, i, j, k under each involution, written out
@@ -172,9 +181,12 @@ class TestRingAxioms:
     @given(quat_strategy)
     @settings(max_examples=30, deadline=None)
     def test_inverse(self, a):
-        if not a.is_zero():
-            assert a * a.inverse() == Scalar.one(HQ)
-            assert a.inverse() * a == Scalar.one(HQ)
+        m, one = Matrix(1, 1, HQ, [a]), Matrix.identity(1, HQ)
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+        else:
+            assert m @ m.inverse() == one and m.inverse() @ m == one
 
 
 class TestInvolutions:
@@ -212,20 +224,16 @@ class TestInvolutions:
 class TestSeries:
     def test_truncation(self):
         sr = series_ring(Q)
-        t = Scalar.variable(sr, "t")
-        s = Scalar.variable(sr, "s")
-        one = Scalar.one(sr)
-        prod = (one + t) * (one + s)
+        one = Matrix.identity(1, Q)
+        t, s = series_lift(one, sr, "t"), series_lift(one, sr, "s")
+        prod = (series_lift(one, sr) + t) @ (series_lift(one, sr) + s)
         # (1 + t)(1 + s) = 1 + t + s + ts, exact below the truncation order
-        assert prod.coefficient((0, 0)).flatten()[0] == 1
-        assert prod.coefficient((1, 0)).flatten()[0] == 1
-        assert prod.coefficient((0, 1)).flatten()[0] == 1
-        assert prod.coefficient((1, 1)).flatten()[0] == 1
+        for exp in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            assert series_coefficient(prod, exp, Q) == one
 
     def test_degree_drop(self):
-        sr = series_ring(Q)
-        t = Scalar.variable(sr, "t")
-        assert (t * t).is_zero()
+        t = series_lift(Matrix.identity(1, Q), series_ring(Q), "t")
+        assert (t @ t).is_zero()
 
 
 def test_parse_allows_whitespace_only_next_to_a_sign():

@@ -22,7 +22,7 @@ from homotopes import homotope, kernel
 from homotopes.families import (SIGNS, ParamClass, asym_space, family, family_labels, herm_space,
                                 instantiate, matrix_space, rand_matrix, sym_space)
 from homotopes.homotope import (AlphaMap, GenericTriple, PairTriple, ProductSpace, TripleSystem,
-                                _lt3_first_nonzero, bracket_closure, check_lts, standard_imbedding,
+                                _lt3_first_triple, _lt3_holds, bracket_closure, check_lts, standard_imbedding,
                                 symmetric_pair, symmetric_pairs, triple_param)
 from homotopes.involutions import JointDecomposition, MatrixInvolution
 from homotopes.kernel import Arr, independent_row_indices
@@ -237,8 +237,8 @@ def test_graded_lt3_fails_as_the_plain_hook(monkeypatch, p, q):
     assert system.structure().split == p * q
     graded = _lts_entries(system)
     assert [e[0] for e in graded if not e[1]] == ["LT3"]
-    plain = homotope._lt3_first_nonzero
-    monkeypatch.setattr(homotope, "_lt3_first_nonzero",
+    plain = homotope._lt3_holds
+    monkeypatch.setattr(homotope, "_lt3_holds",
                         lambda c, ops, bound, hook, split=None: plain(c, ops, bound, hook))
     assert graded == _lts_entries(_graded(p, q, 11))
 
@@ -675,10 +675,10 @@ def test_hook_check_matches_reference_on_perturbed_lts(base, data):
 def test_residual_slabs_match_reference(base, data):
     """The LT3 residual slabs of a stack of more than d operators: every
     R(u, v) of an LTS (derivations) with one operator R(u, v) + delta E_wm
-    inserted at a drawn position.  With the hook they report a nonzero
-    residual exactly when the reference finds one on some triple, at the
-    inserted operator and at a hook triple where the reference's residual is
-    nonzero; over every triple, at the reference's first nonzero triple."""
+    inserted at a drawn position.  With the hook and over every triple they
+    report a nonzero residual exactly when the reference finds one on some
+    triple, every other operator alone passes, and the rescan of the
+    inserted operator alone finds the reference's first nonzero triple."""
     space, c = base
     d = space.dim
     ops = [[c[u, v, w] for w in range(d)] for u in range(d) for v in range(d)]
@@ -696,12 +696,9 @@ def test_residual_slabs_match_reference(base, data):
     bound = 4 * d * int(max(np.abs(cc).max(), np.abs(stack).max())) ** 2
     triples = list(np.ndindex(d, d, d))
     first = next((t for t in triples if any(derivation_residual(c, d, e, *t))), None)
-    hook = _lt3_first_nonzero(cc, stack, bound, hook=True)
-    assert (hook is None) == (first is None)
-    if hook is not None:
-        t, i, j, k = hook
-        assert t == at and i < j and i <= k and any(derivation_residual(c, d, e, i, j, k))
-        assert _lt3_first_nonzero(cc, stack, bound, hook=False) == (at,) + first
+    assert _lt3_holds(cc, stack, bound, hook=True) == (first is None) == _lt3_holds(cc, stack, bound, hook=False)
+    assert all(_lt3_holds(cc, stack[t:t + 1], bound, hook=True) for t in range(len(stack)) if t != at)
+    assert _lt3_first_triple(kernel.fit(cc, bound), kernel.fit(stack[at], bound)) == first
 
 
 @settings(max_examples=30, deadline=None)

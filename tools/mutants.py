@@ -146,8 +146,12 @@ MUTANTS = [
     Mutant("last operator chunk skipped", "src/homotopes/homotope.py",
            "for t0 in range(0, len(ops), d or 1):", "for t0 in range(0, len(ops), d or 1)[:-1]:"),
     Mutant("standard_imbedding forced ok", "src/homotopes/homotope.py",
-           "StandardImbedding(system, pairs, len(pairs), system.dim, report.ok)",
-           "StandardImbedding(system, pairs, len(pairs), system.dim, True)"),
+           "StandardImbedding(system, basis, len(basis), system.dim, report.ok)",
+           "StandardImbedding(system, basis, len(basis), system.dim, True)"),
+    Mutant("LT3 rescan skips the first nonzero operator", "src/homotopes/homotope.py",
+           "for t in np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1)):",
+           "for t in np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1))[1:]:",
+           "tests/test_structure_reference.py"),
     Mutant("BLAS scope never restores the thread count", "src/homotopes/kernel.py",
            "    finally:\n        api[1](before)", "    finally:\n        pass"),
     # the graded structure of a polarized system and its LT3 hook
@@ -240,6 +244,13 @@ MUTANTS = [
     Mutant("product witness guessed as W_X W_Y", "src/homotopes/groups.py",
            "self.a, other.witness @ self.witness)", "self.a, self.witness @ other.witness)",
            "tests/test_groups.py::TestWitnesses"),
+    # the one stacked rejection sampler of invertible draws
+    Mutant("sampler keeps a rejected draw", "src/homotopes/families.py",
+           "kept.append((m[ok], inv[ok]))", "kept.append((m, inv))",
+           "tests/test_families.py::test_invertible_draws_keep_the_accepted_draws_in_order"),
+    Mutant("sampler draws one more than it needs", "src/homotopes/families.py",
+           "m = draw(need)", "m = draw(need + 1)",
+           "tests/test_families.py::test_invertible_draws_keep_the_accepted_draws_in_order"),
     # a generic product: one call over the basis stacks, broadcast to (d, d, d)
     Mutant("generic product with the y and z stacks swapped", "src/homotopes/homotope.py",
            "self.fn(b[:, None, None], b[None, :, None], b[None, None, :])",
