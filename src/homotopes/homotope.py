@@ -97,11 +97,16 @@ class AlphaTriple:
         """alpha of each basis matrix, one ``Matrix`` at a time."""
         return [self.alpha(b) for b in basis]
 
-    def flat(self, space) -> Arr:
-        """The flattened products [b_i, b_j, b_k] over the basis of ``space``,
-        with the middle images of the whole basis from one ``AlphaMap`` call."""
+    def structure(self, space) -> "Structure":
+        """The structure constants over the basis of ``space``, with the middle
+        images of the whole basis from one ``AlphaMap`` call; the zero one
+        when every image is zero (``TripleSystem.structure``)."""
         basis = space.basis_arr()
-        return kernel.flatten_last(_triples(basis, self.alpha(basis)))
+        middles = self.alpha(basis)
+        if middles.is_zero().all():
+            return _vanishing(space)
+        flat = kernel.flatten_last(_triples(basis, middles))
+        return _structure(flat, *space.flat_coordinates(flat))
 
     def negated(self) -> "AlphaTriple":
         return AlphaTriple(self.alpha.negated())
@@ -151,11 +156,14 @@ class PairTriple:
         [M, P, M], in V-; each takes one ``coordinates`` against its grade's
         own basis.  Both are brought to one denominator and bound (those of
         the whole flattened tensor) and scattered into zeros, with their
-        negatives at [M, P, P] and [P, M, M].  When a grade is empty the
-        bracket is zero: both blocks are empty, and only fix the
-        denominator."""
+        negatives at [M, P, P] and [P, M, M].  When a grade is empty both
+        blocks are, and when the middle images of both grades are zero each
+        term of both blocks has a zero middle factor: either way the
+        structure is the zero one (``_vanishing``)."""
         bp, bm = space.plus.basis_arr(), space.minus.basis_arr()
         wp, wm = (bp, bm) if self.alphas is None else (f(b) for f, b in zip(self.alphas, (bp, bm)))
+        if 0 in (space.plus.dim, space.minus.dim) or (wp.is_zero().all() and wm.is_zero().all()):
+            return _vanishing(space)
         vp, vm = kernel.t_tensor(bp, wm), kernel.t_tensor(bm, wp)
         den = lcm(vp.den, vm.den)
         bound = max(v.bound * (den // v.den) for v in (vp, vm))
@@ -167,8 +175,6 @@ class PairTriple:
         # v at [own, other, own] in its grade's columns, -v at [other, own, own]
         for v, grade, own, other, cols in ((vp, space.plus, plus, minus, slice(n1)),
                                            (vm, space.minus, minus, plus, slice(n1, None))):
-            if not v.a.size:
-                continue
             block = kernel.flatten_last(Arr(v.over(den, bound), den, bound, v.ring))
             c, m = grade.flat_coordinates(block)
             flat[own, other, own, cols], flat[other, own, own, cols] = block.a, -block.a.swapaxes(0, 1)
@@ -200,6 +206,10 @@ class GenericTriple:
         d = len(b.a)
         out = kernel.flatten_last(self.fn(b[:, None, None], b[None, :, None], b[None, None, :]))
         return Arr(np.broadcast_to(out.a, (d, d, d) + out.a.shape[-1:]), out.den, out.bound, out.ring)
+
+    def structure(self, space) -> "Structure":
+        flat = self.flat(space)
+        return _structure(flat, *space.flat_coordinates(flat))
 
     def negated(self) -> "GenericTriple":
         return GenericTriple(lambda x, y, z: -self.fn(x, y, z))
@@ -257,7 +267,8 @@ class Structure:
     a denominator.  ``coords``: coordinates in the space's basis (present only
     when the product is closed).  ``split``: for a polarized system
     (``PairTriple``) the dimension d+ of the plus grade, whose basis comes
-    before the minus grade's; None for any other.
+    before the minus grade's; None for any other.  ``vanishes``: every
+    product is known to be zero (``_vanishing``).
     """
 
     flat: Arr
@@ -265,6 +276,7 @@ class Structure:
     closed: bool
     witness: tuple | None
     split: int | None = None
+    vanishes: bool = False
 
 
 def _structure(flat: Arr, coords: Arr, member: np.ndarray, split: int | None = None) -> Structure:
@@ -276,11 +288,23 @@ def _structure(flat: Arr, coords: Arr, member: np.ndarray, split: int | None = N
     return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]), split)
 
 
+def _vanishing(space) -> Structure:
+    """The structure of a product that vanishes on ``space``: zero products
+    and coordinates over denominator 1, closed, with no witness.  The zero
+    arrays are read-only broadcasts of one zero, so they take no memory."""
+    d, graded = space.dim, isinstance(space, ProductSpace)
+    ring = (space.plus if graded else space).ambient[2]
+    flat, coords = (Arr(np.broadcast_to(np.float32(0), (d, d, d, n)), 1, 1, ring) for n in (space.ambient_dim, d))
+    return Structure(flat, coords, True, None, space.plus.dim if graded else None, True)
+
+
 class TripleSystem:
     """A subspace (or pair space) with a triple bracket and cached structure
     constants over the canonical basis."""
 
     def __init__(self, space, product):
+        if isinstance(space, ProductSpace) and not isinstance(product, PairTriple):
+            raise ValueError(f"a ProductSpace takes its product as a PairTriple, not as {type(product).__name__}")
         self.space = space
         self.product = product
         self._structure: Structure | None = None
@@ -297,18 +321,16 @@ class TripleSystem:
         return self.space.basis_matrices()
 
     def structure(self) -> Structure:
+        """The structure constants over the basis, computed once.  A product
+        whose middle images all vanish (every alpha(b_j) of an
+        ``AlphaTriple``, both grades' images of a ``PairTriple``) is zero,
+        since each term of T(x, alpha(y), z) has the middle factor alpha(y):
+        its structure is the zero one, decided exactly from the d integer
+        numerators of the images, with no d^3 products, antisymmetrization
+        or coordinates (``Structure.vanishes``)."""
         if self._structure is None:
-            self._structure = self._compute_structure()
+            self._structure = _vanishing(self.space) if self.dim == 0 else self.product.structure(self.space)
         return self._structure
-
-    def _compute_structure(self) -> Structure:
-        if self.dim == 0:
-            empty = Arr(kernel.fit(np.zeros((0, 0, 0, 0)), 1), 1, 1, None)
-            return Structure(empty, empty, True, None)
-        if isinstance(self.product, PairTriple):
-            return self.product.structure(self.space)
-        flat = self.product.flat(self.space)
-        return _structure(flat, *self.space.flat_coordinates(flat))
 
     def eval(self, x, y, z):
         return self.product.eval(x, y, z)
@@ -370,7 +392,14 @@ class LtsReport:
 
 def check_lts(system: TripleSystem) -> LtsReport:
     """Verify closure and LT1-LT3 exactly; failures carry a witness tuple of
-    basis indices.  BLAS runs on one thread (``kernel.one_blas_thread``)."""
+    basis indices.  BLAS runs on one thread (``kernel.one_blas_thread``).
+
+    A vanishing product (``TripleSystem.structure``: every middle image is
+    zero, so every term of T(x, alpha(y), z) is) passes all four at once:
+    it is closed, and each term of the LT1, LT2 and LT3 identities is a
+    product, so zero.  That is exact, decided on the integer numerators of
+    the middle images, and no LT1/LT2 block, LT3 bound or operator is
+    built."""
     with kernel.one_blas_thread():
         return _check_lts(system)
 
@@ -379,6 +408,10 @@ def _check_lts(system: TripleSystem) -> LtsReport:
     report = LtsReport()
     st = system.structure()
     report.add("closure", st.closed, st.witness)
+    if st.vanishes:
+        for axiom in ("LT1", "LT2", "LT3"):
+            report.add(axiom, True)
+        return report
     lt1, lt2 = _lt1_lt2_witnesses(st.flat)
     report.add("LT1", lt1 is None, lt1)
     report.add("LT2", lt2 is None, lt2)
@@ -621,10 +654,9 @@ def check_closure(space, product) -> bool:
     """Exact closure of the triple product on the space over all basis
     triples; ``product`` is a product object, or on a ``Subspace`` a callable
     (x, y, z) that takes stacks (``GenericTriple``).  A ``ProductSpace``
-    takes a ``PairTriple``: its products are computed by grade."""
+    takes a ``PairTriple``: its products are computed by grade, and any
+    other product is refused (``TripleSystem``)."""
     if not isinstance(product, (AlphaTriple, PairTriple, GenericTriple)):
-        if isinstance(space, ProductSpace):
-            raise ValueError("a ProductSpace takes its product as a PairTriple, not as a callable")
         product = GenericTriple(product)
     return TripleSystem(space, product).structure().closed
 
@@ -645,8 +677,9 @@ class SymmetricPairRec:
 
 
 def bracket_closure(left: Subspace, right: Subspace, target: Subspace, a: Matrix) -> bool:
-    """[left, right]_A subset of target, exact, batched."""
-    return left.dim == 0 or right.dim == 0 or _inside(
+    """[left, right]_A subset of target, exact, batched; at once when A = 0,
+    where every bracket XAY - YAX is zero."""
+    return left.dim == 0 or right.dim == 0 or bool(a.is_zero()) or _inside(
         kernel.bilinear_tensor(left.basis_arr(), right.basis_arr(), a), target)
 
 
@@ -683,7 +716,8 @@ def symmetric_pairs(dec, t, a: Matrix, spaces) -> dict:
     m_s stacked, and its column blocks are [h, h] and each [h, m_s]; it
     never holds a cross block [m_s, m_s'].  [m_s, m_s] in h is its own
     tensor, except for the group-type piece s = -t, where m = h and all three
-    closures are the [h, h] one.
+    closures are the [h, h] one.  A zero parameter makes every bracket zero,
+    so no tensor is built; the direct-sum and membership checks stay.
     """
     t = tuple(t)
     minus_t = tuple(-x for x in t)
@@ -696,7 +730,7 @@ def symmetric_pairs(dec, t, a: Matrix, spaces) -> dict:
     # h first, then each other piece once: the column blocks of the tensor
     blocks = [minus_t] + [s for s in dict.fromkeys(spaces) if s != minus_t]
     inside = dict.fromkeys(blocks, True)
-    if h.dim:
+    if h.dim and not a.is_zero():
         bb = kernel.bilinear_tensor(h.basis_arr(), kernel.concat([dec.piece(s).basis_arr() for s in blocks], 0), a)
         lo = 0
         for s in blocks:

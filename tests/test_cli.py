@@ -157,8 +157,11 @@ class TestNormalForm:
         ({"rows": 1, "cols": 1, "ring": "Q", "entries": [["1 2"]]}, "bad scalar literal '1 2'"),
         ({"rows": 1, "cols": 1, "ring": "Q", "entries": [["1/2 3"]]}, "bad scalar literal '1/2 3'"),
         ({"rows": 1, "cols": 2, "ring": "QI", "entries": [["1", "2j"]]}, "unit 'j' not available in ring QI"),
+        ({"rows": 2, "cols": 2, "ring": "Q", "entries": [["1", "0"], ["1"]]}, "ragged rows"),
+        ({"rows": 2, "cols": 1, "ring": "Q", "entries": [["1", "0"]]}, "inconsistent matrix JSON"),
     ], ids=["zero-denominator", "top-level-array", "unknown-ring", "empty-literal", "blank-literal",
-            "space-between-digits", "space-after-fraction", "quaternion-unit-over-qi"])
+            "space-between-digits", "space-after-fraction", "quaternion-unit-over-qi", "ragged-entries",
+            "shape-not-the-entries"])
     def test_bad_input_exit_two(self, tmp_path, capsys, data, reason):
         inp = tmp_path / "m.json"
         inp.write_text(json.dumps(data))

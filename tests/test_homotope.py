@@ -176,6 +176,18 @@ class TestCheckLts:
             check_closure(space, PairTriple().eval)
         assert "\n" not in str(refused.value)
 
+    @pytest.mark.parametrize("call", [
+        lambda space: check_closure(space, GenericTriple(PairTriple().eval)),
+        lambda space: check_lts(TripleSystem(space, AlphaTriple(AlphaMap(None, None)))),
+    ], ids=["check_closure-GenericTriple", "check_lts-AlphaTriple"])
+    def test_pair_space_refuses_every_other_product(self, call):
+        """A ``ProductSpace`` with a product object other than ``PairTriple``
+        is refused with a one-line ValueError, by closure and LTS check."""
+        space = ProductSpace(matrix_space(1, 2, Q), matrix_space(2, 1, Q))
+        with pytest.raises(ValueError, match="PairTriple") as refused:
+            call(space)
+        assert "\n" not in str(refused.value)
+
     def test_closure_fails_off_carrier(self):
         """Sym(2) with a generic non-symmetric parameter is not closed."""
         sp = sym_space(2, Q)

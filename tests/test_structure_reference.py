@@ -21,7 +21,7 @@ from structure_reference import (broken_derivation, constants_product, derivatio
 from homotopes import homotope, kernel
 from homotopes.families import (SIGNS, ParamClass, asym_space, family, family_labels, herm_space,
                                 instantiate, matrix_space, rand_matrix, sym_space)
-from homotopes.homotope import (AlphaMap, GenericTriple, PairTriple, ProductSpace, TripleSystem,
+from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple, PairTriple, ProductSpace, TripleSystem,
                                 _lt3_first_triple, _lt3_holds, bracket_closure, check_lts, standard_imbedding,
                                 symmetric_pair, symmetric_pairs, triple_param)
 from homotopes.involutions import JointDecomposition, MatrixInvolution
@@ -139,11 +139,16 @@ def test_family_structure_matches_reference(label):
     """Every catalog family, plain or polarized, at its smallest sizes with one
     generic sample: the batched structure (declared alpha, stacked middle
     images) is the reference's over ``system.eval``, one ``Matrix`` product
-    at a time."""
+    at a time.  With its zero sample every middle image vanishes: the zero
+    structure, built with no product, and the LTS verdicts it passes at
+    once are the reference's."""
     desc = family(label)
     sizes = _smallest_sizes(desc)
     system = desc.system(sizes, desc.sample_params(sizes, random.Random(label), "generic"))
     assert_structure_matches(system, system.space, system.eval)
+    zero = desc.system(sizes, desc.sample_params(sizes, random.Random(label), "zero"))
+    assert assert_structure_matches(zero, zero.space, zero.eval).vanishes
+    assert _lts_entries(zero) == reference_lts(zero.space, zero.eval)
 
 
 def test_object_tier_twisted_family():
@@ -182,6 +187,8 @@ GRADED_CASES = {
     "middle denominators": lambda: _graded(1, 2, 3, dens=(3, 7)),
     "not closed": lambda: _graded(2, 2, 5, spaces=(sym_space(2, Q), sym_space(2, Q))),
     "object tier": lambda: _family_system("pol2-2.2", (1, 1), Fraction(2**40 - 87, BIG)),
+    "empty plus grade": lambda: TripleSystem(ProductSpace(Subspace.zero((1, 2, Q)), matrix_space(2, 1, Q)),
+                                             PairTriple()),
 }
 
 
@@ -189,19 +196,20 @@ GRADED_CASES = {
 def test_graded_structure_matches_reference(case):
     """A polarized structure is built by grade, from the two nonzero blocks:
     its products, coordinates, closure verdict and witness are the
-    reference's when one grade is empty (pol2-3 with Asym(1) = 0), when the
-    two middle stacks have different denominators, when the products leave
-    the space (Sym(2) x Sym(2) under a non-symmetric alpha), and on the
-    object tier (pol2-2.2, qsplit-Hermitian pairs, with parameters over
-    2^61 - 1 and numerators near 2^40, built like
-    ``test_object_tier_twisted_family``)."""
+    reference's when one grade is empty (pol2-3 with Asym(1) = 0, and a zero
+    plus grade beside a minus grade whose middle images are not zero, both
+    the zero structure), when the two middle stacks have different
+    denominators, when the products leave the space (Sym(2) x Sym(2) under
+    a non-symmetric alpha), and on the object tier (pol2-2.2,
+    qsplit-Hermitian pairs, with parameters over 2^61 - 1 and numerators
+    near 2^40, built like ``test_object_tier_twisted_family``)."""
     system = GRADED_CASES[case]()
     space = system.space
     s = assert_structure_matches(system, space, system.eval)
     assert s.split == space.plus.dim
     assert s.closed == (case != "not closed")
-    if case.startswith("pol2-3"):
-        assert 0 in (space.plus.dim, space.minus.dim)
+    if case.startswith("pol2-3") or case == "empty plus grade":
+        assert 0 in (space.plus.dim, space.minus.dim) and s.vanishes
     if case == "middle denominators":
         bp, bm = space.plus.basis_arr(), space.minus.basis_arr()
         alpha_p, alpha_m = system.product.alphas
@@ -213,6 +221,29 @@ def test_graded_structure_matches_reference(case):
 
 def _lts_entries(system):
     return [(e["axiom"], e["pass"], e["witness"]) for e in check_lts(system).entries]
+
+
+def _unit(i, j):
+    return Matrix.elementary(2, 2, i, j, Q)
+
+
+@pytest.mark.parametrize("space, alpha, entries", [
+    (matrix_space(2, 2, Q), AlphaMap(_unit(0, 0), _unit(1, 0)),
+     [("closure", True, None), ("LT1", True, None), ("LT2", True, None), ("LT3", False, (0, 1, 0, 1, 0))]),
+    (sym_space(2, Q), AlphaMap.param(_unit(0, 1)),
+     [("closure", False, (0, 1, 2)), ("LT1", True, None), ("LT2", True, None), ("LT3", False, None)]),
+], ids=["M(2,2)-E11-X-E21", "Sym(2)-A-E12"])
+def test_one_nonzero_middle_image_keeps_the_dense_verdict(space, alpha, entries):
+    """Known false: the middle images vanish on every basis element but the
+    second (alpha(X) = E11 X E21 on M(2, 2) maps only E12 to E11, and
+    alpha(X) = A X A with A = E12 on Sym(2) only E12 + E21 to E12), so the
+    product is not zero and takes the dense path: LT3 fails on M(2, 2), and
+    on Sym(2) the products leave the space.  The structure, the verdicts
+    and the witnesses are the reference's."""
+    system = TripleSystem(space, AlphaTriple(alpha))
+    assert [bool(z) for z in alpha(space.basis_arr()).is_zero()] == [i != 1 for i in range(space.dim)]
+    assert not assert_structure_matches(system, space, system.eval).vanishes
+    assert _lts_entries(system) == reference_lts(space, system.eval) == entries
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (1, 3)])

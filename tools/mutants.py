@@ -259,6 +259,12 @@ MUTANTS = [
     Mutant("generic product not broadcast to (d, d, d)", "src/homotopes/homotope.py",
            "        return Arr(np.broadcast_to(out.a, (d, d, d) + out.a.shape[-1:]), out.den, out.bound, out.ring)",
            "        return out", "tests/test_homotope.py::TestGenericTriple"),
+    # a vanishing product decided from its middle images
+    Mutant("zero test reads only the first middle image", "src/homotopes/homotope.py",
+           "        if middles.is_zero().all():\n", "        if middles[:1].is_zero().all():\n",
+           "tests/test_structure_reference.py::test_one_nonzero_middle_image_keeps_the_dense_verdict"),
+    Mutant("zero shortcut also fires on an unclosed structure", "src/homotopes/homotope.py",
+           "    if st.vanishes:\n", "    if st.vanishes or not st.closed:\n", "tests/test_structure_reference.py"),
     # guards
     Mutant("check_sizes accepts 0", "src/homotopes/families.py",
            "any(s < 1 for s in sizes)", "any(s < 0 for s in sizes)"),
