@@ -61,6 +61,7 @@ def aherm_space(n: int, ring, delta: str) -> Subspace:
 def _star_pieces(n: int, ring, delta: str) -> JointDecomposition:
     """The (+1)- and (-1)-eigenspaces of X -> delta(X)^t on M(n, n; ring),
     from its declared action: one decomposition serves both signs."""
+    # validate=False: over HQ, X -> X^t is no antimorphism (HQ does not commute), yet sym/asym_space use it
     return joint_eigenspaces([MatrixInvolution("anti", delta, n, ring, validate=False)])
 
 

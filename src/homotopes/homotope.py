@@ -9,17 +9,19 @@ The triple bracket always has the shape
 with alpha(V) = A V A recovering the parameter form
 (XAYAZ + ZAYAX) - (YAXAZ + ZAXAY).  Polarized systems use pairs (X, X') with
 T acting componentwise against the opposite component of the middle argument.
+Every alpha map, and every intertwiner psi, is a declared sandwich
+``kernel.AlphaMap``, which this module re-exports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
 from . import kernel
-from .kernel import Arr
+from .kernel import AlphaMap, Arr
 from .matrices import Matrix, Subspace
 
 
@@ -44,41 +46,6 @@ def triple_param(x: Matrix, y: Matrix, z: Matrix, a: Matrix) -> Matrix:
 def triple_alpha(x: Matrix, y: Matrix, z: Matrix, alpha) -> Matrix:
     """[X, Y, Z]_alpha = T(X, alpha(Y), Z) - T(Y, alpha(X), Z)."""
     return ternary_t(x, alpha(y), z) - ternary_t(y, alpha(x), z)
-
-
-class AlphaMap:
-    """The Q-linear map alpha(X) = sign * L * twist(X)[^t] * R from the V+
-    ambient into the V- ambient: ``twist`` is an entrywise base involution
-    or phi (a component sign pattern of ``scalars.CONJ_SIGNS``), followed by
-    the transpose when ``transpose`` is set; a factor L or R given as None
-    is the identity.
-
-    Being declared, not a closure, it applies in two batched products to a
-    ``Matrix`` or to a whole stacked basis (an ``Arr``) alike.
-    """
-
-    __slots__ = ("left", "right", "twist", "transpose", "sign")
-
-    def __init__(self, left: Matrix | None, right: Matrix | None, twist: str = "id", transpose: bool = False,
-                 sign: int = 1):
-        self.left = left
-        self.right = right
-        self.twist = twist
-        self.transpose = transpose
-        self.sign = sign
-
-    def __call__(self, x: Arr) -> Arr:
-        """alpha of the matrix ``x``, or of every matrix of the stack ``x``."""
-        out = kernel.sandwich(x, self.left, self.right, self.twist, self.transpose)
-        return out if self.sign > 0 else -out
-
-    @staticmethod
-    def param(a: Matrix) -> "AlphaMap":
-        """alpha(X) = A X A (the plain homotope with parameter A)."""
-        return AlphaMap(a, a)
-
-    def negated(self) -> "AlphaMap":
-        return AlphaMap(self.left, self.right, self.twist, self.transpose, -self.sign)
 
 
 # -- product objects --------------------------------------------------------
@@ -165,17 +132,16 @@ class PairTriple:
         if 0 in (space.plus.dim, space.minus.dim) or (wp.is_zero().all() and wm.is_zero().all()):
             return _vanishing(space)
         vp, vm = kernel.t_tensor(bp, wm), kernel.t_tensor(bm, wp)
-        den = lcm(vp.den, vm.den)
-        bound = max(v.bound * (den // v.den) for v in (vp, vm))
+        nums, den, bound = kernel.over_lcm((vp, vm))
         s, d, n1 = len(bp.a), space.dim, space.plus.ambient_dim
         plus, minus = slice(s), slice(s, d)
         flat = kernel.fit(np.zeros((d, d, d, space.ambient_dim), np.float32), bound)
         coords = kernel.fit(np.zeros((d, d, d, d), np.float32), bound)
         member = np.ones((d, d, d), dtype=bool)
         # v at [own, other, own] in its grade's columns, -v at [other, own, own]
-        for v, grade, own, other, cols in ((vp, space.plus, plus, minus, slice(n1)),
-                                           (vm, space.minus, minus, plus, slice(n1, None))):
-            block = kernel.flatten_last(Arr(v.over(den, bound), den, bound, v.ring))
+        for v, num, grade, own, other, cols in ((vp, nums[0], space.plus, plus, minus, slice(n1)),
+                                                (vm, nums[1], space.minus, minus, plus, slice(n1, None))):
+            block = kernel.flatten_last(Arr(num, den, bound, v.ring))
             c, m = grade.flat_coordinates(block)
             flat[own, other, own, cols], flat[other, own, own, cols] = block.a, -block.a.swapaxes(0, 1)
             coords[own, other, own, own], coords[other, own, own, own] = c.a, -c.a.swapaxes(0, 1)
@@ -340,7 +306,7 @@ def _triples(basis: Arr, middles: Arr) -> Arr:
     """T(b_i, w_j, b_k) - T(b_j, w_i, b_k) over basis and middle stacks (w_j
     the middle image of b_j), shape (d, d, d, rows, cols, comps)."""
     tt = kernel.t_tensor(basis, middles)
-    return tt - tt.swap_first()
+    return tt - tt._same(tt.a.swapaxes(0, 1))
 
 
 def cdual(t: TripleSystem) -> TripleSystem:
@@ -799,14 +765,13 @@ def intertwines(psi: AlphaMap, space: Subspace, a_new: Matrix, a: Matrix) -> boo
     """
     stack = space.basis_arr()
     images = psi(stack)
-    middle_new = AlphaMap.param(a_new)(stack)
+    middle_images, middle_new = AlphaMap.param(a)(images), AlphaMap.param(a_new)(stack)
     if psi.twist == "id" and not psi.transpose and psi.sign > 0:
-        middle = kernel.sandwich(AlphaMap.param(a)(images), psi.right, psi.left)
-        if not np.any((middle - middle_new).a):
+        middle = AlphaMap(psi.right, psi.left)(middle_images)
+        if kernel.equal(middle, middle_new).all():
             return True
     lhs = psi(_triples(stack, middle_new))
-    rhs = _triples(images, AlphaMap.param(a)(images))
-    return not np.any((lhs - rhs).a)
+    return bool(kernel.equal(lhs, _triples(images, middle_images)).all())
 
 
 # -- standard imbedding -----------------------------------------------------

@@ -7,7 +7,7 @@ delta(X) for an automorphism.  Construction validates involutivity and the
 (anti)morphism property on the elementary-matrix basis, so malformed
 declarations are rejected eagerly.
 
-The action is one ``kernel.sandwich`` of the declared form, applied alike to
+The action is one declared sandwich (``kernel.AlphaMap``), applied alike to
 one ``Matrix`` and to a stack of them.  The maps are Q-linear, so the action
 on flattened coordinates is the image of the stacked unit matrices
 (``MatrixInvolution.action``); composites, commutation and the eigenspace
@@ -29,7 +29,7 @@ from .scalars import BASE_INVOLUTIONS, CONJ_SIGNS, Q, ring_components
 class MatrixInvolution:
     """An involutive (anti)automorphism of M(n, n; ring)."""
 
-    __slots__ = ("kind", "delta", "twist", "n", "ring", "_twist_inv", "_action")
+    __slots__ = ("kind", "delta", "twist", "n", "ring", "_sandwich", "_action")
 
     def __init__(self, kind: str, delta: str, n: int, ring, twist: Matrix | None = None, validate: bool = True):
         if kind not in ("anti", "auto"):
@@ -43,7 +43,7 @@ class MatrixInvolution:
         self.n = n
         self.ring = ring
         self.twist = twist
-        self._twist_inv = twist.inverse() if twist is not None else None
+        self._sandwich = kernel.AlphaMap(twist, twist.inverse() if twist is not None else None, delta, kind == "anti")
         self._action = None
         if validate:
             self._validate()
@@ -62,7 +62,7 @@ class MatrixInvolution:
         stack ``x`` (exact, one sandwich)."""
         if x.a.shape[-3:-1] != (self.n, self.n) or x.ring != self.ring:
             raise ValueError("matrix does not live in this involution's algebra")
-        return kernel.sandwich(x, self.twist, self._twist_inv, self.delta, self.kind == "anti")
+        return self._sandwich(x)
 
     def dim(self) -> int:
         """Q-dimension of the algebra the involution acts on."""
@@ -83,7 +83,7 @@ class MatrixInvolution:
 
     def _validate(self):
         act = self.action()
-        if np.any((kernel.matrix_mul(act, act) - Matrix.identity(self.dim(), Q)).a):
+        if not kernel.equal(kernel.matrix_mul(act, act), Matrix.identity(self.dim(), Q)):
             raise ValueError("declared action is not involutive")
         # (anti)morphism property, batched over all basis pairs
         units = self._units()
@@ -91,14 +91,14 @@ class MatrixInvolution:
         got = self(kernel.matrix_mul(units[:, None], units[None]))
         # tau(e_s e_t) = tau(e_s) tau(e_t), or tau(e_t) tau(e_s) for an antimorphism
         lhs, rhs = (images[None], images[:, None]) if self.kind == "anti" else (images[:, None], images[None])
-        if np.any((got - kernel.matrix_mul(lhs, rhs)).a):
+        if not kernel.equal(got, kernel.matrix_mul(lhs, rhs)).all():
             raise ValueError(f"declared action is not an {self.kind}morphism")
 
     def commutes_with(self, other: "MatrixInvolution") -> bool:
         if (self.n, self.ring) != (other.n, other.ring):
             raise ValueError("ambient mismatch")
         a, b = self.action(), other.action()
-        return not np.any((kernel.matrix_mul(a, b) - kernel.matrix_mul(b, a)).a)
+        return bool(kernel.equal(kernel.matrix_mul(a, b), kernel.matrix_mul(b, a)))
 
     # -- JSON ---------------------------------------------------------------
 

@@ -196,10 +196,8 @@ class Arr:
     @staticmethod
     def from_matrices(mats) -> "Arr":
         """Stack matrices (same shape/ring) to shape (n, rows, cols, comps),
-        their numerators over the lcm of their denominators."""
-        den = lcm(*(m.den for m in mats))
-        bound = max(m.bound * (den // m.den) for m in mats)
-        return Arr(np.stack([m.over(den, bound) for m in mats]), den, bound, mats[0].ring).actual_bound()
+        their numerators over the lcm of their denominators (``concat``)."""
+        return concat([Arr(m.a[None], m.den, m.bound, m.ring) for m in mats], 0).actual_bound()
 
     def __getitem__(self, index) -> "Arr":
         """The entries at ``index`` (leading axes), same denominator and bound."""
@@ -239,9 +237,10 @@ class Arr:
         adds it to every matrix of the stack)."""
         if self.ring != other.ring or self.a.shape[-3:] != other.a.shape[-3:]:
             raise ValueError("shape or ring mismatch")
-        d = lcm(self.den, other.den)
+        (a, b), d, _ = over_lcm((self, other))
+        # the sum's own bound: fitting to the larger operand bound could overflow the dtype of the sum
         bound = self.bound * (d // self.den) + other.bound * (d // other.den)
-        return _kind(self, other)._make(self.over(d, bound) + other.over(d, bound), d, bound, self.ring)
+        return _kind(self, other)._make(fit(a, bound) + fit(b, bound), d, bound, self.ring)
 
     def __sub__(self, other: "Arr") -> "Arr":
         return self + (-other)
@@ -269,28 +268,32 @@ class Arr:
         """delta entrywise, then transpose; an antiautomorphism of the algebra."""
         return self.conjugate(delta).transpose()
 
-    def swap_first(self) -> "Arr":
-        """Swap the two leading axes."""
-        return Arr(np.swapaxes(self.a, 0, 1), self.den, self.bound, self.ring)
+
+def over_lcm(xs) -> tuple:
+    """(numerators, den, bound): the entries of the ``Arr`` xs rescaled to
+    the lcm ``den`` of their denominators, in the dtype of ``bound``, the
+    largest rescaled bound.  The one rule by which tensors meet."""
+    den = lcm(*[x.den for x in xs])
+    bound = max([x.bound * (den // x.den) for x in xs])
+    return [x.over(den, bound) for x in xs], den, bound
 
 
 def equal(x: Arr, y: Arr) -> np.ndarray:
     """Whether x and y hold the same matrix, per matrix of the stacks
     (broadcast over the leading axes): a boolean array of the leading shape
-    (a numpy bool for two matrices).  Both sides are compared over the lcm of
-    their denominators, in the dtype of the larger rescaled bound."""
+    (a numpy bool for two matrices), compared over one denominator
+    (``over_lcm``)."""
     if x.ring != y.ring or x.a.shape[-3:] != y.a.shape[-3:]:
         raise ValueError("shape or ring mismatch")
-    d = lcm(x.den, y.den)
-    bound = max(x.bound * (d // x.den), y.bound * (d // y.den))
-    return np.all(x.over(d, bound) == y.over(d, bound), axis=(-3, -2, -1))
+    (a, b), _, _ = over_lcm((x, y))
+    return np.all(a == b, axis=(-3, -2, -1))
 
 
 def concat(xs, axis: int) -> Arr:
-    """Concatenate the ``Arr`` xs along ``axis`` over a common denominator."""
-    d = lcm(*(x.den for x in xs))
-    bound = max(x.bound * (d // x.den) for x in xs)
-    return Arr(np.concatenate([x.over(d, bound) for x in xs], axis=axis), d, bound, xs[0].ring)
+    """Concatenate the ``Arr`` xs along ``axis`` over one denominator
+    (``over_lcm``)."""
+    nums, den, bound = over_lcm(xs)
+    return Arr(np.concatenate(nums, axis=axis), den, bound, xs[0].ring)
 
 
 def _rep(x: np.ndarray, gather: np.ndarray) -> np.ndarray:
@@ -351,17 +354,45 @@ def matrix_mul(x: Arr, y: Arr) -> Arr:
     return _kind(x, y)._make(out, x.den * y.den, bound, x.ring)
 
 
-def sandwich(x: Arr, left: Arr | None, right: Arr | None, twist: str = "id",
-             transpose: bool = False) -> Arr:
-    """left * twist(X)[^t] * right for every matrix X of the stack ``x``:
-    ``twist`` is a component sign pattern of ``scalars.CONJ_SIGNS``, and a missing
-    factor is the identity."""
-    out = x.conjugate(twist)
-    if transpose:
-        out = out.transpose()
-    if left is not None:
-        out = matrix_mul(left, out)
-    return out if right is None else matrix_mul(out, right)
+class AlphaMap:
+    """The Q-linear sandwich X -> sign * L * twist(X)[^t] * R: ``twist`` is
+    an entrywise base involution or phi (a component sign pattern of
+    ``scalars.CONJ_SIGNS``), followed by the transpose when ``transpose`` is
+    set; a factor L or R given as None is the identity.  It gives the alpha
+    maps of the triple products, the involutions and the intertwiners.
+
+    Being declared, not a closure, it applies in two batched products to a
+    ``Matrix`` or to a whole stacked basis (an ``Arr``) alike.
+    """
+
+    __slots__ = ("left", "right", "twist", "transpose", "sign")
+
+    def __init__(self, left: Arr | None, right: Arr | None, twist: str = "id", transpose: bool = False,
+                 sign: int = 1):
+        self.left = left
+        self.right = right
+        self.twist = twist
+        self.transpose = transpose
+        self.sign = sign
+
+    def __call__(self, x: Arr) -> Arr:
+        """The map on the matrix ``x``, or on every matrix of the stack ``x``."""
+        out = x.conjugate(self.twist)
+        if self.transpose:
+            out = out.transpose()
+        if self.left is not None:
+            out = matrix_mul(self.left, out)
+        if self.right is not None:
+            out = matrix_mul(out, self.right)
+        return out if self.sign > 0 else -out
+
+    @staticmethod
+    def param(a: Arr) -> "AlphaMap":
+        """alpha(X) = A X A (the plain homotope with parameter A)."""
+        return AlphaMap(a, a)
+
+    def negated(self) -> "AlphaMap":
+        return AlphaMap(self.left, self.right, self.twist, self.transpose, -self.sign)
 
 
 def t_tensor(basis: Arr, middle: Arr) -> Arr:
@@ -389,10 +420,10 @@ def t_tensor(basis: Arr, middle: Arr) -> Arr:
 
 
 def bilinear_tensor(left: Arr, right: Arr, param: Arr) -> Arr:
-    """BB[i, j] = x_i A y_j - y_j A x_i for basis stacks x, y and parameter A."""
-    xay = matrix_mul(matrix_mul(left, param)[:, None], right[None])
-    yax = matrix_mul(matrix_mul(right, param)[:, None], left[None])
-    return xay - yax.swap_first()
+    """BB[i, j] = x_i A y_j - y_j A x_i for basis stacks x, y and parameter A:
+    the stacks broadcast against each other, as in ``bracket_param``."""
+    x, y = left[:, None], right[None]
+    return x @ param @ y - y @ param @ x
 
 
 def flatten_last(x: Arr) -> Arr:

@@ -118,10 +118,8 @@ class Matrix(kernel.Arr):
     @staticmethod
     def block(rows: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """The block matrix with these rows of blocks over one ring."""
-        den = lcm(*(m.den for row in rows for m in row))
-        bound = max(m.bound * (den // m.den) for row in rows for m in row)
-        num = np.concatenate([np.concatenate([m.over(den, bound) for m in row], axis=1) for row in rows])
-        return Matrix.from_numerators(rows[0][0].ring, num, den)
+        out = kernel.concat([kernel.concat(row, 1) for row in rows], 0)
+        return Matrix.from_numerators(out.ring, out.a, out.den)
 
     # -- access ------------------------------------------------------------
 
@@ -233,10 +231,9 @@ def inverses(x: kernel.Arr, guess: kernel.Arr | None = None):
         return type(x)._make(guess.a, guess.den, guess.bound, x.ring), ok
     todo = np.flatnonzero(~ok)
     inv, solved = _eliminated(kernel.Arr(x.a.reshape(-1, n, n, k)[todo], x.den, x.bound, x.ring))
-    d = lcm(guess.den, inv.den)
-    bound = max(guess.bound * (d // guess.den), inv.bound * (d // inv.den))
-    num = guess.over(d, bound).reshape(-1, n, n, k).copy()
-    num[todo] = inv.over(d, bound)
+    (num, solved_num), d, bound = kernel.over_lcm((guess, inv))
+    num = num.reshape(-1, n, n, k).copy()
+    num[todo] = solved_num
     ok = ok.reshape(-1).copy()
     ok[todo] = solved
     return type(x)._make(num.reshape(x.a.shape), d, bound, x.ring), ok.reshape(lead)[()]

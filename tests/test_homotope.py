@@ -329,7 +329,7 @@ class TestHomomorphisms:
         a_new = (right @ a @ left).scalar_mul(Scalar(QI, (0, 1)))
         space = matrix_space(1, 2, QI)
         stack = space.basis_arr()
-        middle = kernel.sandwich(AlphaMap.param(a)(psi(stack)), right, left)
+        middle = AlphaMap(right, left)(AlphaMap.param(a)(psi(stack)))
         assert not np.any((middle - AlphaMap.param(a_new)(stack)).a)
         assert not reference_intertwines(psi, space.basis_matrices(), a_new, a)
         assert not intertwines(psi, space, a_new, a)

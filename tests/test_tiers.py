@@ -1,6 +1,7 @@
 """The three dtype tiers of ``kernel.fit``: float32 below 2^24, float64 below
 2^53, ``object`` above.  The boundaries, the invariant that every ``Arr`` an
-operation returns has exactly the dtype of its bound, inputs whose bound only
+operation returns (joins over one denominator included) has exactly the
+dtype of its bound, and a bound that covers its entries, inputs whose bound only
 covers the result (zero scaling of numerators past the float range), and an
 LT3 residual of 1 that only the exact tier sees."""
 
@@ -121,8 +122,20 @@ def test_every_result_has_the_dtype_of_its_bound(case, data):
     results.append(coords)
     loose = Arr(kernel.fit(x.a, 2**60), x.den, 2**60, ring)
     results.append(loose.actual_bound())
+    # joins over one denominator: the scaled copy's denominator differs, and
+    # its rescaled bound can lie in another tier than that of x
+    scaled = x.scale(factor)
+    joined = kernel.concat([x, scaled], 0)
+    m1, m2 = (Matrix.from_numerators(ring, s.a[0], s.den) for s in (x, scaled))
+    stacked = Arr.from_matrices([m1, m2])
+    block = Matrix.block([[m1, m2], [m2, m1]])
+    corner = Arr(block.a[:p, :q], block.den, block.bound, ring)
+    assert kernel.equal(joined[:n], x).all() and kernel.equal(joined[n:], scaled).all()
+    assert kernel.equal(stacked[0], m1) and kernel.equal(stacked[1], m2) and kernel.equal(corner, m1)
+    results += [joined, stacked, block]
     for arr in results:
         assert_tier(arr)
+        assert int(np.abs(arr.a).max(initial=0)) <= arr.bound
 
 
 # [i, j, k] = sum_m c[i, j, k, m] e_m on 1 x 7 row vectors: R(e_0, e_1) is no

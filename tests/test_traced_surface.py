@@ -8,6 +8,8 @@ makes.  Both files are loaded read-only from the benchmark directory.
 """
 
 import importlib.util
+import json
+import math
 import os
 import random
 import sys
@@ -18,7 +20,8 @@ from homotopes.kernel import Arr
 from homotopes.matrices import Matrix
 from homotopes.scalars import Q
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # the layers a proj(1, 1) table runs through
 TABLE_LAYERS = ("cli.main", "families.instantiate", "involutions.construct", "involutions.joint_eigenspaces",
@@ -65,3 +68,20 @@ def test_traced_run_of_the_wrapped_surface(monkeypatch, tmp_path):
     assert stats["matrices.matmul.scalar_mults"] > 0
     for layer, original in zip(layers, originals):
         assert getattr(layer.owner, layer.attr) is original, layer.name
+
+
+def test_probes_run_and_report_every_declared_probe(monkeypatch):
+    """``probes.run_probes`` runs only in the traced benchmark run.  Its
+    probes call ``Arr.from_matrices``, ``AlphaTriple.middle_images``,
+    ``matrices.rref``, ``kernel.t_tensor`` and the LT3 row pick: one run
+    reports exactly the ``probe.*`` metrics that ``BENCHMARK.json`` declares,
+    each finite and positive."""
+    tracer = _load("tracer")
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # layers.py and probes.py import both by name
+    monkeypatch.setitem(sys.modules, "layers", _load("layers"))
+    out = _load("probes").run_probes(42)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"] if m["name"].startswith("probe.")}
+    assert len(declared) == 9 and set(out) == declared
+    for name, value in out.items():
+        assert math.isfinite(value) and value > 0, name

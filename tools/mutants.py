@@ -116,7 +116,7 @@ MUTANTS = [
     _forced_true("gamma_intertwines -> True", "src/homotopes/homotope.py",
                  "def gamma_intertwines(g: Matrix, a: Matrix, tau, space: Subspace, phi=None) -> bool:"),
     Mutant("middle identity forced true", "src/homotopes/homotope.py",
-           "        if not np.any((middle - middle_new).a):", "        if True:"),
+           "        if kernel.equal(middle, middle_new).all():", "        if True:"),
     Mutant("middle identity on any AlphaMap", "src/homotopes/homotope.py",
            '    if psi.twist == "id" and not psi.transpose and psi.sign > 0:', "    if True:"),
     _forced_true("check_closure -> True", "src/homotopes/homotope.py", "def check_closure(space, product) -> bool:"),
@@ -233,7 +233,7 @@ MUTANTS = [
            "        return (x[..., 0].swapaxes(-1, -2) @ y[..., 0].swapaxes(-1, -2))[..., None]",
            "tests/test_matmul_reference.py"),
     Mutant("stacked per-matrix equality forced all-True", "src/homotopes/kernel.py",
-           "    return np.all(x.over(d, bound) == y.over(d, bound), axis=(-3, -2, -1))",
+           "    return np.all(a == b, axis=(-3, -2, -1))",
            "    return np.ones(np.broadcast_shapes(x.a.shape[:-3], y.a.shape[:-3]), dtype=bool)",
            "tests/test_group_reference.py tests/test_matmul_reference.py"),
     # guessed inverses behind a one-product certificate, and the group-law guesses
@@ -265,6 +265,12 @@ MUTANTS = [
            "tests/test_structure_reference.py::test_one_nonzero_middle_image_keeps_the_dense_verdict"),
     Mutant("zero shortcut also fires on an unclosed structure", "src/homotopes/homotope.py",
            "    if st.vanishes:\n", "    if st.vanishes or not st.closed:\n", "tests/test_structure_reference.py"),
+    # the one common-denominator rule and the one declared sandwich
+    Mutant("common-denominator rule takes the smallest rescaled bound", "src/homotopes/kernel.py",
+           "    bound = max([x.bound * (den // x.den) for x in xs])\n",
+           "    bound = min([x.bound * (den // x.den) for x in xs])\n", "tests/test_tiers.py"),
+    Mutant("AlphaMap.__call__ ignores its sign", "src/homotopes/kernel.py",
+           "        return out if self.sign > 0 else -out\n", "        return out\n", "tests/test_homotope.py"),
     # guards
     Mutant("check_sizes accepts 0", "src/homotopes/families.py",
            "any(s < 1 for s in sizes)", "any(s < 0 for s in sizes)"),
