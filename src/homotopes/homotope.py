@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,10 @@ class AlphaTriple:
     def structure(self, space) -> "Structure":
         """The structure constants over the basis of ``space``, with the middle
         images of the whole basis from one ``AlphaMap`` call; the zero one
-        when every image is zero (``TripleSystem.structure``)."""
+        when every image is zero (``TripleSystem.structure``), or at once when
+        a factor of the sandwich is (``_zero_factor``)."""
+        if _zero_factor(self.alpha):
+            return _vanishing(space)
         basis = space.basis_arr()
         middles = self.alpha(basis)
         if middles.is_zero().all():
@@ -118,35 +122,39 @@ class PairTriple:
 
     def structure(self, space: "ProductSpace") -> "Structure":
         """The structure constants over the basis pairs of ``space`` (plus,
-        then minus), by grade.  v+ = t_tensor(B+, alpha_-(B-)) is the block
-        [P, M, P], in V+, and v- = t_tensor(B-, alpha_+(B+)) the block
-        [M, P, M], in V-; each takes one ``coordinates`` against its grade's
-        own basis.  Both are brought to one denominator and bound (those of
-        the whole flattened tensor) and scattered into zeros, with their
-        negatives at [M, P, P] and [P, M, M].  When a grade is empty both
-        blocks are, and when the middle images of both grades are zero each
-        term of both blocks has a zero middle factor: either way the
-        structure is the zero one (``_vanishing``)."""
+        then minus), kept on their two nonzero blocks (``Structure.blocks``):
+        v+ = t_tensor(B+, alpha_-(B-)), the block [P, M, P], in V+, and
+        v- = t_tensor(B-, alpha_+(B+)), the block [M, P, M], in V-, each with
+        one ``coordinates`` against its grade's own basis, both over one
+        denominator and bound (those of the whole flattened tensor).  The
+        closure flags of the two blocks and of their mirrors [M, P, P] and
+        [P, M, M] give the verdict and the witness, and the dense
+        coordinates (``_dense``) are built only for a closed structure, which
+        LT3 reads; the dense products only when read (``Structure.flat``).
+        When a grade is empty both blocks are, and when the middle images of
+        both grades are zero (or both alphas have a zero factor,
+        ``_zero_factor``) each term of both blocks has a zero middle factor:
+        either way the structure is the zero one (``_vanishing``)."""
+        if 0 in (space.plus.dim, space.minus.dim) or (
+                self.alphas is not None and all(map(_zero_factor, self.alphas))):
+            return _vanishing(space)
         bp, bm = space.plus.basis_arr(), space.minus.basis_arr()
         wp, wm = (bp, bm) if self.alphas is None else (f(b) for f, b in zip(self.alphas, (bp, bm)))
-        if 0 in (space.plus.dim, space.minus.dim) or (wp.is_zero().all() and wm.is_zero().all()):
+        if wp.is_zero().all() and wm.is_zero().all():
             return _vanishing(space)
         vp, vm = kernel.t_tensor(bp, wm), kernel.t_tensor(bm, wp)
         nums, den, bound = kernel.over_lcm((vp, vm))
-        s, d, n1 = len(bp.a), space.dim, space.plus.ambient_dim
-        plus, minus = slice(s), slice(s, d)
-        flat = kernel.fit(np.zeros((d, d, d, space.ambient_dim), np.float32), bound)
-        coords = kernel.fit(np.zeros((d, d, d, d), np.float32), bound)
-        member = np.ones((d, d, d), dtype=bool)
-        # v at [own, other, own] in its grade's columns, -v at [other, own, own]
-        for v, num, grade, own, other, cols in ((vp, nums[0], space.plus, plus, minus, slice(n1)),
-                                                (vm, nums[1], space.minus, minus, plus, slice(n1, None))):
-            block = kernel.flatten_last(Arr(num, den, bound, v.ring))
-            c, m = grade.flat_coordinates(block)
-            flat[own, other, own, cols], flat[other, own, own, cols] = block.a, -block.a.swapaxes(0, 1)
-            coords[own, other, own, own], coords[other, own, own, own] = c.a, -c.a.swapaxes(0, 1)
+        s, d = len(bp.a), space.dim
+        member, blocks = np.ones((d, d, d), dtype=bool), []
+        # each block at [own, other, own], its mirror at [other, own, own]
+        for num, grade, own, other in ((nums[0], space.plus, slice(s), slice(s, d)),
+                                       (nums[1], space.minus, slice(s, d), slice(s))):
+            flat = kernel.flatten_last(Arr(num, den, bound, vp.ring))
+            c, m = grade.flat_coordinates(flat)
             member[own, other, own], member[other, own, own] = m, m.swapaxes(0, 1)
-        return _structure(Arr(flat, den, bound, vp.ring), Arr(coords, den, bound, vp.ring), member, s)
+            blocks.append(Block(flat, c))
+        coords = _dense(*(b.coords for b in blocks)) if member.all() else None
+        return _structure(None, coords, member, s, tuple(blocks))
 
     def negated(self) -> "PairTriple":
         alphas = self.alphas or (AlphaMap(None, None),) * 2
@@ -225,6 +233,15 @@ class ProductSpace:
 # -- structure constants ----------------------------------------------------
 
 
+class Block(NamedTuple):
+    """A nonzero block of a graded structure (``PairTriple``): its flattened
+    products, shape (own, other, own, N_own) over the two grades' bases, and
+    their coordinates in its own grade's basis, shape (own, other, own, own)."""
+
+    flat: Arr
+    coords: Arr
+
+
 @dataclass
 class Structure:
     """Cached structure data of a triple system.
@@ -235,23 +252,59 @@ class Structure:
     (``PairTriple``) the dimension d+ of the plus grade, whose basis comes
     before the minus grade's; None for any other.  ``vanishes``: every
     product is known to be zero (``_vanishing``).
+
+    ``blocks``: for a polarized system that does not vanish, its two nonzero
+    blocks v+ = [P, M, P] and v- = [M, P, M] (``Block``), over one
+    denominator and bound; None for any other.  Its ``flat`` is then built
+    from them when it is first read (``_dense``): the LTS check reads the
+    blocks, and the dense products only when LT2 fails (``_lt1_lt2``).
     """
 
-    flat: Arr
+    _flat: Arr | None
     coords: Arr | None
     closed: bool
     witness: tuple | None
     split: int | None = None
     vanishes: bool = False
+    blocks: tuple | None = None
+
+    @property
+    def flat(self) -> Arr:
+        if self._flat is None:
+            self._flat = _dense(*(b.flat for b in self.blocks))
+        return self._flat
 
 
-def _structure(flat: Arr, coords: Arr, member: np.ndarray, split: int | None = None) -> Structure:
-    """The ``Structure`` of the products ``flat``, with their coordinates and
-    the flags ``member`` of those that lie in the space: the witness is the
-    first basis triple whose product does not."""
+def _structure(flat: Arr | None, coords: Arr | None, member: np.ndarray, split: int | None = None,
+               blocks: tuple | None = None) -> Structure:
+    """The ``Structure`` of the products ``flat`` (of a graded one, its
+    ``blocks``), with their coordinates and the flags ``member`` of those
+    that lie in the space: the witness is the first basis triple whose
+    product does not."""
     if member.all():
-        return Structure(flat, coords, True, None, split)
-    return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]), split)
+        return Structure(flat, coords, True, None, split, blocks=blocks)
+    return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]), split, blocks=blocks)
+
+
+def _dense(vp: Arr, vm: Arr) -> Arr:
+    """The dense array of a graded structure from the arrays of its blocks
+    (products or coordinates, ``Block``), over their one denominator and
+    bound: with d+ and d- the lengths of vp and vm and n+ and n- their last
+    axes, shape (d, d, d, n+ + n-), vp at [P, M, P] in the first n+ columns
+    and vm at [M, P, M] in the others, each block's negative with its first
+    two axes swapped at [M, P, P] resp. [P, M, M], and zeros elsewhere."""
+    s, n = len(vp.a), vp.a.shape[-1]
+    d = s + len(vm.a)
+    out = kernel.fit(np.zeros((d, d, d, n + vm.a.shape[-1]), np.float32), vp.bound)
+    for v, own, other, cols in ((vp, slice(s), slice(s, d), slice(n)), (vm, slice(s, d), slice(s), slice(n, None))):
+        out[own, other, own, cols], out[other, own, own, cols] = v.a, -v.a.swapaxes(0, 1)
+    return vp._same(out)
+
+
+def _zero_factor(alpha: AlphaMap) -> bool:
+    """Whether the sandwich has a zero factor L or R, so that it maps every
+    X to sign L twist(X)[^t] R = 0."""
+    return any(f is not None and bool(f.is_zero()) for f in (alpha.left, alpha.right))
 
 
 def _vanishing(space) -> Structure:
@@ -365,7 +418,19 @@ def check_lts(system: TripleSystem) -> LtsReport:
     it is closed, and each term of the LT1, LT2 and LT3 identities is a
     product, so zero.  That is exact, decided on the integer numerators of
     the middle images, and no LT1/LT2 block, LT3 bound or operator is
-    built."""
+    built.
+
+    A graded structure (``Structure.blocks``) is checked on its two blocks.
+    LT1 holds by their form: the block [M, P, P] of the dense products is
+    the negative of [P, M, P] with its first two axes swapped, [P, M, M]
+    that of [M, P, M], and every other block is zero, so every LT1 sum is
+    zero.  At each nonzero grade pattern the LT2 sum is v[a, b, c] -
+    v[c, b, a] of one block v, so LT2 holds exactly when each block equals
+    its swap of the first and third axes (``_lt1_lt2``); that is a real
+    check, since ``kernel.t_tensor`` computes the two terms of T by
+    different products.  The LT3 bound reads the blocks' coordinates, of
+    which the dense ones hold the entries, their negatives and zeros
+    (``_check_lt3``)."""
     with kernel.one_blas_thread():
         return _check_lts(system)
 
@@ -378,7 +443,7 @@ def _check_lts(system: TripleSystem) -> LtsReport:
         for axiom in ("LT1", "LT2", "LT3"):
             report.add(axiom, True)
         return report
-    lt1, lt2 = _lt1_lt2_witnesses(st.flat)
+    lt1, lt2 = _lt1_lt2(st)
     report.add("LT1", lt1 is None, lt1)
     report.add("LT2", lt2 is None, lt2)
     if not st.closed:
@@ -392,6 +457,16 @@ def _check_lts(system: TripleSystem) -> LtsReport:
 # lts-sweep benchmark (2 vCPUs) 2^16 took under 1 % less time than 2^15 but
 # raised the peak RSS by 0.5 MB, past that of checking the whole tensor at once
 LT12_BLOCK = 2**15
+
+
+def _lt1_lt2(st: Structure):
+    """The LT1 and LT2 witnesses of the structure (``_lt1_lt2_witnesses``).
+    A graded one passes both when each block is symmetric in its first and
+    third axes (``check_lts``); otherwise its dense products are built and
+    the witnesses are theirs."""
+    if st.blocks is not None and all(np.array_equal(b.flat.a, b.flat.a.swapaxes(0, 2)) for b in st.blocks):
+        return None, None
+    return _lt1_lt2_witnesses(st.flat)
 
 
 def _lt1_lt2_witnesses(flat: Arr):
@@ -496,7 +571,7 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     verdict of each operator is unchanged.
     """
     d = st.coords.a.shape[0]
-    bound = _lt3_bound(st.coords)
+    bound = _lt3_bound(*([b.coords for b in st.blocks] if st.blocks else [st.coords]))
     _, ops = _inner_operators(st.coords.a, lt1_ok)
     rows = ops.reshape(len(ops), d * d)
     kept = (kernel.independent_row_indices(rows, bound) if d > LT3_ALL_PAIRS_MAX_DIM
@@ -519,18 +594,21 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     return False, None
 
 
-def _lt3_bound(coords: Arr) -> int:
+def _lt3_bound(*coords: Arr) -> int:
     """4 max|c| L, L = max over (i, j, k) of sum_m |c[i, j, k, m]|, for the
     coordinates c: a bound on the LT3 residuals of operators that are rows
     c[u, v] of c, and on every partial sum of their four terms
-    (``_lt3_holds``)."""
-    mag = np.abs(coords.a)
-    top = int(mag.max(initial=0))
-    # exact row sums: float32 below 2^24, float64 below 2^53; past it they
-    # only have to stay past it, which puts the bound in object
-    total = (np.float32 if top * mag.shape[-1] < kernel.FLOAT32_EXACT_CAP
-             else object if coords.bound >= kernel.FLOAT_EXACT_CAP else np.float64)
-    rows = int(np.max(mag.sum(axis=-1, dtype=total), initial=0))
+    (``_lt3_holds``).  Of a graded structure, c is read from the arrays of
+    its blocks, whose entries, negated or not, and zeros are all of c."""
+    mags = [np.abs(c.a) for c in coords]
+    top = max(int(mag.max(initial=0)) for mag in mags)
+    rows = 0
+    for c, mag in zip(coords, mags):
+        # exact row sums: float32 below 2^24, float64 below 2^53; past it
+        # they only have to stay past it, which puts the bound in object
+        total = (np.float32 if top * mag.shape[-1] < kernel.FLOAT32_EXACT_CAP
+                 else object if c.bound >= kernel.FLOAT_EXACT_CAP else np.float64)
+        rows = max(rows, int(np.max(mag.sum(axis=-1, dtype=total), initial=0)))
     return 4 * top * rows
 
 

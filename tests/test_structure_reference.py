@@ -274,6 +274,167 @@ def test_graded_lt3_fails_as_the_plain_hook(monkeypatch, p, q):
     assert graded == _lts_entries(_graded(p, q, 11))
 
 
+def _scattered(vp, vm):
+    """The dense graded array of the block arrays vp, vm (products or
+    coordinates over one denominator), entry by entry: vp at [P, M, P] in
+    the first columns and vm at [M, P, M] in the others, each negated with
+    its first two axes swapped at [M, P, P] and [P, M, M], zeros elsewhere."""
+    s, t, n = len(vp.a), len(vm.a), vp.a.shape[-1]
+    d = s + t
+    out = np.zeros((d, d, d, n + vm.a.shape[-1]), dtype=object)
+    for a, b, c in np.ndindex(s, t, s):
+        out[a, s + b, c, :n] = [int(x) for x in vp.a[a, b, c]]
+        out[s + b, a, c, :n] = [-int(x) for x in vp.a[a, b, c]]
+    for a, b, c in np.ndindex(t, s, t):
+        out[s + a, b, s + c, n:] = [int(x) for x in vm.a[a, b, c]]
+        out[b, s + a, s + c, n:] = [-int(x) for x in vm.a[a, b, c]]
+    return out
+
+
+GRADED_DENSE = {
+    "pol1-1.a (1, 2)": lambda: _family_system("pol1-1.a", (1, 2)),
+    "pol2-1.1 (2, 1)": lambda: _family_system("pol2-1.1", (2, 1)),
+    "middle denominators": GRADED_CASES["middle denominators"],
+    "not closed": GRADED_CASES["not closed"],
+    "object tier": GRADED_CASES["object tier"],
+}
+
+
+@pytest.mark.parametrize("case", list(GRADED_DENSE))
+def test_graded_flat_is_the_dense_scatter(case):
+    """A polarized structure keeps its two blocks; its ``flat``, built when
+    read, is the dense products: the blocks and their negated mirrors,
+    placed entry by entry, over the blocks' denominator and bound, in the
+    dtype of that bound; the dense coordinates of a closed one likewise."""
+    st = GRADED_DENSE[case]().structure()
+    (fp, cp), (fm, cm) = st.blocks
+    assert (fp.den, fp.bound) == (fm.den, fm.bound)
+    flat = st.flat
+    assert (flat.den, flat.bound) == (fp.den, fp.bound)
+    assert flat.a.dtype == kernel.fit(np.zeros(1, np.float32), fp.bound).dtype
+    assert np.array_equal(kernel.fit(flat.a, 2**60), _scattered(fp, fm))
+    assert st.closed == (case != "not closed")
+    if st.closed:
+        assert (st.coords.den, st.coords.bound, st.coords.a.dtype) == (cp.den, cp.bound, flat.a.dtype)
+        assert np.array_equal(kernel.fit(st.coords.a, 2**60), _scattered(cp, cm))
+
+
+@pytest.mark.parametrize("case", ["pol1-1.a (1, 2)", "object tier"])
+def test_passing_graded_check_never_builds_the_dense_products(monkeypatch, case):
+    """LT1 and LT2 of a graded structure are read from its blocks, and its
+    LT3 bound from their coordinates: a passing check builds no dense
+    products."""
+    system = GRADED_DENSE[case]()
+    system.structure()
+
+    def refuse(*_):
+        raise AssertionError("dense products built")
+    monkeypatch.setattr(homotope, "_dense", refuse)
+    assert check_lts(system).ok
+    with pytest.raises(AssertionError, match="dense products built"):
+        system.structure().flat
+
+
+def _perturbed_product(system, target, delta):
+    """system.eval with delta added to the product at the basis triple
+    ``target`` (indices) and subtracted at its mirror, the first two
+    swapped."""
+    index = {b: i for i, b in enumerate(system.space.basis_matrices())}
+    mirror = (target[1], target[0], target[2])
+
+    def product(u, v, w):
+        x, xp = system.eval(u, v, w)
+        sign = {target: 1, mirror: -1}.get((index[u], index[v], index[w]), 0)
+        return (x + delta[0].scale(sign), xp + delta[1].scale(sign)) if sign else (x, xp)
+    return product
+
+
+@pytest.mark.parametrize("grade", [0, 1], ids=["plus", "minus"])
+def test_graded_lt2_fails_with_the_dense_witness(monkeypatch, grade):
+    """Known false: ``kernel.t_tensor`` is made to add the grade's basis
+    matrix b_0 to one product of that grade's block at (a, b, c) with
+    a != c, which breaks its symmetry in the first and third axes.  LT1
+    still holds by the block form and LT2 fails: the check takes the
+    witness from the dense products, and every verdict and witness is the
+    reference's on the product perturbed the same way, at that triple and
+    at its mirror."""
+    system = _graded(1, 2, 11)
+    s = system.space.plus.dim
+    a, b, c = 1, 0, 0
+    real = kernel.t_tensor
+    calls = []
+
+    def perturbed(basis, middle):
+        out = real(basis, middle)
+        calls.append(1)
+        if len(calls) - 1 != grade:
+            return out
+        num = kernel.fit(out.a, 2**60).copy()
+        num[a, b, c] += (out.den // basis.den) * kernel.fit(basis.a[0], 2**60)
+        return Arr(num, out.den, out.bound, out.ring).actual_bound()
+    monkeypatch.setattr(kernel, "t_tensor", perturbed)
+    target = (a, s + b, c) if grade == 0 else (s + a, b, s + c)
+    unit = system.basis()[0 if grade == 0 else s]
+    entries = _lts_entries(system)
+    assert len(calls) == 2
+    assert entries[1] == ("LT1", True, None) and not entries[2][1]
+    assert entries == reference_lts(system.space, _perturbed_product(system, target, unit))
+
+
+@pytest.mark.parametrize("grade", [0, 1], ids=["plus", "minus"])
+def test_graded_lt3_bound_reads_both_blocks(monkeypatch, grade):
+    """One coordinate of one block raised past every other entry: the LT3
+    bound that the check passes to the row pick (d = 12) is the one of the
+    dense coordinates, placed entry by entry, and not the one of the other
+    block alone."""
+    system = _graded(2, 3, 11)
+    st = system.structure()
+    blocks = [b.coords for b in st.blocks]
+    value = 64 * int(np.abs(kernel.fit(st.coords.a, 2**60)).max())
+    bound = max(blocks[0].bound, value)
+    num = [kernel.fit(x.a, bound).copy() for x in blocks]
+    num[grade][0, 0, 0, 0] = value
+    blocks = [Arr(n, x.den, bound, x.ring) for n, x in zip(num, blocks)]
+    dense = _scattered(*blocks)
+    st.blocks = tuple(homotope.Block(b.flat, x) for b, x in zip(st.blocks, blocks))
+    st.coords = Arr(kernel.fit(dense, bound), blocks[0].den, bound, blocks[0].ring)
+    want = homotope._lt3_bound(st.coords)
+    assert homotope._lt3_bound(*blocks) == want != homotope._lt3_bound(blocks[1 - grade])
+    pick, covers = kernel.independent_row_indices, []
+    monkeypatch.setattr(kernel, "independent_row_indices",
+                        lambda rows, cover=None: covers.append(cover) or pick(rows, cover))
+    check_lts(system)
+    assert covers == [want]
+
+
+def test_zero_sandwich_factor_vanishes_with_no_product(monkeypatch):
+    """A zero factor L or R of the sandwich (a zero parameter, and a
+    polarized pair whose two alphas each have one) gives the zero
+    structure before any middle image is computed: no ``matrix_mul``.  A
+    one-entry parameter, and a pair where only one alpha has a zero factor,
+    keep the reference's structure, which is not zero."""
+    zero, unit = Matrix.zeros(2, 2, Q), _unit(0, 0)
+    space = matrix_space(2, 2, Q)
+    pairs = ProductSpace(matrix_space(1, 2, Q), matrix_space(2, 1, Q))
+    one, two = Matrix.identity(1, Q), Matrix.identity(2, Q)
+    vanishing = [TripleSystem.from_parameter(space, zero),
+                 TripleSystem(space, AlphaTriple(AlphaMap(unit, zero, "id", True))),
+                 TripleSystem(pairs, PairTriple((AlphaMap(Matrix.zeros(1, 1, Q), two),
+                                                 AlphaMap(two, Matrix.zeros(1, 1, Q)))))]
+    with monkeypatch.context() as patch:
+        def refuse(*_):
+            raise AssertionError("matrix_mul called")
+        patch.setattr(kernel, "matrix_mul", refuse)
+        for system in vanishing:
+            assert system.structure().vanishes
+    for system in vanishing:
+        assert _lts_entries(system) == reference_lts(system.space, system.eval)
+    kept = [TripleSystem.from_parameter(space, unit),
+            TripleSystem(pairs, PairTriple((AlphaMap(Matrix.zeros(1, 1, Q), two), AlphaMap(two, one))))]
+    for system in kept:
+        assert not assert_structure_matches(system, system.space, system.eval).vanishes
+
+
 TWISTS = [(Q, "id"), (QI, "id"), (QI, "conj"), (HQ, "id"), (HQ, "qconj"), (HQ, "qsplit"), (HQ, "phi")]
 
 

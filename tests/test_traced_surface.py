@@ -38,7 +38,8 @@ def _load(name):
 
 def test_traced_run_of_the_wrapped_surface(monkeypatch, tmp_path):
     """Under ``Tracer(*package_layers())``: a proj(1, 1) table through the
-    CLI, one ``symmetric_pair``, one polarized ``check_lts``, a
+    CLI, one ``symmetric_pair``, two polarized ``check_lts`` (d = 4, and
+    d = 12, past ``LT3_ALL_PAIRS_MAX_DIM``, so the LT3 row pick runs), a
     ``Matrix @ Arr`` product and a ``rand_scalar`` product.  Every layer
     resolves to a wrapped name, the table's layers record calls, and
     uninstalling puts the originals back."""
@@ -59,6 +60,9 @@ def test_traced_run_of_the_wrapped_surface(monkeypatch, tmp_path):
         desc = family("pol1-1.a")
         system = desc.system((1, 1), desc.sample_params((1, 1), rng, "generic"))
         assert homotope.check_lts(system).ok
+        desc = family("pol2-3.1")
+        system = desc.system((2, 2), desc.sample_params((2, 2), rng, "generic"))
+        assert system.dim == 12 and homotope.check_lts(system).ok
         m = rand_matrix(2, 2, Q, rng)
         assert (Matrix.identity(2, Q) @ Arr.from_matrices([m, m])).a.shape == (2, 2, 2, 1)
         assert rand_scalar(Q, rng) * rand_scalar(Q, rng) is not None
@@ -66,6 +70,7 @@ def test_traced_run_of_the_wrapped_surface(monkeypatch, tmp_path):
     for name in TABLE_LAYERS + ("homotope.symmetric_pair", "matrices.matmul", "scalars.mul"):
         assert stats[f"{name}.calls"] > 0, name
     assert stats["matrices.matmul.scalar_mults"] > 0
+    assert stats["kernel.echelon.calls"] > 0 and stats["kernel.echelon.rows"] > 0
     for layer, original in zip(layers, originals):
         assert getattr(layer.owner, layer.attr) is original, layer.name
 
