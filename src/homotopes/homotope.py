@@ -373,11 +373,7 @@ def cdual(t: TripleSystem) -> TripleSystem:
 @dataclass
 class LtsReport:
     """The verdicts and witnesses of ``check_lts`` (``entries``, the JSON
-    report).  It carries no basis of the inner operators: LT3's pick is
-    certified only modulo primes past the bound of its residuals, which
-    proves LT3 but not that the picked operators span the others over Q
-    (``_check_lt3``); ``standard_imbedding`` picks h's basis behind the
-    Hadamard cover of ``kernel.independent_row_indices``."""
+    report)."""
 
     entries: list = field(default_factory=list)
 
@@ -432,25 +428,29 @@ def check_lts(system: TripleSystem) -> LtsReport:
     which the dense ones hold the entries, their negatives and zeros
     (``_check_lt3``)."""
     with kernel.one_blas_thread():
-        return _check_lts(system)
+        return _check_lts(system)[0]
 
 
-def _check_lts(system: TripleSystem) -> LtsReport:
+def _check_lts(system: TripleSystem, basis: bool = False):
+    """The report, and the pairs (u, v) of the operators LT3 checked
+    (``_check_lt3``; none for a vanishing product, None for an unclosed
+    one): with ``basis`` a basis of the inner operators over Q."""
     report = LtsReport()
     st = system.structure()
     report.add("closure", st.closed, st.witness)
     if st.vanishes:
         for axiom in ("LT1", "LT2", "LT3"):
             report.add(axiom, True)
-        return report
+        return report, []
     lt1, lt2 = _lt1_lt2(st)
     report.add("LT1", lt1 is None, lt1)
     report.add("LT2", lt2 is None, lt2)
     if not st.closed:
         report.add("LT3", False, None)
-        return report
-    report.add("LT3", *_check_lt3(st, lt1 is None, lt2 is None))
-    return report
+        return report, None
+    ok, witness, pairs = _check_lt3(st, lt1 is None, lt2 is None, basis)
+    report.add("LT3", ok, witness)
+    return report, pairs
 
 
 # about as many products as LT1 and LT2 read per block of slabs i: on the
@@ -515,8 +515,9 @@ def _first_nonzero_triple(sums: np.ndarray, origin: tuple):
 LT3_ALL_PAIRS_MAX_DIM = 8
 
 
-def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
-    """LT3 via the inner operators R(u, v): (ok, witness).
+def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool, basis: bool = False):
+    """LT3 via the inner operators R(u, v): (ok, witness, the pairs (u, v) of
+    the operators checked).
 
     LT3 says every R(u, v) is a derivation of the triple bracket: its
     residual (below) vanishes.  ``kernel.independent_row_indices`` picks
@@ -527,8 +528,10 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     operator, so once the picked operators pass, the residual of every
     R(u, v) is congruent to 0 modulo each q; it is an integer with
     |residual| <= bound < prod q, so it is 0.  The picked operators are
-    independent over Q but need not span the others over Q;
-    ``standard_imbedding`` picks its own basis.
+    independent over Q but need not span the others over Q.  With ``basis``
+    (``standard_imbedding``) the pick is certified behind the Hadamard cover
+    instead (``cover=None``) at every d, so it is a basis of the operators
+    over Q; it spans every R(u, v) over Q, which proves LT3 too.
 
     Up to d = ``LT3_ALL_PAIRS_MAX_DIM`` every nonzero R(u, v) is checked
     instead, with no pick and no certificate.  That is the crossover
@@ -536,12 +539,12 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     one BLAS thread): at d = 8 checking every operator took 8.8 and 8.1 ms
     against 12.2 and 11.2 ms for the pick, at d = 9 it took 5.4 and 5.8 ms
     against 4.7 and 4.7 ms, and from d = 10 on the pick won by more, since
-    the operators outnumber their span more.  The batched check only says
-    whether every residual vanishes.  On failure a concrete (u, v, i, j, k)
-    witness is recovered by rescanning each nonzero R(u, v) over the pairs
-    the check used (u < v with LT1, every ordered pair without), in order:
-    the first failing pair and its lexicographically first failing triple
-    (``_lt3_first_triple``).
+    the operators outnumber their span more.  One scan (``_lt3_first``)
+    gives the verdict on the checked operators; on failure the same scan of
+    every nonzero R(u, v), over the pairs the check used (u < v with LT1,
+    every ordered pair without) in order, gives the first failing pair, and
+    of that one operator over every triple its lexicographically first
+    failing triple: the witness.
 
     The residual of a linear operator D,
 
@@ -557,8 +560,8 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     zero there exactly when it is zero at the triples i < j, k <= j.  Those
     are checked when both axioms hold, (d^3 - d)/3 of them: for each j the
     rectangle i < j, k <= j, on which each term of the residual is one GEMM
-    on a view of the coordinates (``_lt3_holds``).  Otherwise all
-    d^3 triples are checked.
+    on a view of the coordinates (``_lt3_slab``).  Otherwise all d^3
+    triples are checked.
 
     A graded system (``Structure.split`` s, a polarized one with its d+ = s
     plus pairs first) has c[i, j, k, m] = 0 unless grade(i) != grade(j) and
@@ -572,43 +575,32 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool):
     """
     d = st.coords.a.shape[0]
     bound = _lt3_bound(*([b.coords for b in st.blocks] if st.blocks else [st.coords]))
-    _, ops = _inner_operators(st.coords.a, lt1_ok)
+    pairs, ops = _inner_operators(st.coords.a, lt1_ok)
     rows = ops.reshape(len(ops), d * d)
-    kept = (kernel.independent_row_indices(rows, bound) if d > LT3_ALL_PAIRS_MAX_DIM
+    kept = (kernel.independent_row_indices(rows, None if basis else bound) if basis or d > LT3_ALL_PAIRS_MAX_DIM
             else np.flatnonzero(rows.any(axis=1)))
     # the whole operator array is dropped before the residuals are checked
-    ops, rows = ops[kept], None
-    # in the residuals' dtype once, not once per rescanned pair
-    c = kernel.fit(st.coords.a, bound)
+    ops, rows, kept = ops[kept], None, [tuple(pair) for pair in pairs[kept].tolist()]
     hook = lt1_ok and lt2_ok
-    if _lt3_holds(c, ops, bound, hook, st.split):
-        return True, None
-    pairs, ops = _inner_operators(c, lt1_ok)
-    for t in np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1)):
-        if not _lt3_holds(c, ops[t:t + 1], bound, hook, st.split):
-            return False, tuple(pairs[t].tolist()) + _lt3_first_triple(c, ops[t])
-    # not reached: the kept operators that failed above are nonzero rows of
-    # the same pairs, all rescanned here, and the residual of each operator
-    # does not depend on the other operators of its batch (``_lt3_slab``
-    # multiplies each alone)
-    return False, None
+    if _lt3_first(st.coords.a, ops, bound, hook, st.split) is None:
+        return True, None, kept
+    _, ops = _inner_operators(st.coords.a, lt1_ok)
+    live = np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1))
+    t, _ = _lt3_first(st.coords.a, ops[live], bound, hook, st.split)
+    _, triple = _lt3_first(st.coords.a, ops[live[t]][None], bound, False)
+    return False, tuple(pairs[live[t]].tolist()) + triple, kept
 
 
 def _lt3_bound(*coords: Arr) -> int:
     """4 max|c| L, L = max over (i, j, k) of sum_m |c[i, j, k, m]|, for the
     coordinates c: a bound on the LT3 residuals of operators that are rows
     c[u, v] of c, and on every partial sum of their four terms
-    (``_lt3_holds``).  Of a graded structure, c is read from the arrays of
+    (``_lt3_first``).  Of a graded structure, c is read from the arrays of
     its blocks, whose entries, negated or not, and zeros are all of c."""
     mags = [np.abs(c.a) for c in coords]
     top = max(int(mag.max(initial=0)) for mag in mags)
-    rows = 0
-    for c, mag in zip(coords, mags):
-        # exact row sums: float32 below 2^24, float64 below 2^53; past it
-        # they only have to stay past it, which puts the bound in object
-        total = (np.float32 if top * mag.shape[-1] < kernel.FLOAT32_EXACT_CAP
-                 else object if c.bound >= kernel.FLOAT_EXACT_CAP else np.float64)
-        rows = max(rows, int(np.max(mag.sum(axis=-1, dtype=total), initial=0)))
+    # exact row sums, in the dtype of the largest one can be (``kernel.fit``)
+    rows = max(int(np.max(kernel.fit(mag, top * mag.shape[-1]).sum(axis=-1), initial=0)) for mag in mags)
     return 4 * top * rows
 
 
@@ -624,23 +616,29 @@ def _inner_operators(c: np.ndarray, lt1_ok: bool):
     return np.stack((iu, ju), axis=1), c[iu, ju]
 
 
-def _lt3_holds(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, split: int | None = None) -> bool:
-    """Whether the LT3 residual of every operator e = ops[t], given by
-    e[w, m] = (D b_w)_m, vanishes:
+def _lt3_first(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, split: int | None = None):
+    """(t, (i, j, k)) for the first operator e = ops[t] whose LT3 residual is
+    nonzero on the scanned triples and its lexicographically first such
+    triple, or None when every residual vanishes there.  With
+    e[w, m] = (D b_w)_m the residual is
 
         res[i, j, k, m] = (D[b_i, b_j, b_k] - [D b_i, b_j, b_k]
                            - [b_i, D b_j, b_k] - [b_i, b_j, D b_k])_m.
 
-    The operators are checked d at a time, one slab of fixed j after the
-    other (``_lt3_slab``), up to the first slab with a nonzero residual: with
-    ``hook`` the rectangle i < j, k <= j (see ``_check_lt3``), else every i
-    and k.  With ``hook`` and the ``split`` s of a graded system, only the
-    slabs j >= s over the rows i < s, where i and j have opposite grades:
-    the other rows are zero (``_check_lt3``).  ``bound`` covers the running
-    sum of the four terms and every partial sum of each, whose d products
-    are c[i, j, k, :] . e[:, m] (at most max|e| L) and e[x, :] . c[..., m]
-    (at most max|c| max_x sum_w |e[x, w]|), with L = max over (i, j, k) of
-    sum_m |c[i, j, k, m]|.
+    The operators are scanned d at a time, one slab of fixed j after the
+    other (``_lt3_slab``): with ``hook`` the rectangle i < j, k <= j (see
+    ``_check_lt3``), else every i and k.  With ``hook`` and the ``split`` s
+    of a graded system, only the slabs j >= s over the rows i < s, where i
+    and j have opposite grades: the other rows are zero (``_check_lt3``).
+    A batch with a nonzero slab is scanned to its end.  Each slab's first
+    hit (``_first_nonzero_triple``) is its first nonzero operator and that
+    operator's first (i, k) there, and an operator nonzero in a slab comes
+    no earlier than that slab's first, so the least hit (t, i, j, k) over
+    the batch is the answer, which does not depend on the batching.
+    ``bound`` covers the running sum of the four terms and every partial
+    sum of each, whose d products are c[i, j, k, :] . e[:, m] (at most
+    max|e| L) and e[x, :] . c[..., m] (at most max|c| max_x sum_w |e[x, w]|),
+    with L = max over (i, j, k) of sum_m |c[i, j, k, m]|.
     """
     d = c.shape[0]
     c, ops = kernel.fit(c, bound), kernel.fit(ops, bound)
@@ -650,32 +648,21 @@ def _lt3_holds(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, split: in
     # the hook's slabs j >= lo over the rows i < min(j, hi)
     lo, hi = (0, d) if split is None else (split, split)
     for t0 in range(0, len(ops), d or 1):  # d = 0: no operators
-        e = ops[t0:t0 + d]
+        e, hits = ops[t0:t0 + d], []
         for j in range(lo, d) if hook else range(d):
-            if _lt3_slab(c, e, j, min(j, hi) if hook else d, j + 1 if hook else d, res, term).any():
-                return False
-    return True
-
-
-def _lt3_first_triple(c: np.ndarray, e: np.ndarray):
-    """The lexicographically first (i, j, k) at which the LT3 residual of the
-    one operator e is nonzero, or None: every slab j, each over the i below
-    the first i found so far.  c and e are in the residuals' dtype
-    (``_lt3_holds``)."""
-    d = c.shape[0]
-    res, term = np.empty(d**3, dtype=c.dtype), np.empty(d**3, dtype=c.dtype)
-    first = None
-    for j in range(d):
-        r = _lt3_slab(c, e[None], j, d if first is None else first[0], d, res, term)
-        hit = np.argwhere(r[0].any(axis=-1))
-        if hit.size:
-            first = (int(hit[0, 0]), j, int(hit[0, 1]))
-    return first
+            hit = _first_nonzero_triple(_lt3_slab(c, e, j, min(j, hi) if hook else d, j + 1 if hook else d, res, term),
+                                        (t0, 0, 0))
+            if hit is not None:
+                hits.append((hit[0], hit[1], j, hit[2]))
+        if hits:
+            t, i, j, k = min(hits)
+            return t, (i, j, k)
+    return None
 
 
 def _lt3_slab(c: np.ndarray, e: np.ndarray, j: int, ni: int, nk: int, res: np.ndarray, term: np.ndarray):
     """The LT3 residuals r[t, i, k, m] at the triples (i, j, k), i < ni and
-    k < nk, of the operators e (``_lt3_holds``), in the buffer
+    k < nk, of the operators e (``_lt3_first``), in the buffer
     ``res``: one GEMM per term on a view of c that spans exactly these i and
     k, each subtracted through the buffer ``term``."""
     n, d = len(e), c.shape[0]
@@ -874,17 +861,12 @@ def standard_imbedding(system: TripleSystem) -> StandardImbedding:
     on h x m x m is LT3, [h, h] lies in h because each D in h is a
     derivation (LT3: [D, R(x, y)] = R(Dx, y) + R(x, Dy)), and the other
     Jacobi components hold for any operators.  So ``ok`` is ``check_lts``'s
-    verdict, and h has a basis of the inner operators (``_inner_operators``)
-    picked behind the Hadamard cover of ``kernel.independent_row_indices``,
-    which makes it a basis over Q.
+    verdict, and h's basis is the pick that decides LT3, made behind the
+    Hadamard cover of ``kernel.independent_row_indices`` (``_check_lt3``
+    with ``basis``), which makes it a basis over Q.
     """
     with kernel.one_blas_thread():
-        st = system.structure()
-        if not st.closed:
+        if not system.structure().closed:
             raise ValueError("triple system is not closed; no standard imbedding")
-        report = check_lts(system)
-        lt1_ok = all(e["axiom"] != "LT1" for e in report.failing())
-        pairs, ops = _inner_operators(st.coords.a, lt1_ok)
-        kept = kernel.independent_row_indices(ops.reshape(len(ops), system.dim**2))
-        basis = [tuple(pair) for pair in pairs[kept].tolist()]
+        report, basis = _check_lts(system, basis=True)
     return StandardImbedding(system, basis, len(basis), system.dim, report.ok)

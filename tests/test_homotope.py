@@ -399,22 +399,21 @@ class TestStandardImbedding:
     @pytest.mark.parametrize("label, sizes", [("2.2.b", (3,)), ("2.2.b", (1,))])
     def test_picks_once(self, monkeypatch, label, sizes):
         """h is picked once, behind the Hadamard cover, among the pairs
-        ``_inner_operators`` lists with LT1.  At 2.2.b(3) (d = 21)
-        ``check_lts`` makes one more pick for LT3, behind the cover of its
-        residual bound; at 2.2.b(1) (d = 3, every operator checked) it makes
-        none."""
+        ``_inner_operators`` lists with LT1, on each side of
+        ``LT3_ALL_PAIRS_MAX_DIM``: at 2.2.b(3) (d = 21) and at 2.2.b(1)
+        (d = 3, where ``check_lts`` alone checks every operator with no
+        pick).  That one pick decides LT3, and its pairs are h_pairs."""
         desc = family(label)
         system = desc.system(sizes, desc.sample_params(sizes, random.Random(3), "generic"))
-        large = system.dim > homotope.LT3_ALL_PAIRS_MAX_DIM
-        assert large == (sizes == (3,))
-        pick, covers = kernel.independent_row_indices, []
+        assert (system.dim > homotope.LT3_ALL_PAIRS_MAX_DIM) == (sizes == (3,))
+        pick, picks = kernel.independent_row_indices, []
         monkeypatch.setattr(kernel, "independent_row_indices",
-                            lambda rows, cover=None: covers.append(cover) or pick(rows, cover))
+                            lambda rows, cover=None: picks.append((cover, pick(rows, cover))) or picks[-1][1])
         emb = standard_imbedding(system)
-        bound = homotope._lt3_bound(system.structure().coords)
-        assert emb.ok and covers == ([bound, None] if large else [None])
+        assert emb.ok and [cover for cover, _ in picks] == [None]
         pairs, ops = homotope._inner_operators(system.structure().coords.a, True)
-        picked = [tuple(pairs[t].tolist()) for t in pick(ops.reshape(len(ops), system.dim**2))]
+        picked = [tuple(pairs[t].tolist()) for t in picks[0][1]]
+        assert picked == [tuple(pairs[t].tolist()) for t in pick(ops.reshape(len(ops), system.dim**2))]
         assert emb.h_pairs == picked and emb.h_dim == len(picked)
         assert "pairs" not in str(check_lts(system).to_json(system))
 
@@ -505,14 +504,19 @@ class TestLtsBlasThreads:
 
 
 @pytest.mark.parametrize("top, dtype", [(2**10, np.float32), (2**23, np.float32),
-                                        (2**30, np.float64), (2**60, object)])
+                                        (2**30, np.float64), (2**52, np.float64), (2**60, object)])
 def test_lt3_bound_is_the_formula(top, dtype):
     """4 max|c| L, L the largest sum of |c[i, j, k, :]|, equals the formula
     in Python ints in each tier of the coordinates ``kernel.coordinates``
-    returns (at 2^23 the row sums pass 2^24)."""
+    returns (at 2^23 the row sums pass 2^24).  Known false for row sums in
+    float64 past 2^53: at 2^52 the float64 coordinates hold the row
+    [2^52, 2^52 - 1, 2], so L = 2^53 + 1, which a float64 sum rounds to
+    2^53; every other entry is then below 2^22."""
     rng, d = random.Random(top), 3
     nums = [rng.randint(-top, top) for _ in range(d**4)]
     nums[5] = top
+    if top == 2**52:
+        nums = [x >> 30 for x in nums[:3]] + [top, top - 1, 2] + [x >> 30 for x in nums[6:]]
     space = matrix_space(1, d, Q)
     flat = Arr(np.array(nums, dtype=object).reshape(d, d, d, d), 1, top, Q).actual_bound()
     coords, member = space.flat_coordinates(flat)

@@ -22,7 +22,7 @@ from homotopes import homotope, kernel
 from homotopes.families import (SIGNS, ParamClass, asym_space, family, family_labels, herm_space,
                                 instantiate, matrix_space, rand_matrix, sym_space)
 from homotopes.homotope import (AlphaMap, AlphaTriple, GenericTriple, PairTriple, ProductSpace, TripleSystem,
-                                _lt3_first_triple, _lt3_holds, bracket_closure, check_lts, standard_imbedding,
+                                _lt3_first, bracket_closure, check_lts, standard_imbedding,
                                 symmetric_pair, symmetric_pairs, triple_param)
 from homotopes.involutions import JointDecomposition, MatrixInvolution
 from homotopes.kernel import Arr, independent_row_indices
@@ -268,8 +268,8 @@ def test_graded_lt3_fails_as_the_plain_hook(monkeypatch, p, q):
     assert system.structure().split == p * q
     graded = _lts_entries(system)
     assert [e[0] for e in graded if not e[1]] == ["LT3"]
-    plain = homotope._lt3_holds
-    monkeypatch.setattr(homotope, "_lt3_holds",
+    plain = homotope._lt3_first
+    monkeypatch.setattr(homotope, "_lt3_first",
                         lambda c, ops, bound, hook, split=None: plain(c, ops, bound, hook))
     assert graded == _lts_entries(_graded(p, q, 11))
 
@@ -616,6 +616,36 @@ def test_lt3_alone_fails_on_each_side_of_the_size_rule(monkeypatch, width, first
     assert len(calls) == (width > homotope.LT3_ALL_PAIRS_MAX_DIM)
 
 
+def test_lt3_scan_finishes_the_batch_of_its_first_nonzero_slab():
+    """Known false: the sum of ``broken_derivation`` on (0, 3) and on (1, 2)
+    over 1 x 4 rows, whose supports are disjoint, so that LT1 and LT2 hold
+    and the nonzero operators are R(e_0, e_3) and R(e_1, e_2), each failing
+    as it does alone: at (0, 3, 0) and (3, 0, 0), resp. (1, 2, 1) and
+    (2, 1, 1).  One batch holds both.  With the hook, operator 0 fails only
+    in the last slab, j = 3, and operator 1 in an earlier one, j = 2; over
+    every triple with the two swapped, operator 0 fails in the slabs 1 and 2
+    and operator 1 in slab 0.  Either way the scan answers with operator 0
+    and its first triple, and ``check_lts`` reports the reference's witness,
+    which names R(e_0, e_3)."""
+    space = matrix_space(1, 4, Q)
+    outer, inner = broken_derivation(4, 1, 0, 3), broken_derivation(4, 1, 1, 2)
+
+    def product(x, y, z):
+        return outer(x, y, z) + inner(x, y, z)
+
+    system = TripleSystem(space, GenericTriple(product))
+    c = system.structure().coords.a
+    _, ops = homotope._inner_operators(c, True)
+    ops = ops[ops.reshape(len(ops), 16).any(axis=1)]
+    bound = homotope._lt3_bound(system.structure().coords)
+    assert len(ops) == 2
+    assert _lt3_first(c, ops, bound, hook=True) == (0, (0, 3, 0))
+    assert _lt3_first(c, ops[::-1], bound, hook=False) == (0, (1, 2, 1))
+    entries = _lts_entries(system)
+    assert entries == reference_lts(space, product)
+    assert entries[3] == ("LT3", False, (0, 3, 0, 3, 0))
+
+
 def test_lt3_reads_every_triple_without_lt2():
     """[x, y, z] = (x_1 y_3 - x_3 y_1) z_0 e_0 + (x_2 y_3 - x_3 y_2) z_1 e_1:
     LT1 holds and LT2 fails, and the LT3 residuals vanish on every triple with
@@ -869,8 +899,9 @@ def test_residual_slabs_match_reference(base, data):
     R(u, v) of an LTS (derivations) with one operator R(u, v) + delta E_wm
     inserted at a drawn position.  With the hook and over every triple they
     report a nonzero residual exactly when the reference finds one on some
-    triple, every other operator alone passes, and the rescan of the
-    inserted operator alone finds the reference's first nonzero triple."""
+    triple, and then at the inserted operator; every other operator alone
+    passes, and the scan of the inserted operator alone over every triple
+    finds the reference's first nonzero triple."""
     space, c = base
     d = space.dim
     ops = [[c[u, v, w] for w in range(d)] for u in range(d) for v in range(d)]
@@ -888,9 +919,11 @@ def test_residual_slabs_match_reference(base, data):
     bound = 4 * d * int(max(np.abs(cc).max(), np.abs(stack).max())) ** 2
     triples = list(np.ndindex(d, d, d))
     first = next((t for t in triples if any(derivation_residual(c, d, e, *t))), None)
-    assert _lt3_holds(cc, stack, bound, hook=True) == (first is None) == _lt3_holds(cc, stack, bound, hook=False)
-    assert all(_lt3_holds(cc, stack[t:t + 1], bound, hook=True) for t in range(len(stack)) if t != at)
-    assert _lt3_first_triple(kernel.fit(cc, bound), kernel.fit(stack[at], bound)) == first
+    hooked, every = (_lt3_first(cc, stack, bound, hook) for hook in (True, False))
+    assert (hooked is None) == (first is None) == (every is None)
+    assert first is None or hooked[0] == every[0] == at
+    assert all(_lt3_first(cc, stack[t:t + 1], bound, hook=True) is None for t in range(len(stack)) if t != at)
+    assert _lt3_first(cc, stack[at:at + 1], bound, hook=False) == (None if first is None else (0, first))
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,7 +8,10 @@ and prints a kill table.  ``tests/test_mutants.py`` is left out too: it
 reads this file, which the copy does not hold, to check its texts against
 the unmutated source, so it fails in every run and would count any mutant
 that reaches it as killed.
-A mutant is killed when the suite fails, or when it runs past ``TIMEOUT_S``.
+A mutant is killed when the suite fails (pytest exit 1), or when it runs
+past ``TIMEOUT_S``.  Any other exit (2 interrupted, 3 internal error, 4 usage
+error such as a ``first`` node id that does not resolve, 5 no tests) says
+nothing about the mutant, so it stops the probe and names the mutant.
 A mutant may name the tests that should kill it (``first``): those run
 first, and only if they pass does the whole suite run; the table says which
 run killed it.  That keeps a mutant that makes some earlier test loop for
@@ -129,7 +132,8 @@ MUTANTS = [
     Mutant("LT2 dropped", "src/homotopes/homotope.py", "    lt1, lt2 = _lt1_lt2(st)",
            "    (lt1, _), lt2 = _lt1_lt2(st), None"),
     Mutant("LT3 dropped", "src/homotopes/homotope.py",
-           'report.add("LT3", *_check_lt3(st, lt1 is None, lt2 is None))', 'report.add("LT3", True, None)'),
+           "ok, witness, pairs = _check_lt3(st, lt1 is None, lt2 is None, basis)",
+           "(_, _, pairs), ok, witness = _check_lt3(st, lt1 is None, lt2 is None, basis), True, None"),
     # LT1 and LT2 one block of slabs at a time
     Mutant("LT2 block missing its third term", "src/homotopes/homotope.py",
            "x[:, :, i:] + z + y[:, :, i:].swapaxes(1, 2)", "x[:, :, i:] + z", "tests/test_structure_reference.py"),
@@ -153,9 +157,15 @@ MUTANTS = [
            "StandardImbedding(system, basis, len(basis), system.dim, report.ok)",
            "StandardImbedding(system, basis, len(basis), system.dim, True)"),
     Mutant("LT3 rescan skips the first nonzero operator", "src/homotopes/homotope.py",
-           "for t in np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1)):",
-           "for t in np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1))[1:]:",
+           "live = np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1))",
+           "live = np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1))[1:]",
            "tests/test_structure_reference.py"),
+    Mutant("batch scan returns at its first nonzero slab", "src/homotopes/homotope.py",
+           "hits.append((hit[0], hit[1], j, hit[2]))", "return hit[0], (hit[1], j, hit[2])",
+           "tests/test_structure_reference.py::test_lt3_scan_finishes_the_batch_of_its_first_nonzero_slab"),
+    Mutant("standard_imbedding picks h behind the residual cover", "src/homotopes/homotope.py",
+           "independent_row_indices(rows, None if basis else bound)", "independent_row_indices(rows, bound)",
+           "tests/test_homotope.py tests/test_structure_reference.py"),
     Mutant("BLAS scope never restores the thread count", "src/homotopes/kernel.py",
            "    finally:\n        api[1](before)", "    finally:\n        pass"),
     # the graded structure of a polarized system and its LT3 hook
@@ -236,6 +246,10 @@ MUTANTS = [
            "tests/test_row_selection.py::test_primes_are_the_primes_below_the_limit"),
     Mutant("_lt3_bound with top for rows", "src/homotopes/homotope.py",
            "    return 4 * top * rows", "    return 4 * top * top", "tests/test_homotope.py"),
+    Mutant("LT3 bound row sums in float64 past 2^53", "src/homotopes/homotope.py",
+           "kernel.fit(mag, top * mag.shape[-1])",
+           "kernel.fit(mag, top * mag.shape[-1] if mag.dtype == object else min(top * mag.shape[-1], 2**53 - 1))",
+           "tests/test_homotope.py::test_lt3_bound_is_the_formula"),
     # products over Q as one plain GEMM, and the group suites over stacks
     Mutant("k = 1 product with its operands' matrix axes transposed", "src/homotopes/kernel.py",
            "        return (x[..., 0] @ y[..., 0])[..., None]",
@@ -341,7 +355,9 @@ def main(argv=None) -> int:
             finally:
                 with open(path, "w") as fh:
                     fh.write(original)
-            status = "killed" if code != 0 else "SURVIVED"
+            if code not in (0, 1):
+                raise SystemExit(f"mutant {m.name!r}: pytest exited {code} on {run}: {last}")
+            status = "killed" if code == 1 else "SURVIVED"
             rows.append((m.name, status, run, f"{seconds:.0f} s", last))
             print(f"{m.name}: {status} ({run}, {seconds:.0f} s) {last}", file=sys.stderr, flush=True)
     print("| mutant | result | run | time | killed by |")
