@@ -104,7 +104,7 @@ GROUP_CHECKS = {
 
 
 def cmd_group(args) -> int:
-    n = args.n if args.n is not None else 2
+    (n,) = check_sizes("n", (args.n if args.n is not None else 2,))
     report = GROUP_CHECKS[args.check](n, args.samples, args.seed)
     _emit(_dump_json(report), args.out)
     return 0 if report["pass"] else 1

@@ -67,17 +67,32 @@ class AlphaTriple:
 
     def structure(self, space) -> "Structure":
         """The structure constants over the basis of ``space``, with the middle
-        images of the whole basis from one ``AlphaMap`` call; the zero one
-        when every image is zero (``TripleSystem.structure``), or at once when
-        a factor of the sandwich is (``_zero_factor``)."""
+        images of the whole basis from one ``AlphaMap`` call, kept on the
+        half i < j (``Structure.blocks``): the bracket is antisymmetric in
+        its first two arguments by its form, so [b_j, b_i, b_k] is the
+        negative of [b_i, b_j, b_k] and [b_i, b_i, b_k] = 0.  The products
+        of the half (``kernel.t_half``) take one ``coordinates``; their
+        closure flags give the verdict and the witness, since [b_i, b_j, b_k]
+        lies in the space exactly when [b_j, b_i, b_k] does, and so does
+        [b_i, b_i, b_k].  The dense coordinates (``_dense``) are built only
+        for a closed structure, which LT3 reads; the dense products only
+        when read (``Structure.flat``).  The structure is the zero one when every
+        middle image is zero (``TripleSystem.structure``), or at once when a
+        factor of the sandwich is (``_zero_factor``)."""
         if _zero_factor(self.alpha):
             return _vanishing(space)
         basis = space.basis_arr()
         middles = self.alpha(basis)
         if middles.is_zero().all():
             return _vanishing(space)
-        flat = kernel.flatten_last(_triples(basis, middles))
-        return _structure(flat, *space.flat_coordinates(flat))
+        flat = kernel.flatten_last(kernel.t_half(basis, middles))
+        c, member = space.flat_coordinates(flat)
+        if member.all():
+            return Structure(None, _dense(c), True, None, blocks=(Block(flat, c),))
+        # the first product outside the space, in (i, j, k) order, has i < j
+        t, k = np.argwhere(~member)[0]
+        iu, ju = kernel.pairs(space.dim)
+        return Structure(None, None, False, (int(iu[t]), int(ju[t]), int(k)), blocks=(Block(flat, c),))
 
     def negated(self) -> "AlphaTriple":
         return AlphaTriple(self.alpha.negated())
@@ -234,9 +249,13 @@ class ProductSpace:
 
 
 class Block(NamedTuple):
-    """A nonzero block of a graded structure (``PairTriple``): its flattened
-    products, shape (own, other, own, N_own) over the two grades' bases, and
-    their coordinates in its own grade's basis, shape (own, other, own, own)."""
+    """A block from which a structure's dense arrays are scattered (``_dense``):
+    its flattened products and their coordinates.  Of a graded structure
+    (``PairTriple``), a nonzero block, shape (own, other, own, N_own) over
+    the two grades' bases, with coordinates in its own grade's basis, shape
+    (own, other, own, own); of a plain one (``AlphaTriple``), the half over
+    the pairs i < j, shape (d(d-1)/2, d, N), with coordinates of shape
+    (d(d-1)/2, d, d)."""
 
     flat: Arr
     coords: Arr
@@ -255,9 +274,11 @@ class Structure:
 
     ``blocks``: for a polarized system that does not vanish, its two nonzero
     blocks v+ = [P, M, P] and v- = [M, P, M] (``Block``), over one
-    denominator and bound; None for any other.  Its ``flat`` is then built
-    from them when it is first read (``_dense``): the LTS check reads the
-    blocks, and the dense products only when LT2 fails (``_lt1_lt2``).
+    denominator and bound; for a plain one (``AlphaTriple``) that does not
+    vanish, its one half over the pairs i < j; None for any other.  Its
+    ``flat`` is then built from them when it is first read (``_dense``):
+    the LTS check reads the blocks, and the dense products only when LT2
+    fails on a polarized one or the plain one is not closed (``_lt1_lt2``).
     """
 
     _flat: Arr | None
@@ -277,7 +298,7 @@ class Structure:
 
 def _structure(flat: Arr | None, coords: Arr | None, member: np.ndarray, split: int | None = None,
                blocks: tuple | None = None) -> Structure:
-    """The ``Structure`` of the products ``flat`` (of a graded one, its
+    """The ``Structure`` of the products ``flat`` (of one kept on blocks, its
     ``blocks``), with their coordinates and the flags ``member`` of those
     that lie in the space: the witness is the first basis triple whose
     product does not."""
@@ -286,13 +307,22 @@ def _structure(flat: Arr | None, coords: Arr | None, member: np.ndarray, split: 
     return Structure(flat, None, False, tuple(int(v) for v in np.argwhere(~member)[0]), split, blocks=blocks)
 
 
-def _dense(vp: Arr, vm: Arr) -> Arr:
-    """The dense array of a graded structure from the arrays of its blocks
+def _dense(vp: Arr, vm: Arr | None = None) -> Arr:
+    """The dense array of a structure from the arrays of its blocks
     (products or coordinates, ``Block``), over their one denominator and
-    bound: with d+ and d- the lengths of vp and vm and n+ and n- their last
-    axes, shape (d, d, d, n+ + n-), vp at [P, M, P] in the first n+ columns
-    and vm at [M, P, M] in the others, each block's negative with its first
-    two axes swapped at [M, P, P] resp. [P, M, M], and zeros elsewhere."""
+    bound.  Of a plain one, the half vp over the pairs (i, j), i < j, with
+    last axis n: shape (d, d, d, n), vp at (i, j), its negative at (j, i)
+    and zeros at i = j.  Of a graded one: with d+ and d- the lengths of vp
+    and vm and n+ and n- their last axes, shape (d, d, d, n+ + n-), vp at
+    [P, M, P] in the first n+ columns and vm at [M, P, M] in the others,
+    each block's negative with its first two axes swapped at [M, P, P]
+    resp. [P, M, M], and zeros elsewhere."""
+    if vm is None:
+        d = vp.a.shape[1]
+        iu, ju = kernel.pairs(d)
+        out = kernel.fit(np.zeros((d, d, d, vp.a.shape[-1]), np.float32), vp.bound)
+        out[iu, ju], out[ju, iu] = vp.a, -vp.a
+        return vp._same(out)
     s, n = len(vp.a), vp.a.shape[-1]
     d = s + len(vm.a)
     out = kernel.fit(np.zeros((d, d, d, n + vm.a.shape[-1]), np.float32), vp.bound)
@@ -345,21 +375,14 @@ class TripleSystem:
         ``AlphaTriple``, both grades' images of a ``PairTriple``) is zero,
         since each term of T(x, alpha(y), z) has the middle factor alpha(y):
         its structure is the zero one, decided exactly from the d integer
-        numerators of the images, with no d^3 products, antisymmetrization
-        or coordinates (``Structure.vanishes``)."""
+        numerators of the images, with no products or coordinates
+        (``Structure.vanishes``)."""
         if self._structure is None:
             self._structure = _vanishing(self.space) if self.dim == 0 else self.product.structure(self.space)
         return self._structure
 
     def eval(self, x, y, z):
         return self.product.eval(x, y, z)
-
-
-def _triples(basis: Arr, middles: Arr) -> Arr:
-    """T(b_i, w_j, b_k) - T(b_j, w_i, b_k) over basis and middle stacks (w_j
-    the middle image of b_j), shape (d, d, d, rows, cols, comps)."""
-    tt = kernel.t_tensor(basis, middles)
-    return tt - tt._same(tt.a.swapaxes(0, 1))
 
 
 def cdual(t: TripleSystem) -> TripleSystem:
@@ -426,7 +449,16 @@ def check_lts(system: TripleSystem) -> LtsReport:
     check, since ``kernel.t_tensor`` computes the two terms of T by
     different products.  The LT3 bound reads the blocks' coordinates, of
     which the dense ones hold the entries, their negatives and zeros
-    (``_check_lt3``)."""
+    (``_check_lt3``).
+
+    A plain structure (``AlphaTriple``) is checked on its half i < j.  LT1
+    holds by its form: the dense products are the half, its negative with
+    the first two indices swapped, and zeros at i = j.  A closed one takes
+    LT2 from its dense coordinates: the basis is independent, so a cyclic
+    sum of products is zero exactly when the same sum of their coordinates
+    is, at the same first triple; an unclosed one builds its dense products
+    and takes their witnesses.  The LT3 operators R(b_u, b_v), u < v, are
+    the half's coordinates, and its bound reads them."""
     with kernel.one_blas_thread():
         return _check_lts(system)[0]
 
@@ -462,10 +494,13 @@ LT12_BLOCK = 2**15
 def _lt1_lt2(st: Structure):
     """The LT1 and LT2 witnesses of the structure (``_lt1_lt2_witnesses``).
     A graded one passes both when each block is symmetric in its first and
-    third axes (``check_lts``); otherwise its dense products are built and
-    the witnesses are theirs."""
-    if st.blocks is not None and all(np.array_equal(b.flat.a, b.flat.a.swapaxes(0, 2)) for b in st.blocks):
+    third axes, and a plain one kept on its half passes LT1 by form, and
+    when closed takes the LT2 witness of its coordinates (``check_lts``);
+    otherwise its dense products are built and the witnesses are theirs."""
+    if st.split is not None and all(np.array_equal(b.flat.a, b.flat.a.swapaxes(0, 2)) for b in st.blocks):
         return None, None
+    if st.split is None and st.blocks is not None and st.closed:
+        return None, _lt1_lt2_witnesses(st.coords)[1]
     return _lt1_lt2_witnesses(st.flat)
 
 
@@ -575,7 +610,8 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool, basis: bool = False):
     """
     d = st.coords.a.shape[0]
     bound = _lt3_bound(*([b.coords for b in st.blocks] if st.blocks else [st.coords]))
-    pairs, ops = _inner_operators(st.coords.a, lt1_ok)
+    half = st.blocks[0].coords.a if st.blocks and st.split is None else None
+    pairs, ops = _inner_operators(st.coords.a, lt1_ok, half)
     rows = ops.reshape(len(ops), d * d)
     kept = (kernel.independent_row_indices(rows, None if basis else bound) if basis or d > LT3_ALL_PAIRS_MAX_DIM
             else np.flatnonzero(rows.any(axis=1)))
@@ -584,7 +620,7 @@ def _check_lt3(st: Structure, lt1_ok: bool, lt2_ok: bool, basis: bool = False):
     hook = lt1_ok and lt2_ok
     if _lt3_first(st.coords.a, ops, bound, hook, st.split) is None:
         return True, None, kept
-    _, ops = _inner_operators(st.coords.a, lt1_ok)
+    _, ops = _inner_operators(st.coords.a, lt1_ok, half)
     live = np.flatnonzero(ops.reshape(len(ops), d * d).any(axis=1))
     t, _ = _lt3_first(st.coords.a, ops[live], bound, hook, st.split)
     _, triple = _lt3_first(st.coords.a, ops[live[t]][None], bound, False)
@@ -595,8 +631,9 @@ def _lt3_bound(*coords: Arr) -> int:
     """4 max|c| L, L = max over (i, j, k) of sum_m |c[i, j, k, m]|, for the
     coordinates c: a bound on the LT3 residuals of operators that are rows
     c[u, v] of c, and on every partial sum of their four terms
-    (``_lt3_first``).  Of a graded structure, c is read from the arrays of
-    its blocks, whose entries, negated or not, and zeros are all of c."""
+    (``_lt3_first``).  Of a structure kept on blocks (a graded one's two, a
+    plain one's half), c is read from the arrays of its blocks, whose
+    entries, negated or not, and zeros are all of c."""
     mags = [np.abs(c.a) for c in coords]
     top = max(int(mag.max(initial=0)) for mag in mags)
     # exact row sums, in the dtype of the largest one can be (``kernel.fit``)
@@ -604,16 +641,17 @@ def _lt3_bound(*coords: Arr) -> int:
     return 4 * top * rows
 
 
-def _inner_operators(c: np.ndarray, lt1_ok: bool):
+def _inner_operators(c: np.ndarray, lt1_ok: bool, half: np.ndarray | None = None):
     """Every inner operator R(b_u, b_v) over the coordinates c, as the pairs
     pairs[t] = (u, v) and their operators ops[t][w, m] = (R(b_u, b_v) b_w)_m =
     c[u, v, w, m], unscaled (the coordinate denominator cancels from both
     sides of the LT3 identity; max|ops| <= max|c|), in the order of the
     pairs.  With LT1, R(b_v, b_u) = -R(b_u, b_v), so the pairs u < v span,
-    and only they are listed."""
+    and only they are listed; the coordinates ``half`` of a plain
+    structure's half (``Block``) are then those operators as they stand."""
     d = c.shape[0]
-    iu, ju = np.triu_indices(d, k=1) if lt1_ok else np.divmod(np.arange(d * d), d)
-    return np.stack((iu, ju), axis=1), c[iu, ju]
+    iu, ju = kernel.pairs(d) if lt1_ok else np.divmod(np.arange(d * d), d)
+    return np.stack((iu, ju), axis=1), c[iu, ju] if half is None else half
 
 
 def _lt3_first(c: np.ndarray, ops: np.ndarray, bound: int, hook: bool, split: int | None = None):
@@ -826,7 +864,9 @@ def intertwines(psi: AlphaMap, space: Subspace, a_new: Matrix, a: Matrix) -> boo
     psi(X alpha_{A'}(Y) Z) = L X R alpha_A(psi Y) L Z R = psi X alpha_A(psi Y) psi Z
     for every term of the bracket, by associativity alone.  It is sufficient,
     not necessary (where the bracket vanishes every psi intertwines), so when
-    it fails, or psi is no sandwich, all d^3 basis triples decide.
+    it fails, or psi is no sandwich, the basis triples decide: the brackets
+    of both sides over the pairs i < j (``kernel.t_half``), since both are
+    antisymmetric in i and j, so zero at i = j.
     """
     stack = space.basis_arr()
     images = psi(stack)
@@ -835,8 +875,8 @@ def intertwines(psi: AlphaMap, space: Subspace, a_new: Matrix, a: Matrix) -> boo
         middle = AlphaMap(psi.right, psi.left)(middle_images)
         if kernel.equal(middle, middle_new).all():
             return True
-    lhs = psi(_triples(stack, middle_new))
-    return bool(kernel.equal(lhs, _triples(images, middle_images)).all())
+    lhs = psi(kernel.t_half(stack, middle_new))
+    return bool(kernel.equal(lhs, kernel.t_half(images, middle_images)).all())
 
 
 # -- standard imbedding -----------------------------------------------------

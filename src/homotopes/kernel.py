@@ -419,6 +419,39 @@ def t_tensor(basis: Arr, middle: Arr) -> Arr:
     return Arr(out, basis.den * basis.den * middle.den, bound, ring).actual_bound()
 
 
+def pairs(d: int) -> tuple:
+    """The index arrays (i, j) of the pairs i < j of range(d), in
+    lexicographic order: the order of the rows of ``t_half``."""
+    return np.nonzero(np.arange(d)[:, None] < np.arange(d))
+
+
+def t_half(basis: Arr, middle: Arr) -> Arr:
+    """F[t, k] = X_t b_k + b_k Y_t = T(b_i, w_j, b_k) - T(b_j, w_i, b_k) over
+    the pairs t = (i, j), i < j (``pairs``), with
+    X_t = b_i w_j - b_j w_i and Y_t = w_j b_i - w_i b_j, for the basis stack
+    (d, p, q, k) and its middle images (d, q, p, k): shape
+    (d(d-1)/2, d, p, q, k).  Four GEMMs: b_i w_j and w_j b_i over every
+    (i, j), as in ``t_tensor``, then X_t b_k and b_k Y_t over the pairs
+    only."""
+    ring = basis.ring
+    d, p, q, k = basis.a.shape
+    iu, ju = pairs(d)
+    n = len(iu)
+    # X and Y are differences of two products, each summed over q resp. p
+    bw, wb = 2 * basis.bound * middle.bound * q * k, 2 * basis.bound * middle.bound * p * k
+    bound = 2 * bw * basis.bound * p * k
+    # rows (j, q) x columns (i, q', c), then per pair rows (k, p) x columns
+    # (q', c): the result comes out in place, and the first term adds into it
+    m2 = (fit(middle.a, wb).reshape(d * q, p * k) @ _rep_columns(fit(basis.a, wb), ring)).reshape(d, q, d, q, k)
+    rep = right_rep(fit(m2[ju, :, iu] - m2[iu, :, ju], bound), ring)
+    out = (fit(basis.a, bound).reshape(d * p, q * k) @ rep.reshape(n, q * k, q * k)).reshape(n, d, p, q, k)
+    # rows (i, p) x columns (j, p', c), then rows (pair, p) x columns (k, q, c)
+    m1 = (fit(basis.a, bw).reshape(d * p, q * k) @ _rep_columns(fit(middle.a, bw), ring)).reshape(d, p, d, p * k)
+    x = fit(m1[iu, :, ju] - m1[ju, :, iu], bound).reshape(n * p, p * k)
+    out += (x @ _rep_columns(fit(basis.a, bound), ring)).reshape(n, p, d, q, k).swapaxes(1, 2)
+    return Arr(out, basis.den * basis.den * middle.den, bound, ring).actual_bound()
+
+
 def bilinear_tensor(left: Arr, right: Arr, param: Arr) -> Arr:
     """BB[i, j] = x_i A y_j - y_j A x_i for basis stacks x, y and parameter A:
     the stacks broadcast against each other, as in ``bracket_param``."""

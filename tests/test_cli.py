@@ -136,6 +136,14 @@ class TestGroup:
         assert code == 2 and text == ""
         assert "invalid choice: 'unitary'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_bad_size_exit_two(self, tmp_path, capsys, n):
+        """Known false: a size below 1 is refused by the size rule of every
+        subcommand before a suite runs, in one line with no traceback."""
+        code, text = run(tmp_path, "group", "--check", "membership", "--n", n)
+        assert code == 2 and text == ""
+        assert assert_one_line_error(capsys) == f"error: sizes n must be one integer >= 1 each, got [{n}]\n"
+
 
 class TestNormalForm:
     def test_symmetric(self, tmp_path):

@@ -296,8 +296,8 @@ class TestHomomorphisms:
         a = Matrix.from_rows(Q, [[1, 0], [0, 2]])
         a_new, psi = gamma_act(Matrix.from_rows(Q, [[1, 1], [0, 1]]), a, tau)
         calls = []
-        triples = homotope._triples
-        monkeypatch.setattr(homotope, "_triples", lambda *args: calls.append(args) or triples(*args))
+        triples = kernel.t_half
+        monkeypatch.setattr(kernel, "t_half", lambda *args: calls.append(args) or triples(*args))
         assert intertwines(psi, matrix_space(2, 2, Q), a_new, a)
         assert calls == []
 
@@ -312,8 +312,8 @@ class TestHomomorphisms:
         identity = AlphaMap(None, None)
         assert AlphaMap.param(a)(basis[0]) != AlphaMap.param(a.scale(2))(basis[0])
         calls = []
-        triples = homotope._triples
-        monkeypatch.setattr(homotope, "_triples", lambda *args: calls.append(args) or triples(*args))
+        triples = kernel.t_half
+        monkeypatch.setattr(kernel, "t_half", lambda *args: calls.append(args) or triples(*args))
         assert intertwines(identity, space, a.scale(2), a)
         assert calls
         assert reference_intertwines(identity, basis, a.scale(2), a)

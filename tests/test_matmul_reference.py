@@ -1,9 +1,10 @@
 """Differential tests of the integer-numerator matrix product and of the
-kernel's batched products (``matrix_mul``, ``t_tensor``) against a reference
+kernel's batched products (``matrix_mul``, ``t_tensor``, ``t_half``) against a reference
 product that multiplies Scalar entries one at a time
 (``reference_matrix_product``), and of the integer basis a Subspace
 caches."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -60,13 +61,13 @@ def test_matmul_matches_reference_on_units():
 
 
 @st.composite
-def kernel_stacks(draw):
+def kernel_stacks(draw, rings=(Q, QI, HQ), tiers=(False, True)):
     """A ring, a tier, and a function drawing stacks of n matrices rows x cols
     over it with negative entries and a common denominator 1 or 3: in the
     upper tier every numerator has magnitude at least 2^27, so that every
     product bound passes 2^53."""
-    ring = draw(st.sampled_from([Q, QI, HQ]))
-    big = draw(st.booleans())
+    ring = draw(st.sampled_from(rings))
+    big = draw(st.sampled_from(tiers))
     k = ring_components(ring)
     small = st.integers(-2**12, 2**12)
     # prime to 3, so that no numerator shrinks over the common denominator
@@ -164,6 +165,30 @@ def test_kernel_t_tensor_matches_reference(case, data):
         expect = reference_matrix_product(reference_matrix_product(bs[i], ws[j]), bs[k]) \
             + reference_matrix_product(reference_matrix_product(bs[k], ws[j]), bs[i])
         assert matrix_of(tt[i, j, k]) == expect
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["float", "object"])
+@pytest.mark.parametrize("ring", [Q, QI, HQ])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kernel_t_half_matches_reference(ring, big, data):
+    """F[t, k] = T(b_i, w_j, b_k) - T(b_j, w_i, b_k) for the t-th pair
+    i < j, for p x q basis and q x p middle stacks with p != q and d >= 2
+    (so that there is a pair), over each ring and in each tier."""
+    _, _, stack = data.draw(kernel_stacks((ring,), (big,)))
+    d, p = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))
+    q = data.draw(st.integers(1, 3).filter(lambda v: v != p))
+    bs, ws = stack(d, p, q), stack(d, q, p)
+    half = kernel.t_half(Arr.from_matrices(bs), Arr.from_matrices(ws))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    assert half.a.shape == (len(pairs), d, p, q, ring_components(ring))
+    _assert_tier(half, big)
+
+    def t(x, w, z):
+        return reference_matrix_product(reference_matrix_product(x, w), z) \
+            + reference_matrix_product(reference_matrix_product(z, w), x)
+    for (s, (i, j)), k in itertools.product(enumerate(pairs), range(d)):
+        assert matrix_of(half[s, k]) == t(bs[i], ws[j], bs[k]) - t(bs[j], ws[i], bs[k])
 
 
 class TestSubspaceCache:

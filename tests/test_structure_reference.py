@@ -407,6 +407,148 @@ def test_graded_lt3_bound_reads_both_blocks(monkeypatch, grade):
     assert covers == [want]
 
 
+def _pairs(d):
+    """The pairs (i, j), i < j, in the order of the half's rows."""
+    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def _half_scattered(v, d):
+    """The dense array of a plain structure's half v (products or
+    coordinates over one denominator), entry by entry: v[t, k] at (i, j, k)
+    and its negative at (j, i, k) for the t-th pair i < j, zeros at i = j."""
+    out = np.zeros((d, d, d, v.a.shape[-1]), dtype=object)
+    for t, (i, j) in enumerate(_pairs(d)):
+        for k in range(d):
+            out[i, j, k] = [int(x) for x in v.a[t, k]]
+            out[j, i, k] = [-int(x) for x in v.a[t, k]]
+    return out
+
+
+def _plain_sizes(desc):
+    """The first sizes of the criterion-1 grid at which d >= 3, so that
+    some basis triple has three different indices."""
+    grid = [(1, 2), (2, 1), (2, 2)] if desc.sizes == "pq" else [(1,), (2,), (3,)]
+    return next(s for s in grid if desc.space(s).dim >= 3)
+
+
+def _plain_system(label, sizes, seed):
+    desc = family(label)
+    return desc.system(sizes, desc.sample_params(sizes, random.Random(seed), "generic"))
+
+
+# seeds at which the generic sample of every plain family is not zero at
+# ``_plain_sizes``: one-parameter families draw a zero parameter now and then
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("label", [label for label in family_labels() if not label.startswith("pol")])
+def test_plain_structure_is_the_half_scattered(label, seed):
+    """Every plain family, one generic sample per seed: the structure keeps
+    its half i < j (one ``Block``).  Its ``flat``, built when first read,
+    and its coordinates are the half and its negated mirror placed entry by
+    entry, over the half's denominator and bound, in the dtype of that
+    bound; one ``coordinates`` call on the whole dense products gives the
+    same coordinates, and its membership flags give the same verdict; and
+    the products, coordinates, verdict and witness are the reference's."""
+    system = _plain_system(label, _plain_sizes(family(label)), seed)
+    st, d = system.structure(), system.dim
+    (half,) = st.blocks
+    assert st._flat is None and st.split is None and not st.vanishes
+    assert half.flat.a.shape[:2] == half.coords.a.shape[:2] == (d * (d - 1) // 2, d)
+    flat = st.flat
+    assert (flat.den, flat.bound) == (half.flat.den, half.flat.bound)
+    assert flat.a.dtype == kernel.fit(np.zeros(1, np.float32), flat.bound).dtype
+    assert np.array_equal(kernel.fit(flat.a, 2**60), _half_scattered(half.flat, d))
+    coords, member = system.space.flat_coordinates(flat)
+    assert st.closed == member.all()
+    if st.closed:
+        assert (st.coords.den, st.coords.bound, st.coords.a.dtype) == (coords.den, coords.bound, coords.a.dtype)
+        assert (half.coords.den, half.coords.bound) == (coords.den, coords.bound)
+        assert np.array_equal(st.coords.a, coords.a)
+        assert np.array_equal(kernel.fit(st.coords.a, 2**60), _half_scattered(half.coords, d))
+    assert_structure_matches(system, system.space, system.eval)
+
+
+PLAIN_CHECKS = {
+    "2.2.b (1)": lambda: _plain_system("2.2.b", (1,), 0),
+    "2.A (3)": lambda: _plain_system("2.A", (3,), 0),
+    "object tier": lambda: TripleSystem.from_parameter(matrix_space(2, 2, Q), _big(Q, 2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(PLAIN_CHECKS))
+def test_passing_plain_check_never_builds_the_dense_products(monkeypatch, case):
+    """LT1 of a plain structure holds by form, LT2 is read from its dense
+    coordinates, and LT3 reads its operators and bound from the half's
+    coordinates, on each side of ``LT3_ALL_PAIRS_MAX_DIM`` (d = 3 and 12)
+    and on the object tier: a passing check, and the standard imbedding,
+    build no dense products."""
+    system = PLAIN_CHECKS[case]()
+    system.structure()
+
+    def refuse(*_):
+        raise AssertionError("dense products built")
+    monkeypatch.setattr(homotope, "_dense", refuse)
+    assert check_lts(system).ok and standard_imbedding(system).ok
+    with pytest.raises(AssertionError, match="dense products built"):
+        system.structure().flat
+
+
+def _plain_perturbed(system, target, delta):
+    """system.eval with delta added at the basis triple ``target`` and
+    subtracted at its mirror, the first two swapped."""
+    index = {b: i for i, b in enumerate(system.basis())}
+    mirror = (target[1], target[0], target[2])
+
+    def product(x, y, z):
+        sign = {target: 1, mirror: -1}.get((index[x], index[y], index[z]), 0)
+        return system.eval(x, y, z) + delta.scale(sign) if sign else system.eval(x, y, z)
+    return product
+
+
+@pytest.mark.parametrize("pair, k, m", [((0, 1), 2, 3), ((2, 3), 0, 1)], ids=["j = i + 1", "last pair"])
+@pytest.mark.parametrize("inside", [True, False], ids=["in the space", "out of the space"])
+def test_plain_half_perturbed_in_one_entry(monkeypatch, pair, k, m, inside):
+    """Known false: ``kernel.t_half`` is made to add one matrix to the
+    product of one pair (i, j) at k, at the first pair (0, 1), where
+    j = i + 1, and at the last, (2, 3).  The space is spanned by the units
+    b_c = E_{0, c+1} of the first row of M(5, 5; Q) (d = 4) with
+    alpha(Y) = Y diag(0, 1, 1, 1, 1): the middle images are not zero, but
+    every product b_a alpha(b_c) b_e has the factor alpha(b_c)[a + 1, 0] = 0,
+    so only the perturbation is nonzero.  The scatter puts its negative at
+    (j, i, k), so LT1 still holds by form.  Adding the fourth basis matrix
+    b_m keeps the products in the space, and only LT2 fails, at the least
+    rotation of (i, j, k), whose cyclic sum holds the changed product; LT3
+    holds, since m is none of i, j, k, so no product has b_m as an argument
+    and no operator has b_k in its image.  Adding E_10 leaves the space, and
+    closure fails at (i, j, k).  Every verdict and witness is the
+    reference's on the product perturbed the same way, at that triple and
+    at its mirror."""
+    space = Subspace.span([Matrix.elementary(5, 5, 0, c, Q) for c in range(1, 5)])
+    right = Matrix.from_rows(Q, [[int(r == c > 0) for c in range(5)] for r in range(5)])
+    system = TripleSystem(space, AlphaTriple(AlphaMap(None, right)))
+    assert not system.product.alpha(space.basis_arr()).is_zero().any()
+    t = _pairs(system.dim).index(pair)
+    delta = system.basis()[m] if inside else Matrix.elementary(5, 5, 1, 0, Q)
+    real, calls = kernel.t_half, []
+
+    def perturbed(basis, middle):
+        out = real(basis, middle)
+        calls.append(1)
+        assert not out.a.any()
+        num = kernel.fit(out.a, 2**60)
+        num[t, k] += out.den * kernel.fit(delta.a, 2**60)
+        return Arr(num, out.den, out.bound, out.ring).actual_bound()
+    monkeypatch.setattr(kernel, "t_half", perturbed)
+    i, j = pair
+    entries = _lts_entries(system)
+    assert len(calls) == 1
+    if inside:
+        assert entries == [("closure", True, None), ("LT1", True, None),
+                           ("LT2", False, min((i, j, k), (j, k, i), (k, i, j))), ("LT3", True, None)]
+    else:
+        assert entries[:2] == [("closure", False, (i, j, k)), ("LT1", True, None)]
+    assert entries == reference_lts(space, _plain_perturbed(system, (i, j, k), delta))
+
+
 def test_zero_sandwich_factor_vanishes_with_no_product(monkeypatch):
     """A zero factor L or R of the sandwich (a zero parameter, and a
     polarized pair whose two alphas each have one) gives the zero

@@ -116,6 +116,7 @@ def test_every_result_has_the_dtype_of_its_bound(case, data):
                x.conjugate(kind), x.dagger(kind), x[0], -x, x.transpose()]
     d = data.draw(st.integers(1, 3))
     results.append(kernel.t_tensor(stack(d, p, q), stack(d, q, p)))
+    results.append(kernel.t_half(stack(d, p, q), stack(d, q, p)))
     space = matrix_space(p, q, ring)
     coords, member = space.flat_coordinates(kernel.flatten_last(x))
     assert member.all()

@@ -1,7 +1,7 @@
 """Mutation probe: does the Tier-1 suite notice a broken verdict?
 
-Copies the repository (``src``, ``tests``, ``perfbench`` and
-``pyproject.toml``) into a temporary directory, applies one mutant at a time
+Copies the repository (``src``, ``tests``, ``perfbench``, ``pyproject.toml``
+and ``BENCHMARK.json``) into a temporary directory, applies one mutant at a time
 (an exact text substitution that must match once), runs the Tier-1 tests
 with ``-x`` and the long criterion-1 sweep deselected, restores the file,
 and prints a kill table.  ``tests/test_mutants.py`` is left out too: it
@@ -196,6 +196,23 @@ MUTANTS = [
     Mutant("lazy flat omits the negated [other, own, own] block", "src/homotopes/homotope.py",
            "out[own, other, own, cols], out[other, own, own, cols] = v.a, -v.a.swapaxes(0, 1)",
            "out[own, other, own, cols] = v.a", "tests/test_structure_reference.py"),
+    # a plain structure kept on its half i < j
+    Mutant("half scatter without the negation", "src/homotopes/homotope.py",
+           "out[iu, ju], out[ju, iu] = vp.a, -vp.a", "out[iu, ju], out[ju, iu] = vp.a, vp.a",
+           "tests/test_structure_reference.py"),
+    Mutant("half pairs include i = j", "src/homotopes/kernel.py",
+           "np.arange(d)[:, None] < np.arange(d)", "np.arange(d)[:, None] <= np.arange(d)",
+           "tests/test_matmul_reference.py"),
+    # swapping any two axes of coordinates antisymmetric in the first two
+    # negates every LT2 sum, which leaves the verdict and the witness as they
+    # are: that mutant cannot be killed, so the plain LT2 mutant reads the
+    # LT1 witness instead, which LT1 makes None
+    Mutant("plain LT2 on coordinates takes the LT1 witness", "src/homotopes/homotope.py",
+           "return None, _lt1_lt2_witnesses(st.coords)[1]", "return None, _lt1_lt2_witnesses(st.coords)[0]",
+           "tests/test_structure_reference.py"),
+    Mutant("dense coordinates skip the last pair", "src/homotopes/homotope.py",
+           "Structure(None, _dense(c), True,", "Structure(None, _dense(c._same(np.concatenate([c.a[:-1], 0 * c.a[-1:]]))), True,",
+           "tests/test_structure_reference.py"),
     Mutant("coordinates member flag forced all-True", "src/homotopes/kernel.py",
            "    member = np.all(v * basis.den == coords @ fit(basis.a, bound), axis=-1)\n",
            "    member = np.ones(v.shape[:-1], dtype=bool)\n"),
@@ -304,11 +321,14 @@ MUTANTS = [
 
 
 def _copy_tree(dest: str):
-    # tests/test_traced_surface.py loads the benchmark's tracer
+    # tests/test_traced_surface.py loads the benchmark's tracer and reads the
+    # probes BENCHMARK.json declares: without it that test fails under every
+    # mutant, and a mutant that survives the tests before it counts as killed
     for name in ("src", "tests", "perfbench"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+    for name in ("pyproject.toml", "BENCHMARK.json"):
+        shutil.copy(os.path.join(ROOT, name), dest)
 
 
 def _run_tests(cwd: str, tests: str = "") -> tuple:
